@@ -15,6 +15,8 @@ The rules (all errors; all scoped to ``src/`` by the repo driver):
   ``ordered_lock``/``ordered_rlock`` with a string-literal name that is
   registered in the rank table (and matches the entry's reentrancy).
   ``OrderedLock(..., rank=...)``/``graph=...`` overrides are test-only.
+  Repo-wide the inventory is two-sided: a rank registered in the table
+  that no construction site under ``src/`` uses is an error too.
 - **C002 lock order** — nested ``with``-acquisitions must be
   rank-monotonic (ascending) per the table; re-entering a
   non-reentrant lock in the same lexical chain is a self-deadlock.
@@ -52,7 +54,7 @@ from repro.analysis.lint import (
     _suppressions,
     iter_python_files,
 )
-from repro.concurrency.order import ACQUIRE_METHODS, LOCK_RANKS
+from repro.concurrency.order import ACQUIRE_METHODS, LOCK_ORDER, LOCK_RANKS
 
 _FACTORIES = ("ordered_lock", "ordered_rlock")
 _BLOCKING_ZERO_ARG = frozenset({"result", "exception", "get", "join"})
@@ -94,6 +96,8 @@ class _FileLocks:
     def __init__(self) -> None:
         self.modules: dict[str, str] = {}
         self.classes: dict[str, dict[str, str]] = {}
+        #: every registered lock name the file constructs
+        self.constructed: set[str] = set()
 
 
 def _lock_of_call(call: ast.Call) -> str | None:
@@ -157,6 +161,8 @@ def _inventory(tree: ast.Module, loc: str) -> tuple[_FileLocks, list[Diagnostic]
                     "it non-reentrant",
                     hint="use ordered_lock() or flip the table entry",
                 ))
+            else:
+                locks.constructed.add(lock_name)
 
     for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
         check_call(call)
@@ -448,9 +454,10 @@ def _publish_rule(tree: ast.Module, loc: str, locks: _FileLocks
 
 
 # -------------------------------------------------------------- file driver
-def check_file(path: pathlib.Path, *, root: pathlib.Path | None = None
-               ) -> list[Diagnostic]:
-    """Run the C-rules over one file (C004 only under a ``serving`` dir)."""
+def check_file(path: pathlib.Path, *, root: pathlib.Path | None = None,
+               constructed: set[str] | None = None) -> list[Diagnostic]:
+    """Run the C-rules over one file (C004 only under a ``serving`` dir);
+    ``constructed`` collects the registered lock names the file builds."""
     path = pathlib.Path(path)
     loc = str(path.relative_to(root)) if root is not None else str(path)
     try:
@@ -463,6 +470,8 @@ def check_file(path: pathlib.Path, *, root: pathlib.Path | None = None
         return []  # the lint engine owns the L001 report
     allowed, diags = _suppressions(text, loc)
     locks, inventory = _inventory(tree, loc)
+    if constructed is not None:
+        constructed.update(locks.constructed)
     diags.extend(inventory)
     diags.extend(_order_rules(tree, loc, locks))
     diags.extend(_publish_rule(tree, loc, locks))
@@ -472,12 +481,27 @@ def check_file(path: pathlib.Path, *, root: pathlib.Path | None = None
 
 
 def check_paths(paths: Iterable[pathlib.Path], *,
-                root: pathlib.Path | None = None) -> list[Diagnostic]:
+                root: pathlib.Path | None = None,
+                constructed: set[str] | None = None) -> list[Diagnostic]:
     """Check files and directories; directories are walked for ``*.py``."""
     diags: list[Diagnostic] = []
     for f in iter_python_files(paths):
-        diags.extend(check_file(f, root=root))
+        diags.extend(check_file(f, root=root, constructed=constructed))
     return diags
+
+
+def unused_ranks(constructed: set[str]) -> list[Diagnostic]:
+    """C001, table side: registered ranks that nothing constructs."""
+    return [
+        error(
+            "C001", "src/repro/concurrency/order.py",
+            f"unused rank: lock {entry.name!r} (rank {entry.rank}) has no "
+            "ordered_lock/ordered_rlock construction site under src/",
+            hint="delete the LockRank entry along with the lock it ranked",
+        )
+        for entry in LOCK_ORDER
+        if entry.name not in constructed
+    ]
 
 
 def check_repo(repo: pathlib.Path) -> list[Diagnostic]:
@@ -489,4 +513,8 @@ def check_repo(repo: pathlib.Path) -> list[Diagnostic]:
     """
     repo = pathlib.Path(repo)
     src = repo / "src"
-    return check_paths([src] if src.exists() else [], root=repo)
+    if not src.exists():
+        return []
+    constructed: set[str] = set()
+    diags = check_paths([src], root=repo, constructed=constructed)
+    return diags + unused_ranks(constructed)

@@ -501,7 +501,6 @@ def _gateway_config(args):
         max_queue=args.max_queue,
         replicas=args.replicas,
         num_threads=args.threads,
-        scheduler=args.scheduler,
     )
 
 
@@ -675,6 +674,7 @@ def cmd_events(args) -> int:
         EventLog,
         FlightRecorder,
         parse_prometheus_text,
+        prom_name,
         prometheus_text,
         write_events_jsonl,
     )
@@ -711,12 +711,17 @@ def cmd_events(args) -> int:
             text = prometheus_text(gateway.metrics)
             Path(args.prom_out).write_text(text)
             parsed = parse_prometheus_text(text)
-            submitted = gateway.metrics.snapshot()["gateway.submitted"]
-            exposed = parsed.get("repro_gateway_submitted_total")
+            submitted = gateway.metrics_snapshot()["gateway.submitted"]
+            series = ["gateway.shed_unknown_model"] + [
+                f"gateway.{name}.{key}"
+                for name in gateway.models
+                for key in ("accepted", "shed")
+            ]
+            exposed = sum(parsed.get(f"{prom_name(s)}_total", 0.0) for s in series)
             if exposed != float(submitted):
                 problems.append(
-                    f"prometheus: round-trip mismatch — "
-                    f"repro_gateway_submitted_total {exposed!r} != "
+                    f"prometheus: round-trip mismatch — per-model "
+                    f"accepted+shed series sum to {exposed!r} != "
                     f"snapshot {submitted}"
                 )
             print(f"wrote {args.prom_out}: {len(parsed)} series")
@@ -1147,11 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--replicas", type=int, default=2)
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument(
-            "--scheduler", default="round_robin",
-            choices=("round_robin", "least_loaded"),
-            help="replica placement policy",
-        )
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(

@@ -64,11 +64,6 @@ LOCK_ORDER: tuple[LockRank, ...] = (
         "holding it, so it precedes obs.metrics",
     ),
     LockRank(
-        "runtime.engine.worker", 40, False,
-        "Engine._worker_lock — guards the submit-worker lifecycle; "
-        "nothing else is acquired under it",
-    ),
-    LockRank(
         "runtime.engine.plan", 50, False,
         "Engine._plan_lock — guards the plan cache and ParamCache; plan "
         "compilation reserves workspaces, builds indirections, records "

@@ -2,6 +2,8 @@
 
 Three pieces, one clock discipline:
 
+- :mod:`repro.obs.ring` — the per-thread, drop-counting ring store the
+  tracer and the event log both record into;
 - :mod:`repro.obs.trace` — structured spans with per-thread ring
   buffers, ambient activation (:func:`active_tracer`) and a shared
   no-op tracer (:data:`NULL_TRACER`) for the disabled fast path;
@@ -10,7 +12,7 @@ Three pieces, one clock discipline:
 - :mod:`repro.obs.metrics` — the typed counter/gauge/histogram registry
   that `EngineStats`, `MemoryProfile` and the cache stats are views of;
 - :mod:`repro.obs.events` — the request-scoped structured event log
-  (per-thread rings like the tracer, joined to spans on ``request_id``)
+  (the tracer's ring store, joined to spans on ``request_id``)
   plus the flight recorder that snapshots events+metrics+spans into a
   postmortem ``flight_<reason>.json``;
 - :mod:`repro.obs.slo` — per-model SLO evaluation (p95 / error budget /

@@ -9,14 +9,14 @@ plan-level engine events (plan compiled, batch executed).  Traces and
 events join on the same ``request_id`` (it is threaded into span args
 too).
 
-Design points, deliberately parallel to the Tracer:
+Design points:
 
-- **Per-thread ring buffers.**  Each emitting thread appends to its own
-  fixed-capacity ring — no lock on the emit path; the log-wide lock
-  (``obs.events``, rank 86) is taken only at buffer registration and
-  collection.  Full rings overwrite oldest-first and count the drop,
-  surfaced as the ``obs.events.dropped`` gauge so truncation is never
-  silent.
+- **Per-thread ring buffers.**  Events land in the same
+  :class:`~repro.obs.ring.ThreadRings` store the Tracer uses — no lock
+  on the emit path; the log-wide lock (``obs.events``, rank 86) is taken
+  only at ring registration and collection.  Full rings overwrite
+  oldest-first and count the drop, surfaced as the
+  ``obs.events.dropped`` gauge so truncation is never silent.
 - **One timebase.**  Timestamps come from a ``now`` callable — the
   monotonic ``time.perf_counter`` by default, rebound to the gateway's
   :class:`~repro.serving.clock.Clock` via :meth:`EventLog.use_clock` so
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.concurrency.locks import ordered_lock
+from repro.obs.ring import DEFAULT_CAPACITY, ThreadRings
 
 #: bump when the exported event record shape changes
 EVENT_SCHEMA_VERSION = 1
@@ -59,9 +59,6 @@ FLIGHT_SCHEMA = "repro.flight"
 
 #: bump when the flight-dump shape changes
 FLIGHT_SCHEMA_VERSION = 1
-
-#: default per-thread ring capacity (events); ~120 bytes/record
-DEFAULT_CAPACITY = 65536
 
 #: the registered event vocabulary; the validator flags anything else
 EVENT_KINDS = frozenset(
@@ -130,34 +127,9 @@ class Event:
         )
 
 
-class _EventBuffer:
-    """One thread's event ring (same overwrite discipline as the tracer)."""
-
-    __slots__ = ("tid", "records", "head", "dropped", "capacity")
-
-    def __init__(self, tid: int, capacity: int) -> None:
-        self.tid = tid
-        self.capacity = capacity
-        self.records: list[Event] = []
-        self.head = 0  # next overwrite position once the ring is full
-        self.dropped = 0
-
-    def append(self, record: Event) -> None:
-        if len(self.records) < self.capacity:
-            self.records.append(record)
-        else:
-            self.records[self.head] = record
-            self.head = (self.head + 1) % self.capacity
-            self.dropped += 1
-
-    def ordered(self) -> list[Event]:
-        if self.dropped == 0:
-            return list(self.records)
-        return self.records[self.head :] + self.records[: self.head]
-
-
-class EventLog:
-    """Thread-safe event recorder with per-thread ring buffers."""
+class EventLog(ThreadRings):
+    """Thread-safe event recorder over per-thread rings (``dropped`` and
+    ``clear`` are the ring store's)."""
 
     enabled = True
 
@@ -166,13 +138,11 @@ class EventLog:
         capacity: int = DEFAULT_CAPACITY,
         now: Callable[[], float] | None = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
         self._now = now if now is not None else time.perf_counter
+        # Bound here, not only in the base, so the static lock rules see
+        # ``use_clock`` publishing under a registered lock.
         self._lock = ordered_lock("obs.events")
-        self._buffers: list[_EventBuffer] = []
-        self._tls = threading.local()
+        super().__init__(capacity, self._lock)
 
     def use_clock(self, clock: Any) -> None:
         """Rebind timestamps to ``clock.now`` (a serving ``Clock``).
@@ -185,15 +155,6 @@ class EventLog:
             self._now = clock.now
 
     # ------------------------------------------------------------- emission
-    def _buffer(self) -> _EventBuffer:
-        buf = getattr(self._tls, "buf", None)
-        if buf is None:
-            buf = _EventBuffer(threading.get_ident(), self._capacity)
-            with self._lock:
-                self._buffers.append(buf)
-            self._tls.buf = buf
-        return buf
-
     def emit(
         self,
         kind: str,
@@ -204,8 +165,9 @@ class EventLog:
         **attrs: Any,
     ) -> None:
         """Append one event to the calling thread's ring (lock-free)."""
-        buf = self._buffer()
-        buf.append(Event(self._now(), kind, request_id, model, replica, attrs))
+        self.local().append(
+            Event(self._now(), kind, request_id, model, replica, attrs)
+        )
 
     # ------------------------------------------------------------ collection
     def events(self) -> list[Event]:
@@ -214,27 +176,7 @@ class EventLog:
         The sort is stable, so events a single thread emitted at the
         same (fake-)clock reading keep their emission order.
         """
-        with self._lock:
-            buffers = list(self._buffers)
-        records: list[Event] = []
-        for buf in buffers:
-            records.extend(buf.ordered())
-        records.sort(key=lambda e: e.ts)
-        return records
-
-    @property
-    def dropped(self) -> int:
-        """Events lost to ring-buffer overwrites, across all threads."""
-        with self._lock:
-            return sum(buf.dropped for buf in self._buffers)
-
-    def clear(self) -> None:
-        """Drop every retained event and reset drop counts."""
-        with self._lock:
-            for buf in self._buffers:
-                buf.records.clear()
-                buf.head = 0
-                buf.dropped = 0
+        return self.collect(lambda e: e.ts)
 
 
 class NullEventLog:

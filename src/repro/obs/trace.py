@@ -2,7 +2,7 @@
 
 The span taxonomy mirrors the layers a request passes through::
 
-    engine.submit / engine.run / engine.run_many
+    engine.run / engine.run_many
       batch.coalesce
       plan.execute
         plan.node                  (one per compiled graph node)
@@ -12,11 +12,10 @@ The span taxonomy mirrors the layers a request passes through::
 
 Design points:
 
-- **Per-thread ring buffers.**  Each recording thread appends to its own
-  fixed-capacity ring (no lock on the record path; the tracer-wide lock
-  is taken only when a thread's buffer is first registered and when
-  spans are collected).  A full ring overwrites its oldest record and
-  counts the drop, so tracing a long-running engine is bounded-memory.
+- **Per-thread ring buffers.**  Spans land in the shared
+  :class:`~repro.obs.ring.ThreadRings` store (lock-free append, counted
+  overwrite-oldest drops), so tracing a long-running engine is
+  bounded-memory; the tracer adds each thread's live span stack on top.
 - **Two clocks, one discipline.**  Span intervals are measured with the
   monotonic ``time.perf_counter`` — the same clock the profiler and the
   engine's ``busy_s`` use.  A single wall-clock anchor is captured once,
@@ -41,9 +40,7 @@ import time
 from typing import Any, Iterator
 
 from repro.concurrency.locks import ordered_lock
-
-#: default per-thread ring capacity (spans); ~100 bytes/record
-DEFAULT_CAPACITY = 65536
+from repro.obs.ring import DEFAULT_CAPACITY, Ring, ThreadRings
 
 
 class SpanRecord:
@@ -84,31 +81,14 @@ class SpanRecord:
         )
 
 
-class _ThreadBuffer:
+class _SpanRing(Ring):
     """One thread's span ring plus its live span-name stack."""
 
-    __slots__ = ("tid", "records", "head", "dropped", "stack", "capacity")
+    __slots__ = ("stack",)
 
     def __init__(self, tid: int, capacity: int) -> None:
-        self.tid = tid
-        self.capacity = capacity
-        self.records: list[SpanRecord] = []
-        self.head = 0  # next overwrite position once the ring is full
-        self.dropped = 0
+        super().__init__(tid, capacity)
         self.stack: list[str] = []
-
-    def append(self, record: SpanRecord) -> None:
-        if len(self.records) < self.capacity:
-            self.records.append(record)
-        else:
-            self.records[self.head] = record
-            self.head = (self.head + 1) % self.capacity
-            self.dropped += 1
-
-    def ordered(self) -> list[SpanRecord]:
-        if self.dropped == 0:
-            return list(self.records)
-        return self.records[self.head :] + self.records[: self.head]
 
 
 # Thread-local active tracer; spans install their tracer here on entry so
@@ -135,7 +115,7 @@ class Span:
         self.dur_s = 0.0
 
     def __enter__(self) -> "Span":
-        buf = self._tracer._buffer()
+        buf = self._tracer.local()
         buf.stack.append(self.name)
         self._buf = buf
         self._prev = getattr(_ACTIVE, "tracer", None)
@@ -157,18 +137,14 @@ class Span:
         )
 
 
-class Tracer:
-    """Thread-safe span recorder with per-thread ring buffers."""
+class Tracer(ThreadRings):
+    """Thread-safe span recorder over per-thread rings (``dropped`` and
+    ``clear`` are the ring store's; live span stacks survive a clear)."""
 
     enabled = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._lock = ordered_lock("obs.trace")
-        self._buffers: list[_ThreadBuffer] = []
-        self._tls = threading.local()
+        super().__init__(capacity, ordered_lock("obs.trace"), _SpanRing)
         # The recording boundary: one wall-clock anchor, captured here and
         # never on a plan path.  The exporter maps every monotonic span
         # start onto it; see `wall_us`.
@@ -177,15 +153,6 @@ class Tracer:
         self._anchor_wall = anchor
 
     # ------------------------------------------------------------- recording
-    def _buffer(self) -> _ThreadBuffer:
-        buf = getattr(self._tls, "buf", None)
-        if buf is None:
-            buf = _ThreadBuffer(threading.get_ident(), self._capacity)
-            with self._lock:
-                self._buffers.append(buf)
-            self._tls.buf = buf
-        return buf
-
     def span(self, name: str, **args: Any) -> Span:
         """A context manager recording ``name`` around its ``with`` body."""
         return Span(self, name, args)
@@ -200,7 +167,7 @@ class Tracer:
         the allocation-light form kernels use — no context-manager entry
         on the hot path, one record object per measured interval.
         """
-        buf = self._buffer()
+        buf = self.local()
         buf.append(
             SpanRecord(name, start_s, dur_s, buf.tid, tuple(buf.stack), args)
         )
@@ -208,19 +175,7 @@ class Tracer:
     # ------------------------------------------------------------ collection
     def spans(self) -> list[SpanRecord]:
         """Every recorded span across all threads, ordered by start time."""
-        with self._lock:
-            buffers = list(self._buffers)
-        records: list[SpanRecord] = []
-        for buf in buffers:
-            records.extend(buf.ordered())
-        records.sort(key=lambda r: r.start_s)
-        return records
-
-    @property
-    def dropped(self) -> int:
-        """Spans lost to ring-buffer overwrites, across all threads."""
-        with self._lock:
-            return sum(buf.dropped for buf in self._buffers)
+        return self.collect(lambda r: r.start_s)
 
     def active_stacks(self) -> dict[int, tuple[str, ...]]:
         """Per-thread live span-name stacks (threads inside a span now).
@@ -228,20 +183,9 @@ class Tracer:
         The flight recorder snapshots this at dump time: it answers
         "what was every thread doing" without waiting for spans to close.
         """
-        with self._lock:
-            return {
-                buf.tid: tuple(buf.stack)
-                for buf in self._buffers
-                if buf.stack
-            }
-
-    def clear(self) -> None:
-        """Drop every recorded span (live span stacks are preserved)."""
-        with self._lock:
-            for buf in self._buffers:
-                buf.records.clear()
-                buf.head = 0
-                buf.dropped = 0
+        return {
+            buf.tid: tuple(buf.stack) for buf in self.rings() if buf.stack
+        }
 
     def wall_us(self, start_s: float) -> float:
         """Map a monotonic span start onto the wall-clock anchor, in µs."""

@@ -7,16 +7,13 @@ section "The runtime"):
   liveness precomputed, kernel-parameter structs built and prepacked
   weights cached once per graph instead of once per run;
 - :mod:`repro.runtime.rebatch` — batch-polymorphic spec re-inference;
-- :mod:`repro.runtime.scheduler` — the batching/placement policy layer
-  (:class:`Coalescer` micro-batching, :class:`Scheduler` replica
-  placement) shared by the engine and the serving gateway;
 - :mod:`repro.runtime.engine` — the :class:`Engine`: cached plans per
   batch size, intra-op threaded binarized GEMMs, synchronous ``run`` /
-  ``run_many`` and an asynchronous dynamically-batching ``submit`` queue,
-  all bit-identical per request to the reference executor.
+  ``run_many`` (micro-batched by :func:`greedy_chunks`), all
+  bit-identical per request to the reference executor.
 """
 
-from repro.runtime.engine import Engine, EngineStats
+from repro.runtime.engine import Engine, EngineStats, greedy_chunks
 from repro.runtime.plan import (
     CompiledNode,
     CompiledPlan,
@@ -26,29 +23,16 @@ from repro.runtime.plan import (
     compile_plan,
 )
 from repro.runtime.rebatch import rebatched_specs
-from repro.runtime.scheduler import (
-    SCHEDULERS,
-    Coalescer,
-    GreedyCoalescer,
-    LeastLoadedScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-)
 
 __all__ = [
-    "SCHEDULERS",
-    "Coalescer",
     "CompiledNode",
     "CompiledPlan",
     "Engine",
     "EngineStats",
-    "GreedyCoalescer",
-    "LeastLoadedScheduler",
     "NodeSchedule",
     "NodeTuning",
     "ParamCache",
-    "RoundRobinScheduler",
-    "Scheduler",
     "compile_plan",
+    "greedy_chunks",
     "rebatched_specs",
 ]

@@ -7,10 +7,11 @@ dynamic micro-batching over the graph IR:
   a cached :class:`~repro.runtime.plan.CompiledPlan`;
 - :meth:`Engine.run_many` — coalesces a list of requests into micro-batches
   of at most ``max_batch_size`` samples, runs each micro-batch through one
-  batched plan call, and splits the results back per request;
-- :meth:`Engine.submit` — asynchronous front-end: requests are queued and a
-  background worker drains the queue, dynamically batching whatever is
-  pending (up to ``max_batch_size``) into single plan calls.
+  batched plan call, and splits the results back per request.
+
+The engine owns no threads: callers that want asynchronous, deadline-
+batched submission go through :class:`repro.serving.Gateway`, which
+drives ``run_many`` from its replica workers.
 
 Determinism contract: every request's result is bit-identical to running
 that request alone through the reference
@@ -21,10 +22,7 @@ execution preserves this.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -37,7 +35,6 @@ from repro.obs.events import NULL_EVENTS, EventLog, NullEventLog
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
-from repro.runtime.scheduler import Coalescer, GreedyCoalescer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import DeviceProfile
@@ -47,15 +44,13 @@ Value = Any  # np.ndarray | PackedTensor
 Request = tuple[Value, ...]
 Result = Any  # Value | tuple[Value, ...]
 
-_CLOSE = object()  # worker-thread sentinel
-
 
 @dataclass(frozen=True)
 class EngineStats:
     """A snapshot of an :class:`Engine`'s counters."""
 
-    #: inference requests accepted (one ``run`` call, or one ``run_many`` /
-    #: ``submit`` element)
+    #: inference requests accepted (one ``run`` call, or one ``run_many``
+    #: element)
     requests: int
     #: base-batch groups executed (= images for batch-1 graphs)
     samples: int
@@ -139,6 +134,31 @@ def _split_value(value: Value, sizes: Sequence[int]) -> list[Value]:
     return out
 
 
+def greedy_chunks(
+    items: Sequence[tuple[Any, int]], max_batch: int
+) -> list[list[tuple[Any, int]]]:
+    """Greedy in-order packing of ``(request, factor)`` items into chunks.
+
+    Each chunk's total batch factor is at most ``max_batch`` where
+    possible: a single item larger than ``max_batch`` forms its own chunk
+    (it cannot be split here; rebatching is a plan-level concern) and the
+    ragged tail forms a final, smaller chunk.  The one batching rule,
+    shared by :meth:`Engine.run_many` and the serving gateway's batcher.
+    """
+    chunks: list[list[tuple[Any, int]]] = []
+    current: list[tuple[Any, int]] = []
+    current_size = 0
+    for request, factor in items:
+        if current and current_size + factor > max_batch:
+            chunks.append(current)
+            current, current_size = [], 0
+        current.append((request, factor))
+        current_size += factor
+    if current:
+        chunks.append(current)
+    return chunks
+
+
 class Engine:
     """Batched, multi-threaded inference engine over one graph.
 
@@ -149,14 +169,11 @@ class Engine:
         num_threads: intra-op threads for binarized GEMMs (plumbed down to
             :func:`repro.core.threading.bgemm_parallel`).
         max_batch_size: largest micro-batch (in base-batch groups) that
-            ``run_many``/``submit`` will coalesce into one plan call.
+            ``run_many`` will coalesce into one plan call.
         param_cache: a :class:`~repro.runtime.plan.ParamCache` to share
             prepacked weights with other engines over the same graph (the
             serving gateway's warm replica pool); a private cache when
             ``None``.
-        coalescer: the micro-batching policy (see
-            :mod:`repro.runtime.scheduler`); defaults to the historical
-            :class:`~repro.runtime.scheduler.GreedyCoalescer`.
         profile: a calibrated :class:`~repro.hw.device.DeviceProfile`;
             when given, every plan this engine compiles chooses per-node
             thread counts and rebatch splits from the profile's fitted
@@ -179,7 +196,7 @@ class Engine:
     :class:`~repro.obs.metrics.MetricsRegistry` (``engine.metrics``) —
     :meth:`stats` is a consistent view over it.  Pass ``trace=`` a
     :class:`~repro.obs.trace.Tracer` (or set ``engine.tracer``) to record
-    ``engine.run``/``engine.submit`` → ``batch.coalesce`` →
+    ``engine.run``/``engine.run_many`` → ``batch.coalesce`` →
     ``plan.execute`` → ``plan.node`` → kernel spans; the default
     :data:`~repro.obs.trace.NULL_TRACER` keeps the disabled path within
     the measured overhead budget.
@@ -192,7 +209,6 @@ class Engine:
         max_batch_size: int = 8,
         trace: Tracer | None = None,
         param_cache: ParamCache | None = None,
-        coalescer: Coalescer | None = None,
         profile: DeviceProfile | None = None,
         tuning: TuningCache | None = None,
     ) -> None:
@@ -219,9 +235,6 @@ class Engine:
         self._param_cache = param_cache if param_cache is not None else ParamCache()
         self._profile = profile
         self._tuning = tuning
-        self.coalescer: Coalescer = (
-            coalescer if coalescer is not None else GreedyCoalescer()
-        )
 
         #: tracer recording this engine's spans; NULL_TRACER when disabled
         self.tracer: Tracer | NullTracer = trace if trace is not None else NULL_TRACER
@@ -254,11 +267,6 @@ class Engine:
         m.gauge("engine.tuned_nodes", self._tuned_nodes_view)
         self._node_time_s: dict[str, float] = {}  # guarded by metrics lock
         self._last_node_times: dict[str, float] = {}
-
-        self._queue: queue.Queue | None = None
-        self._worker: threading.Thread | None = None
-        self._worker_lock = ordered_lock("runtime.engine.worker")
-        self._closed = False
 
     def _param_cache_view(self, attr: str) -> int:
         with self._plan_lock:
@@ -303,7 +311,7 @@ class Engine:
         # The compile event lands after the plan lock is released: the
         # event log's own lock ranks above it, and cache hits (the hot
         # path) emit nothing.
-        if compiled and self.events.enabled:
+        if compiled:
             self.events.emit(
                 "plan.compile",
                 batch_factor=batch_factor,
@@ -360,11 +368,8 @@ class Engine:
 
     def _execute(self, plan: CompiledPlan, inputs: Request) -> tuple[Value, ...]:
         node_times: dict[str, float] = {}
-        tracer = self.tracer
         start = time.perf_counter()
-        outputs = plan.execute(
-            inputs, node_times, tracer=tracer if tracer.enabled else None
-        )
+        outputs = plan.execute(inputs, node_times, tracer=self.tracer)
         elapsed = time.perf_counter() - start
         # One lock hold per batch: the batch count, its samples, its
         # histogram bucket and its busy time land atomically, so stats()
@@ -377,13 +382,9 @@ class Engine:
             for name, t in node_times.items():
                 self._node_time_s[name] = self._node_time_s.get(name, 0.0) + t
             self._last_node_times = node_times
-        events = self.events
-        if events.enabled:
-            events.emit(
-                "engine.batch",
-                batch_factor=plan.batch_factor,
-                busy_s=elapsed,
-            )
+        self.events.emit(
+            "engine.batch", batch_factor=plan.batch_factor, busy_s=elapsed
+        )
         return outputs
 
     @staticmethod
@@ -401,11 +402,8 @@ class Engine:
         request = self._normalize_request(inputs)
         factor = self._batch_factor(request)
         self._m_requests.inc()
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("engine.run", batch_factor=factor):
-                return self._unwrap(self._execute(self.plan(factor), request))
-        return self._unwrap(self._execute(self.plan(factor), request))
+        with self.tracer.span("engine.run", batch_factor=factor):
+            return self._unwrap(self._execute(self.plan(factor), request))
 
     def run_many(self, requests: Sequence[Value | Sequence[Value]]) -> list[Result]:
         """Run many requests, coalescing them into micro-batches.
@@ -419,48 +417,26 @@ class Engine:
             one result per request, in order, each bit-identical to
             ``run`` on that request alone.
         """
-        normalized: list[Request] = []
-        factors: list[int] = []
+        items: list[tuple[Request, int]] = []
         for req in requests:
             if not isinstance(req, (tuple, list)):
                 req = (req,)
             request = self._normalize_request(req)
-            normalized.append(request)
-            factors.append(self._batch_factor(request))
-        self._m_requests.add(len(normalized))
+            items.append((request, self._batch_factor(request)))
+        self._m_requests.add(len(items))
 
         tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("engine.run_many", requests=len(normalized)):
-                return self._run_coalesced(list(zip(normalized, factors)))
-        return self._run_coalesced(list(zip(normalized, factors)))
-
-    def _run_coalesced(self, items: list[tuple[Request, int]]) -> list[Result]:
         results: list[Result] = []
-        for chunk in self._coalesce(items):
-            results.extend(self._run_chunk(chunk))
+        with tracer.span("engine.run_many", requests=len(items)):
+            start = time.perf_counter()
+            chunks = greedy_chunks(items, self.max_batch_size)
+            tracer.record(
+                "batch.coalesce", start, time.perf_counter() - start,
+                requests=len(items), chunks=len(chunks),
+            )
+            for chunk in chunks:
+                results.extend(self._run_chunk(chunk))
         return results
-
-    def _coalesce(
-        self, items: list[tuple[Request, int]]
-    ) -> list[list[tuple[Request, int]]]:
-        """Greedy in-order grouping into micro-batches <= max_batch_size.
-
-        A single request larger than ``max_batch_size`` runs alone; the
-        ragged tail forms a final, smaller micro-batch.
-        """
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("batch.coalesce", requests=len(items)) as sp:
-                chunks = self._coalesce_inner(items)
-                sp.args["chunks"] = len(chunks)
-                return chunks
-        return self._coalesce_inner(items)
-
-    def _coalesce_inner(
-        self, items: list[tuple[Request, int]]
-    ) -> list[list[tuple[Request, int]]]:
-        return self.coalescer.coalesce(items, self.max_batch_size)
 
     def _run_chunk(self, chunk: list[tuple[Request, int]]) -> list[Result]:
         """Execute one micro-batch and split its outputs per request."""
@@ -484,98 +460,12 @@ class Engine:
                 per_request[i].append(piece)
         return [self._unwrap(tuple(vals)) for vals in per_request]
 
-    # ------------------------------------------------- async micro-batching
-    def submit(self, *inputs: Value) -> Future:
-        """Queue one request; returns a :class:`concurrent.futures.Future`.
-
-        A background worker coalesces whatever is pending in the queue —
-        across submitting threads — into micro-batches.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        request = self._normalize_request(inputs)
-        factor = self._batch_factor(request)
-        self._m_requests.inc()
-        future: Future = Future()
-        q = self._ensure_worker()
-        q.put((request, factor, future))
-        return future
-
-    def _ensure_worker(self) -> queue.Queue:
-        with self._worker_lock:
-            if self._closed:
-                raise RuntimeError("engine is closed")
-            if self._worker is None:
-                self._queue = queue.Queue()
-                self._worker = threading.Thread(
-                    target=self._worker_loop, name="repro-engine-batcher", daemon=True
-                )
-                self._worker.start()
-            assert self._queue is not None
-            return self._queue
-
-    def _worker_loop(self) -> None:
-        assert self._queue is not None
-        while True:
-            item = self._queue.get()
-            if item is _CLOSE:
-                return
-            pending = [item]
-            size = item[1]
-            # Dynamic batching: take whatever else is already queued, up to
-            # the batch cap, without waiting for stragglers.
-            while size < self.max_batch_size:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _CLOSE:
-                    self._queue.put(_CLOSE)  # re-post for the final drain
-                    break
-                pending.append(nxt)
-                size += nxt[1]
-            tracer = self.tracer
-            if tracer.enabled:
-                with tracer.span("engine.submit", requests=len(pending), size=size):
-                    self._drain_pending(pending)
-            else:
-                self._drain_pending(pending)
-
-    def _drain_pending(self, pending: list[tuple[Request, int, Future]]) -> None:
-        """Coalesce and run one drained batch of queued submissions."""
-        chunks = self._coalesce([(req, f) for req, f, _ in pending])
-        futures = [fut for _, _, fut in pending]
-        done = 0
-        for chunk in chunks:
-            chunk_futures = futures[done : done + len(chunk)]
-            done += len(chunk)
-            try:
-                results = self._run_chunk(chunk)
-            except BaseException as exc:  # propagate to all waiters
-                for fut in chunk_futures:
-                    fut.set_exception(exc)
-            else:
-                for fut, result in zip(chunk_futures, results):
-                    fut.set_result(result)
-
     def close(self) -> None:
-        """Stop the batching worker; idempotent.  ``run`` stays usable.
+        """Lifecycle hook for ``with Engine(...)`` and the gateway; idempotent.
 
-        Mutates the lifecycle state under the worker lock, then drains
-        and joins *outside* it — holding a lock across a queue put or a
-        thread join is exactly what the sanitizer's C003 forbids, and the
-        detached-handle shape is what makes concurrent closes safe: only
-        one caller observes the live worker.
+        The engine owns no threads, so there is nothing to stop: plans
+        and caches stay valid and ``run`` stays usable afterwards.
         """
-        with self._worker_lock:
-            self._closed = True
-            worker, q = self._worker, self._queue
-            self._worker = None
-            self._queue = None
-        if worker is not None:
-            assert q is not None
-            q.put(_CLOSE)
-            worker.join()
 
     def __enter__(self) -> "Engine":
         return self

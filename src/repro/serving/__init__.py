@@ -3,7 +3,7 @@
 The deployment front door (ROADMAP item 1): per-model bounded queues
 with admission control and typed load-shedding, deadline-driven
 continuous batching, warm Engine replica pools sharing prepacked
-weights, pluggable placement policies, and an open-loop load generator
+weights, round-robin replica placement, and an open-loop load generator
 driving ``BENCH_serving.json``:
 
 - :mod:`repro.serving.clock` — the :class:`Clock` seam every

@@ -156,7 +156,6 @@ def run_bench(
             "max_queue": config.max_queue,
             "replicas": config.replicas,
             "num_threads": config.num_threads,
-            "scheduler": config.scheduler,
         },
         "verified": verified,
         "device_profile": device_profile,

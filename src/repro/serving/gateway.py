@@ -16,15 +16,16 @@ owns:
   drive every deadline with a fake clock and zero wall-clock sleeps;
 - a **warm replica pool** — ``replicas`` engines sharing one prepacked
   :class:`~repro.runtime.plan.ParamCache`, each with a worker thread.
-  A pluggable :class:`~repro.runtime.scheduler.Scheduler` places each
-  formed batch on an idle replica; a replica that keeps failing is
+  Each formed batch goes to the next idle replica in round-robin
+  order; a replica that keeps failing is
   quarantined (its in-flight batch resolves to typed ``Rejected``
   replies, never an exception leak or a deadlock) and the pool keeps
   serving on the survivors.
 
 Observability: every admission decision and batch lands in the gateway's
-:class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.*`` names
-(grouped updates keep ``submitted == accepted + shed`` true at *every*
+:class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.<model>.*``
+names (the ``gateway.*`` totals are summed from one registry snapshot, so
+``submitted == accepted + shed`` holds at *every*
 snapshot), and a :class:`~repro.obs.trace.Tracer` records
 ``gateway.flush`` spans that nest the engine's existing
 ``engine.run_many`` → ``plan.execute`` → kernel spans.  With an
@@ -67,12 +68,6 @@ from repro.obs.slo import HEALTHY, ModelHealth, SLOConfig, SLOMonitor
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import ParamCache
-from repro.runtime.scheduler import (
-    SCHEDULERS,
-    Coalescer,
-    GreedyCoalescer,
-    Scheduler,
-)
 from repro.serving.clock import MONOTONIC_CLOCK, Clock
 
 Value = Any
@@ -129,8 +124,6 @@ class GatewayConfig:
     num_threads: int = 1
     #: consecutive batch failures before a replica is quarantined
     max_replica_failures: int = 3
-    #: replica placement policy name (see repro.runtime.scheduler.SCHEDULERS)
-    scheduler: str = "round_robin"
 
     def validate(self) -> None:
         if self.max_batch < 1:
@@ -145,11 +138,6 @@ class GatewayConfig:
             raise ValueError(
                 f"max_replica_failures must be positive, "
                 f"got {self.max_replica_failures}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"known: {sorted(SCHEDULERS)}"
             )
 
 
@@ -183,6 +171,21 @@ class GatewayStats:
     def mean_batch_size(self) -> float:
         total = sum(size * n for size, n in self.batch_histogram.items())
         return total / self.batches if self.batches else 0.0
+
+
+def _merge_histograms(parts: Sequence[dict[str, Any]]) -> dict[str, Any]:
+    """Sum histogram snapshots (``MetricsRegistry.snapshot`` sub-dicts)."""
+    counts: dict[int | float, int] = {}
+    for part in parts:
+        for value, n in part["counts"].items():
+            counts[value] = counts.get(value, 0) + n
+    return {
+        "count": sum(part["count"] for part in parts),
+        "total": sum(part["total"] for part in parts),
+        "min": min((part["min"] for part in parts if part["count"]), default=None),
+        "max": max((part["max"] for part in parts if part["count"]), default=None),
+        "counts": counts,
+    }
 
 
 def _resolve(future: Future, value: Any) -> None:
@@ -252,9 +255,6 @@ class _ModelServer:
         clock: Clock,
         metrics: MetricsRegistry,
         tracer: Tracer | NullTracer,
-        scheduler: Scheduler,
-        coalescer: Coalescer,
-        gateway_counters: dict[str, Any],
         engine_factory: Callable[..., Engine] | None = None,
         events: EventLog | NullEventLog = NULL_EVENTS,
         flight: FlightRecorder | None = None,
@@ -264,9 +264,6 @@ class _ModelServer:
         self._clock = clock
         self._metrics = metrics
         self._tracer = tracer
-        self._scheduler = scheduler
-        self._coalescer = coalescer
-        self._g = gateway_counters
         self._events = events
         self._flight = flight
 
@@ -283,6 +280,7 @@ class _ModelServer:
         self._queued_factor = 0
         self._closed = False
         self._workers_closed = False
+        self._next_replica = 0  # round-robin cursor; batcher thread only
 
         # Warm pool: every replica shares one prepacked-weight cache, so
         # binarized filters are packed once per model, not once per engine.
@@ -374,10 +372,7 @@ class _ModelServer:
             else:
                 # Count acceptance *before* the batcher can see the item,
                 # so no snapshot ever observes completed > accepted.
-                with self._metrics.lock():
-                    self._g["submitted"].inc()
-                    self._g["accepted"].inc()
-                    self._m_accepted.inc()
+                self._m_accepted.inc()
                 self._queue.append(
                     _Pending(request, factor, future, t_submit, request_id)
                 )
@@ -386,14 +381,9 @@ class _ModelServer:
         if reason is not None:
             self._shed(future, reason, request_id=request_id)
             return
-        events = self._events
-        if events.enabled:
-            events.emit(
-                "request.accept",
-                request_id=request_id,
-                model=self.name,
-                factor=factor,
-            )
+        self._events.emit(
+            "request.accept", request_id=request_id, model=self.name, factor=factor
+        )
 
     def _shed(
         self,
@@ -402,24 +392,14 @@ class _ModelServer:
         detail: str = "",
         request_id: str | None = None,
     ) -> None:
-        with self._metrics.lock():
-            self._g["submitted"].inc()
-            self._g["shed"].inc()
-            self._m_shed.inc()
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.record(
-                "gateway.shed", time.perf_counter(), 0.0,
-                model=self.name, reason=reason, request_id=request_id,
-            )
-        events = self._events
-        if events.enabled:
-            events.emit(
-                "request.shed",
-                request_id=request_id,
-                model=self.name,
-                reason=reason,
-            )
+        self._m_shed.inc()
+        self._tracer.record(
+            "gateway.shed", time.perf_counter(), 0.0,
+            model=self.name, reason=reason, request_id=request_id,
+        )
+        self._events.emit(
+            "request.shed", request_id=request_id, model=self.name, reason=reason
+        )
         _resolve(future, Rejected(self.name, reason, detail))
         # Storm detection runs last and lock-free: a firing dump walks
         # the event log and the metrics snapshot.
@@ -452,11 +432,17 @@ class _ModelServer:
             self._dispatch(batch)
 
     def _take_batch(self) -> list[_Pending]:
-        """Pop the first greedy micro-batch (called with the lock held)."""
-        items = [(p.request, p.factor) for p in self._queue]
-        first = self._coalescer.coalesce(items, self._config.max_batch)[0]
-        batch = [self._queue.popleft() for _ in range(len(first))]
-        self._queued_factor -= sum(p.factor for p in batch)  # repro: allow[C005] documented contract: the batcher calls this with self._lock held
+        """Pop the first greedy micro-batch (called with the lock held).
+
+        The popped prefix is ``greedy_chunks(queue, max_batch)[0]``: take
+        while the next request fits; an oversize head runs alone.
+        """
+        batch = [self._queue.popleft()]
+        size = batch[0].factor
+        while self._queue and size + self._queue[0].factor <= self._config.max_batch:
+            batch.append(self._queue.popleft())
+            size += batch[-1].factor
+        self._queued_factor -= size  # repro: allow[C005] documented contract: the batcher calls this with self._lock held
         return batch
 
     def _dispatch(self, batch: list[_Pending]) -> None:
@@ -470,33 +456,30 @@ class _ModelServer:
                     model=self.name,
                     batch_requests=len(batch),
                 )
+        n = len(self._replicas)
         with self._replica_cond:
-            while True:
-                healthy = [r for r in self._replicas if not r.quarantined]
-                if not healthy:
-                    break
-                idle = [r.idx for r in healthy if not r.busy]
-                if idle:
-                    rid = self._scheduler.pick(idle)
-                    self._scheduler.record(rid)
-                    replica = self._replicas[rid]
-                    replica.busy = True
-                    replica.inbox = batch
-                    self._replica_cond.notify_all()
-                    return
+            while not all(r.quarantined for r in self._replicas):
+                # Round robin: the first idle healthy replica at or after
+                # the cursor, so quarantined/busy ones are skipped
+                # without stalling the rotation.
+                for step in range(n):
+                    replica = self._replicas[(self._next_replica + step) % n]
+                    if not replica.busy and not replica.quarantined:
+                        self._next_replica = (replica.idx + 1) % n
+                        replica.busy = True
+                        replica.inbox = batch
+                        self._replica_cond.notify_all()
+                        return
                 self._clock.wait(self._replica_cond, None)
         # Every replica is quarantined: typed shed, never a deadlock.
-        with self._metrics.lock():
-            self._m_failed.add(len(batch))
-            self._g["failed"].add(len(batch))
+        self._m_failed.add(len(batch))
         for p in batch:
-            if events.enabled:
-                events.emit(
-                    "request.failed",
-                    request_id=p.request_id,
-                    model=self.name,
-                    reason=SHED_NO_HEALTHY_REPLICA,
-                )
+            events.emit(
+                "request.failed",
+                request_id=p.request_id,
+                model=self.name,
+                reason=SHED_NO_HEALTHY_REPLICA,
+            )
             _resolve(
                 p.future,
                 Rejected(self.name, SHED_NO_HEALTHY_REPLICA, "replica pool dead"),
@@ -532,17 +515,16 @@ class _ModelServer:
                 request_ids=[p.request_id for p in batch],
             )
         try:
-            if tracer.enabled:
-                with tracer.span(
-                    "gateway.flush",
-                    model=self.name,
-                    replica=replica.idx,
-                    requests=len(batch),
-                    size=size,
-                    request_ids=[p.request_id for p in batch],
-                ):
-                    results = replica.engine.run_many(requests)
-            else:
+            with tracer.span(
+                "gateway.flush",
+                model=self.name,
+                replica=replica.idx,
+                requests=len(batch),
+                size=size,
+                request_ids=(
+                    [p.request_id for p in batch] if tracer.enabled else None
+                ),
+            ):
                 results = replica.engine.run_many(requests)
         except BaseException as exc:
             self._record_failure(replica, batch, exc)
@@ -550,26 +532,21 @@ class _ModelServer:
         with self._replica_cond:
             replica.consecutive_failures = 0
         end = self._clock.now()
+        latencies_ms = [round((end - p.t_submit) * 1e3, 3) for p in batch]
         with self._metrics.lock():
             self._m_batches.inc()
-            self._g["batches"].inc()
             self._m_batch_size.observe(size)
-            self._g["batch_size"].observe(size)
             self._m_completed.add(len(batch))
-            self._g["completed"].add(len(batch))
-            for p in batch:
-                latency_ms = round((end - p.t_submit) * 1e3, 3)
+            for latency_ms in latencies_ms:
                 self._m_latency.observe(latency_ms)
-                self._g["latency_ms"].observe(latency_ms)
-        for p, result in zip(batch, results):
-            if events.enabled:
-                events.emit(
-                    "request.complete",
-                    request_id=p.request_id,
-                    model=self.name,
-                    replica=replica.idx,
-                    latency_ms=round((end - p.t_submit) * 1e3, 3),
-                )
+        for p, result, latency_ms in zip(batch, results, latencies_ms):
+            events.emit(
+                "request.complete",
+                request_id=p.request_id,
+                model=self.name,
+                replica=replica.idx,
+                latency_ms=latency_ms,
+            )
             _resolve(p.future, result)
 
     def _record_failure(
@@ -587,10 +564,9 @@ class _ModelServer:
         with self._metrics.lock():
             self._m_replica_failures.inc()
             self._m_failed.add(len(batch))
-            self._g["failed"].add(len(batch))
         detail = f"{type(exc).__name__}: {exc}"
         events = self._events
-        if events.enabled and quarantined:
+        if quarantined:
             events.emit(
                 "replica.quarantine",
                 model=self.name,
@@ -598,15 +574,14 @@ class _ModelServer:
                 failures=replica.consecutive_failures,
             )
         for p in batch:
-            if events.enabled:
-                events.emit(
-                    "request.failed",
-                    request_id=p.request_id,
-                    model=self.name,
-                    replica=replica.idx,
-                    reason=FAILED_REPLICA,
-                    detail=detail,
-                )
+            events.emit(
+                "request.failed",
+                request_id=p.request_id,
+                model=self.name,
+                replica=replica.idx,
+                reason=FAILED_REPLICA,
+                detail=detail,
+            )
             _resolve(p.future, Rejected(self.name, FAILED_REPLICA, detail))
         # The postmortem trigger runs last, lock-free, after every future
         # is answered; the dump itself is rate-limited.
@@ -654,8 +629,6 @@ class Gateway:
             monotonic wall-free clock).
         trace: optional :class:`~repro.obs.trace.Tracer`; gateway spans
             nest the replica engines' spans in the same timeline.
-        scheduler_factory: builds one placement policy per model;
-            overrides ``config.scheduler``.
         events: optional :class:`~repro.obs.events.EventLog`; when
             attached, the gateway mints request ids and emits the full
             request lifecycle (plus engine plan events) into it, on the
@@ -677,7 +650,6 @@ class Gateway:
         *,
         clock: Clock | None = None,
         trace: Tracer | None = None,
-        scheduler_factory: Callable[[], Scheduler] | None = None,
         engine_factory: Callable[..., Engine] | None = None,
         events: EventLog | None = None,
         slo: SLOConfig | Mapping[str, SLOConfig] | None = None,
@@ -697,8 +669,6 @@ class Gateway:
         self.events.use_clock(self.clock)
         self._req_seq = itertools.count(1)
         self.metrics = MetricsRegistry()
-        if scheduler_factory is None:
-            scheduler_factory = SCHEDULERS[self.config.scheduler]
 
         self._flight = flight
         if flight is not None:
@@ -717,16 +687,9 @@ class Gateway:
             self._flight_hook = None
 
         m = self.metrics
-        self._g = {
-            "submitted": m.counter("gateway.submitted"),
-            "accepted": m.counter("gateway.accepted"),
-            "shed": m.counter("gateway.shed"),
-            "completed": m.counter("gateway.completed"),
-            "failed": m.counter("gateway.failed"),
-            "batches": m.counter("gateway.batches"),
-            "batch_size": m.histogram("gateway.batch_size"),
-            "latency_ms": m.histogram("gateway.latency_ms"),
-        }
+        # The only request outcome no model server can count; every other
+        # total is summed from the per-model instruments at snapshot time.
+        self._m_shed_unknown = m.counter("gateway.shed_unknown_model")
         # Ring truncation is never silent: drop counts ride every
         # snapshot (and the Prometheus exposition).
         m.gauge("obs.trace.dropped", lambda: self.tracer.dropped)
@@ -744,9 +707,6 @@ class Gateway:
                 self.clock,
                 self.metrics,
                 self.tracer,
-                scheduler_factory(),
-                GreedyCoalescer(),
-                self._g,
                 engine_factory,
                 self.events,
                 flight,
@@ -793,14 +753,11 @@ class Gateway:
         Malformed inputs (wrong arity/shape) raise ``ValueError``
         synchronously, exactly like ``Engine.run``.
         """
-        tracer = self.tracer
         events = self.events
         server = self._servers.get(model)
         if server is None:
-            with self.metrics.lock():
-                self._g["submitted"].inc()
-                self._g["shed"].inc()
-            if events.enabled:
+            self._m_shed_unknown.inc()
+            if events.enabled:  # skips minting a request id
                 events.emit(
                     "request.shed",
                     request_id=f"{model}-{next(self._req_seq)}",
@@ -818,15 +775,9 @@ class Gateway:
             f"{model}-{next(self._req_seq)}" if events.enabled else None
         )
         future = Future()
-        if tracer.enabled:
-            with tracer.span(
-                "gateway.submit",
-                model=model,
-                factor=factor,
-                request_id=request_id,
-            ):
-                server.submit(request, factor, future, request_id)
-        else:
+        with self.tracer.span(
+            "gateway.submit", model=model, factor=factor, request_id=request_id
+        ):
             server.submit(request, factor, future, request_id)
         return future
 
@@ -895,7 +846,7 @@ class Gateway:
     # ------------------------------------------------------------- metrics
     def stats(self) -> GatewayStats:
         """A consistent snapshot of gateway counters plus latency tails."""
-        snap = self.metrics.snapshot()
+        snap = self.metrics_snapshot()
         hist = snap["gateway.batch_size"]
         latency = snap["gateway.latency_ms"]["counts"]
         return GatewayStats(
@@ -928,7 +879,24 @@ class Gateway:
         )
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """Gateway registry merged over the process-wide cache gauges."""
+        """Gateway registry plus ``gateway.*`` totals, over the cache gauges.
+
+        The registry books every outcome once, per model; the
+        gateway-wide totals are summed here from *one* registry snapshot,
+        so they equal the sum of their per-model parts — and
+        ``submitted == accepted + shed`` — at every snapshot.
+        """
+        own = self.metrics.snapshot()
         snap = global_registry().snapshot()
-        snap.update(self.metrics.snapshot())
+        snap.update(own)
+
+        def parts(key: str) -> list[Any]:
+            return [own[f"gateway.{name}.{key}"] for name in self._servers]
+
+        for key in ("accepted", "shed", "completed", "failed", "batches"):
+            snap[f"gateway.{key}"] = sum(parts(key))
+        snap["gateway.shed"] += own["gateway.shed_unknown_model"]
+        snap["gateway.submitted"] = snap["gateway.accepted"] + snap["gateway.shed"]
+        for key in ("batch_size", "latency_ms"):
+            snap[f"gateway.{key}"] = _merge_histograms(parts(key))
         return snap

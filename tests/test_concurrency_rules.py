@@ -17,6 +17,7 @@ import textwrap
 
 from repro.analysis.concurrency import check_file, check_paths, check_repo
 from repro.analysis.diagnostics import errors_of
+from repro.concurrency.order import LOCK_RANKS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -116,6 +117,43 @@ def test_c001_suppression_with_reason(tmp_path):
 
         _MU = threading.Lock()  # repro: allow[C001] internal mutex of the checker itself
         """)
+
+
+def test_c001_unused_rank_is_an_error(tmp_path):
+    """The inventory is two-sided: a rank registered in the table with no
+    construction site under ``src/`` fails the repo gate."""
+    _write(tmp_path, "src/repro/obs/m.py", """\
+        from repro.concurrency.locks import ordered_lock, ordered_rlock
+
+        TRACE = ordered_lock("obs.trace")
+        METRICS = ordered_rlock("obs.metrics")
+        """)
+    # A construction site outside src/ does not count.
+    _write(tmp_path, "tests/t.py", """\
+        from repro.concurrency.locks import ordered_lock
+
+        PLAN = ordered_lock("runtime.engine.plan")
+        """)
+    diags = check_repo(tmp_path)
+    assert _rules(diags) == {"C001"} and len(errors_of(diags)) == len(diags)
+    assert all("unused rank" in d.message for d in diags)
+    assert all(d.location == "src/repro/concurrency/order.py" for d in diags)
+    named = {name for name in LOCK_RANKS if any(repr(name) in d.message for d in diags)}
+    assert named == set(LOCK_RANKS) - {"obs.trace", "obs.metrics"}
+
+
+def test_c001_a_rank_left_behind_fails_the_repo_gate(monkeypatch):
+    """Deleting a lock but not its table entry is caught: re-registering the
+    retired engine-worker rank makes the otherwise clean repo fail."""
+    from repro.analysis import concurrency
+    from repro.concurrency.order import LOCK_ORDER, LockRank
+
+    stale = LockRank("runtime.engine.worker", 40, False, "no lock uses this")
+    monkeypatch.setattr(concurrency, "LOCK_ORDER", LOCK_ORDER + (stale,))
+    diags = errors_of(check_repo(REPO))
+    assert [d.rule for d in diags] == ["C001"]
+    assert "unused rank" in diags[0].message
+    assert "'runtime.engine.worker'" in diags[0].message
 
 
 # ---------------------------------------------------------- C002: lock order

@@ -1,9 +1,9 @@
 """The structured event log and the flight recorder.
 
-The EventLog mirrors the Tracer's per-thread-ring design, so the same
-properties are pinned: bounded memory with counted (never silent) drops,
-stable timestamp ordering across threads, and a shared no-op instance
-for the disabled path.  The FlightRecorder tests drive every trigger —
+The EventLog records into the Tracer's per-thread ring store (its
+overwrite/drop semantics are pinned once for both in
+``tests/test_obs_ring.py``); here: stable timestamp ordering across
+threads and a shared no-op instance for the disabled path.  The FlightRecorder tests drive every trigger —
 explicit, shed storm, deferred (the LockOrderError hook path) — on a
 virtual clock and schema-validate the dump artifact.
 """
@@ -68,16 +68,6 @@ def test_same_timestamp_keeps_emission_order():
     for i in range(10):
         log.emit("engine.batch", i=i)
     assert [e.attrs["i"] for e in log.events()] == list(range(10))
-
-
-def test_ring_overflow_drops_oldest_and_counts():
-    log = EventLog(capacity=4, now=lambda: 0.0)
-    for i in range(10):
-        log.emit("engine.batch", i=i)
-    events = log.events()
-    assert len(events) == 4
-    assert [e.attrs["i"] for e in events] == [6, 7, 8, 9]  # oldest gone
-    assert log.dropped == 6
 
 
 def test_capacity_must_be_positive():

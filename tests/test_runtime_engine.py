@@ -7,6 +7,8 @@ spec rebatching, the profiler hook and the CLI ``--engine`` path.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,21 @@ class TestStats:
             times = engine.last_node_times
         assert set(times) == {n.name for n in g.nodes}
         assert all(t >= 0 for t in times.values())
+
+
+class TestThreadInventory:
+    def test_engine_owns_no_threads(self, rng):
+        """The engine is synchronous: ``run``/``run_many`` execute on the
+        caller and leave no thread behind, open or closed (asynchronous
+        batching lives in the serving gateway, nowhere else)."""
+        x = rng.standard_normal((1, 6, 6, 3)).astype(np.float32)
+        before = set(threading.enumerate())
+        with Engine(_small_net(rng), max_batch_size=2) as engine:
+            engine.run(x)
+            engine.run_many([x, x, x])
+            assert set(threading.enumerate()) <= before
+        assert set(threading.enumerate()) <= before
+        assert not hasattr(engine, "submit")
 
 
 class TestRebatchedSpecs:

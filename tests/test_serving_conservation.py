@@ -70,7 +70,6 @@ def _gateway_under_stress(rng, seed):
         deadline_ms=0.0,  # flush immediately: no timed waits, no advance()
         max_queue=5,  # tiny on purpose: overload must shed, not queue
         replicas=2,
-        scheduler="least_loaded",
     )
     gateway = Gateway(graphs, config, clock=FakeClock(), events=EventLog())
     return gateway, inputs, references
@@ -168,6 +167,96 @@ def test_conservation_under_concurrent_load(rng, seed):
     assert kinds.count("request.accept") == served
     assert kinds.count("request.complete") == served
     assert kinds.count("request.shed") == shed
+
+
+def test_derived_totals_equal_their_parts_at_every_snapshot(rng):
+    """The ``gateway.*`` totals are sums over one registry snapshot, so
+    *while traffic is running* every ``metrics_snapshot()`` satisfies:
+    each total is the sum of its per-model parts (unknown-model sheds are
+    the one outcome no model owns), ``submitted == accepted + shed``, and
+    ``completed + failed <= accepted``."""
+    gateway, inputs, _ = _gateway_under_stress(rng, seed=0)
+    keys = sorted(inputs)
+    models = gateway.models
+    violations: list[str] = []
+    snapshots = 0
+    stop = threading.Event()
+
+    def check(snap) -> None:
+        def parts(key):
+            return [snap[f"gateway.{name}.{key}"] for name in models]
+
+        unknown = snap["gateway.shed_unknown_model"]
+        for key in ("accepted", "completed", "failed", "batches"):
+            if snap[f"gateway.{key}"] != sum(parts(key)):
+                violations.append(f"{key}: total != sum of parts")
+        if snap["gateway.shed"] != sum(parts("shed")) + unknown:
+            violations.append("shed: total != parts + unknown-model sheds")
+        for key in ("batch_size", "latency_ms"):
+            total, per_model = snap[f"gateway.{key}"], parts(key)
+            merged: dict = {}
+            for part in per_model:
+                for value, n in part["counts"].items():
+                    merged[value] = merged.get(value, 0) + n
+            if total["counts"] != merged or total["count"] != sum(
+                part["count"] for part in per_model
+            ):
+                violations.append(f"{key}: histogram != merged parts")
+        if snap["gateway.batch_size"]["count"] != snap["gateway.batches"]:
+            violations.append("batch_size mass != batches")
+        if snap["gateway.submitted"] != snap["gateway.accepted"] + snap["gateway.shed"]:
+            violations.append("submitted != accepted + shed")
+        if snap["gateway.completed"] + snap["gateway.failed"] > snap["gateway.accepted"]:
+            violations.append("completed + failed > accepted")
+
+    def snapshotter() -> None:
+        nonlocal snapshots
+        while not stop.is_set():
+            check(gateway.metrics_snapshot())
+            snapshots += 1
+
+    def submitter(tid: int) -> list:
+        thread_rng = np.random.default_rng(tid)
+        futures = []
+        for i in range(PER_THREAD):
+            if i % 5 == 4:
+                futures.append(gateway.submit("nope", inputs[keys[0]]))
+                continue
+            key = keys[int(thread_rng.integers(len(keys)))]
+            futures.append(gateway.submit(key[0], inputs[key]))
+        return futures
+
+    results: list[list] = [[] for _ in range(THREADS)]
+    threads = [
+        threading.Thread(
+            target=lambda tid=tid: results[tid].extend(submitter(tid)), daemon=True
+        )
+        for tid in range(THREADS)
+    ]
+    watcher = threading.Thread(target=snapshotter, daemon=True)
+    try:
+        watcher.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(RESULT_TIMEOUT_S)
+        replies = [f.result(RESULT_TIMEOUT_S) for fs in results for f in fs]
+        stop.set()
+        watcher.join(RESULT_TIMEOUT_S)
+        final = gateway.metrics_snapshot()
+    finally:
+        stop.set()
+        gateway.close()
+
+    assert not violations, violations[:3]
+    assert snapshots > 0
+    check(final)
+    assert not violations, violations[:3]
+    unknown = THREADS * (PER_THREAD // 5)
+    assert final["gateway.shed_unknown_model"] == unknown
+    assert final["gateway.submitted"] == len(replies) == THREADS * PER_THREAD
+    assert final["gateway.shed"] == sum(isinstance(r, Rejected) for r in replies)
+    assert final["gateway.completed"] == len(replies) - final["gateway.shed"]
 
 
 def test_second_seed_changes_mix_not_invariants(rng):

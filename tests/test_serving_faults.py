@@ -127,7 +127,6 @@ def test_failing_replica_quarantined_pool_survives(graph, rng):
     clock = FakeClock()
     config = GatewayConfig(
         max_batch=1, deadline_ms=50.0, replicas=2, max_replica_failures=2,
-        scheduler="round_robin",
     )
     gw, built = _flaky_pool(
         graph, config, clock,
@@ -163,6 +162,38 @@ def test_failing_replica_quarantined_pool_survives(graph, rng):
     assert stats.submitted == 6 and stats.shed == 0
     assert stats.in_flight == 0
     assert snap["gateway.m.replica_failures"] == 2
+
+
+def test_round_robin_placement_skips_quarantined(graph, rng):
+    """Placement is a rotating cursor over idle healthy replicas: with the
+    pool idle before every request, three replicas serve 0, 1, 2, 0, ...;
+    once replica 1 is quarantined the rotation continues 2, 0, 2, 0 — it
+    steps over the dead replica without stalling or restarting at 0."""
+    clock = FakeClock()
+    config = GatewayConfig(
+        max_batch=1, deadline_ms=50.0, replicas=3, max_replica_failures=1,
+    )
+    gw, built = _flaky_pool(
+        graph, config, clock,
+        lambda idx: lambda e: FlakyEngine(e, fail_always=(idx == 1)),
+    )
+    x = _batched_input(graph, 1, rng)
+    placed = []
+    try:
+        server = gw.server("m")
+        for _ in range(7):
+            _wait_all_idle(server)
+            before = [e.calls for e in built]
+            gw.submit("m", x).result(RESULT_TIMEOUT_S)
+            placed.extend(
+                idx for idx, e in enumerate(built) if e.calls != before[idx]
+            )
+        stats = gw.stats()
+    finally:
+        gw.close()
+    assert placed == [0, 1, 2, 0, 2, 0, 2]
+    assert stats.replicas_healthy == {"m": 2}
+    assert (stats.completed, stats.failed) == (6, 1)
 
 
 def test_stalled_replica_does_not_block_the_pool(graph, rng):

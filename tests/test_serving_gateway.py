@@ -9,6 +9,7 @@ bit-identity oracle is the same one the runtime parity suite uses:
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,13 +22,7 @@ from test_runtime_parity import (
 )
 
 from repro.core.types import Padding
-from repro.runtime.engine import Engine
-from repro.runtime.scheduler import (
-    SCHEDULERS,
-    GreedyCoalescer,
-    LeastLoadedScheduler,
-    RoundRobinScheduler,
-)
+from repro.runtime.engine import Engine, greedy_chunks
 from repro.serving import (
     SHED_CLOSED,
     SHED_QUEUE_FULL,
@@ -306,6 +301,25 @@ def test_close_drains_admitted_requests(graph, rng):
     gw.close()  # idempotent
 
 
+def test_close_leaves_no_gateway_thread(graph, rng):
+    """Thread inventory: a live gateway runs one batcher plus one worker
+    per replica, all named ``repro-*``; after ``close()`` none is left."""
+    before = set(threading.enumerate())
+
+    def started():
+        return sorted(
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-")
+        )
+
+    gw = make_gateway(graph, FakeClock(), max_batch=1, replicas=2)
+    assert started() == ["repro-gw-batcher-m", "repro-gw-m-r0", "repro-gw-m-r1"]
+    gw.submit("m", _batched_input(graph, 1, rng)).result(RESULT_TIMEOUT_S)
+    assert len(started()) == 3  # serving a request starts nothing new
+    gw.close()
+    assert started() == []
+
+
 def test_concurrent_close_is_single_shot(graph, rng):
     """Racing close() calls: both return, the drain happens exactly once.
 
@@ -426,42 +440,37 @@ def test_stats_snapshot_is_consistent(graph, rng):
 # ------------------------------------------------------ policy unit tests
 
 
-def test_round_robin_scheduler_cycles():
-    rr = RoundRobinScheduler()
-    picks = []
-    for _ in range(4):
-        rid = rr.pick([0, 1])
-        rr.record(rid)
-        picks.append(rid)
-    assert picks == [0, 1, 0, 1]
-    # With only one candidate idle it must still pick it.
-    rid = rr.pick([1])
-    assert rid == 1
-
-
-def test_least_loaded_scheduler_balances():
-    ll = LeastLoadedScheduler()
-    first = ll.pick([0, 1])
-    ll.record(first)
-    second = ll.pick([0, 1])
-    assert second != first
-    ll.record(second)
-    ll.record(second)
-    assert ll.pick([first, second]) == first
-
-
-def test_scheduler_registry_matches_config():
-    for name in SCHEDULERS:
-        GatewayConfig(scheduler=name).validate()
-    with pytest.raises(ValueError):
-        GatewayConfig(scheduler="fifo").validate()
-
-
 def test_greedy_coalescer_chunks():
-    c = GreedyCoalescer()
-    chunks = c.coalesce([("a", 2), ("b", 1), ("c", 2)], max_batch=4)
+    chunks = greedy_chunks([("a", 2), ("b", 1), ("c", 2)], max_batch=4)
     assert [[x for x, _ in chunk] for chunk in chunks] == [["a", "b"], ["c"]]
-    assert c.coalesce([("x", 5)], max_batch=4) == [[("x", 5)]]
+    assert greedy_chunks([("x", 5)], max_batch=4) == [[("x", 5)]]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_take_batch_pops_first_greedy_chunk(graph, seed):
+    """The batcher's incremental pop and ``greedy_chunks`` are one rule:
+    for any queue and cap the popped prefix is the first greedy chunk, and
+    the rest of the queue is left exactly as it was."""
+    from repro.serving.gateway import _Pending
+
+    rng = np.random.default_rng(seed)
+    max_batch = int(rng.integers(1, 7))
+    factors = [int(f) for f in rng.integers(1, 9, size=int(rng.integers(1, 40)))]
+    with make_gateway(graph, FakeClock(), max_batch=max_batch) as gw:
+        server = gw.server("m")
+        pending = [_Pending((i,), f, None, 0.0) for i, f in enumerate(factors)]
+        with server._lock:
+            server._queue = deque(pending)
+            server._queued_factor = sum(factors)
+            batch = server._take_batch()
+            rest = list(server._queue)
+            left = server._queued_factor
+            server._queue.clear()
+            server._queued_factor = 0
+    first = greedy_chunks([(p.request, p.factor) for p in pending], max_batch)[0]
+    assert [(p.request, p.factor) for p in batch] == first
+    assert rest == pending[len(first):]
+    assert left == sum(factors[len(first):])
 
 
 @pytest.mark.parametrize(
