@@ -5,8 +5,9 @@ every call: attribute parsing / dispatch (hoisted into the compiled plan),
 weight derivation (binarization, bitpacking, threshold precompute — held in
 the prepacked-weight cache) and Python per-node overhead (one batched plan
 call instead of N interpreter runs).  This benchmark quantifies the win on
-a QuickNet-class graph and asserts the acceptance criterion: the Engine
-must beat per-call Executor throughput at batch >= 4.
+a QuickNet-class graph and asserts the acceptance criteria: the Engine
+must beat per-call Executor throughput at batch >= 4 and must not lose to
+it at batch 1, the size most serving flushes execute at.
 
 Run with ``pytest benchmarks/test_engine_vs_executor.py --benchmark-only -s``.
 """
@@ -112,9 +113,10 @@ def test_engine_beats_executor_at_batch(benchmark):
     assert all(row["verified"] for row in rows)
     # Acceptance criteria: the batched engine wins at batch >= 4, and by a
     # real margin (>= 1.3x) at batch 4 on one thread — the amortization the
-    # registry-compiled kernels must not regress.
+    # registry-compiled kernels must not regress.  Batch 1 is a gate too
+    # (ROADMAP item 2): serving executes mean batch 1.06-1.74, so the plan
+    # path may not lose to the allocating interpreter there.
     for row in rows:
-        if row["batch"] >= 4:
-            assert row["speedup"] > 1.0, row
+        assert row["speedup"] >= 1.0, row
         if row["batch"] == 4:
             assert row["speedup"] >= 1.3, row

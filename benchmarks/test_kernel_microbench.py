@@ -24,12 +24,13 @@ import numpy as np
 import pytest
 
 from repro.core.bconv2d import BConv2DParams, pack_filters
-from repro.core.bgemm import bgemm, bgemm_blocked
+from repro.core.bgemm import bgemm, bgemm_blocked, pack_kmajor
 from repro.core.bitpack import pack_bits
 from repro.core.bmaxpool import bmaxpool2d
 from repro.core.im2col import conv_geometry
 from repro.core.indirection import get_indirection, im2col_direct, im2col_indirect
 from repro.core.quantize_ops import lce_quantize
+from repro.core.threading import bgemm_kmajor
 from repro.core.types import Padding
 from repro.analysis.bench import validate_bench_kernels
 from repro.core.workspace import WorkspacePool
@@ -129,10 +130,13 @@ def _dynamic_bconv2d(x, filters, params, in_h, in_w):
 
 def _plan_bconv2d(x, filters, params, ind, ws):
     """The steady-state plan path: indirect gather into reused workspace
-    buffers, BGEMM scratch and accumulators from the same arena."""
+    buffers, patches packed K-major against the pre-packed K-major filters,
+    BGEMM scratch and accumulators from the same arena."""
     patches = im2col_indirect(x, ind, ws)
     out = ws.take("bconv/acc", (patches.shape[0], params.out_channels), np.int32)
-    return bgemm_blocked(patches, filters.bits, params.depth, out=out, workspace=ws)
+    return bgemm_kmajor(
+        pack_kmajor(patches, ws, "bgemm/at"), filters.kmajor, params.depth, out, ws
+    )
 
 
 def _tuned_bconv2d(x, filters, params, ind, ws, config):
@@ -143,15 +147,15 @@ def _tuned_bconv2d(x, filters, params, ind, ws, config):
     else:
         patches = im2col_indirect(x, ind, ws)
     out = ws.take("bconv/acc", (patches.shape[0], params.out_channels), np.int32)
-    return bgemm_blocked(
-        patches,
-        filters.bits,
+    return bgemm_kmajor(
+        pack_kmajor(patches, ws, "bgemm/at"),
+        filters.kmajor,
         params.depth,
+        out,
+        ws,
         tile_m=config.tile_m,
         tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
-        out=out,
-        workspace=ws,
     )
 
 

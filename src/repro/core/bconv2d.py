@@ -20,10 +20,11 @@ why the paper reports one-padding as the faster option.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.bgemm import bgemm_blocked
+from repro.core.bgemm import pack_kmajor
 from repro.core.bitpack import PackedTensor, pack_bits, packed_words, unpack_bits
 from repro.core.kernel_config import DEFAULT_CONFIG, KernelConfig
 from repro.core.indirection import (
@@ -32,7 +33,11 @@ from repro.core.indirection import (
     im2col_direct,
     im2col_indirect,
 )
-from repro.core.threading import bgemm_parallel, bgemm_scratch_spec
+from repro.core.threading import (
+    bgemm_kmajor,
+    bgemm_parallel,
+    bgemm_scratch_spec,
+)
 from repro.core.im2col import conv_geometry, padded_tap_mask
 from repro.core.workspace import Workspace, WorkspacePool
 from repro.core.output_transform import (
@@ -65,6 +70,13 @@ class PackedFilters:
     @property
     def nbytes(self) -> int:
         return self.bits.nbytes
+
+    @cached_property
+    def kmajor(self) -> np.ndarray:
+        """``bits`` transposed to the ``(words, out_channels)`` layout of
+        :func:`repro.core.threading.bgemm_kmajor`, computed on first use —
+        plan compilation touches it so the copy is made once per model."""
+        return np.ascontiguousarray(self.bits.T)
 
 
 @dataclass(frozen=True)
@@ -239,7 +251,7 @@ def bconv2d(
                 "bconv/acc", (patches.shape[0], params.out_channels), np.int32
             )
         acc = _bgemm(
-            patches, filters.bits, params.depth, num_threads,
+            patches, filters, params.depth, num_threads,
             out=out, workspace=workspace, config=config,
         )
     acc = acc.reshape(n, geom.out_h * geom.out_w, params.out_channels)
@@ -296,25 +308,33 @@ def _im2col(
 
 def _bgemm(
     a: np.ndarray,
-    b: np.ndarray,
+    filters: PackedFilters,
     depth: int,
     num_threads: int,
     out: np.ndarray | None = None,
     workspace: Workspace | None = None,
     config: KernelConfig = DEFAULT_CONFIG,
+    columns: slice = slice(None),
 ) -> np.ndarray:
-    """Dispatch to the threaded BGEMM when asked; bit-identical either way."""
-    if num_threads > 1:
-        return bgemm_parallel(
-            a, b, depth, num_threads=num_threads,
+    """Patches x filters (output channels ``columns`` of them).
+
+    With a workspace: patches are packed K-major into ``bgemm/at`` and
+    multiplied against the pre-packed K-major filters.  Without one: the
+    allocating reference BGEMM.  Bit-identical either way, threaded or not.
+    """
+    if workspace is not None:
+        return bgemm_kmajor(
+            pack_kmajor(a, workspace, "bgemm/at"),
+            filters.kmajor[:, columns], depth, out, workspace,
+            num_threads=num_threads,
             tile_m=config.tile_m, tile_n=config.tile_n,
-            out=out, workspace=workspace,
             tile_k_words=config.tile_k_words,
             thread_grain=config.thread_grain,
         )
-    return bgemm_blocked(
-        a, b, depth, tile_m=config.tile_m, tile_n=config.tile_n,
-        out=out, workspace=workspace, tile_k_words=config.tile_k_words,
+    return bgemm_parallel(
+        a, filters.bits[columns], depth, num_threads=num_threads,
+        tile_m=config.tile_m, tile_n=config.tile_n, out=out,
+        thread_grain=config.thread_grain,
     )
 
 
@@ -333,7 +353,8 @@ def _grouped_accumulators(
     the common case) each group's input is a direct word-slice of the packed
     tensor and each group's filters are a direct row-slice of the packed
     filter matrix — channel blocks pack independently into whole words, so
-    the slices equal what re-packing the dense slices would produce.
+    the slices equal what re-packing the dense slices would produce (on the
+    workspace path: a column slice of the K-major filters).
     Otherwise groups straddle word boundaries and the input is unpacked and
     re-packed per group (grouped binarized convolutions are rare enough —
     none of the paper's models use them — that the repack is acceptable).
@@ -358,21 +379,20 @@ def _grouped_accumulators(
         dense_w = unpack_filters(filters)
     words_g = packed_words(cin_g)
     for g in range(params.groups):
+        columns = slice(g * cout_g, (g + 1) * cout_g)
         if word_aligned:
             xg = PackedTensor(
                 x.bits[..., g * words_g : (g + 1) * words_g], channels=cin_g
             )
-            wg_bits = filters.bits[g * cout_g : (g + 1) * cout_g]
+            wg, wg_columns = filters, columns
         else:
             xg = pack_bits(dense_x[..., g * cin_g : (g + 1) * cin_g])
-            wg_bits = pack_filters(
-                dense_w[:, :, :, g * cout_g : (g + 1) * cout_g]
-            ).bits
+            wg, wg_columns = pack_filters(dense_w[:, :, :, columns]), slice(None)
         patches = _im2col(xg, indirection, workspace, config)
         _bgemm(
-            patches, wg_bits, params.depth, num_threads,
-            out=acc[:, g * cout_g : (g + 1) * cout_g], workspace=workspace,
-            config=config,
+            patches, wg, params.depth, num_threads,
+            out=acc[:, columns], workspace=workspace, config=config,
+            columns=wg_columns,
         )
     return acc
 
@@ -411,13 +431,15 @@ def reserve_bconv2d_workspace(
         )
     pool.reserve("bconv/patches", m * ind.taps * words, np.uint64)
     pool.reserve("bconv/acc", m * params.out_channels, np.int32)
-    # Grouped calls run BGEMM per group with narrower operands; the
-    # ungrouped sizes below dominate, so one reservation covers both.
+    # Grouped calls run one BGEMM per group, each over that group's
+    # channels only; the derived K depth follows that narrower shape.
     for name, size, dtype in bgemm_scratch_spec(
-        m, params.out_channels, num_threads,
+        m,
+        params.out_channels // params.groups,
+        ind.taps * packed_words(params.in_channels // params.groups),
+        num_threads,
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
-        words=ind.taps * words,
         thread_grain=config.thread_grain,
     ):
         pool.reserve(name, size, dtype)

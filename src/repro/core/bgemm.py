@@ -16,8 +16,22 @@ where ``K`` is the true depth (number of +/-1 operands per dot product) and
   (kept per the project's "reference implementation in tests" idiom).
 - :func:`bgemm` — fully vectorized broadcastized XOR-popcount.
 - :func:`bgemm_blocked` — Ruy-style cache tiling over M/N panels; identical
-  results, bounded temporary memory.  This mirrors the production kernel's
-  packing/tiling structure and is what ``LceBConv2d`` calls.
+  results, bounded temporary memory.  Without a workspace it is the
+  allocating reference the ``Executor`` runs; with one it packs both
+  operands K-major and runs the plan-path kernel, which ``LceBConv2d``
+  reaches through :func:`repro.core.threading.bgemm_kmajor` with filters
+  packed once at compile time.
+
+**K-major layout.**  Like Ruy (and daBNN's weight re-layout), the plan
+path packs operands into the layout its inner loop wants before the
+multiply: ``(words, M)`` / ``(words, N)``, one packed word *plane* per
+leading index.  One step XORs ``k_block`` planes into a ``(k_block, mt,
+nt)`` block — the filter plane is read contiguously, the patch word is a
+broadcast scalar — popcounts it into ``uint8`` and reduces over the
+**leading** axis, which NumPy executes as vectorised adds of contiguous
+``(mt, nt)`` planes.  (Reducing a short *trailing* K axis instead makes
+NumPy iterate a tiny inner loop per output element; blocks of 2-4 words
+measured 3-6x slower than word-at-a-time that way.)
 """
 
 from __future__ import annotations
@@ -37,6 +51,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: around (256 * 128 * words) u64 elements — a few MiB at most.
 _TILE_M = 256
 _TILE_N = 128
+
+#: XOR-block budget of the K-major kernel, in uint64 words (512 KiB): one
+#: step XORs as many word planes as fit (:func:`derive_k_block`).  Set by a
+#: sweep of ``Engine.run`` over QuickNet-small (two rounds, ms): at 224 px
+#: 16 K words 54-58, 32 K 51-55, 64 K 48-51, 128 K 48-51, 256 K 48-49; at
+#: 64 px batch 8 38-44, 34-36, 33-36, 33-36, 34-35; at 32 px flat.  Flat
+#: from 64 K up, so this is the low end of that range (smallest scratch)
+#: and a constant rather than a knob.
+_XOR_BLOCK_WORDS = 1 << 16
+
+
+def derive_k_block(mt: int, nt: int, words: int) -> int:
+    """K depth (packed words per XOR step) for an ``mt x nt`` panel.
+
+    Fills the :data:`_XOR_BLOCK_WORDS` budget, then balances: with
+    ``steps = ceil(words / (budget // (mt * nt)))`` the depth is
+    ``ceil(words / steps)``, so a 1x128 panel takes all 72 words of a
+    3x3x512 layer in one step, a 256x128 panel goes two words at a time,
+    and no step is a ragged one-word tail.  Always in ``[1, words]``; a
+    panel larger than the whole budget gets depth 1.
+    """
+    cap = max(1, _XOR_BLOCK_WORDS // (mt * nt))
+    steps = -(-words // cap)
+    return -(-words // steps)
 
 
 def _check_tiles(tile_m: int, tile_n: int, tile_k_words: int = 1) -> None:
@@ -109,22 +147,20 @@ def _tile_into(
     out_view: np.ndarray,
     workspace: Workspace | None,
     prefix: str,
-    tile_k_words: int = 1,
+    k_block: int,
 ) -> None:
     """One ``tile_m x tile_n`` output panel: XOR -> popcount -> transform.
 
-    With a workspace and ``tile_k_words == 1``, the panel is computed one
-    word column at a time into reused 2-D arena buffers under
-    ``{prefix}/xor|pop|out``: each temporary is ``(tile_m, tile_n)`` and
-    stays cache-resident regardless of the word count.  ``tile_k_words >
-    1`` instead materializes 3-D XOR blocks of that many packed words
-    (``{prefix}/xor3|pop3|ksum``) — fewer, larger NumPy dispatches, the
-    winning trade-off for some small-M geometries; a value ``>= words``
-    reproduces the full-broadcast kernel inside the arena.  The
-    allocating variant (no workspace) always materializes the full 3-D
-    ``(tile_m, tile_n, words)`` XOR broadcast.  Per-word popcounts are
-    exact uint8 values (<= 64) summed in int32, so every variant performs
-    identical integer arithmetic and results are bit-equal.
+    Panels are ``(mt, words)`` / ``(nt, words)``.  Without a workspace
+    this is the allocating reference: one full ``(mt, nt, words)`` XOR
+    broadcast (``k_block`` unused).  With one it is the K-major kernel
+    (module docstring): ``k_block`` word planes per step through reused
+    arena buffers ``{prefix}/xk|ck|ksum|out``.  It reads the panels
+    through their ``(words, mt)`` / ``(words, nt)`` transposes, so callers
+    pass transposed views of K-major storage; any other strides are
+    correct, only slower.  Per-word popcounts are exact uint8 values
+    (<= 64) summed in int32, so both branches and every ``k_block``
+    perform identical integer arithmetic and results are bit-equal.
     """
     if workspace is None:
         x = np.bitwise_xor(a_panel[:, None, :], b_panel[None, :, :])
@@ -133,35 +169,25 @@ def _tile_into(
         return
     mt, words = a_panel.shape
     nt = b_panel.shape[0]
+    at = a_panel.T[:, :, None]
+    bt = b_panel.T[:, None, :]
     pops = workspace.take(f"{prefix}/out", (mt, nt), np.int32)
-    pops[...] = 0
-    if tile_k_words == 1:
-        x = workspace.take(f"{prefix}/xor", (mt, nt), np.uint64)
-        counts = workspace.take(f"{prefix}/pop", (mt, nt), np.uint8)
-        for w in range(words):
-            np.bitwise_xor(a_panel[:, w, None], b_panel[None, :, w], out=x)
-            popcount(x, out=counts)
-            np.add(pops, counts, out=pops)
-    else:
-        kb = min(tile_k_words, words)
-        ksum = workspace.take(f"{prefix}/ksum", (mt, nt), np.int32)
-        x3 = workspace.take(f"{prefix}/xor3", (mt, nt, kb), np.uint64)
-        c3 = workspace.take(f"{prefix}/pop3", (mt, nt, kb), np.uint8)
-        for w0 in range(0, words, kb):
-            wb = min(kb, words - w0)
-            xv, cv = x3[:, :, :wb], c3[:, :, :wb]
-            np.bitwise_xor(
-                a_panel[:, None, w0 : w0 + wb],
-                b_panel[None, :, w0 : w0 + wb],
-                out=xv,
-            )
-            popcount(xv, out=cv)
-            np.sum(cv, axis=2, dtype=np.int32, out=ksum)
+    ksum = workspace.take(f"{prefix}/ksum", (mt, nt), np.int32)
+    xk = workspace.take(f"{prefix}/xk", (k_block, mt, nt), np.uint64)
+    ck = workspace.take(f"{prefix}/ck", (k_block, mt, nt), np.uint8)
+    for w0 in range(0, words, k_block):
+        wb = min(k_block, words - w0)
+        xv, cv = xk[:wb], ck[:wb]
+        np.bitwise_xor(at[w0 : w0 + wb], bt[w0 : w0 + wb], out=xv)
+        popcount(xv, out=cv)
+        if w0 == 0:
+            np.add.reduce(cv, axis=0, dtype=np.int32, out=pops)
+        else:
+            np.add.reduce(cv, axis=0, dtype=np.int32, out=ksum)
             np.add(pops, ksum, out=pops)
     # depth - 2*pop, computed in place: pops * -2 + depth (exact int32).
     np.multiply(pops, np.int32(-2), out=pops)
-    np.add(pops, np.int32(depth), out=pops)
-    out_view[...] = pops
+    np.add(pops, np.int32(depth), out=out_view)
 
 
 def _check_out(out: np.ndarray | None, m: int, n: int) -> np.ndarray:
@@ -170,6 +196,92 @@ def _check_out(out: np.ndarray | None, m: int, n: int) -> np.ndarray:
     if out.shape != (m, n) or out.dtype != np.int32:
         raise ValueError(
             f"out must be int32 of shape {(m, n)}, got {out.dtype} {out.shape}"
+        )
+    return out
+
+
+def pack_kmajor(src: np.ndarray, workspace: Workspace, name: str) -> np.ndarray:
+    """Pack a ``(rows, words)`` operand K-major: one transposed copy into
+    the arena buffer ``name``, returned as the ``(words, rows)`` array."""
+    dst = workspace.take(name, src.shape[::-1], np.uint64)
+    np.copyto(dst, src.T)
+    return dst
+
+
+def _k_block(
+    tile_k_words: int, tile_m: int, tile_n: int, m: int, n: int, words: int
+) -> int:
+    """The K depth one call uses for all of its panels: derived from the
+    full panel shape when ``tile_k_words == 1`` (edge panels are smaller,
+    so they fit the same scratch), else the explicit value."""
+    if tile_k_words == 1:
+        return derive_k_block(min(tile_m, m), min(tile_n, n), words)
+    return min(tile_k_words, words)
+
+
+def _row_tiles(
+    row_starts,
+    a: np.ndarray,
+    b: np.ndarray,
+    depth: int,
+    out: np.ndarray,
+    tile_m: int,
+    tile_n: int,
+    workspace: Workspace | None,
+    prefix: str,
+    k_block: int,
+) -> None:
+    """Every output panel of the row tiles starting at ``row_starts``."""
+    n = b.shape[0]
+    for i0 in row_starts:
+        a_panel = a[i0 : i0 + tile_m]
+        for j0 in range(0, n, tile_n):
+            _tile_into(
+                a_panel,
+                b[j0 : j0 + tile_n],
+                depth,
+                out[i0 : i0 + tile_m, j0 : j0 + tile_n],
+                workspace,
+                prefix,
+                k_block,
+            )
+
+
+def _blocked(
+    a: np.ndarray,
+    b: np.ndarray,
+    depth: int,
+    out: np.ndarray,
+    tile_m: int,
+    tile_n: int,
+    workspace: Workspace | None,
+    prefix: str,
+    k_block: int,
+) -> np.ndarray:
+    """Single-threaded panel loop over checked ``(M, W)`` / ``(N, W)``
+    operands (transposed views of K-major storage on the workspace path)."""
+    m, words = a.shape
+    # Ambient tracing: an enabled tracer (installed by an enclosing span,
+    # e.g. plan.node) gets one pre-measured kernel.bgemm record per call;
+    # disabled cost is one thread-local read and two branches.
+    tracer = active_tracer()
+    t0 = time.perf_counter() if tracer.enabled else 0.0
+    _row_tiles(
+        range(0, m, tile_m), a, b, depth, out, tile_m, tile_n,
+        workspace, prefix, k_block,
+    )
+    if tracer.enabled:
+        tracer.record(
+            "kernel.bgemm",
+            t0,
+            time.perf_counter() - t0,
+            m=m,
+            n=b.shape[0],
+            words=words,
+            depth=depth,
+            threads=1,
+            k_block=k_block,
+            steps=-(-words // k_block),
         )
     return out
 
@@ -189,46 +301,27 @@ def bgemm_blocked(
 
     Processes ``tile_m x tile_n`` output panels so the XOR temporary stays
     small regardless of problem size.  Bit-identical to :func:`bgemm` for
-    any legal tiling — tiles larger than the matrix clamp to the edge,
-    non-divisor tiles leave ragged edge panels, and ``tile_k_words``
-    blocks the word-column loop (see :func:`_tile_into`); the per-tile
-    arithmetic is exact int32 either way.
+    any legal tiling — tiles larger than the matrix clamp to the edge and
+    non-divisor tiles leave ragged edge panels; the per-tile arithmetic is
+    exact int32 either way.
 
     ``out`` (int32, ``(M, N)``) and ``workspace`` make the call
-    allocation-free: accumulators land in ``out`` and the per-tile
-    temporaries live in reused arena buffers named ``{prefix}/*``.
+    allocation-free: accumulators land in ``out``, both operands are
+    packed K-major into ``{prefix}/at|bt`` and the per-tile temporaries
+    live in reused arena buffers named ``{prefix}/*`` (see
+    :func:`_tile_into`).  ``tile_k_words`` is the K depth of that path:
+    ``1`` (what every caller passes) derives it from the panel shape via
+    :func:`derive_k_block`, a larger value is used as given.  Without a
+    workspace the call is the allocating reference and ignores it.
     """
     _check_operands(a, b, depth)
     _check_tiles(tile_m, tile_n, tile_k_words)
-    m = a.shape[0]
+    m, words = a.shape
     n = b.shape[0]
     out = _check_out(out, m, n)
-    # Ambient tracing: an enabled tracer (installed by an enclosing span,
-    # e.g. plan.node) gets one pre-measured kernel.bgemm record per call;
-    # disabled cost is one thread-local read and two branches.
-    tracer = active_tracer()
-    t0 = time.perf_counter() if tracer.enabled else 0.0
-    for i0 in range(0, m, tile_m):
-        a_panel = a[i0 : i0 + tile_m]
-        for j0 in range(0, n, tile_n):
-            _tile_into(
-                a_panel,
-                b[j0 : j0 + tile_n],
-                depth,
-                out[i0 : i0 + tile_m, j0 : j0 + tile_n],
-                workspace,
-                prefix,
-                tile_k_words,
-            )
-    if tracer.enabled:
-        tracer.record(
-            "kernel.bgemm",
-            t0,
-            time.perf_counter() - t0,
-            m=m,
-            n=n,
-            words=int(a.shape[1]),
-            depth=depth,
-            threads=1,
-        )
-    return out
+    k_block = words
+    if workspace is not None:
+        a = pack_kmajor(a, workspace, f"{prefix}/at").T
+        b = pack_kmajor(b, workspace, f"{prefix}/bt").T
+        k_block = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
+    return _blocked(a, b, depth, out, tile_m, tile_n, workspace, prefix, k_block)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bitpack import PackedTensor
-from repro.core.im2col import conv_geometry, gather_indices
+from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
 from repro.core.types import Padding
 
 
@@ -42,11 +42,7 @@ def bmaxpool2d(
     n, in_h, in_w, words = bits.shape
     geom = conv_geometry(in_h, in_w, pool_h, pool_w, stride, 1, padding)
     ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    padded = np.pad(
-        bits,
-        ((0, 0), (geom.pad_top, geom.pad_bottom), (geom.pad_left, geom.pad_right), (0, 0)),
-        constant_values=ones,
-    )
+    padded = pad_spatial(bits, geom.pads, ones)
     rows, cols = gather_indices(geom, pool_h, pool_w, stride, 1)
     windows = padded[:, rows, cols, :]  # (N, pixels, taps, words)
     pooled = np.bitwise_and.reduce(windows, axis=2)

@@ -32,6 +32,31 @@ class ConvGeometry:
     pad_left: int
     pad_right: int
 
+    @property
+    def pads(self) -> tuple[int, int, int, int]:
+        """``(top, bottom, left, right)``, the order :func:`pad_spatial` takes."""
+        return (self.pad_top, self.pad_bottom, self.pad_left, self.pad_right)
+
+
+def pad_spatial(
+    x: np.ndarray, pads: tuple[int, int, int, int], value
+) -> np.ndarray:
+    """Constant-pad the H and W axes of an NHWC array by ``(top, bottom,
+    left, right)``.
+
+    Bit-identical to ``np.pad(..., constant_values=value)`` (same dtype,
+    ``value`` cast to it) at a fraction of its per-call cost: one fill of
+    the padded shape plus one interior copy.  Returns ``x`` itself, not a
+    copy, when every pad is zero.
+    """
+    top, bottom, left, right = pads
+    if not (top or bottom or left or right):
+        return x
+    n, h, w, c = x.shape
+    padded = np.full((n, top + h + bottom, left + w + right, c), value, x.dtype)
+    padded[:, top : top + h, left : left + w] = x
+    return padded
+
 
 def effective_kernel(k: int, dilation: int) -> int:
     """Kernel extent after dilation."""
@@ -130,11 +155,7 @@ def im2col_float(
         raise ValueError(f"expected NHWC input, got {x.ndim}-D")
     n, in_h, in_w, c = x.shape
     geom = conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
-    padded = np.pad(
-        x,
-        ((0, 0), (geom.pad_top, geom.pad_bottom), (geom.pad_left, geom.pad_right), (0, 0)),
-        constant_values=pad_value,
-    )
+    padded = pad_spatial(x, geom.pads, pad_value)
     rows, cols = gather_indices(geom, kernel_h, kernel_w, stride, dilation)
     # (N, pixels, taps, C) -> (N*pixels, taps*C)
     patches = padded[:, rows, cols, :]
@@ -163,11 +184,7 @@ def im2col_packed(
         raise ValueError(f"expected packed NHWC input, got {bits.ndim}-D")
     n, in_h, in_w, words = bits.shape
     geom = conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
-    padded = np.pad(
-        bits,
-        ((0, 0), (geom.pad_top, geom.pad_bottom), (geom.pad_left, geom.pad_right), (0, 0)),
-        constant_values=0,
-    )
+    padded = pad_spatial(bits, geom.pads, 0)
     rows, cols = gather_indices(geom, kernel_h, kernel_w, stride, dilation)
     patches = padded[:, rows, cols, :]
     return (

@@ -7,11 +7,11 @@ tuning cache supplies a measured winner:
 
 - ``tile_m`` / ``tile_n`` — BGEMM output-panel blocking
   (:func:`repro.core.bgemm.bgemm_blocked`);
-- ``tile_k_words`` — word-column (K) blocking inside one output panel:
-  ``1`` keeps the cache-resident word-at-a-time kernel, larger values
-  materialize 3-D XOR blocks of that many packed words per step (a value
-  ``>= words`` reproduces the full-broadcast kernel under a bounded
-  workspace);
+- ``tile_k_words`` — the K depth of the K-major tile kernel, in packed
+  words per XOR step: ``1`` (the default, and the only value the tuner
+  emits) derives it from the panel shape
+  (:func:`repro.core.bgemm.derive_k_block`); a larger value is used as
+  given, so caches written when the depth was searched still load;
 - ``im2col`` — patch materialization strategy: ``"indirect"`` gathers
   through the precomputed indirection buffer, ``"direct"`` copies one
   strided slice per kernel tap;

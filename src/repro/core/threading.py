@@ -10,9 +10,11 @@ genuine parallel speedup on multi-core hosts.
 Workspace interaction: worker threads must not grow shared buffers, so
 tiles are assigned round-robin to a fixed number of *slots* and each slot
 owns private scratch buffers named ``{prefix}/{slot}/*``.  The calling
-thread pre-touches every slot's buffers at full tile size before
-dispatching, after which workers only ever read the workspace's buffer
-dict — no locking, no reallocation, and disjoint scratch per worker.
+thread packs the operands K-major (``{prefix}/at`` is shared and only
+read after the fork) and pre-touches every slot's buffers at full tile
+size before dispatching, after which workers only ever read the
+workspace's buffer dict — no locking, no reallocation, and disjoint
+scratch per worker.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ import numpy as np
 from repro.core.bgemm import (
     _TILE_M,
     _TILE_N,
+    _blocked,
     _check_operands,
     _check_out,
     _check_tiles,
-    _tile_into,
+    _k_block,
+    _row_tiles,
+    pack_kmajor,
 )
-from repro.core.bgemm import bgemm_blocked
 from repro.obs.trace import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,52 +58,131 @@ def _num_slots(
 def bgemm_scratch_spec(
     m: int,
     n: int,
+    words: int,
     num_threads: int = 1,
     tile_m: int = _TILE_M,
     tile_n: int = _TILE_N,
     prefix: str = "bgemm",
     tile_k_words: int = 1,
-    words: int | None = None,
     thread_grain: int = 1,
 ) -> list[tuple[str, int, np.dtype]]:
     """The ``(name, size, dtype)`` scratch reservations a BGEMM call needs.
 
-    Mirrors the dispatch in :func:`bgemm_parallel`: single-threaded (or
-    single-tile) calls use unslotted ``{prefix}/*`` buffers, parallel calls
-    use one ``{prefix}/{slot}/*`` set per slot.  The word-at-a-time tile
-    kernel (``tile_k_words == 1``) uses 2-D temporaries whose sizes depend
-    only on the tile shape; K-blocked tiles (``tile_k_words > 1``) add 3-D
-    XOR/popcount blocks sized by ``words`` (required then).  Kernel
-    factories feed this into
-    :meth:`repro.core.workspace.WorkspacePool.reserve` at plan-compile
-    time so the arena is fully sized before the first inference.
+    Mirrors the dispatch in :func:`bgemm_kmajor`: one shared K-major
+    patch buffer ``{prefix}/at``, plus the tile kernel's ``xk|ck|ksum|out``
+    — unslotted for single-threaded (or single-row-tile) calls, one
+    ``{prefix}/{slot}/*`` set per slot otherwise — with the XOR/popcount
+    blocks sized by the same K depth the call will use.  Kernel factories
+    feed this into :meth:`repro.core.workspace.WorkspacePool.reserve` at
+    plan-compile time so the arena is fully sized before the first
+    inference.
     """
     _check_tiles(tile_m, tile_n, tile_k_words)
-    mt = min(tile_m, m)
-    nt = min(tile_n, n)
     if num_threads == 1 or m <= tile_m:
         prefixes = [prefix]
     else:
-        prefixes = [
-            f"{prefix}/{slot}"
-            for slot in range(_num_slots(m, tile_m, num_threads, thread_grain))
-        ]
-    kb = 0
-    if tile_k_words > 1:
-        if words is None:
-            raise ValueError("tile_k_words > 1 requires the operand word count")
-        kb = min(tile_k_words, words)
+        slots = _num_slots(m, tile_m, num_threads, thread_grain)
+        prefixes = [f"{prefix}/{slot}" for slot in range(slots)]
+    kb = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
+    return [
+        (f"{prefix}/at", words * m, np.dtype(np.uint64)),
+        *_tile_scratch(prefixes, min(tile_m, m), min(tile_n, n), kb),
+    ]
+
+
+def _tile_scratch(
+    prefixes: list[str], mt: int, nt: int, k_block: int
+) -> list[tuple[str, int, np.dtype]]:
+    """What :func:`repro.core.bgemm._tile_into` takes under each prefix."""
     spec: list[tuple[str, int, np.dtype]] = []
     for p in prefixes:
-        if kb:
-            spec.append((f"{p}/xor3", mt * nt * kb, np.dtype(np.uint64)))
-            spec.append((f"{p}/pop3", mt * nt * kb, np.dtype(np.uint8)))
-            spec.append((f"{p}/ksum", mt * nt, np.dtype(np.int32)))
-        else:
-            spec.append((f"{p}/xor", mt * nt, np.dtype(np.uint64)))
-            spec.append((f"{p}/pop", mt * nt, np.dtype(np.uint8)))
+        spec.append((f"{p}/xk", k_block * mt * nt, np.dtype(np.uint64)))
+        spec.append((f"{p}/ck", k_block * mt * nt, np.dtype(np.uint8)))
+        spec.append((f"{p}/ksum", mt * nt, np.dtype(np.int32)))
         spec.append((f"{p}/out", mt * nt, np.dtype(np.int32)))
     return spec
+
+
+def _check_threads(num_threads: int, thread_grain: int) -> None:
+    if num_threads <= 0:
+        raise ValueError(f"num_threads must be positive, got {num_threads}")
+    if not isinstance(thread_grain, (int, np.integer)) or isinstance(
+        thread_grain, bool
+    ):
+        raise TypeError(f"thread_grain must be an integer, got {thread_grain!r}")
+    if thread_grain < 1:
+        raise ValueError(f"thread_grain must be >= 1, got {thread_grain}")
+
+
+def _parallel(
+    a: np.ndarray,
+    b: np.ndarray,
+    depth: int,
+    out: np.ndarray,
+    num_threads: int,
+    tile_m: int,
+    tile_n: int,
+    workspace: Workspace | None,
+    prefix: str,
+    tile_k_words: int,
+    thread_grain: int,
+) -> np.ndarray:
+    """Row tiles of checked ``(M, W)`` / ``(N, W)`` operands over a pool.
+
+    With a workspace the operands are transposed views of K-major storage
+    (already packed by the calling thread) and ``tile_k_words`` resolves
+    to the K depth; without one this is the allocating reference.
+    """
+    m, words = a.shape
+    n = b.shape[0]
+    k_block = words
+    if workspace is not None:
+        k_block = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
+    if num_threads == 1 or m <= tile_m:
+        return _blocked(
+            a, b, depth, out, tile_m, tile_n, workspace, prefix, k_block
+        )
+    tiles = range(0, m, tile_m)
+    units = [
+        tiles[u : u + thread_grain] for u in range(0, len(tiles), thread_grain)
+    ]
+    slots = _num_slots(m, tile_m, num_threads, thread_grain)
+    if workspace is not None:
+        # Pre-touch every slot's scratch from this thread (a no-op on a
+        # plan's reserved arena) so workers never grow the buffer dict.
+        for name, size, dtype in _tile_scratch(
+            [f"{prefix}/{slot}" for slot in range(slots)],
+            min(tile_m, m), min(tile_n, n), k_block,
+        ):
+            workspace.reserve(name, size, dtype)
+
+    def worker(slot: int) -> None:
+        _row_tiles(
+            (i0 for unit in units[slot::slots] for i0 in unit),
+            a, b, depth, out, tile_m, tile_n,
+            workspace, f"{prefix}/{slot}", k_block,
+        )
+
+    # The span covers dispatch + all workers; recorded from the calling
+    # thread (workers have no ambient tracer), threads = scratch slots.
+    tracer = active_tracer()
+    t0 = time.perf_counter() if tracer.enabled else 0.0
+    with ThreadPoolExecutor(max_workers=slots) as pool:
+        list(pool.map(worker, range(slots)))
+    if tracer.enabled:
+        tracer.record(
+            "kernel.bgemm",
+            t0,
+            time.perf_counter() - t0,
+            m=m,
+            n=n,
+            words=words,
+            depth=depth,
+            threads=slots,
+            k_block=k_block,
+            steps=-(-words // k_block),
+        )
+    return out
 
 
 def bgemm_parallel(
@@ -119,77 +202,55 @@ def bgemm_parallel(
 
     Bit-identical to :func:`repro.core.bgemm.bgemm_blocked`; panels write
     disjoint output rows so no synchronization is needed, and tile-to-slot
-    assignment cannot affect results.  ``out``/``workspace`` behave as in
-    ``bgemm_blocked`` with per-slot scratch (see module docstring).
-    ``thread_grain`` assigns that many *consecutive* row tiles per unit of
-    the round-robin slot schedule (coarser grains trade load balance for
-    contiguous output writes); any grain computes the same tiles.
+    assignment cannot affect results.  ``out``/``workspace``/
+    ``tile_k_words`` behave as in ``bgemm_blocked`` with per-slot scratch
+    (see module docstring).  ``thread_grain`` assigns that many
+    *consecutive* row tiles per unit of the round-robin slot schedule
+    (coarser grains trade load balance for contiguous output writes); any
+    grain computes the same tiles.
     """
     _check_operands(a, b, depth)
-    # Validate tiles before the dispatch below: the parallel branch used
-    # to skip validation entirely, so a non-positive tile_n made every
-    # worker's panel range empty and returned uninitialized output.
+    # Validate tiles before the dispatch below: a non-positive tile_n would
+    # make every worker's panel range empty and return uninitialized output.
     _check_tiles(tile_m, tile_n, tile_k_words)
-    if num_threads <= 0:
-        raise ValueError(f"num_threads must be positive, got {num_threads}")
-    if not isinstance(thread_grain, (int, np.integer)) or isinstance(
-        thread_grain, bool
-    ):
-        raise TypeError(f"thread_grain must be an integer, got {thread_grain!r}")
-    if thread_grain < 1:
-        raise ValueError(f"thread_grain must be >= 1, got {thread_grain}")
-    m = a.shape[0]
-    n = b.shape[0]
-    if num_threads == 1 or m <= tile_m:
-        return bgemm_blocked(
-            a, b, depth, tile_m, tile_n, out=out, workspace=workspace,
-            prefix=prefix, tile_k_words=tile_k_words,
-        )
-    out = _check_out(out, m, n)
-    tiles = range(0, m, tile_m)
-    units = [
-        tiles[u : u + thread_grain] for u in range(0, len(tiles), thread_grain)
-    ]
-    slots = _num_slots(m, tile_m, num_threads, thread_grain)
+    _check_threads(num_threads, thread_grain)
+    out = _check_out(out, a.shape[0], b.shape[0])
     if workspace is not None:
-        for name, size, dtype in bgemm_scratch_spec(
-            m, n, num_threads, tile_m, tile_n, prefix,
-            tile_k_words=tile_k_words, words=int(a.shape[1]),
-            thread_grain=thread_grain,
-        ):
-            workspace.reserve(name, size, dtype)
+        a = pack_kmajor(a, workspace, f"{prefix}/at").T
+        b = pack_kmajor(b, workspace, f"{prefix}/bt").T
+    return _parallel(
+        a, b, depth, out, num_threads, tile_m, tile_n,
+        workspace, prefix, tile_k_words, thread_grain,
+    )
 
-    def worker(slot: int) -> None:
-        slot_prefix = f"{prefix}/{slot}"
-        for unit in units[slot::slots]:
-            for i0 in unit:
-                a_panel = a[i0 : i0 + tile_m]
-                for j0 in range(0, n, tile_n):
-                    _tile_into(
-                        a_panel,
-                        b[j0 : j0 + tile_n],
-                        depth,
-                        out[i0 : i0 + tile_m, j0 : j0 + tile_n],
-                        workspace,
-                        slot_prefix,
-                        tile_k_words,
-                    )
 
-    # The span covers dispatch + all workers; recorded from the calling
-    # thread (workers have no ambient tracer), threads = scratch slots.
-    tracer = active_tracer()
-    t0 = time.perf_counter() if tracer.enabled else 0.0
-    with ThreadPoolExecutor(max_workers=slots) as pool:
-        list(pool.map(worker, range(slots)))
-    if tracer.enabled:
-        tracer.record(
-            "kernel.bgemm",
-            t0,
-            time.perf_counter() - t0,
-            m=m,
-            n=n,
-            words=int(a.shape[1]),
-            depth=depth,
-            threads=slots,
-        )
-    return out
+def bgemm_kmajor(
+    at: np.ndarray,
+    bt: np.ndarray,
+    depth: int,
+    out: np.ndarray,
+    workspace: Workspace,
+    num_threads: int = 1,
+    tile_m: int = _TILE_M,
+    tile_n: int = _TILE_N,
+    prefix: str = "bgemm",
+    tile_k_words: int = 1,
+    thread_grain: int = 1,
+) -> np.ndarray:
+    """The plan-path BGEMM on operands already packed K-major.
+
+    ``at`` is ``(W, M)`` and ``bt`` is ``(W, N)`` (column slices of a wider
+    K-major matrix are fine — the grouped convolution passes those);
+    everything else is as in :func:`bgemm_parallel`, which is this call
+    after packing both operands.  ``bconv2d`` calls it directly with the
+    filters packed once at plan-compile time.
+    """
+    a, b = at.T, bt.T
+    _check_operands(a, b, depth)
+    _check_tiles(tile_m, tile_n, tile_k_words)
+    _check_threads(num_threads, thread_grain)
+    out = _check_out(out, a.shape[0], b.shape[0])
+    return _parallel(
+        a, b, depth, out, num_threads, tile_m, tile_n,
+        workspace, prefix, tile_k_words, thread_grain,
+    )

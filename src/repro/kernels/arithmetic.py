@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.im2col import pad_spatial
+
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise addition (the shortcut ``Add``)."""
@@ -40,7 +42,7 @@ def pad2d(x: np.ndarray, pad_h: tuple[int, int], pad_w: tuple[int, int],
     """Explicit spatial padding of an NHWC tensor."""
     if x.ndim != 4:
         raise ValueError("expected NHWC input")
-    return np.pad(x, ((0, 0), pad_h, pad_w, (0, 0)), constant_values=value)
+    return pad_spatial(x, (*pad_h, *pad_w), value)
 
 
 def concat(tensors: list[np.ndarray], axis: int = -1) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.im2col import conv_geometry, gather_indices
+from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
 from repro.core.types import Activation, Padding
 
 
@@ -39,11 +39,7 @@ def depthwise_conv2d_float(
     kh, kw, _ = weights.shape
     geom = conv_geometry(in_h, in_w, kh, kw, stride, dilation, padding)
     pad_value = 1.0 if padding is Padding.SAME_ONE else 0.0
-    padded = np.pad(
-        x.astype(np.float32),
-        ((0, 0), (geom.pad_top, geom.pad_bottom), (geom.pad_left, geom.pad_right), (0, 0)),
-        constant_values=pad_value,
-    )
+    padded = pad_spatial(x.astype(np.float32, copy=False), geom.pads, pad_value)
     rows, cols = gather_indices(geom, kh, kw, stride, dilation)
     windows = padded[:, rows, cols, :]  # (N, pixels, taps, C)
     out = np.einsum("nptc,tc->npc", windows, weights.reshape(kh * kw, c))

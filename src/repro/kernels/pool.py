@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.im2col import conv_geometry, gather_indices
+from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
 from repro.core.types import Padding
 
 
@@ -18,11 +18,7 @@ def _pool_windows(
 ) -> tuple[np.ndarray, int, int]:
     n, in_h, in_w, c = x.shape
     geom = conv_geometry(in_h, in_w, pool_h, pool_w, stride, 1, padding)
-    padded = np.pad(
-        x,
-        ((0, 0), (geom.pad_top, geom.pad_bottom), (geom.pad_left, geom.pad_right), (0, 0)),
-        constant_values=pad_value,
-    )
+    padded = pad_spatial(x, geom.pads, pad_value)
     rows, cols = gather_indices(geom, pool_h, pool_w, stride, 1)
     return padded[:, rows, cols, :], geom.out_h, geom.out_w
 
@@ -39,7 +35,7 @@ def maxpool2d(
         raise ValueError("expected NHWC input")
     stride = stride or max(pool_h, pool_w)
     windows, out_h, out_w = _pool_windows(
-        x.astype(np.float32), pool_h, pool_w, stride, padding, -np.inf
+        x.astype(np.float32, copy=False), pool_h, pool_w, stride, padding, -np.inf
     )
     return windows.max(axis=2).reshape(x.shape[0], out_h, out_w, x.shape[-1])
 
@@ -57,7 +53,7 @@ def avgpool2d(
         raise ValueError("expected NHWC input")
     stride = stride or max(pool_h, pool_w)
     windows, out_h, out_w = _pool_windows(
-        x.astype(np.float32), pool_h, pool_w, stride, padding, np.nan
+        x.astype(np.float32, copy=False), pool_h, pool_w, stride, padding, np.nan
     )
     out = np.nanmean(windows, axis=2)
     return out.reshape(x.shape[0], out_h, out_w, x.shape[-1]).astype(np.float32)

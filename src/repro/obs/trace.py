@@ -6,7 +6,10 @@ The span taxonomy mirrors the layers a request passes through::
       batch.coalesce
       plan.execute
         plan.node                  (one per compiled graph node)
-          kernel.bgemm             (XOR-popcount GEMM, per call)
+          kernel.bgemm             (XOR-popcount GEMM, per call; args m, n,
+                                    words, depth, threads, and the K
+                                    schedule: k_block words per step,
+                                    steps per panel)
           workspace.acquire        (thread arena lookup)
           indirection.lookup       (eager-path geometry cache)
 

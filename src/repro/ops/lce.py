@@ -205,6 +205,10 @@ def _lce_bconv2d_kernel(node, p, ctx):
             reserve_bconv2d_workspace(
                 pool, params, in_h, in_w, batch, num_threads, config=config
             )
+            # Pack the filters K-major now rather than on the first
+            # inference; ``filters`` lives in the ParamCache, so every
+            # batch factor and replica shares the one copy.
+            filters.kmajor
 
     def run(ins):
         return bconv2d(

@@ -49,30 +49,28 @@ def candidate_configs(
     """The bounded candidate grid for one geometry, default first.
 
     Tile candidates larger than twice the matrix extent are pruned (they
-    collapse to the same single-tile schedule).  K-word blocking is only
-    offered at the extremes — word-at-a-time (``1``) or the full operand
-    width — because mid-size K blocks leave NumPy iterating a tiny inner
-    axis and measure far slower than either end on every probed geometry.
+    collapse to the same single-tile schedule).  The K depth is not
+    searched: every candidate keeps ``tile_k_words == 1``, which lets the
+    kernel derive it from the panel shape
+    (:func:`repro.core.bgemm.derive_k_block`) — so it follows each
+    candidate's tiles.  Caches that carry an explicit ``tile_k_words > 1``
+    still load and are honoured as that depth.
     """
     m = geometry.bgemm_m
     n = geometry.out_channels
-    words = geometry.bgemm_words
     tms = [t for t in _TILE_M_GRID if t < 2 * m] or [_TILE_M_GRID[0]]
     tns = [t for t in _TILE_N_GRID if t < 2 * n] or [_TILE_N_GRID[0]]
-    kbs = [1] + ([words] if words > 1 else [])
     grains = [1, 2] if num_threads > 1 else [1]
     configs: list[KernelConfig] = [DEFAULT_CONFIG]
     for im2col in ("indirect", "direct"):
         for tm in tms:
             for tn in tns:
-                for kb in kbs:
-                    for grain in grains:
-                        cfg = KernelConfig(
-                            tile_m=tm, tile_n=tn, tile_k_words=kb,
-                            im2col=im2col, thread_grain=grain,
-                        )
-                        if cfg not in configs:
-                            configs.append(cfg)
+                for grain in grains:
+                    cfg = KernelConfig(
+                        tile_m=tm, tile_n=tn, im2col=im2col, thread_grain=grain
+                    )
+                    if cfg not in configs:
+                        configs.append(cfg)
     if max_candidates is not None and max_candidates >= 1:
         configs = configs[:max_candidates]
         if DEFAULT_CONFIG not in configs:

@@ -1,0 +1,283 @@
+"""The K-major plan-path BGEMM: bit-exact for every tiling, depth and
+thread schedule; a shape-derived K depth with stated bounds; scratch
+reservations that equal what the kernel takes."""
+
+from __future__ import annotations
+
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.converter import convert
+from repro.core.bgemm import (
+    _tile_into,
+    bgemm_blocked,
+    bgemm_reference,
+    derive_k_block,
+)
+from repro.core.bitpack import pack_bits
+from repro.core.threading import bgemm_kmajor, bgemm_parallel, bgemm_scratch_spec
+from repro.core.workspace import Workspace
+from repro.runtime import Engine
+from repro.zoo import build_model
+
+#: the module (``repro.core.bgemm`` the attribute is the function it exports)
+bgemm_mod = importlib.import_module("repro.core.bgemm")
+
+DEPTH = 190  # 3 packed words, the last one partial
+WORDS = 3
+#: (num_threads, thread_grain) schedules every grid cell runs under
+SCHEDULES = ((1, 1), (2, 1), (2, 2))
+
+
+def _operands(rng, m, n, depth=DEPTH):
+    a = pack_bits(rng.choice([-1.0, 1.0], (m, depth))).bits
+    b = pack_bits(rng.choice([-1.0, 1.0], (n, depth))).bits
+    return a, b
+
+
+def _kmajor(a, b, depth, **kw):
+    """``bgemm_kmajor`` on freshly packed operands and a fresh arena."""
+    out = np.full((a.shape[0], b.shape[0]), -7, np.int32)
+    got = bgemm_kmajor(
+        np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), depth,
+        out, Workspace(), **kw,
+    )
+    assert got is out
+    return out
+
+
+@pytest.fixture(scope="module")
+def grid_case():
+    rng = np.random.default_rng(99)
+    a, b = _operands(rng, 33, 17)
+    return a, b, bgemm_reference(a, b, DEPTH)
+
+
+class TestKMajorAgainstReference:
+    @pytest.mark.parametrize("tile_m", [1, 3, 33, 34, 1000])
+    @pytest.mark.parametrize("tile_n", [1, 5, 17, 18, 1000])
+    def test_adversarial_grid_every_depth_and_schedule(
+        self, grid_case, tile_m, tile_n
+    ):
+        a, b, expected = grid_case
+        # tile_k_words == 1 is the derived depth; 2..words+1 are explicit.
+        for tile_k_words in range(1, WORDS + 2):
+            for num_threads, grain in SCHEDULES:
+                got = _kmajor(
+                    a, b, DEPTH, tile_m=tile_m, tile_n=tile_n,
+                    tile_k_words=tile_k_words, num_threads=num_threads,
+                    thread_grain=grain,
+                )
+                assert np.array_equal(got, expected), (
+                    tile_k_words, num_threads, grain
+                )
+
+    @pytest.mark.parametrize("tile_m,tile_n", [(1, 1), (3, 5), (34, 18)])
+    def test_derived_depth_of_one(self, grid_case, monkeypatch, tile_m, tile_n):
+        # A one-word budget makes every panel derive depth 1, the one depth
+        # ``tile_k_words`` cannot name explicitly.
+        monkeypatch.setattr(bgemm_mod, "_XOR_BLOCK_WORDS", 1)
+        a, b, expected = grid_case
+        for num_threads, grain in SCHEDULES:
+            got = _kmajor(
+                a, b, DEPTH, tile_m=tile_m, tile_n=tile_n,
+                num_threads=num_threads, thread_grain=grain,
+            )
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("k_block", range(1, WORDS + 2))
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 17), (33, 1), (7, 5)])
+    def test_tile_kernel_at_every_plain_depth(self, rng, m, n, k_block):
+        a, b = _operands(rng, m, n)
+        at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        out = np.empty((m, n), np.int32)
+        _tile_into(at.T, bt.T, DEPTH, out, Workspace(), "t", k_block)
+        assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
+
+    def test_tile_kernel_is_layout_agnostic(self, rng):
+        # K-major storage is the fast layout, not a correctness condition.
+        a, b = _operands(rng, 6, 4)
+        out = np.empty((6, 4), np.int32)
+        _tile_into(a, b, DEPTH, out, Workspace(), "t", 2)
+        assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
+
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_grouped_conv_call_shape(self, rng, num_threads):
+        # Column-sliced K-major filters into a column-sliced accumulator,
+        # one group at a time through one arena.
+        a, b = _operands(rng, 40, 24)
+        at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        acc = np.empty((40, 24), np.int32)
+        ws = Workspace()
+        for g in range(3):
+            cols = slice(g * 8, (g + 1) * 8)
+            bgemm_kmajor(
+                at, bt[:, cols], DEPTH, acc[:, cols], ws,
+                num_threads=num_threads, tile_m=16, tile_n=5,
+            )
+        assert np.array_equal(acc, bgemm_reference(a, b, DEPTH))
+
+    @pytest.mark.parametrize("tile_k_words", [1, 2, 100])
+    def test_row_major_wrappers_pack_and_agree(self, rng, tile_k_words):
+        a, b = _operands(rng, 70, 9, 300)
+        expected = bgemm_reference(a, b, 300)
+        ws = Workspace()
+        kw = dict(tile_m=32, tile_n=4, workspace=ws, tile_k_words=tile_k_words)
+        assert np.array_equal(bgemm_blocked(a, b, 300, **kw), expected)
+        assert np.array_equal(
+            bgemm_parallel(a, b, 300, num_threads=2, **kw), expected
+        )
+        assert ws.buffer("bgemm/at") is not None
+        assert not any("xor3" in name or "pop3" in name for name in ws.names())
+
+    def test_shared_at_under_more_workers_than_cores(self, rng):
+        # Workers share the K-major patch buffer read-only and own disjoint
+        # scratch slots; a short switch interval interleaves them hard.
+        import sys
+
+        a, b = _operands(rng, 200, 24)
+        expected = bgemm_reference(a, b, DEPTH)
+        ws = Workspace()
+        at = ws.take("bgemm/at", (WORDS, 200), np.uint64)
+        np.copyto(at, a.T)
+        bt = np.ascontiguousarray(b.T)
+        out = np.empty((200, 24), np.int32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                out.fill(-7)
+                bgemm_kmajor(
+                    at, bt, DEPTH, out, ws, num_threads=8, tile_m=8, tile_n=7
+                )
+                assert np.array_equal(out, expected)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(at, a.T), "workers must only read the shared at"
+
+    def test_operand_and_out_checks_kept(self, rng):
+        a, b = _operands(rng, 4, 3)
+        at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        out = np.empty((4, 3), np.int32)
+        ws = Workspace()
+        with pytest.raises(TypeError):
+            bgemm_kmajor(at.astype(np.int64), bt, DEPTH, out, ws)
+        with pytest.raises(ValueError, match="word-count"):
+            bgemm_kmajor(at[:2], bt, DEPTH, out, ws)
+        with pytest.raises(ValueError, match="depth"):
+            bgemm_kmajor(at, bt, WORDS * 64 + 1, out, ws)
+        with pytest.raises(ValueError, match="out must be"):
+            bgemm_kmajor(at, bt, DEPTH, out.astype(np.int64), ws)
+        with pytest.raises(ValueError, match="out must be"):
+            bgemm_kmajor(at, bt, DEPTH, out[:3], ws)
+        with pytest.raises(ValueError):
+            bgemm_kmajor(at, bt, DEPTH, out, ws, tile_k_words=0)
+        with pytest.raises(ValueError):
+            bgemm_kmajor(at, bt, DEPTH, out, ws, num_threads=0)
+        with pytest.raises(ValueError):
+            bgemm_kmajor(at, bt, DEPTH, out, ws, num_threads=2, thread_grain=0)
+
+
+class TestDeriveKBlock:
+    @given(
+        mt=st.integers(1, 1024),
+        nt=st.integers(1, 512),
+        words=st.integers(1, 300),
+    )
+    def test_bounds_and_balance(self, mt, nt, words):
+        budget = bgemm_mod._XOR_BLOCK_WORDS
+        kb = derive_k_block(mt, nt, words)
+        assert 1 <= kb <= words
+        assert kb * mt * nt <= max(budget, mt * nt)
+        steps = -(-words // kb)
+        sizes = [min(kb, words - i * kb) for i in range(steps)]
+        assert sum(sizes) == words and min(sizes) >= 1
+        assert max(sizes) - min(sizes) < kb
+        # Balanced, not greedy: no schedule with as few steps has a
+        # shallower first step.
+        assert kb == -(-words // steps)
+
+    def test_the_shapes_the_docstring_names(self):
+        assert derive_k_block(1, 128, 72) == 72
+        assert derive_k_block(256, 128, 72) == 2
+        assert derive_k_block(1024, 512, 9) == 1
+
+
+class TestScratchReservationIsExact:
+    @pytest.mark.parametrize("num_threads,grain", SCHEDULES)
+    @pytest.mark.parametrize("tile_k_words", [1, 2])
+    @pytest.mark.parametrize("m,n,tile_m,tile_n", [
+        (1, 17, 256, 128), (33, 17, 8, 5), (300, 40, 64, 16),
+    ])
+    def test_reserved_arena_never_grows_and_is_all_used(
+        self, rng, m, n, tile_m, tile_n, tile_k_words, num_threads, grain
+    ):
+        a, b = _operands(rng, m, n)
+        ws = Workspace()
+        spec = bgemm_scratch_spec(
+            m, n, WORDS, num_threads, tile_m, tile_n,
+            tile_k_words=tile_k_words, thread_grain=grain,
+        )
+        for name, size, dtype in spec:
+            ws.reserve(name, size, dtype)
+        grows = ws.grows
+        at = ws.take("bgemm/at", (WORDS, m), np.uint64)
+        np.copyto(at, a.T)
+        out = np.empty((m, n), np.int32)
+        bgemm_kmajor(
+            at, np.ascontiguousarray(b.T), DEPTH, out, ws,
+            num_threads=num_threads, tile_m=tile_m, tile_n=tile_n,
+            tile_k_words=tile_k_words, thread_grain=grain,
+        )
+        assert ws.grows == grows
+        assert set(ws.names()) == {name for name, _, _ in spec}
+        assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
+
+
+@pytest.fixture(scope="module", params=[32, 64])
+def quicknet_small(request):
+    size = request.param
+    return size, convert(build_model("quicknet_small", input_size=size))
+
+
+@pytest.mark.parametrize("num_threads", [1, 2])
+def test_plan_arena_constant_from_first_execute(quicknet_small, num_threads, rng):
+    """Reservation == use: for every batch factor the executing thread's
+    arena is preallocated from the plan's reservations and no execution —
+    the first included — grows it."""
+    size, model = quicknet_small
+    with Engine(model, num_threads=num_threads, max_batch_size=8) as engine:
+        for factor in range(1, 9):
+            x = rng.standard_normal((factor, size, size, 3)).astype(np.float32)
+            pool = engine.plan(factor).workspace
+            ws = pool.current()
+            grows = ws.grows
+            for _ in range(2):
+                engine.run(x)
+            assert pool.workspaces() == (ws,)
+            assert ws.grows == grows, f"batch factor {factor} grew its arena"
+
+
+def test_kmajor_filters_packed_once_per_model(quicknet_small):
+    """Every batch factor's plan multiplies against the same K-major
+    filter copy, made at plan-compile time."""
+    _, model = quicknet_small
+    from repro.ops import ParamCache
+    from repro.runtime import compile_plan
+
+    cache = ParamCache()
+    for factor in (1, 2):
+        compile_plan(model.graph, batch_factor=factor, cache=cache)
+    packed = [
+        value for (_, kind), value in cache._store.items()
+        if kind == "packed_filters"
+    ]
+    assert packed
+    for filters in packed:
+        kmajor = filters.__dict__["kmajor"]  # already computed, not lazily now
+        assert kmajor.flags.c_contiguous
+        assert np.array_equal(kmajor, filters.bits.T)

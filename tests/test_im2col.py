@@ -11,6 +11,7 @@ from repro.core.im2col import (
     effective_kernel,
     im2col_float,
     im2col_packed,
+    pad_spatial,
     padded_tap_mask,
 )
 from repro.core.types import Padding
@@ -61,6 +62,63 @@ class TestConvGeometry:
         g = conv_geometry(8, 8, 3, 3, 1, 2, Padding.SAME_ZERO)
         assert (g.out_h, g.out_w) == (8, 8)
         assert g.pad_top + g.pad_bottom == 4
+
+
+ALL_ONES = 0xFFFFFFFFFFFFFFFF
+
+
+class TestPadSpatial:
+    """``pad_spatial`` is ``np.pad`` on the H/W axes, value- and dtype-exact."""
+
+    @staticmethod
+    def _np_pad(x, pads, value):
+        top, bottom, left, right = pads
+        return np.pad(
+            x, ((0, 0), (top, bottom), (left, right), (0, 0)),
+            constant_values=value,
+        )
+
+    @staticmethod
+    def _assert_same(got, expected):
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        # byte comparison: nan pads and negative zeros must match too
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -np.inf, np.nan])
+    @pytest.mark.parametrize("pads", [(1, 1, 1, 1), (0, 1, 0, 1), (2, 0, 0, 3)])
+    def test_float32_matches_np_pad(self, rng, pads, value):
+        x = rng.standard_normal((2, 5, 4, 3)).astype(np.float32)
+        self._assert_same(pad_spatial(x, pads, value), self._np_pad(x, pads, value))
+
+    @pytest.mark.parametrize("value", [0, np.uint64(ALL_ONES), ALL_ONES])
+    @pytest.mark.parametrize("pads", [(1, 1, 1, 1), (0, 1, 0, 1)])
+    def test_uint64_matches_np_pad(self, rng, pads, value):
+        x = rng.integers(0, 1 << 63, size=(2, 5, 4, 2), dtype=np.uint64)
+        self._assert_same(pad_spatial(x, pads, value), self._np_pad(x, pads, value))
+
+    @pytest.mark.parametrize("in_size", [7, 8])
+    def test_asymmetric_same_pads_at_stride_two(self, rng, in_size):
+        geom = conv_geometry(in_size, in_size, 3, 3, 2, 1, Padding.SAME_ONE)
+        assert geom.pads == (
+            geom.pad_top, geom.pad_bottom, geom.pad_left, geom.pad_right
+        )
+        if in_size % 2 == 0:
+            assert geom.pad_top != geom.pad_bottom  # TF puts the odd pad last
+        x = rng.standard_normal((1, in_size, in_size, 2)).astype(np.float32)
+        self._assert_same(
+            pad_spatial(x, geom.pads, 1.0), self._np_pad(x, geom.pads, 1.0)
+        )
+
+    def test_no_pads_returns_the_input_itself(self, rng):
+        x = rng.standard_normal((1, 3, 3, 1)).astype(np.float32)
+        assert pad_spatial(x, (0, 0, 0, 0), 5.0) is x
+
+    def test_input_is_not_written(self, rng):
+        x = rng.standard_normal((1, 3, 3, 1)).astype(np.float32)
+        x.setflags(write=False)
+        padded = pad_spatial(x, (1, 0, 0, 1), 0.0)
+        assert not np.shares_memory(padded, x)
 
 
 def _brute_force_conv(x, w, stride, dilation, padding, pad_value):

@@ -28,6 +28,27 @@ class TestPooling:
                 expected = x[0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max(axis=(0, 1))
                 assert np.array_equal(out[0, i, j], expected)
 
+    @pytest.mark.parametrize("padding", [Padding.VALID, Padding.SAME_ZERO])
+    def test_float32_input_is_read_only_to_the_kernels(self, rng, padding):
+        # No defensive copy of an already-float32 input (astype(copy=False)
+        # then a pad that may return the array itself) — so the kernels
+        # must never write to what they were handed.
+        from repro.kernels.depthwise import depthwise_conv2d_float
+
+        x = rng.standard_normal((1, 5, 5, 2)).astype(np.float32)
+        before = x.copy()
+        x.setflags(write=False)
+        w = rng.standard_normal((3, 3, 2)).astype(np.float32)
+        outs = [
+            maxpool2d(x, 2, 2, stride=2, padding=padding),
+            avgpool2d(x, 2, 2, stride=2, padding=padding),
+            depthwise_conv2d_float(x, w, padding=padding),
+        ]
+        assert np.array_equal(x, before)
+        for out in outs:
+            assert out.dtype == np.float32
+            assert not np.shares_memory(out, x)
+
     def test_maxpool_same_padding_ignores_pad(self):
         x = np.full((1, 3, 3, 1), -7.0, np.float32)
         out = maxpool2d(x, 2, 2, stride=2, padding=Padding.SAME_ZERO)

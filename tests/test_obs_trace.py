@@ -247,6 +247,12 @@ class TestEngineTrace:
         bgemm = [s for s in spans if s.name == "kernel.bgemm"]
         assert all(s.path[:2] == ("engine.run", "plan.execute") for s in bgemm)
         assert all(s.path[2] == "plan.node" for s in bgemm)
+        # ... and carry the K schedule the panel shape derived
+        for s in bgemm:
+            words, k_block = s.args["words"], s.args["k_block"]
+            assert 1 <= k_block <= words
+            assert s.args["steps"] == -(-words // k_block)
+        assert any(s.args["steps"] == 1 and s.args["words"] > 1 for s in bgemm)
 
         obj = chrome_trace(tracer)
         assert validate_chrome_trace(obj) == []

@@ -414,6 +414,13 @@ def test_zoo_parity_fast(model_name, rng):
     _zoo_engine_case(model_name, num_threads=2, factor=3, rng=rng)
 
 
+@pytest.mark.parametrize("factor", range(1, 9))
+def test_quicknet_small_32_parity_every_batch_factor(factor, rng):
+    """The serving shape: every batch factor a 32x32 flush can take (short
+    BGEMM panels, deep derived K blocks) against per-sample Executor runs."""
+    _zoo_engine_case("quicknet_small", num_threads=1, factor=factor, rng=rng)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
 @pytest.mark.parametrize("num_threads", THREAD_COUNTS)

@@ -171,6 +171,19 @@ class TestSearch:
         assert cands[0] == DEFAULT_CONFIG
         assert len(cands) == len(set(cands)), "candidates must be deduped"
 
+    def test_k_depth_is_not_searched(self):
+        # The kernel derives its K depth from each candidate's panel shape.
+        for threads in (1, 2):
+            cands = candidate_configs(_tiny_geometry(), num_threads=threads)
+            assert {c.tile_k_words for c in cands} == {1}
+
+    def test_explicit_k_depth_in_a_config_is_still_honoured(self):
+        # Caches written before the depth was derived carry tile_k_words > 1.
+        cfg = KernelConfig.from_json(
+            {**DEFAULT_CONFIG.to_json(), "tile_k_words": 2}
+        )
+        assert measure_config(_tiny_geometry(), cfg, repeats=1) > 0
+
     def test_truncation_keeps_default(self):
         cands = candidate_configs(_tiny_geometry(), max_candidates=3)
         assert len(cands) == 3
@@ -188,9 +201,11 @@ class TestSearch:
         assert us > 0
 
     def test_tune_geometry_produces_consistent_entry(self):
-        entry = tune_geometry(_tiny_geometry(), repeats=2, max_candidates=4)
+        # (the tiny geometry's whole grid is 3 candidates now that the K
+        # depth is derived rather than searched)
+        entry = tune_geometry(_tiny_geometry(), repeats=2, max_candidates=2)
         assert entry.device_profile_id == "default"
-        assert entry.candidates == 4
+        assert entry.candidates == 2
         assert entry.repeats == 2
         # The default config is always in the candidate set, so the
         # winner can never be measurably slower than it.
