@@ -47,20 +47,9 @@ class LockRank:
 #: the repo's lock order, outermost (lowest rank) first
 LOCK_ORDER: tuple[LockRank, ...] = (
     LockRank(
-        "serving.gateway.close", 10, False,
-        "Gateway._close_lock — serializes whole-gateway shutdown; held "
-        "across every per-model server close, so it precedes them all",
-    ),
-    LockRank(
-        "serving.server.close", 20, False,
-        "_ModelServer._close_lock — single-shot teardown of one model "
-        "server; held while joining the batcher/workers, which take the "
-        "server lock and the metrics lock",
-    ),
-    LockRank(
         "serving.server", 30, False,
         "_ModelServer._lock — the per-model queue/replica state lock "
-        "(its two Conditions share it); admission counts metrics while "
+        "(its one Condition wraps it); admission counts metrics while "
         "holding it, so it precedes obs.metrics",
     ),
     LockRank(

@@ -64,7 +64,7 @@ FLIGHT_SCHEMA_VERSION = 1
 EVENT_KINDS = frozenset(
     {
         "request.accept",      # admitted to a model queue
-        "request.coalesce",    # taken into a batch by the batcher
+        "request.coalesce",    # taken into a batch by a replica worker
         "request.shed",        # rejected before admission (terminal)
         "request.complete",    # answered with a result (terminal)
         "request.failed",      # answered with an error (terminal)

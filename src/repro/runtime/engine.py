@@ -143,7 +143,7 @@ def greedy_chunks(
     possible: a single item larger than ``max_batch`` forms its own chunk
     (it cannot be split here; rebatching is a plan-level concern) and the
     ragged tail forms a final, smaller chunk.  The one batching rule,
-    shared by :meth:`Engine.run_many` and the serving gateway's batcher.
+    shared by :meth:`Engine.run_many` and the serving gateway's workers.
     """
     chunks: list[list[tuple[Any, int]]] = []
     current: list[tuple[Any, int]] = []
@@ -361,7 +361,7 @@ class Engine:
 
         The serving gateway calls this at admission time so malformed
         requests raise in the submitting caller instead of inside a
-        batcher thread.  Raises :class:`ValueError` exactly like ``run``.
+        replica worker.  Raises :class:`ValueError` exactly like ``run``.
         """
         request = self._normalize_request(inputs)
         return request, self._batch_factor(request)

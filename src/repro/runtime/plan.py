@@ -56,9 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.obs.trace import Tracer
     from repro.tune.cache import TuningCache
 
-#: historical name — plan contexts are plain :class:`repro.ops.OpContext`
-PlanContext = OpContext
-
 
 def _slice_rows(value: Value, start: int, stop: int) -> Value:
     if isinstance(value, PackedTensor):

@@ -3,8 +3,8 @@
 The deployment front door (ROADMAP item 1): per-model bounded queues
 with admission control and typed load-shedding, deadline-driven
 continuous batching, warm Engine replica pools sharing prepacked
-weights, round-robin replica placement, and an open-loop load generator
-driving ``BENCH_serving.json``:
+weights (one worker thread per replica, pulling its own batches), and an
+open-loop load generator driving ``BENCH_serving.json``:
 
 - :mod:`repro.serving.clock` — the :class:`Clock` seam every
   time-dependent decision goes through (tests inject a fake);

@@ -12,7 +12,7 @@ module, for two reasons:
   ``serving/``; the real clock below is monotonic-only).
 - **One timed-wait discipline.**  :meth:`Clock.wait` is
   ``threading.Condition.wait`` with the timeout interpreted *in clock
-  time*.  The gateway's batcher never sleeps; it waits on the queue's
+  time*.  A gateway worker never sleeps; it waits on the queue's
   condition with the remaining-deadline timeout, so a producer enqueue
   and a deadline expiry wake it through the same edge.
 """

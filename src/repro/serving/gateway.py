@@ -9,18 +9,17 @@ owns:
   gateway, an unknown model or a dead replica pool sheds the request
   with a typed :class:`Rejected` *result* (the future still resolves;
   nothing ever blocks the submitter and nothing grows unboundedly);
-- a **deadline batcher** — a thread that forms micro-batches
-  continuously, flushing on ``max_batch`` *or* ``deadline_ms`` after the
-  oldest queued request, whichever comes first.  All waiting goes
-  through the injected :class:`~repro.serving.clock.Clock`, so tests
-  drive every deadline with a fake clock and zero wall-clock sleeps;
 - a **warm replica pool** — ``replicas`` engines sharing one prepacked
-  :class:`~repro.runtime.plan.ParamCache`, each with a worker thread.
-  Each formed batch goes to the next idle replica in round-robin
-  order; a replica that keeps failing is
-  quarantined (its in-flight batch resolves to typed ``Rejected``
-  replies, never an exception leak or a deadlock) and the pool keeps
-  serving on the survivors.
+  :class:`~repro.runtime.plan.ParamCache`, each with one worker thread
+  that *pulls* its own micro-batches: the longest-idle replica flushes
+  on ``max_batch`` *or* ``deadline_ms`` after the oldest queued
+  request's submit time, whichever comes first, and runs the batch
+  itself.  All waiting goes through the injected
+  :class:`~repro.serving.clock.Clock`, so tests drive every deadline
+  with a fake clock and zero wall-clock sleeps.  A replica that keeps
+  failing is quarantined (its in-flight batch resolves to typed
+  ``Rejected`` replies, never an exception leak or a deadlock) and the
+  pool keeps serving on the survivors.
 
 Observability: every admission decision and batch lands in the gateway's
 :class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.<model>.*``
@@ -218,33 +217,28 @@ class _Pending:
 class _Replica:
     """One warm engine plus its worker-thread state.
 
-    All mutable fields are guarded by the owning server's single lock
-    (via its two conditions); the worker thread is the only writer of
-    ``consecutive_failures``.
+    All mutable fields are guarded by the owning server's single lock;
+    the worker thread is the only writer of ``consecutive_failures``.
     """
 
-    __slots__ = (
-        "idx", "engine", "thread", "inbox", "busy", "quarantined",
-        "consecutive_failures",
-    )
+    __slots__ = ("idx", "engine", "thread", "quarantined", "consecutive_failures")
 
     def __init__(self, idx: int, engine: Engine) -> None:
         self.idx = idx
         self.engine = engine
         self.thread: threading.Thread | None = None
-        self.inbox: list[_Pending] | None = None
-        self.busy = False
         self.quarantined = False
         self.consecutive_failures = 0
 
 
 class _ModelServer:
-    """Queue + batcher + replica pool for one model.
+    """Queue + replica pool for one model.
 
-    One lock, two conditions: ``_cond`` carries queue edges (enqueue,
-    close) to the batcher; ``_replica_cond`` carries replica-state edges
-    (idle, quarantine, batch handoff) between the batcher and the
-    workers.  The batcher never holds the lock across engine execution.
+    One lock, one condition: ``_cond`` carries every edge (enqueue, a
+    batch taken, close) to the replica workers.  Idle replicas wait in
+    the ``_idle`` FIFO and only its head may form a batch, which makes
+    placement a deterministic rotation; no lock is held across engine
+    execution.
     """
 
     def __init__(
@@ -269,18 +263,9 @@ class _ModelServer:
 
         self._lock = ordered_lock("serving.server")
         self._cond = threading.Condition(self._lock)
-        self._replica_cond = threading.Condition(self._lock)
-        # Teardown is single-shot and serialized by its own outer-ranked
-        # lock: a concurrent close() blocks until the winner finishes
-        # instead of racing the workers-closed edge past a batcher that
-        # is still dispatching (the double-drain hang).
-        self._close_lock = ordered_lock("serving.server.close")
-        self._close_done = False
         self._queue: deque[_Pending] = deque()
         self._queued_factor = 0
         self._closed = False
-        self._workers_closed = False
-        self._next_replica = 0  # round-robin cursor; batcher thread only
 
         # Warm pool: every replica shares one prepacked-weight cache, so
         # binarized filters are packed once per model, not once per engine.
@@ -306,6 +291,9 @@ class _ModelServer:
         # signatures working.
         for replica in self._replicas:
             replica.engine.events = events
+        # Filled in index order before any worker starts, so the rotation
+        # does not depend on which thread the OS happens to run first.
+        self._idle: deque[_Replica] = deque(self._replicas)
 
         m = metrics
         self._m_accepted = m.counter(f"gateway.{name}.accepted")
@@ -319,10 +307,6 @@ class _ModelServer:
         m.gauge(f"gateway.{name}.queue_depth", self.queue_depth)
         m.gauge(f"gateway.{name}.replicas_healthy", self.healthy_replicas)
 
-        self._batcher = threading.Thread(
-            target=self._batcher_loop, name=f"repro-gw-batcher-{name}", daemon=True
-        )
-        self._batcher.start()
         for replica in self._replicas:
             replica.thread = threading.Thread(
                 target=self._worker_loop,
@@ -370,14 +354,14 @@ class _ModelServer:
             elif len(self._queue) >= self._config.max_queue:
                 reason = SHED_QUEUE_FULL
             else:
-                # Count acceptance *before* the batcher can see the item,
+                # Count acceptance *before* a worker can see the item,
                 # so no snapshot ever observes completed > accepted.
                 self._m_accepted.inc()
                 self._queue.append(
                     _Pending(request, factor, future, t_submit, request_id)
                 )
                 self._queued_factor += factor
-                self._cond.notify()
+                self._cond.notify_all()
         if reason is not None:
             self._shed(future, reason, request_id=request_id)
             return
@@ -406,30 +390,37 @@ class _ModelServer:
         if self._flight is not None:
             self._flight.note_shed()
 
-    # ------------------------------------------------------------- batcher
-    def _batcher_loop(self) -> None:
-        clock = self._clock
+    # ------------------------------------------------------------- workers
+    def _worker_loop(self, replica: _Replica) -> None:
+        """One replica's life: pull a micro-batch, run it, rejoin the FIFO."""
+        clock, cond, config = self._clock, self._cond, self._config
         while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    clock.wait(self._cond, None)
-                if not self._queue:
-                    return  # closed and fully drained
-                if not self._closed and self._config.deadline_ms > 0:
-                    # Continuous batching with a latency deadline: wait for
-                    # more work until the batch is full or the oldest
-                    # request's deadline expires — whichever comes first.
-                    deadline = clock.now() + self._config.deadline_ms / 1e3
-                    while (
-                        self._queued_factor < self._config.max_batch
-                        and not self._closed
-                    ):
+            with cond:
+                # Continuous batching with a latency deadline: the head
+                # of the idle FIFO waits for more work until the batch is
+                # full or the oldest request's deadline expires —
+                # whichever comes first; close() cuts the wait short.
+                while True:
+                    if self._closed and not self._queue:
+                        return  # closed and fully drained
+                    if not self._queue or self._idle[0] is not replica:
+                        remaining = None  # nothing to take, or not our turn
+                    elif self._closed or self._queued_factor >= config.max_batch:
+                        break
+                    else:
+                        deadline = self._queue[0].t_submit + config.deadline_ms / 1e3
                         remaining = deadline - clock.now()
                         if remaining <= 0:
                             break
-                        clock.wait(self._cond, remaining)
+                    clock.wait(cond, remaining)
+                self._idle.popleft()
                 batch = self._take_batch()
-            self._dispatch(batch)
+                cond.notify_all()  # the next idle replica is the head now
+            self._run_batch(replica, batch)
+            with cond:
+                if replica.quarantined:
+                    return
+                self._idle.append(replica)
 
     def _take_batch(self) -> list[_Pending]:
         """Pop the first greedy micro-batch (called with the lock held).
@@ -442,11 +433,13 @@ class _ModelServer:
         while self._queue and size + self._queue[0].factor <= self._config.max_batch:
             batch.append(self._queue.popleft())
             size += batch[-1].factor
-        self._queued_factor -= size  # repro: allow[C005] documented contract: the batcher calls this with self._lock held
+        self._queued_factor -= size  # repro: allow[C005] documented contract: the worker calls this with self._lock held
         return batch
 
-    def _dispatch(self, batch: list[_Pending]) -> None:
-        """Hand a formed batch to an idle healthy replica (or shed)."""
+    def _run_batch(self, replica: _Replica, batch: list[_Pending]) -> None:
+        size = sum(p.factor for p in batch)
+        requests = [p.request for p in batch]
+        tracer = self._tracer
         events = self._events
         if events.enabled:
             for p in batch:
@@ -456,56 +449,6 @@ class _ModelServer:
                     model=self.name,
                     batch_requests=len(batch),
                 )
-        n = len(self._replicas)
-        with self._replica_cond:
-            while not all(r.quarantined for r in self._replicas):
-                # Round robin: the first idle healthy replica at or after
-                # the cursor, so quarantined/busy ones are skipped
-                # without stalling the rotation.
-                for step in range(n):
-                    replica = self._replicas[(self._next_replica + step) % n]
-                    if not replica.busy and not replica.quarantined:
-                        self._next_replica = (replica.idx + 1) % n
-                        replica.busy = True
-                        replica.inbox = batch
-                        self._replica_cond.notify_all()
-                        return
-                self._clock.wait(self._replica_cond, None)
-        # Every replica is quarantined: typed shed, never a deadlock.
-        self._m_failed.add(len(batch))
-        for p in batch:
-            events.emit(
-                "request.failed",
-                request_id=p.request_id,
-                model=self.name,
-                reason=SHED_NO_HEALTHY_REPLICA,
-            )
-            _resolve(
-                p.future,
-                Rejected(self.name, SHED_NO_HEALTHY_REPLICA, "replica pool dead"),
-            )
-
-    # ------------------------------------------------------------- workers
-    def _worker_loop(self, replica: _Replica) -> None:
-        while True:
-            with self._replica_cond:
-                while replica.inbox is None and not self._workers_closed:
-                    self._clock.wait(self._replica_cond, None)
-                batch = replica.inbox
-                replica.inbox = None
-            if batch is None:
-                return  # workers closed, inbox empty
-            self._run_batch(replica, batch)
-            with self._replica_cond:
-                replica.busy = False
-                self._replica_cond.notify_all()
-
-    def _run_batch(self, replica: _Replica, batch: list[_Pending]) -> None:
-        size = sum(p.factor for p in batch)
-        requests = [p.request for p in batch]
-        tracer = self._tracer
-        events = self._events
-        if events.enabled:
             events.emit(
                 "batch.flush",
                 model=self.name,
@@ -529,7 +472,7 @@ class _ModelServer:
         except BaseException as exc:
             self._record_failure(replica, batch, exc)
             return
-        with self._replica_cond:
+        with self._lock:
             replica.consecutive_failures = 0
         end = self._clock.now()
         latencies_ms = [round((end - p.t_submit) * 1e3, 3) for p in batch]
@@ -553,17 +496,24 @@ class _ModelServer:
         self, replica: _Replica, batch: list[_Pending], exc: BaseException
     ) -> None:
         """Fault isolation: count, maybe quarantine, answer with Rejected."""
-        with self._replica_cond:
+        orphans: list[_Pending] = []
+        with self._lock:
             replica.consecutive_failures += 1
             quarantined = (
                 replica.consecutive_failures >= self._config.max_replica_failures
             )
             if quarantined:
                 replica.quarantined = True
-            self._replica_cond.notify_all()
+                if all(r.quarantined for r in self._replicas):
+                    # The pool just died: nobody is left to pull, and
+                    # submit() sheds from this lock hold on, so what is
+                    # queued now is all there will ever be.
+                    orphans = list(self._queue)
+                    self._queue.clear()
+                    self._queued_factor = 0
         with self._metrics.lock():
             self._m_replica_failures.inc()
-            self._m_failed.add(len(batch))
+            self._m_failed.add(len(batch) + len(orphans))
         detail = f"{type(exc).__name__}: {exc}"
         events = self._events
         if quarantined:
@@ -583,6 +533,18 @@ class _ModelServer:
                 detail=detail,
             )
             _resolve(p.future, Rejected(self.name, FAILED_REPLICA, detail))
+        # Every replica is quarantined: typed reply, never a deadlock.
+        for p in orphans:
+            events.emit(
+                "request.failed",
+                request_id=p.request_id,
+                model=self.name,
+                reason=SHED_NO_HEALTHY_REPLICA,
+            )
+            _resolve(
+                p.future,
+                Rejected(self.name, SHED_NO_HEALTHY_REPLICA, "replica pool dead"),
+            )
         # The postmortem trigger runs last, lock-free, after every future
         # is answered; the dump itself is rate-limited.
         if quarantined and self._flight is not None:
@@ -593,29 +555,17 @@ class _ModelServer:
         """Stop admission, drain the queue, stop workers; idempotent.
 
         Already-admitted requests are flushed (the deadline is cut short)
-        and answered before the threads exit.  The whole sequence runs
-        under the close lock: a second concurrent close() used to get
-        past the closed-flag check and set ``_workers_closed`` while the
-        first close's batcher was still dispatching, making the workers
-        exit with a batch in flight and ``_dispatch`` wait forever.  Now
-        the loser simply blocks until the winner's drain is complete.
+        and answered before the workers exit.  Safe to call concurrently:
+        setting the flag twice and joining a thread twice are both no-ops.
         """
-        with self._close_lock:
-            if self._close_done:
-                return
-            with self._cond:
-                self._closed = True
-                self._cond.notify_all()
-            self._batcher.join()  # repro: allow[C003] the close lock exists to serialize this drain; it is outermost for the server and never taken on a hot path
-            with self._replica_cond:
-                self._workers_closed = True
-                self._replica_cond.notify_all()
-            for replica in self._replicas:
-                if replica.thread is not None:
-                    replica.thread.join()  # repro: allow[C003] same single-shot teardown drain under the dedicated close lock
-            for replica in self._replicas:
-                replica.engine.close()
-            self._close_done = True
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        for replica in self._replicas:
+            if replica.thread is not None:
+                replica.thread.join()
+        for replica in self._replicas:
+            replica.engine.close()
 
 
 class Gateway:
@@ -697,8 +647,6 @@ class Gateway:
         if flight is not None:
             m.gauge("obs.flight.dumps", lambda: flight.dumps)
         self._servers: dict[str, _ModelServer] = {}
-        self._close_lock = ordered_lock("serving.gateway.close")
-        self._closed = False
         for name, model in models.items():
             self._servers[name] = _ModelServer(
                 name,
@@ -784,9 +732,8 @@ class Gateway:
     def close(self) -> None:
         """Drain every model server and stop all threads; idempotent.
 
-        Safe to call concurrently (with itself and with ``submit``): the
-        gateway close lock serializes callers, and each server's own
-        close lock makes its drain single-shot.
+        Safe to call concurrently (with itself and with ``submit``):
+        every caller returns only after each server's workers have exited.
         """
         if self._flight is not None:
             # Last chance for a deferred (lock-order) dump while the
@@ -794,10 +741,8 @@ class Gateway:
             self._flight.flush_pending()
             if self._flight_hook is not None:
                 remove_lock_order_error_hook(self._flight_hook)
-        with self._close_lock:
-            self._closed = True
-            for server in self._servers.values():
-                server.close()
+        for server in self._servers.values():
+            server.close()
 
     # -------------------------------------------------------------- health
     def health(self) -> dict[str, ModelHealth]:

@@ -4,7 +4,7 @@ Time only moves when the test calls :meth:`FakeClock.advance`; nothing in
 here ever waits on wall-clock progress (the long ``cond.wait`` timeouts
 below are hang *backstops* for a buggy test, not part of normal flow).
 
-How the timed-wait handshake stays race-free: the gateway's batcher calls
+How the timed-wait handshake stays race-free: a gateway worker calls
 ``clock.wait(cond, remaining)`` while holding ``cond``'s lock, so the
 waiter is registered (under the fake clock's own lock) *before* the
 thread parks in ``cond.wait``.  When the test later calls ``advance``,

@@ -19,13 +19,14 @@ properties checked afterwards:
   terminal event per request.
 
 The gateway runs on a FakeClock with ``deadline_ms=0`` (flush as soon as
-the batcher sees work), so no timed wait is ever armed and the whole
+a worker sees work), so no timed wait is ever armed and the whole
 stress run is event-driven — zero wall-clock sleeps, any thread
 interleaving, same invariants.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -52,7 +53,7 @@ PER_THREAD = 25
 FACTORS = (1, 2)
 
 
-def _gateway_under_stress(rng, seed):
+def _gateway_under_stress(rng, seed, replicas=2):
     graphs = {"bin": _binary_net(rng, Padding.SAME_ONE), "pool": _bmaxpool_net(rng)}
     # One fixed input per (model, factor): replies are comparable against
     # precomputed references no matter which thread submitted them.
@@ -69,18 +70,23 @@ def _gateway_under_stress(rng, seed):
         max_batch=4,
         deadline_ms=0.0,  # flush immediately: no timed waits, no advance()
         max_queue=5,  # tiny on purpose: overload must shed, not queue
-        replicas=2,
+        replicas=replicas,  # this many pullers race each model's one queue
     )
     gateway = Gateway(graphs, config, clock=FakeClock(), events=EventLog())
     return gateway, inputs, references
 
 
 @pytest.mark.parametrize(
-    "seed",
-    [0, pytest.param(1, marks=pytest.mark.slow), pytest.param(2, marks=pytest.mark.slow)],
+    "seed, replicas",
+    [
+        pytest.param(0, 2, id="0"),
+        pytest.param(0, 3, id="0-replicas3"),
+        pytest.param(1, 2, id="1", marks=pytest.mark.slow),
+        pytest.param(2, 2, id="2", marks=pytest.mark.slow),
+    ],
 )
-def test_conservation_under_concurrent_load(rng, seed):
-    gateway, inputs, references = _gateway_under_stress(rng, seed)
+def test_conservation_under_concurrent_load(rng, seed, replicas):
+    gateway, inputs, references = _gateway_under_stress(rng, seed, replicas)
     keys = sorted(inputs)
     barrier = threading.Barrier(THREADS)
     submissions: list[list[tuple[tuple[str, int], object]]] = [
@@ -103,6 +109,8 @@ def test_conservation_under_concurrent_load(rng, seed):
         threading.Thread(target=submitter, args=(tid,), daemon=True)
         for tid in range(THREADS)
     ]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # preempt inside the pull loop, not around it
     try:
         for t in threads:
             t.start()
@@ -129,6 +137,7 @@ def test_conservation_under_concurrent_load(rng, seed):
         snapshot = gateway.metrics_snapshot()
         records = events_to_records(gateway.events)
     finally:
+        sys.setswitchinterval(switch_interval)
         gateway.close()
 
     total = THREADS * PER_THREAD
@@ -155,7 +164,7 @@ def test_conservation_under_concurrent_load(rng, seed):
 
     # Post-close the queues are empty and both pools are intact.
     assert stats.queue_depth == {"bin": 0, "pool": 0}
-    assert stats.replicas_healthy == {"bin": 2, "pool": 2}
+    assert stats.replicas_healthy == {"bin": replicas, "pool": replicas}
 
     # Telemetry conservation: nothing was dropped on the floor, the
     # stream is schema-valid, and the event log tells the same story as

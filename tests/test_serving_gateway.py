@@ -1,6 +1,6 @@
 """Gateway behavior under a deterministic clock: batching, shedding, close.
 
-Every deadline in here is virtual — the tests drive the batcher through
+Every deadline in here is virtual — the tests drive the workers through
 ``tests/fake_clock.FakeClock`` and never sleep on the wall clock.  The
 bit-identity oracle is the same one the runtime parity suite uses:
 ``reference_outputs`` (concatenated per-group Executor runs).
@@ -49,6 +49,25 @@ def make_gateway(graph, clock, **overrides):
     defaults = dict(max_batch=4, deadline_ms=100.0, max_queue=16, replicas=1)
     defaults.update(overrides)
     return Gateway({"m": graph}, GatewayConfig(**defaults), clock=clock)
+
+
+class StallEngine:
+    """Engine wrapper whose run_many blocks until the test releases it."""
+
+    def __init__(self, engine: Engine, started: threading.Event,
+                 release: threading.Event) -> None:
+        self._engine = engine
+        self._started = started
+        self._release = release
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def run_many(self, requests):
+        self._started.set()
+        if not self._release.wait(30.0):
+            raise TimeoutError("StallEngine never released")
+        return self._engine.run_many(requests)
 
 
 # ------------------------------------------------------------ clock seam
@@ -108,7 +127,7 @@ def test_deadline_flushes_partial_batch(graph, rng):
     expected = reference_outputs(graph, (x,), 1)
     with make_gateway(graph, clock) as gw:
         future = gw.submit("m", x)
-        # The batcher armed the 100 ms deadline and is parked on it; the
+        # The worker armed the 100 ms deadline and is parked on it; the
         # batch is not full, so nothing may flush until time moves.
         clock.wait_for_timed_waiters(1)
         assert not future.done()
@@ -144,7 +163,7 @@ def test_deadline_counts_from_oldest_request(graph, rng):
         generation = clock.registrations
         clock.advance(0.06)  # 60 ms into the 100 ms deadline: no expiry
         f2 = gw.submit("m", x)  # must NOT reset the deadline
-        # The enqueue woke the batcher; it re-armed with the REMAINING
+        # The enqueue woke the worker; it re-armed with the REMAINING
         # 40 ms of f1's deadline (a fresh registration proves it).
         clock.wait_for_registrations(generation + 1)
         assert not f1.done() and not f2.done()
@@ -154,6 +173,42 @@ def test_deadline_counts_from_oldest_request(graph, rng):
         stats = gw.stats()
     # Both requests left in ONE batch at the oldest request's deadline.
     assert stats.batch_histogram == {2: 1}
+
+
+def test_deadline_is_anchored_on_submit_time_not_on_notice(graph, rng):
+    """A request that queued while the only replica was occupied has
+    already spent its deadline: the replica flushes it (and everything
+    behind it) the moment it comes back, with no further ``advance()``.
+    Anchoring the deadline on when the queue was *noticed* instead would
+    make C wait a fresh 100 ms here and this test time out."""
+    clock = FakeClock()
+    started, release = threading.Event(), threading.Event()
+    gw = Gateway(
+        {"m": graph},
+        GatewayConfig(max_batch=4, deadline_ms=100.0, max_queue=16, replicas=1),
+        clock=clock,
+        engine_factory=lambda *a, **k: StallEngine(Engine(*a, **k), started, release),
+    )
+    x = _batched_input(graph, 1, rng)
+    expected = reference_outputs(graph, (x,), 1)
+    try:
+        f_a = gw.submit("m", x)
+        clock.wait_for_timed_waiters(1)
+        clock.advance(0.1)
+        assert started.wait(RESULT_TIMEOUT_S)  # A is inside the replica
+        f_b = gw.submit("m", x)
+        clock.advance(0.1)
+        f_c = gw.submit("m", x)
+        clock.advance(1.0)
+        release.set()
+        for f in (f_a, f_b, f_c):
+            assert_bit_identical(f.result(RESULT_TIMEOUT_S), expected)
+        stats = gw.stats()
+    finally:
+        release.set()
+        gw.close()
+    assert stats.batch_histogram == {1: 1, 2: 1}
+    assert stats.queue_depth == {"m": 0}
 
 
 def test_mixed_factors_coalesce_to_full_batch(graph, rng):
@@ -191,36 +246,17 @@ def test_oversize_request_runs_alone(graph, rng):
 # --------------------------------------------------- admission + shedding
 
 
-class StallEngine:
-    """Engine wrapper whose run_many blocks until the test releases it."""
-
-    def __init__(self, engine: Engine, started: threading.Event,
-                 release: threading.Event) -> None:
-        self._engine = engine
-        self._started = started
-        self._release = release
-
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
-
-    def run_many(self, requests):
-        self._started.set()
-        if not self._release.wait(30.0):
-            raise TimeoutError("StallEngine never released")
-        return self._engine.run_many(requests)
-
-
 def test_overload_sheds_with_bounded_queue(graph, rng):
     """Under overload the gateway sheds (typed), never grows the queue.
 
     max_batch=1 means every request flushes immediately with no deadline
     wait, so the FakeClock never needs advancing — the overload state is
-    constructed, not raced: one request stalled inside the replica, one
-    parked in dispatch, ``max_queue`` queued, and the next one is shed.
+    constructed, not raced: one request stalled inside the replica,
+    ``max_queue`` queued behind it, and the next one is shed.
     """
     clock = FakeClock()
     started, release = threading.Event(), threading.Event()
-    config = GatewayConfig(max_batch=1, deadline_ms=100.0, max_queue=2, replicas=1)
+    config = GatewayConfig(max_batch=1, deadline_ms=100.0, max_queue=3, replicas=1)
     gw = Gateway(
         {"m": graph},
         config,
@@ -232,16 +268,15 @@ def test_overload_sheds_with_bounded_queue(graph, rng):
     try:
         f_a = gw.submit("m", x)
         assert started.wait(RESULT_TIMEOUT_S)  # A is inside the replica
-        f_b = gw.submit("m", x)  # taken by the batcher, parked in dispatch
-        clock.wait_for(lambda: gw.server("m").queue_depth() == 0)
+        f_b = gw.submit("m", x)  # nobody idle to take it: it stays queued
         f_c = gw.submit("m", x)
-        f_d = gw.submit("m", x)  # queue now holds max_queue=2
-        assert gw.server("m").queue_depth() == 2
+        f_d = gw.submit("m", x)  # queue now holds max_queue=3
+        assert gw.server("m").queue_depth() == 3
         f_e = gw.submit("m", x)  # bounced at admission
         reply = f_e.result(0.5)
         assert reply == Rejected("m", SHED_QUEUE_FULL)
         stats = gw.stats()
-        assert stats.shed == 1 and stats.queue_depth["m"] <= config.max_queue
+        assert stats.shed == 1 and stats.queue_depth["m"] == config.max_queue
         release.set()
         for f in (f_a, f_b, f_c, f_d):
             assert_bit_identical(f.result(RESULT_TIMEOUT_S), expected)
@@ -302,8 +337,8 @@ def test_close_drains_admitted_requests(graph, rng):
 
 
 def test_close_leaves_no_gateway_thread(graph, rng):
-    """Thread inventory: a live gateway runs one batcher plus one worker
-    per replica, all named ``repro-*``; after ``close()`` none is left."""
+    """Thread inventory: a live gateway runs one worker per replica and
+    nothing else, all named ``repro-*``; after ``close()`` none is left."""
     before = set(threading.enumerate())
 
     def started():
@@ -313,9 +348,9 @@ def test_close_leaves_no_gateway_thread(graph, rng):
         )
 
     gw = make_gateway(graph, FakeClock(), max_batch=1, replicas=2)
-    assert started() == ["repro-gw-batcher-m", "repro-gw-m-r0", "repro-gw-m-r1"]
+    assert started() == ["repro-gw-m-r0", "repro-gw-m-r1"]
     gw.submit("m", _batched_input(graph, 1, rng)).result(RESULT_TIMEOUT_S)
-    assert len(started()) == 3  # serving a request starts nothing new
+    assert len(started()) == 2  # serving a request starts nothing new
     gw.close()
     assert started() == []
 
@@ -323,18 +358,16 @@ def test_close_leaves_no_gateway_thread(graph, rng):
 def test_concurrent_close_is_single_shot(graph, rng):
     """Racing close() calls: both return, the drain happens exactly once.
 
-    Before the close lock, two concurrent closers could interleave the
-    teardown — the loser set the workers-closed flag while the winner's
-    batcher was still dispatching, stranding a batch and hanging join().
-    Now the loser parks on the close lock until the winner's full drain
-    finishes, so both calls observe a completely drained gateway.
+    Teardown is one phase (set closed, notify, join the workers), so
+    there is nothing for two closers to interleave: both join the same
+    threads and both observe a completely drained gateway.
     """
     clock = FakeClock()
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
     gw = make_gateway(graph, clock, max_batch=8, deadline_ms=1000.0)
     futures = [gw.submit("m", x) for _ in range(3)]
-    clock.wait_for_timed_waiters(1)  # batcher parked on its deadline
+    clock.wait_for_timed_waiters(1)  # worker parked on its deadline
 
     start = threading.Barrier(2)
 
@@ -365,7 +398,7 @@ def test_close_concurrent_with_submit_resolves_every_future(graph, rng):
     clock = FakeClock()
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
-    # deadline 0: the batcher flushes without parking on the clock, so
+    # deadline 0: the worker flushes without parking on the clock, so
     # the race needs no advance() choreography.
     gw = make_gateway(graph, clock, max_batch=4, deadline_ms=0.0, max_queue=64)
     futures = []
@@ -448,7 +481,7 @@ def test_greedy_coalescer_chunks():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_take_batch_pops_first_greedy_chunk(graph, seed):
-    """The batcher's incremental pop and ``greedy_chunks`` are one rule:
+    """The worker's incremental pop and ``greedy_chunks`` are one rule:
     for any queue and cap the popped prefix is the first greedy chunk, and
     the rest of the queue is left exactly as it was."""
     from repro.serving.gateway import _Pending

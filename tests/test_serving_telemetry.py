@@ -8,7 +8,7 @@ deterministic:
 - a 50 ms deadline against a 10 ms p95 target must judge ``breached``;
 - an immediate flush (deadline 0) against the same target must judge
   ``healthy``;
-- a forced overload (tiny queue, parked batcher) must shed in a storm
+- a forced overload (tiny queue, parked worker) must shed in a storm
   and trip the flight recorder into a schema-valid dump;
 - the exported event stream must validate with exactly one terminal
   event per request id.
@@ -183,7 +183,7 @@ def test_overload_storm_trips_the_flight_recorder(rng, tmp_path):
         shed_storm_window_s=10.0,
         min_interval_s=0.0,
     )
-    # A long deadline parks the batcher, so the tiny queue fills and the
+    # A long deadline parks the worker, so the tiny queue fills and the
     # remaining submits shed deterministically.
     gateway, clock, x = _gateway(
         rng, deadline_ms=1000.0, max_queue=2, events=log, flight=flight
@@ -191,7 +191,7 @@ def test_overload_storm_trips_the_flight_recorder(rng, tmp_path):
     try:
         gateway.warmup(factors=(1,))
         first = gateway.submit("bin", x)
-        clock.wait_for_timed_waiters(1, TIMEOUT_S)  # batcher is parked
+        clock.wait_for_timed_waiters(1, TIMEOUT_S)  # worker is parked
         futures = [first] + [gateway.submit("bin", x) for _ in range(9)]
         replies = []
         clock.advance(1.0)  # deadline: flush the two accepted requests
