@@ -10,6 +10,8 @@ human-readable problem strings — empty means valid — so tests assert
 - the header line (schema tag, version, count, drop count);
 - per-record shape and the registered event-kind vocabulary;
 - non-decreasing timestamps;
+- stage attribution, where a ``request.complete`` carries it:
+  ``0 <= queue_wait_ms <= latency_ms`` (a stage cannot exceed the whole);
 - the **lifecycle invariant**, when the stream is complete
   (``dropped == 0``): every request_id with lifecycle events has
   exactly one terminal (``complete`` | ``shed`` | ``failed``);
@@ -124,6 +126,18 @@ def validate_events(records: list[dict[str, Any]]) -> list[str]:
                     f"{where}: ts {ts} decreases (prev {last_ts})"
                 )
             last_ts = ts
+        attrs = record.get("attrs") if isinstance(record, dict) else None
+        if isinstance(attrs, dict) and "queue_wait_ms" in attrs:
+            wait, total = attrs["queue_wait_ms"], attrs.get("latency_ms")
+            try:
+                bounded = 0 <= wait <= total
+            except TypeError:  # latency_ms missing, or a non-number
+                bounded = False
+            if not bounded:
+                problems.append(
+                    f"{where}: queue_wait_ms {wait!r} outside "
+                    f"[0, latency_ms {total!r}]"
+                )
     if problems or dropped != 0:
         # lifecycle pairing only holds on a complete, well-formed stream
         return problems

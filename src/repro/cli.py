@@ -577,7 +577,8 @@ def cmd_loadgen(args) -> int:
             f"  offered {row['offered_rps']:8.1f} rps: achieved "
             f"{row['achieved_rps']:8.1f} rps, shed {row['shed']}, "
             f"p50/p95/p99 {row['p50_ms']:.2f}/{row['p95_ms']:.2f}/"
-            f"{row['p99_ms']:.2f} ms, mean batch {row['mean_batch']:.2f}"
+            f"{row['p99_ms']:.2f} ms, mean batch {row['mean_batch']:.2f}, "
+            f"generator late p99 {row['gen_lateness_p99_ms']:.2f} ms"
         )
     if tracer is not None:
         trace_obj = write_chrome_trace(tracer, args.trace_out)
@@ -1144,7 +1145,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-batch", type=int, default=8)
         p.add_argument(
             "--deadline-ms", type=float, default=5.0,
-            help="flush a forming batch this long after its oldest request",
+            help="longest a request is held for company: flush a forming "
+            "batch this long after its oldest request (at once when recent "
+            "arrivals come slower than one per deadline)",
         )
         p.add_argument(
             "--max-queue", type=int, default=64,

@@ -4,9 +4,10 @@
 calls :func:`run_bench`: for each offered-load point a fresh
 :class:`~repro.serving.gateway.Gateway` serves a seeded open-loop
 Poisson stream over a mixed model profile, and the point's row records
-acceptance/shed counts, achieved throughput, p50/p95/p99 latency and the
-mean executed batch size.  :func:`validate_bench_serving` is the schema
-oracle ``make serve-smoke`` gates on — the same pattern as
+acceptance/shed counts, achieved throughput, p50/p95/p99 latency, the
+mean executed batch size and how late the generator handed requests
+over.  :func:`validate_bench_serving` is the schema oracle
+``make serve-smoke`` gates on — the same pattern as
 ``validate_chrome_trace`` for traces.
 
 The output contract (``BENCH_serving.json``):
@@ -19,7 +20,9 @@ The output contract (``BENCH_serving.json``):
   in force on the replica engines (``"default"`` when uncalibrated) —
   perf numbers trace to the cost model that priced them;
 - ``curves``: one row per offered-load point (at least three), each with
-  ``offered_rps``/``achieved_rps``/counts/percentiles/``mean_batch``;
+  ``offered_rps``/``achieved_rps``/counts/percentiles/``mean_batch``
+  and ``gen_lateness_p99_ms``/``gen_lateness_max_ms`` (latencies start
+  at the gateway's submit time, so a late generator shows here);
 - ``metrics``: the last gateway's unified registry snapshot;
 - ``telemetry``: the event-log roll-up across all points — event and
   drop counts, flight-dump count, per-model health statuses — proving
@@ -52,6 +55,8 @@ CURVE_FIELDS = (
     "p95_ms",
     "p99_ms",
     "mean_batch",
+    "gen_lateness_p99_ms",
+    "gen_lateness_max_ms",
 )
 
 
@@ -142,6 +147,8 @@ def run_bench(
                 "p95_ms": round(stats.p95_ms, 3),
                 "p99_ms": round(stats.p99_ms, 3),
                 "mean_batch": round(stats.mean_batch_size, 3),
+                "gen_lateness_p99_ms": round(report.gen_lateness_p99_ms, 3),
+                "gen_lateness_max_ms": round(report.gen_lateness_max_ms, 3),
             }
         )
     return {
@@ -247,6 +254,12 @@ def validate_bench_serving(obj: Any) -> list[str]:
                     f"curves[{i}]: percentiles not monotone "
                     f"(p50={row['p50_ms']}, p95={row['p95_ms']}, "
                     f"p99={row['p99_ms']})"
+                )
+            if not 0 <= row["gen_lateness_p99_ms"] <= row["gen_lateness_max_ms"]:
+                problems.append(
+                    f"curves[{i}]: generator lateness must satisfy "
+                    f"0 <= p99 <= max (p99={row['gen_lateness_p99_ms']}, "
+                    f"max={row['gen_lateness_max_ms']})"
                 )
     offered = [row.get("offered_rps") for row in curves if isinstance(row, dict)]
     if offered != sorted(offered):

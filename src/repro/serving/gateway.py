@@ -12,9 +12,11 @@ owns:
 - a **warm replica pool** — ``replicas`` engines sharing one prepacked
   :class:`~repro.runtime.plan.ParamCache`, each with one worker thread
   that *pulls* its own micro-batches: the longest-idle replica flushes
-  on ``max_batch`` *or* ``deadline_ms`` after the oldest queued
-  request's submit time, whichever comes first, and runs the batch
-  itself.  All waiting goes through the injected
+  on ``max_batch``, or ``deadline_ms`` after the oldest queued
+  request's submit time, or as soon as the last ``max_batch`` arrivals
+  stop averaging one per ``deadline_ms`` (nobody is coming to share the
+  batch, so holding it would be pure wait) — whichever comes first —
+  and runs the batch itself.  All waiting goes through the injected
   :class:`~repro.serving.clock.Clock`, so tests drive every deadline
   with a fake clock and zero wall-clock sleeps.  A replica that keeps
   failing is quarantined (its in-flight batch resolves to typed
@@ -112,8 +114,10 @@ class GatewayConfig:
 
     #: largest micro-batch, in base-batch groups (same unit as the engine)
     max_batch: int = 8
-    #: flush a forming batch this long after its oldest request, even if
-    #: it is not full — the latency half of continuous batching
+    #: the longest a request may be held for company: a forming batch is
+    #: flushed this long after its oldest request even if it is not full,
+    #: and sooner — at once, on a sparse stream — when the last
+    #: ``max_batch`` arrivals span more than ``max_batch * deadline_ms``
     deadline_ms: float = 5.0
     #: bounded per-model queue, in queued requests; admission sheds beyond
     max_queue: int = 64
@@ -187,6 +191,26 @@ def _merge_histograms(parts: Sequence[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
+def _hold_until(
+    t_head: float, recent: Sequence[float], max_batch: int, deadline_s: float
+) -> float:
+    """Clock time up to which a partial batch may be held for company.
+
+    ``t_head`` is the oldest queued request's submit time and ``recent``
+    the last (at most ``max_batch``) accepted submit times, oldest first.
+    The request's own deadline always caps the hold; once a full window
+    of arrivals has been seen, so does the moment the window's mean gap
+    grows past the deadline: from then on the measured rate says no
+    companion arrives in time.  With a shorter window there is no
+    evidence and only the deadline applies, so for any arrival sequence
+    the result is never later than ``t_head + deadline_s``.
+    """
+    until = t_head + deadline_s
+    if len(recent) >= max_batch:
+        until = min(until, recent[0] + max_batch * deadline_s)
+    return until
+
+
 def _resolve(future: Future, value: Any) -> None:
     """Resolve a reply future, tolerating caller-side cancellation."""
     if not future.set_running_or_notify_cancel():
@@ -197,7 +221,9 @@ def _resolve(future: Future, value: Any) -> None:
 class _Pending:
     """One admitted request waiting in a model queue."""
 
-    __slots__ = ("request", "factor", "future", "t_submit", "request_id")
+    __slots__ = (
+        "request", "factor", "future", "t_submit", "t_taken", "request_id"
+    )
 
     def __init__(
         self,
@@ -211,6 +237,7 @@ class _Pending:
         self.factor = factor
         self.future = future
         self.t_submit = t_submit
+        self.t_taken = t_submit  # re-stamped when a worker pops it
         self.request_id = request_id
 
 
@@ -265,6 +292,9 @@ class _ModelServer:
         self._cond = threading.Condition(self._lock)
         self._queue: deque[_Pending] = deque()
         self._queued_factor = 0
+        # Submit times of the last max_batch accepted requests: the
+        # arrival-rate evidence the deadline hold is gated on.
+        self._recent: deque[float] = deque(maxlen=config.max_batch)
         self._closed = False
 
         # Warm pool: every replica shares one prepacked-weight cache, so
@@ -294,6 +324,7 @@ class _ModelServer:
         # Filled in index order before any worker starts, so the rotation
         # does not depend on which thread the OS happens to run first.
         self._idle: deque[_Replica] = deque(self._replicas)
+        self._healthy = len(self._replicas)
 
         m = metrics
         self._m_accepted = m.counter(f"gateway.{name}.accepted")
@@ -303,6 +334,7 @@ class _ModelServer:
         self._m_batches = m.counter(f"gateway.{name}.batches")
         self._m_batch_size = m.histogram(f"gateway.{name}.batch_size")
         self._m_latency = m.histogram(f"gateway.{name}.latency_ms")
+        self._m_queue_wait = m.histogram(f"gateway.{name}.queue_wait_ms")
         self._m_replica_failures = m.counter(f"gateway.{name}.replica_failures")
         m.gauge(f"gateway.{name}.queue_depth", self.queue_depth)
         m.gauge(f"gateway.{name}.replicas_healthy", self.healthy_replicas)
@@ -323,7 +355,7 @@ class _ModelServer:
 
     def healthy_replicas(self) -> int:
         with self._lock:
-            return sum(1 for r in self._replicas if not r.quarantined)
+            return self._healthy
 
     @property
     def engines(self) -> list[Engine]:
@@ -349,7 +381,7 @@ class _ModelServer:
         with self._lock:
             if self._closed:
                 reason = SHED_CLOSED
-            elif all(r.quarantined for r in self._replicas):
+            elif not self._healthy:
                 reason = SHED_NO_HEALTHY_REPLICA
             elif len(self._queue) >= self._config.max_queue:
                 reason = SHED_QUEUE_FULL
@@ -361,6 +393,7 @@ class _ModelServer:
                     _Pending(request, factor, future, t_submit, request_id)
                 )
                 self._queued_factor += factor
+                self._recent.append(t_submit)
                 self._cond.notify_all()
         if reason is not None:
             self._shed(future, reason, request_id=request_id)
@@ -393,23 +426,29 @@ class _ModelServer:
     # ------------------------------------------------------------- workers
     def _worker_loop(self, replica: _Replica) -> None:
         """One replica's life: pull a micro-batch, run it, rejoin the FIFO."""
-        clock, cond, config = self._clock, self._cond, self._config
+        clock, cond = self._clock, self._cond
+        max_batch = self._config.max_batch
+        deadline_s = self._config.deadline_ms / 1e3
         while True:
             with cond:
                 # Continuous batching with a latency deadline: the head
-                # of the idle FIFO waits for more work until the batch is
-                # full or the oldest request's deadline expires —
-                # whichever comes first; close() cuts the wait short.
+                # of the idle FIFO holds a partial batch for company until
+                # it is full, the oldest request's deadline expires, or
+                # the recent arrivals stop averaging one per deadline
+                # (see _hold_until) — whichever comes first; close() cuts
+                # the wait short.
                 while True:
                     if self._closed and not self._queue:
                         return  # closed and fully drained
                     if not self._queue or self._idle[0] is not replica:
                         remaining = None  # nothing to take, or not our turn
-                    elif self._closed or self._queued_factor >= config.max_batch:
+                    elif self._closed or self._queued_factor >= max_batch:
                         break
                     else:
-                        deadline = self._queue[0].t_submit + config.deadline_ms / 1e3
-                        remaining = deadline - clock.now()
+                        hold_until = _hold_until(
+                            self._queue[0].t_submit, self._recent, max_batch, deadline_s
+                        )
+                        remaining = hold_until - clock.now()
                         if remaining <= 0:
                             break
                     clock.wait(cond, remaining)
@@ -433,6 +472,9 @@ class _ModelServer:
         while self._queue and size + self._queue[0].factor <= self._config.max_batch:
             batch.append(self._queue.popleft())
             size += batch[-1].factor
+        now = self._clock.now()
+        for p in batch:
+            p.t_taken = now
         self._queued_factor -= size  # repro: allow[C005] documented contract: the worker calls this with self._lock held
         return batch
 
@@ -476,19 +518,24 @@ class _ModelServer:
             replica.consecutive_failures = 0
         end = self._clock.now()
         latencies_ms = [round((end - p.t_submit) * 1e3, 3) for p in batch]
+        queue_waits_ms = [round((p.t_taken - p.t_submit) * 1e3, 3) for p in batch]
         with self._metrics.lock():
             self._m_batches.inc()
             self._m_batch_size.observe(size)
             self._m_completed.add(len(batch))
-            for latency_ms in latencies_ms:
+            for latency_ms, queue_wait_ms in zip(latencies_ms, queue_waits_ms):
                 self._m_latency.observe(latency_ms)
-        for p, result, latency_ms in zip(batch, results, latencies_ms):
+                self._m_queue_wait.observe(queue_wait_ms)
+        for p, result, latency_ms, queue_wait_ms in zip(
+            batch, results, latencies_ms, queue_waits_ms
+        ):
             events.emit(
                 "request.complete",
                 request_id=p.request_id,
                 model=self.name,
                 replica=replica.idx,
                 latency_ms=latency_ms,
+                queue_wait_ms=queue_wait_ms,
             )
             _resolve(p.future, result)
 
@@ -504,7 +551,8 @@ class _ModelServer:
             )
             if quarantined:
                 replica.quarantined = True
-                if all(r.quarantined for r in self._replicas):
+                self._healthy -= 1
+                if not self._healthy:
                     # The pool just died: nobody is left to pull, and
                     # submit() sheds from this lock hold on, so what is
                     # queued now is all there will ever be.
@@ -842,6 +890,6 @@ class Gateway:
             snap[f"gateway.{key}"] = sum(parts(key))
         snap["gateway.shed"] += own["gateway.shed_unknown_model"]
         snap["gateway.submitted"] = snap["gateway.accepted"] + snap["gateway.shed"]
-        for key in ("batch_size", "latency_ms"):
+        for key in ("batch_size", "latency_ms", "queue_wait_ms"):
             snap[f"gateway.{key}"] = _merge_histograms(parts(key))
         return snap

@@ -17,7 +17,10 @@ the server).  Three pieces:
   resolves every future, and tallies accepted/shed/failed/completed into
   a :class:`LoadReport`.  Latency percentiles come from the gateway's
   own ``gateway.latency_ms`` histogram, so the loadgen and the metrics
-  can never disagree.
+  can never disagree.  Those latencies start at the gateway's
+  ``t_submit``, so the report also says how late each ``submit`` was
+  handed over (``gen_lateness_*``): a late generator must not read as a
+  fast gateway.
 - the pacing is clock-driven: with the real monotonic clock the
   schedule plays back in real time; with a fake clock a test advances
   virtual time and gets exactly the same submissions.
@@ -25,9 +28,11 @@ the server).  Three pieces:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.obs.metrics import quantile_from_counts
 from repro.serving.clock import Clock
 from repro.serving.gateway import FAILED_REPLICA, Gateway, Rejected
 
@@ -56,6 +61,10 @@ class LoadReport:
     completed: int
     #: submit of first arrival -> last reply resolved, in clock time
     elapsed_s: float
+    #: how far behind its scheduled time a ``submit`` was called
+    #: (nearest-rank p99 and the worst case over the run)
+    gen_lateness_p99_ms: float
+    gen_lateness_max_ms: float
 
     @property
     def achieved_rps(self) -> float:
@@ -124,10 +133,13 @@ def run_load(
     clock = clock if clock is not None else gateway.clock
     start = clock.now()
     futures = []
+    lateness_ms = []
     for arrival in arrivals:
-        delay = (start + arrival.at_s) - clock.now()
+        due = start + arrival.at_s
+        delay = due - clock.now()
         if delay > 0:
             clock.sleep(delay)
+        lateness_ms.append(max(0.0, clock.now() - due) * 1e3)
         futures.append(gateway.submit(arrival.model, *make_request(arrival.model)))
 
     shed = failed = completed = 0
@@ -152,4 +164,6 @@ def run_load(
         failed=failed,
         completed=completed,
         elapsed_s=elapsed,
+        gen_lateness_p99_ms=quantile_from_counts(Counter(lateness_ms), 0.99),
+        gen_lateness_max_ms=max(lateness_ms, default=0.0),
     )

@@ -92,8 +92,12 @@ class FakeClock:
                 self._cv.notify_all()
 
     # ----------------------------------------------------------- test knobs
-    def advance(self, seconds: float) -> None:
-        """Move virtual time forward and wake everything that expired."""
+    def advance(self, seconds: float) -> int:
+        """Move virtual time forward and wake everything that expired.
+
+        Returns how many timed waits expired, so a test stepping time in
+        ticks knows whether a waiter is about to act on this one.
+        """
         if seconds < 0:
             raise ValueError(f"cannot advance backwards ({seconds})")
         with self._cv:
@@ -106,6 +110,7 @@ class FakeClock:
         for cond in expired:
             with cond:
                 cond.notify_all()
+        return len(expired)
 
     @property
     def sleepers(self) -> int:

@@ -174,6 +174,26 @@ def test_validator_flags_lifecycle_violations():
     assert any("'c'" in p for p in problems)
 
 
+def test_validator_bounds_queue_wait_by_latency():
+    def stream(**attrs):
+        log = EventLog(now=lambda: 0.0)
+        log.emit("request.accept", request_id="a", model="m")
+        log.emit("request.complete", request_id="a", model="m", **attrs)
+        return events_to_records(log)
+
+    assert validate_events(stream(latency_ms=3.0, queue_wait_ms=0.0)) == []
+    assert validate_events(stream(latency_ms=3.0, queue_wait_ms=3.0)) == []
+    assert validate_events(stream(latency_ms=3.0)) == []  # attrs are open
+    for bad in (
+        dict(latency_ms=3.0, queue_wait_ms=3.001),  # a stage above the whole
+        dict(latency_ms=3.0, queue_wait_ms=-0.001),
+        dict(queue_wait_ms=1.0),  # nothing to bound it by
+        dict(latency_ms=3.0, queue_wait_ms="1"),
+    ):
+        problems = validate_events(stream(**bad))
+        assert len(problems) == 1 and "queue_wait_ms" in problems[0]
+
+
 def test_validator_flags_unknown_kind_and_bad_header():
     log = EventLog(now=lambda: 0.0)
     log.emit("request.accept", request_id="a", model="m")

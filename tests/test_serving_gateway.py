@@ -33,6 +33,7 @@ from repro.serving import (
     MonotonicClock,
     Rejected,
     generate_arrivals,
+    run_load,
 )
 
 pytestmark = pytest.mark.serving
@@ -241,6 +242,157 @@ def test_oversize_request_runs_alone(graph, rng):
         )
         stats = gw.stats()
     assert stats.batch_histogram == {3: 1}
+
+
+# ------------------------------------------ hold only when company is coming
+
+
+def test_sparse_stream_flushes_without_holding(graph, rng):
+    """Once ``max_batch`` arrivals came wider apart than the deadline, the
+    measured rate says nobody will share the batch: the next request is
+    flushed at once — virtual time never moves while it is served."""
+    clock = FakeClock()
+    x = _batched_input(graph, 1, rng)
+    expected = reference_outputs(graph, (x,), 1)
+    with make_gateway(graph, clock) as gw:  # max_batch=4, deadline 100 ms
+        for _ in range(3):  # window not full yet: each one holds, as before
+            future = gw.submit("m", x)
+            clock.wait_for_timed_waiters(1)
+            clock.advance(0.2)
+            future.result(RESULT_TIMEOUT_S)
+        # The 4th fills the window: 4 arrivals over 600 ms > 4 x 100 ms.
+        gw.submit("m", x).result(RESULT_TIMEOUT_S)
+        clock.advance(0.2)
+        before = clock.now()
+        future = gw.submit("m", x)
+        assert_bit_identical(future.result(RESULT_TIMEOUT_S), expected)
+        assert clock.now() == before  # zero advance() while it was served
+        stats = gw.stats()
+        snap = gw.metrics_snapshot()
+    assert stats.batch_histogram == {1: 5}
+    # Three cold-start holds of 200 ms, two flushes with no wait at all.
+    assert snap["gateway.queue_wait_ms"]["counts"] == {200.0: 3, 0.0: 2}
+
+
+def test_burst_window_still_holds_for_company(graph, rng):
+    """``max_batch`` arrivals at one instant are the densest evidence there
+    is: the worker parks on the deadline exactly as it always did, and
+    flushes on the deadline or on size, whichever comes first."""
+    clock = FakeClock()
+    x = _batched_input(graph, 1, rng)
+    with make_gateway(graph, clock) as gw:
+        for f in [gw.submit("m", x) for _ in range(4)]:  # fills the window
+            f.result(RESULT_TIMEOUT_S)
+        straggler = gw.submit("m", x)
+        clock.wait_for_timed_waiters(1)  # held: company is likely
+        assert not straggler.done()
+        clock.advance(0.1)  # ... until its deadline
+        straggler.result(RESULT_TIMEOUT_S)
+        for f in [gw.submit("m", x) for _ in range(4)]:  # size still wins
+            f.result(RESULT_TIMEOUT_S)
+        stats = gw.stats()
+    assert clock.now() == pytest.approx(0.1)
+    assert stats.batch_histogram == {4: 2, 1: 1}
+
+
+def test_cold_start_holds_until_a_full_window_is_seen(graph, rng):
+    """Fewer than ``max_batch`` arrivals are no evidence either way, so a
+    fresh gateway holds each of them for the whole deadline however far
+    apart they come."""
+    clock = FakeClock()
+    x = _batched_input(graph, 1, rng)
+    with make_gateway(graph, clock) as gw:
+        for _ in range(3):
+            future = gw.submit("m", x)
+            clock.wait_for_timed_waiters(1)
+            assert not future.done()
+            clock.advance(0.1)
+            future.result(RESULT_TIMEOUT_S)
+            clock.advance(10.0)
+        stats = gw.stats()
+    assert stats.batch_histogram == {1: 3}
+    assert stats.p50_ms == stats.p99_ms == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_request_is_held_past_its_deadline(graph, seed):
+    """Sparse stretches and bursts mixed: whatever the window says, no
+    request waits in the queue longer than ``deadline_ms``.
+
+    Virtual time is whole seconds with an 8 s deadline, so every stamp is
+    exact; the test steps one second at a time and lets the worker settle
+    (parked on a timed wait, or everything answered) before the next
+    action, so a request is always taken at the tick its hold ended.
+    """
+    rng = np.random.default_rng(seed)
+    x = _batched_input(graph, 1, rng)
+    gaps = np.where(
+        rng.random(40) < 0.6, rng.integers(0, 3, 40), rng.integers(9, 60, 40)
+    )
+    due = deque(int(t) for t in np.cumsum(gaps))
+    clock = FakeClock()
+    futures = []
+    with make_gateway(graph, clock, deadline_ms=8000.0, max_queue=64) as gw:
+
+        def settle(registrations, completed):
+            # The action woke the parked worker: it either re-armed its
+            # timed wait or took a batch.  Then wait for the stable state.
+            clock.wait_for(
+                lambda: clock.registrations > registrations
+                or gw.stats().completed > completed
+            )
+
+            def stable():
+                stats = gw.stats()
+                queued = stats.queue_depth["m"]
+                if stats.completed + queued != stats.accepted:
+                    return False  # a batch is inside the replica
+                return queued == 0 or clock.timed_waiters == 1
+
+            clock.wait_for(stable)
+
+        while due or gw.stats().in_flight:
+            while due and due[0] <= clock.now():
+                due.popleft()
+                mark = clock.registrations, gw.stats().completed
+                futures.append(gw.submit("m", x))
+                settle(*mark)
+            mark = clock.registrations, gw.stats().completed
+            if clock.advance(1.0):
+                settle(*mark)
+        for f in futures:
+            assert not isinstance(f.result(RESULT_TIMEOUT_S), Rejected)
+        waits = gw.metrics_snapshot()["gateway.queue_wait_ms"]
+    assert waits["count"] == 40
+    assert waits["max"] <= 8000.0
+    # The mix exercised both edges: full holds and no-wait flushes.
+    assert waits["counts"].get(8000.0) and waits["counts"].get(0.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hold_rule_only_ever_shortens_the_deadline_hold(seed):
+    """``_hold_until`` against the rule it replaced (hold until the head
+    request's deadline, whatever the traffic): whenever the new rule
+    holds, the old one held too."""
+    from repro.serving.gateway import _hold_until
+
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        max_batch = int(rng.integers(1, 17))
+        deadline_s = float(rng.choice([0.0, rng.uniform(0.0, 0.05)]))
+        span = max_batch * deadline_s * float(rng.choice([0.1, 1.0, 10.0])) + 1e-3
+        window = np.sort(rng.uniform(0.0, span, int(rng.integers(0, max_batch + 1))))
+        t_head = float(rng.choice(window)) if len(window) else float(rng.uniform(0, span))
+        now = t_head + float(rng.uniform(0.0, 2.0 * deadline_s + 1e-3))
+        until = _hold_until(t_head, deque(window), max_batch, deadline_s)
+        parent_until = t_head + deadline_s
+        if now < until:  # new rule holds ...
+            assert now < parent_until  # ... so the parent rule held
+        assert until <= parent_until
+        if len(window) < max_batch:  # cold start: exactly the parent rule
+            assert until == parent_until
+        elif now - window[0] > max_batch * deadline_s:  # mean gap too wide
+            assert until <= now  # flush at once
 
 
 # --------------------------------------------------- admission + shedding
@@ -535,6 +687,44 @@ def test_generate_arrivals_is_seed_deterministic():
     assert times == sorted(times) and all(0 < t < 2.0 for t in times)
     assert {a.model for a in first} <= {"a", "b"}  # zero weight never drawn
     assert len(first) > 50  # ~100 expected at 50 rps over 2 s
+
+
+def test_run_load_tallies_and_reports_generator_lateness(graph, rng):
+    """``run_load`` end to end on virtual time: the tallies conserve and
+    the report says how late each submit was handed over."""
+    clock = FakeClock()
+    x = _batched_input(graph, 1, rng)
+    arrivals = generate_arrivals(
+        [("m", 3.0), ("nope", 1.0)], 40.0, 1.0, np.random.default_rng(5)
+    )
+    reports = []
+    with make_gateway(graph, clock, deadline_ms=0.0, max_queue=64) as gw:
+        runner = threading.Thread(
+            target=lambda: reports.append(run_load(gw, arrivals, lambda name: (x,))),
+            daemon=True,
+        )
+        runner.start()
+        # 10 ms ticks, each only after everything already due was handed
+        # over and the generator is parked in sleep() again: every submit
+        # lands on the first tick at or after its due time.
+        while True:
+            handed_over = sum(a.at_s <= clock.now() for a in arrivals)
+            clock.wait_for(lambda: gw.stats().submitted >= handed_over)
+            if handed_over == len(arrivals):
+                break
+            clock.wait_for_sleepers(1)
+            clock.advance(0.01)
+        runner.join(RESULT_TIMEOUT_S)
+        assert not runner.is_alive()
+        stats = gw.stats()
+    (report,) = reports
+    unknown = sum(a.model == "nope" for a in arrivals)
+    assert 0 < unknown < len(arrivals)
+    assert report.submitted == len(arrivals) == report.accepted + report.shed
+    assert (report.shed, report.failed) == (unknown, 0)
+    assert report.completed + report.failed == report.accepted
+    assert (stats.submitted, stats.completed) == (report.submitted, report.completed)
+    assert 0.0 < report.gen_lateness_p99_ms <= report.gen_lateness_max_ms < 10.0 + 1e-6
 
 
 def test_generate_arrivals_validates():

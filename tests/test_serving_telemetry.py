@@ -80,6 +80,9 @@ def test_event_stream_validates_with_one_terminal_per_request(rng):
         assert kinds[0] == "request.accept"
         assert kinds[-1] == "request.complete"
         assert sum(k == "request.complete" for k in kinds) == 1
+    completes = [r for r in records[1:] if r["kind"] == "request.complete"]
+    # every completion says how long it queued (validate_events bounds it)
+    assert all("queue_wait_ms" in r["attrs"] for r in completes)
     kinds = {r["kind"] for r in records[1:]}
     # the engine's plan/batch events land in the same stream
     assert "plan.compile" in kinds
