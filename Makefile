@@ -1,6 +1,6 @@
 # Convenience targets for the LCE reproduction.
 
-.PHONY: test test-fast test-slow test-serving lint analyze check sanitize sanitize-smoke trace-smoke serve-smoke calibrate-smoke tune-smoke telemetry-smoke bench bench-fast bench-serving experiments appendix extensions examples all
+.PHONY: test test-fast test-slow test-serving lint analyze check sanitize sanitize-smoke trace-smoke serve-smoke calibrate-smoke telemetry-smoke bench bench-fast bench-serving experiments appendix extensions examples all
 
 test:
 	pytest tests/
@@ -28,7 +28,7 @@ sanitize-smoke:
 	REPRO_SANITIZE=1 pytest tests/ -m "serving and not slow"
 	REPRO_SANITIZE=1 pytest tests/test_runtime_engine.py tests/test_concurrency_locks.py
 
-check: lint analyze test-fast test-serving sanitize-smoke trace-smoke serve-smoke calibrate-smoke tune-smoke telemetry-smoke
+check: lint analyze test-fast test-serving sanitize-smoke trace-smoke serve-smoke calibrate-smoke telemetry-smoke
 
 # End-to-end observability smoke: trace a QuickNet-small engine run,
 # schema-validate the Chrome-trace export, and print the unified metrics
@@ -63,19 +63,6 @@ calibrate-smoke:
 		--out /tmp/repro-profile-smoke.json
 	PYTHONPATH=src python -m repro.cli profiles show /tmp/repro-profile-smoke.json
 
-# Autotuner gate: bounded schedule search over the first two unique
-# QuickNet-small conv geometries, writing a schema-validated tuning-cache
-# artifact.  ``cli tune`` re-measures every winning schedule against the
-# default after the search and exits 1 if a tuned schedule is slower, so
-# this also asserts tuned >= untuned; ``tuning show`` round-trips the
-# artifact through the loader's schema oracle.
-tune-smoke:
-	PYTHONPATH=src python -m repro.cli tune --model quicknet_small \
-		--input-size 32 --repeats 3 --max-candidates 8 \
-		--geometry-limit 2 --name smoke \
-		--out /tmp/repro-tuning-smoke.json
-	PYTHONPATH=src python -m repro.cli tuning show /tmp/repro-tuning-smoke.json
-
 # Telemetry smoke: a served burst with the event log on (export +
 # schema-validate the JSONL, force one flight-recorder dump, round-trip
 # the Prometheus exposition through the parser), then an SLO health
@@ -103,8 +90,8 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Kernel micro-benchmarks only; writes machine-readable BENCH_kernels.json
-# (per-kernel ns/call and MACs/s, plus per-geometry dynamic/plan/tuned
-# speedups from an in-process autotune search).
+# (per-kernel ns/call and MACs/s, plus per-geometry dynamic/plan
+# speedups).
 bench-fast:
 	pytest benchmarks/test_kernel_microbench.py --benchmark-only
 

@@ -8,9 +8,7 @@ empty when valid — that the writing benchmark asserts before the file
 lands.  All three artifacts must stamp ``device_profile`` (the id of the
 :class:`~repro.hw.device.DeviceProfile` in force, or ``"default"``) so
 every recorded number traces to the cost model that priced it; the kernel
-suite additionally stamps ``tuning_cache`` (the id of the
-:class:`~repro.tune.TuningCache` in force, or ``"none"``) and records
-per-geometry dynamic/plan/tuned timings so autotuner wins are visible and
+suite additionally records per-geometry dynamic/plan timings so
 regressions are caught row by row.
 """
 
@@ -22,13 +20,7 @@ from typing import Any
 KERNEL_FIELDS = ("ns_per_call", "macs_per_s")
 
 #: numeric fields every BENCH_kernels.json per-geometry row must carry
-GEOMETRY_FIELDS = (
-    "dynamic_ns",
-    "plan_ns",
-    "tuned_ns",
-    "speedup_plan",
-    "speedup_tuned",
-)
+GEOMETRY_FIELDS = ("dynamic_ns", "plan_ns", "speedup_plan")
 
 #: numeric fields every BENCH_engine.json row must carry
 ENGINE_ROW_FIELDS = (
@@ -66,12 +58,6 @@ def validate_bench_kernels(obj: Any) -> list[str]:
             obj.get(key), bool
         ):
             problems.append(f"{key} missing or non-numeric")
-    tuning = obj.get("tuning_cache")
-    if not isinstance(tuning, str) or not tuning:
-        problems.append(
-            "tuning_cache must be a non-empty string "
-            "(the active tuning-cache id, or 'none')"
-        )
     geometries = obj.get("geometries")
     if not isinstance(geometries, list) or not geometries:
         problems.append("geometries must be a non-empty list")

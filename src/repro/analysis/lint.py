@@ -25,14 +25,15 @@ and L004 trailing whitespace.
   ``core.indirection`` memoization idiom).
 - L104: compiled-plan and serving paths (``core/``, ``runtime/``,
   ``ops/``, ``obs/``, ``serving/``, ``tune/``, plus ``hw/calibrate.py``
-  — the calibration recorder and the kernel autotuner drive the engine
-  kernels and must be as deterministic as the runtime they measure) must
-  not use ``np.random``/``random``/``secrets``/``os.urandom`` or
-  wall-clock ``time.time`` (monotonic timers are fine).  The tracer's
-  single recording-boundary wall-clock anchor in ``obs/trace.py``, the
-  serving bench's seeded-generator boundary in ``serving/bench.py`` and
-  the seeded input-data generators in ``hw/calibrate.py`` and
-  ``tune/search.py`` carry justified ``allow[L104]`` suppressions.
+  — the calibration recorder and the kernel measurement harness drive
+  the engine kernels and must be as deterministic as the runtime they
+  measure) must not use ``np.random``/``random``/``secrets``/
+  ``os.urandom`` or wall-clock ``time.time`` (monotonic timers are
+  fine).  The tracer's single recording-boundary wall-clock anchor in
+  ``obs/trace.py``, the serving bench's seeded-generator boundary in
+  ``serving/bench.py`` and the seeded input-data generators in
+  ``hw/calibrate.py`` and ``tune/search.py`` carry justified
+  ``allow[L104]`` suppressions.
 
 Suppression: append ``# repro: allow[L101] <justification>`` to the
 offending line.  A suppression without a justification is itself an error

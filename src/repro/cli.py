@@ -19,8 +19,6 @@ The deployment-side tooling a released inference engine ships with::
     python -m repro slo       --slo-p95-ms 50 --prometheus
     python -m repro calibrate --out profile.json --budget 15
     python -m repro profiles  list|show|diff ...
-    python -m repro tune      --model quicknet_small --out tuning.json
-    python -m repro tuning    list|show|diff ...
 
 ``--engine`` switches benchmark/profile from the analytical device model to
 *measured* wall-clock through :class:`repro.runtime.Engine` (compiled
@@ -28,9 +26,6 @@ plans, prepacked-weight cache, threaded BGEMM, batched execution).
 ``--profile PATH`` makes benchmark/profile price against a trace-fitted
 :class:`repro.hw.DeviceProfile` artifact (from ``repro calibrate``)
 instead of the builtin constants, and steers ``--engine`` plan scheduling.
-``--tuning PATH`` loads a :class:`repro.tune.TuningCache` artifact (from
-``repro tune``) so ``--engine`` plans run each binarized conv with its
-measured-best kernel schedule.
 """
 
 from __future__ import annotations
@@ -89,15 +84,6 @@ def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_tuning_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tuning", default=None, metavar="PATH",
-        help="apply a per-geometry tuning-cache artifact (JSON written by "
-        "`repro tune`) to --engine plan compilation; untuned geometries "
-        "keep the bit-identical default kernel schedule",
-    )
-
-
 def _resolve_profile(args, command: str):
     """Load ``--profile`` if given, or fail with a typed non-zero exit.
 
@@ -110,19 +96,6 @@ def _resolve_profile(args, command: str):
     try:
         return load_profile(args.profile), 0
     except ProfileError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None, 2
-
-
-def _resolve_tuning(args, command: str):
-    """Load ``--tuning`` if given, mirroring :func:`_resolve_profile`."""
-    if getattr(args, "tuning", None) is None:
-        return None, 0
-    from repro.tune import TuningError, load_tuning
-
-    try:
-        return load_tuning(args.tuning), 0
-    except TuningError as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return None, 2
 
@@ -143,15 +116,9 @@ def cmd_benchmark(args) -> int:
     profile, rc = _resolve_profile(args, "benchmark")
     if rc:
         return rc
-    tuning, rc = _resolve_tuning(args, "benchmark")
-    if rc:
-        return rc
     model = _build_converted(args)
     if args.engine:
-        return _benchmark_engine(args, model, profile, tuning)
-    if tuning is not None:
-        print("benchmark: --tuning requires --engine", file=sys.stderr)
-        return 2
+        return _benchmark_engine(args, model, profile)
     device = profile if profile is not None else DeviceModel.by_name(args.device)
     latency = graph_latency(device, model.graph, threads=args.threads)
     pricing = (
@@ -164,7 +131,7 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _benchmark_engine(args, model, profile=None, tuning=None) -> int:
+def _benchmark_engine(args, model, profile=None) -> int:
     from repro.runtime import Engine
 
     if args.threads < 1:
@@ -177,8 +144,7 @@ def _benchmark_engine(args, model, profile=None, tuning=None) -> int:
         print("benchmark --engine: --repeats must be >= 1", file=sys.stderr)
         return 2
     with Engine(
-        model, num_threads=args.threads, max_batch_size=args.batch,
-        profile=profile, tuning=tuning,
+        model, num_threads=args.threads, max_batch_size=args.batch, profile=profile
     ) as engine:
         x = _engine_input(engine.graph, args.batch)
         engine.run(x)  # warm-up: compiles the plan, fills the weight cache
@@ -203,9 +169,7 @@ def _benchmark_engine(args, model, profile=None, tuning=None) -> int:
         f"batch histogram {dict(sorted(stats.batch_histogram.items()))}; "
         f"verified: {str(stats.verified).lower()}; "
         f"profile: {stats.profile_id} "
-        f"({stats.scheduled_nodes} scheduled nodes); "
-        f"tuning: {stats.tuning_id} "
-        f"({stats.tuned_nodes} tuned nodes)"
+        f"({stats.scheduled_nodes} scheduled nodes)"
     )
     print("  " + memory.describe())
     print("  metrics snapshot:")
@@ -217,12 +181,6 @@ def cmd_profile(args) -> int:
     profile, rc = _resolve_profile(args, "profile")
     if rc:
         return rc
-    tuning, rc = _resolve_tuning(args, "profile")
-    if rc:
-        return rc
-    if tuning is not None and not args.engine:
-        print("profile: --tuning requires --engine", file=sys.stderr)
-        return 2
     model = _build_converted(args)
     device = profile if profile is not None else DeviceModel.by_name(args.device)
     if args.engine:
@@ -231,9 +189,7 @@ def cmd_profile(args) -> int:
         if args.threads < 1:
             print("profile --engine: --threads must be >= 1", file=sys.stderr)
             return 2
-        with Engine(
-            model, num_threads=args.threads, profile=profile, tuning=tuning
-        ) as engine:
+        with Engine(model, num_threads=args.threads, profile=profile) as engine:
             profiles = profile_engine(device, engine)
             memory = memory_profile(engine)
             verified = engine.stats().verified
@@ -887,132 +843,6 @@ def cmd_profiles(args) -> int:
     return 0
 
 
-def cmd_tune(args) -> int:
-    from repro.tune import (
-        graph_geometries,
-        measure_config,
-        save_tuning,
-        tune_geometries,
-    )
-    from repro.core.kernel_config import DEFAULT_CONFIG
-
-    profile, rc = _resolve_profile(args, "tune")
-    if rc:
-        return rc
-    if args.repeats < 1:
-        print("tune: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("tune: --threads must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch < 1:
-        print("tune: --batch must be >= 1", file=sys.stderr)
-        return 2
-    model = _build_converted(args)
-    geometries = graph_geometries(model.graph, batch_factor=args.batch)
-    if args.geometry_limit is not None:
-        geometries = geometries[: args.geometry_limit]
-    if not geometries:
-        print("tune: model has no binarized convolutions", file=sys.stderr)
-        return 2
-    profile_id = profile.name if profile is not None else "default"
-    print(
-        f"tuning {len(geometries)} geometries of {args.model} "
-        f"(profile {profile_id!r}, {args.repeats} repeats, "
-        f"{args.threads} thread{'s' if args.threads > 1 else ''})"
-    )
-    cache = tune_geometries(
-        geometries,
-        name=args.name,
-        device_profile_id=profile_id,
-        repeats=args.repeats,
-        num_threads=args.threads,
-        max_candidates=args.max_candidates,
-        seed=args.seed,
-        progress=lambda line: print(f"  {line}"),
-    )
-    path = save_tuning(cache, args.out)
-    print(f"wrote {path} ({len(cache)} entries)")
-
-    # Re-measure gate: fresh timings for every non-default winner.  A
-    # winner that now loses to the default by >10% was a noise artifact —
-    # fail so CI never ships a cache that would slow plans down.
-    failed = 0
-    for entry in cache.entries:
-        if entry.config.is_default:
-            continue
-        chosen_us = measure_config(
-            entry.geometry, entry.config, repeats=args.repeats,
-            num_threads=args.threads, seed=args.seed + 1,
-        )
-        default_us = measure_config(
-            entry.geometry, DEFAULT_CONFIG, repeats=args.repeats,
-            num_threads=args.threads, seed=args.seed + 1,
-        )
-        if chosen_us > default_us * 1.10:
-            failed += 1
-            print(
-                f"tune: {entry.geometry.key}: chosen config re-measures "
-                f"{chosen_us:.0f}us vs default {default_us:.0f}us "
-                "(>10% slower)",
-                file=sys.stderr,
-            )
-    if failed:
-        return 1
-    return 0
-
-
-def cmd_tunings(args) -> int:
-    from repro.tune import TuningError, diff_tunings, list_tunings, load_tuning
-
-    if args.action == "list":
-        rows = list_tunings(args.dir)
-        if not rows:
-            print(f"no tuning caches under {args.dir}")
-            return 0
-        for row in rows:
-            if "problems" in row:
-                print(f"{row['path']}: INVALID: {'; '.join(row['problems'])}")
-                continue
-            print(
-                f"{row['path']}: {row['name']}, {row['entries']} entries "
-                f"({row['tuned']} non-default), "
-                f"profiles: {', '.join(row['profiles'])}"
-            )
-        return 0
-
-    try:
-        cache = load_tuning(args.path)
-        if args.action == "diff":
-            other = load_tuning(args.other)
-    except TuningError as exc:
-        print(f"tuning {args.action}: {exc}", file=sys.stderr)
-        return 2
-
-    if args.action == "show":
-        print(f"{cache.name} (schema v{cache.schema_version})")
-        for entry in cache.entries:
-            cfg = entry.config
-            print(
-                f"  {entry.geometry.key} @ {entry.device_profile_id}: "
-                f"tile_m={cfg.tile_m} tile_n={cfg.tile_n} "
-                f"tile_k_words={cfg.tile_k_words} im2col={cfg.im2col} "
-                f"grain={cfg.thread_grain}  "
-                f"best {entry.best_us:.0f}us default {entry.default_us:.0f}us "
-                f"(x{entry.speedup:.2f}, {entry.candidates} candidates, "
-                f"{entry.repeats} repeats)"
-            )
-        return 0
-
-    diffs = diff_tunings(cache, other)
-    if not diffs:
-        print("tuning caches are identical")
-        return 0
-    for key, (va, vb) in sorted(diffs.items()):
-        print(f"{key}: {va} -> {vb}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Larq Compute Engine reproduction tooling"
@@ -1035,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=3, help="timed iterations for --engine runs"
     )
     _add_profile_arg(p)
-    _add_tuning_arg(p)
     p.set_defaults(fn=cmd_benchmark)
 
     p = sub.add_parser("profile", help="per-operator latency breakdown")
@@ -1047,7 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure per-node wall-clock through repro.runtime.Engine",
     )
     _add_profile_arg(p)
-    _add_tuning_arg(p)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("summarize", help="per-layer shapes, params and MACs")
@@ -1305,55 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("path")
     pp.add_argument("other")
     pp.set_defaults(fn=cmd_profiles)
-
-    p = sub.add_parser(
-        "tune",
-        help="microbench-search per-geometry kernel schedules; writes a "
-        "tuning-cache artifact for --engine plan compilation",
-    )
-    _add_model_arg(p)
-    p.add_argument(
-        "--batch", type=int, default=1,
-        help="batch factor the tuned plans will run (part of the geometry key)",
-    )
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument(
-        "--repeats", type=int, default=5,
-        help="recorded measurements per candidate (plus a discarded warm-up)",
-    )
-    p.add_argument(
-        "--max-candidates", type=int, default=None,
-        help="cap the per-geometry candidate grid (the default schedule is "
-        "always measured)",
-    )
-    p.add_argument(
-        "--geometry-limit", type=int, default=None,
-        help="tune only the first N unique geometries",
-    )
-    p.add_argument(
-        "--name", default="tuned", help="tuning-cache name for the artifact"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--out", default="tuning.json", help="artifact output path"
-    )
-    _add_profile_arg(p)
-    p.set_defaults(fn=cmd_tune)
-
-    p = sub.add_parser(
-        "tuning", help="list / show / diff tuning-cache artifacts"
-    )
-    tsub = p.add_subparsers(dest="action", required=True)
-    tp = tsub.add_parser("list", help="summarize tuning caches in a directory")
-    tp.add_argument("dir", nargs="?", default=".")
-    tp.set_defaults(fn=cmd_tunings)
-    tp = tsub.add_parser("show", help="print one tuning-cache artifact")
-    tp.add_argument("path")
-    tp.set_defaults(fn=cmd_tunings)
-    tp = tsub.add_parser("diff", help="entry-by-entry tuning differences")
-    tp.add_argument("path")
-    tp.add_argument("other")
-    tp.set_defaults(fn=cmd_tunings)
 
     return parser
 

@@ -210,10 +210,10 @@ def bconv2d(
             performs no NumPy allocations; without one behaviour matches the
             original allocating path.  Results are bit-identical either way.
         config: a :class:`~repro.core.kernel_config.KernelConfig` choosing
-            the BGEMM tiling, im2col strategy and thread grain — typically
-            a per-geometry winner from the :mod:`repro.tune` cache.  Every
-            config is bit-exactness-preserving; ``None`` means
-            :data:`~repro.core.kernel_config.DEFAULT_CONFIG`.
+            the BGEMM tiling and im2col strategy.  Every config is
+            bit-exactness-preserving; ``None`` means
+            :data:`~repro.core.kernel_config.DEFAULT_CONFIG`, which is
+            what every plan runs.
 
     Returns:
         ``(N, out_h, out_w, out_channels)`` float32 array, or a
@@ -329,12 +329,10 @@ def _bgemm(
             num_threads=num_threads,
             tile_m=config.tile_m, tile_n=config.tile_n,
             tile_k_words=config.tile_k_words,
-            thread_grain=config.thread_grain,
         )
     return bgemm_parallel(
         a, filters.bits[columns], depth, num_threads=num_threads,
         tile_m=config.tile_m, tile_n=config.tile_n, out=out,
-        thread_grain=config.thread_grain,
     )
 
 
@@ -411,7 +409,7 @@ def reserve_bconv2d_workspace(
     Called by kernel factories at plan-compile time so the plan's
     :class:`~repro.core.workspace.WorkspacePool` preallocates the arena at
     the max size over all nodes.  ``config`` must match what the run-time
-    call will use — tuned tile sizes change the BGEMM scratch shapes, and
+    call will use — tile sizes change the BGEMM scratch shapes, and
     reserving the wrong ones would make steady-state calls grow the arena
     (breaking the no-allocation contract).  Returns the (memoized)
     indirection for the geometry so the factory can pin it on the node's
@@ -440,7 +438,6 @@ def reserve_bconv2d_workspace(
         num_threads,
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
-        thread_grain=config.thread_grain,
     ):
         pool.reserve(name, size, dtype)
     return ind

@@ -82,9 +82,9 @@ def _check_tiles(tile_m: int, tile_n: int, tile_k_words: int = 1) -> None:
 
     Non-positive (or non-integer) tiles would make the panel ``range``
     loops empty and silently leave ``out`` unwritten, so every entry
-    point rejects them up front — the tuner explores adversarial grids
-    and must get a loud error, never garbage output.  Tiles *larger*
-    than the matrix are legal: slicing clamps them to the edge.
+    point rejects them up front — a loud error, never garbage output.
+    Tiles *larger* than the matrix are legal: slicing clamps them to the
+    edge.
     """
     for name, value in (
         ("tile_m", tile_m), ("tile_n", tile_n), ("tile_k_words", tile_k_words)

@@ -253,11 +253,10 @@ def im2col_direct(
     as ``(N, out_h, out_w, taps, words)`` and each tap's plane is written
     by a direct strided slice of the (padded) input, which lands words in
     exactly the positions the flat gather would.  Trades ``taps`` large
-    contiguous copies for the single fancy-index gather; the per-geometry
-    tuner measures which wins.  Shares the padded staging buffer
-    (``bconv/padded``) and the patch buffer (``bconv/patches``) with the
-    indirect path, so plans can switch strategy per node without growing
-    the arena.
+    contiguous copies for the single fancy-index gather.  Shares the
+    padded staging buffer (``bconv/padded``) and the patch buffer
+    (``bconv/patches``) with the indirect path, so either strategy runs
+    in the same arena.
     """
     bits = _checked_bits(x, ind)
     n, _, _, words = bits.shape

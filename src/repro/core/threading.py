@@ -42,17 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.workspace import Workspace
 
 
-def _num_slots(
-    m: int, tile_m: int, num_threads: int, thread_grain: int = 1
-) -> int:
-    """How many scratch slots a parallel BGEMM over ``m`` rows uses.
-
-    ``thread_grain`` groups that many consecutive row tiles into one
-    assignment unit, so coarser grains can need fewer slots.
-    """
-    num_tiles = -(-m // tile_m)
-    num_units = -(-num_tiles // thread_grain)
-    return min(num_threads, num_units)
+def _num_slots(m: int, tile_m: int, num_threads: int) -> int:
+    """How many scratch slots a parallel BGEMM over ``m`` rows uses."""
+    return min(num_threads, -(-m // tile_m))
 
 
 def bgemm_scratch_spec(
@@ -64,7 +56,6 @@ def bgemm_scratch_spec(
     tile_n: int = _TILE_N,
     prefix: str = "bgemm",
     tile_k_words: int = 1,
-    thread_grain: int = 1,
 ) -> list[tuple[str, int, np.dtype]]:
     """The ``(name, size, dtype)`` scratch reservations a BGEMM call needs.
 
@@ -81,7 +72,7 @@ def bgemm_scratch_spec(
     if num_threads == 1 or m <= tile_m:
         prefixes = [prefix]
     else:
-        slots = _num_slots(m, tile_m, num_threads, thread_grain)
+        slots = _num_slots(m, tile_m, num_threads)
         prefixes = [f"{prefix}/{slot}" for slot in range(slots)]
     kb = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
     return [
@@ -103,15 +94,9 @@ def _tile_scratch(
     return spec
 
 
-def _check_threads(num_threads: int, thread_grain: int) -> None:
+def _check_threads(num_threads: int) -> None:
     if num_threads <= 0:
         raise ValueError(f"num_threads must be positive, got {num_threads}")
-    if not isinstance(thread_grain, (int, np.integer)) or isinstance(
-        thread_grain, bool
-    ):
-        raise TypeError(f"thread_grain must be an integer, got {thread_grain!r}")
-    if thread_grain < 1:
-        raise ValueError(f"thread_grain must be >= 1, got {thread_grain}")
 
 
 def _parallel(
@@ -125,7 +110,6 @@ def _parallel(
     workspace: Workspace | None,
     prefix: str,
     tile_k_words: int,
-    thread_grain: int,
 ) -> np.ndarray:
     """Row tiles of checked ``(M, W)`` / ``(N, W)`` operands over a pool.
 
@@ -143,10 +127,7 @@ def _parallel(
             a, b, depth, out, tile_m, tile_n, workspace, prefix, k_block
         )
     tiles = range(0, m, tile_m)
-    units = [
-        tiles[u : u + thread_grain] for u in range(0, len(tiles), thread_grain)
-    ]
-    slots = _num_slots(m, tile_m, num_threads, thread_grain)
+    slots = _num_slots(m, tile_m, num_threads)
     if workspace is not None:
         # Pre-touch every slot's scratch from this thread (a no-op on a
         # plan's reserved arena) so workers never grow the buffer dict.
@@ -158,8 +139,7 @@ def _parallel(
 
     def worker(slot: int) -> None:
         _row_tiles(
-            (i0 for unit in units[slot::slots] for i0 in unit),
-            a, b, depth, out, tile_m, tile_n,
+            tiles[slot::slots], a, b, depth, out, tile_m, tile_n,
             workspace, f"{prefix}/{slot}", k_block,
         )
 
@@ -196,7 +176,6 @@ def bgemm_parallel(
     workspace: Workspace | None = None,
     prefix: str = "bgemm",
     tile_k_words: int = 1,
-    thread_grain: int = 1,
 ) -> np.ndarray:
     """Blocked BGEMM with row panels distributed over a thread pool.
 
@@ -204,23 +183,20 @@ def bgemm_parallel(
     disjoint output rows so no synchronization is needed, and tile-to-slot
     assignment cannot affect results.  ``out``/``workspace``/
     ``tile_k_words`` behave as in ``bgemm_blocked`` with per-slot scratch
-    (see module docstring).  ``thread_grain`` assigns that many
-    *consecutive* row tiles per unit of the round-robin slot schedule
-    (coarser grains trade load balance for contiguous output writes); any
-    grain computes the same tiles.
+    (see module docstring).
     """
     _check_operands(a, b, depth)
     # Validate tiles before the dispatch below: a non-positive tile_n would
     # make every worker's panel range empty and return uninitialized output.
     _check_tiles(tile_m, tile_n, tile_k_words)
-    _check_threads(num_threads, thread_grain)
+    _check_threads(num_threads)
     out = _check_out(out, a.shape[0], b.shape[0])
     if workspace is not None:
         a = pack_kmajor(a, workspace, f"{prefix}/at").T
         b = pack_kmajor(b, workspace, f"{prefix}/bt").T
     return _parallel(
         a, b, depth, out, num_threads, tile_m, tile_n,
-        workspace, prefix, tile_k_words, thread_grain,
+        workspace, prefix, tile_k_words,
     )
 
 
@@ -235,7 +211,6 @@ def bgemm_kmajor(
     tile_n: int = _TILE_N,
     prefix: str = "bgemm",
     tile_k_words: int = 1,
-    thread_grain: int = 1,
 ) -> np.ndarray:
     """The plan-path BGEMM on operands already packed K-major.
 
@@ -248,9 +223,9 @@ def bgemm_kmajor(
     a, b = at.T, bt.T
     _check_operands(a, b, depth)
     _check_tiles(tile_m, tile_n, tile_k_words)
-    _check_threads(num_threads, thread_grain)
+    _check_threads(num_threads)
     out = _check_out(out, a.shape[0], b.shape[0])
     return _parallel(
         a, b, depth, out, num_threads, tile_m, tile_n,
-        workspace, prefix, tile_k_words, thread_grain,
+        workspace, prefix, tile_k_words,
     )

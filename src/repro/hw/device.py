@@ -448,10 +448,12 @@ def list_profiles(directory: "str | Path") -> list[dict]:
                 "path": str(path),
                 "name": obj["name"],
                 "device": obj["device"]["name"],
-                "calibrated": bool(obj["class_factors"])
-                or bool(obj["class_overhead_s"])
-                or bool(obj.get("op_factors"))
-                or bool(obj.get("op_overhead_s")),
+                "calibrated": bool(
+                    obj.get("class_factors", {})
+                    or obj.get("class_overhead_s", {})
+                    or obj.get("op_factors", {})
+                    or obj.get("op_overhead_s", {})
+                ),
                 "samples": fit.get("samples"),
                 "median_abs_pct_error": fit.get("median_abs_pct_error"),
             }

@@ -177,9 +177,6 @@ def _lce_bconv2d_kernel(node, p, ctx):
     int8_scale = p.int8_output_scale
     int8_zp = p.int8_output_zero_point
     num_threads = ctx.num_threads
-    # Tuned schedule override from plan compilation (tuning-cache hit);
-    # None keeps the default tiling/im2col, bit-identical either way.
-    config = ctx.kernel_config
 
     # All shape-dependent im2col work happens here, at compile time: the
     # indirection (gather indices + pad mask) is resolved once per node
@@ -200,11 +197,7 @@ def _lce_bconv2d_kernel(node, p, ctx):
         )
         if ctx.workspace is not None:
             pool = ctx.workspace
-            # The reservation must use the same config as the run-time call
-            # below, or tuned tile shapes would grow the arena in steady state.
-            reserve_bconv2d_workspace(
-                pool, params, in_h, in_w, batch, num_threads, config=config
-            )
+            reserve_bconv2d_workspace(pool, params, in_h, in_w, batch, num_threads)
             # Pack the filters K-major now rather than on the first
             # inference; ``filters`` lives in the ParamCache, so every
             # batch factor and replica shares the one copy.
@@ -227,7 +220,6 @@ def _lce_bconv2d_kernel(node, p, ctx):
             num_threads=num_threads,
             indirection=indirection,
             workspace=pool.current() if pool is not None else None,
-            config=config,
         )
 
     return run

@@ -34,7 +34,6 @@ from repro.core.bitpack import PackedTensor
 from repro.graph.ir import GraphError, Node, TensorSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.kernel_config import KernelConfig
     from repro.core.workspace import WorkspacePool
     from repro.hw.device import DeviceModel, DeviceProfile
     from repro.hw.latency import LatencyBreakdown
@@ -103,9 +102,6 @@ class OpContext:
     ones.  ``workspace`` is the plan-owned scratch arena; factories that
     support it reserve their buffers at compile time and run allocation-free
     (absent for the reference executor, which keeps the allocating path).
-    ``kernel_config`` is a per-node schedule override — plan compilation
-    sets it from a tuning-cache hit so the binarized-conv factory reserves
-    and runs the measured-best tiling; ``None`` keeps the default schedule.
     """
 
     batch_factor: int = 1
@@ -113,7 +109,6 @@ class OpContext:
     cache: ParamCache = field(default_factory=ParamCache)
     specs: Mapping[str, TensorSpec] | None = None
     workspace: WorkspacePool | None = None
-    kernel_config: KernelConfig | None = None
 
 
 # ------------------------------------------------------- attribute schema

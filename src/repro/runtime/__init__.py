@@ -18,7 +18,6 @@ from repro.runtime.plan import (
     CompiledNode,
     CompiledPlan,
     NodeSchedule,
-    NodeTuning,
     ParamCache,
     compile_plan,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "Engine",
     "EngineStats",
     "NodeSchedule",
-    "NodeTuning",
     "ParamCache",
     "compile_plan",
     "greedy_chunks",

@@ -38,7 +38,6 @@ from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import DeviceProfile
-    from repro.tune.cache import TuningCache
 
 Value = Any  # np.ndarray | PackedTensor
 Request = tuple[Value, ...]
@@ -79,12 +78,6 @@ class EngineStats:
     #: nodes with a profile-steered scheduling decision across all compiled
     #: plans (0 for fixed-heuristic plans)
     scheduled_nodes: int = 0
-    #: name of the tuning cache consulted at plan compilation (``"none"``
-    #: when the engine runs untuned default schedules)
-    tuning_id: str = "none"
-    #: binarized-conv nodes running a measured (non-default) schedule
-    #: across all compiled plans
-    tuned_nodes: int = 0
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -181,12 +174,6 @@ class Engine:
             decisions visible on ``plan.schedule``, in ``EngineStats``
             and in ``plan.execute`` trace spans.  Outputs are unchanged —
             only scheduling is.
-        tuning: a :class:`~repro.tune.cache.TuningCache` of measured
-            per-geometry kernel schedules; every plan this engine compiles
-            looks its binarized-conv geometries up under the active
-            profile id and applies the winners (see
-            :func:`repro.runtime.plan.compile_plan`).  Untuned geometries
-            keep the bit-identical default schedule.
 
     Thread safety: one engine may be shared by any number of threads; plan
     compilation and the weight cache are serialized behind a lock while
@@ -210,7 +197,6 @@ class Engine:
         trace: Tracer | None = None,
         param_cache: ParamCache | None = None,
         profile: DeviceProfile | None = None,
-        tuning: TuningCache | None = None,
     ) -> None:
         graph = getattr(model, "graph", model)
         if not isinstance(graph, Graph):
@@ -234,7 +220,6 @@ class Engine:
         self._plans: dict[int, CompiledPlan] = {}
         self._param_cache = param_cache if param_cache is not None else ParamCache()
         self._profile = profile
-        self._tuning = tuning
 
         #: tracer recording this engine's spans; NULL_TRACER when disabled
         self.tracer: Tracer | NullTracer = trace if trace is not None else NULL_TRACER
@@ -264,7 +249,6 @@ class Engine:
         m.gauge("workspace.bytes_reserved", self._workspace_bytes_view)
         m.gauge("engine.verified", self._verified_view)
         m.gauge("engine.scheduled_nodes", self._scheduled_nodes_view)
-        m.gauge("engine.tuned_nodes", self._tuned_nodes_view)
         self._node_time_s: dict[str, float] = {}  # guarded by metrics lock
         self._last_node_times: dict[str, float] = {}
 
@@ -284,10 +268,6 @@ class Engine:
         with self._plan_lock:
             return sum(len(p.schedule) for p in self._plans.values())
 
-    def _tuned_nodes_view(self) -> int:
-        with self._plan_lock:
-            return sum(p.tuned_nodes for p in self._plans.values())
-
     # ------------------------------------------------------------- plumbing
     def plan(self, batch_factor: int = 1) -> CompiledPlan:
         """The cached :class:`CompiledPlan` for ``batch_factor``."""
@@ -302,7 +282,6 @@ class Engine:
                     num_threads=self.num_threads,
                     cache=self._param_cache,
                     profile=self._profile,
-                    tuning=self._tuning,
                 )
                 self._plans[batch_factor] = plan
                 compiled = True
@@ -318,11 +297,7 @@ class Engine:
                 profile_id=(
                     self._profile.name if self._profile is not None else "default"
                 ),
-                tuning_id=(
-                    self._tuning.name if self._tuning is not None else "none"
-                ),
                 scheduled_nodes=len(plan.schedule),
-                tuned_nodes=plan.tuned_nodes,
             )
         return plan
 
@@ -511,8 +486,6 @@ class Engine:
             node_time_s=node_time_s,
             profile_id=self._profile.name if self._profile is not None else "default",
             scheduled_nodes=snap["engine.scheduled_nodes"],
-            tuning_id=self._tuning.name if self._tuning is not None else "none",
-            tuned_nodes=snap["engine.tuned_nodes"],
         )
 
     def metrics_snapshot(self) -> dict[str, Any]:

@@ -51,10 +51,8 @@ from repro.ops import (
 from repro.runtime.rebatch import rebatched_specs
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
-    from repro.core.kernel_config import KernelConfig
     from repro.hw.device import DeviceProfile
     from repro.obs.trace import Tracer
-    from repro.tune.cache import TuningCache
 
 
 def _slice_rows(value: Value, start: int, stop: int) -> Value:
@@ -118,24 +116,6 @@ class NodeSchedule:
 
 
 @dataclass(frozen=True)
-class NodeTuning:
-    """One tuning-cache consultation, recorded on the plan.
-
-    ``source`` is ``"tuned"`` when the cache held a measured config for
-    this node's ``(geometry, device_profile_id)`` key (then ``config`` is
-    that winner) and ``"default"`` on a miss (``config`` is ``None`` and
-    the node runs the bit-identical default schedule).
-    """
-
-    name: str
-    op: str
-    geometry: str
-    device_profile_id: str
-    source: str  # "tuned" | "default"
-    config: KernelConfig | None = None
-
-
-@dataclass(frozen=True)
 class CompiledNode:
     """One node, ready to run: resolved kernel, slots, and free list."""
 
@@ -176,16 +156,6 @@ class CompiledPlan:
     schedule: tuple[NodeSchedule, ...] = ()
     #: name of the device profile that steered compilation, or None
     profile_id: str | None = None
-    #: per-binarized-conv tuning decisions when a tuning cache was
-    #: consulted (empty for untuned plans)
-    tuning: tuple[NodeTuning, ...] = ()
-    #: name of the tuning cache that was consulted, or None
-    tuning_id: str | None = None
-
-    @property
-    def tuned_nodes(self) -> int:
-        """How many nodes run a measured (non-default) schedule."""
-        return sum(1 for t in self.tuning if t.source == "tuned")
 
     @property
     def base_batch(self) -> int:
@@ -234,9 +204,6 @@ class CompiledPlan:
             if self.profile_id is not None:
                 span_args["profile"] = self.profile_id
                 span_args["scheduled"] = len(self.schedule)
-            if self.tuning_id is not None:
-                span_args["tuning"] = self.tuning_id
-                span_args["tuned"] = self.tuned_nodes
             with tracer.span("plan.execute", **span_args):
                 self._run_nodes(slots, node_times, tracer)
         else:
@@ -350,7 +317,6 @@ def compile_plan(
     num_threads: int = 1,
     cache: ParamCache | None = None,
     profile: DeviceProfile | None = None,
-    tuning: TuningCache | None = None,
 ) -> CompiledPlan:
     """Compile ``graph`` into a :class:`CompiledPlan`.
 
@@ -366,13 +332,6 @@ def compile_plan(
             (``num_threads`` becomes the per-node *ceiling*), and every
             decision is recorded on :attr:`CompiledPlan.schedule`.  Only
             scheduling changes — outputs stay bit-identical.
-        tuning: a :class:`~repro.tune.cache.TuningCache`.  When given,
-            each ``lce_bconv2d`` node's geometry is looked up under the
-            active device-profile id (``profile.name``, or ``"default"``
-            without a profile); on a hit the node's kernels compile with
-            the measured-best :class:`~repro.core.kernel_config.KernelConfig`
-            and on a miss they keep the default schedule, bit-identically.
-            Every consultation is recorded on :attr:`CompiledPlan.tuning`.
     """
     if batch_factor < 1:
         raise ValueError(f"batch_factor must be positive, got {batch_factor}")
@@ -408,16 +367,9 @@ def compile_plan(
         for t in node.inputs:
             last_use[t] = idx
 
-    if tuning is not None:
-        # Local import: repro.tune depends on repro.core/ops only, but the
-        # runtime must stay importable without the tuner package loaded.
-        from repro.tune.geometry import node_geometry
-
-    tuning_profile_id = profile.name if profile is not None else "default"
     base_batch = specs[graph.inputs[0]].shape[0] // batch_factor if graph.inputs else 1
     compiled: list[CompiledNode] = []
     schedule: list[NodeSchedule] = []
-    node_tuning: list[NodeTuning] = []
     for idx, node in enumerate(graph.nodes):
         op_spec = get_spec(node.op)
         node_ctx = ctx
@@ -431,21 +383,6 @@ def compile_plan(
                 split = split or decision.split
                 if op_spec.threadable and decision.num_threads != num_threads:
                     node_ctx = replace(node_ctx, num_threads=decision.num_threads)
-        if tuning is not None and node.op == "lce_bconv2d":
-            geometry = node_geometry(node, specs)
-            entry = tuning.lookup(geometry.key, tuning_profile_id)
-            if entry is not None:
-                node_ctx = replace(node_ctx, kernel_config=entry.config)
-            node_tuning.append(
-                NodeTuning(
-                    name=node.name,
-                    op=node.op,
-                    geometry=geometry.key,
-                    device_profile_id=tuning_profile_id,
-                    source="tuned" if entry is not None else "default",
-                    config=entry.config if entry is not None else None,
-                )
-            )
         fn = compile_node(node, node_ctx)
         if split:
             fn = _split_per_group(fn, base_batch, batch_factor)
@@ -479,6 +416,4 @@ def compile_plan(
         verified=True,  # graph.validate() above ran the dataflow analyses
         schedule=tuple(schedule),
         profile_id=profile.name if profile is not None else None,
-        tuning=tuple(node_tuning),
-        tuning_id=tuning.name if tuning is not None else None,
     )

@@ -1,73 +1,30 @@
-"""Per-geometry kernel autotuning for the binarized hot path.
+"""Geometry keys and kernel measurement for the binarized hot path.
 
-``repro.tune`` measures, persists and applies kernel schedules:
+The kernel schedule is fixed — every plan runs
+:data:`~repro.core.kernel_config.DEFAULT_CONFIG` — so what remains here
+is what measuring that schedule needs:
 
 - :mod:`repro.tune.geometry` keys each binarized convolution workload;
-- :mod:`repro.tune.search` microbenchmarks a bounded candidate grid per
-  geometry (median-of-repeats, warm-up discarded);
-- :mod:`repro.tune.cache` stores the winners as a versioned JSON
-  artifact keyed by ``(geometry, device profile id)``, mirroring the
-  :mod:`repro.hw.device` profile conventions;
-- :func:`repro.runtime.plan.compile_plan` consults a loaded cache and
-  steers each ``lce_bconv2d`` node's kernels with the tuned
-  :class:`~repro.core.kernel_config.KernelConfig` (untuned geometries
-  fall back to the bit-identical default schedule).
+- :func:`repro.tune.search.measure_config` times one geometry under one
+  :class:`~repro.core.kernel_config.KernelConfig`.
 
 The config type itself lives in :mod:`repro.core.kernel_config` so the
-kernels never import the tuner; it is re-exported here as the public
-entry point.
+kernels never import this package; it is re-exported here.
 """
 
-from repro.core.kernel_config import (
-    DEFAULT_CONFIG,
-    IM2COL_STRATEGIES,
-    KernelConfig,
-    validate_kernel_config,
-)
-from repro.tune.cache import (
-    TUNING_SCHEMA,
-    TUNING_SCHEMA_VERSION,
-    TuningCache,
-    TuningEntry,
-    TuningError,
-    diff_tunings,
-    list_tunings,
-    load_tuning,
-    save_tuning,
-    validate_tuning,
-)
+from repro.core.kernel_config import DEFAULT_CONFIG, KernelConfig
 from repro.tune.geometry import (
     ConvGeometryKey,
     graph_geometries,
     node_geometry,
 )
-from repro.tune.search import (
-    candidate_configs,
-    measure_config,
-    tune_geometries,
-    tune_geometry,
-)
+from repro.tune.search import measure_config
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "IM2COL_STRATEGIES",
     "KernelConfig",
-    "validate_kernel_config",
-    "TUNING_SCHEMA",
-    "TUNING_SCHEMA_VERSION",
-    "TuningCache",
-    "TuningEntry",
-    "TuningError",
-    "diff_tunings",
-    "list_tunings",
-    "load_tuning",
-    "save_tuning",
-    "validate_tuning",
     "ConvGeometryKey",
     "graph_geometries",
     "node_geometry",
-    "candidate_configs",
     "measure_config",
-    "tune_geometries",
-    "tune_geometry",
 ]

@@ -1,12 +1,10 @@
-"""Convolution geometry keys: what a tuned kernel config is *for*.
+"""Convolution geometry keys: what a kernel measurement is *of*.
 
-A :class:`ConvGeometryKey` pins every static quantity that shapes the
-binarized hot path's schedule space — batch, spatial extent, channel
-counts, kernel/stride/dilation/padding/groups.  Its :attr:`key` string is
-the first half of the tuning-cache key (the second half is the device
-profile id): the same layer geometry on a different calibrated device
-must miss, and a different batch factor of the same layer is a different
-geometry (the BGEMM M dimension scales with batch).
+A :class:`ConvGeometryKey` pins every static quantity that shapes one
+binarized convolution workload — batch, spatial extent, channel counts,
+kernel/stride/dilation/padding/groups.  A different batch factor of the
+same layer is a different geometry (the BGEMM M dimension scales with
+batch).
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ class ConvGeometryKey:
 
     @property
     def key(self) -> str:
-        """Canonical cache-key string for this geometry."""
+        """Canonical string for this geometry."""
         return (
             f"b{self.batch}_i{self.in_h}x{self.in_w}x{self.in_channels}"
             f"_o{self.out_channels}_k{self.kernel_h}x{self.kernel_w}"
@@ -129,8 +127,8 @@ def node_geometry(node, specs) -> ConvGeometryKey:
 def graph_geometries(graph, batch_factor: int = 1) -> list[ConvGeometryKey]:
     """Unique binarized-conv geometries of ``graph``, in first-seen order.
 
-    These are the workloads a ``tune`` run should search; duplicates
-    (QuickNet repeats each layer shape several times) collapse to one.
+    Duplicates (QuickNet repeats each layer shape several times)
+    collapse to one.
     """
     from repro.runtime.rebatch import rebatched_specs
 

@@ -29,8 +29,8 @@ bgemm_mod = importlib.import_module("repro.core.bgemm")
 
 DEPTH = 190  # 3 packed words, the last one partial
 WORDS = 3
-#: (num_threads, thread_grain) schedules every grid cell runs under
-SCHEDULES = ((1, 1), (2, 1), (2, 2))
+#: thread counts every grid cell runs under
+THREADS = (1, 2)
 
 
 def _operands(rng, m, n, depth=DEPTH):
@@ -66,14 +66,13 @@ class TestKMajorAgainstReference:
         a, b, expected = grid_case
         # tile_k_words == 1 is the derived depth; 2..words+1 are explicit.
         for tile_k_words in range(1, WORDS + 2):
-            for num_threads, grain in SCHEDULES:
+            for num_threads in THREADS:
                 got = _kmajor(
                     a, b, DEPTH, tile_m=tile_m, tile_n=tile_n,
                     tile_k_words=tile_k_words, num_threads=num_threads,
-                    thread_grain=grain,
                 )
                 assert np.array_equal(got, expected), (
-                    tile_k_words, num_threads, grain
+                    tile_k_words, num_threads
                 )
 
     @pytest.mark.parametrize("tile_m,tile_n", [(1, 1), (3, 5), (34, 18)])
@@ -82,10 +81,10 @@ class TestKMajorAgainstReference:
         # ``tile_k_words`` cannot name explicitly.
         monkeypatch.setattr(bgemm_mod, "_XOR_BLOCK_WORDS", 1)
         a, b, expected = grid_case
-        for num_threads, grain in SCHEDULES:
+        for num_threads in THREADS:
             got = _kmajor(
                 a, b, DEPTH, tile_m=tile_m, tile_n=tile_n,
-                num_threads=num_threads, thread_grain=grain,
+                num_threads=num_threads,
             )
             assert np.array_equal(got, expected)
 
@@ -178,8 +177,6 @@ class TestKMajorAgainstReference:
             bgemm_kmajor(at, bt, DEPTH, out, ws, tile_k_words=0)
         with pytest.raises(ValueError):
             bgemm_kmajor(at, bt, DEPTH, out, ws, num_threads=0)
-        with pytest.raises(ValueError):
-            bgemm_kmajor(at, bt, DEPTH, out, ws, num_threads=2, thread_grain=0)
 
 
 class TestDeriveKBlock:
@@ -208,19 +205,19 @@ class TestDeriveKBlock:
 
 
 class TestScratchReservationIsExact:
-    @pytest.mark.parametrize("num_threads,grain", SCHEDULES)
+    @pytest.mark.parametrize("num_threads", THREADS)
     @pytest.mark.parametrize("tile_k_words", [1, 2])
     @pytest.mark.parametrize("m,n,tile_m,tile_n", [
         (1, 17, 256, 128), (33, 17, 8, 5), (300, 40, 64, 16),
     ])
     def test_reserved_arena_never_grows_and_is_all_used(
-        self, rng, m, n, tile_m, tile_n, tile_k_words, num_threads, grain
+        self, rng, m, n, tile_m, tile_n, tile_k_words, num_threads
     ):
         a, b = _operands(rng, m, n)
         ws = Workspace()
         spec = bgemm_scratch_spec(
             m, n, WORDS, num_threads, tile_m, tile_n,
-            tile_k_words=tile_k_words, thread_grain=grain,
+            tile_k_words=tile_k_words,
         )
         for name, size, dtype in spec:
             ws.reserve(name, size, dtype)
@@ -231,7 +228,7 @@ class TestScratchReservationIsExact:
         bgemm_kmajor(
             at, np.ascontiguousarray(b.T), DEPTH, out, ws,
             num_threads=num_threads, tile_m=tile_m, tile_n=tile_n,
-            tile_k_words=tile_k_words, thread_grain=grain,
+            tile_k_words=tile_k_words,
         )
         assert ws.grows == grows
         assert set(ws.names()) == {name for name, _, _ in spec}

@@ -220,10 +220,18 @@ class TestArtifactIO:
         save_profile(calibrated, tmp_path / "cal.json")
         save_profile(DeviceProfile.default(), tmp_path / "def.json")
         (tmp_path / "other.json").write_text('{"schema": "not-a-profile"}')
+        # The four calibration mappings are optional in the schema: a
+        # valid artifact that omits them must list, not crash.
+        minimal = dict(DeviceProfile.default().to_json(), name="minimal")
+        for key in ("class_factors", "class_overhead_s", "op_factors", "op_overhead_s"):
+            del minimal[key]
+        (tmp_path / "min.json").write_text(json.dumps(minimal))
+        assert load_profile(tmp_path / "min.json").name == "minimal"
         rows = {r["name"]: r for r in list_profiles(tmp_path)}
-        assert set(rows) == {"calibrated", "default"}
+        assert set(rows) == {"calibrated", "default", "minimal"}
         assert rows["calibrated"]["calibrated"] is True
         assert rows["default"]["calibrated"] is False
+        assert rows["minimal"]["calibrated"] is False
         assert rows["calibrated"]["samples"] == calibrated.fit.samples
 
     def test_list_reports_invalid_profiles(self, tmp_path):

@@ -208,7 +208,7 @@ def test_l101_covers_serving_paths(tmp_path):
 
 
 def test_l101_covers_tune_paths(tmp_path):
-    # The tuner's microbench calls workspace kernels in a tight loop; an
+    # ``measure_config`` calls workspace kernels in a tight loop; an
     # unguarded allocation there would time the allocator, not the kernel.
     diags = _lint(tmp_path, "src/repro/tune/k.py", _KERNEL_BAD, style=False)
     assert _rules(diags) == {"L101"}
@@ -344,8 +344,8 @@ def test_l103_covers_serving_paths(tmp_path):
 
 
 def test_l103_covers_tune_paths(tmp_path):
-    # Tuning caches are consulted from plan compilation, which can race
-    # across engine threads like any runtime module cache.
+    # tune/ sits on the plan path's side of the fence: a module cache
+    # there can race across engine threads like any runtime module cache.
     diags = _lint(
         tmp_path, "src/repro/tune/memo.py", _CACHE_BAD, style=False
     )
@@ -445,7 +445,7 @@ def test_l104_covers_tune_paths(tmp_path):
 
 
 def test_l104_real_tune_search_module_is_clean():
-    # The shipped tuner passes its own gate: the monotonic perf_counter
+    # The shipped harness passes its own gate: the monotonic perf_counter
     # timer is exempt by design and the single seeded RNG that builds
     # microbench inputs carries a justified allow[L104].
     import pathlib

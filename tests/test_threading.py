@@ -57,28 +57,12 @@ class TestParallelBgemm:
         with pytest.raises(ValueError):
             bgemm_parallel(a, b, 64, num_threads=num_threads, **kw)
 
-    @pytest.mark.parametrize("thread_grain", [1, 2, 3, 100])
-    def test_thread_grain_is_bit_identical(self, rng, thread_grain):
-        a, b = _operands(rng, 700, 16, 128)
-        assert np.array_equal(
-            bgemm_parallel(
-                a, b, 128, num_threads=3, tile_m=64,
-                thread_grain=thread_grain,
-            ),
-            bgemm_blocked(a, b, 128),
-        )
-
     def test_k_word_blocking_under_threads(self, rng):
         a, b = _operands(rng, 300, 16, 300)
         assert np.array_equal(
             bgemm_parallel(a, b, 300, num_threads=2, tile_k_words=2),
             bgemm_blocked(a, b, 300),
         )
-
-    def test_rejects_bad_thread_grain(self, rng):
-        a, b = _operands(rng, 8, 8, 64)
-        with pytest.raises(ValueError):
-            bgemm_parallel(a, b, 64, num_threads=2, thread_grain=0)
 
 
 class TestThreadedLatencyModel:
