@@ -60,12 +60,10 @@ def _serving_comparison():
             # request, re-deriving packed weights every time.
             return [Executor(model.graph).run(x) for x in samples]
 
-        with Engine(model, num_threads=1, max_batch_size=batch) as engine:
+        with Engine(model, max_batch_size=batch) as engine:
             executor_s = _measure(executor_serve)
             engine_s = _measure(lambda: engine.run_many(samples))
-            stats = engine.stats()
-            verified = stats.verified
-            profile_id = stats.profile_id
+            verified = engine.stats().verified
             metrics = engine.metrics_snapshot()
         rows.append(
             {
@@ -77,12 +75,12 @@ def _serving_comparison():
             }
         )
     # metrics: unified-registry snapshot of the last (largest-batch) engine
-    return rows, metrics, profile_id
+    return rows, metrics
 
 
 @pytest.mark.benchmark(group="engine-vs-executor")
 def test_engine_beats_executor_at_batch(benchmark):
-    rows, metrics, profile_id = run_once(benchmark, _serving_comparison)
+    rows, metrics = run_once(benchmark, _serving_comparison)
     print("\nQuickNet-small (64px), per-call Executor vs Engine.run_many:")
     for row in rows:
         print(
@@ -95,9 +93,6 @@ def test_engine_beats_executor_at_batch(benchmark):
         "suite": "engine_vs_executor",
         "model": "quicknet_small@64",
         "verified": all(row["verified"] for row in rows),
-        # The cost model in force on the engines ('default' when no
-        # calibrated DeviceProfile was supplied).
-        "device_profile": profile_id,
         # Unified-registry snapshot (engine + process-wide cache gauges)
         # from the largest-batch engine, so the numbers are attributable.
         "metrics": metrics,

@@ -1,19 +1,13 @@
 """Benches for the beyond-the-paper extensions.
 
 - multi-threaded inference scaling (LCE vs single-threaded DaBNN);
-- whole-model precision comparison (float32 / int8-PTQ / binary);
-- parallel BGEMM wall-clock vs single-threaded.
+- whole-model precision comparison (float32 / int8-PTQ / binary).
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from conftest import run_once
 
-from repro.core.bgemm import bgemm_blocked
-from repro.core.bitpack import pack_bits
-from repro.core.threading import bgemm_parallel
 from repro.experiments import model_precision, threading as threading_exp
 
 
@@ -35,24 +29,3 @@ def test_model_precision_comparison(benchmark, capsys):
     with capsys.disabled():
         print()
         model_precision.main("pixel1")
-
-
-class TestParallelBgemmWallclock:
-    M, K, N = 3136, 1152, 256
-
-    @pytest.fixture(scope="class")
-    def operands(self):
-        rng = np.random.default_rng(2)
-        a = pack_bits(rng.choice([-1.0, 1.0], (self.M, self.K))).bits
-        b = pack_bits(rng.choice([-1.0, 1.0], (self.N, self.K))).bits
-        return a, b
-
-    def test_single_thread(self, benchmark, operands):
-        a, b = operands
-        out = benchmark(bgemm_blocked, a, b, self.K)
-        assert out.shape == (self.M, self.N)
-
-    def test_two_threads(self, benchmark, operands):
-        a, b = operands
-        out = benchmark(bgemm_parallel, a, b, self.K, 2)
-        assert out.shape == (self.M, self.N)

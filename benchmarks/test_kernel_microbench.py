@@ -22,13 +22,12 @@ import numpy as np
 import pytest
 
 from repro.core.bconv2d import BConv2DParams, pack_filters
-from repro.core.bgemm import bgemm, bgemm_blocked, pack_kmajor
+from repro.core.bgemm import bgemm, bgemm_blocked, bgemm_kmajor, pack_kmajor
 from repro.core.bitpack import pack_bits
 from repro.core.bmaxpool import bmaxpool2d
 from repro.core.im2col import conv_geometry
 from repro.core.indirection import get_indirection, im2col_indirect
 from repro.core.quantize_ops import lce_quantize
-from repro.core.threading import bgemm_kmajor
 from repro.core.types import Padding
 from repro.analysis.bench import validate_bench_kernels
 from repro.core.workspace import WorkspacePool
@@ -186,9 +185,6 @@ def test_quicknet_plan_vs_dynamic(benchmark):
         # Reached only after every per-shape bit-exactness assert above
         # passed: the timed plan path provably computes the same values.
         "verified": True,
-        # These kernels run raw (no Engine, no calibrated pricing), so the
-        # cost model in force is the builtin default profile.
-        "device_profile": "default",
         # Process-wide cache state behind the numbers (indirection /
         # geometry gauges from the unified metrics registry), so the perf
         # history records what was amortized.

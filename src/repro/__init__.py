@@ -11,7 +11,7 @@ on NumPy only, every system the paper describes:
 - :mod:`repro.graph` — a small graph IR, executor and model serialization
   with 1-bit packed binary weights.
 - :mod:`repro.runtime` — the serving path: compiled execution plans with a
-  prepacked-weight cache, threaded binary GEMM and batched execution
+  prepacked-weight cache and batched execution
   (:class:`repro.runtime.Engine`), bit-identical to the reference executor.
 - :mod:`repro.converter` — the MLIR-converter analog: a pass pipeline that
   turns training graphs into optimized inference graphs.
@@ -37,11 +37,11 @@ Quickstart::
     out = Executor(model.graph).run(np.random.randn(1, 224, 224, 3))
     latency_ms = DeviceModel.pixel1().graph_latency_ms(model.graph)
 
-Serving (batched, threaded, bit-identical to the executor)::
+Serving (batched, bit-identical to the executor)::
 
     from repro import Engine
 
-    with Engine(model, num_threads=4, max_batch_size=8) as engine:
+    with Engine(model, max_batch_size=8) as engine:
         outs = engine.run_many([x1, x2, x3])   # coalesced into one plan run
         print(engine.stats().throughput_samples_per_s)
 """

@@ -5,11 +5,8 @@ benchmark suites write at the repo root; like ``BENCH_serving.json``
 (validated by :func:`repro.serving.bench.validate_bench_serving`), each
 now has a schema oracle returning a list of human-readable problems —
 empty when valid — that the writing benchmark asserts before the file
-lands.  All three artifacts must stamp ``device_profile`` (the id of the
-:class:`~repro.hw.device.DeviceProfile` in force, or ``"default"``) so
-every recorded number traces to the cost model that priced it; the kernel
-suite additionally records per-geometry dynamic/plan timings so
-regressions are caught row by row.
+lands.  The kernel suite additionally records per-geometry dynamic/plan
+timings so regressions are caught row by row.
 """
 
 from __future__ import annotations
@@ -37,12 +34,6 @@ def _common_problems(obj: Any, suite: str) -> list[str]:
         problems.append(f"suite must be {suite!r}, got {obj.get('suite')!r}")
     if not isinstance(obj.get("verified"), bool):
         problems.append("verified must be a bool")
-    profile = obj.get("device_profile")
-    if not isinstance(profile, str) or not profile:
-        problems.append(
-            "device_profile must be a non-empty string "
-            "(the active profile id, or 'default')"
-        )
     if not isinstance(obj.get("metrics"), dict) or not obj.get("metrics"):
         problems.append("metrics must be a non-empty snapshot object")
     return problems

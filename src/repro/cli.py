@@ -3,7 +3,7 @@
 The deployment-side tooling a released inference engine ships with::
 
     python -m repro benchmark --model quicknet --device pixel1 --threads 4
-    python -m repro benchmark --model quicknet --engine --threads 4 --batch 8
+    python -m repro benchmark --model quicknet --engine --batch 8
     python -m repro profile   --model binarydensenet28 --device rpi4b
     python -m repro summarize --model quicknet_small
     python -m repro convert   --model quicknet --output model.lce
@@ -22,10 +22,10 @@ The deployment-side tooling a released inference engine ships with::
 
 ``--engine`` switches benchmark/profile from the analytical device model to
 *measured* wall-clock through :class:`repro.runtime.Engine` (compiled
-plans, prepacked-weight cache, threaded BGEMM, batched execution).
+plans, prepacked-weight cache, batched execution).
 ``--profile PATH`` makes benchmark/profile price against a trace-fitted
 :class:`repro.hw.DeviceProfile` artifact (from ``repro calibrate``)
-instead of the builtin constants, and steers ``--engine`` plan scheduling.
+instead of the builtin constants.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def cmd_benchmark(args) -> int:
         return rc
     model = _build_converted(args)
     if args.engine:
-        return _benchmark_engine(args, model, profile)
+        return _benchmark_engine(args, model)
     device = profile if profile is not None else DeviceModel.by_name(args.device)
     latency = graph_latency(device, model.graph, threads=args.threads)
     pricing = (
@@ -131,11 +131,15 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _benchmark_engine(args, model, profile=None) -> int:
+def _benchmark_engine(args, model) -> int:
     from repro.runtime import Engine
 
-    if args.threads < 1:
-        print("benchmark --engine: --threads must be >= 1", file=sys.stderr)
+    if args.threads != 1:
+        print(
+            "benchmark --engine: --threads must be 1 (it prices the device "
+            "model; the host engine is single-threaded)",
+            file=sys.stderr,
+        )
         return 2
     if args.batch < 1:
         print("benchmark --engine: --batch must be >= 1", file=sys.stderr)
@@ -143,9 +147,7 @@ def _benchmark_engine(args, model, profile=None) -> int:
     if args.repeats < 1:
         print("benchmark --engine: --repeats must be >= 1", file=sys.stderr)
         return 2
-    with Engine(
-        model, num_threads=args.threads, max_batch_size=args.batch, profile=profile
-    ) as engine:
+    with Engine(model, max_batch_size=args.batch) as engine:
         x = _engine_input(engine.graph, args.batch)
         engine.run(x)  # warm-up: compiles the plan, fills the weight cache
         start = time.perf_counter()
@@ -158,8 +160,7 @@ def _benchmark_engine(args, model, profile=None) -> int:
 
     per_batch_ms = elapsed / args.repeats * 1e3
     print(
-        f"{args.model} via Engine ({args.threads} thread"
-        f"{'s' if args.threads > 1 else ''}, batch {args.batch}): "
+        f"{args.model} via Engine (batch {args.batch}): "
         f"{per_batch_ms:.2f} ms/batch, {per_batch_ms / args.batch:.2f} ms/sample"
     )
     print(
@@ -167,9 +168,7 @@ def _benchmark_engine(args, model, profile=None) -> int:
         f"{stats.param_cache_misses} misses; "
         f"plan cache hit rate {stats.plan_cache_hit_rate:.0%}; "
         f"batch histogram {dict(sorted(stats.batch_histogram.items()))}; "
-        f"verified: {str(stats.verified).lower()}; "
-        f"profile: {stats.profile_id} "
-        f"({stats.scheduled_nodes} scheduled nodes)"
+        f"verified: {str(stats.verified).lower()}"
     )
     print("  " + memory.describe())
     print("  metrics snapshot:")
@@ -186,10 +185,7 @@ def cmd_profile(args) -> int:
     if args.engine:
         from repro.runtime import Engine
 
-        if args.threads < 1:
-            print("profile --engine: --threads must be >= 1", file=sys.stderr)
-            return 2
-        with Engine(model, num_threads=args.threads, profile=profile) as engine:
+        with Engine(model) as engine:
             profiles = profile_engine(device, engine)
             memory = memory_profile(engine)
             verified = engine.stats().verified
@@ -401,12 +397,7 @@ def cmd_trace(args) -> int:
         args.model = args.model_pos
     model = _build_converted(args)
     tracer = Tracer()
-    with Engine(
-        model,
-        num_threads=args.threads,
-        max_batch_size=args.batch,
-        trace=tracer,
-    ) as engine:
+    with Engine(model, max_batch_size=args.batch, trace=tracer) as engine:
         x = _engine_input(engine.graph, args.batch)
         for _ in range(args.repeats):
             engine.run(x)
@@ -434,9 +425,7 @@ def cmd_stats(args) -> int:
     if args.model_pos is not None:
         args.model = args.model_pos
     model = _build_converted(args)
-    with Engine(
-        model, num_threads=args.threads, max_batch_size=args.batch
-    ) as engine:
+    with Engine(model, max_batch_size=args.batch) as engine:
         x = _engine_input(engine.graph, 1)
         for _ in range(args.repeats):
             engine.run(x)
@@ -456,7 +445,6 @@ def _gateway_config(args):
         deadline_ms=args.deadline_ms,
         max_queue=args.max_queue,
         replicas=args.replicas,
-        num_threads=args.threads,
     )
 
 
@@ -746,14 +734,10 @@ def cmd_calibrate(args) -> int:
     if args.repeats < 1:
         print("calibrate: --repeats must be >= 1", file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print("calibrate: --threads must be >= 1", file=sys.stderr)
-        return 2
     profile = calibrate(
         models=tuple(args.models),
         input_size=args.input_size,
         repeats=args.repeats,
-        threads=args.threads,
         base=args.device,
         name=args.name,
         seed=args.seed,
@@ -824,8 +808,7 @@ def cmd_profiles(args) -> int:
             fit = profile.fit
             print(
                 f"  fit: {fit.samples} samples from {', '.join(fit.models)} "
-                f"(input {fit.input_size}, {fit.repeats} repeats, "
-                f"{fit.threads} threads)"
+                f"(input {fit.input_size}, {fit.repeats} repeats)"
             )
             print(
                 f"  |error| median {fit.median_abs_pct_error:.2f}%  "
@@ -852,7 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="estimate on-device latency of a zoo model")
     _add_model_arg(p)
     _add_device_arg(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="threads the device model prices (must be 1 with --engine)",
+    )
     p.add_argument(
         "--engine", action="store_true",
         help="measure wall-clock through repro.runtime.Engine instead of "
@@ -870,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="per-operator latency breakdown")
     _add_model_arg(p)
     _add_device_arg(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--engine", action="store_true",
         help="measure per-node wall-clock through repro.runtime.Engine",
@@ -939,7 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="model", help="zoo model (positional alternative to --model)",
     )
     _add_model_arg(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument(
         "--repeats", type=int, default=1, help="traced engine runs to record"
@@ -957,7 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="model", help="zoo model (positional alternative to --model)",
     )
     _add_model_arg(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument(
         "--repeats", type=int, default=2, help="engine runs before the snapshot"
@@ -982,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="bounded per-model queue; admission sheds beyond it",
         )
         p.add_argument("--replicas", type=int, default=2)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -1104,7 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=15,
         help="recorded runs per model (first warm-up run is discarded)",
     )
-    p.add_argument("--threads", type=int, default=1)
     _add_device_arg(p)
     p.add_argument(
         "--name", default="calibrated", help="profile name for the artifact"

@@ -39,7 +39,6 @@ from repro.core.indirection import (
 )
 from repro.core.workspace import Workspace, WorkspacePool
 from repro.core.bgemm import bgemm, bgemm_blocked, bgemm_reference
-from repro.core.threading import bgemm_parallel
 from repro.core.bitpack import (
     WORD_BITS,
     PackedTensor,
@@ -85,7 +84,6 @@ __all__ = [
     "bconv2d_reference",
     "bgemm",
     "bgemm_blocked",
-    "bgemm_parallel",
     "bgemm_reference",
     "bmaxpool2d",
     "compute_output_thresholds",

@@ -24,7 +24,12 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.bgemm import pack_kmajor
+from repro.core.bgemm import (
+    bgemm_blocked,
+    bgemm_kmajor,
+    bgemm_scratch_spec,
+    pack_kmajor,
+)
 from repro.core.bitpack import PackedTensor, pack_bits, packed_words, unpack_bits
 from repro.core.kernel_config import DEFAULT_CONFIG, KernelConfig
 from repro.core.indirection import (
@@ -32,11 +37,6 @@ from repro.core.indirection import (
     get_indirection,
     im2col_direct,
     im2col_indirect,
-)
-from repro.core.threading import (
-    bgemm_kmajor,
-    bgemm_parallel,
-    bgemm_scratch_spec,
 )
 from repro.core.im2col import conv_geometry, padded_tap_mask
 from repro.core.workspace import Workspace, WorkspacePool
@@ -74,7 +74,7 @@ class PackedFilters:
     @cached_property
     def kmajor(self) -> np.ndarray:
         """``bits`` transposed to the ``(words, out_channels)`` layout of
-        :func:`repro.core.threading.bgemm_kmajor`, computed on first use —
+        :func:`repro.core.bgemm.bgemm_kmajor`, computed on first use —
         plan compilation touches it so the copy is made once per model."""
         return np.ascontiguousarray(self.bits.T)
 
@@ -178,7 +178,6 @@ def bconv2d(
     padding_correction: np.ndarray | None = None,
     int8_output_scale: float | None = None,
     int8_output_zero_point: int = 0,
-    num_threads: int = 1,
     indirection: Indirection | None = None,
     workspace: Workspace | None = None,
     config: KernelConfig | None = None,
@@ -198,9 +197,6 @@ def bconv2d(
             :func:`repro.core.output_transform.compute_output_thresholds`.
         padding_correction: required when ``params.padding`` is
             ``SAME_ZERO``; from :func:`zero_padding_correction`.
-        num_threads: BGEMM thread count; >1 distributes row panels over
-            :func:`repro.core.threading.bgemm_parallel`, which is
-            bit-identical to the single-threaded blocked BGEMM.
         indirection: precomputed im2col plan from
             :func:`repro.core.indirection.get_indirection`.  Compiled plans
             pass the indirection pinned at compile time; eager callers can
@@ -228,8 +224,6 @@ def bconv2d(
             f"filters have {filters.out_channels} output channels, "
             f"params expect {params.out_channels}"
         )
-    if num_threads < 1:
-        raise ValueError(f"num_threads must be positive, got {num_threads}")
     n, in_h, in_w, _ = x.bits.shape
     if indirection is None:
         indirection = get_indirection(
@@ -241,7 +235,7 @@ def bconv2d(
         config = DEFAULT_CONFIG
     if params.groups > 1:
         acc = _grouped_accumulators(
-            x, filters, params, num_threads, indirection, workspace, config
+            x, filters, params, indirection, workspace, config
         )
     else:
         patches = _im2col(x, indirection, workspace, config)
@@ -251,7 +245,7 @@ def bconv2d(
                 "bconv/acc", (patches.shape[0], params.out_channels), np.int32
             )
         acc = _bgemm(
-            patches, filters, params.depth, num_threads,
+            patches, filters, params.depth,
             out=out, workspace=workspace, config=config,
         )
     acc = acc.reshape(n, geom.out_h * geom.out_w, params.out_channels)
@@ -310,7 +304,6 @@ def _bgemm(
     a: np.ndarray,
     filters: PackedFilters,
     depth: int,
-    num_threads: int,
     out: np.ndarray | None = None,
     workspace: Workspace | None = None,
     config: KernelConfig = DEFAULT_CONFIG,
@@ -320,18 +313,17 @@ def _bgemm(
 
     With a workspace: patches are packed K-major into ``bgemm/at`` and
     multiplied against the pre-packed K-major filters.  Without one: the
-    allocating reference BGEMM.  Bit-identical either way, threaded or not.
+    allocating reference BGEMM.  Bit-identical either way.
     """
     if workspace is not None:
         return bgemm_kmajor(
             pack_kmajor(a, workspace, "bgemm/at"),
             filters.kmajor[:, columns], depth, out, workspace,
-            num_threads=num_threads,
             tile_m=config.tile_m, tile_n=config.tile_n,
             tile_k_words=config.tile_k_words,
         )
-    return bgemm_parallel(
-        a, filters.bits[columns], depth, num_threads=num_threads,
+    return bgemm_blocked(
+        a, filters.bits[columns], depth,
         tile_m=config.tile_m, tile_n=config.tile_n, out=out,
     )
 
@@ -340,7 +332,6 @@ def _grouped_accumulators(
     x: PackedTensor,
     filters: PackedFilters,
     params: BConv2DParams,
-    num_threads: int = 1,
     indirection: Indirection | None = None,
     workspace: Workspace | None = None,
     config: KernelConfig = DEFAULT_CONFIG,
@@ -388,7 +379,7 @@ def _grouped_accumulators(
             wg, wg_columns = pack_filters(dense_w[:, :, :, columns]), slice(None)
         patches = _im2col(xg, indirection, workspace, config)
         _bgemm(
-            patches, wg, params.depth, num_threads,
+            patches, wg, params.depth,
             out=acc[:, columns], workspace=workspace, config=config,
             columns=wg_columns,
         )
@@ -401,7 +392,6 @@ def reserve_bconv2d_workspace(
     in_h: int,
     in_w: int,
     batch: int,
-    num_threads: int = 1,
     config: KernelConfig | None = None,
 ) -> Indirection:
     """Reserve every scratch buffer one ``bconv2d`` call will take.
@@ -435,7 +425,6 @@ def reserve_bconv2d_workspace(
         m,
         params.out_channels // params.groups,
         ind.taps * packed_words(params.in_channels // params.groups),
-        num_threads,
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
     ):

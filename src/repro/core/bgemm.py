@@ -19,8 +19,8 @@ where ``K`` is the true depth (number of +/-1 operands per dot product) and
   results, bounded temporary memory.  Without a workspace it is the
   allocating reference the ``Executor`` runs; with one it packs both
   operands K-major and runs the plan-path kernel, which ``LceBConv2d``
-  reaches through :func:`repro.core.threading.bgemm_kmajor` with filters
-  packed once at compile time.
+  reaches through :func:`bgemm_kmajor` with filters packed once at
+  compile time.
 
 **K-major layout.**  Like Ruy (and daBNN's weight re-layout), the plan
 path packs operands into the layout its inner loop wants before the
@@ -78,7 +78,7 @@ def derive_k_block(mt: int, nt: int, words: int) -> int:
 
 
 def _check_tiles(tile_m: int, tile_n: int, tile_k_words: int = 1) -> None:
-    """Validate tile sizes for the blocked/parallel kernels.
+    """Validate tile sizes for the blocked kernel.
 
     Non-positive (or non-integer) tiles would make the panel ``range``
     loops empty and silently leave ``out`` unwritten, so every entry
@@ -219,34 +219,6 @@ def _k_block(
     return min(tile_k_words, words)
 
 
-def _row_tiles(
-    row_starts,
-    a: np.ndarray,
-    b: np.ndarray,
-    depth: int,
-    out: np.ndarray,
-    tile_m: int,
-    tile_n: int,
-    workspace: Workspace | None,
-    prefix: str,
-    k_block: int,
-) -> None:
-    """Every output panel of the row tiles starting at ``row_starts``."""
-    n = b.shape[0]
-    for i0 in row_starts:
-        a_panel = a[i0 : i0 + tile_m]
-        for j0 in range(0, n, tile_n):
-            _tile_into(
-                a_panel,
-                b[j0 : j0 + tile_n],
-                depth,
-                out[i0 : i0 + tile_m, j0 : j0 + tile_n],
-                workspace,
-                prefix,
-                k_block,
-            )
-
-
 def _blocked(
     a: np.ndarray,
     b: np.ndarray,
@@ -258,28 +230,36 @@ def _blocked(
     prefix: str,
     k_block: int,
 ) -> np.ndarray:
-    """Single-threaded panel loop over checked ``(M, W)`` / ``(N, W)``
-    operands (transposed views of K-major storage on the workspace path)."""
+    """Panel loop over checked ``(M, W)`` / ``(N, W)`` operands (transposed
+    views of K-major storage on the workspace path)."""
     m, words = a.shape
+    n = b.shape[0]
     # Ambient tracing: an enabled tracer (installed by an enclosing span,
     # e.g. plan.node) gets one pre-measured kernel.bgemm record per call;
     # disabled cost is one thread-local read and two branches.
     tracer = active_tracer()
     t0 = time.perf_counter() if tracer.enabled else 0.0
-    _row_tiles(
-        range(0, m, tile_m), a, b, depth, out, tile_m, tile_n,
-        workspace, prefix, k_block,
-    )
+    for i0 in range(0, m, tile_m):
+        a_panel = a[i0 : i0 + tile_m]
+        for j0 in range(0, n, tile_n):
+            _tile_into(
+                a_panel,
+                b[j0 : j0 + tile_n],
+                depth,
+                out[i0 : i0 + tile_m, j0 : j0 + tile_n],
+                workspace,
+                prefix,
+                k_block,
+            )
     if tracer.enabled:
         tracer.record(
             "kernel.bgemm",
             t0,
             time.perf_counter() - t0,
             m=m,
-            n=b.shape[0],
+            n=n,
             words=words,
             depth=depth,
-            threads=1,
             k_block=k_block,
             steps=-(-words // k_block),
         )
@@ -324,4 +304,63 @@ def bgemm_blocked(
         a = pack_kmajor(a, workspace, f"{prefix}/at").T
         b = pack_kmajor(b, workspace, f"{prefix}/bt").T
         k_block = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
+    return _blocked(a, b, depth, out, tile_m, tile_n, workspace, prefix, k_block)
+
+
+def bgemm_scratch_spec(
+    m: int,
+    n: int,
+    words: int,
+    tile_m: int = _TILE_M,
+    tile_n: int = _TILE_N,
+    prefix: str = "bgemm",
+    tile_k_words: int = 1,
+) -> list[tuple[str, int, np.dtype]]:
+    """The ``(name, size, dtype)`` scratch reservations a BGEMM call needs.
+
+    Mirrors :func:`bgemm_kmajor`: the K-major patch buffer ``{prefix}/at``
+    plus the tile kernel's ``{prefix}/xk|ck|ksum|out``, with the
+    XOR/popcount blocks sized by the same K depth the call will use.
+    Kernel factories feed this into
+    :meth:`repro.core.workspace.WorkspacePool.reserve` at plan-compile time
+    so the arena is fully sized before the first inference.
+    """
+    _check_tiles(tile_m, tile_n, tile_k_words)
+    kb = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
+    mt, nt = min(tile_m, m), min(tile_n, n)
+    return [
+        (f"{prefix}/at", words * m, np.dtype(np.uint64)),
+        (f"{prefix}/xk", kb * mt * nt, np.dtype(np.uint64)),
+        (f"{prefix}/ck", kb * mt * nt, np.dtype(np.uint8)),
+        (f"{prefix}/ksum", mt * nt, np.dtype(np.int32)),
+        (f"{prefix}/out", mt * nt, np.dtype(np.int32)),
+    ]
+
+
+def bgemm_kmajor(
+    at: np.ndarray,
+    bt: np.ndarray,
+    depth: int,
+    out: np.ndarray,
+    workspace: Workspace,
+    tile_m: int = _TILE_M,
+    tile_n: int = _TILE_N,
+    prefix: str = "bgemm",
+    tile_k_words: int = 1,
+) -> np.ndarray:
+    """The plan-path BGEMM on operands already packed K-major.
+
+    ``at`` is ``(W, M)`` and ``bt`` is ``(W, N)`` (column slices of a wider
+    K-major matrix are fine — the grouped convolution passes those);
+    everything else is as in :func:`bgemm_blocked`, which is this call
+    after packing both operands.  ``bconv2d`` calls it directly with the
+    filters packed once at plan-compile time.
+    """
+    a, b = at.T, bt.T
+    _check_operands(a, b, depth)
+    _check_tiles(tile_m, tile_n, tile_k_words)
+    m, words = a.shape
+    n = b.shape[0]
+    out = _check_out(out, m, n)
+    k_block = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
     return _blocked(a, b, depth, out, tile_m, tile_n, workspace, prefix, k_block)

@@ -21,9 +21,6 @@ Thread-safety rules:
 
 - A :class:`Workspace` belongs to exactly one executing thread; nothing
   in it is locked.
-- Intra-op workers (``bgemm_parallel``) never touch the pool; the node
-  kernel slices per-slot scratch regions out of *its* workspace and hands
-  them to the workers explicitly.
 - :meth:`WorkspacePool.current` is the only cross-thread entry point and
   is internally synchronized.
 """

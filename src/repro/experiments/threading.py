@@ -4,27 +4,15 @@ Not a paper figure, but a paper *claim*: LCE inherits multi-threaded
 inference from the TFLite/Ruy infrastructure, whereas DaBNN "does not
 support multi-threaded inference" (Section 2.3).  This experiment
 quantifies what that difference is worth: QuickNet end-to-end latency
-under 1-4 threads for each engine.
-
-Two measurements back the claim:
-
-- :func:`run` — the analytical device model (the paper's methodology).
-- :func:`run_measured` — actual wall-clock through
-  :class:`repro.runtime.Engine`, whose BGEMM threads over output-row
-  tiles exactly like Ruy.  Interpreting this table needs the host core
-  count it prints: on a multi-core host it shows real scaling; on a
-  single-core host (e.g. a CI container) it instead bounds the threading
-  *overhead*, while the parity suite guarantees the threaded path stays
-  bit-identical regardless.
+under 1-4 threads for each engine, priced by the analytical device model
+(the paper's methodology).  The host engine is single-threaded — it
+spends cores on serving replicas (DESIGN.md section 6) — so only the
+model scales.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.converter import convert
 from repro.experiments.reporting import format_table
@@ -57,49 +45,6 @@ def run(device: str = "rpi4b", model_variant: str = "medium") -> list[ThreadingR
     return results
 
 
-def host_cores() -> int:
-    """CPU cores actually available to this process (affinity-aware)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class MeasuredThreadingResult:
-    threads: int
-    ms_per_batch: float
-    ms_per_sample: float
-
-
-def run_measured(
-    model_variant: str = "small",
-    input_size: int = 64,
-    batch: int = 4,
-    repeats: int = 2,
-    thread_counts: tuple[int, ...] = THREAD_COUNTS,
-) -> list[MeasuredThreadingResult]:
-    """Measure Engine wall-clock at each thread count (same input, same graph)."""
-    from repro.runtime import Engine
-
-    model = convert(quicknet(model_variant, input_size=input_size), in_place=True)
-    spec = model.graph.tensors[model.graph.inputs[0]]
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(
-        (spec.shape[0] * batch,) + tuple(spec.shape[1:])
-    ).astype(np.float32)
-
-    results = []
-    for threads in thread_counts:
-        with Engine(model, num_threads=threads, max_batch_size=batch) as engine:
-            engine.run(x)  # warm-up: plan compile + weight prepacking
-            start = time.perf_counter()
-            for _ in range(repeats):
-                engine.run(x)
-            ms = (time.perf_counter() - start) / repeats * 1e3
-        results.append(MeasuredThreadingResult(threads, ms, ms / batch))
-    return results
-
-
 def main(device: str = "rpi4b") -> None:
     results = run(device)
     by_fw: dict[str, dict[int, float]] = {}
@@ -117,21 +62,6 @@ def main(device: str = "rpi4b") -> None:
             rows,
             title=f"Extension: QuickNet multi-threaded inference on {device} "
             "(DaBNN is single-threaded by design)",
-        )
-    )
-
-    measured = run_measured()
-    ms = {r.threads: r.ms_per_batch for r in measured}
-    counts = tuple(sorted(ms))
-    print()
-    print(
-        format_table(
-            [*(f"{t} thread{'s' if t > 1 else ''} (ms)" for t in counts),
-             "scaling"],
-            [(*(f"{ms[t]:.1f}" for t in counts),
-              f"{ms[counts[0]] / ms[counts[-1]]:.2f}x")],
-            title="Measured: QuickNet-small (64px, batch 4) wall-clock through "
-            f"repro.runtime.Engine on this host ({host_cores()} core(s) available)",
         )
     )
 

@@ -65,7 +65,6 @@ def collect_samples(
     models=DEFAULT_MODELS,
     input_size: int = 64,
     repeats: int = 5,
-    threads: int = 1,
     base: "DeviceModel | DeviceProfile | str" = "pixel1",
     seed: int = 0,
 ) -> list[CalibrationSample]:
@@ -102,9 +101,7 @@ def collect_samples(
         per_run: list[dict[str, float]] = []
         for rep in range(repeats + 1):
             tracer = Tracer()
-            with Engine(
-                graph, num_threads=threads, trace=tracer, param_cache=cache
-            ) as engine:
+            with Engine(graph, trace=tracer, param_cache=cache) as engine:
                 engine.run(x)
             if rep == 0:
                 continue  # warm-up: plan compile + first-touch effects
@@ -174,7 +171,6 @@ def fit_profile(
     *,
     input_size: int = 0,
     repeats: int = 0,
-    threads: int = 1,
 ) -> DeviceProfile:
     """Fit per-op and per-op-class coefficients, build the artifact.
 
@@ -234,7 +230,6 @@ def fit_profile(
         models=tuple(sorted({s.model for s in samples})),
         input_size=input_size,
         repeats=repeats,
-        threads=threads,
         samples=len(samples),
         median_abs_pct_error=float(np.median(abs_pct)),
         mean_abs_pct_error=float(np.mean(abs_pct)),
@@ -256,7 +251,6 @@ def calibrate(
     models=DEFAULT_MODELS,
     input_size: int = 64,
     repeats: int = 5,
-    threads: int = 1,
     base: "DeviceModel | str" = "pixel1",
     name: str = "calibrated",
     seed: int = 0,
@@ -270,7 +264,6 @@ def calibrate(
         models=models,
         input_size=input_size,
         repeats=repeats,
-        threads=threads,
         base=base,
         seed=seed,
     )
@@ -280,5 +273,4 @@ def calibrate(
         name=name,
         input_size=input_size,
         repeats=repeats,
-        threads=threads,
     )

@@ -72,9 +72,6 @@ class DeviceModel:
     pool_elems_per_cycle: float
     #: int8 requantization rate, elements per cycle
     requant_elems_per_cycle: float
-    #: cost of forking/joining one extra worker thread, seconds (used by
-    #: profile-steered plan compilation to decide per-node thread counts)
-    thread_fork_s: float = 8e-6
 
     # ------------------------------------------------------------- helpers
     def cycles_to_seconds(self, cycles: float) -> float:
@@ -202,7 +199,6 @@ class FitReport:
     models: tuple[str, ...]
     input_size: int
     repeats: int
-    threads: int
     samples: int
     median_abs_pct_error: float
     mean_abs_pct_error: float
@@ -332,6 +328,16 @@ def as_profile(device: "DeviceModel | DeviceProfile") -> DeviceProfile:
 
 _DEVICE_FIELDS = {f.name for f in DeviceModel.__dataclass_fields__.values()}
 _FIT_FIELDS = {f.name for f in FitReport.__dataclass_fields__.values()}
+_RESIDUAL_FIELDS = {f.name for f in NodeResidual.__dataclass_fields__.values()}
+
+
+def _check_fields(problems: list[str], label: str, obj: dict, fields: set) -> None:
+    """Report ``obj``'s missing and unknown keys against a dataclass's fields."""
+    missing, extra = fields - set(obj), set(obj) - fields
+    if missing:
+        problems.append(f"{label} missing fields: {sorted(missing)}")
+    if extra:
+        problems.append(f"{label} has unknown fields: {sorted(extra)}")
 
 
 def validate_profile(obj) -> list[str]:
@@ -362,12 +368,7 @@ def validate_profile(obj) -> list[str]:
     if not isinstance(device, dict):
         problems.append("device must be an object of DeviceModel fields")
     else:
-        missing = _DEVICE_FIELDS - set(device) - {"thread_fork_s"}
-        extra = set(device) - _DEVICE_FIELDS
-        if missing:
-            problems.append(f"device missing fields: {sorted(missing)}")
-        if extra:
-            problems.append(f"device has unknown fields: {sorted(extra)}")
+        _check_fields(problems, "device", device, _DEVICE_FIELDS)
         for key in ("sustained_macs_per_cycle", "spill_penalty"):
             if key in device and not isinstance(device[key], dict):
                 problems.append(f"device.{key} must be a mapping")
@@ -386,11 +387,17 @@ def validate_profile(obj) -> list[str]:
         if not isinstance(fit, dict):
             problems.append("fit must be an object or null")
         else:
-            missing = _FIT_FIELDS - set(fit)
-            if missing:
-                problems.append(f"fit missing fields: {sorted(missing)}")
-            if not isinstance(fit.get("residuals", []), list):
+            _check_fields(problems, "fit", fit, _FIT_FIELDS)
+            residuals = fit.get("residuals", [])
+            if not isinstance(residuals, list):
                 problems.append("fit.residuals must be a list")
+                residuals = []
+            for i, residual in enumerate(residuals):
+                label = f"fit.residuals[{i}]"
+                if not isinstance(residual, dict):
+                    problems.append(f"{label} must be an object")
+                else:
+                    _check_fields(problems, label, residual, _RESIDUAL_FIELDS)
     return problems
 
 

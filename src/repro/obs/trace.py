@@ -7,9 +7,9 @@ The span taxonomy mirrors the layers a request passes through::
       plan.execute
         plan.node                  (one per compiled graph node)
           kernel.bgemm             (XOR-popcount GEMM, per call; args m, n,
-                                    words, depth, threads, and the K
-                                    schedule: k_block words per step,
-                                    steps per panel)
+                                    words, depth, and the K schedule:
+                                    k_block words per step, steps per
+                                    panel)
           workspace.acquire        (thread arena lookup)
           indirection.lookup       (eager-path geometry cache)
 

@@ -176,7 +176,6 @@ def _lce_bconv2d_kernel(node, p, ctx):
     output_type = p.output_type
     int8_scale = p.int8_output_scale
     int8_zp = p.int8_output_zero_point
-    num_threads = ctx.num_threads
 
     # All shape-dependent im2col work happens here, at compile time: the
     # indirection (gather indices + pad mask) is resolved once per node
@@ -197,7 +196,7 @@ def _lce_bconv2d_kernel(node, p, ctx):
         )
         if ctx.workspace is not None:
             pool = ctx.workspace
-            reserve_bconv2d_workspace(pool, params, in_h, in_w, batch, num_threads)
+            reserve_bconv2d_workspace(pool, params, in_h, in_w, batch)
             # Pack the filters K-major now rather than on the first
             # inference; ``filters`` lives in the ParamCache, so every
             # batch factor and replica shares the one copy.
@@ -217,7 +216,6 @@ def _lce_bconv2d_kernel(node, p, ctx):
             padding_correction=padding_correction,
             int8_output_scale=int8_scale,
             int8_output_zero_point=int8_zp,
-            num_threads=num_threads,
             indirection=indirection,
             workspace=pool.current() if pool is not None else None,
         )
@@ -256,7 +254,6 @@ register(
         binary=True,
         accepts_bitpacked=True,
         mac_layer=True,
-        threadable=True,
     )
 )
 

@@ -105,7 +105,6 @@ class OpContext:
     """
 
     batch_factor: int = 1
-    num_threads: int = 1
     cache: ParamCache = field(default_factory=ParamCache)
     specs: Mapping[str, TensorSpec] | None = None
     workspace: WorkspacePool | None = None
@@ -229,9 +228,6 @@ class OpSpec:
     #: True when the float kernel is not row-stable across batch sizes and
     #: must run per base-batch group inside a rebatched plan
     split_rebatch: bool = False
-    #: True when the kernel consumes ``ctx.num_threads`` — profile-steered
-    #: plan compilation only spends threads on ops that can use them
-    threadable: bool = False
     #: one-line human description for the ``repro.cli ops`` table
     doc: str = ""
 

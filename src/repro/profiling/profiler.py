@@ -87,8 +87,7 @@ def profile_engine(
 
     Same report as :func:`profile_graph` with ``measure=True``, but the
     measured times come from one :class:`repro.runtime.Engine` execution —
-    i.e. the compiled-plan path, including its intra-op threading — rather
-    than the reference interpreter.  When the engine carries an enabled
+    i.e. the compiled-plan path — rather than the reference interpreter.  When the engine carries an enabled
     tracer, its per-node times are the ``plan.node`` span durations, so
     this profile and a Chrome-trace export of the same run agree exactly.
 

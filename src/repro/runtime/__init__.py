@@ -8,16 +8,15 @@ section "The runtime"):
   weights cached once per graph instead of once per run;
 - :mod:`repro.runtime.rebatch` — batch-polymorphic spec re-inference;
 - :mod:`repro.runtime.engine` — the :class:`Engine`: cached plans per
-  batch size, intra-op threaded binarized GEMMs, synchronous ``run`` /
-  ``run_many`` (micro-batched by :func:`greedy_chunks`), all
-  bit-identical per request to the reference executor.
+  batch size, synchronous ``run`` / ``run_many`` (micro-batched by
+  :func:`greedy_chunks`), all bit-identical per request to the reference
+  executor.
 """
 
 from repro.runtime.engine import Engine, EngineStats, greedy_chunks
 from repro.runtime.plan import (
     CompiledNode,
     CompiledPlan,
-    NodeSchedule,
     ParamCache,
     compile_plan,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "CompiledPlan",
     "Engine",
     "EngineStats",
-    "NodeSchedule",
     "ParamCache",
     "compile_plan",
     "greedy_chunks",

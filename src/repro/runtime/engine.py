@@ -1,7 +1,7 @@
 """The batched inference engine.
 
-Layers plan compilation, prepacked-weight caching, intra-op threading and
-dynamic micro-batching over the graph IR:
+Layers plan compilation, prepacked-weight caching and dynamic
+micro-batching over the graph IR:
 
 - :meth:`Engine.run` — one (possibly batched) synchronous inference through
   a cached :class:`~repro.runtime.plan.CompiledPlan`;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from repro.obs.events import NULL_EVENTS, EventLog, NullEventLog
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hw.device import DeviceProfile
 
 Value = Any  # np.ndarray | PackedTensor
 Request = tuple[Value, ...]
@@ -72,12 +69,6 @@ class EngineStats:
     verified: bool = True
     #: cumulative wall-clock seconds per node across all executions
     node_time_s: dict[str, float] = field(default_factory=dict)
-    #: name of the device profile steering plan compilation (``"default"``
-    #: when no calibrated profile was supplied — fixed-heuristic schedules)
-    profile_id: str = "default"
-    #: nodes with a profile-steered scheduling decision across all compiled
-    #: plans (0 for fixed-heuristic plans)
-    scheduled_nodes: int = 0
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -153,27 +144,19 @@ def greedy_chunks(
 
 
 class Engine:
-    """Batched, multi-threaded inference engine over one graph.
+    """Batched inference engine over one graph.
 
     Args:
         model: a :class:`~repro.graph.ir.Graph` or anything exposing a
             ``.graph`` attribute (e.g. a converter
             :class:`~repro.converter.convert.ConvertedModel`).
-        num_threads: intra-op threads for binarized GEMMs (plumbed down to
-            :func:`repro.core.threading.bgemm_parallel`).
+        num_threads: vestigial, must be 1 (``bench/`` passes it by keyword).
         max_batch_size: largest micro-batch (in base-batch groups) that
             ``run_many`` will coalesce into one plan call.
         param_cache: a :class:`~repro.runtime.plan.ParamCache` to share
             prepacked weights with other engines over the same graph (the
             serving gateway's warm replica pool); a private cache when
             ``None``.
-        profile: a calibrated :class:`~repro.hw.device.DeviceProfile`;
-            when given, every plan this engine compiles chooses per-node
-            thread counts and rebatch splits from the profile's fitted
-            cost model (``num_threads`` becomes the ceiling), with the
-            decisions visible on ``plan.schedule``, in ``EngineStats``
-            and in ``plan.execute`` trace spans.  Outputs are unchanged —
-            only scheduling is.
 
     Thread safety: one engine may be shared by any number of threads; plan
     compilation and the weight cache are serialized behind a lock while
@@ -196,18 +179,16 @@ class Engine:
         max_batch_size: int = 8,
         trace: Tracer | None = None,
         param_cache: ParamCache | None = None,
-        profile: DeviceProfile | None = None,
     ) -> None:
         graph = getattr(model, "graph", model)
         if not isinstance(graph, Graph):
             raise TypeError(f"expected a Graph or model with .graph, got {model!r}")
-        if num_threads < 1:
-            raise ValueError(f"num_threads must be positive, got {num_threads}")
+        if num_threads != 1:
+            raise ValueError(f"num_threads must be 1, got {num_threads}")
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
         graph.verify()
         self.graph = graph
-        self.num_threads = num_threads
         self.max_batch_size = max_batch_size
         if not graph.inputs:
             raise ValueError("engine requires a graph with at least one input")
@@ -219,7 +200,6 @@ class Engine:
         self._plan_lock = ordered_lock("runtime.engine.plan")
         self._plans: dict[int, CompiledPlan] = {}
         self._param_cache = param_cache if param_cache is not None else ParamCache()
-        self._profile = profile
 
         #: tracer recording this engine's spans; NULL_TRACER when disabled
         self.tracer: Tracer | NullTracer = trace if trace is not None else NULL_TRACER
@@ -241,14 +221,12 @@ class Engine:
         self._m_busy_s = m.counter("engine.busy_s")
         self._m_plan_hits = m.counter("plancache.hits")
         self._m_plan_misses = m.counter("plancache.misses")
-        m.gauge("bgemm.threads").set(num_threads)
         # Views over subsystems with their own locks: evaluated at snapshot
         # time, outside the registry lock (see MetricsRegistry.snapshot).
         m.gauge("paramcache.hits", lambda: self._param_cache_view("hits"))
         m.gauge("paramcache.misses", lambda: self._param_cache_view("misses"))
         m.gauge("workspace.bytes_reserved", self._workspace_bytes_view)
         m.gauge("engine.verified", self._verified_view)
-        m.gauge("engine.scheduled_nodes", self._scheduled_nodes_view)
         self._node_time_s: dict[str, float] = {}  # guarded by metrics lock
         self._last_node_times: dict[str, float] = {}
 
@@ -264,10 +242,6 @@ class Engine:
         with self._plan_lock:
             return int(all(p.verified for p in self._plans.values()))
 
-    def _scheduled_nodes_view(self) -> int:
-        with self._plan_lock:
-            return sum(len(p.schedule) for p in self._plans.values())
-
     # ------------------------------------------------------------- plumbing
     def plan(self, batch_factor: int = 1) -> CompiledPlan:
         """The cached :class:`CompiledPlan` for ``batch_factor``."""
@@ -277,11 +251,7 @@ class Engine:
             if plan is None:
                 self._m_plan_misses.inc()
                 plan = compile_plan(
-                    self.graph,
-                    batch_factor=batch_factor,
-                    num_threads=self.num_threads,
-                    cache=self._param_cache,
-                    profile=self._profile,
+                    self.graph, batch_factor=batch_factor, cache=self._param_cache
                 )
                 self._plans[batch_factor] = plan
                 compiled = True
@@ -291,14 +261,7 @@ class Engine:
         # event log's own lock ranks above it, and cache hits (the hot
         # path) emit nothing.
         if compiled:
-            self.events.emit(
-                "plan.compile",
-                batch_factor=batch_factor,
-                profile_id=(
-                    self._profile.name if self._profile is not None else "default"
-                ),
-                scheduled_nodes=len(plan.schedule),
-            )
+            self.events.emit("plan.compile", batch_factor=batch_factor)
         return plan
 
     def _normalize_request(self, inputs: Sequence[Value]) -> Request:
@@ -484,8 +447,6 @@ class Engine:
             workspace_bytes=snap["workspace.bytes_reserved"],
             verified=bool(snap["engine.verified"]),
             node_time_s=node_time_s,
-            profile_id=self._profile.name if self._profile is not None else "default",
-            scheduled_nodes=snap["engine.scheduled_nodes"],
         )
 
     def metrics_snapshot(self) -> dict[str, Any]:

@@ -29,7 +29,7 @@ leading extent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -40,18 +40,15 @@ from repro.graph.ir import Graph, TensorSpec
 from repro.ops import (
     KernelFn,
     OpContext,
-    OpSpec,
     ParamCache,
     Value,
     check_value,
     compile_node,
     get_spec,
-    node_cost,
 )
 from repro.runtime.rebatch import rebatched_specs
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
-    from repro.hw.device import DeviceProfile
     from repro.obs.trace import Tracer
 
 
@@ -75,9 +72,7 @@ def _split_per_group(fn: KernelFn, base_batch: int, factor: int) -> KernelFn:
 
     Applied to ``split_rebatch`` ops in rebatched plans so batched results
     stay bit-identical to per-base-batch runs (float BLAS GEMMs are not
-    row-stable across row counts), and to binarized MAC layers when a
-    calibrated profile predicts per-group execution is cheaper (exact
-    integer arithmetic, so splitting never changes the result).
+    row-stable across row counts).
     """
 
     def fn_split(ins):
@@ -96,26 +91,6 @@ def _split_per_group(fn: KernelFn, base_batch: int, factor: int) -> KernelFn:
 
 
 @dataclass(frozen=True)
-class NodeSchedule:
-    """One profile-steered scheduling decision, recorded on the plan.
-
-    ``num_threads`` is the per-node intra-op thread count the calibrated
-    cost model chose (1 for ops that cannot use threads); ``split`` records
-    whether the node runs per base-batch group instead of one batched call.
-    ``predicted_s`` is the model's estimate for the chosen schedule and
-    ``default_s`` for the fixed-heuristic schedule, both per plan call —
-    their ratio is the predicted win, visible in ``EngineStats`` and traces.
-    """
-
-    name: str
-    op: str
-    num_threads: int
-    split: bool
-    predicted_s: float
-    default_s: float
-
-
-@dataclass(frozen=True)
 class CompiledNode:
     """One node, ready to run: resolved kernel, slots, and free list."""
 
@@ -130,11 +105,10 @@ class CompiledNode:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """An executable plan for one (graph, batch factor, threads) triple."""
+    """An executable plan for one (graph, batch factor) pair."""
 
     graph: Graph
     batch_factor: int
-    num_threads: int
     nodes: tuple[CompiledNode, ...]
     num_slots: int
     input_slots: tuple[int, ...]
@@ -151,11 +125,6 @@ class CompiledPlan:
     #: at compile time.  :func:`compile_plan` always sets this; it is False
     #: only for hand-assembled plans that bypassed validation.
     verified: bool = False
-    #: per-node scheduling decisions when a device profile steered
-    #: compilation (empty for fixed-heuristic plans)
-    schedule: tuple[NodeSchedule, ...] = ()
-    #: name of the device profile that steered compilation, or None
-    profile_id: str | None = None
 
     @property
     def base_batch(self) -> int:
@@ -196,15 +165,11 @@ class CompiledPlan:
             check_value(value, spec, self.slot_names[slot])
             slots[slot] = value
         if tracer is not None and tracer.enabled:
-            span_args = {
-                "batch_factor": self.batch_factor,
-                "num_threads": self.num_threads,
-                "nodes": len(self.nodes),
-            }
-            if self.profile_id is not None:
-                span_args["profile"] = self.profile_id
-                span_args["scheduled"] = len(self.schedule)
-            with tracer.span("plan.execute", **span_args):
+            with tracer.span(
+                "plan.execute",
+                batch_factor=self.batch_factor,
+                nodes=len(self.nodes),
+            ):
                 self._run_nodes(slots, node_times, tracer)
         else:
             self._run_nodes(slots, node_times, None)
@@ -236,87 +201,11 @@ class CompiledPlan:
                 slots[s] = None
 
 
-def _schedule_node(
-    profile: "DeviceProfile",
-    graph: Graph,
-    specs,
-    node,
-    spec: OpSpec,
-    batch_factor: int,
-    num_threads: int,
-) -> NodeSchedule | None:
-    """Choose (threads, split) for one node from the calibrated cost model.
-
-    The search compares, per plan call, one batched kernel invocation
-    against ``batch_factor`` per-base-batch invocations (each paying its
-    own dispatch overhead), across every usable thread count (each extra
-    thread paying the profile's fork/join cost).  Splitting is a free
-    choice only for exact-arithmetic binarized MAC layers; ``split_rebatch``
-    ops are forced per-group for bit-exactness regardless of cost, and
-    thread counts above 1 are only considered for ``threadable`` ops.
-    Returns ``None`` for nodes without a cost hook (no basis to schedule).
-    """
-    if spec.cost is None:
-        return None
-    base_in = [graph.tensors[t] for t in node.inputs]
-    base_out = [graph.tensors[t] for t in node.outputs]
-    try:
-        base = node_cost(profile, node, base_in, base_out)
-    except (ValueError, KeyError):
-        return None
-    if batch_factor == 1:
-        batched = base
-    else:
-        batched = node_cost(
-            profile,
-            node,
-            [specs[t] for t in node.inputs],
-            [specs[t] for t in node.outputs],
-        )
-
-    fork_s = profile.device.thread_fork_s
-    forced_split = batch_factor > 1 and spec.split_rebatch
-
-    def cost_of(threads: int, split: bool) -> float:
-        per_call = base if split else batched
-        calls = batch_factor if split else 1
-        return calls * (
-            per_call.with_threads(threads).total_s + (threads - 1) * fork_s
-        )
-
-    # The fixed heuristic this replaces: one batched call (except forced
-    # splits) at the plan-wide thread count for thread-capable kernels.
-    default_s = cost_of(num_threads if spec.threadable else 1, forced_split)
-
-    thread_options = range(1, num_threads + 1) if spec.threadable else (1,)
-    if forced_split:
-        split_options: tuple[bool, ...] = (True,)
-    elif batch_factor > 1 and spec.binary and spec.mac_layer:
-        split_options = (False, True)
-    else:
-        split_options = (False,)
-    best_cost, best_threads, best_split = None, 1, forced_split
-    for threads in thread_options:
-        for split in split_options:
-            cost = cost_of(threads, split)
-            if best_cost is None or cost < best_cost:
-                best_cost, best_threads, best_split = cost, threads, split
-    return NodeSchedule(
-        name=node.name,
-        op=node.op,
-        num_threads=best_threads,
-        split=best_split,
-        predicted_s=best_cost,
-        default_s=default_s,
-    )
-
-
 def compile_plan(
     graph: Graph,
     batch_factor: int = 1,
     num_threads: int = 1,
     cache: ParamCache | None = None,
-    profile: DeviceProfile | None = None,
 ) -> CompiledPlan:
     """Compile ``graph`` into a :class:`CompiledPlan`.
 
@@ -324,26 +213,19 @@ def compile_plan(
         graph: a validated graph (training or converted).
         batch_factor: run ``batch_factor`` copies of the graph's base batch
             per call; tensor specs are re-inferred for the batched shapes.
-        num_threads: intra-op threads for the ``lce_bconv2d`` BGEMM.
+        num_threads: vestigial, must be 1 (``bench/`` passes it by keyword).
         cache: shared :class:`ParamCache`; a fresh one is used if omitted.
-        profile: a :class:`~repro.hw.device.DeviceProfile`.  When given,
-            per-node thread counts and rebatch splits are chosen by the
-            profile's calibrated cost model instead of the fixed rules
-            (``num_threads`` becomes the per-node *ceiling*), and every
-            decision is recorded on :attr:`CompiledPlan.schedule`.  Only
-            scheduling changes — outputs stay bit-identical.
     """
     if batch_factor < 1:
         raise ValueError(f"batch_factor must be positive, got {batch_factor}")
-    if num_threads < 1:
-        raise ValueError(f"num_threads must be positive, got {num_threads}")
+    if num_threads != 1:
+        raise ValueError(f"num_threads must be 1, got {num_threads}")
     graph.validate()
     cache = cache if cache is not None else ParamCache()
     specs = rebatched_specs(graph, batch_factor)
     workspace = WorkspacePool()
     ctx = OpContext(
         batch_factor=batch_factor,
-        num_threads=num_threads,
         cache=cache,
         specs=specs,
         workspace=workspace,
@@ -369,22 +251,9 @@ def compile_plan(
 
     base_batch = specs[graph.inputs[0]].shape[0] // batch_factor if graph.inputs else 1
     compiled: list[CompiledNode] = []
-    schedule: list[NodeSchedule] = []
     for idx, node in enumerate(graph.nodes):
-        op_spec = get_spec(node.op)
-        node_ctx = ctx
-        split = batch_factor > 1 and op_spec.split_rebatch
-        if profile is not None:
-            decision = _schedule_node(
-                profile, graph, specs, node, op_spec, batch_factor, num_threads
-            )
-            if decision is not None:
-                schedule.append(decision)
-                split = split or decision.split
-                if op_spec.threadable and decision.num_threads != num_threads:
-                    node_ctx = replace(node_ctx, num_threads=decision.num_threads)
-        fn = compile_node(node, node_ctx)
-        if split:
+        fn = compile_node(node, ctx)
+        if batch_factor > 1 and get_spec(node.op).split_rebatch:
             fn = _split_per_group(fn, base_batch, batch_factor)
         frees = tuple(
             slot_of[t]
@@ -405,7 +274,6 @@ def compile_plan(
     return CompiledPlan(
         graph=graph,
         batch_factor=batch_factor,
-        num_threads=num_threads,
         nodes=tuple(compiled),
         num_slots=len(slot_names),
         input_slots=tuple(slot_of[t] for t in graph.inputs),
@@ -414,6 +282,4 @@ def compile_plan(
         slot_names=tuple(slot_names),
         workspace=workspace,
         verified=True,  # graph.validate() above ran the dataflow analyses
-        schedule=tuple(schedule),
-        profile_id=profile.name if profile is not None else None,
     )

@@ -16,9 +16,6 @@ The output contract (``BENCH_serving.json``):
 - ``verified``: every replica engine's plans passed static analysis
   (:attr:`EngineStats.verified <repro.runtime.EngineStats>`) — perf
   numbers trace to legal graphs;
-- ``device_profile``: the id of the :class:`~repro.hw.device.DeviceProfile`
-  in force on the replica engines (``"default"`` when uncalibrated) —
-  perf numbers trace to the cost model that priced them;
 - ``curves``: one row per offered-load point (at least three), each with
   ``offered_rps``/``achieved_rps``/counts/percentiles/``mean_batch``
   and ``gen_lateness_p99_ms``/``gen_lateness_max_ms`` (latencies start
@@ -110,7 +107,6 @@ def run_bench(
     curves: list[dict[str, Any]] = []
     verified = True
     metrics: dict[str, Any] = {}
-    device_profile = "default"
     events_total = 0
     events_dropped = 0
     health: dict[str, str] = {}
@@ -119,10 +115,6 @@ def run_bench(
         event_log = EventLog()
         with Gateway(models, config, trace=trace, events=event_log) as gateway:
             gateway.warmup(factors=(1, config.max_batch))
-            # The cost model in force on the replica engines ('default'
-            # unless a calibrated DeviceProfile was injected).
-            first = gateway.server(gateway.models[0]).engines[0]
-            device_profile = first.stats().profile_id
             report = run_load(
                 gateway, arrivals, lambda name: (inputs[name],)
             )
@@ -162,10 +154,8 @@ def run_bench(
             "deadline_ms": config.deadline_ms,
             "max_queue": config.max_queue,
             "replicas": config.replicas,
-            "num_threads": config.num_threads,
         },
         "verified": verified,
-        "device_profile": device_profile,
         # Whether the runtime lock sanitizer watched this run: curves
         # measured under REPRO_SANITIZE=1 carry checking locks and are
         # not comparable to production numbers.
@@ -197,13 +187,6 @@ def validate_bench_serving(obj: Any) -> list[str]:
     if not isinstance(obj.get("sanitized"), bool):
         problems.append(
             "sanitized must be a bool (was the lock sanitizer active?)"
-        )
-    if not isinstance(obj.get("device_profile"), str) or not obj.get(
-        "device_profile"
-    ):
-        problems.append(
-            "device_profile must be a non-empty string "
-            "(the active profile id, or 'default')"
         )
     if not isinstance(obj.get("metrics"), dict) or not obj.get("metrics"):
         problems.append("metrics must be a non-empty snapshot object")

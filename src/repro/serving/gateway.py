@@ -123,7 +123,7 @@ class GatewayConfig:
     max_queue: int = 64
     #: warm engines per model, sharing one prepacked ParamCache
     replicas: int = 1
-    #: intra-op threads per engine
+    #: vestigial, must be 1 (``bench/`` passes it by keyword)
     num_threads: int = 1
     #: consecutive batch failures before a replica is quarantined
     max_replica_failures: int = 3
@@ -137,6 +137,8 @@ class GatewayConfig:
             raise ValueError(f"max_queue must be positive, got {self.max_queue}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be positive, got {self.replicas}")
+        if self.num_threads != 1:
+            raise ValueError(f"num_threads must be 1, got {self.num_threads}")
         if self.max_replica_failures < 1:
             raise ValueError(
                 f"max_replica_failures must be positive, "
@@ -307,7 +309,6 @@ class _ModelServer:
                 idx,
                 engine_factory(
                     model,
-                    num_threads=config.num_threads,
                     max_batch_size=config.max_batch,
                     trace=tracer if isinstance(tracer, Tracer) else None,
                     param_cache=self.param_cache,

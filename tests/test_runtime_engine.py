@@ -54,8 +54,6 @@ class TestEngineConstruction:
 
     def test_rejects_bad_knobs(self, rng):
         g = _small_net(rng)
-        with pytest.raises(ValueError, match="num_threads"):
-            Engine(g, num_threads=0)
         with pytest.raises(ValueError, match="max_batch_size"):
             Engine(g, max_batch_size=0)
 
@@ -227,8 +225,6 @@ class TestCompilePlan:
         g = _small_net(rng)
         with pytest.raises(ValueError):
             compile_plan(g, batch_factor=0)
-        with pytest.raises(ValueError):
-            compile_plan(g, num_threads=0)
 
     def test_works_on_unconverted_training_graph(self, rng):
         """Plans are not restricted to converted inference graphs."""
@@ -255,7 +251,7 @@ class TestCli:
     def test_benchmark_engine_smoke(self, capsys):
         rc = cli.main(
             ["benchmark", "--model", "quicknet_small", "--input-size", "32",
-             "--engine", "--threads", "2", "--batch", "2", "--repeats", "1"]
+             "--engine", "--batch", "2", "--repeats", "1"]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -279,23 +275,18 @@ class TestCli:
              "--engine", flag, "0"]
         )
         assert rc == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    def test_benchmark_engine_rejects_two_threads(self, capsys):
+        # --threads prices the device model; the host engine has one schedule.
+        rc = cli.main(
+            ["benchmark", "--model", "quicknet_small", "--input-size", "32",
+             "--engine", "--threads", "2"]
+        )
+        assert rc == 2
+        assert "--threads must be 1" in capsys.readouterr().err
 
     def test_benchmark_device_model_path_unchanged(self, capsys):
         rc = cli.main(["benchmark", "--model", "quicknet_small"])
         assert rc == 0
         assert "pixel1" in capsys.readouterr().out
-
-
-class TestThreadingExperiment:
-    def test_run_measured_smoke(self):
-        from repro.experiments.threading import run_measured
-
-        results = run_measured(
-            input_size=32, batch=2, repeats=1, thread_counts=(1, 2)
-        )
-        assert [r.threads for r in results] == [1, 2]
-        assert all(r.ms_per_batch > 0 for r in results)
-        assert all(
-            r.ms_per_sample == pytest.approx(r.ms_per_batch / 2) for r in results
-        )

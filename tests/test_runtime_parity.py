@@ -4,14 +4,13 @@ The Engine's contract (see :mod:`repro.runtime`) is that every request's
 result is *bit-identical* — same dtype, same every-last-bit values, same
 packed words for bitpacked tensors — to running that request alone through
 the reference :class:`~repro.graph.executor.Executor` on the base graph,
-regardless of how requests were coalesced into micro-batches and how many
-intra-op threads the binary GEMMs use.
+regardless of how requests were coalesced into micro-batches.
 
 These tests enforce that contract over:
 
 - synthetic graphs covering every op family the executor dispatches
   (float, binarized/bitpacked, int8, multi-output, packed input/output),
-  across ``num_threads in {1, 2, 4}`` and batch factors ``{1, 3, 8}``;
+  across batch factors ``{1, 3, 8}``;
 - the full model zoo (a fast subset always; the complete grid under the
   opt-in ``slow`` marker).
 
@@ -36,7 +35,6 @@ from repro.ptq import quantize_model
 from repro.runtime import Engine
 from repro.zoo import MODEL_REGISTRY, build_model
 
-THREAD_COUNTS = (1, 2, 4)
 BATCH_FACTORS = (1, 3, 8)
 
 # ----------------------------------------------------------------- helpers
@@ -304,13 +302,12 @@ SYNTHETIC_GRAPHS = {
 
 
 @pytest.mark.parametrize("graph_name", sorted(SYNTHETIC_GRAPHS))
-@pytest.mark.parametrize("num_threads", THREAD_COUNTS)
 @pytest.mark.parametrize("factor", BATCH_FACTORS)
-def test_synthetic_parity(graph_name, num_threads, factor, rng):
+def test_synthetic_parity(graph_name, factor, rng):
     graph = SYNTHETIC_GRAPHS[graph_name](rng)
     inputs = tuple(_batched_input(graph, factor, rng, t) for t in graph.inputs)
     expected = reference_outputs(graph, inputs, factor)
-    with Engine(graph, num_threads=num_threads, max_batch_size=8) as engine:
+    with Engine(graph, max_batch_size=8) as engine:
         assert_bit_identical(engine.run(*inputs), expected)
 
 
@@ -323,7 +320,7 @@ def test_synthetic_parity_run_many(graph_name, rng):
         tuple(_batched_input(graph, k, rng, t) for t in graph.inputs)
         for k in sizes
     ]
-    with Engine(graph, num_threads=2, max_batch_size=4) as engine:
+    with Engine(graph, max_batch_size=4) as engine:
         results = engine.run_many(requests)
     for req, k, result in zip(requests, sizes, results):
         assert_bit_identical(result, reference_outputs(graph, req, k))
@@ -361,7 +358,7 @@ def test_plan_workspace_reused_across_calls(rng):
     backing arrays stay identical across calls and the grow counter is flat
     after the first execution (the zero-per-call-allocations contract)."""
     graph = SYNTHETIC_GRAPHS["binary_same_one"](rng)
-    with Engine(graph, num_threads=1) as engine:
+    with Engine(graph) as engine:
         x = _batched_input(graph, 2, rng)
         engine.run(x)
         plan = engine.plan(2)
@@ -380,7 +377,7 @@ def test_plan_workspace_preallocated_from_reservations(rng):
     """A plan's arena is fully reserved at compile time: the first executing
     thread's workspace performs zero grows beyond its preallocation."""
     graph = SYNTHETIC_GRAPHS["binary_same_zero"](rng)
-    with Engine(graph, num_threads=2) as engine:
+    with Engine(graph) as engine:
         plan = engine.plan(1)
         reserved = plan.workspace.reserved_bytes
         assert reserved > 0
@@ -397,12 +394,12 @@ ZOO_INPUT_SIZE = {"binary_alexnet": 64, "xnornet": 64}
 FAST_ZOO = ("quicknet_small", "birealnet18", "binarydensenet28")
 
 
-def _zoo_engine_case(model_name, num_threads, factor, rng):
+def _zoo_engine_case(model_name, factor, rng):
     size = ZOO_INPUT_SIZE.get(model_name, 32)
     model = convert(build_model(model_name, input_size=size), in_place=True)
     x = _batched_input(model.graph, factor, rng)
     expected = reference_outputs(model.graph, (x,), factor)
-    with Engine(model, num_threads=num_threads, max_batch_size=8) as engine:
+    with Engine(model, max_batch_size=8) as engine:
         assert_bit_identical(engine.run(x), expected)
         # The second run hits the plan cache; parity must survive reuse.
         assert_bit_identical(engine.run(x), expected)
@@ -411,19 +408,18 @@ def _zoo_engine_case(model_name, num_threads, factor, rng):
 
 @pytest.mark.parametrize("model_name", FAST_ZOO)
 def test_zoo_parity_fast(model_name, rng):
-    _zoo_engine_case(model_name, num_threads=2, factor=3, rng=rng)
+    _zoo_engine_case(model_name, factor=3, rng=rng)
 
 
 @pytest.mark.parametrize("factor", range(1, 9))
 def test_quicknet_small_32_parity_every_batch_factor(factor, rng):
     """The serving shape: every batch factor a 32x32 flush can take (short
     BGEMM panels, deep derived K blocks) against per-sample Executor runs."""
-    _zoo_engine_case("quicknet_small", num_threads=1, factor=factor, rng=rng)
+    _zoo_engine_case("quicknet_small", factor=factor, rng=rng)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
-@pytest.mark.parametrize("num_threads", THREAD_COUNTS)
 @pytest.mark.parametrize("factor", BATCH_FACTORS)
-def test_zoo_parity_full(model_name, num_threads, factor, rng):
-    _zoo_engine_case(model_name, num_threads, factor, rng)
+def test_zoo_parity_full(model_name, factor, rng):
+    _zoo_engine_case(model_name, factor, rng)

@@ -63,7 +63,7 @@ class TestThreadSafety:
             except BaseException as exc:  # surface in the main thread
                 errors.append(exc)
 
-        with Engine(graph, num_threads=2, max_batch_size=4) as engine:
+        with Engine(graph, max_batch_size=4) as engine:
             threads = [
                 threading.Thread(target=client, args=(tid,))
                 for tid in range(num_client_threads)

@@ -1,68 +1,11 @@
-"""Tests for multi-threaded BGEMM and the threaded latency model."""
+"""Tests for the threaded latency model (simulated devices only)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.core.bgemm import bgemm_blocked
-from repro.core.bitpack import pack_bits
-from repro.core.threading import bgemm_parallel
 from repro.hw.device import DeviceModel
 from repro.hw.latency import LatencyBreakdown
-
-
-def _operands(rng, m, n, depth):
-    a = pack_bits(rng.choice([-1.0, 1.0], (m, depth))).bits
-    b = pack_bits(rng.choice([-1.0, 1.0], (n, depth))).bits
-    return a, b
-
-
-class TestParallelBgemm:
-    @given(
-        m=st.integers(1, 700),
-        threads=st.integers(1, 4),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_bit_identical_to_blocked(self, m, threads, seed):
-        rng = np.random.default_rng(seed)
-        a, b = _operands(rng, m, 8, 96)
-        expected = bgemm_blocked(a, b, 96)
-        got = bgemm_parallel(a, b, 96, num_threads=threads, tile_m=128)
-        assert np.array_equal(got, expected)
-
-    def test_rejects_bad_thread_count(self, rng):
-        a, b = _operands(rng, 8, 8, 64)
-        with pytest.raises(ValueError):
-            bgemm_parallel(a, b, 64, num_threads=0)
-
-    def test_large_problem(self, rng):
-        a, b = _operands(rng, 1500, 32, 200)
-        assert np.array_equal(
-            bgemm_parallel(a, b, 200, num_threads=3),
-            bgemm_blocked(a, b, 200),
-        )
-
-    @pytest.mark.parametrize("num_threads", [2, 4])
-    @pytest.mark.parametrize("kw", [{"tile_m": 0}, {"tile_n": -3}])
-    def test_rejects_bad_tiles_on_the_parallel_branch(
-        self, rng, num_threads, kw
-    ):
-        # Regression: tile validation used to run only on the serial
-        # (num_threads=1) branch, so a non-positive tile on the threaded
-        # path skipped every tile loop and returned uninitialized output.
-        a, b = _operands(rng, 64, 8, 64)
-        with pytest.raises(ValueError):
-            bgemm_parallel(a, b, 64, num_threads=num_threads, **kw)
-
-    def test_k_word_blocking_under_threads(self, rng):
-        a, b = _operands(rng, 300, 16, 300)
-        assert np.array_equal(
-            bgemm_parallel(a, b, 300, num_threads=2, tile_k_words=2),
-            bgemm_blocked(a, b, 300),
-        )
 
 
 class TestThreadedLatencyModel:
