@@ -5,11 +5,12 @@ pure NumPy, the XOR-popcount BGEMM on bitpacked uint64 words beats a float
 GEMM of the same logical shape, because it touches 32x less data.
 
 ``test_quicknet_plan_vs_dynamic`` additionally pits the plan-compiled hot
-path (memoized indirection gather + workspace arena) against a replica of
-the historical dynamic-im2col path at QuickNet-small layer shapes, asserts
-the steady-state speedup, and writes ``BENCH_kernels.json`` at the repo
-root: one machine-readable row per (op, shape) plus per-geometry
-dynamic/plan timings.
+path (a ``BoundBConv2D`` bound once to a workspace arena, its float
+epilogue included) against a replica of the historical dynamic-im2col path
+(accumulators only) at QuickNet-small layer shapes, asserts the
+steady-state speedup, and writes ``BENCH_kernels.json`` at the repo root:
+one machine-readable row per (op, shape) plus per-geometry dynamic/plan
+timings.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.bconv2d import BConv2DParams, pack_filters
-from repro.core.bgemm import bgemm, bgemm_blocked, bgemm_kmajor, pack_kmajor
+from repro.core.bconv2d import BConv2DParams, BoundBConv2D, pack_filters
+from repro.core.bgemm import bgemm, bgemm_blocked
 from repro.core.bitpack import pack_bits
 from repro.core.bmaxpool import bmaxpool2d
 from repro.core.im2col import conv_geometry
-from repro.core.indirection import get_indirection, im2col_indirect
 from repro.core.quantize_ops import lce_quantize
 from repro.core.types import Padding
 from repro.analysis.bench import validate_bench_kernels
@@ -115,15 +115,11 @@ def _dynamic_bconv2d(x, filters, params, in_h, in_w):
     return bgemm_blocked(patches, filters.bits, params.depth)
 
 
-def _plan_bconv2d(x, filters, params, ind, ws):
-    """The steady-state plan path: indirect gather into reused workspace
-    buffers, patches packed K-major against the pre-packed K-major filters,
-    BGEMM scratch and accumulators from the same arena."""
-    patches = im2col_indirect(x, ind, ws)
-    out = ws.take("bconv/acc", (patches.shape[0], params.out_channels), np.int32)
-    return bgemm_kmajor(
-        pack_kmajor(patches, ws, "bgemm/at"), filters.kmajor, params.depth, out, ws
-    )
+def _plan_bconv2d(run, x):
+    """The steady-state plan path: one call of a bound kernel
+    (``BoundBConv2D(...).bind(workspace)``) — strided im2col into the
+    K-major slab, bound BGEMM, in-place float epilogue, all in one arena."""
+    return run(x)
 
 
 def _best_of(fn, repeats=7):
@@ -144,8 +140,7 @@ def test_quicknet_plan_vs_dynamic(benchmark):
         x = lce_quantize(rng.standard_normal((1, h, w, c)).astype(np.float32))
         wts = pack_filters(rng.choice([-1.0, 1.0], (3, 3, c, c)).astype(np.float32))
         params = BConv2DParams(3, 3, c, c, padding=Padding.SAME_ONE)
-        ind = get_indirection(h, w, 3, 3, 1, 1, Padding.SAME_ONE)
-        ws = WorkspacePool().current()
+        run = BoundBConv2D(wts, params, h, w, 1).bind(WorkspacePool().current())
 
         geometry = ConvGeometryKey(
             batch=1, in_h=h, in_w=w, in_channels=c, out_channels=c,
@@ -153,11 +148,13 @@ def test_quicknet_plan_vs_dynamic(benchmark):
         )
 
         dynamic = _dynamic_bconv2d(x, wts, params, h, w)
-        plan = _plan_bconv2d(x, wts, params, ind, ws)
-        assert np.array_equal(plan, dynamic), "plan path must stay bit-exact"
+        plan = _plan_bconv2d(run, x)
+        assert np.array_equal(
+            plan.reshape(dynamic.shape), dynamic.astype(np.float32)
+        ), "plan path must stay bit-exact"
 
         t_dynamic = _best_of(lambda: _dynamic_bconv2d(x, wts, params, h, w))
-        t_plan = _best_of(lambda: _plan_bconv2d(x, wts, params, ind, ws))
+        t_plan = _best_of(lambda: _plan_bconv2d(run, x))
         dynamic_total += t_dynamic
         plan_total += t_plan
         macs = dynamic.shape[0] * params.out_channels * params.depth
@@ -197,9 +194,7 @@ def test_quicknet_plan_vs_dynamic(benchmark):
 
     # Surface the steady-state plan path in the pytest-benchmark table too
     # (the deepest shape: the loop's last iteration).
-    benchmark.pedantic(
-        _plan_bconv2d, args=(x, wts, params, ind, ws), rounds=3, iterations=3
-    )
+    benchmark.pedantic(_plan_bconv2d, args=(run, x), rounds=3, iterations=3)
     assert speedup >= SPEEDUP_FLOOR, (
         f"plan path only {speedup:.2f}x over dynamic im2col "
         f"(floor {SPEEDUP_FLOOR}x); see {BENCH_JSON.name}"

@@ -401,6 +401,7 @@ def cmd_trace(args) -> int:
         x = _engine_input(engine.graph, args.batch)
         for _ in range(args.repeats):
             engine.run(x)
+        plan = engine.plan(args.batch)
     obj = write_chrome_trace(tracer, args.out)
     problems = validate_chrome_trace(obj)
     if problems:
@@ -415,6 +416,13 @@ def cmd_trace(args) -> int:
     )
     for line in flamegraph_lines(spans):
         print(line)
+    print(
+        f"plan: {len(plan.nodes)} executed nodes cover "
+        f"{len(plan.graph.nodes)} graph nodes, {plan.fused_blocks} fused"
+    )
+    for cn in plan.nodes:
+        if len(cn.parts) > 1:
+            print(f"  {cn.name} = " + " + ".join(name for name, _ in cn.parts))
     return 0
 
 

@@ -9,7 +9,8 @@ of the paper with bit-exact semantics:
 - :mod:`repro.core.im2col` — im2col for float and bitpacked tensors with
   LCE's one-padding.
 - :mod:`repro.core.bconv2d` — ``LceBConv2d`` with fused multiplier/bias/
-  activation, float or bitpacked output, one- or zero-padding.
+  activation, float or bitpacked output, one- or zero-padding; compiled
+  plans run it as a ``BoundBConv2D`` (everything static resolved once).
 - :mod:`repro.core.quantize_ops` — ``LceQuantize`` / ``LceDequantize``.
 - :mod:`repro.core.bmaxpool` — ``LceBMaxPool2d`` (bitwise-AND max pooling).
 - :mod:`repro.core.output_transform` — accumulator-to-output stage,
@@ -22,6 +23,7 @@ of the paper with bit-exact semantics:
 
 from repro.core.bconv2d import (
     BConv2DParams,
+    BoundBConv2D,
     PackedFilters,
     bconv2d,
     bconv2d_reference,
@@ -68,6 +70,7 @@ from repro.core.types import Activation, OutputType, Padding
 __all__ = [
     "Activation",
     "BConv2DParams",
+    "BoundBConv2D",
     "ConvGeometry",
     "Indirection",
     "OutputThresholds",

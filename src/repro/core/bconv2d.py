@@ -19,15 +19,19 @@ why the paper reports one-padding as the faster option.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.bgemm import (
     bgemm_blocked,
     bgemm_kmajor,
     bgemm_scratch_spec,
+    bind_kmajor,
+    derive_panel,
     pack_kmajor,
 )
 from repro.core.bitpack import PackedTensor, pack_bits, packed_words, unpack_bits
@@ -38,12 +42,14 @@ from repro.core.indirection import (
     im2col_direct,
     im2col_indirect,
 )
-from repro.core.im2col import conv_geometry, padded_tap_mask
+from repro.core.im2col import ConvGeometry, conv_geometry, padded_tap_mask
 from repro.core.workspace import Workspace, WorkspacePool
 from repro.core.output_transform import (
     OutputThresholds,
+    broadcast_channel,
     accumulators_to_bitpacked,
     accumulators_to_float,
+    accumulators_to_int8,
 )
 from repro.core.types import Activation, OutputType, Padding
 
@@ -198,16 +204,15 @@ def bconv2d(
         padding_correction: required when ``params.padding`` is
             ``SAME_ZERO``; from :func:`zero_padding_correction`.
         indirection: precomputed im2col plan from
-            :func:`repro.core.indirection.get_indirection`.  Compiled plans
-            pass the indirection pinned at compile time; eager callers can
-            omit it and the process-level cache supplies it.
-        workspace: scratch arena for the padded/patch/XOR/popcount/
-            accumulator temporaries.  With a workspace the steady-state call
-            performs no NumPy allocations; without one behaviour matches the
-            original allocating path.  Results are bit-identical either way.
-        config: a :class:`~repro.core.kernel_config.KernelConfig` choosing
-            the BGEMM tiling and im2col strategy.  Every config is
-            bit-exactness-preserving; ``None`` means
+            :func:`repro.core.indirection.get_indirection`; eager callers
+            can omit it and the process-level cache supplies it.
+        workspace: scratch arena.  Without one this is the allocating
+            reference the ``Executor`` runs.  With one, a ``groups == 1``
+            call builds, binds and runs a :class:`BoundBConv2D` once and a
+            grouped call loops per group through arena buffers.  Results
+            are bit-identical either way.
+        config: a :class:`~repro.core.kernel_config.KernelConfig`; every
+            config is bit-exactness-preserving and ``None`` means
             :data:`~repro.core.kernel_config.DEFAULT_CONFIG`, which is
             what every plan runs.
 
@@ -219,12 +224,20 @@ def bconv2d(
         raise ValueError(
             f"input has {x.channels} channels, params expect {params.in_channels}"
         )
-    if filters.out_channels != params.out_channels:
-        raise ValueError(
-            f"filters have {filters.out_channels} output channels, "
-            f"params expect {params.out_channels}"
-        )
     n, in_h, in_w, _ = x.bits.shape
+    transform = dict(
+        multiplier=multiplier, bias=bias, activation=activation,
+        scale_before_activation=scale_before_activation,
+        output_type=output_type, thresholds=thresholds,
+        int8_output_scale=int8_output_scale,
+        int8_output_zero_point=int8_output_zero_point,
+    )
+    if workspace is not None and params.groups == 1:
+        return BoundBConv2D(
+            filters, params, in_h, in_w, n, config=config,
+            padding_correction=padding_correction, **transform,
+        ).bind(workspace)(x)
+    finish = _output_transform(filters, params, padding_correction, **transform)
     if indirection is None:
         indirection = get_indirection(
             in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
@@ -238,53 +251,227 @@ def bconv2d(
             x, filters, params, indirection, workspace, config
         )
     else:
-        patches = _im2col(x, indirection, workspace, config)
-        out = None
-        if workspace is not None:
-            out = workspace.take(
-                "bconv/acc", (patches.shape[0], params.out_channels), np.int32
-            )
-        acc = _bgemm(
-            patches, filters, params.depth,
-            out=out, workspace=workspace, config=config,
+        acc = bgemm_blocked(
+            _im2col(x, indirection, None, config), filters.bits, params.depth,
+            tile_m=config.tile_m, tile_n=config.tile_n,
         )
-    acc = acc.reshape(n, geom.out_h * geom.out_w, params.out_channels)
-
     if params.padding is Padding.SAME_ZERO:
-        if padding_correction is None:
-            raise ValueError("SAME_ZERO padding requires a padding_correction")
         # In place: acc is freshly computed (or workspace-owned) and the
-        # output transforms below copy, so nothing aliases it.
+        # output transforms copy, so nothing aliases it.
+        acc = acc.reshape(n, geom.out_h * geom.out_w, params.out_channels)
         np.subtract(acc, padding_correction[None, :, :], out=acc)
+    return finish(acc.reshape(n, geom.out_h, geom.out_w, params.out_channels))
 
-    acc = acc.reshape(n, geom.out_h, geom.out_w, params.out_channels)
 
+def _output_transform(
+    filters: PackedFilters,
+    params: BConv2DParams,
+    padding_correction: np.ndarray | None,
+    multiplier,
+    bias,
+    activation: Activation,
+    scale_before_activation: bool,
+    output_type: OutputType,
+    thresholds: OutputThresholds | None = None,
+    int8_output_scale: float | None = None,
+    int8_output_zero_point: int = 0,
+):
+    """The static checks of a convolution, then its reference output stage
+    as ``finish(acc)`` over ``(N, out_h, out_w, C)`` int32 accumulators."""
+    cout = params.out_channels
+    if filters.out_channels != cout:
+        raise ValueError(
+            f"filters have {filters.out_channels} output channels, "
+            f"params expect {cout}"
+        )
+    if params.padding is Padding.SAME_ZERO and padding_correction is None:
+        raise ValueError("SAME_ZERO padding requires a padding_correction")
     if output_type is OutputType.BITPACKED:
         if thresholds is None:
             raise ValueError("BITPACKED output requires precomputed thresholds")
-        return accumulators_to_bitpacked(acc, thresholds)
-    if output_type is OutputType.INT8:
-        if int8_output_scale is None:
-            raise ValueError("INT8 output requires int8_output_scale")
-        from repro.core.output_transform import accumulators_to_int8
-
-        return accumulators_to_int8(
-            acc,
-            params.out_channels,
-            int8_output_scale,
-            int8_output_zero_point,
-            multiplier=multiplier,
-            bias=bias,
-            activation=activation,
-            scale_before_activation=scale_before_activation,
-        )
-    return accumulators_to_float(
-        acc,
-        params.out_channels,
-        multiplier=multiplier,
-        bias=bias,
-        activation=activation,
+        return lambda acc: accumulators_to_bitpacked(acc, thresholds)
+    if output_type is OutputType.INT8 and int8_output_scale is None:
+        raise ValueError("INT8 output requires int8_output_scale")
+    fused = dict(
+        multiplier=multiplier, bias=bias, activation=activation,
         scale_before_activation=scale_before_activation,
+    )
+    if output_type is OutputType.INT8:
+        return lambda acc: accumulators_to_int8(
+            acc, cout, int8_output_scale, int8_output_zero_point, **fused
+        )
+    return lambda acc: accumulators_to_float(acc, cout, **fused)
+
+
+class BoundBConv2D:
+    """A ``groups == 1`` binarized convolution compiled for one input shape
+    (docs/architecture.md §6 has the full account).
+
+    Construction does what depends only on static shapes: checks,
+    geometry, epilogue.  :meth:`bind` slices every view a call touches out
+    of one thread's :class:`~repro.core.workspace.Workspace` and returns
+    ``run(x, shortcut=None, marks=None)``, which is then only the NumPy
+    calls that move data.  ``quantize``: ``x`` is the float tensor a
+    single-consumer ``lce_quantize`` would have packed.  ``shortcut``: the
+    position (0 or 1) of the shortcut among the two inputs of the residual
+    ``add`` the kernel absorbed; ``run`` then takes that tensor.  ``run``
+    appends a ``time.perf_counter()`` reading to ``marks`` at each boundary
+    between absorbed graph nodes.  The other arguments are
+    :func:`bconv2d`'s, and so — bit for bit — is the result.
+    """
+
+    def __init__(
+        self,
+        filters: PackedFilters,
+        params: BConv2DParams,
+        in_h: int,
+        in_w: int,
+        batch: int,
+        *,
+        multiplier: np.ndarray | float | None = None,
+        bias: np.ndarray | float | None = None,
+        activation: Activation = Activation.NONE,
+        scale_before_activation: bool = True,
+        output_type: OutputType = OutputType.FLOAT,
+        padding_correction: np.ndarray | None = None,
+        config: KernelConfig | None = None,
+        quantize: bool = False,
+        shortcut: int | None = None,
+        **output_args,  # thresholds, int8_output_scale, int8_output_zero_point
+    ) -> None:
+        if params.groups != 1:
+            raise ValueError("BoundBConv2D handles groups == 1 only")
+        if shortcut is not None and output_type is not OutputType.FLOAT:
+            raise ValueError("only a float output can absorb a shortcut add")
+        from repro.kernels.arithmetic import add  # local: kernels imports core
+
+        self._add = add  # the absorbed add node's own kernel
+        self._finish = _output_transform(
+            filters, params, padding_correction, multiplier, bias, activation,
+            scale_before_activation, output_type, **output_args,
+        )
+        self.params = params
+        self.config = config if config is not None else DEFAULT_CONFIG
+        self.in_shape = (batch, in_h, in_w, params.in_channels)
+        self.quantize = quantize
+        self.shortcut = shortcut
+        self._bt = filters.kmajor
+        self._correction = (
+            padding_correction[None, :, :]
+            if params.padding is Padding.SAME_ZERO
+            else None
+        )
+        # Float output: apply_transform, one in-place NumPy call per step.
+        self._steps = None
+        if output_type is OutputType.FLOAT:
+            mult = broadcast_channel(multiplier, params.out_channels, 1.0)
+            shift = broadcast_channel(bias, params.out_channels, 0.0)
+            scale = [
+                lambda f, out: np.multiply(f, mult, out=out),
+                lambda f, out: np.add(f, shift, out=out),
+            ]
+            clip = [] if activation is Activation.NONE else [activation.apply]
+            self._steps = scale + clip if scale_before_activation else clip + scale
+
+    def bind(self, workspace: Workspace):
+        """``run`` over views cut from ``workspace``.  Valid while the
+        arena's buffers are the ones it was cut from: plans hold it through
+        :meth:`repro.core.workspace.Workspace.bound`, which rebinds when
+        ``workspace.grows`` moved."""
+        p, cfg = self.params, self.config
+        n, in_h, in_w, cin = in_shape = self.in_shape
+        geom = conv_geometry(
+            in_h, in_w, p.kernel_h, p.kernel_w, p.stride, p.dilation, p.padding
+        )
+        words = packed_words(cin)
+        out_h, out_w, cout = geom.out_h, geom.out_w, p.out_channels
+        m, taps = n * out_h * out_w, p.kernel_h * p.kernel_w
+        quantize, add_at = self.quantize, self.shortcut
+        steps, finish, correction = self._steps, self._finish, self._correction
+        add = self._add
+
+        if quantize:
+            sign = workspace.take("bconv/sign", (n, in_h, in_w, words * 64), np.bool_)
+            sign_x = sign[..., :cin]
+            sign_pad = sign[..., cin:] if cin < words * 64 else None
+        padded = workspace.take(
+            "bconv/padded", (n, *_padded_hw(geom, in_h, in_w), words), np.uint64
+        )
+        top, left = geom.pad_top, geom.pad_left
+        interior = padded[:, top : top + in_h, left : left + in_w]
+        has_border = interior.shape != padded.shape
+
+        # im2col as one copy: K-major, the patch matrix is a strided view of
+        # the padded input — tap (ky, kx), word k, image i, pixel (y, x)
+        # reads padded[i, ky*d + y*s, kx*d + x*s, k] — and row
+        # (ky*kw + kx)*words + k of the slab the BGEMM reads is that plane.
+        at = workspace.take("bgemm/at", (taps * words, m), np.uint64)
+        reach_h = (p.kernel_h - 1) * p.dilation + (out_h - 1) * p.stride
+        reach_w = (p.kernel_w - 1) * p.dilation + (out_w - 1) * p.stride
+        if reach_h >= padded.shape[1] or reach_w >= padded.shape[2]:
+            raise ValueError(f"taps reach outside the padded input: {geom}")
+        s_n, s_h, s_w, s_k = padded.strides
+        shape = (p.kernel_h, p.kernel_w, words, n, out_h, out_w)
+        patches = as_strided(
+            padded, shape=shape, writeable=False,
+            strides=(p.dilation * s_h, p.dilation * s_w, s_k,
+                     s_n, p.stride * s_h, p.stride * s_w),
+        )
+        slab = at.reshape(shape)
+
+        acc = workspace.take("bconv/acc", (m, cout), np.int32)
+        gemm = bind_kmajor(
+            at, self._bt, p.depth, acc, workspace,
+            *derive_panel(m, cout, taps * words, cfg.tile_m, cfg.tile_n,
+                          cfg.tile_k_words),
+        )
+        acc3 = acc.reshape(n, out_h * out_w, cout)
+        acc4 = acc.reshape(n, out_h, out_w, cout)
+        fbuf = workspace.take("bconv/float", acc4.shape, np.float32)
+        if steps is not None:
+            in_place = steps if add_at is not None else steps[:-1]
+
+        def run(x, shortcut=None, marks=None):
+            if x.shape != in_shape:  # the copies below would broadcast
+                raise ValueError(f"input is {x.shape}, kernel expects {in_shape}")
+            if quantize:
+                if x.dtype.kind not in "fiu":
+                    raise TypeError(f"cannot binarize dtype {x.dtype}")
+                np.less(x, 0, out=sign_x)
+                if sign_pad is not None:
+                    sign_pad.fill(False)
+                bits = np.packbits(sign, axis=-1).view(np.uint64)
+                if marks is not None:
+                    marks.append(time.perf_counter())
+            else:
+                bits = x.bits
+            if has_border:
+                padded.fill(0)  # zero bits are +1.0: one-padding
+            np.copyto(interior, bits)
+            np.copyto(slab, patches)
+            gemm()
+            if correction is not None:
+                np.subtract(acc3, correction, out=acc3)
+            if steps is None:
+                return finish(acc4)  # reads the arena, returns fresh storage
+            np.copyto(fbuf, acc4)  # int32 -> float32, what astype does
+            for step in in_place:
+                step(fbuf, fbuf)
+            # The last operation allocates the result: what is returned
+            # never aliases the arena.
+            if add_at is None:
+                return steps[-1](fbuf, None)
+            if marks is not None:
+                marks.append(time.perf_counter())
+            return add(shortcut, fbuf) if add_at == 0 else add(fbuf, shortcut)
+
+        return run
+
+
+def _padded_hw(geom: ConvGeometry, in_h: int, in_w: int) -> tuple[int, int]:
+    return (
+        in_h + geom.pad_top + geom.pad_bottom,
+        in_w + geom.pad_left + geom.pad_right,
     )
 
 
@@ -300,41 +487,13 @@ def _im2col(
     return im2col_indirect(x, indirection, workspace)
 
 
-def _bgemm(
-    a: np.ndarray,
-    filters: PackedFilters,
-    depth: int,
-    out: np.ndarray | None = None,
-    workspace: Workspace | None = None,
-    config: KernelConfig = DEFAULT_CONFIG,
-    columns: slice = slice(None),
-) -> np.ndarray:
-    """Patches x filters (output channels ``columns`` of them).
-
-    With a workspace: patches are packed K-major into ``bgemm/at`` and
-    multiplied against the pre-packed K-major filters.  Without one: the
-    allocating reference BGEMM.  Bit-identical either way.
-    """
-    if workspace is not None:
-        return bgemm_kmajor(
-            pack_kmajor(a, workspace, "bgemm/at"),
-            filters.kmajor[:, columns], depth, out, workspace,
-            tile_m=config.tile_m, tile_n=config.tile_n,
-            tile_k_words=config.tile_k_words,
-        )
-    return bgemm_blocked(
-        a, filters.bits[columns], depth,
-        tile_m=config.tile_m, tile_n=config.tile_n, out=out,
-    )
-
-
 def _grouped_accumulators(
     x: PackedTensor,
     filters: PackedFilters,
     params: BConv2DParams,
-    indirection: Indirection | None = None,
-    workspace: Workspace | None = None,
-    config: KernelConfig = DEFAULT_CONFIG,
+    indirection: Indirection,
+    workspace: Workspace | None,
+    config: KernelConfig,
 ) -> np.ndarray:
     """Grouped convolution: per-group im2col + BGEMM into one accumulator.
 
@@ -347,26 +506,28 @@ def _grouped_accumulators(
     Otherwise groups straddle word boundaries and the input is unpacked and
     re-packed per group (grouped binarized convolutions are rare enough —
     none of the paper's models use them — that the repack is acceptable).
-    Both branches are bit-identical (covered by a dedicated test).
+    Both branches are bit-identical (covered by a dedicated test).  With a
+    workspace each group's BGEMM is the K-major kernel at the panel
+    :func:`repro.core.bgemm.derive_panel` picks, which is what
+    :func:`reserve_bconv2d_workspace` sized the arena for.
     """
-    n, in_h, in_w, _ = x.bits.shape
-    if indirection is None:
-        indirection = get_indirection(
-            in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
-            params.dilation, params.padding,
-        )
+    n = x.bits.shape[0]
     cin_g = params.in_channels // params.groups
     cout_g = params.out_channels // params.groups
     m = n * indirection.pixels
     word_aligned = cin_g % 64 == 0
+    words_g = packed_words(cin_g)
     if workspace is not None:
         acc = workspace.take("bconv/acc", (m, params.out_channels), np.int32)
+        tile_m, tile_n, k_block = derive_panel(
+            m, cout_g, indirection.taps * words_g,
+            config.tile_m, config.tile_n, config.tile_k_words,
+        )
     else:
         acc = np.empty((m, params.out_channels), np.int32)
     if not word_aligned:
         dense_x = unpack_bits(x)
         dense_w = unpack_filters(filters)
-    words_g = packed_words(cin_g)
     for g in range(params.groups):
         columns = slice(g * cout_g, (g + 1) * cout_g)
         if word_aligned:
@@ -378,11 +539,17 @@ def _grouped_accumulators(
             xg = pack_bits(dense_x[..., g * cin_g : (g + 1) * cin_g])
             wg, wg_columns = pack_filters(dense_w[:, :, :, columns]), slice(None)
         patches = _im2col(xg, indirection, workspace, config)
-        _bgemm(
-            patches, wg, params.depth,
-            out=acc[:, columns], workspace=workspace, config=config,
-            columns=wg_columns,
-        )
+        if workspace is not None:
+            bgemm_kmajor(
+                pack_kmajor(patches, workspace, "bgemm/at"),
+                wg.kmajor[:, wg_columns], params.depth, acc[:, columns],
+                workspace, tile_m=tile_m, tile_n=tile_n, tile_k_words=k_block,
+            )
+        else:
+            bgemm_blocked(
+                patches, wg.bits[wg_columns], params.depth,
+                tile_m=config.tile_m, tile_n=config.tile_n, out=acc[:, columns],
+            )
     return acc
 
 
@@ -393,43 +560,47 @@ def reserve_bconv2d_workspace(
     in_w: int,
     batch: int,
     config: KernelConfig | None = None,
-) -> Indirection:
+    quantize: bool = False,
+) -> None:
     """Reserve every scratch buffer one ``bconv2d`` call will take.
 
     Called by kernel factories at plan-compile time so the plan's
     :class:`~repro.core.workspace.WorkspacePool` preallocates the arena at
     the max size over all nodes.  ``config`` must match what the run-time
-    call will use — tile sizes change the BGEMM scratch shapes, and
+    call will use — tile caps change the BGEMM scratch shapes, and
     reserving the wrong ones would make steady-state calls grow the arena
-    (breaking the no-allocation contract).  Returns the (memoized)
-    indirection for the geometry so the factory can pin it on the node's
-    params.
+    (breaking the no-allocation contract).  ``groups == 1``: what a
+    :class:`BoundBConv2D` binds (``quantize``: with the sign bytes of an
+    absorbed ``lce_quantize``); grouped: the per-group loop's buffers.
     """
     if config is None:
         config = DEFAULT_CONFIG
-    ind = get_indirection(
+    geom = conv_geometry(
         in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
         params.dilation, params.padding,
     )
     words = packed_words(params.in_channels)
-    m = batch * ind.pixels
-    if ind.has_spatial_padding:
-        pool.reserve(
-            "bconv/padded", batch * ind.padded_h * ind.padded_w * words, np.uint64
-        )
-    pool.reserve("bconv/patches", m * ind.taps * words, np.uint64)
+    taps = params.kernel_h * params.kernel_w
+    m = batch * geom.out_h * geom.out_w
+    padded_h, padded_w = _padded_hw(geom, in_h, in_w)
+    pool.reserve("bconv/padded", batch * padded_h * padded_w * words, np.uint64)
     pool.reserve("bconv/acc", m * params.out_channels, np.int32)
+    if params.groups == 1:
+        pool.reserve("bconv/float", m * params.out_channels, np.float32)
+        if quantize:
+            pool.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
+    else:
+        pool.reserve("bconv/patches", m * taps * words, np.uint64)
     # Grouped calls run one BGEMM per group, each over that group's
-    # channels only; the derived K depth follows that narrower shape.
+    # channels only; the derived panel follows that narrower shape.
     for name, size, dtype in bgemm_scratch_spec(
         m,
         params.out_channels // params.groups,
-        ind.taps * packed_words(params.in_channels // params.groups),
+        taps * packed_words(params.in_channels // params.groups),
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
     ):
         pool.reserve(name, size, dtype)
-    return ind
 
 
 def unpack_filters(filters: PackedFilters) -> np.ndarray:

@@ -37,7 +37,7 @@ measured 3-6x slower than word-at-a-time that way.)
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -51,6 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: around (256 * 128 * words) u64 elements — a few MiB at most.
 _TILE_M = 256
 _TILE_N = 128
+
+#: at most this many GEMM rows: one full-width panel (:func:`derive_panel`)
+_WIDE_PANEL_ROWS = 8
 
 #: XOR-block budget of the K-major kernel, in uint64 words (512 KiB): one
 #: step XORs as many word planes as fit (:func:`derive_k_block`).  Set by a
@@ -154,40 +157,66 @@ def _tile_into(
     Panels are ``(mt, words)`` / ``(nt, words)``.  Without a workspace
     this is the allocating reference: one full ``(mt, nt, words)`` XOR
     broadcast (``k_block`` unused).  With one it is the K-major kernel
-    (module docstring): ``k_block`` word planes per step through reused
-    arena buffers ``{prefix}/xk|ck|ksum|out``.  It reads the panels
-    through their ``(words, mt)`` / ``(words, nt)`` transposes, so callers
-    pass transposed views of K-major storage; any other strides are
-    correct, only slower.  Per-word popcounts are exact uint8 values
-    (<= 64) summed in int32, so both branches and every ``k_block``
-    perform identical integer arithmetic and results are bit-equal.
+    (module docstring), bound and run once: :func:`_bind_tile` on the
+    panels' ``(words, mt)`` / ``(words, nt)`` transposes, so callers pass
+    transposed views of K-major storage; any other strides are correct,
+    only slower.  Per-word popcounts are exact uint8 values (<= 64)
+    summed in int32, so both branches and every ``k_block`` perform
+    identical integer arithmetic and results are bit-equal.
     """
     if workspace is None:
         x = np.bitwise_xor(a_panel[:, None, :], b_panel[None, :, :])
         pops = popcount(x).sum(axis=-1, dtype=np.int32)
         out_view[...] = np.int32(depth) - np.int32(2) * pops
         return
-    mt, words = a_panel.shape
-    nt = b_panel.shape[0]
-    at = a_panel.T[:, :, None]
-    bt = b_panel.T[:, None, :]
+    tile = _bind_tile(a_panel.T, b_panel.T, out_view, workspace, prefix, k_block)
+    _run_tile(tile, np.int32(depth))
+
+
+def _bind_tile(
+    at: np.ndarray,
+    bt: np.ndarray,
+    out_view: np.ndarray,
+    workspace: Workspace,
+    prefix: str,
+    k_block: int,
+) -> tuple:
+    """Pre-slice what one output panel's K loop touches (``at`` is
+    ``(words, mt)``, ``bt`` ``(words, nt)``): per ``k_block`` word planes
+    the two operand views and the ``{prefix}/xk|ck`` blocks they XOR and
+    popcount into, plus the ``{prefix}/out|ksum`` accumulators —
+    :func:`_run_tile` then only moves data."""
+    words, mt = at.shape
+    nt = bt.shape[1]
+    a3, b3 = at[:, :, None], bt[:, None, :]
     pops = workspace.take(f"{prefix}/out", (mt, nt), np.int32)
     ksum = workspace.take(f"{prefix}/ksum", (mt, nt), np.int32)
     xk = workspace.take(f"{prefix}/xk", (k_block, mt, nt), np.uint64)
     ck = workspace.take(f"{prefix}/ck", (k_block, mt, nt), np.uint8)
+    steps = []
     for w0 in range(0, words, k_block):
         wb = min(k_block, words - w0)
-        xv, cv = xk[:wb], ck[:wb]
-        np.bitwise_xor(at[w0 : w0 + wb], bt[w0 : w0 + wb], out=xv)
-        popcount(xv, out=cv)
-        if w0 == 0:
-            np.add.reduce(cv, axis=0, dtype=np.int32, out=pops)
-        else:
-            np.add.reduce(cv, axis=0, dtype=np.int32, out=ksum)
+        steps.append((a3[w0 : w0 + wb], b3[w0 : w0 + wb], xk[:wb], ck[:wb]))
+    return steps, pops, ksum, out_view
+
+
+_MINUS_TWO = np.int32(-2)
+
+
+def _run_tile(tile: tuple, depth: np.int32) -> None:
+    """The K loop of one bound panel (see :func:`_bind_tile`)."""
+    steps, pops, ksum, out_view = tile
+    into = pops
+    for a, b, xv, cv in steps:
+        np.bitwise_xor(a, b, out=xv)
+        np.bitwise_count(xv, out=cv)
+        np.add.reduce(cv, axis=0, dtype=np.int32, out=into)
+        if into is ksum:
             np.add(pops, ksum, out=pops)
+        into = ksum
     # depth - 2*pop, computed in place: pops * -2 + depth (exact int32).
-    np.multiply(pops, np.int32(-2), out=pops)
-    np.add(pops, np.int32(depth), out=out_view)
+    np.multiply(pops, _MINUS_TWO, out=pops)
+    np.add(pops, depth, out=out_view)
 
 
 def _check_out(out: np.ndarray | None, m: int, n: int) -> np.ndarray:
@@ -208,62 +237,93 @@ def pack_kmajor(src: np.ndarray, workspace: Workspace, name: str) -> np.ndarray:
     return dst
 
 
-def _k_block(
-    tile_k_words: int, tile_m: int, tile_n: int, m: int, n: int, words: int
-) -> int:
-    """The K depth one call uses for all of its panels: derived from the
-    full panel shape when ``tile_k_words == 1`` (edge panels are smaller,
-    so they fit the same scratch), else the explicit value."""
+def _k_depth(tile_k_words: int, mt: int, nt: int, words: int) -> int:
+    """The K depth of an ``mt x nt`` panel: derived from its shape when
+    ``tile_k_words == 1``, else the explicit value."""
     if tile_k_words == 1:
-        return derive_k_block(min(tile_m, m), min(tile_n, n), words)
+        return derive_k_block(mt, nt, words)
     return min(tile_k_words, words)
 
 
-def _blocked(
-    a: np.ndarray,
-    b: np.ndarray,
+def derive_panel(
+    m: int,
+    n: int,
+    words: int,
+    tile_m: int = _TILE_M,
+    tile_n: int = _TILE_N,
+    tile_k_words: int = 1,
+) -> tuple[int, int, int]:
+    """Panel shape ``(tile_m, tile_n, k_block)`` for an ``(M, N, words)`` GEMM.
+
+    The one place a binarized convolution's panel is decided: the bound
+    kernel slices by it, :func:`bgemm_scratch_spec` sizes the arena by it.
+    ``tile_m`` / ``tile_n`` are caps clamped to the matrix, except that a
+    GEMM of at most :data:`_WIDE_PANEL_ROWS` rows takes all ``N`` columns
+    in one panel — with so few rows the NumPy call, not the work, is the
+    cost (4 x 256 x 36 words 62 -> 53 us, 1 x 512 x 72 words 66 -> 40 us;
+    from M = 16 up the wide panel runs 3-6 % slower, so the rule is that
+    narrow).  The K depth follows the panel unless ``tile_k_words`` names
+    one; edge panels are smaller and fit the same scratch.
+    """
+    if m <= _WIDE_PANEL_ROWS:
+        tile_n = n
+    tile_m, tile_n = min(tile_m, m), min(tile_n, n)
+    return tile_m, tile_n, _k_depth(tile_k_words, tile_m, tile_n, words)
+
+
+def _span_args(m: int, n: int, words: int, depth: int, k_block: int) -> dict:
+    """Attributes of one ``kernel.bgemm`` span."""
+    steps = -(-words // k_block)
+    return dict(m=m, n=n, words=words, depth=depth, k_block=k_block, steps=steps)
+
+
+def bind_kmajor(
+    at: np.ndarray,
+    bt: np.ndarray,
     depth: int,
     out: np.ndarray,
+    workspace: Workspace,
     tile_m: int,
     tile_n: int,
-    workspace: Workspace | None,
-    prefix: str,
     k_block: int,
-) -> np.ndarray:
-    """Panel loop over checked ``(M, W)`` / ``(N, W)`` operands (transposed
-    views of K-major storage on the workspace path)."""
-    m, words = a.shape
-    n = b.shape[0]
-    # Ambient tracing: an enabled tracer (installed by an enclosing span,
-    # e.g. plan.node) gets one pre-measured kernel.bgemm record per call;
-    # disabled cost is one thread-local read and two branches.
-    tracer = active_tracer()
-    t0 = time.perf_counter() if tracer.enabled else 0.0
-    for i0 in range(0, m, tile_m):
-        a_panel = a[i0 : i0 + tile_m]
-        for j0 in range(0, n, tile_n):
-            _tile_into(
-                a_panel,
-                b[j0 : j0 + tile_n],
-                depth,
-                out[i0 : i0 + tile_m, j0 : j0 + tile_n],
-                workspace,
-                prefix,
-                k_block,
-            )
-    if tracer.enabled:
-        tracer.record(
-            "kernel.bgemm",
-            t0,
-            time.perf_counter() - t0,
-            m=m,
-            n=n,
-            words=words,
-            depth=depth,
-            k_block=k_block,
-            steps=-(-words // k_block),
+    prefix: str = "bgemm",
+) -> Callable[[], None]:
+    """The K-major kernel bound to its operands: a no-argument callable
+    that multiplies whatever ``at`` ``(W, M)`` and ``bt`` ``(W, N)`` hold
+    into ``out`` ``(M, N)``, every panel's views sliced once, here.  Valid
+    while ``at``, ``out`` and the ``{prefix}/*`` arena buffers are the live
+    ones (:meth:`repro.core.workspace.Workspace.bound` rebinds)."""
+    words, m = at.shape
+    n = bt.shape[1]
+    tiles = [
+        _bind_tile(
+            at[:, i0 : i0 + tile_m],
+            bt[:, j0 : j0 + tile_n],
+            out[i0 : i0 + tile_m, j0 : j0 + tile_n],
+            workspace,
+            prefix,
+            k_block,
         )
-    return out
+        for i0 in range(0, m, tile_m)
+        for j0 in range(0, n, tile_n)
+    ]
+    depth32 = np.int32(depth)
+    span_args = _span_args(m, n, words, depth, k_block)
+
+    def run() -> None:
+        # Ambient tracing: an enabled tracer (installed by an enclosing
+        # span) gets one kernel.bgemm record per call; disabled cost is one
+        # thread-local read and two branches.
+        tracer = active_tracer()
+        t0 = time.perf_counter() if tracer.enabled else 0.0
+        for tile in tiles:
+            _run_tile(tile, depth32)
+        if tracer.enabled:
+            tracer.record(
+                "kernel.bgemm", t0, time.perf_counter() - t0, **span_args
+            )
+
+    return run
 
 
 def bgemm_blocked(
@@ -283,13 +343,14 @@ def bgemm_blocked(
     small regardless of problem size.  Bit-identical to :func:`bgemm` for
     any legal tiling — tiles larger than the matrix clamp to the edge and
     non-divisor tiles leave ragged edge panels; the per-tile arithmetic is
-    exact int32 either way.
+    exact int32 either way.  Tiles are used as given (:func:`derive_panel`
+    is the binarized convolution's rule, not this function's).
 
     ``out`` (int32, ``(M, N)``) and ``workspace`` make the call
     allocation-free: accumulators land in ``out``, both operands are
     packed K-major into ``{prefix}/at|bt`` and the per-tile temporaries
     live in reused arena buffers named ``{prefix}/*`` (see
-    :func:`_tile_into`).  ``tile_k_words`` is the K depth of that path:
+    :func:`_bind_tile`).  ``tile_k_words`` is the K depth of that path:
     ``1`` (what every caller passes) derives it from the panel shape via
     :func:`derive_k_block`, a larger value is used as given.  Without a
     workspace the call is the allocating reference and ignores it.
@@ -299,12 +360,31 @@ def bgemm_blocked(
     m, words = a.shape
     n = b.shape[0]
     out = _check_out(out, m, n)
-    k_block = words
     if workspace is not None:
-        a = pack_kmajor(a, workspace, f"{prefix}/at").T
-        b = pack_kmajor(b, workspace, f"{prefix}/bt").T
-        k_block = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
-    return _blocked(a, b, depth, out, tile_m, tile_n, workspace, prefix, k_block)
+        return bgemm_kmajor(
+            pack_kmajor(a, workspace, f"{prefix}/at"),
+            pack_kmajor(b, workspace, f"{prefix}/bt"),
+            depth, out, workspace, tile_m, tile_n, prefix, tile_k_words,
+        )
+    tracer = active_tracer()
+    t0 = time.perf_counter() if tracer.enabled else 0.0
+    for i0 in range(0, m, tile_m):
+        for j0 in range(0, n, tile_n):
+            _tile_into(
+                a[i0 : i0 + tile_m],
+                b[j0 : j0 + tile_n],
+                depth,
+                out[i0 : i0 + tile_m, j0 : j0 + tile_n],
+                None,
+                prefix,
+                words,
+            )
+    if tracer.enabled:
+        tracer.record(
+            "kernel.bgemm", t0, time.perf_counter() - t0,
+            **_span_args(m, n, words, depth, words),
+        )
+    return out
 
 
 def bgemm_scratch_spec(
@@ -316,18 +396,16 @@ def bgemm_scratch_spec(
     prefix: str = "bgemm",
     tile_k_words: int = 1,
 ) -> list[tuple[str, int, np.dtype]]:
-    """The ``(name, size, dtype)`` scratch reservations a BGEMM call needs.
+    """The ``(name, size, dtype)`` scratch reservations a BGEMM needs.
 
-    Mirrors :func:`bgemm_kmajor`: the K-major patch buffer ``{prefix}/at``
-    plus the tile kernel's ``{prefix}/xk|ck|ksum|out``, with the
-    XOR/popcount blocks sized by the same K depth the call will use.
-    Kernel factories feed this into
+    The K-major patch buffer ``{prefix}/at`` plus the tile kernel's
+    ``{prefix}/xk|ck|ksum|out`` at the panel :func:`derive_panel` picks
+    (what the binarized convolution runs).  Kernel factories feed this into
     :meth:`repro.core.workspace.WorkspacePool.reserve` at plan-compile time
     so the arena is fully sized before the first inference.
     """
     _check_tiles(tile_m, tile_n, tile_k_words)
-    kb = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
-    mt, nt = min(tile_m, m), min(tile_n, n)
+    mt, nt, kb = derive_panel(m, n, words, tile_m, tile_n, tile_k_words)
     return [
         (f"{prefix}/at", words * m, np.dtype(np.uint64)),
         (f"{prefix}/xk", kb * mt * nt, np.dtype(np.uint64)),
@@ -348,19 +426,18 @@ def bgemm_kmajor(
     prefix: str = "bgemm",
     tile_k_words: int = 1,
 ) -> np.ndarray:
-    """The plan-path BGEMM on operands already packed K-major.
+    """The K-major BGEMM on operands already packed ``(W, M)`` / ``(W, N)``.
 
-    ``at`` is ``(W, M)`` and ``bt`` is ``(W, N)`` (column slices of a wider
-    K-major matrix are fine — the grouped convolution passes those);
-    everything else is as in :func:`bgemm_blocked`, which is this call
-    after packing both operands.  ``bconv2d`` calls it directly with the
-    filters packed once at plan-compile time.
+    Column slices of a wider K-major matrix are fine (the grouped
+    convolution passes those); everything else is as in
+    :func:`bgemm_blocked`, which is this call after packing both
+    operands.  One :func:`bind_kmajor`, run once.
     """
-    a, b = at.T, bt.T
-    _check_operands(a, b, depth)
+    _check_operands(at.T, bt.T, depth)
     _check_tiles(tile_m, tile_n, tile_k_words)
-    m, words = a.shape
-    n = b.shape[0]
+    words, m = at.shape
+    n = bt.shape[1]
     out = _check_out(out, m, n)
-    k_block = _k_block(tile_k_words, tile_m, tile_n, m, n, words)
-    return _blocked(a, b, depth, out, tile_m, tile_n, workspace, prefix, k_block)
+    k_block = _k_depth(tile_k_words, min(tile_m, m), min(tile_n, n), words)
+    bind_kmajor(at, bt, depth, out, workspace, tile_m, tile_n, k_block, prefix)()
+    return out

@@ -2,15 +2,20 @@
 
 A :class:`KernelConfig` names one point in the hot path's schedule space:
 
-- ``tile_m`` / ``tile_n`` — BGEMM output-panel blocking
-  (:func:`repro.core.bgemm.bgemm_blocked`);
+- ``tile_m`` / ``tile_n`` — caps on the BGEMM output panel; the panel a
+  convolution runs is derived from them and the problem by
+  :func:`repro.core.bgemm.derive_panel` (clamped to the matrix, and all
+  ``N`` columns at once when ``M <= 8``);
 - ``tile_k_words`` — the K depth of the K-major tile kernel, in packed
   words per XOR step: ``1`` (the default) derives it from the panel shape
   (:func:`repro.core.bgemm.derive_k_block`); a larger value is used as
   given;
-- ``im2col`` — patch materialization strategy: ``"indirect"`` gathers
-  through the precomputed indirection buffer, ``"direct"`` copies one
-  strided slice per kernel tap.
+- ``im2col`` — patch materialization strategy of the allocating reference
+  path and the grouped-convolution loop: ``"indirect"`` gathers through
+  the precomputed indirection buffer, ``"direct"`` copies one strided
+  slice per kernel tap.  The bound kernel plans run
+  (:class:`repro.core.bconv2d.BoundBConv2D`) does neither — its im2col is
+  one strided copy — and ignores it.
 
 The schedule is fixed: every plan runs :data:`DEFAULT_CONFIG`.  The
 ``config=`` argument of :func:`repro.core.bconv2d.bconv2d` exists for

@@ -28,9 +28,11 @@ from repro.core.bitpack import PackedTensor, pack_bits
 from repro.core.types import Activation
 
 
-def _broadcast_channel(
+def broadcast_channel(
     value: np.ndarray | float | None, channels: int, default: float
 ) -> np.ndarray:
+    """``value`` (``None``, a scalar or a vector) as a float32 ``(channels,)``
+    vector; ``None`` means ``default``."""
     if value is None:
         return np.full(channels, default, dtype=np.float32)
     arr = np.asarray(value, dtype=np.float32)
@@ -74,8 +76,8 @@ def accumulators_to_float(
     """
     if acc.shape[-1] != channels:
         raise ValueError(f"acc last axis {acc.shape[-1]} != channels {channels}")
-    mult = _broadcast_channel(multiplier, channels, 1.0)
-    b = _broadcast_channel(bias, channels, 0.0)
+    mult = broadcast_channel(multiplier, channels, 1.0)
+    b = broadcast_channel(bias, channels, 0.0)
     return apply_transform(acc, mult, b, activation, scale_before_activation)
 
 
@@ -117,8 +119,8 @@ def compute_output_thresholds(
     """
     if depth <= 0:
         raise ValueError(f"depth must be positive, got {depth}")
-    mult_v = _broadcast_channel(multiplier, channels, 1.0)
-    bias_v = _broadcast_channel(bias, channels, 0.0)
+    mult_v = broadcast_channel(multiplier, channels, 1.0)
+    bias_v = broadcast_channel(bias, channels, 0.0)
 
     # All integers in [-depth, depth], descending.  One-padded accumulators
     # only take values of depth's parity, but the zero-padding correction

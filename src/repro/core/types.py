@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 
 class Padding(str, enum.Enum):
     """Spatial padding mode of a convolution.
@@ -27,12 +29,15 @@ class Activation(str, enum.Enum):
     RELU = "relu"
     RELU6 = "relu6"
 
-    def apply(self, x):
+    def apply(self, x, out=None):
+        """``f(x)``; with ``out`` (e.g. ``x`` itself) the same NumPy call
+        writes there instead of allocating."""
         if self is Activation.NONE:
             return x
         if self is Activation.RELU:
-            return x.clip(min=0)
-        return x.clip(min=0, max=6)
+            # what x.clip(min=0) dispatches to, minus its Python wrapper
+            return np.maximum(x, 0, out=out)
+        return x.clip(min=0, max=6, out=out)
 
 
 class OutputType(str, enum.Enum):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -55,18 +55,41 @@ class Workspace:
         #: number of (re)allocations ever performed; a steady-state hot
         #: loop must keep this constant across calls (asserted in tests).
         self.grows = 0
+        self._bound: dict[object, tuple[int, Any]] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A ``shape``/``dtype`` view of the buffer named ``name``."""
+        """A ``shape``/``dtype`` view of the buffer named ``name``.  A name
+        has one dtype for life — another raises ``ValueError`` (two users
+        alternating dtypes would reallocate the buffer on every call)."""
         dtype = np.dtype(dtype)
         size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.dtype != dtype or buf.size < size:
-            keep = buf.size if buf is not None and buf.dtype == dtype else 0
-            buf = np.empty(max(size, keep), dtype)
+        if buf is not None:
+            _check_dtype(name, buf.dtype, dtype)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype)
             self._buffers[name] = buf
             self.grows += 1
         return buf[:size].reshape(shape)
+
+    def bound(self, key: object, build: Callable[["Workspace"], Any]) -> Any:
+        """``build(self)`` — views a bound kernel pre-slices from this
+        arena — memoized per ``key`` while no buffer is (re)allocated.
+
+        When :attr:`grows` has moved since, a buffer the views point into
+        may have been replaced: they are rebuilt, never written through.
+        ``build`` is repeated until it takes nothing new, so its result
+        never straddles two generations of a buffer.
+        """
+        entry = self._bound.get(key)
+        if entry is None or entry[0] != self.grows:
+            while True:
+                grows = self.grows
+                views = build(self)
+                if self.grows == grows:
+                    break
+            entry = self._bound[key] = (grows, views)
+        return entry[1]
 
     def reserve(self, name: str, size: int, dtype) -> None:
         """Preallocate ``name`` to hold at least ``size`` elements."""
@@ -82,6 +105,14 @@ class Workspace:
     @property
     def nbytes(self) -> int:
         return sum(b.nbytes for b in self._buffers.values())
+
+
+def _check_dtype(name: str, have: np.dtype, want: np.dtype) -> None:
+    if have != want:
+        raise ValueError(
+            f"arena buffer {name!r} holds {have}; it cannot also be taken "
+            f"or reserved as {want}"
+        )
 
 
 class WorkspacePool:
@@ -109,8 +140,10 @@ class WorkspacePool:
         dtype = np.dtype(dtype)
         with self._lock:
             old = self._reservations.get(name)
-            if old is not None and old[0] >= size:
-                return
+            if old is not None:
+                _check_dtype(name, old[1], dtype)
+                if old[0] >= size:
+                    return
             self._reservations[name] = (int(size), dtype)
 
     def current(self) -> Workspace:

@@ -39,9 +39,10 @@ def conv2d_float(
         raise ValueError(f"input channels {x.shape[-1]} != weight channels {cin}")
     pad_value = 1.0 if padding is Padding.SAME_ONE else 0.0
     patches, geom = im2col_float(
-        x.astype(np.float32), kh, kw, stride, dilation, padding, pad_value
+        x.astype(np.float32, copy=False), kh, kw, stride, dilation, padding,
+        pad_value,
     )
-    out = patches @ weights.reshape(-1, cout).astype(np.float32)
+    out = patches @ weights.reshape(-1, cout).astype(np.float32, copy=False)
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float32)
     out = out.reshape(x.shape[0], geom.out_h, geom.out_w, cout)

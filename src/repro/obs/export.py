@@ -19,6 +19,7 @@ nesting per thread (children lie within their parents).
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 from typing import Any
@@ -135,7 +136,11 @@ def validate_chrome_trace(obj: Any) -> list[str]:
         stack: list[dict[str, Any]] = []
         for ev in evs:
             end = ev["ts"] + ev["dur"]
-            while stack and ev["ts"] >= stack[-1]["ts"] + stack[-1]["dur"]:
+            # Abutting spans (a fused plan node's parts) follow one another:
+            # their shared edge is a float sum near 1e15 us, so "at or after
+            # the end" is taken to rounding.
+            slack = 2 * math.ulp(end)
+            while stack and ev["ts"] >= stack[-1]["ts"] + stack[-1]["dur"] - slack:
                 stack.pop()
             if stack and end > stack[-1]["ts"] + stack[-1]["dur"] + 1e-6:
                 problems.append(

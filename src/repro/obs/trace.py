@@ -110,7 +110,9 @@ class Span:
 
     __slots__ = ("_tracer", "name", "args", "start_s", "dur_s", "_buf", "_prev")
 
-    def __init__(self, tracer: "Tracer", name: str, args: dict[str, Any]) -> None:
+    def __init__(
+        self, tracer: "Tracer", name: str, args: dict[str, Any] | None
+    ) -> None:
         self._tracer = tracer
         self.name = name
         self.args = args
@@ -132,12 +134,13 @@ class Span:
         buf = self._buf
         buf.stack.pop()
         _ACTIVE.tracer = self._prev
-        buf.append(
-            SpanRecord(
-                self.name, self.start_s, self.dur_s, buf.tid,
-                tuple(buf.stack), self.args,
+        if self.args is not None:  # None: Tracer.scope, the caller records
+            buf.append(
+                SpanRecord(
+                    self.name, self.start_s, self.dur_s, buf.tid,
+                    tuple(buf.stack), self.args,
+                )
             )
-        )
 
 
 class Tracer(ThreadRings):
@@ -159,6 +162,13 @@ class Tracer(ThreadRings):
     def span(self, name: str, **args: Any) -> Span:
         """A context manager recording ``name`` around its ``with`` body."""
         return Span(self, name, args)
+
+    def scope(self, name: str) -> Span:
+        """A span that is not recorded: ``name`` encloses whatever is
+        recorded inside it (span stack, ambient tracer), and the caller,
+        who times the body itself, :meth:`record` s it afterwards —
+        possibly as several spans (a fused plan node's parts)."""
+        return Span(self, name, None)
 
     def record(
         self, name: str, start_s: float, dur_s: float, **args: Any

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.bconv2d import (
     BConv2DParams,
+    BoundBConv2D,
     PackedFilters,
     bconv2d,
     reserve_bconv2d_workspace,
@@ -135,7 +136,20 @@ def _infer_lce_bconv2d(specs, p, params):
     return [TensorSpec((n, oh, ow, p.out_channels), out_dtype)]
 
 
-def _lce_bconv2d_kernel(node, p, ctx):
+def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
+    """Kernel factory of ``lce_bconv2d``.
+
+    With a plan workspace a ``groups == 1`` node compiles to a
+    :class:`~repro.core.bconv2d.BoundBConv2D`, bound to each executing
+    thread's arena on that thread's first call.  ``quantize`` / ``shortcut``
+    are :func:`repro.runtime.plan.compile_plan`'s peepholes (the kernel also
+    does the ``lce_quantize`` feeding it / the ``add`` consuming it): the
+    kernel then takes ``[x, shortcut]`` and stamps the boundaries between
+    the absorbed nodes into its optional second argument.  The reference
+    ``Executor`` (no workspace) and grouped convolutions get a plain
+    :func:`~repro.core.bconv2d.bconv2d` call.
+    """
+
     def build_params():
         return BConv2DParams(
             kernel_h=p.kernel_h,
@@ -167,25 +181,40 @@ def _lce_bconv2d_kernel(node, p, ctx):
             threshold=node.params["threshold"], flip=node.params["threshold_flip"]
         )
 
-    thresholds = ctx.cache.get(node, "thresholds", build_thresholds)
-    multiplier = node.params.get("multiplier")
-    bias = node.params.get("bias")
-    padding_correction = node.params.get("padding_correction")
-    activation = p.activation
-    scale_before = p.scale_before_activation
-    output_type = p.output_type
-    int8_scale = p.int8_output_scale
-    int8_zp = p.int8_output_zero_point
-
-    # All shape-dependent im2col work happens here, at compile time: the
-    # indirection (gather indices + pad mask) is resolved once per node
-    # through the ParamCache (geometry is batch-independent, so every batch
-    # factor of the engine shares the entry), and when a plan workspace
-    # exists every scratch buffer the call will touch is reserved now.
-    indirection = None
-    pool = None
+    transform = dict(
+        multiplier=node.params.get("multiplier"),
+        bias=node.params.get("bias"),
+        activation=p.activation,
+        scale_before_activation=p.scale_before_activation,
+        output_type=p.output_type,
+        thresholds=ctx.cache.get(node, "thresholds", build_thresholds),
+        padding_correction=node.params.get("padding_correction"),
+        int8_output_scale=p.int8_output_scale,
+        int8_output_zero_point=p.int8_output_zero_point,
+    )
+    # Everything shape-dependent happens here, at compile time.
+    pool = indirection = None
     if ctx.specs is not None:
         batch, in_h, in_w = ctx.specs[node.inputs[0]].shape[:3]
+        pool = ctx.workspace
+    if pool is not None:
+        reserve_bconv2d_workspace(pool, params, in_h, in_w, batch, quantize=quantize)
+        # Pack the filters K-major now rather than on the first inference;
+        # ``filters`` lives in the ParamCache, so every batch factor and
+        # replica shares the one copy.
+        filters.kmajor
+        if params.groups == 1:
+            kernel = BoundBConv2D(
+                filters, params, in_h, in_w, batch,
+                quantize=quantize, shortcut=shortcut, **transform,
+            )
+            bind = kernel.bind
+            return lambda ins, marks=None: pool.current().bound(kernel, bind)(
+                *ins, marks=marks
+            )
+    if ctx.specs is not None:
+        # The indirection (gather indices + pad mask) is batch-independent:
+        # one ParamCache entry serves every batch factor.
         indirection = ctx.cache.get(
             node,
             "indirection",
@@ -194,30 +223,15 @@ def _lce_bconv2d_kernel(node, p, ctx):
                 params.stride, params.dilation, params.padding,
             ),
         )
-        if ctx.workspace is not None:
-            pool = ctx.workspace
-            reserve_bconv2d_workspace(pool, params, in_h, in_w, batch)
-            # Pack the filters K-major now rather than on the first
-            # inference; ``filters`` lives in the ParamCache, so every
-            # batch factor and replica shares the one copy.
-            filters.kmajor
 
     def run(ins):
         return bconv2d(
             ins[0],
             filters,
             params,
-            multiplier=multiplier,
-            bias=bias,
-            activation=activation,
-            scale_before_activation=scale_before,
-            output_type=output_type,
-            thresholds=thresholds,
-            padding_correction=padding_correction,
-            int8_output_scale=int8_scale,
-            int8_output_zero_point=int8_zp,
             indirection=indirection,
             workspace=pool.current() if pool is not None else None,
+            **transform,
         )
 
     return run
@@ -248,7 +262,7 @@ register(
         doc="binarized 2-D convolution (XOR-popcount BGEMM, fused transform)",
         attrs=_BCONV_ATTRS,
         infer=_infer_lce_bconv2d,
-        kernel=_lce_bconv2d_kernel,
+        kernel=bconv2d_kernel,
         cost=_lce_bconv2d_cost,
         op_class=CLASS_LCE_BCONV,
         binary=True,

@@ -67,8 +67,13 @@ class EngineStats:
     #: compile time (:attr:`repro.runtime.plan.CompiledPlan.verified`), so
     #: benchmark numbers provably came from a legal graph
     verified: bool = True
-    #: cumulative wall-clock seconds per node across all executions
+    #: cumulative wall-clock seconds per graph node across all executions
     node_time_s: dict[str, float] = field(default_factory=dict)
+    #: nodes in the graph, nodes a plan executes for them and how many of
+    #: those are fused blocks; the last two are 0 until a plan is compiled
+    graph_nodes: int = 0
+    nodes: int = 0
+    fused_blocks: int = 0
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -227,6 +232,9 @@ class Engine:
         m.gauge("paramcache.misses", lambda: self._param_cache_view("misses"))
         m.gauge("workspace.bytes_reserved", self._workspace_bytes_view)
         m.gauge("engine.verified", self._verified_view)
+        m.gauge("plan.graph_nodes", lambda: len(self.graph.nodes))
+        m.gauge("plan.nodes", lambda: self._plan_view(lambda p: len(p.nodes)))
+        m.gauge("plan.fused_blocks", lambda: self._plan_view(lambda p: p.fused_blocks))
         self._node_time_s: dict[str, float] = {}  # guarded by metrics lock
         self._last_node_times: dict[str, float] = {}
 
@@ -241,6 +249,11 @@ class Engine:
     def _verified_view(self) -> int:
         with self._plan_lock:
             return int(all(p.verified for p in self._plans.values()))
+
+    def _plan_view(self, read) -> int:
+        """``read`` of any compiled plan (every batch factor fuses alike)."""
+        with self._plan_lock:
+            return next((read(p) for p in self._plans.values()), 0)
 
     # ------------------------------------------------------------- plumbing
     def plan(self, batch_factor: int = 1) -> CompiledPlan:
@@ -261,7 +274,13 @@ class Engine:
         # event log's own lock ranks above it, and cache hits (the hot
         # path) emit nothing.
         if compiled:
-            self.events.emit("plan.compile", batch_factor=batch_factor)
+            self.events.emit(
+                "plan.compile",
+                batch_factor=batch_factor,
+                graph_nodes=len(self.graph.nodes),
+                nodes=len(plan.nodes),
+                fused_blocks=plan.fused_blocks,
+            )
         return plan
 
     def _normalize_request(self, inputs: Sequence[Value]) -> Request:
@@ -447,6 +466,9 @@ class Engine:
             workspace_bytes=snap["workspace.bytes_reserved"],
             verified=bool(snap["engine.verified"]),
             node_time_s=node_time_s,
+            graph_nodes=snap["plan.graph_nodes"],
+            nodes=snap["plan.nodes"],
+            fused_blocks=snap["plan.fused_blocks"],
         )
 
     def metrics_snapshot(self) -> dict[str, Any]:

@@ -7,6 +7,10 @@ batching decisions for a whole serving configuration:
 - **dispatch resolution** — each node compiles to a closure through the
   :mod:`repro.ops` registry (:func:`repro.ops.compile_node`), with its
   attributes already parsed and its parameter structs already built;
+- **block fusion** — two peepholes (:func:`_blocks`) let a ``lce_bconv2d``
+  absorb the ``lce_quantize`` feeding it and the residual ``add`` consuming
+  it, so a binarized block runs as one bound kernel; the graph (and the
+  reference executor) is untouched and timing stays per graph node;
 - **liveness / free lists** — tensors live in integer slots; each compiled
   node carries the slots that die after it runs;
 - **prepacked-weight caching** — derived artifacts (packed-filter wrappers,
@@ -29,6 +33,7 @@ leading extent.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -46,6 +51,8 @@ from repro.ops import (
     compile_node,
     get_spec,
 )
+from repro.obs.trace import NULL_TRACER
+from repro.ops.lce import bconv2d_kernel
 from repro.runtime.rebatch import rebatched_specs
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
@@ -92,7 +99,13 @@ def _split_per_group(fn: KernelFn, base_batch: int, factor: int) -> KernelFn:
 
 @dataclass(frozen=True)
 class CompiledNode:
-    """One node, ready to run: resolved kernel, slots, and free list."""
+    """One executed node, ready to run: resolved kernel, slots, free list.
+
+    Usually one graph node; a fused block (:func:`_blocks`) covers two or
+    three.  Its ``name`` / ``op`` are the convolution's and its ``fn`` takes
+    an optional second argument: a list it appends a ``perf_counter``
+    reading to at each boundary between :attr:`parts`.
+    """
 
     name: str
     op: str
@@ -101,6 +114,8 @@ class CompiledNode:
     output_slots: tuple[int, ...]
     #: slots whose values die after this node runs
     frees: tuple[int, ...]
+    #: ``(name, op)`` of each graph node this one executes
+    parts: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -130,6 +145,11 @@ class CompiledPlan:
     def base_batch(self) -> int:
         return self.graph.tensors[self.graph.inputs[0]].shape[0]
 
+    @property
+    def fused_blocks(self) -> int:
+        """Executed nodes that cover more than one graph node."""
+        return sum(len(cn.parts) > 1 for cn in self.nodes)
+
     def execute(
         self,
         inputs: Sequence[Value],
@@ -141,12 +161,14 @@ class CompiledPlan:
         Args:
             inputs: one value per graph input, already batched to this
                 plan's batch factor.
-            node_times: when given, filled with wall-clock seconds per node.
+            node_times: when given, filled with wall-clock seconds per
+                *graph* node — a fused block's wall time, split at the
+                boundaries its kernel stamped.
             tracer: when given (and enabled), the run records a
                 ``plan.execute`` span with one nested ``plan.node`` span per
-                node; kernels deep in :mod:`repro.core` attach their own
-                sub-spans through the ambient
-                :func:`repro.obs.trace.active_tracer`.
+                graph node (same intervals as ``node_times``); kernels deep
+                in :mod:`repro.core` attach their own sub-spans through the
+                ambient :func:`repro.obs.trace.active_tracer`.
         """
         if len(inputs) != len(self.input_slots):
             raise ValueError(
@@ -181,24 +203,70 @@ class CompiledPlan:
         node_times: dict[str, float] | None,
         tracer: Tracer | None,
     ) -> None:
+        clock = time.perf_counter
+        # plan.node encloses the kernels' sub-spans; the node spans are
+        # recorded after the call, one per graph node covered.
+        scope = tracer.scope if tracer is not None else NULL_TRACER.span
         for cn in self.nodes:
             ins = [slots[s] for s in cn.input_slots]
-            if tracer is not None:
-                with tracer.span("plan.node", node=cn.name, op=cn.op) as sp:
-                    out = cn.fn(ins)
+            marks: list[float] = []
+            with scope("plan.node"):
+                start = clock()
+                out = cn.fn(ins, marks) if len(cn.parts) > 1 else cn.fn(ins)
+                end = clock()
+            edges = (start, *marks, end)
+            for (name, op), t0, t1 in zip(cn.parts, edges, edges[1:]):
                 if node_times is not None:
-                    node_times[cn.name] = sp.dur_s
-            else:
-                start = time.perf_counter()
-                out = cn.fn(ins)
-                if node_times is not None:
-                    node_times[cn.name] = time.perf_counter() - start
+                    node_times[name] = t1 - t0
+                if tracer is not None:
+                    tracer.record("plan.node", t0, t1 - t0, node=name, op=op)
             outs = out if isinstance(out, tuple) else (out,)
             for slot, v in zip(cn.output_slots, outs):
                 check_value(v, self.slot_specs[slot], self.slot_names[slot])
                 slots[slot] = v
             for s in cn.frees:
                 slots[s] = None
+
+
+def _blocks(graph: Graph, specs: dict[str, TensorSpec]) -> list[list]:
+    """The graph's nodes grouped into what one kernel executes, in order:
+    ``[node]``, or a ``groups == 1`` ``lce_bconv2d`` with the neighbours it
+    absorbs.  Two independent, conservative peepholes:
+
+    - the ``lce_quantize`` producing the conv's input, when the conv is
+      that tensor's only use and it is not a graph output;
+    - the ``add`` that is the only use of the conv's float32 output (not a
+      graph output), when its other operand has the very same spec — no
+      broadcasting, no dtype promotion.
+
+    A block stands where its last node stood, so every operand exists.
+    """
+    uses = Counter(t for node in graph.nodes for t in node.inputs)
+    producer = {t: node for node in graph.nodes for t in node.outputs}
+    user = {t: node for node in graph.nodes for t in node.inputs}
+
+    def interior(t: str) -> bool:
+        return uses[t] == 1 and t not in graph.outputs
+
+    block_of: dict[str, list] = {}
+    for conv in graph.nodes:
+        if conv.op != "lce_bconv2d" or conv.attrs.get("groups", 1) != 1:
+            continue
+        src, dst = conv.inputs[0], conv.outputs[0]
+        block = [conv]
+        if interior(src) and src in producer and producer[src].op == "lce_quantize":
+            block.insert(0, producer[src])
+        add = user.get(dst)
+        if interior(dst) and specs[dst].dtype == "float32" and add.op == "add":
+            # an add of two convolutions goes to the first of them
+            if add.name not in block_of and all(
+                specs[t] == specs[dst] for t in add.inputs
+            ):
+                block.append(add)
+        for node in block:
+            block_of[node.name] = block
+    blocks = (block_of.get(node.name, [node]) for node in graph.nodes)
+    return [block for node, block in zip(graph.nodes, blocks) if node is block[-1]]
 
 
 def compile_plan(
@@ -231,43 +299,65 @@ def compile_plan(
         workspace=workspace,
     )
 
-    # Slot assignment: graph inputs first, then node outputs in order.
+    base_batch = specs[graph.inputs[0]].shape[0] // batch_factor if graph.inputs else 1
+    # (fn, graph nodes covered, input tensors, output tensors) per executed node
+    executed: list[tuple[KernelFn, list, list[str], list[str]]] = []
+    for block in _blocks(graph, specs):
+        if len(block) == 1:
+            (node,) = block
+            fn = compile_node(node, ctx)
+            if batch_factor > 1 and get_spec(node.op).split_rebatch:
+                fn = _split_per_group(fn, base_batch, batch_factor)
+            executed.append((fn, block, node.inputs, node.outputs))
+            continue
+        # A block takes what its nodes took from outside it: the first
+        # node's input and, with an add, that add's other operand.
+        conv = next(n for n in block if n.op == "lce_bconv2d")
+        inputs, shortcut = list(block[0].inputs), None
+        if block[-1] is not conv:
+            shortcut = 1 - block[-1].inputs.index(conv.outputs[0])
+            inputs.append(block[-1].inputs[shortcut])
+        fn = bconv2d_kernel(
+            conv, get_spec(conv.op).parse_attrs(conv.attrs), ctx,
+            quantize=block[0] is not conv, shortcut=shortcut,
+        )
+        executed.append((fn, block, inputs, block[-1].outputs))
+
+    # Slot assignment: graph inputs first, then executed outputs in order.
     slot_of: dict[str, int] = {}
     slot_names: list[str] = []
     for t in graph.inputs:
         slot_of[t] = len(slot_names)
         slot_names.append(t)
-    for node in graph.nodes:
-        for t in node.outputs:
+    for _, _, _, outputs in executed:
+        for t in outputs:
             slot_of[t] = len(slot_names)
             slot_names.append(t)
 
-    # Liveness: last node index using each tensor (same rule the reference
-    # executor applies at every run).
+    # Liveness: last executed node using each tensor (the rule the
+    # reference executor applies to graph nodes at every run).
     last_use: dict[str, int] = {}
-    for idx, node in enumerate(graph.nodes):
-        for t in node.inputs:
-            last_use[t] = idx
+    for pos, (_, _, inputs, _) in enumerate(executed):
+        for t in inputs:
+            last_use[t] = pos
 
-    base_batch = specs[graph.inputs[0]].shape[0] // batch_factor if graph.inputs else 1
     compiled: list[CompiledNode] = []
-    for idx, node in enumerate(graph.nodes):
-        fn = compile_node(node, ctx)
-        if batch_factor > 1 and get_spec(node.op).split_rebatch:
-            fn = _split_per_group(fn, base_batch, batch_factor)
-        frees = tuple(
-            slot_of[t]
-            for t in node.inputs
-            if last_use.get(t) == idx and t not in graph.outputs
-        )
+    for pos, (fn, covered, inputs, outputs) in enumerate(executed):
+        # a block is named after its convolution
+        anchor = next((n for n in covered if n.op == "lce_bconv2d"), covered[0])
         compiled.append(
             CompiledNode(
-                name=node.name,
-                op=node.op,
+                name=anchor.name,
+                op=anchor.op,
                 fn=fn,
-                input_slots=tuple(slot_of[t] for t in node.inputs),
-                output_slots=tuple(slot_of[t] for t in node.outputs),
-                frees=frees,
+                input_slots=tuple(slot_of[t] for t in inputs),
+                output_slots=tuple(slot_of[t] for t in outputs),
+                frees=tuple(
+                    slot_of[t]
+                    for t in dict.fromkeys(inputs)
+                    if last_use[t] == pos and t not in graph.outputs
+                ),
+                parts=tuple((n.name, n.op) for n in covered),
             )
         )
 

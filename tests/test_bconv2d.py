@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from repro.core.bconv2d import (
     BConv2DParams,
+    BoundBConv2D,
     bconv2d,
     bconv2d_reference,
     pack_filters,
+    reserve_bconv2d_workspace,
     zero_padding_correction,
 )
 from repro.core.bitpack import pack_bits
 from repro.core.output_transform import compute_output_thresholds
 from repro.core.quantize_ops import lce_quantize
 from repro.core.types import Activation, OutputType, Padding
+from repro.core.workspace import Workspace
 
 
 def _case(rng, h=7, w=7, cin=37, cout=5, k=3, batch=2):
@@ -283,3 +286,120 @@ class TestInt8Output:
             int8_output_scale=0.5, int8_output_zero_point=-10,
         )
         assert np.all(q >= -10)  # relu floor sits at the zero point
+
+
+class TestBoundKernel:
+    """``BoundBConv2D`` — what compiled plans run — against ``bconv2d``
+    without a workspace (what the ``Executor`` runs)."""
+
+    @pytest.mark.parametrize("output_type", list(OutputType))
+    @pytest.mark.parametrize(
+        "padding,stride,dilation",
+        [
+            (Padding.SAME_ONE, 1, 1), (Padding.SAME_ZERO, 2, 1),
+            (Padding.VALID, 1, 2), (Padding.SAME_ONE, 3, 2),
+        ],
+    )
+    def test_every_output_type_and_geometry(
+        self, rng, output_type, padding, stride, dilation
+    ):
+        x, w = _case(rng, h=8, w=6, cin=70, cout=9)
+        p = BConv2DParams(3, 3, 70, 9, stride=stride, dilation=dilation, padding=padding)
+        mult = rng.standard_normal(9).astype(np.float32)
+        bias = rng.standard_normal(9).astype(np.float32)
+        kw = dict(
+            multiplier=mult, bias=bias, activation=Activation.RELU6,
+            scale_before_activation=True, output_type=output_type,
+        )
+        if padding is Padding.SAME_ZERO:
+            kw["padding_correction"] = zero_padding_correction(w, p, 8, 6)
+        if output_type is OutputType.BITPACKED:
+            kw["thresholds"] = compute_output_thresholds(
+                p.depth, 9, mult, bias, Activation.RELU6, True
+            )
+        if output_type is OutputType.INT8:
+            kw.update(int8_output_scale=0.05, int8_output_zero_point=3)
+        filters = pack_filters(w)
+        expected = bconv2d(lce_quantize(x), filters, p, **kw)
+
+        ws = Workspace()
+        packed = BoundBConv2D(filters, p, 8, 6, 2, **kw)
+        floats = BoundBConv2D(filters, p, 8, 6, 2, quantize=True, **kw)
+        for kernel, arg in ((packed, lce_quantize(x)), (floats, x)):
+            run = kernel.bind(ws)
+            for _ in range(2):
+                got = run(arg)
+                if output_type is OutputType.BITPACKED:
+                    assert got == expected
+                else:
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_shortcut_and_marks(self, rng, position):
+        x, w = _case(rng, cin=64, cout=64)
+        p = BConv2DParams(3, 3, 64, 64)
+        filters = pack_filters(w)
+        conv = bconv2d(lce_quantize(x), filters, p, activation=Activation.RELU)
+        run = BoundBConv2D(
+            filters, p, 7, 7, 2, activation=Activation.RELU,
+            quantize=True, shortcut=position,
+        ).bind(Workspace())
+        marks: list[float] = []
+        got = run(x, x, marks)
+        assert np.array_equal(got, x + conv if position == 0 else conv + x)
+        assert got.dtype == np.float32
+        # one boundary after the absorbed quantize, one before the absorbed add
+        assert len(marks) == 2 and marks[0] <= marks[1]
+        # a float64 shortcut promotes exactly as the add node's kernel does
+        wide = run(x, x.astype(np.float64))
+        assert wide.dtype == np.float64
+
+    def test_result_is_fresh_storage(self, rng):
+        x, w = _case(rng, cin=32, cout=8)
+        p = BConv2DParams(3, 3, 32, 8)
+        ws = Workspace()
+        run = BoundBConv2D(pack_filters(w), p, 7, 7, 2, quantize=True).bind(ws)
+        first = run(x)
+        kept = first.copy()
+        run(-x)
+        assert np.array_equal(first, kept)
+        assert not any(np.shares_memory(first, ws.buffer(n)) for n in ws.names())
+
+    def test_reservation_is_what_bind_takes(self, rng):
+        _, w = _case(rng, cin=96, cout=130)
+        p = BConv2DParams(3, 3, 96, 130, stride=2)
+        for batch, quantize in ((1, False), (3, True)):
+            ws = Workspace()
+            reserve_bconv2d_workspace(ws, p, 7, 7, batch, quantize=quantize)
+            grows, names = ws.grows, ws.names()
+            BoundBConv2D(pack_filters(w), p, 7, 7, batch, quantize=quantize).bind(ws)
+            assert (ws.grows, ws.names()) == (grows, names)
+
+    def test_static_checks_happen_at_construction(self, rng):
+        x, w = _case(rng, cin=64, cout=4)
+        filters = pack_filters(w)
+        with pytest.raises(ValueError, match="groups == 1"):
+            BoundBConv2D(filters, BConv2DParams(3, 3, 64, 4, groups=2), 7, 7, 2)
+        with pytest.raises(ValueError, match="shortcut"):
+            BoundBConv2D(
+                filters, BConv2DParams(3, 3, 64, 4), 7, 7, 2, shortcut=0,
+                output_type=OutputType.BITPACKED,
+                thresholds=compute_output_thresholds(576, 4),
+            )
+        with pytest.raises(ValueError, match="padding_correction"):
+            BoundBConv2D(
+                filters, BConv2DParams(3, 3, 64, 4, padding=Padding.SAME_ZERO), 7, 7, 2
+            )
+        with pytest.raises(ValueError, match="output channels"):
+            BoundBConv2D(filters, BConv2DParams(3, 3, 64, 5), 7, 7, 2)
+
+    def test_run_rejects_what_it_would_silently_broadcast(self, rng):
+        x, w = _case(rng, cin=64, cout=4)
+        run = BoundBConv2D(
+            pack_filters(w), BConv2DParams(3, 3, 64, 4), 7, 7, 2, quantize=True
+        ).bind(Workspace())
+        with pytest.raises(ValueError, match="kernel expects"):
+            run(x[:1])
+        with pytest.raises(TypeError, match="binarize"):
+            run(x > 0)

@@ -205,6 +205,26 @@ def test_engine_accepts_the_keywords_worker_passes_through_engine_cls():
     assert _binds(Engine, 1, ["num_threads", "max_batch_size", "trace"]) is None
 
 
+def test_node_times_are_keyed_by_graph_node():
+    # worker.py::_engine_numbers looks every node_times key up in a table it
+    # builds from ``graph.nodes`` (``class_of[node]``), and proxy.py emits one
+    # node span per key: a plan that fuses nodes must still report each graph
+    # node under its own name, or ``--trace 1`` dies with a KeyError.
+    import numpy as np
+
+    from repro.converter import convert
+    from repro.runtime import compile_plan
+    from repro.zoo import build_model
+
+    graph = convert(build_model(_workloads_literal("MODEL"), input_size=32)).graph
+    plan = compile_plan(graph, batch_factor=2, num_threads=1)
+    assert len(plan.nodes) < len(graph.nodes), "the plan under test fuses nothing"
+    node_times: dict[str, float] = {}
+    plan.execute((np.zeros((2, 32, 32, 3), np.float32),), node_times)
+    assert set(node_times) == {n.name for n in graph.nodes}
+    assert all(t >= 0.0 for t in node_times.values())
+
+
 class TestVestigialThreadParameter:
     """``num_threads`` survives only because ``bench/`` passes it by keyword:
     it accepts exactly 1."""

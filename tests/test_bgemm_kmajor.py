@@ -19,6 +19,7 @@ from repro.core.bgemm import (
     bgemm_reference,
     bgemm_scratch_spec,
     derive_k_block,
+    derive_panel,
 )
 from repro.core.bitpack import pack_bits
 from repro.core.workspace import Workspace
@@ -162,6 +163,48 @@ class TestDeriveKBlock:
         assert derive_k_block(1, 128, 72) == 72
         assert derive_k_block(256, 128, 72) == 2
         assert derive_k_block(1024, 512, 9) == 1
+
+
+class TestDerivePanel:
+    def test_few_rows_take_one_full_width_panel(self):
+        # the two 32x32 QuickNet layers the rule was measured on
+        assert derive_panel(4, 256, 36) == (4, 256, derive_k_block(4, 256, 36))
+        assert derive_panel(1, 512, 72) == (1, 512, 72)
+        assert derive_panel(8, 1000, 9)[:2] == (8, 1000)
+
+    def test_more_rows_keep_the_capped_panel(self):
+        for m in (9, 32, 128, 3136):
+            mt, nt, kb = derive_panel(m, 512, 72)
+            assert (mt, nt) == (min(m, 256), 128)
+            assert kb == derive_k_block(mt, nt, 72)
+
+    @given(
+        m=st.integers(1, 600), n=st.integers(1, 600), words=st.integers(1, 100),
+        tile_m=st.integers(1, 300), tile_n=st.integers(1, 300),
+        tile_k_words=st.integers(1, 5),
+    )
+    def test_shape_is_clamped_and_depth_follows_it(
+        self, m, n, words, tile_m, tile_n, tile_k_words
+    ):
+        mt, nt, kb = derive_panel(m, n, words, tile_m, tile_n, tile_k_words)
+        assert mt == min(tile_m, m)
+        assert nt == (n if m <= 8 else min(tile_n, n))
+        if tile_k_words == 1:
+            assert kb == derive_k_block(mt, nt, words)
+        else:
+            assert kb == min(tile_k_words, words)
+
+    def test_an_explicit_tile_n_still_means_what_it_says(self, rng):
+        # bench/probes.py passes tile_n to bgemm_blocked by keyword: the
+        # panel rule is the bound convolution's, not the BGEMM entry points'.
+        a, b = _operands(rng, 4, 300)
+        ws = Workspace()
+        out = bgemm_blocked(a, b, DEPTH, tile_m=256, tile_n=128, workspace=ws)
+        assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
+        assert ws.buffer("bgemm/out").size == 4 * 128
+        # ... while the reservation follows the derived (wider) panel
+        sizes = {name: size for name, size, _ in bgemm_scratch_spec(4, 300, WORDS)}
+        assert sizes["bgemm/out"] == 4 * 300
 
 
 class TestScratchReservationIsExact:

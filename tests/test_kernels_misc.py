@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
 from repro.core.types import Activation, Padding
 from repro.kernels.arithmetic import add, concat, mul, pad2d, relu, relu6, softmax
 from repro.kernels.batchnorm import (
@@ -48,6 +51,44 @@ class TestPooling:
         for out in outs:
             assert out.dtype == np.float32
             assert not np.shares_memory(out, x)
+
+    @given(
+        n=st.integers(1, 2),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        c=st.sampled_from([1, 3, 16]),
+        pool_h=st.integers(1, 3),
+        pool_w=st.integers(1, 3),
+        stride=st.sampled_from([None, 1, 2, 3]),
+        padding=st.sampled_from([Padding.VALID, Padding.SAME_ZERO]),
+        specials=st.sampled_from([(), (np.nan,), (-np.inf,), (np.nan, -np.inf, np.inf)]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_maxpool_equals_the_window_gather(
+        self, n, h, w, c, pool_h, pool_w, stride, padding, specials, dtype, seed
+    ):
+        """The running maximum over strided slices against the gather of an
+        (N, pixels, taps, C) window tensor it replaced: same values (NaN and
+        -inf included), same dtype, same shape, for even and odd sizes."""
+        assume(padding is not Padding.VALID or (h >= pool_h and w >= pool_w))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, h, w, c)).astype(dtype)
+        for value in specials:
+            x[rng.random(x.shape) < 0.2] = value
+        got = maxpool2d(x, pool_h, pool_w, stride=stride, padding=padding)
+
+        step = stride or max(pool_h, pool_w)
+        geom = conv_geometry(h, w, pool_h, pool_w, step, 1, padding)
+        padded = pad_spatial(x.astype(np.float32), geom.pads, -np.inf)
+        rows, cols = gather_indices(geom, pool_h, pool_w, step, 1)
+        expected = padded[:, rows, cols, :].max(axis=2).reshape(
+            n, geom.out_h, geom.out_w, c
+        )
+        assert got.dtype == expected.dtype == np.float32
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert not np.shares_memory(got, x)
 
     def test_maxpool_same_padding_ignores_pad(self):
         x = np.full((1, 3, 3, 1), -7.0, np.float32)

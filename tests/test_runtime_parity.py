@@ -23,19 +23,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.converter import convert
+from repro.core.bconv2d import BConv2DParams, pack_filters, zero_padding_correction
 from repro.core.bitpack import PackedTensor, pack_bits
+from repro.core.im2col import conv_geometry
+from repro.core.output_transform import compute_output_thresholds
 from repro.core.types import Activation, Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
 from repro.graph.ir import Graph, TensorSpec
 from repro.kernels.batchnorm import BatchNormParams
 from repro.ptq import quantize_model
-from repro.runtime import Engine
+from repro.obs import Tracer
+from repro.runtime import Engine, compile_plan
 from repro.zoo import MODEL_REGISTRY, build_model
 
 BATCH_FACTORS = (1, 3, 8)
+ZOO_BATCH_FACTORS = (1, 2, 4, 8)
 
 # ----------------------------------------------------------------- helpers
 
@@ -364,7 +371,7 @@ def test_plan_workspace_reused_across_calls(rng):
         plan = engine.plan(2)
         assert plan.workspace.num_workspaces == 1
         ws = plan.workspace.workspaces()[0]
-        assert "bconv/patches" in ws.names()
+        assert "bgemm/at" in ws.names()
         before = {name: id(ws.buffer(name)) for name in ws.names()}
         grows = ws.grows
         for _ in range(3):
@@ -420,6 +427,303 @@ def test_quicknet_small_32_parity_every_batch_factor(factor, rng):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
-@pytest.mark.parametrize("factor", BATCH_FACTORS)
+@pytest.mark.parametrize("factor", ZOO_BATCH_FACTORS)
 def test_zoo_parity_full(model_name, factor, rng):
     _zoo_engine_case(model_name, factor, rng)
+
+
+# ------------------------------------------------------ the fused block
+#
+# compile_plan lets a groups == 1 lce_bconv2d absorb the lce_quantize
+# feeding it and the add consuming it (repro.runtime.plan._absorbed).  The
+# graph below is one such block with every knob the bound kernel has, in
+# the variants that must and must not fuse.
+
+BLOCK_VARIANTS = {
+    # variant -> graph node ops each executed node must cover, in order
+    "triple": [["lce_quantize", "lce_bconv2d", "add"]],
+    "no_shortcut": [["lce_quantize", "lce_bconv2d"]],
+    "bitpacked_out": [["lce_quantize", "lce_bconv2d"]],
+    "shared_quantize": [["lce_quantize"], ["lce_dequantize"], ["lce_bconv2d", "add"]],
+    "broadcast_add": [["lce_quantize", "lce_bconv2d"], ["add"]],
+    "int8_add": [["lce_quantize", "lce_bconv2d"], ["add"]],
+    "conv_is_output": [["lce_quantize", "lce_bconv2d"], ["add"]],
+}
+
+
+def _block_graph(
+    rng, variant, h, w, cin, cout, kernel, stride, padding, activation,
+    scale_before, shortcut_first,
+):
+    geom = conv_geometry(h, w, kernel, kernel, stride, 1, padding)
+    out_shape = (1, geom.out_h, geom.out_w, cout)
+    weights = rng.choice(np.float32([-1.0, 1.0]), size=(kernel, kernel, cin, cout))
+    multiplier = rng.standard_normal(cout).astype(np.float32)
+    bias = rng.standard_normal(cout).astype(np.float32)
+    attrs = {
+        "kernel_h": kernel, "kernel_w": kernel, "in_channels": cin,
+        "out_channels": cout, "stride": stride, "padding": padding,
+        "activation": activation, "scale_before_activation": scale_before,
+    }
+    params = {
+        "filter_bits": pack_filters(weights).bits,
+        "multiplier": multiplier, "bias": bias,
+    }
+    if padding is Padding.SAME_ZERO:
+        params["padding_correction"] = zero_padding_correction(
+            weights, BConv2DParams(kernel, kernel, cin, cout, stride, 1, padding),
+            h, w,
+        )
+    out_dtype = "float32"
+    if variant == "bitpacked_out":
+        th = compute_output_thresholds(
+            kernel * kernel * cin, cout, multiplier, bias, activation, scale_before
+        )
+        attrs["output_type"] = "bitpacked"
+        del params["multiplier"], params["bias"]  # folded into the thresholds
+        params["threshold"], params["threshold_flip"] = th.threshold, th.flip
+        out_dtype = "bitpacked"
+
+    g = Graph(f"block_{variant}")
+    x = g.add_input("x", TensorSpec((1, h, w, cin)))
+    q = g.add_node("lce_quantize", [x], [TensorSpec((1, h, w, cin), "bitpacked")])
+    outputs = []
+    if variant == "shared_quantize":
+        d = g.add_node(
+            "lce_dequantize", [q.outputs[0]], [TensorSpec((1, h, w, cin))]
+        )
+        outputs.append(d.outputs[0])
+    conv = g.add_node(
+        "lce_bconv2d", [q.outputs[0]], [TensorSpec(out_shape, out_dtype)],
+        attrs=attrs, params=params,
+    )
+    if variant in ("no_shortcut", "bitpacked_out"):
+        outputs.append(conv.outputs[0])
+    else:
+        s_spec = TensorSpec(out_shape)
+        if variant == "broadcast_add":
+            s_spec = TensorSpec((1, 1, 1, 1))
+        elif variant == "int8_add":
+            s_spec, shortcut_first = TensorSpec(out_shape, "int8"), False
+        s = g.add_input("s", s_spec)
+        operands = [s, conv.outputs[0]] if shortcut_first else [conv.outputs[0], s]
+        a = g.add_node("add", operands, [TensorSpec(out_shape)])
+        outputs.append(a.outputs[0])
+        if variant == "conv_is_output":
+            outputs.append(conv.outputs[0])
+    g.outputs = outputs
+    g.verify()
+    return g
+
+
+@settings(max_examples=80)
+@given(
+    variant=st.sampled_from(sorted(BLOCK_VARIANTS)),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    cin=st.sampled_from([16, 32, 64, 96, 256]),
+    cout=st.sampled_from([8, 40, 136]),
+    kernel=st.sampled_from([1, 3, 5]),
+    stride=st.sampled_from([1, 2]),
+    padding=st.sampled_from(list(Padding)),
+    activation=st.sampled_from(list(Activation)),
+    scale_before=st.booleans(),
+    shortcut_first=st.booleans(),
+    factor=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_property(
+    variant, h, w, cin, cout, kernel, stride, padding, activation,
+    scale_before, shortcut_first, factor, seed,
+):
+    """One binarized block, every shape and knob: the plan fuses exactly
+    what the variant allows and its outputs equal the oracle's bit for bit."""
+    assume(padding is not Padding.VALID or min(h, w) >= kernel)
+    rng = np.random.default_rng(seed)
+    graph = _block_graph(
+        rng, variant, h, w, cin, cout, kernel, stride, padding, activation,
+        scale_before, shortcut_first,
+    )
+    plan = compile_plan(graph, batch_factor=factor)
+    assert [[op for _, op in cn.parts] for cn in plan.nodes] == BLOCK_VARIANTS[variant]
+    inputs = tuple(_batched_input(graph, factor, rng, t) for t in graph.inputs)
+    expected = reference_outputs(graph, inputs, factor)
+    for _ in range(2):  # the second call runs through the views bound by the first
+        got = plan.execute(inputs)
+        assert_bit_identical(got[0] if len(got) == 1 else got, expected)
+
+
+def test_every_block_variant_is_reachable(rng):
+    """The property above samples variants; this pins each one's structure
+    deterministically (one shape), so a variant cannot go untested."""
+    for variant, expected in BLOCK_VARIANTS.items():
+        graph = _block_graph(
+            rng, variant, 5, 4, 96, 40, 3, 1, Padding.SAME_ZERO,
+            Activation.RELU, False, True,
+        )
+        plan = compile_plan(graph)
+        assert [[op for _, op in cn.parts] for cn in plan.nodes] == expected
+        assert plan.fused_blocks == sum(len(ops) > 1 for ops in expected)
+
+
+def test_an_add_of_two_convolutions_is_absorbed_once(rng):
+    """``add(bconv(x), bconv(x'))``: both convs qualify for the add; the
+    first takes it, the second must still run (before the block)."""
+    g = Graph("two_branches")
+    x = g.add_input("x", TensorSpec((1, 5, 5, 64)))
+    convs = []
+    for _ in range(2):
+        q = g.add_node("lce_quantize", [x], [TensorSpec((1, 5, 5, 64), "bitpacked")])
+        w = rng.choice(np.float32([-1.0, 1.0]), size=(3, 3, 64, 64))
+        convs.append(g.add_node(
+            "lce_bconv2d", [q.outputs[0]], [TensorSpec((1, 5, 5, 64))],
+            attrs={"kernel_h": 3, "kernel_w": 3, "in_channels": 64,
+                   "out_channels": 64},
+            params={"filter_bits": pack_filters(w).bits},
+        ))
+    a = g.add_node("add", [c.outputs[0] for c in convs], [TensorSpec((1, 5, 5, 64))])
+    g.outputs = [a.outputs[0]]
+    g.verify()
+    plan = compile_plan(g, batch_factor=2)
+    assert [[op for _, op in cn.parts] for cn in plan.nodes] == [
+        ["lce_quantize", "lce_bconv2d"],
+        ["lce_quantize", "lce_bconv2d", "add"],
+    ]
+    assert plan.nodes[0].name == convs[1].name  # the block waits for it
+    inputs = (_batched_input(g, 2, rng),)
+    assert_bit_identical(plan.execute(inputs)[0], reference_outputs(g, inputs, 2))
+
+
+def test_grouped_bconv_keeps_the_plain_call(rng):
+    graph = SYNTHETIC_GRAPHS["grouped_bconv"](rng)
+    plan = compile_plan(graph)
+    assert plan.fused_blocks == 0
+    assert [cn.op for cn in plan.nodes] == [n.op for n in graph.nodes]
+
+
+# ----------------------------------------- what a fused plan reports
+
+@pytest.fixture(scope="module", params=sorted(MODEL_REGISTRY))
+def zoo_model(request):
+    size = ZOO_INPUT_SIZE.get(request.param, 32)
+    return convert(build_model(request.param, input_size=size), in_place=True)
+
+
+def test_fused_plans_report_per_graph_node(zoo_model, rng):
+    """node_times and plan.node spans keep one entry per graph node, a
+    fused block's parts abut (they sum to its wall time), and the BGEMM
+    span sits inside the convolution's part."""
+    graph = zoo_model.graph
+    plan = compile_plan(graph)
+    x = _batched_input(graph, 1, rng)
+    node_times: dict[str, float] = {}
+    plan.execute((x,), node_times)
+    assert list(node_times) == [name for cn in plan.nodes for name, _ in cn.parts]
+    assert set(node_times) == {n.name for n in graph.nodes}
+    assert len(node_times) == len(graph.nodes)
+
+    tracer = Tracer()
+    traced_times: dict[str, float] = {}
+    plan.execute((x,), traced_times, tracer=tracer)
+    spans = {s.args["node"]: s for s in tracer.spans() if s.name == "plan.node"}
+    assert {(name, s.args["op"]) for name, s in spans.items()} == {
+        (n.name, n.op) for n in graph.nodes
+    }
+    assert sum(s.name == "plan.node" for s in tracer.spans()) == len(graph.nodes)
+    assert {name: s.dur_s for name, s in spans.items()} == traced_times
+    bgemm = [s for s in tracer.spans() if s.name == "kernel.bgemm"]
+    for cn in plan.nodes:
+        parts = [spans[name] for name, _ in cn.parts]
+        for before, after in zip(parts, parts[1:]):
+            assert abs(before.end_s - after.start_s) < 1e-9  # no gap, no overlap
+        if len(parts) > 1:
+            conv = spans[cn.name]
+            inside = [
+                s for s in bgemm
+                if conv.start_s <= s.start_s and s.end_s <= conv.end_s + 1e-9
+            ]
+            assert len(inside) == 1
+    assert plan.fused_blocks == sum(len(cn.parts) > 1 for cn in plan.nodes)
+
+
+def test_quicknet_and_birealnet_fuse_every_block():
+    for name in ("quicknet_small", "birealnet18"):
+        model = convert(build_model(name, input_size=32), in_place=True)
+        plan = compile_plan(model.graph)
+        triples = [cn for cn in plan.nodes if len(cn.parts) == 3]
+        assert len(triples) == 16 == sum(
+            n.op == "lce_bconv2d" for n in model.graph.nodes
+        )
+        assert all(
+            [op for _, op in cn.parts] == ["lce_quantize", "lce_bconv2d", "add"]
+            and (cn.name, cn.op) == cn.parts[1]
+            for cn in triples
+        )
+
+
+# ------------------------------------------------- steady state of a plan
+
+def _run_holding_every_value(plan, x):
+    """``plan.execute`` by hand, keeping every node's output alive."""
+    slots = {plan.input_slots[0]: x}
+    for cn in plan.nodes:
+        out = cn.fn([slots[s] for s in cn.input_slots])
+        slots.update(zip(cn.output_slots, out if isinstance(out, tuple) else (out,)))
+    return slots
+
+
+def test_outputs_never_alias_the_arena(rng):
+    """A value held across the next execute is unchanged: what a bound
+    kernel returns is a fresh array, never a view of its scratch."""
+    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    plan = compile_plan(model.graph)
+    x1, x2 = (_batched_input(model.graph, 1, rng) for _ in range(2))
+    held = {
+        slot: v for slot, v in _run_holding_every_value(plan, x1).items()
+        if isinstance(v, np.ndarray)
+    }
+    copies = {slot: v.copy() for slot, v in held.items()}
+    plan.execute((x2,))
+    ws = plan.workspace.current()
+    for slot, value in held.items():
+        name = plan.slot_names[slot]
+        assert np.array_equal(value, copies[slot]), name
+        assert not any(
+            np.shares_memory(value, ws.buffer(buf)) for buf in ws.names()
+        ), name
+
+
+@pytest.mark.parametrize("factor", range(1, 9))
+def test_arena_constant_from_the_second_call(factor, rng):
+    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    plan = compile_plan(model.graph, batch_factor=factor)
+    x = _batched_input(model.graph, factor, rng)
+    plan.execute((x,))
+    ws = plan.workspace.current()
+    grows, nbytes = ws.grows, ws.nbytes
+    for _ in range(3):
+        plan.execute((x,))
+    assert (ws.grows, ws.nbytes) == (grows, nbytes)
+
+
+def test_plan_rebinds_when_its_arena_grows_behind_it(rng):
+    """Growing a buffer behind the bound kernels (here: by hand) replaces
+    storage their views point into; the next call must rebind, not write
+    through the stale views, and still match the oracle."""
+    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    plan = compile_plan(model.graph)
+    x = _batched_input(model.graph, 1, rng)
+    expected = reference_outputs(model.graph, (x,), 1)
+    assert_bit_identical(plan.execute((x,))[0], expected)
+    ws = plan.workspace.current()
+    stale = {name: ws.buffer(name) for name in ws.names()}
+    for name, buf in stale.items():
+        ws.take(name, (buf.size + 64,), buf.dtype)  # reallocates every buffer
+        buf.fill(0)  # the old storage: a stale view would read this
+    assert all(ws.buffer(name) is not buf for name, buf in stale.items())
+    grows = ws.grows
+    assert_bit_identical(plan.execute((x,))[0], expected)
+    assert_bit_identical(plan.execute((x,))[0], expected)
+    assert ws.grows == grows, "rebinding must not allocate"
+    # ... and the rebound kernels really write the new storage
+    assert any(ws.buffer(name).any() for name in ws.names())

@@ -8,13 +8,16 @@ under concurrent callers and arbitrary request/coalescing geometries
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.converter import convert
 from repro.core.types import Padding
-from repro.runtime import Engine
+from repro.runtime import Engine, compile_plan
+from repro.zoo import build_model
 from test_runtime_parity import (
     _batched_input,
     _binary_net,
@@ -84,6 +87,48 @@ class TestThreadSafety:
         assert stats.samples == sum(
             size * n for size, n in stats.batch_histogram.items()
         )
+
+
+    def test_eight_threads_on_one_fused_plan(self):
+        """One compiled plan of fused blocks, eight threads, no engine in
+        between: each thread binds the kernels to its own arena on its
+        first call and every reply equals the oracle."""
+        model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+        plan = compile_plan(model.graph)
+        assert plan.fused_blocks == 16
+        rng = np.random.default_rng(11)
+        xs = [_batched_input(model.graph, 1, rng) for _ in range(4)]
+        refs = [reference_outputs(model.graph, (x,), 1) for x in xs]
+        num_threads, iterations = 8, 12
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(num_threads)
+
+        def client(tid: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                for i in range(iterations):
+                    k = (tid + i) % len(xs)
+                    assert_bit_identical(plan.execute((xs[k],))[0], refs[k])
+            except BaseException as exc:  # surface in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-kernel, often
+        try:
+            threads = [
+                threading.Thread(target=client, args=(tid,))
+                for tid in range(num_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert plan.workspace.num_workspaces == num_threads
 
 
 class TestCoalescingFuzz:

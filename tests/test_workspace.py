@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import pytest
 
 from repro.core.workspace import Workspace, WorkspacePool
 
@@ -32,11 +33,19 @@ class TestWorkspace:
         second = ws.take("x", (8, 8), np.uint8)
         assert first.base is second.base
 
-    def test_dtype_change_reallocates(self):
+    def test_dtype_conflict_is_an_error_not_a_reallocation(self):
+        # Two users alternating dtypes on one name used to drop and
+        # reallocate the buffer on every take (six takes -> grows += 6) on
+        # the path whose contract is "never grows".
         ws = Workspace()
-        ws.take("x", (16,), np.uint64)
-        ws.take("x", (16,), np.int32)
-        assert ws.grows == 2
+        for _ in range(3):
+            ws.take("x", (16,), np.uint64)
+            with pytest.raises(ValueError, match="'x' holds uint64"):
+                ws.take("x", (16,), np.uint8)
+        with pytest.raises(ValueError, match="'x' holds uint64"):
+            ws.reserve("x", 1000, np.int32)
+        assert ws.grows == 1
+        assert ws.buffer("x").dtype == np.uint64
 
     def test_names_and_nbytes(self):
         ws = Workspace()
@@ -53,6 +62,36 @@ class TestWorkspace:
         assert ws.grows == grows
 
 
+class TestBound:
+    def test_views_are_built_once_and_rebuilt_when_the_arena_grows(self):
+        ws = Workspace()
+        builds = []
+
+        def build(w):
+            builds.append(w.grows)
+            return w.take("buf", (8,), np.uint64)
+
+        first = ws.bound("k", build)
+        assert ws.bound("k", build) is first and len(builds) == 2
+        ws.take("other", (4,), np.uint8)  # grows behind the bound views
+        again = ws.bound("k", build)
+        assert again is not first and again.base is ws.buffer("buf")
+        assert ws.bound("k", build) is again
+
+    def test_build_is_repeated_until_it_takes_nothing_new(self):
+        # The first build grows "buf" twice; what is returned must come
+        # from a pass in which no buffer moved.
+        ws = Workspace()
+
+        def build(w):
+            small = w.take("buf", (4,), np.uint64)
+            big = w.take("buf", (64,), np.uint64)
+            return small, big
+
+        small, big = ws.bound("k", build)
+        assert small.base is ws.buffer("buf") and big.base is ws.buffer("buf")
+
+
 class TestWorkspacePool:
     def test_reservations_keep_max(self):
         pool = WorkspacePool()
@@ -61,6 +100,15 @@ class TestWorkspacePool:
         pool.reserve("a", 50, np.uint64)
         assert pool.reservations() == (("a", 100, np.dtype(np.uint64)),)
         assert pool.reserved_bytes == 800
+
+    def test_reserve_rejects_a_second_dtype(self):
+        # Sizes are element counts: 50 uint64 (400 B) after 100 uint8
+        # (100 B) used to be discarded as "smaller", under-reserving.
+        pool = WorkspacePool()
+        pool.reserve("a", 100, np.uint8)
+        with pytest.raises(ValueError, match="'a' holds uint8"):
+            pool.reserve("a", 50, np.uint64)
+        assert pool.reservations() == (("a", 100, np.dtype(np.uint8)),)
 
     def test_current_is_preallocated(self):
         pool = WorkspacePool()
