@@ -1,6 +1,6 @@
 # Convenience targets for the LCE reproduction.
 
-.PHONY: test test-fast test-slow test-serving lint analyze check sanitize sanitize-smoke trace-smoke serve-smoke calibrate-smoke telemetry-smoke bench bench-fast bench-serving experiments appendix extensions examples all
+.PHONY: test test-fast test-slow test-serving lint analyze check sanitize sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke bench bench-fast experiments appendix extensions examples all
 
 test:
 	pytest tests/
@@ -28,14 +28,14 @@ sanitize-smoke:
 	REPRO_SANITIZE=1 pytest tests/ -m "serving and not slow"
 	REPRO_SANITIZE=1 pytest tests/test_runtime_engine.py tests/test_concurrency_locks.py
 
-check: lint analyze test-fast test-serving sanitize-smoke trace-smoke serve-smoke calibrate-smoke telemetry-smoke
+check: lint analyze test-fast test-serving sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke
 
 # End-to-end observability smoke: trace a QuickNet-small engine run,
 # schema-validate the Chrome-trace export, and print the unified metrics
 # registry.  ``cli trace`` exits non-zero on any validation problem.
 trace-smoke:
 	PYTHONPATH=src python -m repro.cli trace quicknet_small --input-size 32 \
-		--batch 2 --out /tmp/repro-trace-smoke.json
+		--batch 2 --out $${TMPDIR:-/tmp}/repro-trace-smoke.json
 	PYTHONPATH=src python -m repro.cli stats --model quicknet_small \
 		--input-size 32 --batch 2 --repeats 1
 
@@ -60,8 +60,8 @@ test-serving:
 calibrate-smoke:
 	PYTHONPATH=src python -m repro.cli calibrate --models quicknet_small \
 		--input-size 32 --repeats 15 --budget 15 \
-		--out /tmp/repro-profile-smoke.json
-	PYTHONPATH=src python -m repro.cli profiles show /tmp/repro-profile-smoke.json
+		--out $${TMPDIR:-/tmp}/repro-profile-smoke.json
+	PYTHONPATH=src python -m repro.cli profiles show $${TMPDIR:-/tmp}/repro-profile-smoke.json
 
 # Telemetry smoke: a served burst with the event log on (export +
 # schema-validate the JSONL, force one flight-recorder dump, round-trip
@@ -71,20 +71,11 @@ calibrate-smoke:
 telemetry-smoke:
 	PYTHONPATH=src python -m repro.cli events --models quicknet_small \
 		--input-size 32 --requests 48 --tail 5 \
-		--out /tmp/repro-events-smoke.jsonl \
-		--flight-dump /tmp/repro-flight-smoke \
-		--prom-out /tmp/repro-prom-smoke.txt
+		--out $${TMPDIR:-/tmp}/repro-events-smoke.jsonl \
+		--flight-dump $${TMPDIR:-/tmp}/repro-flight-smoke \
+		--prom-out $${TMPDIR:-/tmp}/repro-prom-smoke.txt
 	PYTHONPATH=src python -m repro.cli health --models quicknet_small \
 		--input-size 32 --requests 32 --slo-p95-ms 10000
-
-# End-to-end serving smoke: a short loadgen sweep through the gateway,
-# schema-validating BENCH_serving.json and the exported Chrome trace.
-# ``cli loadgen`` exits non-zero on any validation problem.
-serve-smoke:
-	PYTHONPATH=src python -m repro.cli loadgen --rates 20 60 120 \
-		--duration 0.25 --max-batch 4 --deadline-ms 3 \
-		--out /tmp/repro-bench-serving-smoke.json \
-		--trace-out /tmp/repro-serving-trace-smoke.json
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -94,16 +85,6 @@ bench:
 # speedups).
 bench-fast:
 	pytest benchmarks/test_kernel_microbench.py --benchmark-only
-
-# Serving gateway throughput/latency curves vs offered load; writes
-# machine-readable BENCH_serving.json (>= 3 points + metrics snapshot +
-# telemetry roll-up).  Runs under the lock sanitizer so the committed
-# artifact carries "sanitized": true — the numbers are checked, not fast.
-# 240 rps (mean gap 4.2 ms < the 5 ms deadline) is the one point where
-# the deadline hold must still engage; below it requests flush at once.
-bench-serving:
-	REPRO_SANITIZE=1 PYTHONPATH=src python -m repro.cli loadgen --rates 20 60 120 240 \
-		--duration 1.0 --replicas 2 --out BENCH_serving.json
 
 experiments:
 	python -m repro.experiments.runner

@@ -1,12 +1,11 @@
 """Schema oracles for the machine-readable BENCH artifacts.
 
 ``BENCH_kernels.json`` and ``BENCH_engine.json`` are the perf history the
-benchmark suites write at the repo root; like ``BENCH_serving.json``
-(validated by :func:`repro.serving.bench.validate_bench_serving`), each
-now has a schema oracle returning a list of human-readable problems —
-empty when valid — that the writing benchmark asserts before the file
-lands.  The kernel suite additionally records per-geometry dynamic/plan
-timings so regressions are caught row by row.
+benchmark suites write at the repo root; each has a schema oracle
+returning a list of human-readable problems — empty when valid — that
+the writing benchmark asserts before the file lands.  The kernel suite
+additionally records per-geometry dynamic/plan timings so regressions
+are caught row by row.
 """
 
 from __future__ import annotations

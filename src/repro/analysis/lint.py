@@ -30,8 +30,7 @@ and L004 trailing whitespace.
   measure) must not use ``np.random``/``random``/``secrets``/
   ``os.urandom`` or wall-clock ``time.time`` (monotonic timers are
   fine).  The tracer's single recording-boundary wall-clock anchor in
-  ``obs/trace.py``, the serving bench's seeded-generator boundary in
-  ``serving/bench.py`` and the seeded input-data generators in
+  ``obs/trace.py`` and the seeded input-data generators in
   ``hw/calibrate.py`` and ``tune/search.py`` carry justified
   ``allow[L104]`` suppressions.
 

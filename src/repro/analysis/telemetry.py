@@ -1,9 +1,9 @@
 """Schema oracles for the telemetry artifacts (events JSONL, flight dumps).
 
-Same contract as :func:`repro.obs.export.validate_chrome_trace` and
-``validate_bench_serving``: each validator returns a list of
-human-readable problem strings — empty means valid — so tests assert
-``== []`` and the CLI can print every problem at once.
+Same contract as :func:`repro.obs.export.validate_chrome_trace`: each
+validator returns a list of human-readable problem strings — empty means
+valid — so tests assert ``== []`` and the CLI can print every problem at
+once.
 
 :func:`validate_events` checks the exported event stream end to end:
 

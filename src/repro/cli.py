@@ -13,7 +13,6 @@ The deployment-side tooling a released inference engine ships with::
     python -m repro trace     quicknet_small --out trace.json
     python -m repro stats     --model quicknet_small
     python -m repro serve     --models quicknet_small --requests 32
-    python -m repro loadgen   --rates 20 60 120 --out BENCH_serving.json
     python -m repro events    --requests 48 --out events.jsonl --tail 10
     python -m repro health    --slo-p95-ms 50 --slo-error-budget-pct 1
     python -m repro slo       --slo-p95-ms 50 --prometheus
@@ -458,33 +457,19 @@ def _gateway_config(args):
 
 def cmd_serve(args) -> int:
     """Serve a demo burst through the gateway and print its stats."""
-    from repro.serving import Gateway, Rejected
+    from repro.serving import Rejected
 
-    models = {}
-    for name in args.models:
-        graph = build_model(name, input_size=args.input_size)
-        models[name] = convert(graph, in_place=True)
-    rng = np.random.default_rng(args.seed)
-    inputs = {}
-    for name, model in models.items():
-        spec = model.graph.tensors[model.graph.inputs[0]]
-        inputs[name] = rng.standard_normal(tuple(spec.shape)).astype(np.float32)
-
-    with Gateway(models, _gateway_config(args)) as gateway:
-        gateway.warmup(factors=(1, args.max_batch))
-        names = sorted(models)
-        futures = [
-            gateway.submit(names[i % len(names)], inputs[names[i % len(names)]])
-            for i in range(args.requests)
-        ]
-        replies = [f.result(timeout=60) for f in futures]
+    gateway, replies = _telemetry_burst(args)
+    try:
         stats = gateway.stats()
         snapshot = gateway.metrics_snapshot()
+    finally:
+        gateway.close()
 
     shed = sum(1 for r in replies if isinstance(r, Rejected))
     print(
         f"served {len(replies) - shed}/{len(replies)} requests across "
-        f"{len(models)} model(s) ({shed} shed); batches: "
+        f"{len(gateway.models)} model(s) ({shed} shed); batches: "
         f"{dict(sorted(stats.batch_histogram.items()))}, mean batch "
         f"{stats.mean_batch_size:.2f}"
     )
@@ -495,53 +480,6 @@ def cmd_serve(args) -> int:
     print("  metrics snapshot:")
     print(format_snapshot(snapshot, indent="    "))
     return 0
-
-
-def cmd_loadgen(args) -> int:
-    """Run the offered-load sweep and write/validate BENCH_serving.json."""
-    from repro.obs import Tracer, validate_chrome_trace, write_chrome_trace
-    from repro.serving.bench import (
-        run_bench,
-        validate_bench_serving,
-        write_bench_serving,
-    )
-
-    if len(args.rates) < 3:
-        print("loadgen: need >= 3 --rates points", file=sys.stderr)
-        return 2
-    tracer = Tracer() if args.trace_out else None
-    obj = run_bench(
-        args.models,
-        input_size=args.input_size,
-        rates=sorted(args.rates),
-        duration_s=args.duration,
-        seed=args.seed,
-        config=_gateway_config(args),
-        trace=tracer,
-    )
-    write_bench_serving(obj, args.out)
-    problems = validate_bench_serving(obj)
-    for p in problems:
-        print(f"loadgen: {p}", file=sys.stderr)
-    print(f"wrote {args.out}: verified={str(obj['verified']).lower()}")
-    for row in obj["curves"]:
-        print(
-            f"  offered {row['offered_rps']:8.1f} rps: achieved "
-            f"{row['achieved_rps']:8.1f} rps, shed {row['shed']}, "
-            f"p50/p95/p99 {row['p50_ms']:.2f}/{row['p95_ms']:.2f}/"
-            f"{row['p99_ms']:.2f} ms, mean batch {row['mean_batch']:.2f}, "
-            f"generator late p99 {row['gen_lateness_p99_ms']:.2f} ms"
-        )
-    if tracer is not None:
-        trace_obj = write_chrome_trace(tracer, args.trace_out)
-        trace_problems = validate_chrome_trace(trace_obj)
-        for p in trace_problems:
-            print(f"loadgen trace: {p}", file=sys.stderr)
-        print(
-            f"wrote {args.trace_out}: {len(trace_obj['traceEvents'])} events"
-        )
-        problems.extend(trace_problems)
-    return 1 if problems else 0
 
 
 def _slo_from_args(args):
@@ -983,26 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests", type=int, default=32, help="demo requests to submit"
     )
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="open-loop Poisson load sweep; writes + validates BENCH_serving.json",
-    )
-    _add_gateway_args(p)
-    p.add_argument(
-        "--rates", nargs="+", type=float, default=[20.0, 60.0, 120.0],
-        metavar="RPS", help="offered-load points (>= 3)",
-    )
-    p.add_argument(
-        "--duration", type=float, default=1.0,
-        help="seconds of offered traffic per load point",
-    )
-    p.add_argument("--out", default="BENCH_serving.json")
-    p.add_argument(
-        "--trace-out", default=None,
-        help="also record and schema-validate a Chrome trace of the sweep",
-    )
-    p.set_defaults(fn=cmd_loadgen)
 
     def _add_slo_args(p):
         p.add_argument(

@@ -3,17 +3,15 @@
 The deployment front door (ROADMAP item 1): per-model bounded queues
 with admission control and typed load-shedding, deadline-driven
 continuous batching, warm Engine replica pools sharing prepacked
-weights (one worker thread per replica, pulling its own batches), and an
-open-loop load generator driving ``BENCH_serving.json``:
+weights (one worker thread per replica, pulling its own batches).
 
 - :mod:`repro.serving.clock` — the :class:`Clock` seam every
   time-dependent decision goes through (tests inject a fake);
 - :mod:`repro.serving.gateway` — :class:`Gateway`, :class:`Rejected`,
-  :class:`GatewayConfig`, :class:`GatewayStats`;
-- :mod:`repro.serving.loadgen` — seeded Poisson arrival schedules and
-  :func:`run_load`;
-- :mod:`repro.serving.bench` — the ``make bench-serving`` sweep and the
-  ``BENCH_serving.json`` schema oracle.
+  :class:`GatewayConfig`, :class:`GatewayStats`.
+
+The serving benchmark lives outside the package: ``python3 -m bench.run
+--workload serve_steady_32|serve_saturate_32``.
 
 Production telemetry rides on :mod:`repro.obs`: attach an
 :class:`~repro.obs.events.EventLog` for request-scoped events, a
@@ -38,13 +36,6 @@ from repro.serving.gateway import (
     GatewayStats,
     Rejected,
 )
-from repro.serving.loadgen import (
-    Arrival,
-    LoadReport,
-    TrafficProfile,
-    generate_arrivals,
-    run_load,
-)
 
 __all__ = [
     "FAILED_REPLICA",
@@ -54,20 +45,15 @@ __all__ = [
     "SHED_NO_HEALTHY_REPLICA",
     "SHED_QUEUE_FULL",
     "SHED_UNKNOWN_MODEL",
-    "Arrival",
     "Clock",
     "EventLog",
     "FlightRecorder",
     "Gateway",
     "GatewayConfig",
     "GatewayStats",
-    "LoadReport",
     "ModelHealth",
     "MonotonicClock",
     "Rejected",
     "SLOConfig",
     "SLOMonitor",
-    "TrafficProfile",
-    "generate_arrivals",
-    "run_load",
 ]

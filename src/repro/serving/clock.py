@@ -1,9 +1,8 @@
 """The serving layer's clock seam.
 
-Every time-dependent decision the gateway and the load generator make —
-deadline-based batch flushing, open-loop arrival pacing, latency
-accounting — goes through a :class:`Clock` instead of the ``time``
-module, for two reasons:
+Every time-dependent decision the gateway makes — deadline-based batch
+flushing, latency accounting — goes through a :class:`Clock` instead of
+the ``time`` module, for two reasons:
 
 - **Determinism.**  Tests inject a fake clock (``tests/fake_clock.py``)
   whose virtual time only moves when the test says so, which makes every

@@ -656,6 +656,12 @@ class Gateway:
     ) -> None:
         if not models:
             raise ValueError("gateway requires at least one model")
+        if slo is not None and not isinstance(slo, SLOConfig):
+            unknown = sorted(set(slo) - set(models))
+            if unknown:
+                raise ValueError(
+                    f"SLO configured for unknown model(s): {unknown}"
+                )
         self.config = config if config is not None else GatewayConfig()
         self.config.validate()
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
@@ -696,37 +702,35 @@ class Gateway:
         if flight is not None:
             m.gauge("obs.flight.dumps", lambda: flight.dumps)
         self._servers: dict[str, _ModelServer] = {}
-        for name, model in models.items():
-            self._servers[name] = _ModelServer(
-                name,
-                model,
-                self.config,
-                self.clock,
-                self.metrics,
-                self.tracer,
-                engine_factory,
-                self.events,
-                flight,
-            )
         self._slo: SLOMonitor | None = None
-        if slo is not None:
-            if isinstance(slo, SLOConfig):
-                configs: dict[str, SLOConfig | None] = {
-                    name: slo for name in self._servers
-                }
-            else:
-                unknown = sorted(set(slo) - set(self._servers))
-                if unknown:
-                    raise ValueError(
-                        f"SLO configured for unknown model(s): {unknown}"
-                    )
-                configs = {name: slo.get(name) for name in self._servers}
-            self._slo = SLOMonitor(
-                configs,
-                metrics_fn=self.metrics_snapshot,
-                registry=self.metrics,
-                now=self.clock.now,
-            )
+        try:
+            for name, model in models.items():
+                self._servers[name] = _ModelServer(
+                    name,
+                    model,
+                    self.config,
+                    self.clock,
+                    self.metrics,
+                    self.tracer,
+                    engine_factory,
+                    self.events,
+                    flight,
+                )
+            if slo is not None:
+                self._slo = SLOMonitor(
+                    {
+                        name: slo if isinstance(slo, SLOConfig) else slo.get(name)
+                        for name in self._servers
+                    },
+                    metrics_fn=self.metrics_snapshot,
+                    registry=self.metrics,
+                    now=self.clock.now,
+                )
+        except BaseException:
+            # The caller gets no handle: stop the workers already started
+            # and detach the flight hook before the error leaves.
+            self.close()
+            raise
 
     # ------------------------------------------------------------ frontend
     @property

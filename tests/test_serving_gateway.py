@@ -32,8 +32,6 @@ from repro.serving import (
     GatewayConfig,
     MonotonicClock,
     Rejected,
-    generate_arrivals,
-    run_load,
 )
 
 pytestmark = pytest.mark.serving
@@ -488,23 +486,61 @@ def test_close_drains_admitted_requests(graph, rng):
     gw.close()  # idempotent
 
 
+def _started_since(before):
+    """Names of the live ``repro-*`` threads that are not in ``before``."""
+    return sorted(
+        t.name for t in set(threading.enumerate()) - before
+        if t.name.startswith("repro-")
+    )
+
+
 def test_close_leaves_no_gateway_thread(graph, rng):
     """Thread inventory: a live gateway runs one worker per replica and
     nothing else, all named ``repro-*``; after ``close()`` none is left."""
     before = set(threading.enumerate())
-
-    def started():
-        return sorted(
-            t.name for t in set(threading.enumerate()) - before
-            if t.name.startswith("repro-")
-        )
-
     gw = make_gateway(graph, FakeClock(), max_batch=1, replicas=2)
-    assert started() == ["repro-gw-m-r0", "repro-gw-m-r1"]
+    assert _started_since(before) == ["repro-gw-m-r0", "repro-gw-m-r1"]
     gw.submit("m", _batched_input(graph, 1, rng)).result(RESULT_TIMEOUT_S)
-    assert len(started()) == 2  # serving a request starts nothing new
+    assert len(_started_since(before)) == 2  # serving starts nothing new
     gw.close()
-    assert started() == []
+    assert _started_since(before) == []
+
+
+def test_failed_construction_leaves_no_gateway_thread(graph, tmp_path):
+    """A ``Gateway(...)`` that raises hands the caller nothing to close,
+    so it stops what it started: neither a bad ``slo`` mapping nor an
+    engine factory failing on a later model leaves a ``repro-gw-`` worker
+    or a lock-order hook behind."""
+    from repro.concurrency import locks
+    from repro.obs import FlightRecorder, SLOConfig
+
+    before = set(threading.enumerate())
+    hooks = list(locks._ORDER_ERROR_HOOKS)
+    config = GatewayConfig(replicas=2)
+    with pytest.raises(ValueError, match="unknown model"):
+        Gateway(
+            {"m": graph}, config, clock=FakeClock(),
+            slo={"nope": SLOConfig()}, flight=FlightRecorder(tmp_path),
+        )
+    assert _started_since(before) == []
+    assert locks._ORDER_ERROR_HOOKS == hooks
+
+    built = []
+
+    def factory(model, **kwargs):
+        if len(built) == config.replicas:  # model "a" is up; "b" fails
+            raise RuntimeError("engine build failed")
+        built.append(Engine(model, **kwargs))
+        return built[-1]
+
+    with pytest.raises(RuntimeError, match="engine build failed"):
+        Gateway(
+            {"a": graph, "b": graph}, config, clock=FakeClock(),
+            engine_factory=factory, flight=FlightRecorder(tmp_path),
+        )
+    assert len(built) == config.replicas
+    assert _started_since(before) == []
+    assert locks._ORDER_ERROR_HOOKS == hooks
 
 
 def test_concurrent_close_is_single_shot(graph, rng):
@@ -583,6 +619,7 @@ def test_close_concurrent_with_submit_resolves_every_future(graph, rng):
 
 
 def test_gateway_spans_nest_engine_spans(graph, rng):
+    from repro.obs import chrome_trace, validate_chrome_trace
     from repro.obs.trace import Tracer
 
     tracer = Tracer()
@@ -603,6 +640,7 @@ def test_gateway_spans_nest_engine_spans(graph, rng):
     assert {"gateway.submit", "gateway.flush"} <= names
     flush_children = [s for s in spans if "gateway.flush" in s.path]
     assert any(s.name == "engine.run_many" for s in flush_children)
+    assert validate_chrome_trace(chrome_trace(tracer)) == []
 
 
 def test_stats_snapshot_is_consistent(graph, rng):
@@ -673,67 +711,17 @@ def test_config_validation_rejects(kwargs):
         GatewayConfig(**kwargs).validate()
 
 
-# --------------------------------------------------- loadgen determinism
+# ------------------------------------------------------------------ cli
 
 
-def test_generate_arrivals_is_seed_deterministic():
-    profile = [("a", 3.0), ("b", 1.0), ("zero", 0.0)]
-    first = generate_arrivals(profile, 50.0, 2.0, np.random.default_rng(7))
-    second = generate_arrivals(profile, 50.0, 2.0, np.random.default_rng(7))
-    assert first == second
-    other = generate_arrivals(profile, 50.0, 2.0, np.random.default_rng(8))
-    assert first != other
-    times = [a.at_s for a in first]
-    assert times == sorted(times) and all(0 < t < 2.0 for t in times)
-    assert {a.model for a in first} <= {"a", "b"}  # zero weight never drawn
-    assert len(first) > 50  # ~100 expected at 50 rps over 2 s
+def test_serve_command_serves_a_burst(capsys):
+    from repro import cli
 
-
-def test_run_load_tallies_and_reports_generator_lateness(graph, rng):
-    """``run_load`` end to end on virtual time: the tallies conserve and
-    the report says how late each submit was handed over."""
-    clock = FakeClock()
-    x = _batched_input(graph, 1, rng)
-    arrivals = generate_arrivals(
-        [("m", 3.0), ("nope", 1.0)], 40.0, 1.0, np.random.default_rng(5)
+    rc = cli.main(
+        ["serve", "--requests", "8", "--replicas", "1", "--input-size", "32"]
     )
-    reports = []
-    with make_gateway(graph, clock, deadline_ms=0.0, max_queue=64) as gw:
-        runner = threading.Thread(
-            target=lambda: reports.append(run_load(gw, arrivals, lambda name: (x,))),
-            daemon=True,
-        )
-        runner.start()
-        # 10 ms ticks, each only after everything already due was handed
-        # over and the generator is parked in sleep() again: every submit
-        # lands on the first tick at or after its due time.
-        while True:
-            handed_over = sum(a.at_s <= clock.now() for a in arrivals)
-            clock.wait_for(lambda: gw.stats().submitted >= handed_over)
-            if handed_over == len(arrivals):
-                break
-            clock.wait_for_sleepers(1)
-            clock.advance(0.01)
-        runner.join(RESULT_TIMEOUT_S)
-        assert not runner.is_alive()
-        stats = gw.stats()
-    (report,) = reports
-    unknown = sum(a.model == "nope" for a in arrivals)
-    assert 0 < unknown < len(arrivals)
-    assert report.submitted == len(arrivals) == report.accepted + report.shed
-    assert (report.shed, report.failed) == (unknown, 0)
-    assert report.completed + report.failed == report.accepted
-    assert (stats.submitted, stats.completed) == (report.submitted, report.completed)
-    assert 0.0 < report.gen_lateness_p99_ms <= report.gen_lateness_max_ms < 10.0 + 1e-6
-
-
-def test_generate_arrivals_validates():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        generate_arrivals([("a", 1.0)], 0.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        generate_arrivals([("a", 1.0)], 10.0, 0.0, rng)
-    with pytest.raises(ValueError):
-        generate_arrivals([], 10.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        generate_arrivals([("a", -1.0)], 10.0, 1.0, rng)
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    assert "served 8/8 requests across 1 model(s) (0 shed)" in stdout
+    assert "verified: true" in stdout
+    assert "gateway.accepted" in stdout
