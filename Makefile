@@ -34,7 +34,7 @@ check: lint analyze test-fast test-serving sanitize-smoke trace-smoke calibrate-
 # schema-validate the Chrome-trace export, and print the unified metrics
 # registry.  ``cli trace`` exits non-zero on any validation problem.
 trace-smoke:
-	PYTHONPATH=src python -m repro.cli trace quicknet_small --input-size 32 \
+	PYTHONPATH=src python -m repro.cli trace --model quicknet_small --input-size 32 \
 		--batch 2 --out $${TMPDIR:-/tmp}/repro-trace-smoke.json
 	PYTHONPATH=src python -m repro.cli stats --model quicknet_small \
 		--input-size 32 --batch 2 --repeats 1
@@ -56,26 +56,25 @@ test-serving:
 # Calibration gate: fit a device profile from traced QuickNet-small
 # engine runs and fail when the fitted model's median per-node
 # predicted-vs-measured error exceeds the 15% budget, then round-trip the
-# artifact through ``profiles show``.
+# artifact through ``benchmark --profile`` (load, validate, price).
 calibrate-smoke:
 	PYTHONPATH=src python -m repro.cli calibrate --models quicknet_small \
 		--input-size 32 --repeats 15 --budget 15 \
 		--out $${TMPDIR:-/tmp}/repro-profile-smoke.json
-	PYTHONPATH=src python -m repro.cli profiles show $${TMPDIR:-/tmp}/repro-profile-smoke.json
+	PYTHONPATH=src python -m repro.cli benchmark --model quicknet_small \
+		--profile $${TMPDIR:-/tmp}/repro-profile-smoke.json
 
-# Telemetry smoke: a served burst with the event log on (export +
+# Telemetry smoke: one served burst with the event log on (export +
 # schema-validate the JSONL, force one flight-recorder dump, round-trip
-# the Prometheus exposition through the parser), then an SLO health
-# check with a generous p95 target.  Both commands exit non-zero on
-# any validation problem or breach.
+# the Prometheus exposition through the parser) and an SLO health check
+# with a generous p95 target.  Exits non-zero on any validation problem
+# or breach.
 telemetry-smoke:
-	PYTHONPATH=src python -m repro.cli events --models quicknet_small \
-		--input-size 32 --requests 48 --tail 5 \
-		--out $${TMPDIR:-/tmp}/repro-events-smoke.jsonl \
+	PYTHONPATH=src python -m repro.cli serve --models quicknet_small \
+		--input-size 32 --requests 48 --tail 5 --slo-p95-ms 10000 \
+		--events-out $${TMPDIR:-/tmp}/repro-events-smoke.jsonl \
 		--flight-dump $${TMPDIR:-/tmp}/repro-flight-smoke \
 		--prom-out $${TMPDIR:-/tmp}/repro-prom-smoke.txt
-	PYTHONPATH=src python -m repro.cli health --models quicknet_small \
-		--input-size 32 --requests 32 --slo-p95-ms 10000
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -1,59 +1,41 @@
-"""Command-line interface: benchmark / profile / convert / summarize.
+"""Command-line interface: estimate, inspect, convert, demonstrate.
 
 The deployment-side tooling a released inference engine ships with::
 
     python -m repro benchmark --model quicknet --device pixel1 --threads 4
-    python -m repro benchmark --model quicknet --engine --batch 8
     python -m repro profile   --model binarydensenet28 --device rpi4b
     python -m repro summarize --model quicknet_small
     python -m repro convert   --model quicknet --output model.lce
     python -m repro ops       [--op lce_bconv2d]
     python -m repro analyze   [--model quicknet | --source src] [--format json]
     python -m repro experiments [--appendix|--extensions]
-    python -m repro trace     quicknet_small --out trace.json
+    python -m repro trace     --model quicknet_small --out trace.json
     python -m repro stats     --model quicknet_small
-    python -m repro serve     --models quicknet_small --requests 32
-    python -m repro events    --requests 48 --out events.jsonl --tail 10
-    python -m repro health    --slo-p95-ms 50 --slo-error-budget-pct 1
-    python -m repro slo       --slo-p95-ms 50 --prometheus
+    python -m repro serve     --models quicknet_small --requests 32 \
+                              [--slo-p95-ms 50] [--events-out events.jsonl]
     python -m repro calibrate --out profile.json --budget 15
-    python -m repro profiles  list|show|diff ...
 
-``--engine`` switches benchmark/profile from the analytical device model to
-*measured* wall-clock through :class:`repro.runtime.Engine` (compiled
-plans, prepacked-weight cache, batched execution).
-``--profile PATH`` makes benchmark/profile price against a trace-fitted
-:class:`repro.hw.DeviceProfile` artifact (from ``repro calibrate``)
-instead of the builtin constants.
+``benchmark`` / ``profile`` are the analytical device model's *estimate*
+and its Table-4 breakdown; ``--profile PATH`` prices them against a
+trace-fitted :class:`repro.hw.DeviceProfile` artifact (from ``repro
+calibrate``) instead of the builtin constants.  Measured numbers come
+from ``python3 -m bench.run`` and, per span, from ``repro trace``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from repro.analysis.summary import format_summary
 from repro.converter import convert
 from repro.graph.serialization import save_model
-from repro.hw.device import (
-    DeviceModel,
-    ProfileError,
-    diff_profiles,
-    list_profiles,
-    load_profile,
-    save_profile,
-)
+from repro.hw.device import DeviceModel, ProfileError, load_profile, save_profile
 from repro.hw.latency import graph_latency
 from repro.obs import format_snapshot
-from repro.profiling import (
-    memory_profile,
-    profile_engine,
-    profile_graph,
-    quicknet_table4_rows,
-)
+from repro.profiling import profile_graph, quicknet_table4_rows
 from repro.zoo import MODEL_REGISTRY, build_model
 
 
@@ -79,7 +61,7 @@ def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
         "--profile", default=None, metavar="PATH",
         help="price against a trace-fitted device-profile artifact "
         "(JSON written by `repro calibrate`) instead of the builtin "
-        "device constants; with --engine it also steers plan scheduling",
+        "device constants",
     )
 
 
@@ -116,8 +98,6 @@ def cmd_benchmark(args) -> int:
     if rc:
         return rc
     model = _build_converted(args)
-    if args.engine:
-        return _benchmark_engine(args, model)
     device = profile if profile is not None else DeviceModel.by_name(args.device)
     latency = graph_latency(device, model.graph, threads=args.threads)
     pricing = (
@@ -130,77 +110,18 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _benchmark_engine(args, model) -> int:
-    from repro.runtime import Engine
-
-    if args.threads != 1:
-        print(
-            "benchmark --engine: --threads must be 1 (it prices the device "
-            "model; the host engine is single-threaded)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.batch < 1:
-        print("benchmark --engine: --batch must be >= 1", file=sys.stderr)
-        return 2
-    if args.repeats < 1:
-        print("benchmark --engine: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    with Engine(model, max_batch_size=args.batch) as engine:
-        x = _engine_input(engine.graph, args.batch)
-        engine.run(x)  # warm-up: compiles the plan, fills the weight cache
-        start = time.perf_counter()
-        for _ in range(args.repeats):
-            engine.run(x)
-        elapsed = time.perf_counter() - start
-        stats = engine.stats()
-        memory = memory_profile(engine)
-        snapshot = engine.metrics_snapshot()
-
-    per_batch_ms = elapsed / args.repeats * 1e3
-    print(
-        f"{args.model} via Engine (batch {args.batch}): "
-        f"{per_batch_ms:.2f} ms/batch, {per_batch_ms / args.batch:.2f} ms/sample"
-    )
-    print(
-        f"  param cache: {stats.param_cache_hits} hits / "
-        f"{stats.param_cache_misses} misses; "
-        f"plan cache hit rate {stats.plan_cache_hit_rate:.0%}; "
-        f"batch histogram {dict(sorted(stats.batch_histogram.items()))}; "
-        f"verified: {str(stats.verified).lower()}"
-    )
-    print("  " + memory.describe())
-    print("  metrics snapshot:")
-    print(format_snapshot(snapshot, indent="    "))
-    return 0
-
-
 def cmd_profile(args) -> int:
     profile, rc = _resolve_profile(args, "profile")
     if rc:
         return rc
     model = _build_converted(args)
     device = profile if profile is not None else DeviceModel.by_name(args.device)
-    if args.engine:
-        from repro.runtime import Engine
-
-        with Engine(model) as engine:
-            profiles = profile_engine(device, engine)
-            memory = memory_profile(engine)
-            verified = engine.stats().verified
-        total = sum(p.measured_s or 0.0 for p in profiles)
-        print(
-            f"{args.model} via Engine (measured): {total * 1e3:.1f} ms "
-            f"(verified: {str(verified).lower()})"
-        )
-        print(memory.describe() + "\n")
-    else:
-        profiles = profile_graph(device, model.graph)
-        total = sum(p.simulated_s for p in profiles)
-        pricing = (
-            f"profile {profile.name!r}" if profile is not None else args.device
-        )
-        print(f"{args.model} on {pricing}: {total * 1e3:.1f} ms\n")
+    profiles = profile_graph(device, model.graph)
+    total = sum(p.simulated_s for p in profiles)
+    pricing = (
+        f"profile {profile.name!r}" if profile is not None else args.device
+    )
+    print(f"{args.model} on {pricing}: {total * 1e3:.1f} ms\n")
     for row in quicknet_table4_rows(profiles):
         print(f"  {row.op_class:<38} {row.share_percent:6.2f}%")
     return 0
@@ -392,8 +313,6 @@ def cmd_trace(args) -> int:
     )
     from repro.runtime import Engine
 
-    if args.model_pos is not None:
-        args.model = args.model_pos
     model = _build_converted(args)
     tracer = Tracer()
     with Engine(model, max_batch_size=args.batch, trace=tracer) as engine:
@@ -429,8 +348,6 @@ def cmd_stats(args) -> int:
     """Exercise an engine and print the unified metrics registry."""
     from repro.runtime import Engine
 
-    if args.model_pos is not None:
-        args.model = args.model_pos
     model = _build_converted(args)
     with Engine(model, max_batch_size=args.batch) as engine:
         x = _engine_input(engine.graph, 1)
@@ -441,44 +358,6 @@ def cmd_stats(args) -> int:
         snapshot = engine.metrics_snapshot()
     print(f"{args.model}: unified metrics registry")
     print(format_snapshot(snapshot, indent="  "))
-    return 0
-
-
-def _gateway_config(args):
-    from repro.serving import GatewayConfig
-
-    return GatewayConfig(
-        max_batch=args.max_batch,
-        deadline_ms=args.deadline_ms,
-        max_queue=args.max_queue,
-        replicas=args.replicas,
-    )
-
-
-def cmd_serve(args) -> int:
-    """Serve a demo burst through the gateway and print its stats."""
-    from repro.serving import Rejected
-
-    gateway, replies = _telemetry_burst(args)
-    try:
-        stats = gateway.stats()
-        snapshot = gateway.metrics_snapshot()
-    finally:
-        gateway.close()
-
-    shed = sum(1 for r in replies if isinstance(r, Rejected))
-    print(
-        f"served {len(replies) - shed}/{len(replies)} requests across "
-        f"{len(gateway.models)} model(s) ({shed} shed); batches: "
-        f"{dict(sorted(stats.batch_histogram.items()))}, mean batch "
-        f"{stats.mean_batch_size:.2f}"
-    )
-    print(
-        f"  latency p50/p95/p99: {stats.p50_ms:.2f}/{stats.p95_ms:.2f}/"
-        f"{stats.p99_ms:.2f} ms; verified: {str(stats.verified).lower()}"
-    )
-    print("  metrics snapshot:")
-    print(format_snapshot(snapshot, indent="    "))
     return 0
 
 
@@ -505,13 +384,13 @@ def _slo_from_args(args):
     )
 
 
-def _telemetry_burst(args, *, events=None, slo=None, flight=None):
+def _telemetry_burst(args, *, events, slo, flight):
     """Build the models, serve a request burst, return (gateway, replies).
 
     The caller owns the gateway and must close it (keeping it open lets
     health/dump/export run against live telemetry sources).
     """
-    from repro.serving import Gateway
+    from repro.serving import Gateway, GatewayConfig
 
     models = {}
     for name in args.models:
@@ -523,9 +402,13 @@ def _telemetry_burst(args, *, events=None, slo=None, flight=None):
         spec = model.graph.tensors[model.graph.inputs[0]]
         inputs[name] = rng.standard_normal(tuple(spec.shape)).astype(np.float32)
 
-    gateway = Gateway(
-        models, _gateway_config(args), events=events, slo=slo, flight=flight
+    config = GatewayConfig(
+        max_batch=args.max_batch,
+        deadline_ms=args.deadline_ms,
+        max_queue=args.max_queue,
+        replicas=args.replicas,
     )
+    gateway = Gateway(models, config, events=events, slo=slo, flight=flight)
     try:
         gateway.warmup(factors=(1, args.max_batch))
         names = sorted(models)
@@ -555,33 +438,32 @@ def _print_health(health) -> bool:
     return breached
 
 
-def cmd_events(args) -> int:
-    """Serve a burst with the event log on; export, validate, tail."""
+def _export_telemetry(args, gateway, events, flight) -> list[str]:
+    """Write, validate and report the artifacts ``serve`` was asked for
+    from the still-open gateway; returns every validation problem."""
     import json
     from pathlib import Path
 
     from repro.analysis import validate_events, validate_flight
     from repro.obs import (
-        EventLog,
-        FlightRecorder,
+        events_to_records,
         parse_prometheus_text,
         prom_name,
         prometheus_text,
         write_events_jsonl,
     )
 
-    events = EventLog()
-    flight = FlightRecorder(args.flight_dump) if args.flight_dump else None
-    gateway, _replies = _telemetry_burst(args, events=events, flight=flight)
     problems: list[str] = []
-    try:
-        records = write_events_jsonl(events, args.out)
+    if events is not None:
+        if args.events_out:
+            records = write_events_jsonl(events, args.events_out)
+            print(
+                f"wrote {args.events_out}: {records[0]['count']} events, "
+                f"{records[0]['dropped']} dropped"
+            )
+        else:
+            records = events_to_records(events)
         problems.extend(validate_events(records))
-        header = records[0]
-        print(
-            f"wrote {args.out}: {header['count']} events, "
-            f"{header['dropped']} dropped"
-        )
         if args.tail:
             for record in records[1:][-args.tail :]:
                 rid = record["request_id"] or "-"
@@ -589,77 +471,76 @@ def cmd_events(args) -> int:
                     f"  {record['ts']:>12.6f}  {record['kind']:<18} "
                     f"{rid:<24} {record['attrs']}"
                 )
-        if flight is not None:
-            path = gateway.dump("forced")
-            obj = json.loads(Path(path).read_text())
-            problems.extend(f"flight: {p}" for p in validate_flight(obj))
-            print(
-                f"wrote {path}: reason={obj['reason']!r}, "
-                f"{len(obj['events'])} events, "
-                f"{len(obj['metrics'])} metrics"
+    if flight is not None:
+        path = gateway.dump("forced")
+        obj = json.loads(Path(path).read_text())
+        problems.extend(f"flight: {p}" for p in validate_flight(obj))
+        print(
+            f"wrote {path}: reason={obj['reason']!r}, "
+            f"{len(obj['events'])} events, {len(obj['metrics'])} metrics"
+        )
+    if args.prom_out:
+        text = prometheus_text(gateway.metrics)
+        Path(args.prom_out).write_text(text)
+        parsed = parse_prometheus_text(text)
+        submitted = gateway.metrics_snapshot()["gateway.submitted"]
+        series = ["gateway.shed_unknown_model"] + [
+            f"gateway.{name}.{key}"
+            for name in gateway.models
+            for key in ("accepted", "shed")
+        ]
+        exposed = sum(parsed.get(f"{prom_name(s)}_total", 0.0) for s in series)
+        if exposed != float(submitted):
+            problems.append(
+                f"prometheus: round-trip mismatch — per-model "
+                f"accepted+shed series sum to {exposed!r} != "
+                f"snapshot {submitted}"
             )
-        if args.prom_out:
-            text = prometheus_text(gateway.metrics)
-            Path(args.prom_out).write_text(text)
-            parsed = parse_prometheus_text(text)
-            submitted = gateway.metrics_snapshot()["gateway.submitted"]
-            series = ["gateway.shed_unknown_model"] + [
-                f"gateway.{name}.{key}"
-                for name in gateway.models
-                for key in ("accepted", "shed")
-            ]
-            exposed = sum(parsed.get(f"{prom_name(s)}_total", 0.0) for s in series)
-            if exposed != float(submitted):
-                problems.append(
-                    f"prometheus: round-trip mismatch — per-model "
-                    f"accepted+shed series sum to {exposed!r} != "
-                    f"snapshot {submitted}"
-                )
-            print(f"wrote {args.prom_out}: {len(parsed)} series")
+        print(f"wrote {args.prom_out}: {len(parsed)} series")
+    return problems
+
+
+def cmd_serve(args) -> int:
+    """Serve a demo burst through the gateway and print its stats.
+
+    With any ``--slo-*`` objective the per-model verdicts follow and a
+    breach exits 1; ``--events-out`` / ``--tail`` / ``--flight-dump``
+    attach the event log, and every artifact written is validated (exit 1
+    on a problem).
+    """
+    from repro.obs import EventLog, FlightRecorder
+    from repro.serving import Rejected
+
+    slo = _slo_from_args(args)
+    flight = FlightRecorder(args.flight_dump) if args.flight_dump else None
+    events = EventLog() if args.events_out or args.tail or flight else None
+    gateway, replies = _telemetry_burst(
+        args, events=events, slo=slo, flight=flight
+    )
+    try:
+        # evaluated first, so the snapshot's slo.* gauges carry the verdict
+        health = gateway.health() if slo is not None else {}
+        stats = gateway.stats()
+        shed = sum(1 for r in replies if isinstance(r, Rejected))
+        print(
+            f"served {len(replies) - shed}/{len(replies)} requests across "
+            f"{len(gateway.models)} model(s) ({shed} shed); batches: "
+            f"{dict(sorted(stats.batch_histogram.items()))}, mean batch "
+            f"{stats.mean_batch_size:.2f}"
+        )
+        print(
+            f"  latency p50/p95/p99: {stats.p50_ms:.2f}/{stats.p95_ms:.2f}/"
+            f"{stats.p99_ms:.2f} ms; verified: {str(stats.verified).lower()}"
+        )
+        print("  metrics snapshot:")
+        print(format_snapshot(gateway.metrics_snapshot(), indent="    "))
+        breached = _print_health(health)
+        problems = _export_telemetry(args, gateway, events, flight)
     finally:
         gateway.close()
     for p in problems:
-        print(f"events: {p}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def cmd_health(args) -> int:
-    """Serve a burst, evaluate per-model SLOs; exit 1 on any breach."""
-    gateway, _replies = _telemetry_burst(args, slo=_slo_from_args(args))
-    try:
-        health = gateway.health()
-    finally:
-        gateway.close()
-    breached = _print_health(health)
-    return 1 if breached else 0
-
-
-def cmd_slo(args) -> int:
-    """Serve a burst and print the full SLO evaluation + slo.* gauges."""
-    from repro.obs import SLOConfig, prometheus_text
-
-    slo = _slo_from_args(args)
-    if slo is None:
-        # no objectives: still evaluate (always healthy) so the window
-        # figures and gauges are populated
-        slo = SLOConfig(window_s=args.slo_window_s)
-    gateway, _replies = _telemetry_burst(args, slo=slo)
-    try:
-        health = gateway.health()
-        snapshot = gateway.metrics.snapshot()
-    finally:
-        gateway.close()
-    _print_health(health)
-    gauges = {
-        name: value
-        for name, value in sorted(snapshot.items())
-        if name.startswith("slo.")
-    }
-    print("slo gauges:")
-    print(format_snapshot(gauges, indent="  "))
-    if args.prometheus:
-        print(prometheus_text(gateway.metrics), end="")
-    return 0
+        print(f"serve: {p}", file=sys.stderr)
+    return 1 if breached or problems else 0
 
 
 def cmd_experiments(args) -> int:
@@ -710,68 +591,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_profiles(args) -> int:
-    if args.action == "list":
-        rows = list_profiles(args.dir)
-        if not rows:
-            print(f"no device profiles under {args.dir}")
-            return 0
-        for row in rows:
-            if "problems" in row:
-                print(f"{row['path']}: INVALID: {'; '.join(row['problems'])}")
-                continue
-            err = row["median_abs_pct_error"]
-            print(
-                f"{row['path']}: {row['name']} on {row['device']}, "
-                f"calibrated={str(row['calibrated']).lower()}, "
-                f"samples={row['samples']}, "
-                f"median |error| "
-                f"{'n/a' if err is None else f'{err:.2f}%'}"
-            )
-        return 0
-
-    try:
-        profile = load_profile(args.path)
-        if args.action == "diff":
-            other = load_profile(args.other)
-    except ProfileError as exc:
-        print(f"profiles {args.action}: {exc}", file=sys.stderr)
-        return 2
-
-    if args.action == "show":
-        print(f"{profile.name} (schema v{profile.schema_version})")
-        print(f"  device: {profile.device.name}")
-        print(f"  calibrated: {str(profile.is_calibrated).lower()}")
-        for label, mapping in (
-            ("class factors", profile.class_factors),
-            ("class overhead", profile.class_overhead_s),
-            ("op factors", profile.op_factors),
-            ("op overhead", profile.op_overhead_s),
-        ):
-            for key in sorted(mapping):
-                print(f"  {label}[{key}] = {mapping[key]:.6g}")
-        if profile.fit is not None:
-            fit = profile.fit
-            print(
-                f"  fit: {fit.samples} samples from {', '.join(fit.models)} "
-                f"(input {fit.input_size}, {fit.repeats} repeats)"
-            )
-            print(
-                f"  |error| median {fit.median_abs_pct_error:.2f}%  "
-                f"mean {fit.mean_abs_pct_error:.2f}%  "
-                f"max {fit.max_abs_pct_error:.2f}%"
-            )
-        return 0
-
-    diffs = diff_profiles(profile, other)
-    if not diffs:
-        print("profiles are identical")
-        return 0
-    for key, (va, vb) in sorted(diffs.items()):
-        print(f"{key}: {va} -> {vb}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Larq Compute Engine reproduction tooling"
@@ -783,18 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_arg(p)
     p.add_argument(
         "--threads", type=int, default=1,
-        help="threads the device model prices (must be 1 with --engine)",
-    )
-    p.add_argument(
-        "--engine", action="store_true",
-        help="measure wall-clock through repro.runtime.Engine instead of "
-        "estimating with the device model",
-    )
-    p.add_argument(
-        "--batch", type=int, default=1, help="batch size for --engine runs"
-    )
-    p.add_argument(
-        "--repeats", type=int, default=3, help="timed iterations for --engine runs"
+        help="threads the device model prices",
     )
     _add_profile_arg(p)
     p.set_defaults(fn=cmd_benchmark)
@@ -802,10 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="per-operator latency breakdown")
     _add_model_arg(p)
     _add_device_arg(p)
-    p.add_argument(
-        "--engine", action="store_true",
-        help="measure per-node wall-clock through repro.runtime.Engine",
-    )
     _add_profile_arg(p)
     p.set_defaults(fn=cmd_profile)
 
@@ -865,10 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="record a traced engine run and export Chrome trace_event JSON",
     )
-    p.add_argument(
-        "model_pos", nargs="?", default=None, choices=sorted(MODEL_REGISTRY),
-        metavar="model", help="zoo model (positional alternative to --model)",
-    )
     _add_model_arg(p)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument(
@@ -882,10 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stats", help="print the unified runtime metrics registry for a model"
     )
-    p.add_argument(
-        "model_pos", nargs="?", default=None, choices=sorted(MODEL_REGISTRY),
-        metavar="model", help="zoo model (positional alternative to --model)",
-    )
     _add_model_arg(p)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument(
@@ -893,105 +689,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_stats)
 
-    def _add_gateway_args(p):
-        p.add_argument(
-            "--models", nargs="+", default=["quicknet_small"],
-            choices=sorted(MODEL_REGISTRY), help="zoo models to serve",
-        )
-        p.add_argument("--input-size", type=int, default=32)
-        p.add_argument("--max-batch", type=int, default=8)
-        p.add_argument(
-            "--deadline-ms", type=float, default=5.0,
-            help="longest a request is held for company: flush a forming "
-            "batch this long after its oldest request (at once when recent "
-            "arrivals come slower than one per deadline)",
-        )
-        p.add_argument(
-            "--max-queue", type=int, default=64,
-            help="bounded per-model queue; admission sheds beyond it",
-        )
-        p.add_argument("--replicas", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
-
     p = sub.add_parser(
-        "serve", help="serve a demo request burst through the async gateway"
+        "serve",
+        help="serve a demo request burst through the async gateway: stats, "
+        "SLO verdicts (exit 1 on a breach), telemetry artifacts",
     )
-    _add_gateway_args(p)
+    p.add_argument(
+        "--models", nargs="+", default=["quicknet_small"],
+        choices=sorted(MODEL_REGISTRY), help="zoo models to serve",
+    )
+    p.add_argument("--input-size", type=int, default=32)
+    p.add_argument("--max-batch", type=int, default=8)
+    p.add_argument(
+        "--deadline-ms", type=float, default=5.0,
+        help="longest a request is held for company: flush a forming "
+        "batch this long after its oldest request (at once when recent "
+        "arrivals come slower than one per deadline)",
+    )
+    p.add_argument(
+        "--max-queue", type=int, default=64,
+        help="bounded per-model queue; admission sheds beyond it",
+    )
+    p.add_argument("--replicas", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--requests", type=int, default=32, help="demo requests to submit"
     )
-    p.set_defaults(fn=cmd_serve)
-
-    def _add_slo_args(p):
-        p.add_argument(
-            "--slo-p95-ms", type=float, default=None,
-            help="SLO objective: target p95 end-to-end latency",
-        )
-        p.add_argument(
-            "--slo-error-budget-pct", type=float, default=None,
-            help="SLO objective: max %% of requests shed or failed",
-        )
-        p.add_argument(
-            "--slo-hit-rate", type=float, default=None,
-            help="SLO objective: min fraction of requests under the deadline",
-        )
-        p.add_argument(
-            "--slo-deadline-ms", type=float, default=None,
-            help="deadline the hit rate is measured against "
-            "(defaults to --deadline-ms)",
-        )
-        p.add_argument(
-            "--slo-window-s", type=float, default=60.0,
-            help="rolling evaluation window",
-        )
-
-    p = sub.add_parser(
-        "events",
-        help="serve a burst with the event log on; export + validate JSONL",
-    )
-    _add_gateway_args(p)
     p.add_argument(
-        "--requests", type=int, default=48, help="requests to submit"
+        "--slo-p95-ms", type=float, default=None,
+        help="SLO objective: target p95 end-to-end latency",
     )
-    p.add_argument("--out", default="events.jsonl")
     p.add_argument(
-        "--tail", type=int, default=10, help="print the last N events"
+        "--slo-error-budget-pct", type=float, default=None,
+        help="SLO objective: max %% of requests shed or failed",
+    )
+    p.add_argument(
+        "--slo-hit-rate", type=float, default=None,
+        help="SLO objective: min fraction of requests under the deadline",
+    )
+    p.add_argument(
+        "--slo-deadline-ms", type=float, default=None,
+        help="deadline the hit rate is measured against "
+        "(defaults to --deadline-ms)",
+    )
+    p.add_argument(
+        "--slo-window-s", type=float, default=60.0,
+        help="rolling evaluation window",
+    )
+    p.add_argument(
+        "--events-out", default=None, metavar="PATH",
+        help="attach the event log; export the JSONL here and validate it",
+    )
+    p.add_argument(
+        "--tail", type=int, default=0, help="print the last N events"
     )
     p.add_argument(
         "--flight-dump", default=None, metavar="DIR",
-        help="also force a flight-recorder dump into DIR and validate it",
+        help="force a flight-recorder dump into DIR and validate it",
     )
     p.add_argument(
-        "--prom-out", default=None,
-        help="also write the Prometheus exposition and round-trip parse it",
+        "--prom-out", default=None, metavar="PATH",
+        help="write the Prometheus exposition and round-trip parse it",
     )
-    p.set_defaults(fn=cmd_events)
-
-    p = sub.add_parser(
-        "health",
-        help="serve a burst, evaluate per-model SLOs; exit 1 on any breach",
-    )
-    _add_gateway_args(p)
-    p.add_argument(
-        "--requests", type=int, default=32, help="requests to submit"
-    )
-    _add_slo_args(p)
-    p.set_defaults(fn=cmd_health)
-
-    p = sub.add_parser(
-        "slo",
-        help="serve a burst and print the full SLO evaluation + slo.* gauges",
-    )
-    _add_gateway_args(p)
-    p.add_argument(
-        "--requests", type=int, default=32, help="requests to submit"
-    )
-    _add_slo_args(p)
-    p.add_argument(
-        "--prometheus", action="store_true",
-        help="also print the full Prometheus exposition",
-    )
-    p.set_defaults(fn=cmd_slo)
+    p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("experiments", help="regenerate the paper's tables/figures")
     p.add_argument("--appendix", action="store_true")
@@ -1025,21 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) when median per-node |error| exceeds this",
     )
     p.set_defaults(fn=cmd_calibrate)
-
-    p = sub.add_parser(
-        "profiles", help="list / show / diff device-profile artifacts"
-    )
-    psub = p.add_subparsers(dest="action", required=True)
-    pp = psub.add_parser("list", help="summarize profiles in a directory")
-    pp.add_argument("dir", nargs="?", default=".")
-    pp.set_defaults(fn=cmd_profiles)
-    pp = psub.add_parser("show", help="print one profile artifact")
-    pp.add_argument("path")
-    pp.set_defaults(fn=cmd_profiles)
-    pp = psub.add_parser("diff", help="field-by-field profile differences")
-    pp.add_argument("path")
-    pp.add_argument("other")
-    pp.set_defaults(fn=cmd_profiles)
 
     return parser
 

@@ -46,7 +46,7 @@ class Executor:
         self,
         graph: Graph,
         record_values: bool = False,
-        tracer: Tracer | None = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         graph.validate()
         self.graph = graph
@@ -86,16 +86,8 @@ class Executor:
             values[name] = value
 
         self.node_times.clear()
-        tracer = self.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        run_span = (
-            tracer.span("executor.run", nodes=len(self.graph.nodes))
-            if tracer is not None
-            else NULL_TRACER.span("executor.run")
-        )
-        with run_span:
-            self._run_nodes(values, last_use, tracer)
+        with self.tracer.span("executor.run", nodes=len(self.graph.nodes)):
+            self._run_nodes(values, last_use)
         if self.record_values:
             self.values = values
         result = tuple(values[t] for t in self.graph.outputs)
@@ -105,12 +97,12 @@ class Executor:
         self,
         values: dict[str, Value],
         last_use: dict[str, int],
-        tracer: Tracer | None,
     ) -> None:
+        tracer = self.tracer
         for idx, node in enumerate(self.graph.nodes):
             fn = self._kernels[idx]
             ins = [values[t] for t in node.inputs]
-            if tracer is not None:
+            if tracer.enabled:
                 with tracer.span("executor.node", node=node.name, op=node.op) as sp:
                     out = fn(ins)
                 self.node_times[node.name] = sp.dur_s

@@ -35,8 +35,6 @@ from repro.hw.device import (
     NodeResidual,
     ProfileError,
     as_profile,
-    diff_profiles,
-    list_profiles,
     load_profile,
     save_profile,
     validate_profile,
@@ -66,10 +64,8 @@ __all__ = [
     "RooflinePoint",
     "as_profile",
     "conv_roofline",
-    "diff_profiles",
     "graph_latency",
     "intensity_advantage",
-    "list_profiles",
     "load_profile",
     "mac_instruction_table",
     "node_latency",

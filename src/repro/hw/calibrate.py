@@ -16,8 +16,8 @@ per *op* (the precise model; meets the error budget) and per *op class*
 (the Table-4 buckets; fallback for ops the workload never exercised) —
 and both land in the :class:`~repro.hw.device.DeviceProfile` artifact,
 which :func:`repro.ops.registry.node_cost` applies to every estimate, so
-the profiler, ``graph_latency``, the experiments tables and
-profile-steered plan compilation all price against the fitted constants.
+the profiler, ``graph_latency`` and the experiments tables all price
+against the fitted constants.
 
 Determinism contract: this module draws no entropy and reads no clocks
 itself — the single seeded RNG below generates input data, and all timing

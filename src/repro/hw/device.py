@@ -428,68 +428,3 @@ def load_profile(path: "str | Path") -> DeviceProfile:
         return DeviceProfile.from_json(obj)
     except ProfileError as exc:
         raise ProfileError(f"profile {path}: {exc}") from exc
-
-
-def list_profiles(directory: "str | Path") -> list[dict]:
-    """Summaries of every valid profile artifact under ``directory``.
-
-    Non-profile JSON files are skipped; invalid profile-shaped files are
-    reported with a ``problems`` entry instead of being silently dropped.
-    """
-    directory = Path(directory)
-    summaries: list[dict] = []
-    for path in sorted(directory.glob("*.json")):
-        try:
-            obj = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(obj, dict) or obj.get("schema") != PROFILE_SCHEMA:
-            continue
-        problems = validate_profile(obj)
-        if problems:
-            summaries.append({"path": str(path), "problems": problems})
-            continue
-        fit = obj.get("fit") or {}
-        summaries.append(
-            {
-                "path": str(path),
-                "name": obj["name"],
-                "device": obj["device"]["name"],
-                "calibrated": bool(
-                    obj.get("class_factors", {})
-                    or obj.get("class_overhead_s", {})
-                    or obj.get("op_factors", {})
-                    or obj.get("op_overhead_s", {})
-                ),
-                "samples": fit.get("samples"),
-                "median_abs_pct_error": fit.get("median_abs_pct_error"),
-            }
-        )
-    return summaries
-
-
-def diff_profiles(a: DeviceProfile, b: DeviceProfile) -> dict[str, tuple]:
-    """Field-by-field differences between two profiles.
-
-    Keys are dotted paths (``device.freq_hz``, ``factors.LceBConv2d``,
-    ``overhead.Full precision Add``); values are ``(a_value, b_value)``
-    with ``None`` where one side has no entry.
-    """
-    diffs: dict[str, tuple] = {}
-    if a.name != b.name:
-        diffs["name"] = (a.name, b.name)
-    da, db = asdict(a.device), asdict(b.device)
-    for key in sorted(set(da) | set(db)):
-        if da.get(key) != db.get(key):
-            diffs[f"device.{key}"] = (da.get(key), db.get(key))
-    for label, ma, mb in (
-        ("factors", a.class_factors, b.class_factors),
-        ("overhead", a.class_overhead_s, b.class_overhead_s),
-        ("op_factors", a.op_factors, b.op_factors),
-        ("op_overhead", a.op_overhead_s, b.op_overhead_s),
-    ):
-        for key in sorted(set(ma) | set(mb)):
-            va, vb = ma.get(key), mb.get(key)
-            if va != vb:
-                diffs[f"{label}.{key}"] = (va, vb)
-    return diffs

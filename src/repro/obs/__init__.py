@@ -10,7 +10,7 @@ Three pieces, one clock discipline:
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto),
   schema validation and a text flamegraph;
 - :mod:`repro.obs.metrics` — the typed counter/gauge/histogram registry
-  that `EngineStats`, `MemoryProfile` and the cache stats are views of;
+  that `EngineStats` and the cache stats are views of;
 - :mod:`repro.obs.events` — the request-scoped structured event log
   (the tracer's ring store, joined to spans on ``request_id``)
   plus the flight recorder that snapshots events+metrics+spans into a
@@ -32,7 +32,6 @@ from repro.obs.events import (
     Event,
     EventLog,
     FlightRecorder,
-    NullEventLog,
     events_to_records,
     write_events_jsonl,
 )
@@ -65,7 +64,6 @@ from repro.obs.slo import (
 from repro.obs.trace import (
     DEFAULT_CAPACITY,
     NULL_TRACER,
-    NullTracer,
     Span,
     SpanRecord,
     Tracer,
@@ -95,8 +93,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ModelHealth",
-    "NullEventLog",
-    "NullTracer",
     "SLOConfig",
     "SLOMonitor",
     "Span",

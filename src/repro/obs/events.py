@@ -22,10 +22,11 @@ Design points:
   :class:`~repro.serving.clock.Clock` via :meth:`EventLog.use_clock` so
   FakeClock tests get deterministic virtual timestamps and gateway +
   engine events share one axis.
-- **A process-wide no-op log.**  :data:`NULL_EVENTS` answers
-  ``enabled = False`` and allocates nothing; hot paths branch on it the
-  same way they branch on :data:`~repro.obs.trace.NULL_TRACER`, keeping
-  the disabled-telemetry overhead inside the measured 1.03x budget.
+- **A process-wide no-op log.**  :data:`NULL_EVENTS` is a capacity-0
+  :class:`EventLog`: it answers ``enabled = False`` and allocates
+  nothing; hot paths branch on it the same way they branch on
+  :data:`~repro.obs.trace.NULL_TRACER`, keeping the disabled-telemetry
+  overhead inside the measured 1.03x budget.
 
 The module also houses the **flight recorder**: a bounded postmortem
 dumper that, on trigger (shed storm, replica quarantine, a sanitizer
@@ -129,9 +130,8 @@ class Event:
 
 class EventLog(ThreadRings):
     """Thread-safe event recorder over per-thread rings (``dropped`` and
-    ``clear`` are the ring store's)."""
-
-    enabled = True
+    ``clear`` are the ring store's).  With ``capacity=0`` it is the
+    disabled log: ``emit`` and ``use_clock`` are no-ops."""
 
     def __init__(
         self,
@@ -151,6 +151,8 @@ class EventLog(ThreadRings):
         events share its timebase — under a FakeClock the whole stream
         is deterministic.
         """
+        if not self.enabled:
+            return
         with self._lock:
             self._now = clock.now
 
@@ -165,6 +167,8 @@ class EventLog(ThreadRings):
         **attrs: Any,
     ) -> None:
         """Append one event to the calling thread's ring (lock-free)."""
+        if not self.enabled:
+            return
         self.local().append(
             Event(self._now(), kind, request_id, model, replica, attrs)
         )
@@ -179,42 +183,12 @@ class EventLog(ThreadRings):
         return self.collect(lambda e: e.ts)
 
 
-class NullEventLog:
-    """The disabled event log: every operation is a cheap no-op."""
-
-    enabled = False
-
-    def use_clock(self, clock: Any) -> None:
-        return None
-
-    def emit(
-        self,
-        kind: str,
-        *,
-        request_id: str | None = None,
-        model: str | None = None,
-        replica: int | None = None,
-        **attrs: Any,
-    ) -> None:
-        return None
-
-    def events(self) -> list[Event]:
-        return []
-
-    @property
-    def dropped(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        return None
-
-
 #: the process-wide no-op log every un-instrumented code path shares
-NULL_EVENTS = NullEventLog()
+NULL_EVENTS = EventLog(capacity=0)
 
 
 # ---------------------------------------------------------------- export
-def events_to_records(log: EventLog | NullEventLog) -> list[dict[str, Any]]:
+def events_to_records(log: EventLog) -> list[dict[str, Any]]:
     """The JSONL record list: one header line, then one line per event.
 
     The header carries the schema tag/version plus the drop count, so a
@@ -232,7 +206,7 @@ def events_to_records(log: EventLog | NullEventLog) -> list[dict[str, Any]]:
 
 
 def write_events_jsonl(
-    log: EventLog | NullEventLog, path: str | Path
+    log: EventLog, path: str | Path
 ) -> list[dict[str, Any]]:
     """Write the event stream as JSONL and return the records written."""
     records = events_to_records(log)
@@ -303,7 +277,7 @@ class FlightRecorder:
         # last-writer-wins race on a single attribute
         self._pending: str | None = None
         # bound by the gateway
-        self._events: EventLog | NullEventLog = NULL_EVENTS
+        self._events: EventLog = NULL_EVENTS
         self._metrics_fn: Callable[[], dict[str, Any]] | None = None
         self._tracer: Any = None
         self._now: Callable[[], float] = time.perf_counter
@@ -311,7 +285,7 @@ class FlightRecorder:
     def bind(
         self,
         *,
-        events: EventLog | NullEventLog,
+        events: EventLog,
         metrics_fn: Callable[[], dict[str, Any]],
         tracer: Any = None,
         now: Callable[[], float] | None = None,

@@ -53,14 +53,17 @@ class ThreadRings:
 
     ``ring_type`` is a :class:`Ring` subclass when the owner keeps more
     per-thread state beside the records (the tracer's live span stack).
+    A ``capacity`` of 0 is the disabled store: ``enabled`` is False and the
+    owner returns before touching a ring, so none is ever registered.
     """
 
     def __init__(
         self, capacity: int, lock: Any, ring_type: type[Ring] = Ring
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        if capacity < 0:
+            raise ValueError(f"capacity must not be negative, got {capacity}")
         self._capacity = capacity
+        self.enabled = capacity > 0
         self._lock = lock
         self._ring_type = ring_type
         self._rings: list[Ring] = []

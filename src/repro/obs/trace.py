@@ -30,10 +30,11 @@ Design points:
   kernels deep in ``repro.core`` can attach sub-spans without threading
   a tracer argument through every call: they ask :func:`active_tracer`
   and check ``.enabled`` — one thread-local read when tracing is off.
-- **A process-wide no-op tracer.**  :data:`NULL_TRACER` answers
-  ``enabled = False``, returns one shared no-op context manager from
-  ``span()`` and allocates nothing, keeping the disabled hot path within
-  the measured overhead budget (see ``tests/test_obs_overhead.py``).
+- **A process-wide no-op tracer.**  :data:`NULL_TRACER` is a capacity-0
+  :class:`Tracer`: it answers ``enabled = False``, returns one shared
+  no-op context manager from ``span()`` and allocates nothing, keeping
+  the disabled hot path within the measured overhead budget (see
+  ``tests/test_obs_overhead.py``).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class _SpanRing(Ring):
 _ACTIVE = threading.local()
 
 
-def active_tracer() -> "Tracer | NullTracer":
+def active_tracer() -> "Tracer":
     """The tracer active on this thread (inside an enabled span), or
     :data:`NULL_TRACER`."""
     return getattr(_ACTIVE, "tracer", None) or NULL_TRACER
@@ -143,11 +144,33 @@ class Span:
             )
 
 
+class _NullSpan:
+    """The shared no-op span: nothing allocated, nothing recorded."""
+
+    __slots__ = ()
+    dur_s = 0.0
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
+
+
 class Tracer(ThreadRings):
     """Thread-safe span recorder over per-thread rings (``dropped`` and
-    ``clear`` are the ring store's; live span stacks survive a clear)."""
+    ``clear`` are the ring store's; live span stacks survive a clear).
 
-    enabled = True
+    With ``capacity=0`` it is the disabled tracer: ``span()`` / ``scope()``
+    hand back one shared :class:`_NullSpan` — no span objects are ever
+    allocated (asserted in tests) — and ``record()`` drops its argument,
+    so code can use ``with tracer.span(...)`` unconditionally on warm
+    paths while hot loops branch on :attr:`enabled` to skip attribute
+    building too.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         super().__init__(capacity, ordered_lock("obs.trace"), _SpanRing)
@@ -159,15 +182,19 @@ class Tracer(ThreadRings):
         self._anchor_wall = anchor
 
     # ------------------------------------------------------------- recording
-    def span(self, name: str, **args: Any) -> Span:
+    def span(self, name: str, **args: Any) -> "Span | _NullSpan":
         """A context manager recording ``name`` around its ``with`` body."""
+        if not self.enabled:
+            return _NULL_SPAN
         return Span(self, name, args)
 
-    def scope(self, name: str) -> Span:
+    def scope(self, name: str) -> "Span | _NullSpan":
         """A span that is not recorded: ``name`` encloses whatever is
         recorded inside it (span stack, ambient tracer), and the caller,
         who times the body itself, :meth:`record` s it afterwards —
         possibly as several spans (a fused plan node's parts)."""
+        if not self.enabled:
+            return _NULL_SPAN
         return Span(self, name, None)
 
     def record(
@@ -180,6 +207,8 @@ class Tracer(ThreadRings):
         the allocation-light form kernels use — no context-manager entry
         on the hot path, one record object per measured interval.
         """
+        if not self.enabled:
+            return
         buf = self.local()
         buf.append(
             SpanRecord(name, start_s, dur_s, buf.tid, tuple(buf.stack), args)
@@ -205,58 +234,8 @@ class Tracer(ThreadRings):
         return (self._anchor_wall + (start_s - self._anchor_perf)) * 1e6
 
 
-class _NullSpan:
-    """The shared no-op span: nothing allocated, nothing recorded."""
-
-    __slots__ = ()
-    dur_s = 0.0
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: every operation is a cheap no-op.
-
-    ``span()`` hands back one shared :class:`_NullSpan` instance —
-    no span objects are ever allocated (asserted in tests), so code can
-    use ``with tracer.span(...)`` unconditionally on warm paths while
-    hot loops branch on :attr:`enabled` to skip attribute building too.
-    """
-
-    enabled = False
-
-    def span(self, name: str, **args: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def record(self, name: str, start_s: float, dur_s: float, **args: Any) -> None:
-        return None
-
-    def spans(self) -> list[SpanRecord]:
-        return []
-
-    @property
-    def dropped(self) -> int:
-        return 0
-
-    def active_stacks(self) -> dict[int, tuple[str, ...]]:
-        return {}
-
-    def clear(self) -> None:
-        return None
-
-    def wall_us(self, start_s: float) -> float:
-        return start_s * 1e6
-
-
 #: the process-wide no-op tracer every un-traced code path shares
-NULL_TRACER = NullTracer()
+NULL_TRACER = Tracer(capacity=0)
 
 
 def iter_children(

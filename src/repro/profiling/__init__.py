@@ -13,22 +13,13 @@ from repro.profiling.breakdown import (
     op_class_shares,
     quicknet_table4_rows,
 )
-from repro.profiling.profiler import (
-    MemoryProfile,
-    NodeProfile,
-    memory_profile,
-    profile_engine,
-    profile_graph,
-)
+from repro.profiling.profiler import NodeProfile, profile_graph
 
 __all__ = [
-    "MemoryProfile",
     "NodeProfile",
     "OpClassShare",
     "layer_stacks",
-    "memory_profile",
     "op_class_shares",
-    "profile_engine",
     "profile_graph",
     "quicknet_table4_rows",
 ]

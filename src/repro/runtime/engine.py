@@ -23,7 +23,7 @@ execution preserves this.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -31,9 +31,9 @@ import numpy as np
 from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
 from repro.graph.ir import Graph
-from repro.obs.events import NULL_EVENTS, EventLog, NullEventLog
+from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
 
 Value = Any  # np.ndarray | PackedTensor
@@ -67,8 +67,6 @@ class EngineStats:
     #: compile time (:attr:`repro.runtime.plan.CompiledPlan.verified`), so
     #: benchmark numbers provably came from a legal graph
     verified: bool = True
-    #: cumulative wall-clock seconds per graph node across all executions
-    node_time_s: dict[str, float] = field(default_factory=dict)
     #: nodes in the graph, nodes a plan executes for them and how many of
     #: those are fused blocks; the last two are 0 until a plan is compiled
     graph_nodes: int = 0
@@ -207,12 +205,12 @@ class Engine:
         self._param_cache = param_cache if param_cache is not None else ParamCache()
 
         #: tracer recording this engine's spans; NULL_TRACER when disabled
-        self.tracer: Tracer | NullTracer = trace if trace is not None else NULL_TRACER
+        self.tracer: Tracer = trace if trace is not None else NULL_TRACER
         #: event log receiving plan-level events (``plan.compile``,
         #: ``engine.batch``); NULL_EVENTS when telemetry is off.  The
         #: serving gateway assigns its log here post-construction so
         #: custom ``engine_factory`` signatures stay unchanged.
-        self.events: EventLog | NullEventLog = NULL_EVENTS
+        self.events: EventLog = NULL_EVENTS
 
         # Every counter is an instrument of the per-engine registry; grouped
         # updates and `stats()` snapshots share the registry's single lock,
@@ -235,8 +233,6 @@ class Engine:
         m.gauge("plan.graph_nodes", lambda: len(self.graph.nodes))
         m.gauge("plan.nodes", lambda: self._plan_view(lambda p: len(p.nodes)))
         m.gauge("plan.fused_blocks", lambda: self._plan_view(lambda p: p.fused_blocks))
-        self._node_time_s: dict[str, float] = {}  # guarded by metrics lock
-        self._last_node_times: dict[str, float] = {}
 
     def _param_cache_view(self, attr: str) -> int:
         with self._plan_lock:
@@ -324,9 +320,8 @@ class Engine:
         return request, self._batch_factor(request)
 
     def _execute(self, plan: CompiledPlan, inputs: Request) -> tuple[Value, ...]:
-        node_times: dict[str, float] = {}
         start = time.perf_counter()
-        outputs = plan.execute(inputs, node_times, tracer=self.tracer)
+        outputs = plan.execute(inputs, tracer=self.tracer)
         elapsed = time.perf_counter() - start
         # One lock hold per batch: the batch count, its samples, its
         # histogram bucket and its busy time land atomically, so stats()
@@ -336,9 +331,6 @@ class Engine:
             self._m_samples.add(plan.batch_factor)
             self._m_batch_size.observe(plan.batch_factor)
             self._m_busy_s.add(elapsed)
-            for name, t in node_times.items():
-                self._node_time_s[name] = self._node_time_s.get(name, 0.0) + t
-            self._last_node_times = node_times
         self.events.emit(
             "engine.batch", batch_factor=plan.batch_factor, busy_s=elapsed
         )
@@ -431,12 +423,6 @@ class Engine:
         self.close()
 
     # -------------------------------------------------------------- metrics
-    @property
-    def last_node_times(self) -> dict[str, float]:
-        """Per-node wall-clock seconds of the most recent plan execution."""
-        with self.metrics.lock():
-            return dict(self._last_node_times)
-
     def stats(self) -> EngineStats:
         """A consistent snapshot of the engine's counters.
 
@@ -450,8 +436,6 @@ class Engine:
         # it, because callback gauges take the plan lock and plan() takes
         # the locks in the opposite order.
         snap = self.metrics.snapshot()
-        with self.metrics.lock():
-            node_time_s = dict(self._node_time_s)
         hist = snap["engine.batch_size"]
         return EngineStats(
             requests=snap["engine.requests"],
@@ -465,7 +449,6 @@ class Engine:
             busy_s=snap["engine.busy_s"],
             workspace_bytes=snap["workspace.bytes_reserved"],
             verified=bool(snap["engine.verified"]),
-            node_time_s=node_time_s,
             graph_nodes=snap["plan.graph_nodes"],
             nodes=snap["plan.nodes"],
             fused_blocks=snap["plan.fused_blocks"],

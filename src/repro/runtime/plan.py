@@ -154,7 +154,7 @@ class CompiledPlan:
         self,
         inputs: Sequence[Value],
         node_times: dict[str, float] | None = None,
-        tracer: Tracer | None = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> tuple[Value, ...]:
         """Run the plan; always returns a tuple of output values.
 
@@ -164,7 +164,7 @@ class CompiledPlan:
             node_times: when given, filled with wall-clock seconds per
                 *graph* node — a fused block's wall time, split at the
                 boundaries its kernel stamped.
-            tracer: when given (and enabled), the run records a
+            tracer: when enabled, the run records a
                 ``plan.execute`` span with one nested ``plan.node`` span per
                 graph node (same intervals as ``node_times``); kernels deep
                 in :mod:`repro.core` attach their own sub-spans through the
@@ -186,27 +186,23 @@ class CompiledPlan:
                 value = np.asarray(value, dtype=spec.dtype)
             check_value(value, spec, self.slot_names[slot])
             slots[slot] = value
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "plan.execute",
-                batch_factor=self.batch_factor,
-                nodes=len(self.nodes),
-            ):
-                self._run_nodes(slots, node_times, tracer)
-        else:
-            self._run_nodes(slots, node_times, None)
+        with tracer.span(
+            "plan.execute", batch_factor=self.batch_factor, nodes=len(self.nodes)
+        ):
+            self._run_nodes(slots, node_times, tracer)
         return tuple(slots[s] for s in self.output_slots)
 
     def _run_nodes(
         self,
         slots: list[Value],
         node_times: dict[str, float] | None,
-        tracer: Tracer | None,
+        tracer: Tracer,
     ) -> None:
         clock = time.perf_counter
         # plan.node encloses the kernels' sub-spans; the node spans are
         # recorded after the call, one per graph node covered.
-        scope = tracer.scope if tracer is not None else NULL_TRACER.span
+        scope = tracer.scope
+        tracing = tracer.enabled
         for cn in self.nodes:
             ins = [slots[s] for s in cn.input_slots]
             marks: list[float] = []
@@ -218,7 +214,7 @@ class CompiledPlan:
             for (name, op), t0, t1 in zip(cn.parts, edges, edges[1:]):
                 if node_times is not None:
                     node_times[name] = t1 - t0
-                if tracer is not None:
+                if tracing:
                     tracer.record("plan.node", t0, t1 - t0, node=name, op=op)
             outs = out if isinstance(out, tuple) else (out,)
             for slot, v in zip(cn.output_slots, outs):

@@ -25,14 +25,10 @@ from typing import Protocol, runtime_checkable
 
 @runtime_checkable
 class Clock(Protocol):
-    """Monotonic now/sleep plus condition waits measured in clock time."""
+    """Monotonic now plus condition waits measured in clock time."""
 
     def now(self) -> float:
         """Monotonic seconds; only differences are meaningful."""
-        ...
-
-    def sleep(self, seconds: float) -> None:
-        """Block the calling thread for ``seconds`` of clock time."""
         ...
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> bool:
@@ -46,14 +42,10 @@ class Clock(Protocol):
 
 
 class MonotonicClock:
-    """The real clock: ``time.monotonic`` + real sleeps and waits."""
+    """The real clock: ``time.monotonic`` + real condition waits."""
 
     def now(self) -> float:
         return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> bool:
         return cond.wait(timeout)

@@ -63,10 +63,10 @@ from repro.concurrency.locks import (
     remove_lock_order_error_hook,
 )
 from repro.graph.ir import Graph
-from repro.obs.events import NULL_EVENTS, EventLog, FlightRecorder, NullEventLog
+from repro.obs.events import NULL_EVENTS, EventLog, FlightRecorder
 from repro.obs.metrics import MetricsRegistry, global_registry, quantile_from_counts
 from repro.obs.slo import HEALTHY, ModelHealth, SLOConfig, SLOMonitor
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import ParamCache
 from repro.serving.clock import MONOTONIC_CLOCK, Clock
@@ -277,9 +277,9 @@ class _ModelServer:
         config: GatewayConfig,
         clock: Clock,
         metrics: MetricsRegistry,
-        tracer: Tracer | NullTracer,
+        tracer: Tracer,
         engine_factory: Callable[..., Engine] | None = None,
-        events: EventLog | NullEventLog = NULL_EVENTS,
+        events: EventLog = NULL_EVENTS,
         flight: FlightRecorder | None = None,
     ) -> None:
         self.name = name
@@ -310,7 +310,7 @@ class _ModelServer:
                 engine_factory(
                     model,
                     max_batch_size=config.max_batch,
-                    trace=tracer if isinstance(tracer, Tracer) else None,
+                    trace=tracer if tracer.enabled else None,
                     param_cache=self.param_cache,
                 ),
             )
@@ -665,8 +665,8 @@ class Gateway:
         self.config = config if config is not None else GatewayConfig()
         self.config.validate()
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
-        self.tracer: Tracer | NullTracer = trace if trace is not None else NULL_TRACER
-        self.events: EventLog | NullEventLog = (
+        self.tracer: Tracer = trace if trace is not None else NULL_TRACER
+        self.events: EventLog = (
             events if events is not None else NULL_EVENTS
         )
         # Gateway and engine events share the gateway's timebase; under

@@ -14,8 +14,8 @@ blocks until the waiter has actually parked (released it inside
 ``cond.wait``), so a wakeup can never be lost between registration and
 parking.
 
-Tests sequence against gateway threads with :meth:`wait_for_sleepers` /
-:meth:`wait_for_timed_waiters` (real-time polls with a short cadence),
+Tests sequence against gateway threads with
+:meth:`wait_for_timed_waiters` (a real-time poll with a short cadence),
 then drive virtual time with :meth:`advance`.
 """
 
@@ -38,10 +38,8 @@ class FakeClock:
 
     def __init__(self, start: float = 0.0, safety_timeout_s: float = 30.0) -> None:
         self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
         self._now = float(start)
         self._safety = safety_timeout_s
-        self._sleepers = 0
         self._timed_waiters: list[_TimedWaiter] = []
         self._registrations = 0
 
@@ -49,25 +47,6 @@ class FakeClock:
     def now(self) -> float:
         with self._lock:
             return self._now
-
-    def sleep(self, seconds: float) -> None:
-        """Block until virtual time reaches ``now + seconds``."""
-        if seconds <= 0:
-            return
-        with self._cv:
-            deadline = self._now + seconds
-            self._sleepers += 1
-            self._cv.notify_all()
-            try:
-                while self._now < deadline:
-                    if not self._cv.wait(self._safety):
-                        raise TimeoutError(
-                            "FakeClock.sleep: no advance() within the "
-                            f"{self._safety}s safety window"
-                        )
-            finally:
-                self._sleepers -= 1
-                self._cv.notify_all()
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> bool:
         """Condition wait whose timeout expires only via :meth:`advance`.
@@ -79,17 +58,15 @@ class FakeClock:
         """
         if timeout is None:
             return cond.wait(self._safety)
-        with self._cv:
+        with self._lock:
             waiter = _TimedWaiter(cond, self._now + timeout)
             self._timed_waiters.append(waiter)
             self._registrations += 1
-            self._cv.notify_all()
         try:
             return cond.wait(self._safety)
         finally:
-            with self._cv:
+            with self._lock:
                 self._timed_waiters.remove(waiter)
-                self._cv.notify_all()
 
     # ----------------------------------------------------------- test knobs
     def advance(self, seconds: float) -> int:
@@ -100,9 +77,8 @@ class FakeClock:
         """
         if seconds < 0:
             raise ValueError(f"cannot advance backwards ({seconds})")
-        with self._cv:
+        with self._lock:
             self._now += seconds
-            self._cv.notify_all()  # sleepers re-check their deadlines
             expired = [w.cond for w in self._timed_waiters if w.deadline <= self._now]
         # Notify outside our own lock: acquiring each waiter's condition
         # blocks until that thread is parked in cond.wait, which is what
@@ -111,11 +87,6 @@ class FakeClock:
             with cond:
                 cond.notify_all()
         return len(expired)
-
-    @property
-    def sleepers(self) -> int:
-        with self._lock:
-            return self._sleepers
 
     @property
     def timed_waiters(self) -> int:
@@ -140,10 +111,6 @@ class FakeClock:
             if time.monotonic() >= deadline:
                 raise TimeoutError("FakeClock.wait_for: predicate never held")
             time.sleep(0.002)
-
-    def wait_for_sleepers(self, n: int = 1, timeout_s: float = 10.0) -> None:
-        """Block until at least ``n`` threads are parked in :meth:`sleep`."""
-        self.wait_for(lambda: self.sleepers >= n, timeout_s)
 
     def wait_for_timed_waiters(self, n: int = 1, timeout_s: float = 10.0) -> None:
         """Block until at least ``n`` timed condition waits are registered."""

@@ -70,9 +70,10 @@ def test_same_timestamp_keeps_emission_order():
     assert [e.attrs["i"] for e in log.events()] == list(range(10))
 
 
-def test_capacity_must_be_positive():
+def test_capacity_must_not_be_negative():
     with pytest.raises(ValueError):
-        EventLog(capacity=0)
+        EventLog(capacity=-1)
+    assert not EventLog(capacity=0).enabled  # what NULL_EVENTS is
 
 
 def test_per_thread_rings_merge_across_threads():

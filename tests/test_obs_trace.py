@@ -26,7 +26,6 @@ from repro.obs.export import (
 )
 from repro.obs.trace import (
     NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     active_tracer,
@@ -82,7 +81,7 @@ class TestSpans:
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
-            Tracer(capacity=0)
+            Tracer(capacity=-1)
 
     def test_clear(self):
         tracer = Tracer(capacity=2)
@@ -121,10 +120,10 @@ class TestAmbientActivation:
         assert active_tracer() is NULL_TRACER
 
 
-class TestNullTracer:
+class TestDisabledTracer:
     def test_shared_singleton_span(self):
         """The disabled tracer never allocates span objects."""
-        assert isinstance(NULL_TRACER, NullTracer)
+        assert isinstance(NULL_TRACER, Tracer)
         assert not NULL_TRACER.enabled
         sp1 = NULL_TRACER.span("a")
         sp2 = NULL_TRACER.span("b")
@@ -279,7 +278,7 @@ class TestCli:
     def test_trace_command(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         rc = cli.main(
-            ["trace", "quicknet_small", "--input-size", "32",
+            ["trace", "--model", "quicknet_small", "--input-size", "32",
              "--batch", "2", "--out", str(out)]
         )
         stdout = capsys.readouterr().out

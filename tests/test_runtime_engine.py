@@ -1,8 +1,8 @@
 """Unit tests for the runtime layer's machinery.
 
 Parity is covered by :mod:`test_runtime_parity`; this module locks down the
-surrounding behavior: plan/param caching, statistics, input validation,
-spec rebatching, the profiler hook and the CLI ``--engine`` path.
+surrounding behavior: plan/param caching, statistics, input validation
+and spec rebatching.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from repro.converter import convert
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.ir import Graph, GraphError, TensorSpec
-from repro.hw.device import DeviceModel
-from repro.profiling import profile_engine
 from repro.runtime import Engine, ParamCache, compile_plan, rebatched_specs
 
 
@@ -162,15 +160,6 @@ class TestStats:
         assert stats.mean_batch_size == 2.0
         assert stats.busy_s > 0
         assert stats.throughput_samples_per_s > 0
-        assert set(stats.node_time_s) == {n.name for n in engine.graph.nodes}
-
-    def test_last_node_times(self, rng):
-        g = _small_net(rng)
-        with Engine(g) as engine:
-            engine.run(rng.standard_normal((1, 6, 6, 3)).astype(np.float32))
-            times = engine.last_node_times
-        assert set(times) == {n.name for n in g.nodes}
-        assert all(t >= 0 for t in times.values())
 
 
 class TestThreadInventory:
@@ -238,54 +227,7 @@ class TestCompilePlan:
         assert np.array_equal(out, expected) and out.dtype == expected.dtype
 
 
-class TestProfilerHook:
-    def test_profile_engine_measures_every_node(self, rng):
-        model = convert(_binarized_net(rng), in_place=True)
-        with Engine(model) as engine:
-            profiles = profile_engine(DeviceModel.by_name("pixel1"), engine)
-        assert len(profiles) == len(model.graph.nodes)
-        assert all(p.measured_s is not None and p.measured_s >= 0 for p in profiles)
-
-
 class TestCli:
-    def test_benchmark_engine_smoke(self, capsys):
-        rc = cli.main(
-            ["benchmark", "--model", "quicknet_small", "--input-size", "32",
-             "--engine", "--batch", "2", "--repeats", "1"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "via Engine" in out and "ms/sample" in out
-
-    def test_profile_engine_smoke(self, capsys):
-        rc = cli.main(
-            ["profile", "--model", "quicknet_small", "--input-size", "32",
-             "--engine"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "via Engine (measured)" in out
-
-    @pytest.mark.parametrize(
-        "flag", ["--batch", "--repeats", "--threads"]
-    )
-    def test_benchmark_engine_rejects_zero_knobs(self, flag, capsys):
-        rc = cli.main(
-            ["benchmark", "--model", "quicknet_small", "--input-size", "32",
-             "--engine", flag, "0"]
-        )
-        assert rc == 2
-        assert f"{flag} must be" in capsys.readouterr().err
-
-    def test_benchmark_engine_rejects_two_threads(self, capsys):
-        # --threads prices the device model; the host engine has one schedule.
-        rc = cli.main(
-            ["benchmark", "--model", "quicknet_small", "--input-size", "32",
-             "--engine", "--threads", "2"]
-        )
-        assert rc == 2
-        assert "--threads must be 1" in capsys.readouterr().err
-
     def test_benchmark_device_model_path_unchanged(self, capsys):
         rc = cli.main(["benchmark", "--model", "quicknet_small"])
         assert rc == 0

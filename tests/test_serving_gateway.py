@@ -77,26 +77,6 @@ def test_clocks_satisfy_protocol():
     assert isinstance(FakeClock(), Clock)
 
 
-def test_fake_clock_sleep_wakes_on_advance():
-    clock = FakeClock()
-    done = threading.Event()
-
-    def sleeper():
-        clock.sleep(5.0)
-        done.set()
-
-    t = threading.Thread(target=sleeper, daemon=True)
-    t.start()
-    clock.wait_for_sleepers(1)
-    clock.advance(4.9)
-    assert not done.wait(0.05)  # virtual deadline not reached yet
-    clock.advance(0.2)
-    assert done.wait(RESULT_TIMEOUT_S)
-    t.join(RESULT_TIMEOUT_S)
-    assert clock.now() == pytest.approx(5.1)
-    assert clock.sleepers == 0
-
-
 def test_fake_clock_timed_wait_expires_on_advance():
     clock = FakeClock()
     cond = threading.Condition()

@@ -22,6 +22,7 @@ import pytest
 from fake_clock import FakeClock
 from test_runtime_parity import _batched_input, _binary_net
 
+from repro import cli
 from repro.analysis import validate_events, validate_flight
 from repro.concurrency.locks import LockOrderError, _notify_order_error
 from repro.core.types import Padding
@@ -31,6 +32,8 @@ from repro.obs import (
     SLOConfig,
     Tracer,
     events_to_records,
+    parse_prometheus_text,
+    prom_name,
 )
 from repro.obs.events import request_kinds
 from repro.serving import (
@@ -287,3 +290,44 @@ def test_disabled_telemetry_emits_nothing(rng):
     assert records[0]["count"] == 0
     assert health.status == "healthy"
     assert health.reasons == ("no slo configured",)
+
+
+# ------------------------------------------------------------- cli serve
+
+_SERVE = ["serve", "--requests", "16", "--replicas", "1", "--input-size", "32"]
+
+
+def test_serve_command_writes_valid_artifacts(tmp_path, capsys):
+    events_out = tmp_path / "events.jsonl"
+    prom_out = tmp_path / "metrics.prom"
+    rc = cli.main(
+        _SERVE
+        + ["--events-out", str(events_out), "--flight-dump", str(tmp_path)]
+        + ["--prom-out", str(prom_out), "--tail", "3"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert "served 16/16 requests" in captured.out
+    assert "request.complete" in captured.out  # the --tail lines
+
+    records = [json.loads(line) for line in events_out.read_text().splitlines()]
+    assert validate_events(records) == []
+    kinds = request_kinds(records)
+    assert len(kinds) == 16
+    assert all(k[-1] == "request.complete" for k in kinds.values())
+    dump = json.loads((tmp_path / "flight_forced.json").read_text())
+    assert validate_flight(dump) == [] and dump["reason"] == "forced"
+    series = parse_prometheus_text(prom_out.read_text())
+    model = prom_name("gateway.quicknet_small")
+    # rc 0 also says the command found them equal to gateway.submitted
+    assert series[f"{model}_accepted_total"] + series[f"{model}_shed_total"] == 16
+
+
+@pytest.mark.parametrize(
+    "target_ms, rc, verdict", [("0.001", 1, "breached"), ("10000", 0, "healthy")]
+)
+def test_serve_command_exits_1_on_slo_breach(target_ms, rc, verdict, capsys):
+    assert cli.main(_SERVE + ["--slo-p95-ms", target_ms]) == rc
+    out = capsys.readouterr().out
+    assert f"quicknet_small: {verdict}" in out
+    assert "slo.quicknet_small." in out  # the gauges ride in the snapshot
