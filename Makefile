@@ -1,6 +1,6 @@
 # Convenience targets for the LCE reproduction.
 
-.PHONY: test test-fast test-slow test-serving lint analyze check sanitize sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke bench bench-fast experiments appendix extensions examples all
+.PHONY: test test-fast test-slow test-serving bench-tests lint analyze check sanitize sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke bench bench-fast experiments appendix extensions examples all
 
 test:
 	pytest tests/
@@ -28,7 +28,7 @@ sanitize-smoke:
 	REPRO_SANITIZE=1 pytest tests/ -m "serving and not slow"
 	REPRO_SANITIZE=1 pytest tests/test_runtime_engine.py tests/test_concurrency_locks.py
 
-check: lint analyze test-fast test-serving sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke
+check: lint analyze test-fast bench-tests test-serving sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke
 
 # End-to-end observability smoke: trace a QuickNet-small engine run,
 # schema-validate the Chrome-trace export, and print the unified metrics
@@ -43,6 +43,12 @@ trace-smoke:
 # benchmark suite entirely.
 test-fast:
 	pytest tests/ -m "not slow and not serving"
+
+# bench/'s own suite (~45 s).  A src/ change may not edit bench/ but can
+# break it; test-fast's tests/test_bench_contract.py checks that its
+# imports and calls still bind, this runs what they do.
+bench-tests:
+	python3 -m pytest bench/tests -q
 
 # Only the expensive cells: full zoo parity grid, long stress runs.
 test-slow:

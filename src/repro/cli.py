@@ -163,8 +163,6 @@ def cmd_ops(args) -> int:
             flags.append("binary")
         if spec.mac_layer:
             flags.append("mac-layer")
-        if spec.split_rebatch:
-            flags.append("split-rebatch")
         if spec.cost is not None:
             latency = "modeled"
         elif spec.name in COST_EXEMPT_OPS:

@@ -15,8 +15,8 @@ of the paper with bit-exact semantics:
 - :mod:`repro.core.bmaxpool` — ``LceBMaxPool2d`` (bitwise-AND max pooling).
 - :mod:`repro.core.output_transform` — accumulator-to-output stage,
   including the precomputed-threshold path for bitpacked output.
-- :mod:`repro.core.indirection` — precomputed im2col gather indices
-  (compile-time im2col for the hot path).
+- :mod:`repro.core.indirection` — precomputed im2col gather indices; no
+  kernel under ``src/`` runs it any more, ``bench/``'s probes still do.
 - :mod:`repro.core.workspace` — the preallocated scratch arena making the
   steady-state plan path allocation-free.
 """
@@ -53,10 +53,10 @@ from repro.core.bmaxpool import bmaxpool2d
 from repro.core.im2col import (
     ConvGeometry,
     conv_geometry,
-    gather_indices,
     im2col_float,
     im2col_packed,
     padded_tap_mask,
+    windows,
 )
 from repro.core.output_transform import (
     OutputThresholds,
@@ -91,7 +91,6 @@ __all__ = [
     "bmaxpool2d",
     "compute_output_thresholds",
     "conv_geometry",
-    "gather_indices",
     "get_indirection",
     "im2col_float",
     "im2col_indirect",
@@ -108,5 +107,6 @@ __all__ = [
     "reserve_bconv2d_workspace",
     "unpack_bits",
     "unpack_filters",
+    "windows",
     "zero_padding_correction",
 ]

@@ -24,25 +24,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.core.bgemm import (
     bgemm_blocked,
-    bgemm_kmajor,
     bgemm_scratch_spec,
     bind_kmajor,
     derive_panel,
-    pack_kmajor,
 )
 from repro.core.bitpack import PackedTensor, pack_bits, packed_words, unpack_bits
 from repro.core.kernel_config import DEFAULT_CONFIG, KernelConfig
-from repro.core.indirection import (
-    Indirection,
-    get_indirection,
-    im2col_direct,
-    im2col_indirect,
+from repro.core.im2col import (
+    ConvGeometry,
+    conv_geometry,
+    im2col_float,
+    im2col_packed,
+    padded_tap_mask,
+    windows,
 )
-from repro.core.im2col import ConvGeometry, conv_geometry, padded_tap_mask
 from repro.core.workspace import Workspace, WorkspacePool
 from repro.core.output_transform import (
     OutputThresholds,
@@ -184,11 +182,12 @@ def bconv2d(
     padding_correction: np.ndarray | None = None,
     int8_output_scale: float | None = None,
     int8_output_zero_point: int = 0,
-    indirection: Indirection | None = None,
-    workspace: Workspace | None = None,
-    config: KernelConfig | None = None,
 ) -> np.ndarray | PackedTensor:
-    """Execute a binarized 2-D convolution.
+    """Execute a binarized 2-D convolution: the allocating reference.
+
+    im2col, BGEMM and output transform, one after the other, each into
+    fresh arrays.  This is what the ``Executor`` runs and what every
+    :class:`BoundBConv2D` must equal bit for bit.
 
     Args:
         x: bitpacked NHWC input (e.g. the output of ``LceQuantize``).
@@ -203,18 +202,6 @@ def bconv2d(
             :func:`repro.core.output_transform.compute_output_thresholds`.
         padding_correction: required when ``params.padding`` is
             ``SAME_ZERO``; from :func:`zero_padding_correction`.
-        indirection: precomputed im2col plan from
-            :func:`repro.core.indirection.get_indirection`; eager callers
-            can omit it and the process-level cache supplies it.
-        workspace: scratch arena.  Without one this is the allocating
-            reference the ``Executor`` runs.  With one, a ``groups == 1``
-            call builds, binds and runs a :class:`BoundBConv2D` once and a
-            grouped call loops per group through arena buffers.  Results
-            are bit-identical either way.
-        config: a :class:`~repro.core.kernel_config.KernelConfig`; every
-            config is bit-exactness-preserving and ``None`` means
-            :data:`~repro.core.kernel_config.DEFAULT_CONFIG`, which is
-            what every plan runs.
 
     Returns:
         ``(N, out_h, out_w, out_channels)`` float32 array, or a
@@ -224,43 +211,64 @@ def bconv2d(
         raise ValueError(
             f"input has {x.channels} channels, params expect {params.in_channels}"
         )
-    n, in_h, in_w, _ = x.bits.shape
-    transform = dict(
-        multiplier=multiplier, bias=bias, activation=activation,
-        scale_before_activation=scale_before_activation,
-        output_type=output_type, thresholds=thresholds,
-        int8_output_scale=int8_output_scale,
-        int8_output_zero_point=int8_output_zero_point,
+    finish = _output_transform(
+        filters, params, padding_correction, multiplier, bias, activation,
+        scale_before_activation, output_type, thresholds, int8_output_scale,
+        int8_output_zero_point,
     )
-    if workspace is not None and params.groups == 1:
-        return BoundBConv2D(
-            filters, params, in_h, in_w, n, config=config,
-            padding_correction=padding_correction, **transform,
-        ).bind(workspace)(x)
-    finish = _output_transform(filters, params, padding_correction, **transform)
-    if indirection is None:
-        indirection = get_indirection(
-            in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
-            params.dilation, params.padding,
-        )
-    geom = indirection.geom
-    if config is None:
-        config = DEFAULT_CONFIG
-    if params.groups > 1:
-        acc = _grouped_accumulators(
-            x, filters, params, indirection, workspace, config
-        )
-    else:
-        acc = bgemm_blocked(
-            _im2col(x, indirection, None, config), filters.bits, params.depth,
-            tile_m=config.tile_m, tile_n=config.tile_n,
-        )
+    n, in_h, in_w, _ = x.bits.shape
+    geom = conv_geometry(
+        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
+        params.dilation, params.padding,
+    )
+    acc = _accumulators(x, filters, params, n * geom.out_h * geom.out_w)
     if params.padding is Padding.SAME_ZERO:
-        # In place: acc is freshly computed (or workspace-owned) and the
-        # output transforms copy, so nothing aliases it.
+        # In place: acc is freshly computed and the output transforms
+        # copy, so nothing aliases it.
         acc = acc.reshape(n, geom.out_h * geom.out_w, params.out_channels)
         np.subtract(acc, padding_correction[None, :, :], out=acc)
     return finish(acc.reshape(n, geom.out_h, geom.out_w, params.out_channels))
+
+
+def _accumulators(
+    x: PackedTensor, filters: PackedFilters, params: BConv2DParams, m: int
+) -> np.ndarray:
+    """``(m, out_channels)`` int32 accumulators: im2col + BGEMM per group.
+
+    A group whose channel count is word-aligned (``cin_g % 64 == 0``, and
+    always the single group of an ungrouped convolution) is a direct
+    word-slice of the packed input and a direct row-slice of the packed
+    filters — channel blocks pack independently into whole words, so the
+    slices equal what re-packing the dense slices would produce.
+    Otherwise groups straddle word boundaries and the input is unpacked and
+    re-packed per group (grouped binarized convolutions are rare enough —
+    none of the paper's models use them — that the repack is acceptable).
+    Both branches are bit-identical (covered by a dedicated test).
+    """
+    cin_g = params.in_channels // params.groups
+    cout_g = params.out_channels // params.groups
+    words_g = packed_words(cin_g)
+    sliceable = params.groups == 1 or cin_g % 64 == 0
+    if not sliceable:
+        dense_x = unpack_bits(x)
+        dense_w = unpack_filters(filters)
+    acc = np.empty((m, params.out_channels), np.int32)
+    for g in range(params.groups):
+        columns = slice(g * cout_g, (g + 1) * cout_g)
+        if sliceable:
+            xg = PackedTensor(
+                x.bits[..., g * words_g : (g + 1) * words_g], channels=cin_g
+            )
+            wg = filters.bits[columns]
+        else:
+            xg = pack_bits(dense_x[..., g * cin_g : (g + 1) * cin_g])
+            wg = pack_filters(dense_w[:, :, :, columns]).bits
+        patches, _ = im2col_packed(
+            xg, params.kernel_h, params.kernel_w, params.stride,
+            params.dilation, params.padding,
+        )
+        bgemm_blocked(patches, wg, params.depth, out=acc[:, columns])
+    return acc
 
 
 def _output_transform(
@@ -406,18 +414,10 @@ class BoundBConv2D:
         # reads padded[i, ky*d + y*s, kx*d + x*s, k] — and row
         # (ky*kw + kx)*words + k of the slab the BGEMM reads is that plane.
         at = workspace.take("bgemm/at", (taps * words, m), np.uint64)
-        reach_h = (p.kernel_h - 1) * p.dilation + (out_h - 1) * p.stride
-        reach_w = (p.kernel_w - 1) * p.dilation + (out_w - 1) * p.stride
-        if reach_h >= padded.shape[1] or reach_w >= padded.shape[2]:
-            raise ValueError(f"taps reach outside the padded input: {geom}")
-        s_n, s_h, s_w, s_k = padded.strides
-        shape = (p.kernel_h, p.kernel_w, words, n, out_h, out_w)
-        patches = as_strided(
-            padded, shape=shape, writeable=False,
-            strides=(p.dilation * s_h, p.dilation * s_w, s_k,
-                     s_n, p.stride * s_h, p.stride * s_w),
-        )
-        slab = at.reshape(shape)
+        patches = windows(
+            padded, p.kernel_h, p.kernel_w, p.stride, p.dilation, out_h, out_w
+        ).transpose(3, 4, 5, 0, 1, 2)  # (kh, kw, words, n, out_h, out_w)
+        slab = at.reshape(patches.shape)
 
         acc = workspace.take("bconv/acc", (m, cout), np.int32)
         gemm = bind_kmajor(
@@ -475,84 +475,6 @@ def _padded_hw(geom: ConvGeometry, in_h: int, in_w: int) -> tuple[int, int]:
     )
 
 
-def _im2col(
-    x: PackedTensor,
-    indirection: Indirection,
-    workspace: Workspace | None,
-    config: KernelConfig,
-) -> np.ndarray:
-    """Materialize patches via the config's strategy (identical layouts)."""
-    if config.im2col == "direct":
-        return im2col_direct(x, indirection, workspace)
-    return im2col_indirect(x, indirection, workspace)
-
-
-def _grouped_accumulators(
-    x: PackedTensor,
-    filters: PackedFilters,
-    params: BConv2DParams,
-    indirection: Indirection,
-    workspace: Workspace | None,
-    config: KernelConfig,
-) -> np.ndarray:
-    """Grouped convolution: per-group im2col + BGEMM into one accumulator.
-
-    When the per-group channel count is word-aligned (``cin_g % 64 == 0``,
-    the common case) each group's input is a direct word-slice of the packed
-    tensor and each group's filters are a direct row-slice of the packed
-    filter matrix — channel blocks pack independently into whole words, so
-    the slices equal what re-packing the dense slices would produce (on the
-    workspace path: a column slice of the K-major filters).
-    Otherwise groups straddle word boundaries and the input is unpacked and
-    re-packed per group (grouped binarized convolutions are rare enough —
-    none of the paper's models use them — that the repack is acceptable).
-    Both branches are bit-identical (covered by a dedicated test).  With a
-    workspace each group's BGEMM is the K-major kernel at the panel
-    :func:`repro.core.bgemm.derive_panel` picks, which is what
-    :func:`reserve_bconv2d_workspace` sized the arena for.
-    """
-    n = x.bits.shape[0]
-    cin_g = params.in_channels // params.groups
-    cout_g = params.out_channels // params.groups
-    m = n * indirection.pixels
-    word_aligned = cin_g % 64 == 0
-    words_g = packed_words(cin_g)
-    if workspace is not None:
-        acc = workspace.take("bconv/acc", (m, params.out_channels), np.int32)
-        tile_m, tile_n, k_block = derive_panel(
-            m, cout_g, indirection.taps * words_g,
-            config.tile_m, config.tile_n, config.tile_k_words,
-        )
-    else:
-        acc = np.empty((m, params.out_channels), np.int32)
-    if not word_aligned:
-        dense_x = unpack_bits(x)
-        dense_w = unpack_filters(filters)
-    for g in range(params.groups):
-        columns = slice(g * cout_g, (g + 1) * cout_g)
-        if word_aligned:
-            xg = PackedTensor(
-                x.bits[..., g * words_g : (g + 1) * words_g], channels=cin_g
-            )
-            wg, wg_columns = filters, columns
-        else:
-            xg = pack_bits(dense_x[..., g * cin_g : (g + 1) * cin_g])
-            wg, wg_columns = pack_filters(dense_w[:, :, :, columns]), slice(None)
-        patches = _im2col(xg, indirection, workspace, config)
-        if workspace is not None:
-            bgemm_kmajor(
-                pack_kmajor(patches, workspace, "bgemm/at"),
-                wg.kmajor[:, wg_columns], params.depth, acc[:, columns],
-                workspace, tile_m=tile_m, tile_n=tile_n, tile_k_words=k_block,
-            )
-        else:
-            bgemm_blocked(
-                patches, wg.bits[wg_columns], params.depth,
-                tile_m=config.tile_m, tile_n=config.tile_n, out=acc[:, columns],
-            )
-    return acc
-
-
 def reserve_bconv2d_workspace(
     pool: WorkspacePool | Workspace,
     params: BConv2DParams,
@@ -562,17 +484,19 @@ def reserve_bconv2d_workspace(
     config: KernelConfig | None = None,
     quantize: bool = False,
 ) -> None:
-    """Reserve every scratch buffer one ``bconv2d`` call will take.
+    """Reserve every scratch buffer a :class:`BoundBConv2D` binds.
 
-    Called by kernel factories at plan-compile time so the plan's
-    :class:`~repro.core.workspace.WorkspacePool` preallocates the arena at
-    the max size over all nodes.  ``config`` must match what the run-time
-    call will use — tile caps change the BGEMM scratch shapes, and
-    reserving the wrong ones would make steady-state calls grow the arena
-    (breaking the no-allocation contract).  ``groups == 1``: what a
-    :class:`BoundBConv2D` binds (``quantize``: with the sign bytes of an
-    absorbed ``lce_quantize``); grouped: the per-group loop's buffers.
+    Called by the ``lce_bconv2d`` kernel factory at plan-compile time so
+    the plan's :class:`~repro.core.workspace.WorkspacePool` preallocates
+    the arena at the max size over all nodes.  ``config`` must match the
+    kernel's — tile caps change the BGEMM scratch shapes, and reserving
+    the wrong ones would make steady-state calls grow the arena (breaking
+    the no-allocation contract).  ``quantize``: with the sign bytes of an
+    absorbed ``lce_quantize``.  Grouped convolutions run the allocating
+    :func:`bconv2d` and have nothing to reserve.
     """
+    if params.groups != 1:
+        raise ValueError("only a groups == 1 convolution has a bound kernel")
     if config is None:
         config = DEFAULT_CONFIG
     geom = conv_geometry(
@@ -580,23 +504,15 @@ def reserve_bconv2d_workspace(
         params.dilation, params.padding,
     )
     words = packed_words(params.in_channels)
-    taps = params.kernel_h * params.kernel_w
     m = batch * geom.out_h * geom.out_w
     padded_h, padded_w = _padded_hw(geom, in_h, in_w)
     pool.reserve("bconv/padded", batch * padded_h * padded_w * words, np.uint64)
     pool.reserve("bconv/acc", m * params.out_channels, np.int32)
-    if params.groups == 1:
-        pool.reserve("bconv/float", m * params.out_channels, np.float32)
-        if quantize:
-            pool.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
-    else:
-        pool.reserve("bconv/patches", m * taps * words, np.uint64)
-    # Grouped calls run one BGEMM per group, each over that group's
-    # channels only; the derived panel follows that narrower shape.
+    pool.reserve("bconv/float", m * params.out_channels, np.float32)
+    if quantize:
+        pool.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
     for name, size, dtype in bgemm_scratch_spec(
-        m,
-        params.out_channels // params.groups,
-        taps * packed_words(params.in_channels // params.groups),
+        m, params.out_channels, params.kernel_h * params.kernel_w * words,
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
     ):
@@ -630,8 +546,6 @@ def bconv2d_reference(
     +1.0; zero-padding with 0.0).  Used in tests to pin down the optimized
     path bit-for-bit, mirroring the training-time emulated graph.
     """
-    from repro.core.im2col import im2col_float  # local to avoid cycle noise
-
     signs_x = np.where(np.asarray(x_float) < 0, -1.0, 1.0).astype(np.float32)
     signs_w = np.where(np.asarray(weights) < 0, -1.0, 1.0).astype(np.float32)
     pad_value = 1.0 if params.padding is Padding.SAME_ONE else 0.0

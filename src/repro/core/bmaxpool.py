@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bitpack import PackedTensor
-from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
+from repro.core.im2col import conv_geometry, pad_spatial, windows
 from repro.core.types import Padding
 
 
@@ -43,10 +43,7 @@ def bmaxpool2d(
     geom = conv_geometry(in_h, in_w, pool_h, pool_w, stride, 1, padding)
     ones = np.uint64(0xFFFFFFFFFFFFFFFF)
     padded = pad_spatial(bits, geom.pads, ones)
-    rows, cols = gather_indices(geom, pool_h, pool_w, stride, 1)
-    windows = padded[:, rows, cols, :]  # (N, pixels, taps, words)
-    pooled = np.bitwise_and.reduce(windows, axis=2)
+    taps = windows(padded, pool_h, pool_w, stride, 1, geom.out_h, geom.out_w)
     return PackedTensor(
-        bits=pooled.reshape(n, geom.out_h, geom.out_w, words),
-        channels=x.channels,
+        bits=np.bitwise_and.reduce(taps, axis=(3, 4)), channels=x.channels
     )

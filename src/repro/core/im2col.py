@@ -7,6 +7,9 @@ zero *words*: zero bits decode to +1.0, so padding is one-padding for free —
 exactly the trick the paper's Section 3.2 describes.  Zero-padding for
 binarized convolutions instead requires the correction mask computed by
 :func:`padded_tap_mask`.
+
+Every kernel that slides a window reads it through :func:`windows`; the
+module's only state is :func:`conv_geometry`'s bounded memo.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.bitpack import PackedTensor
 from repro.core.types import Padding
-from repro.obs.metrics import global_registry
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def effective_kernel(k: int, dilation: int) -> int:
     return (k - 1) * dilation + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a model has a few dozen distinct keys
 def conv_geometry(
     in_h: int,
     in_w: int,
@@ -75,10 +78,10 @@ def conv_geometry(
 ) -> ConvGeometry:
     """Output size and pad amounts, following TensorFlow's SAME/VALID rules.
 
-    Memoized process-wide: every consumer (the converter's padding
-    correction, shape inference, the latency model, the runtime kernels)
-    resolves identical geometry keys to the same frozen
-    :class:`ConvGeometry`, computed once.
+    Memoized process-wide (LRU, 1024 keys): every consumer (the
+    converter's padding correction, shape inference, the latency model,
+    the runtime kernels) resolves identical geometry keys to the same
+    frozen :class:`ConvGeometry`.
     """
     if min(in_h, in_w, kernel_h, kernel_w, stride, dilation) <= 0:
         raise ValueError("all geometry parameters must be positive")
@@ -106,34 +109,41 @@ def conv_geometry(
     )
 
 
-@lru_cache(maxsize=None)
-def gather_indices(
-    geom: ConvGeometry,
+def windows(
+    padded: np.ndarray,
     kernel_h: int,
     kernel_w: int,
     stride: int,
     dilation: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col indices into the *padded* input for every (pixel, tap) pair.
+    out_h: int,
+    out_w: int,
+) -> np.ndarray:
+    """Every convolution window of an already padded NHWC array, as a view.
 
-    Returns two int arrays of shape ``(out_h*out_w, kernel_h*kernel_w)``.
-    Memoized process-wide (the key is pure static geometry) and returned
-    read-only: callers use the arrays as fancy indices and must not write
-    to them.
+    Returns a read-only ``(N, out_h, out_w, kernel_h, kernel_w, C)`` view:
+    element ``[n, y, x, ky, kx, c]`` is ``padded[n, y * stride + ky *
+    dilation, x * stride + kx * dilation, c]``.  Nothing is copied; the
+    caller's ``reshape`` (or reduction) is the one pass over the data.
+    Raises ``ValueError`` when a tap would read outside ``padded``.
     """
-    oy, ox = np.meshgrid(
-        np.arange(geom.out_h), np.arange(geom.out_w), indexing="ij"
+    if padded.ndim != 4:
+        raise ValueError(f"expected NHWC input, got {padded.ndim}-D")
+    if min(kernel_h, kernel_w, stride, dilation, out_h, out_w) < 1:
+        raise ValueError("all window parameters must be positive")
+    n, in_h, in_w, c = padded.shape
+    reach_h = (kernel_h - 1) * dilation + (out_h - 1) * stride
+    reach_w = (kernel_w - 1) * dilation + (out_w - 1) * stride
+    if reach_h >= in_h or reach_w >= in_w:
+        raise ValueError(
+            f"taps reach ({reach_h}, {reach_w}), outside the {in_h}x{in_w} input"
+        )
+    s_n, s_h, s_w, s_c = padded.strides
+    return as_strided(
+        padded,
+        shape=(n, out_h, out_w, kernel_h, kernel_w, c),
+        strides=(s_n, stride * s_h, stride * s_w, dilation * s_h, dilation * s_w, s_c),
+        writeable=False,
     )
-    ky, kx = np.meshgrid(np.arange(kernel_h), np.arange(kernel_w), indexing="ij")
-    rows = oy.reshape(-1, 1) * stride + ky.reshape(1, -1) * dilation
-    cols = ox.reshape(-1, 1) * stride + kx.reshape(1, -1) * dilation
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-#: historical private name; kernels now import :func:`gather_indices`
-_gather_indices = gather_indices
 
 
 def im2col_float(
@@ -155,11 +165,15 @@ def im2col_float(
         raise ValueError(f"expected NHWC input, got {x.ndim}-D")
     n, in_h, in_w, c = x.shape
     geom = conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
+    if kernel_h == kernel_w == stride == 1:
+        # What the window view reshapes to, without building the view.
+        return np.ascontiguousarray(x).reshape(-1, c), geom
     padded = pad_spatial(x, geom.pads, pad_value)
-    rows, cols = gather_indices(geom, kernel_h, kernel_w, stride, dilation)
-    # (N, pixels, taps, C) -> (N*pixels, taps*C)
-    patches = padded[:, rows, cols, :]
-    return patches.reshape(n * geom.out_h * geom.out_w, kernel_h * kernel_w * c), geom
+    view = windows(
+        padded, kernel_h, kernel_w, stride, dilation, geom.out_h, geom.out_w
+    )
+    # the reshape is the copy: (N, out_h, out_w, kh, kw, C) -> (N*pixels, taps*C)
+    return view.reshape(n * geom.out_h * geom.out_w, kernel_h * kernel_w * c), geom
 
 
 def im2col_packed(
@@ -185,15 +199,15 @@ def im2col_packed(
     n, in_h, in_w, words = bits.shape
     geom = conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
     padded = pad_spatial(bits, geom.pads, 0)
-    rows, cols = gather_indices(geom, kernel_h, kernel_w, stride, dilation)
-    patches = padded[:, rows, cols, :]
+    view = windows(
+        padded, kernel_h, kernel_w, stride, dilation, geom.out_h, geom.out_w
+    )
     return (
-        patches.reshape(n * geom.out_h * geom.out_w, kernel_h * kernel_w * words),
+        view.reshape(n * geom.out_h * geom.out_w, kernel_h * kernel_w * words),
         geom,
     )
 
 
-@lru_cache(maxsize=None)
 def padded_tap_mask(
     in_h: int,
     in_w: int,
@@ -208,62 +222,13 @@ def padded_tap_mask(
     Used by the zero-padding correction of ``LceBConv2d``: one-padded taps
     contributed ``+1 * w`` to the accumulator, whereas a zero-padded input
     should have contributed ``0``; the correction subtracts the weight at
-    every padded tap.
-
-    Memoized process-wide so the converter (which computes the padding
-    correction per layer) and the runtime (which builds SAME_ZERO
-    indirections) share one mask per geometry key; the returned array is
-    read-only.
+    every padded tap.  Computed at conversion time, once per layer.
 
     Returns a bool array of shape ``(out_h * out_w, kernel_h * kernel_w)``.
     """
-    rows, cols = gather_indices(geom, kernel_h, kernel_w, stride, dilation)
-    # Indices are in the padded coordinate frame; a tap is padding when it
-    # falls outside the original image extent.
-    outside_h = (rows < geom.pad_top) | (rows >= geom.pad_top + in_h)
-    outside_w = (cols < geom.pad_left) | (cols >= geom.pad_left + in_w)
-    mask = outside_h | outside_w
-    mask.setflags(write=False)
-    return mask
-
-
-# ------------------------------------------------- geometry cache stats
-#: the memoized geometry functions, as one resettable unit
-_GEOMETRY_CACHES = (conv_geometry, gather_indices, padded_tap_mask)
-
-
-@dataclass(frozen=True)
-class GeometryCacheStats:
-    """Aggregated hit/miss/entry totals of the geometry memo caches."""
-
-    hits: int
-    misses: int
-    entries: int
-
-
-def geometry_cache_stats() -> GeometryCacheStats:
-    """Totals across :func:`conv_geometry`, :func:`gather_indices` and
-    :func:`padded_tap_mask` (each an ``lru_cache``; counters are
-    maintained under the cache's own internal lock)."""
-    infos = [fn.cache_info() for fn in _GEOMETRY_CACHES]
-    return GeometryCacheStats(
-        hits=sum(i.hits for i in infos),
-        misses=sum(i.misses for i in infos),
-        entries=sum(i.currsize for i in infos),
+    # The windows of a plane that is True exactly where padding sits.
+    is_padding = pad_spatial(np.zeros((1, in_h, in_w, 1), np.bool_), geom.pads, True)
+    view = windows(
+        is_padding, kernel_h, kernel_w, stride, dilation, geom.out_h, geom.out_w
     )
-
-
-def geometry_cache_clear() -> None:
-    """Reset the geometry caches and their counters (tests/benchmarks)."""
-    for fn in _GEOMETRY_CACHES:
-        fn.cache_clear()
-
-
-def _register_metrics() -> None:
-    reg = global_registry()
-    reg.gauge("convgeom.hits", lambda: geometry_cache_stats().hits)
-    reg.gauge("convgeom.misses", lambda: geometry_cache_stats().misses)
-    reg.gauge("convgeom.entries", lambda: geometry_cache_stats().entries)
-
-
-_register_metrics()
+    return view.reshape(geom.out_h * geom.out_w, kernel_h * kernel_w)

@@ -8,12 +8,11 @@ flat int32 index array mapping every ``(output pixel, kernel tap)`` pair
 to a word row of the spatially padded input.  At run time the im2col
 stage is then a single ``np.take`` into a reused patch buffer.
 
-The :class:`Indirection` for a key is memoized in a process-level cache:
-eager ``bconv2d`` calls, the reference executor and every compiled plan
-of every batch size share one entry per layer geometry.  Compiled plans
-additionally pin their nodes' indirections in the plan's
-:class:`~repro.ops.ParamCache` at compile time, so the steady-state path
-never takes the cache lock.
+The :class:`Indirection` for a key is memoized in a process-level cache.
+No kernel under ``src/`` gathers through it any more — the reference
+``bconv2d`` runs :func:`repro.core.im2col.im2col_packed` and plans run the
+bound kernel's one strided copy — so the cache is fed only by direct
+:func:`get_indirection` callers (``bench/``'s probes, the tests).
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from repro.core.bitpack import PackedTensor
 from repro.core.im2col import (
     ConvGeometry,
     conv_geometry,
-    gather_indices,
     padded_tap_mask,
+    windows,
 )
 from repro.core.types import Padding
 from repro.core.workspace import Workspace
@@ -100,12 +99,17 @@ def _build(
     geom = conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
     padded_h = in_h + geom.pad_top + geom.pad_bottom
     padded_w = in_w + geom.pad_left + geom.pad_right
-    rows, cols = gather_indices(geom, kernel_h, kernel_w, stride, dilation)
-    flat = (rows * padded_w + cols).astype(np.int32).ravel()
+    # The windows of a plane holding each padded position's own flat index.
+    plane = np.arange(padded_h * padded_w, dtype=np.int32)
+    flat = windows(
+        plane.reshape(1, padded_h, padded_w, 1),
+        kernel_h, kernel_w, stride, dilation, geom.out_h, geom.out_w,
+    ).reshape(-1)
     flat.setflags(write=False)
     mask = None
     if padding is Padding.SAME_ZERO:
         mask = padded_tap_mask(in_h, in_w, kernel_h, kernel_w, stride, dilation, geom)
+        mask.setflags(write=False)
     return Indirection(
         in_h=in_h,
         in_w=in_w,

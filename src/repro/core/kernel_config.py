@@ -10,19 +10,19 @@ A :class:`KernelConfig` names one point in the hot path's schedule space:
   words per XOR step: ``1`` (the default) derives it from the panel shape
   (:func:`repro.core.bgemm.derive_k_block`); a larger value is used as
   given;
-- ``im2col`` — patch materialization strategy of the allocating reference
-  path and the grouped-convolution loop: ``"indirect"`` gathers through
-  the precomputed indirection buffer, ``"direct"`` copies one strided
-  slice per kernel tap.  The bound kernel plans run
-  (:class:`repro.core.bconv2d.BoundBConv2D`) does neither — its im2col is
-  one strided copy — and ignores it.
+- ``im2col`` — ``"indirect"`` or ``"direct"``: which of
+  :mod:`repro.core.indirection`'s two gathers a measurement should time.
+  No kernel reads it (the bound kernel's im2col is one strided copy, the
+  reference ``bconv2d`` runs ``im2col_packed``); only ``bench/``'s probe
+  does, and ROADMAP item 2 removes the field with it.
 
 The schedule is fixed: every plan runs :data:`DEFAULT_CONFIG`.  The
-``config=`` argument of :func:`repro.core.bconv2d.bconv2d` exists for
-kernel measurements (:func:`repro.tune.measure_config`), and every knob
-is bit-exactness-preserving by construction (the BGEMM is exact integer
-arithmetic and both im2col strategies produce identical patch layouts),
-so any config computes identical results — only the wall clock moves.
+``config=`` argument of :class:`repro.core.bconv2d.BoundBConv2D` (and of
+``reserve_bconv2d_workspace``, which sizes the arena for the same tiles)
+exists for kernel measurements (:func:`repro.tune.measure_config`); the
+reference ``bconv2d`` takes none.  Every knob is bit-exactness-preserving
+by construction (the BGEMM is exact integer arithmetic), so any config
+computes identical results — only the wall clock moves.
 """
 
 from __future__ import annotations

@@ -46,8 +46,8 @@ class Workspace:
     request exceeds its capacity.  The contents of a returned view are
     undefined (previous users of the same name may have written anything)
     — callers fully overwrite what they take, or zero the parts they rely
-    on (see the padded-border handling in
-    :func:`repro.core.indirection.im2col_indirect`).
+    on (see the border fill in
+    :meth:`repro.core.bconv2d.BoundBConv2D.bind`).
     """
 
     def __init__(self) -> None:

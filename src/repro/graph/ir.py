@@ -216,10 +216,6 @@ class Graph:
         for t in node.outputs:
             del self.tensors[t]
 
-    def insert_after(self, index: int, node: Node) -> None:
-        """Insert an already-constructed node at a topological position."""
-        self.nodes.insert(index, node)
-
     # --------------------------------------------------------------- verify
     def verify(self) -> None:
         """Check structural invariants; raise :class:`GraphError` if broken."""

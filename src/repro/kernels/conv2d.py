@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.im2col import ConvGeometry, im2col_float
+from repro.core.im2col import im2col_float
 from repro.core.types import Activation, Padding
 from repro.kernels.quantization import QuantParams, requantize
 
@@ -42,11 +42,15 @@ def conv2d_float(
         x.astype(np.float32, copy=False), kh, kw, stride, dilation, padding,
         pad_value,
     )
-    out = patches @ weights.reshape(-1, cout).astype(np.float32, copy=False)
+    # One GEMM per image, the same (pixels, K) @ (K, C_out) whatever the
+    # batch: float BLAS results depend on the row count, so this is what
+    # makes a batched call equal the concatenation of per-image calls.
+    n, k = x.shape[0], patches.shape[1]
+    kernel = weights.reshape(k, cout).astype(np.float32, copy=False)
+    out = patches.reshape(n, geom.out_h * geom.out_w, k) @ kernel
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float32)
-    out = out.reshape(x.shape[0], geom.out_h, geom.out_w, cout)
-    return activation.apply(out)
+        out += np.asarray(bias, dtype=np.float32)
+    return activation.apply(out.reshape(n, geom.out_h, geom.out_w, cout))
 
 
 def conv2d_int8(
@@ -87,18 +91,3 @@ def conv2d_int8(
     effective = in_params.scale * np.asarray(w_scales) / out_params.scale
     out = requantize(acc, effective, out_params)
     return out.reshape(x_q.shape[0], geom.out_h, geom.out_w, cout)
-
-
-def conv_output_geometry(
-    in_h: int,
-    in_w: int,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int = 1,
-    dilation: int = 1,
-    padding: Padding = Padding.SAME_ZERO,
-) -> ConvGeometry:
-    """Re-exported geometry helper for callers that only need shapes."""
-    from repro.core.im2col import conv_geometry
-
-    return conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)

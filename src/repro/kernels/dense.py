@@ -27,9 +27,13 @@ def dense_float(
         )
     # copy=False: float32 operands (the usual case) are multiplied in place —
     # a per-call copy of a 512 x 1000 weight matrix cost 10x the product.
-    out = x.astype(np.float32, copy=False) @ weights.astype(np.float32, copy=False)
+    # One (1, in) @ (in, out) product per row: a GEMM over all rows at once
+    # rounds differently per row count, and a row's result must not depend
+    # on what it was batched with.
+    rows = x.astype(np.float32, copy=False)[..., None, :]
+    out = (rows @ weights.astype(np.float32, copy=False))[..., 0, :]
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float32)
+        out += np.asarray(bias, dtype=np.float32)
     return activation.apply(out)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
+from repro.core.im2col import conv_geometry, pad_spatial, windows
 from repro.core.types import Activation, Padding
 
 
@@ -40,12 +40,13 @@ def depthwise_conv2d_float(
     geom = conv_geometry(in_h, in_w, kh, kw, stride, dilation, padding)
     pad_value = 1.0 if padding is Padding.SAME_ONE else 0.0
     padded = pad_spatial(x.astype(np.float32, copy=False), geom.pads, pad_value)
-    rows, cols = gather_indices(geom, kh, kw, stride, dilation)
-    windows = padded[:, rows, cols, :]  # (N, pixels, taps, C)
-    out = np.einsum("nptc,tc->npc", windows, weights.reshape(kh * kw, c))
+    taps = windows(padded, kh, kw, stride, dilation, geom.out_h, geom.out_w).reshape(
+        n, geom.out_h * geom.out_w, kh * kw, c
+    )
+    out = np.einsum("nptc,tc->npc", taps, weights.reshape(kh * kw, c))
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float32)
-    out = out.reshape(n, geom.out_h, geom.out_w, c).astype(np.float32)
+        out += np.asarray(bias, dtype=np.float32)
+    out = out.reshape(n, geom.out_h, geom.out_w, c).astype(np.float32, copy=False)
     return activation.apply(out)
 
 

@@ -4,23 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
+from repro.core.im2col import conv_geometry, pad_spatial, windows
 from repro.core.types import Padding
-
-
-def _pool_windows(
-    x: np.ndarray,
-    pool_h: int,
-    pool_w: int,
-    stride: int,
-    padding: Padding,
-    pad_value: float,
-) -> tuple[np.ndarray, int, int]:
-    n, in_h, in_w, c = x.shape
-    geom = conv_geometry(in_h, in_w, pool_h, pool_w, stride, 1, padding)
-    padded = pad_spatial(x, geom.pads, pad_value)
-    rows, cols = gather_indices(geom, pool_h, pool_w, stride, 1)
-    return padded[:, rows, cols, :], geom.out_h, geom.out_w
 
 
 def maxpool2d(
@@ -61,15 +46,18 @@ def avgpool2d(
     if x.ndim != 4:
         raise ValueError("expected NHWC input")
     stride = stride or max(pool_h, pool_w)
-    windows, out_h, out_w = _pool_windows(
-        x.astype(np.float32, copy=False), pool_h, pool_w, stride, padding, np.nan
+    n, in_h, in_w, c = x.shape
+    geom = conv_geometry(in_h, in_w, pool_h, pool_w, stride, 1, padding)
+    padded = pad_spatial(x.astype(np.float32, copy=False), geom.pads, np.nan)
+    taps = windows(padded, pool_h, pool_w, stride, 1, geom.out_h, geom.out_w).reshape(
+        n, geom.out_h * geom.out_w, pool_h * pool_w, c
     )
-    out = np.nanmean(windows, axis=2)
-    return out.reshape(x.shape[0], out_h, out_w, x.shape[-1]).astype(np.float32)
+    out = np.nanmean(taps, axis=2)
+    return out.reshape(n, geom.out_h, geom.out_w, c).astype(np.float32, copy=False)
 
 
 def global_avgpool(x: np.ndarray) -> np.ndarray:
     """Global average pooling: ``(N, H, W, C) -> (N, C)``."""
     if x.ndim != 4:
         raise ValueError("expected NHWC input")
-    return x.astype(np.float32).mean(axis=(1, 2))
+    return x.astype(np.float32, copy=False).mean(axis=(1, 2))

@@ -298,7 +298,7 @@ _GLOBAL = MetricsRegistry()
 
 def global_registry() -> MetricsRegistry:
     """The process-wide registry carrying module-level cache views
-    (``indirection.*``, ``convgeom.*``)."""
+    (``indirection.*``)."""
     return _GLOBAL
 
 

@@ -26,6 +26,7 @@ healthy with the reason ``no slo configured``.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -65,6 +66,11 @@ class SLOConfig:
     degraded_fraction: float = 0.8
 
     def validate(self) -> None:
+        # nan and inf pass every sign test below (they compare false).
+        for name in ("window_s", "target_p95_ms", "deadline_ms"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.window_s <= 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
         if not 0.0 < self.degraded_fraction <= 1.0:

@@ -80,7 +80,6 @@ register(
         cost=_conv2d_cost,
         op_class=CLASS_FP_CONV,
         mac_layer=True,
-        split_rebatch=True,
     )
 )
 
@@ -181,7 +180,6 @@ register(
         kernel=_dense_kernel,
         cost=_dense_cost,
         mac_layer=True,
-        split_rebatch=True,
     )
 )
 

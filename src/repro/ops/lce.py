@@ -10,7 +10,6 @@ from repro.core.bconv2d import (
     reserve_bconv2d_workspace,
 )
 from repro.core.bmaxpool import bmaxpool2d
-from repro.core.indirection import get_indirection
 from repro.core.output_transform import OutputThresholds
 from repro.core.quantize_ops import lce_dequantize, lce_quantize
 from repro.core.types import Activation, OutputType, Padding
@@ -146,8 +145,8 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
     does the ``lce_quantize`` feeding it / the ``add`` consuming it): the
     kernel then takes ``[x, shortcut]`` and stamps the boundaries between
     the absorbed nodes into its optional second argument.  The reference
-    ``Executor`` (no workspace) and grouped convolutions get a plain
-    :func:`~repro.core.bconv2d.bconv2d` call.
+    ``Executor`` (no workspace) and grouped convolutions get the allocating
+    :func:`~repro.core.bconv2d.bconv2d` and reserve nothing.
     """
 
     def build_params():
@@ -192,49 +191,24 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
         int8_output_scale=p.int8_output_scale,
         int8_output_zero_point=p.int8_output_zero_point,
     )
-    # Everything shape-dependent happens here, at compile time.
-    pool = indirection = None
-    if ctx.specs is not None:
+    pool = ctx.workspace
+    if pool is not None and ctx.specs is not None and params.groups == 1:
+        # Everything shape-dependent happens here, at compile time.
         batch, in_h, in_w = ctx.specs[node.inputs[0]].shape[:3]
-        pool = ctx.workspace
-    if pool is not None:
         reserve_bconv2d_workspace(pool, params, in_h, in_w, batch, quantize=quantize)
         # Pack the filters K-major now rather than on the first inference;
         # ``filters`` lives in the ParamCache, so every batch factor and
         # replica shares the one copy.
         filters.kmajor
-        if params.groups == 1:
-            kernel = BoundBConv2D(
-                filters, params, in_h, in_w, batch,
-                quantize=quantize, shortcut=shortcut, **transform,
-            )
-            bind = kernel.bind
-            return lambda ins, marks=None: pool.current().bound(kernel, bind)(
-                *ins, marks=marks
-            )
-    if ctx.specs is not None:
-        # The indirection (gather indices + pad mask) is batch-independent:
-        # one ParamCache entry serves every batch factor.
-        indirection = ctx.cache.get(
-            node,
-            "indirection",
-            lambda: get_indirection(
-                in_h, in_w, params.kernel_h, params.kernel_w,
-                params.stride, params.dilation, params.padding,
-            ),
+        kernel = BoundBConv2D(
+            filters, params, in_h, in_w, batch,
+            quantize=quantize, shortcut=shortcut, **transform,
         )
-
-    def run(ins):
-        return bconv2d(
-            ins[0],
-            filters,
-            params,
-            indirection=indirection,
-            workspace=pool.current() if pool is not None else None,
-            **transform,
+        bind = kernel.bind
+        return lambda ins, marks=None: pool.current().bound(kernel, bind)(
+            *ins, marks=marks
         )
-
-    return run
+    return lambda ins: bconv2d(ins[0], filters, params, **transform)
 
 
 def _lce_bconv2d_cost(profile, node, p, input_specs, output_specs):

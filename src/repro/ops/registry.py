@@ -225,9 +225,6 @@ class OpSpec:
     accepts_bitpacked: bool = False
     #: True for MAC layers that anchor a Figure-5 layer stack
     mac_layer: bool = False
-    #: True when the float kernel is not row-stable across batch sizes and
-    #: must run per base-batch group inside a rebatched plan
-    split_rebatch: bool = False
     #: one-line human description for the ``repro.cli ops`` table
     doc: str = ""
 

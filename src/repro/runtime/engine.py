@@ -458,7 +458,7 @@ class Engine:
         """Engine metrics plus the process-wide cache views, one dict.
 
         The union of this engine's registry and the global registry
-        (``indirection.*``, ``convgeom.*`` module-cache gauges); this is
+        (the ``indirection.*`` module-cache gauges); this is
         what ``repro.cli stats`` prints and what benchmark JSON embeds.
         """
         snap = global_registry().snapshot()

@@ -21,13 +21,14 @@ batching decisions for a whole serving configuration:
 Bit-exactness contract: a plan's output is bit-identical to the reference
 executor's output for the graph's own batch size, and bit-identical to the
 *concatenation of per-base-batch reference runs* for rebatched plans.  The
-latter is why ``conv2d`` and ``dense`` — the only kernels backed by a
-non-associative float BLAS GEMM whose results depend on the row count — are
-executed per base-batch group inside a batched plan (their specs carry
-``split_rebatch=True``).  All binarized and int8 kernels are exact integer
-arithmetic and batch freely; the remaining float kernels are elementwise or
-reduce along non-batch axes only, which NumPy evaluates identically for any
-leading extent.
+compiler does nothing to earn the latter; every kernel computes a sample's
+result independently of what it is batched with.  ``conv2d`` and ``dense``
+— the only kernels backed by a float BLAS GEMM, whose results depend on the
+row count — issue one GEMM per image / row themselves
+(:mod:`repro.kernels.conv2d`, :mod:`repro.kernels.dense`).  All binarized
+and int8 kernels are exact integer arithmetic; the remaining float kernels
+are elementwise or reduce along non-batch axes only, which NumPy evaluates
+identically for any leading extent.
 """
 
 from __future__ import annotations
@@ -57,44 +58,6 @@ from repro.runtime.rebatch import rebatched_specs
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.obs.trace import Tracer
-
-
-def _slice_rows(value: Value, start: int, stop: int) -> Value:
-    if isinstance(value, PackedTensor):
-        return PackedTensor(bits=value.bits[start:stop], channels=value.channels)
-    return value[start:stop]
-
-
-def _concat_rows(values: list[Value]) -> Value:
-    if isinstance(values[0], PackedTensor):
-        return PackedTensor(
-            bits=np.concatenate([v.bits for v in values], axis=0),
-            channels=values[0].channels,
-        )
-    return np.concatenate(values, axis=0)
-
-
-def _split_per_group(fn: KernelFn, base_batch: int, factor: int) -> KernelFn:
-    """Run ``fn`` once per base-batch group and concatenate the outputs.
-
-    Applied to ``split_rebatch`` ops in rebatched plans so batched results
-    stay bit-identical to per-base-batch runs (float BLAS GEMMs are not
-    row-stable across row counts).
-    """
-
-    def fn_split(ins):
-        outs = [
-            fn(
-                [
-                    _slice_rows(x, g * base_batch, (g + 1) * base_batch)
-                    for x in ins
-                ]
-            )
-            for g in range(factor)
-        ]
-        return _concat_rows(outs)
-
-    return fn_split
 
 
 @dataclass(frozen=True)
@@ -140,10 +103,6 @@ class CompiledPlan:
     #: at compile time.  :func:`compile_plan` always sets this; it is False
     #: only for hand-assembled plans that bypassed validation.
     verified: bool = False
-
-    @property
-    def base_batch(self) -> int:
-        return self.graph.tensors[self.graph.inputs[0]].shape[0]
 
     @property
     def fused_blocks(self) -> int:
@@ -295,16 +254,12 @@ def compile_plan(
         workspace=workspace,
     )
 
-    base_batch = specs[graph.inputs[0]].shape[0] // batch_factor if graph.inputs else 1
     # (fn, graph nodes covered, input tensors, output tensors) per executed node
     executed: list[tuple[KernelFn, list, list[str], list[str]]] = []
     for block in _blocks(graph, specs):
         if len(block) == 1:
             (node,) = block
-            fn = compile_node(node, ctx)
-            if batch_factor > 1 and get_spec(node.op).split_rebatch:
-                fn = _split_per_group(fn, base_batch, batch_factor)
-            executed.append((fn, block, node.inputs, node.outputs))
+            executed.append((compile_node(node, ctx), block, node.inputs, node.outputs))
             continue
         # A block takes what its nodes took from outside it: the first
         # node's input and, with an add, that add's other operand.

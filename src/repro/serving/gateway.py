@@ -50,6 +50,7 @@ re-batches, it never re-orders values inside a batch (see
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -131,8 +132,12 @@ class GatewayConfig:
     def validate(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.deadline_ms < 0:
-            raise ValueError(f"deadline_ms must be >= 0, got {self.deadline_ms}")
+        # nan and inf pass the sign test; a worker handed either waits
+        # forever or dies in Condition.wait with the future unresolved.
+        if self.deadline_ms < 0 or not math.isfinite(self.deadline_ms):
+            raise ValueError(
+                f"deadline_ms must be finite and >= 0, got {self.deadline_ms}"
+            )
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be positive, got {self.max_queue}")
         if self.replicas < 1:
@@ -662,6 +667,14 @@ class Gateway:
                 raise ValueError(
                     f"SLO configured for unknown model(s): {unknown}"
                 )
+        # Every configuration problem surfaces here, before a worker starts.
+        slo_by_model = None if slo is None else {
+            name: slo if isinstance(slo, SLOConfig) else slo.get(name)
+            for name in models
+        }
+        for cfg in (slo_by_model or {}).values():
+            if cfg is not None:
+                cfg.validate()
         self.config = config if config is not None else GatewayConfig()
         self.config.validate()
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
@@ -716,12 +729,9 @@ class Gateway:
                     self.events,
                     flight,
                 )
-            if slo is not None:
+            if slo_by_model is not None:
                 self._slo = SLOMonitor(
-                    {
-                        name: slo if isinstance(slo, SLOConfig) else slo.get(name)
-                        for name in self._servers
-                    },
+                    slo_by_model,
                     metrics_fn=self.metrics_snapshot,
                     registry=self.metrics,
                     now=self.clock.now,

@@ -44,7 +44,7 @@ def _workload(geometry: ConvGeometryKey):
     x_dense = rng.choice(np.float32([-1.0, 1.0]), size=(g.batch, g.in_h, g.in_w, g.in_channels))
     weights = rng.choice(
         np.float32([-1.0, 1.0]),
-        size=(g.kernel_h, g.kernel_w, g.in_channels, g.out_channels),
+        size=(g.kernel_h, g.kernel_w, g.in_channels // g.groups, g.out_channels),
     )
     params = BConv2DParams(
         kernel_h=g.kernel_h,
@@ -70,20 +70,21 @@ def measure_config(
 ) -> float:
     """Median microseconds for one ``(geometry, config)`` point.
 
-    Runs ``repeats + 1`` times against a config-reserved workspace and
-    discards the first repeat (arena placement, cache warm-up), exactly
-    like the calibration recorder.  The monotonic ``timer`` reads are the
-    only clock — nothing inside the measured call tells time.
+    Runs ``repeats + 1`` times (a ``groups == 1`` kernel against a
+    config-reserved workspace) and discards the first repeat (arena
+    placement, cache warm-up), exactly like the calibration recorder.  The
+    monotonic ``timer`` reads are the only clock — nothing inside the
+    measured call tells time.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
     x, filters, params, correction = _workload(geometry)
-    ws = Workspace()
-    reserve_bconv2d_workspace(
-        ws, params, geometry.in_h, geometry.in_w, geometry.batch, config=config
-    )
     if params.groups == 1:
         # What a compiled plan runs: the kernel built and bound once, rerun.
+        ws = Workspace()
+        reserve_bconv2d_workspace(
+            ws, params, geometry.in_h, geometry.in_w, geometry.batch, config=config
+        )
         call = functools.partial(
             BoundBConv2D(
                 filters, params, geometry.in_h, geometry.in_w, geometry.batch,
@@ -92,9 +93,9 @@ def measure_config(
             x,
         )
     else:
+        # Grouped: the allocating reference, as in a plan (no schedule).
         call = functools.partial(
-            bconv2d, x, filters, params,
-            padding_correction=correction, workspace=ws, config=config,
+            bconv2d, x, filters, params, padding_correction=correction
         )
     times_us: list[float] = []
     for rep in range(repeats + 1):

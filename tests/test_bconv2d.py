@@ -289,8 +289,8 @@ class TestInt8Output:
 
 
 class TestBoundKernel:
-    """``BoundBConv2D`` — what compiled plans run — against ``bconv2d``
-    without a workspace (what the ``Executor`` runs)."""
+    """``BoundBConv2D`` — what compiled plans run — against ``bconv2d``,
+    the allocating reference (what the ``Executor`` runs)."""
 
     @pytest.mark.parametrize("output_type", list(OutputType))
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from repro.core.im2col import (
     im2col_packed,
     pad_spatial,
     padded_tap_mask,
+    windows,
 )
 from repro.core.types import Padding
 
@@ -121,6 +122,122 @@ class TestPadSpatial:
         assert not np.shares_memory(padded, x)
 
 
+def _gathered(padded, kh, kw, stride, dilation, out_h, out_w):
+    """The index-gather ``(N, pixels, taps, C)`` window tensor that
+    :func:`windows` replaced, kept here as the reference."""
+    oy, ox = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
+    ky, kx = np.meshgrid(np.arange(kh), np.arange(kw), indexing="ij")
+    rows = oy.reshape(-1, 1) * stride + ky.reshape(1, -1) * dilation
+    cols = ox.reshape(-1, 1) * stride + kx.reshape(1, -1) * dilation
+    return padded[:, rows, cols, :]
+
+
+PADDINGS = [Padding.VALID, Padding.SAME_ZERO, Padding.SAME_ONE]
+
+
+class TestWindows:
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_four_loops(self, rng, stride, dilation, padding):
+        n, h, w, c, kh, kw = 2, 9, 7, 3, 3, 2  # non-square input and kernel
+        x = rng.standard_normal((n, h, w, c)).astype(np.float32)
+        geom = conv_geometry(h, w, kh, kw, stride, dilation, padding)
+        padded = pad_spatial(x, geom.pads, 1.0 if padding is Padding.SAME_ONE else 0.0)
+        view = windows(padded, kh, kw, stride, dilation, geom.out_h, geom.out_w)
+        assert view.shape == (n, geom.out_h, geom.out_w, kh, kw, c)
+        assert not view.flags.writeable
+        assert np.shares_memory(view, padded)  # a view, nothing copied
+        for y in range(geom.out_h):
+            for xx in range(geom.out_w):
+                for ky in range(kh):
+                    for kx in range(kw):
+                        assert np.array_equal(
+                            view[:, y, xx, ky, kx],
+                            padded[:, y * stride + ky * dilation,
+                                   xx * stride + kx * dilation],
+                        )
+
+    def test_follows_the_strides_of_a_sliced_input(self, rng):
+        base = rng.standard_normal((1, 8, 8, 6)).astype(np.float32)
+        padded = base[:, ::2, 1:, ::3]  # non-contiguous on every axis
+        view = windows(padded, 2, 2, 1, 1, 3, 6)
+        assert np.array_equal(
+            view.reshape(1, 18, 4, 2), _gathered(padded, 2, 2, 1, 1, 3, 6)
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(out_h=7),  # one row too many for a 3-tap kernel on 8 rows
+            dict(out_w=7),
+            dict(stride=2, out_h=4),
+            dict(dilation=4),
+        ],
+    )
+    def test_rejects_a_tap_outside_the_input(self, kwargs):
+        args = dict(kernel_h=3, kernel_w=3, stride=1, dilation=1, out_h=6, out_w=6)
+        padded = np.zeros((1, 8, 8, 1), np.float32)
+        windows(padded, **args)  # the largest legal reach
+        with pytest.raises(ValueError, match="outside"):
+            windows(padded, **{**args, **kwargs})
+
+    def test_rejects_non_positive_parameters_and_non_nhwc(self):
+        padded = np.zeros((1, 8, 8, 1), np.float32)
+        for bad in (dict(stride=0), dict(dilation=-1), dict(out_h=0), dict(kernel_w=0)):
+            args = dict(kernel_h=3, kernel_w=3, stride=1, dilation=1, out_h=6, out_w=6)
+            with pytest.raises(ValueError, match="positive"):
+                windows(padded, **{**args, **bad})
+        with pytest.raises(ValueError, match="NHWC"):
+            windows(padded[0], 3, 3, 1, 1, 6, 6)
+
+
+class TestIm2ColEqualsTheGather:
+    """Both im2cols return exactly what the index gather returned — same
+    values, same dtype, C-contiguous — on the grid the GEMM tests use."""
+
+    GRID = [
+        # (shape, kh, kw, stride, dilation)
+        ((2, 6, 7, 3), 3, 3, 1, 1),
+        ((2, 6, 7, 3), 3, 3, 2, 1),
+        ((1, 9, 9, 2), 3, 3, 1, 2),
+        ((2, 8, 8, 5), 3, 3, 1, 1),
+        ((2, 5, 4, 70), 1, 1, 1, 1),  # the reshape-only fast path
+        ((2, 5, 4, 70), 1, 1, 2, 1),
+        ((1, 7, 5, 4), 2, 3, 3, 1),
+    ]
+
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("shape,kh,kw,stride,dilation", GRID)
+    def test_float(self, rng, shape, kh, kw, stride, dilation, padding):
+        x = rng.standard_normal(shape).astype(np.float32)
+        patches, geom = im2col_float(x, kh, kw, stride, dilation, padding, 1.0)
+        padded = pad_spatial(x, geom.pads, 1.0)
+        expected = _gathered(padded, kh, kw, stride, dilation, geom.out_h, geom.out_w)
+        assert patches.dtype == np.float32 and patches.flags.c_contiguous
+        assert np.array_equal(patches, expected.reshape(patches.shape))
+
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("shape,kh,kw,stride,dilation", GRID)
+    def test_packed(self, rng, shape, kh, kw, stride, dilation, padding):
+        x = pack_bits(rng.standard_normal(shape).astype(np.float32))
+        patches, geom = im2col_packed(x, kh, kw, stride, dilation, padding)
+        padded = pad_spatial(x.bits, geom.pads, 0)
+        expected = _gathered(padded, kh, kw, stride, dilation, geom.out_h, geom.out_w)
+        assert patches.dtype == np.uint64 and patches.flags.c_contiguous
+        assert np.array_equal(patches, expected.reshape(patches.shape))
+
+    def test_float_accepts_a_non_contiguous_input(self, rng):
+        x = rng.standard_normal((2, 6, 6, 8)).astype(np.float32)[..., ::2]
+        for k in (1, 3):
+            patches, geom = im2col_float(x, k, k, 1, 1, Padding.SAME_ZERO)
+            expected = _gathered(
+                pad_spatial(x, geom.pads, 0.0), k, k, 1, 1, geom.out_h, geom.out_w
+            )
+            assert patches.flags.c_contiguous
+            assert np.array_equal(patches, expected.reshape(patches.shape))
+
+
 def _brute_force_conv(x, w, stride, dilation, padding, pad_value):
     """O(everything) float convolution used as ground truth."""
     n, h, ww, cin = x.shape
@@ -220,9 +337,23 @@ class TestPaddedTapMask:
         mask = padded_tap_mask(5, 5, 3, 3, 1, 1, geom)
         assert not mask.any()
 
+    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_marks_exactly_the_taps_outside_the_image(self, stride, dilation):
+        h, w, kh, kw = 7, 6, 3, 2
+        geom = conv_geometry(h, w, kh, kw, stride, dilation, Padding.SAME_ZERO)
+        mask = padded_tap_mask(h, w, kh, kw, stride, dilation, geom)
+        assert mask.dtype == np.bool_
+        assert mask.shape == (geom.out_h * geom.out_w, kh * kw)
+        for pixel, (y, x) in enumerate(np.ndindex(geom.out_h, geom.out_w)):
+            for tap, (ky, kx) in enumerate(np.ndindex(kh, kw)):
+                row = y * stride + ky * dilation - geom.pad_top
+                col = x * stride + kx * dilation - geom.pad_left
+                inside = 0 <= row < h and 0 <= col < w
+                assert mask[pixel, tap] == (not inside)
+
 
 class TestMemoization:
-    """Shape-dependent geometry work happens once per shape, not per call."""
+    """``conv_geometry`` is the module's one memo, and it is bounded."""
 
     def test_conv_geometry_cache_hits(self):
         conv_geometry.cache_clear()
@@ -231,23 +362,4 @@ class TestMemoization:
         assert a is b
         info = conv_geometry.cache_info()
         assert info.misses == 1 and info.hits == 1
-
-    def test_gather_indices_cache_hits_and_read_only(self):
-        from repro.core.im2col import gather_indices
-
-        gather_indices.cache_clear()
-        geom = conv_geometry(13, 11, 3, 3, 1, 1, Padding.SAME_ONE)
-        rows, cols = gather_indices(geom, 3, 3, 1, 1)
-        rows2, cols2 = gather_indices(geom, 3, 3, 1, 1)
-        assert rows is rows2 and cols is cols2
-        assert not rows.flags.writeable and not cols.flags.writeable
-        assert gather_indices.cache_info().hits == 1
-
-    def test_padded_tap_mask_cache_hits_and_read_only(self):
-        padded_tap_mask.cache_clear()
-        geom = conv_geometry(13, 11, 3, 3, 1, 1, Padding.SAME_ZERO)
-        mask = padded_tap_mask(13, 11, 3, 3, 1, 1, geom)
-        assert padded_tap_mask(13, 11, 3, 3, 1, 1, geom) is mask
-        assert not mask.flags.writeable
-        info = padded_tap_mask.cache_info()
-        assert info.misses == 1 and info.hits == 1
+        assert info.maxsize is not None

@@ -51,6 +51,32 @@ class TestConv2DFloat:
         assert not np.allclose(zero, one)  # borders differ
         np.testing.assert_allclose(zero[0, 1:-1, 1:-1], one[0, 1:-1, 1:-1], rtol=1e-5)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "hw,cin,cout,k,stride",
+        [
+            (32, 3, 16, 3, 2),  # the QuickNet stem at 32x32
+            (8, 16, 32, 1, 1),  # a transition block's pointwise conv
+            (2, 64, 256, 1, 1),
+            (9, 5, 7, 3, 1),  # odd everything
+        ],
+    )
+    def test_a_batch_equals_its_images_run_alone(
+        self, rng, hw, cin, cout, k, stride, n
+    ):
+        # Float BLAS rounds differently per row count, so the kernel issues
+        # one (pixels, K) @ (K, C_out) per image whatever the batch.
+        x = rng.standard_normal((n, hw, hw, cin)).astype(np.float32)
+        w = rng.standard_normal((k, k, cin, cout)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        got = conv2d_float(x, w, b, stride=stride, activation=Activation.RELU)
+        alone = [
+            conv2d_float(x[i : i + 1], w, b, stride=stride, activation=Activation.RELU)
+            for i in range(n)
+        ]
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert np.array_equal(got, np.concatenate(alone))
+
     def test_rejects_channel_mismatch(self, rng):
         with pytest.raises(ValueError):
             conv2d_float(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.core.im2col import conv_geometry, gather_indices, pad_spatial
+from repro.core.im2col import conv_geometry, pad_spatial, windows
 from repro.core.types import Activation, Padding
 from repro.kernels.arithmetic import add, concat, mul, pad2d, relu, relu6, softmax
 from repro.kernels.batchnorm import (
@@ -68,9 +68,9 @@ class TestPooling:
     def test_maxpool_equals_the_window_gather(
         self, n, h, w, c, pool_h, pool_w, stride, padding, specials, dtype, seed
     ):
-        """The running maximum over strided slices against the gather of an
-        (N, pixels, taps, C) window tensor it replaced: same values (NaN and
-        -inf included), same dtype, same shape, for even and odd sizes."""
+        """The running maximum over strided slices against the maximum over
+        the taps of the window view: same values (NaN and -inf included),
+        same dtype, same shape, for even and odd sizes."""
         assume(padding is not Padding.VALID or (h >= pool_h and w >= pool_w))
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, h, w, c)).astype(dtype)
@@ -81,10 +81,9 @@ class TestPooling:
         step = stride or max(pool_h, pool_w)
         geom = conv_geometry(h, w, pool_h, pool_w, step, 1, padding)
         padded = pad_spatial(x.astype(np.float32), geom.pads, -np.inf)
-        rows, cols = gather_indices(geom, pool_h, pool_w, step, 1)
-        expected = padded[:, rows, cols, :].max(axis=2).reshape(
-            n, geom.out_h, geom.out_w, c
-        )
+        expected = windows(
+            padded, pool_h, pool_w, step, 1, geom.out_h, geom.out_w
+        ).max(axis=(3, 4))
         assert got.dtype == expected.dtype == np.float32
         assert got.shape == expected.shape
         assert np.array_equal(got, expected, equal_nan=True)
@@ -190,6 +189,20 @@ class TestDense:
     def test_rejects_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             dense_float(rng.standard_normal((4, 5)), rng.standard_normal((6, 3)))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("features,classes", [(512, 1000), (16, 5)])
+    def test_a_batch_equals_its_rows_run_alone(self, rng, features, classes, n):
+        # One (1, in) @ (in, out) product per row: a single GEMM over all
+        # rows rounds a row differently depending on what it is batched with.
+        x = rng.standard_normal((n, features)).astype(np.float32)
+        w = rng.standard_normal((features, classes)).astype(np.float32)
+        b = rng.standard_normal(classes).astype(np.float32)
+        got = dense_float(x, w, b)
+        alone = [dense_float(x[i : i + 1], w, b) for i in range(n)]
+        assert got.dtype == np.float32 and got.shape == (n, classes)
+        assert np.array_equal(got, np.concatenate(alone))
+        assert np.array_equal(dense_float(x[0], w, b), got[0])  # 1-D input
 
     def test_int8_tracks_float(self, rng):
         x = rng.standard_normal((8, 32)).astype(np.float32)

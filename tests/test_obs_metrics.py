@@ -13,7 +13,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.im2col import conv_geometry, geometry_cache_clear, geometry_cache_stats
 from repro.core.indirection import (
     get_indirection,
     indirection_cache_clear,
@@ -265,18 +264,6 @@ class TestGlobalCacheViews:
         snap = global_registry().snapshot()
         assert snap["indirection.entries"] == 0 and snap["indirection.hits"] == 0
 
-    def test_convgeom_gauges_track_lru_caches(self):
-        geometry_cache_clear()
-        assert geometry_cache_stats().entries == 0
-        conv_geometry(8, 8, 3, 3, 1, 1, Padding.SAME_ONE)
-        conv_geometry(8, 8, 3, 3, 1, 1, Padding.SAME_ONE)
-        snap = global_registry().snapshot()
-        assert snap["convgeom.entries"] == 1
-        assert snap["convgeom.misses"] == 1
-        assert snap["convgeom.hits"] == 1
-        geometry_cache_clear()
-        assert global_registry().snapshot()["convgeom.entries"] == 0
-
 
 def _tiny_net(rng):
     b = GraphBuilder((1, 6, 6, 3))
@@ -303,7 +290,7 @@ class TestEngineStatsConsistency:
             "plancache.hits", "plancache.misses",
             "paramcache.hits", "paramcache.misses",
             "workspace.bytes_reserved",
-            "indirection.entries", "convgeom.entries",
+            "indirection.entries",
         ):
             assert name in snap, name
 

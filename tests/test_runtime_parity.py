@@ -137,6 +137,24 @@ def _float_net(rng):
     return b.finish(x)
 
 
+def _float_base2_net(rng):
+    """Base batch 2: the reference runs its float GEMMs two images at a
+    time, a plan at factor 3 six at a time — equal only because ``conv2d``
+    and ``dense`` multiply per image / row.  3x3 stem, 1x1 conv, dense."""
+    b = GraphBuilder((2, 12, 12, 3))
+    x = b.conv2d(
+        b.input, rng.standard_normal((3, 3, 3, 8)).astype(np.float32),
+        bias=rng.standard_normal(8).astype(np.float32), stride=2,
+    )
+    x = b.conv2d(x, rng.standard_normal((1, 1, 8, 16)).astype(np.float32))
+    x = b.global_avgpool(x)
+    x = b.dense(
+        x, rng.standard_normal((16, 5)).astype(np.float32),
+        bias=rng.standard_normal(5).astype(np.float32),
+    )
+    return b.finish(x)
+
+
 def _binary_net(rng, padding):
     """Converted binarized chain -> lce_quantize + lce_bconv2d ops."""
     b = GraphBuilder((1, 8, 8, 8))
@@ -292,6 +310,7 @@ def _grouped_bconv_net(rng):
 
 SYNTHETIC_GRAPHS = {
     "float": _float_net,
+    "float_base2": _float_base2_net,
     "binary_same_one": lambda rng: _binary_net(rng, Padding.SAME_ONE),
     "binary_same_zero": lambda rng: _binary_net(rng, Padding.SAME_ZERO),
     "bmaxpool": _bmaxpool_net,
@@ -358,6 +377,21 @@ def test_grouped_net_covers_both_group_branches(rng):
     ]
     assert any(c % 64 == 0 for c in cin_gs)
     assert any(c % 64 != 0 for c in cin_gs)
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+def test_grouped_bconv_plan_runs_the_reference_and_reserves_nothing(factor, rng):
+    """A plan has no bound kernel for ``groups > 1``: both grouped nodes
+    (word-aligned and not) compile to the allocating reference call, equal
+    the ``Executor`` bit for bit, and leave the arena empty."""
+    graph = SYNTHETIC_GRAPHS["grouped_bconv"](rng)
+    plan = compile_plan(graph, batch_factor=factor)
+    assert plan.fused_blocks == 0
+    assert plan.workspace.reserved_bytes == 0
+    x = _batched_input(graph, factor, rng)
+    (got,) = plan.execute((x,))
+    assert_bit_identical(got, reference_outputs(graph, (x,), factor))
+    assert plan.workspace.num_workspaces == 0  # nothing ever asked for one
 
 
 def test_plan_workspace_reused_across_calls(rng):

@@ -523,6 +523,27 @@ def test_failed_construction_leaves_no_gateway_thread(graph, tmp_path):
     assert locks._ORDER_ERROR_HOOKS == hooks
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_deadlines_are_rejected_before_any_thread_starts(graph, bad):
+    """``nan < 0`` and ``inf < 0`` are false: an unchecked ``inf`` deadline
+    kills the worker inside ``Condition.wait`` (OverflowError) with the
+    future unresolved, ``nan`` parks it forever.  Neither gets that far."""
+    from repro.obs import SLOConfig
+
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="deadline_ms"):
+        Gateway({"m": graph}, GatewayConfig(deadline_ms=bad), clock=FakeClock())
+    for field in ("window_s", "target_p95_ms", "deadline_ms"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SLOConfig(**{field: bad}).validate()
+        with pytest.raises(ValueError, match=field):
+            Gateway(
+                {"m": graph}, GatewayConfig(), clock=FakeClock(),
+                slo={"m": SLOConfig(**{field: bad})},
+            )
+    assert _started_since(before) == []
+
+
 def test_concurrent_close_is_single_shot(graph, rng):
     """Racing close() calls: both return, the drain happens exactly once.
 

@@ -2,8 +2,8 @@
 :class:`KernelConfig` schedule point and :func:`measure_config`.
 
 The schedule itself is fixed (every plan runs ``DEFAULT_CONFIG``); the
-``config=`` argument of ``bconv2d`` survives for kernel measurements, so
-its bit-exactness under non-default tiles stays covered here.
+``config=`` argument of ``BoundBConv2D`` survives for kernel measurements,
+so its bit-exactness under non-default tiles stays covered here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.converter import convert
-from repro.core.bconv2d import bconv2d, reserve_bconv2d_workspace
+from repro.core.bconv2d import BoundBConv2D, bconv2d, reserve_bconv2d_workspace
 from repro.core.kernel_config import DEFAULT_CONFIG, KernelConfig
 from repro.core.workspace import Workspace
 from repro.tune import (
@@ -157,14 +157,14 @@ class TestMeasureConfig:
         "config",
         [
             KernelConfig(tile_m=5, tile_n=3),
-            KernelConfig(tile_m=64, tile_n=32, im2col="direct"),
+            KernelConfig(tile_m=64, tile_n=32),
             KernelConfig(tile_m=7, tile_n=16, tile_k_words=2),
         ],
     )
     @pytest.mark.parametrize("padding", ["same_one", "same_zero"])
     def test_non_default_config_is_bit_identical(self, config, padding):
-        # The way ``measure_config`` and ``bench/probes.py`` drive it: a
-        # workspace reserved for the config, then the call under it.
+        # The way ``measure_config`` drives it: a workspace reserved for the
+        # config, then the kernel bound under it, against the reference.
         geom = _tiny_geometry(padding=padding)
         x, filters, params, correction = _workload(geom)
         expected = bconv2d(x, filters, params, padding_correction=correction)
@@ -173,11 +173,20 @@ class TestMeasureConfig:
             ws, params, geom.in_h, geom.in_w, geom.batch, config=config
         )
         reserved = ws.nbytes
-        for workspace in (None, ws):
-            got = bconv2d(
-                x, filters, params, padding_correction=correction,
-                workspace=workspace, config=config,
-            )
+        run = BoundBConv2D(
+            filters, params, geom.in_h, geom.in_w, geom.batch,
+            padding_correction=correction, config=config,
+        ).bind(ws)
+        for _ in range(2):
+            got = run(x)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
         assert ws.nbytes == reserved, "the reservation must cover the call"
+
+    def test_grouped_geometry_times_the_reference(self):
+        # No bound kernel for groups > 1: nothing to reserve, still a number.
+        geom = _tiny_geometry(in_channels=128, groups=2)
+        assert measure_config(geom, DEFAULT_CONFIG, repeats=1) > 0
+        x, filters, params, _ = _workload(geom)
+        with pytest.raises(ValueError, match="groups == 1"):
+            reserve_bconv2d_workspace(Workspace(), params, 4, 4, 1)
