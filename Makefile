@@ -1,5 +1,13 @@
 # Convenience targets for the LCE reproduction.
 
+# One BLAS thread per process, as `import repro` and bench/ default to: the
+# engine is single-threaded and replicas are the unit of parallelism, so the
+# smoke targets measure the engine the design describes.  An exported value
+# wins.
+export OPENBLAS_NUM_THREADS ?= 1
+export OMP_NUM_THREADS ?= 1
+export MKL_NUM_THREADS ?= 1
+
 .PHONY: test test-fast test-slow test-serving bench-tests lint analyze check sanitize sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke bench bench-fast experiments appendix extensions examples all
 
 test:
@@ -24,9 +32,12 @@ sanitize:
 
 # The cheap sanitizer tier for `make check`: the threaded surfaces
 # (serving gateway + engine) under REPRO_SANITIZE=1, minus the slow cells.
+# test_runtime_stress.py is the one suite where two threads contend for the
+# arena lock a plan call holds.
 sanitize-smoke:
 	REPRO_SANITIZE=1 pytest tests/ -m "serving and not slow"
 	REPRO_SANITIZE=1 pytest tests/test_runtime_engine.py tests/test_concurrency_locks.py
+	REPRO_SANITIZE=1 pytest tests/test_runtime_stress.py -m "not slow"
 
 check: lint analyze test-fast bench-tests test-serving sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke
 

@@ -30,7 +30,7 @@ from repro.core.im2col import conv_geometry
 from repro.core.quantize_ops import lce_quantize
 from repro.core.types import Padding
 from repro.analysis.bench import validate_bench_kernels
-from repro.core.workspace import WorkspacePool
+from repro.core.workspace import Workspace
 from repro.obs.metrics import global_registry
 from repro.tune import ConvGeometryKey
 
@@ -140,7 +140,7 @@ def test_quicknet_plan_vs_dynamic(benchmark):
         x = lce_quantize(rng.standard_normal((1, h, w, c)).astype(np.float32))
         wts = pack_filters(rng.choice([-1.0, 1.0], (3, 3, c, c)).astype(np.float32))
         params = BConv2DParams(3, 3, c, c, padding=Padding.SAME_ONE)
-        run = BoundBConv2D(wts, params, h, w, 1).bind(WorkspacePool().current())
+        run = BoundBConv2D(wts, params, h, w, 1).bind(Workspace())
 
         geometry = ConvGeometryKey(
             batch=1, in_h=h, in_w=w, in_channels=c, out_channels=c,

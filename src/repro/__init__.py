@@ -46,8 +46,17 @@ Serving (batched, bit-identical to the executor)::
         print(engine.stats().throughput_samples_per_s)
 """
 
-from repro.converter import convert
-from repro.runtime import Engine
-from repro.version import __version__
+import os
+
+# The host engine is single-threaded by design and cores are spent on
+# Gateway replicas; a BLAS pool under each replica thread only makes them
+# fight (p50 468 -> 37 ms on a 2-core host).  This must run before NumPy
+# loads its BLAS, hence here; a value the caller exported wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from repro.converter import convert  # noqa: E402
+from repro.runtime import Engine  # noqa: E402
+from repro.version import __version__  # noqa: E402
 
 __all__ = ["Engine", "convert", "__version__"]

@@ -55,13 +55,14 @@ LOCK_ORDER: tuple[LockRank, ...] = (
     LockRank(
         "runtime.engine.plan", 50, False,
         "Engine._plan_lock — guards the plan cache and ParamCache; plan "
-        "compilation reserves workspaces, builds indirections, records "
+        "compilation reserves arena buffers, builds indirections, records "
         "tracer spans and counts metrics, so it precedes all of those",
     ),
     LockRank(
-        "core.workspace.pool", 60, False,
-        "WorkspacePool._lock — reservation table and per-thread arena "
-        "registry; taken under the plan lock at compile time",
+        "core.workspace", 60, False,
+        "Workspace.lock — exclusive use of an engine's scratch arena: held "
+        "across CompiledPlan.execute (kernels record spans under it), "
+        "taken by reserve() under the plan lock at compile time",
     ),
     LockRank(
         "core.indirection", 70, False,

@@ -39,7 +39,7 @@ from repro.core.indirection import (
     indirection_cache_clear,
     indirection_cache_stats,
 )
-from repro.core.workspace import Workspace, WorkspacePool
+from repro.core.workspace import Workspace
 from repro.core.bgemm import bgemm, bgemm_blocked, bgemm_reference
 from repro.core.bitpack import (
     WORD_BITS,
@@ -80,7 +80,6 @@ __all__ = [
     "Padding",
     "WORD_BITS",
     "Workspace",
-    "WorkspacePool",
     "accumulators_to_bitpacked",
     "accumulators_to_float",
     "bconv2d",

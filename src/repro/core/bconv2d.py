@@ -41,7 +41,7 @@ from repro.core.im2col import (
     padded_tap_mask,
     windows,
 )
-from repro.core.workspace import Workspace, WorkspacePool
+from repro.core.workspace import Workspace
 from repro.core.output_transform import (
     OutputThresholds,
     broadcast_channel,
@@ -317,7 +317,7 @@ class BoundBConv2D:
 
     Construction does what depends only on static shapes: checks,
     geometry, epilogue.  :meth:`bind` slices every view a call touches out
-    of one thread's :class:`~repro.core.workspace.Workspace` and returns
+    of a :class:`~repro.core.workspace.Workspace` and returns
     ``run(x, shortcut=None, marks=None)``, which is then only the NumPy
     calls that move data.  ``quantize``: ``x`` is the float tensor a
     single-consumer ``lce_quantize`` would have packed.  ``shortcut``: the
@@ -476,7 +476,7 @@ def _padded_hw(geom: ConvGeometry, in_h: int, in_w: int) -> tuple[int, int]:
 
 
 def reserve_bconv2d_workspace(
-    pool: WorkspacePool | Workspace,
+    workspace: Workspace,
     params: BConv2DParams,
     in_h: int,
     in_w: int,
@@ -487,8 +487,8 @@ def reserve_bconv2d_workspace(
     """Reserve every scratch buffer a :class:`BoundBConv2D` binds.
 
     Called by the ``lce_bconv2d`` kernel factory at plan-compile time so
-    the plan's :class:`~repro.core.workspace.WorkspacePool` preallocates
-    the arena at the max size over all nodes.  ``config`` must match the
+    the engine's :class:`~repro.core.workspace.Workspace` is preallocated
+    at the max size over all nodes.  ``config`` must match the
     kernel's — tile caps change the BGEMM scratch shapes, and reserving
     the wrong ones would make steady-state calls grow the arena (breaking
     the no-allocation contract).  ``quantize``: with the sign bytes of an
@@ -506,17 +506,17 @@ def reserve_bconv2d_workspace(
     words = packed_words(params.in_channels)
     m = batch * geom.out_h * geom.out_w
     padded_h, padded_w = _padded_hw(geom, in_h, in_w)
-    pool.reserve("bconv/padded", batch * padded_h * padded_w * words, np.uint64)
-    pool.reserve("bconv/acc", m * params.out_channels, np.int32)
-    pool.reserve("bconv/float", m * params.out_channels, np.float32)
+    workspace.reserve("bconv/padded", batch * padded_h * padded_w * words, np.uint64)
+    workspace.reserve("bconv/acc", m * params.out_channels, np.int32)
+    workspace.reserve("bconv/float", m * params.out_channels, np.float32)
     if quantize:
-        pool.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
+        workspace.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
     for name, size, dtype in bgemm_scratch_spec(
         m, params.out_channels, params.kernel_h * params.kernel_w * words,
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
     ):
-        pool.reserve(name, size, dtype)
+        workspace.reserve(name, size, dtype)
 
 
 def unpack_filters(filters: PackedFilters) -> np.ndarray:

@@ -401,7 +401,7 @@ def bgemm_scratch_spec(
     The K-major patch buffer ``{prefix}/at`` plus the tile kernel's
     ``{prefix}/xk|ck|ksum|out`` at the panel :func:`derive_panel` picks
     (what the binarized convolution runs).  Kernel factories feed this into
-    :meth:`repro.core.workspace.WorkspacePool.reserve` at plan-compile time
+    :meth:`repro.core.workspace.Workspace.reserve` at plan-compile time
     so the arena is fully sized before the first inference.
     """
     _check_tiles(tile_m, tile_n, tile_k_words)

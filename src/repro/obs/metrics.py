@@ -10,7 +10,7 @@ This module replaces that scatter with one typed registry:
 - :class:`Gauge` — a settable point-in-time value, or a *callback* gauge
   whose value is read from a function at snapshot time (the view
   mechanism: ``indirection.entries`` reads the live module cache,
-  ``workspace.bytes_reserved`` sums an engine's compiled plans);
+  ``workspace.bytes_reserved`` reads an engine's scratch arena);
 - :class:`Histogram` — discrete value -> count distributions with
   count/total/min/max (``engine.batch_size``).
 

@@ -116,6 +116,15 @@ class ModelHealth:
     #: the window the figures describe (seconds)
     window_s: float
 
+    @classmethod
+    def unconfigured(cls, model: str) -> "ModelHealth":
+        """The verdict for a model with no SLO: healthy, nothing measured."""
+        return cls(
+            model=model, status=HEALTHY, reasons=("no slo configured",),
+            p95_ms=0.0, error_rate=0.0, deadline_hit_rate=1.0,
+            window_completed=0, window_s=0.0,
+        )
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "model": self.model,
@@ -341,16 +350,7 @@ class SLOMonitor:
             self._samples.append((now, sample))
             for name, cfg in self._configs.items():
                 if cfg is None:
-                    results[name] = ModelHealth(
-                        model=name,
-                        status=HEALTHY,
-                        reasons=("no slo configured",),
-                        p95_ms=0.0,
-                        error_rate=0.0,
-                        deadline_hit_rate=1.0,
-                        window_completed=0,
-                        window_s=0.0,
-                    )
+                    results[name] = ModelHealth.unconfigured(name)
                     continue
                 deltas, span_s = self._window_delta(now, sample, cfg.window_s)
                 results[name] = self._judge(name, cfg, deltas[name], span_s)

@@ -10,7 +10,6 @@ The span taxonomy mirrors the layers a request passes through::
                                     words, depth, and the K schedule:
                                     k_block words per step, steps per
                                     panel)
-          workspace.acquire        (thread arena lookup)
           indirection.lookup       (eager-path geometry cache)
 
 Design points:

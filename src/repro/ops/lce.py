@@ -139,8 +139,8 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
     """Kernel factory of ``lce_bconv2d``.
 
     With a plan workspace a ``groups == 1`` node compiles to a
-    :class:`~repro.core.bconv2d.BoundBConv2D`, bound to each executing
-    thread's arena on that thread's first call.  ``quantize`` / ``shortcut``
+    :class:`~repro.core.bconv2d.BoundBConv2D`, bound to that arena on its
+    first call (and again after the arena grew).  ``quantize`` / ``shortcut``
     are :func:`repro.runtime.plan.compile_plan`'s peepholes (the kernel also
     does the ``lce_quantize`` feeding it / the ``add`` consuming it): the
     kernel then takes ``[x, shortcut]`` and stamps the boundaries between
@@ -191,11 +191,11 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
         int8_output_scale=p.int8_output_scale,
         int8_output_zero_point=p.int8_output_zero_point,
     )
-    pool = ctx.workspace
-    if pool is not None and ctx.specs is not None and params.groups == 1:
+    arena = ctx.workspace
+    if arena is not None and ctx.specs is not None and params.groups == 1:
         # Everything shape-dependent happens here, at compile time.
         batch, in_h, in_w = ctx.specs[node.inputs[0]].shape[:3]
-        reserve_bconv2d_workspace(pool, params, in_h, in_w, batch, quantize=quantize)
+        reserve_bconv2d_workspace(arena, params, in_h, in_w, batch, quantize=quantize)
         # Pack the filters K-major now rather than on the first inference;
         # ``filters`` lives in the ParamCache, so every batch factor and
         # replica shares the one copy.
@@ -205,7 +205,7 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
             quantize=quantize, shortcut=shortcut, **transform,
         )
         bind = kernel.bind
-        return lambda ins, marks=None: pool.current().bound(kernel, bind)(
+        return lambda ins, marks=None: arena.bound(kernel, bind)(
             *ins, marks=marks
         )
     return lambda ins: bconv2d(ins[0], filters, params, **transform)

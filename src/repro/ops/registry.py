@@ -34,7 +34,7 @@ from repro.core.bitpack import PackedTensor
 from repro.graph.ir import GraphError, Node, TensorSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.workspace import WorkspacePool
+    from repro.core.workspace import Workspace
     from repro.hw.device import DeviceModel, DeviceProfile
     from repro.hw.latency import LatencyBreakdown
 
@@ -99,15 +99,16 @@ class OpContext:
     ``specs`` maps tensor names to their (batched) :class:`TensorSpec`, so
     factories can resolve static input geometry at compile time — the
     executor passes the graph's own specs, plan compilation the rebatched
-    ones.  ``workspace`` is the plan-owned scratch arena; factories that
-    support it reserve their buffers at compile time and run allocation-free
-    (absent for the reference executor, which keeps the allocating path).
+    ones.  ``workspace`` is the scratch arena the plan runs in (its
+    engine's); factories that support it reserve their buffers at compile
+    time and run allocation-free (absent for the reference executor, which
+    keeps the allocating path).
     """
 
     batch_factor: int = 1
     cache: ParamCache = field(default_factory=ParamCache)
     specs: Mapping[str, TensorSpec] | None = None
-    workspace: WorkspacePool | None = None
+    workspace: Workspace | None = None
 
 
 # ------------------------------------------------------- attribute schema

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
+from repro.core.workspace import Workspace
 from repro.graph.ir import Graph
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -60,8 +61,8 @@ class EngineStats:
     param_cache_misses: int
     #: wall-clock seconds spent inside plan execution
     busy_s: float
-    #: total scratch-arena bytes across all compiled plans (every executing
-    #: thread's workspace; see :class:`repro.core.workspace.WorkspacePool`)
+    #: bytes of the engine's one :class:`repro.core.workspace.Workspace`:
+    #: the largest reservation per buffer over its plans, not their sum
     workspace_bytes: int = 0
     #: True when every compiled plan passed the static-analysis stack at
     #: compile time (:attr:`repro.runtime.plan.CompiledPlan.verified`), so
@@ -161,9 +162,10 @@ class Engine:
             serving gateway's warm replica pool); a private cache when
             ``None``.
 
-    Thread safety: one engine may be shared by any number of threads; plan
-    compilation and the weight cache are serialized behind a lock while
-    execution itself is stateless and runs concurrently.
+    Thread safety: threads sharing one engine take turns — plan compilation
+    and the weight cache behind the plan lock, plan execution behind the
+    lock of the engine's one scratch arena.  Results stay bit-exact;
+    parallelism is more engines (the gateway's replicas), not more threads.
 
     Observability: every counter lives in a per-engine
     :class:`~repro.obs.metrics.MetricsRegistry` (``engine.metrics``) —
@@ -203,6 +205,8 @@ class Engine:
         self._plan_lock = ordered_lock("runtime.engine.plan")
         self._plans: dict[int, CompiledPlan] = {}
         self._param_cache = param_cache if param_cache is not None else ParamCache()
+        # The one scratch arena every plan of this engine binds into.
+        self._workspace = Workspace()
 
         #: tracer recording this engine's spans; NULL_TRACER when disabled
         self.tracer: Tracer = trace if trace is not None else NULL_TRACER
@@ -228,7 +232,8 @@ class Engine:
         # time, outside the registry lock (see MetricsRegistry.snapshot).
         m.gauge("paramcache.hits", lambda: self._param_cache_view("hits"))
         m.gauge("paramcache.misses", lambda: self._param_cache_view("misses"))
-        m.gauge("workspace.bytes_reserved", self._workspace_bytes_view)
+        # No lock: reading the footprint never waits for a running plan.
+        m.gauge("workspace.bytes_reserved", lambda: self._workspace.nbytes)
         m.gauge("engine.verified", self._verified_view)
         m.gauge("plan.graph_nodes", lambda: len(self.graph.nodes))
         m.gauge("plan.nodes", lambda: self._plan_view(lambda p: len(p.nodes)))
@@ -237,10 +242,6 @@ class Engine:
     def _param_cache_view(self, attr: str) -> int:
         with self._plan_lock:
             return getattr(self._param_cache, attr)
-
-    def _workspace_bytes_view(self) -> int:
-        with self._plan_lock:
-            return sum(p.workspace.nbytes for p in self._plans.values())
 
     def _verified_view(self) -> int:
         with self._plan_lock:
@@ -258,11 +259,13 @@ class Engine:
         with self._plan_lock:
             plan = self._plans.get(batch_factor)
             if plan is None:
-                self._m_plan_misses.inc()
                 plan = compile_plan(
-                    self.graph, batch_factor=batch_factor, cache=self._param_cache
+                    self.graph, batch_factor=batch_factor,
+                    cache=self._param_cache, workspace=self._workspace,
                 )
                 self._plans[batch_factor] = plan
+                # counted once stored: a compile that raises cached nothing
+                self._m_plan_misses.inc()
                 compiled = True
             else:
                 self._m_plan_hits.inc()

@@ -16,7 +16,11 @@ batching decisions for a whole serving configuration:
 - **prepacked-weight caching** — derived artifacts (packed-filter wrappers,
   binarized float weights, folded BN coefficients, quantization params) are
   memoized in a :class:`ParamCache` keyed by node, so plans compiled for
-  other batch sizes of the same graph reuse them.
+  other batch sizes of the same graph reuse them;
+- **one scratch arena** — kernel factories reserve their buffers in the
+  :class:`~repro.core.workspace.Workspace` the caller passes (an engine's
+  own, for every batch factor); :meth:`CompiledPlan.execute` holds its
+  lock while the nodes run, so plans sharing an arena serialise.
 
 Bit-exactness contract: a plan's output is bit-identical to the reference
 executor's output for the graph's own batch size, and bit-identical to the
@@ -41,7 +45,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.bitpack import PackedTensor
-from repro.core.workspace import WorkspacePool
+from repro.core.workspace import Workspace
 from repro.graph.ir import Graph, TensorSpec
 from repro.ops import (
     KernelFn,
@@ -94,10 +98,10 @@ class CompiledPlan:
     #: batched spec and tensor name per slot, for value validation
     slot_specs: tuple[TensorSpec, ...]
     slot_names: tuple[str, ...]
-    #: plan-owned scratch arena; kernel factories reserved their buffers at
-    #: compile time, so steady-state execution is allocation-free.  Each
-    #: executing thread gets its own preallocated workspace from the pool.
-    workspace: WorkspacePool = field(default_factory=WorkspacePool)
+    #: the scratch arena the kernels are bound into — the engine's, shared
+    #: with its other plans; kernel factories reserved their buffers at
+    #: compile time, so steady-state execution is allocation-free
+    workspace: Workspace = field(default_factory=Workspace)
     #: True when the source graph passed the full static-analysis stack
     #: (``Graph.validate``: structure, schemas, dataflow rules G001-G005)
     #: at compile time.  :func:`compile_plan` always sets this; it is False
@@ -145,7 +149,9 @@ class CompiledPlan:
                 value = np.asarray(value, dtype=spec.dtype)
             check_value(value, spec, self.slot_names[slot])
             slots[slot] = value
-        with tracer.span(
+        # Exclusive use of the arena: other plans of the engine (and other
+        # threads on this one) wait here, outside the span.
+        with self.workspace.lock, tracer.span(
             "plan.execute", batch_factor=self.batch_factor, nodes=len(self.nodes)
         ):
             self._run_nodes(slots, node_times, tracer)
@@ -229,6 +235,7 @@ def compile_plan(
     batch_factor: int = 1,
     num_threads: int = 1,
     cache: ParamCache | None = None,
+    workspace: Workspace | None = None,
 ) -> CompiledPlan:
     """Compile ``graph`` into a :class:`CompiledPlan`.
 
@@ -238,6 +245,8 @@ def compile_plan(
             per call; tensor specs are re-inferred for the batched shapes.
         num_threads: vestigial, must be 1 (``bench/`` passes it by keyword).
         cache: shared :class:`ParamCache`; a fresh one is used if omitted.
+        workspace: the owner's arena, grown to hold this plan too; a fresh
+            one if omitted.
     """
     if batch_factor < 1:
         raise ValueError(f"batch_factor must be positive, got {batch_factor}")
@@ -246,7 +255,7 @@ def compile_plan(
     graph.validate()
     cache = cache if cache is not None else ParamCache()
     specs = rebatched_specs(graph, batch_factor)
-    workspace = WorkspacePool()
+    workspace = workspace if workspace is not None else Workspace()
     ctx = OpContext(
         batch_factor=batch_factor,
         cache=cache,

@@ -66,7 +66,7 @@ from repro.concurrency.locks import (
 from repro.graph.ir import Graph
 from repro.obs.events import NULL_EVENTS, EventLog, FlightRecorder
 from repro.obs.metrics import MetricsRegistry, global_registry, quantile_from_counts
-from repro.obs.slo import HEALTHY, ModelHealth, SLOConfig, SLOMonitor
+from repro.obs.slo import ModelHealth, SLOConfig, SLOMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import ParamCache
@@ -820,19 +820,7 @@ class Gateway:
             self._flight.flush_pending()
         if self._slo is not None:
             return self._slo.evaluate()
-        return {
-            name: ModelHealth(
-                model=name,
-                status=HEALTHY,
-                reasons=("no slo configured",),
-                p95_ms=0.0,
-                error_rate=0.0,
-                deadline_hit_rate=1.0,
-                window_completed=0,
-                window_s=0.0,
-            )
-            for name in self._servers
-        }
+        return {name: ModelHealth.unconfigured(name) for name in self._servers}
 
     def dump(self, reason: str = "manual") -> Any:
         """Force a flight-recorder dump; returns the path or ``None``.

@@ -242,19 +242,17 @@ def quicknet_small(request):
 
 
 def test_plan_arena_constant_from_first_execute(quicknet_small, rng):
-    """Reservation == use: for every batch factor the executing thread's
-    arena is preallocated from the plan's reservations and no execution —
-    the first included — grows it."""
+    """Reservation == use: compiling a batch factor's plan preallocates the
+    engine's arena for it and no execution — the first included — grows it."""
     size, model = quicknet_small
     with Engine(model, max_batch_size=8) as engine:
         for factor in range(1, 9):
             x = rng.standard_normal((factor, size, size, 3)).astype(np.float32)
-            pool = engine.plan(factor).workspace
-            ws = pool.current()
+            ws = engine.plan(factor).workspace  # compiling reserves
             grows = ws.grows
             for _ in range(2):
                 engine.run(x)
-            assert pool.workspaces() == (ws,)
+            assert engine.plan(1).workspace is ws
             assert ws.grows == grows, f"batch factor {factor} grew its arena"
 
 

@@ -232,7 +232,6 @@ class TestEngineTrace:
         assert by_name["plan.execute"] == 1
         assert by_name["plan.node"] == len(model.graph.nodes)
         assert by_name.get("kernel.bgemm", 0) > 0
-        assert by_name.get("workspace.acquire", 0) > 0
 
         node_spans = [s for s in spans if s.name == "plan.node"]
         assert {s.args["node"] for s in node_spans} == {

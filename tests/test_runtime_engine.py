@@ -7,6 +7,10 @@ and spec rebatching.
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -104,6 +108,27 @@ class TestCaching:
         assert stats.plan_cache_hit_rate == pytest.approx(1 / 3)
         # Every compiled plan passed the dataflow analyses.
         assert stats.verified is True
+
+    def test_a_compile_that_raises_is_not_a_miss(self, rng):
+        """Nothing was cached, so nothing is counted: a bad factor and a
+        graph that cannot rebatch both used to leave ``misses == 1``."""
+        with Engine(_small_net(rng)) as engine:
+            with pytest.raises(ValueError, match="batch_factor must be positive"):
+                engine.plan(0)
+            assert engine.stats().plan_cache_misses == 0
+            engine.plan(1)
+            engine.plan(1)
+            stats = engine.stats()
+        assert (stats.plan_cache_misses, stats.plan_cache_hits) == (1, 1)
+
+        g = Graph("scalar")
+        out = g.add_node("relu", [g.add_input("a", TensorSpec(()))], [TensorSpec(())])
+        g.outputs = [out.outputs[0]]
+        with Engine(g) as engine:
+            with pytest.raises(GraphError, match="no batch dimension"):
+                engine.plan(2)
+            stats = engine.stats()
+        assert (stats.plan_cache_misses, stats.plan_cache_hits) == (0, 0)
 
     def test_param_cache_shared_across_plans(self, rng):
         model = convert(_binarized_net(rng), in_place=True)
@@ -232,3 +257,37 @@ class TestCli:
         rc = cli.main(["benchmark", "--model", "quicknet_small"])
         assert rc == 0
         assert "pixel1" in capsys.readouterr().out
+
+
+class TestBlasThreads:
+    """``import repro`` pins BLAS to one thread unless the caller chose."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _environ_after_import(self, **exported):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        # A finder that reports the variable at the moment NumPy is first
+        # imported: set any later, OpenBLAS has already sized its pool.
+        code = textwrap.dedent(f"""
+            import os, sys
+            class AtNumpyImport:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy":
+                        print(os.environ.get("OPENBLAS_NUM_THREADS"))
+            sys.meta_path.insert(0, AtNumpyImport())
+            import repro
+            print(*[os.environ[v] for v in {self.VARS!r}])
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin", **exported},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_defaults_to_one_thread_before_numpy_loads(self):
+        assert self._environ_after_import() == ["1", "1", "1", "1"]
+
+    def test_an_exported_value_wins(self):
+        got = self._environ_after_import(OPENBLAS_NUM_THREADS="2")
+        assert got == ["2", "2", "1", "1"]

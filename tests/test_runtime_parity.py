@@ -21,6 +21,8 @@ is the determinism statement the Engine makes to its callers.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -387,11 +389,11 @@ def test_grouped_bconv_plan_runs_the_reference_and_reserves_nothing(factor, rng)
     graph = SYNTHETIC_GRAPHS["grouped_bconv"](rng)
     plan = compile_plan(graph, batch_factor=factor)
     assert plan.fused_blocks == 0
-    assert plan.workspace.reserved_bytes == 0
+    assert plan.workspace.nbytes == 0
     x = _batched_input(graph, factor, rng)
     (got,) = plan.execute((x,))
     assert_bit_identical(got, reference_outputs(graph, (x,), factor))
-    assert plan.workspace.num_workspaces == 0  # nothing ever asked for one
+    assert plan.workspace.names() == ()  # and the call took nothing either
 
 
 def test_plan_workspace_reused_across_calls(rng):
@@ -402,9 +404,7 @@ def test_plan_workspace_reused_across_calls(rng):
     with Engine(graph) as engine:
         x = _batched_input(graph, 2, rng)
         engine.run(x)
-        plan = engine.plan(2)
-        assert plan.workspace.num_workspaces == 1
-        ws = plan.workspace.workspaces()[0]
+        ws = engine.plan(2).workspace
         assert "bgemm/at" in ws.names()
         before = {name: id(ws.buffer(name)) for name in ws.names()}
         grows = ws.grows
@@ -415,18 +415,18 @@ def test_plan_workspace_reused_across_calls(rng):
 
 
 def test_plan_workspace_preallocated_from_reservations(rng):
-    """A plan's arena is fully reserved at compile time: the first executing
-    thread's workspace performs zero grows beyond its preallocation."""
+    """A plan's arena is fully reserved at compile time: the first execution
+    performs zero grows beyond that preallocation."""
     graph = SYNTHETIC_GRAPHS["binary_same_zero"](rng)
     with Engine(graph) as engine:
-        plan = engine.plan(1)
-        reserved = plan.workspace.reserved_bytes
-        assert reserved > 0
-        ws = plan.workspace.current()  # preallocates from reservations
-        grows = ws.grows
+        ws = engine.plan(1).workspace  # compiling reserves
+        assert ws.nbytes > 0
+        grows, nbytes = ws.grows, ws.nbytes
         engine.run(_batched_input(graph, 1, rng))
-        assert plan.workspace.workspaces()[0] is ws
-        assert ws.grows == grows, "execution grew a buffer past its reservation"
+        assert engine.plan(1).workspace is ws
+        assert (ws.grows, ws.nbytes) == (grows, nbytes), (
+            "execution grew a buffer past its reservation"
+        )
 
 
 # ----------------------------------------------------------------- the zoo
@@ -706,19 +706,17 @@ def _run_holding_every_value(plan, x):
     return slots
 
 
-def test_outputs_never_alias_the_arena(rng):
-    """A value held across the next execute is unchanged: what a bound
-    kernel returns is a fresh array, never a view of its scratch."""
-    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
-    plan = compile_plan(model.graph)
-    x1, x2 = (_batched_input(model.graph, 1, rng) for _ in range(2))
+@contextlib.contextmanager
+def _held_values_stay_untouched(plan, x):
+    """Run ``plan`` on ``x`` keeping every array it produced; after the
+    body, none of them has changed or shares memory with the arena."""
     held = {
-        slot: v for slot, v in _run_holding_every_value(plan, x1).items()
+        slot: v for slot, v in _run_holding_every_value(plan, x).items()
         if isinstance(v, np.ndarray)
     }
     copies = {slot: v.copy() for slot, v in held.items()}
-    plan.execute((x2,))
-    ws = plan.workspace.current()
+    yield
+    ws = plan.workspace
     for slot, value in held.items():
         name = plan.slot_names[slot]
         assert np.array_equal(value, copies[slot]), name
@@ -727,13 +725,23 @@ def test_outputs_never_alias_the_arena(rng):
         ), name
 
 
+def test_outputs_never_alias_the_arena(rng):
+    """A value held across the next execute is unchanged: what a bound
+    kernel returns is a fresh array, never a view of its scratch."""
+    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    plan = compile_plan(model.graph)
+    x1, x2 = (_batched_input(model.graph, 1, rng) for _ in range(2))
+    with _held_values_stay_untouched(plan, x1):
+        plan.execute((x2,))
+
+
 @pytest.mark.parametrize("factor", range(1, 9))
 def test_arena_constant_from_the_second_call(factor, rng):
     model = convert(build_model("quicknet_small", input_size=32), in_place=True)
     plan = compile_plan(model.graph, batch_factor=factor)
     x = _batched_input(model.graph, factor, rng)
     plan.execute((x,))
-    ws = plan.workspace.current()
+    ws = plan.workspace
     grows, nbytes = ws.grows, ws.nbytes
     for _ in range(3):
         plan.execute((x,))
@@ -749,7 +757,7 @@ def test_plan_rebinds_when_its_arena_grows_behind_it(rng):
     x = _batched_input(model.graph, 1, rng)
     expected = reference_outputs(model.graph, (x,), 1)
     assert_bit_identical(plan.execute((x,))[0], expected)
-    ws = plan.workspace.current()
+    ws = plan.workspace
     stale = {name: ws.buffer(name) for name in ws.names()}
     for name, buf in stale.items():
         ws.take(name, (buf.size + 64,), buf.dtype)  # reallocates every buffer
@@ -761,3 +769,42 @@ def test_plan_rebinds_when_its_arena_grows_behind_it(rng):
     assert ws.grows == grows, "rebinding must not allocate"
     # ... and the rebound kernels really write the new storage
     assert any(ws.buffer(name).any() for name in ws.names())
+
+
+# ------------------------------------------- one arena for all of an engine
+
+def test_every_batch_factor_of_an_engine_shares_one_arena(rng):
+    """Factors 1, 8, 1, 3, 8 through one engine: every reply equals the
+    Executor, the arena is as large as the largest plan alone would make it
+    (not the sum over plans) and stops growing once every plan exists."""
+    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    order = (1, 8, 1, 3, 8)
+    inputs = {k: _batched_input(model.graph, k, rng) for k in set(order)}
+    refs = {k: reference_outputs(model.graph, (x,), k) for k, x in inputs.items()}
+    with Engine(model) as engine:
+        for k in order:
+            assert_bit_identical(engine.run(inputs[k]), refs[k])
+        ws = engine.plan(1).workspace
+        assert all(engine.plan(k).workspace is ws for k in order)
+        alone = [compile_plan(model.graph, k).workspace.nbytes for k in set(order)]
+        assert engine.stats().workspace_bytes == ws.nbytes == max(alone) < sum(alone)
+        grows = ws.grows
+        for k in order:
+            assert_bit_identical(engine.run(inputs[k]), refs[k])
+        assert ws.grows == grows and ws.nbytes == max(alone)
+
+
+def test_outputs_survive_another_plan_running_over_the_same_buffers(rng):
+    """Cross-plan form of ``test_outputs_never_alias_the_arena``: what the
+    factor-1 plan returned is untouched after the factor-8 plan (compiled
+    later, so it replaced and then overwrote the shared buffers) has run."""
+    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    with Engine(model) as engine:
+        x1, x8 = (_batched_input(model.graph, k, rng) for k in (1, 8))
+        with _held_values_stay_untouched(engine.plan(1), x1):
+            engine.run(x8)
+        # ... and the factor-1 kernels rebind to the grown buffers
+        assert_bit_identical(
+            engine.run(x1), reference_outputs(model.graph, (x1,), 1)
+        )
+

@@ -8,6 +8,8 @@ under concurrent callers and arbitrary request/coalescing geometries
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import sys
 import threading
 
@@ -26,6 +28,26 @@ from test_runtime_parity import (
 )
 
 FACTORS = (1, 2, 3)
+
+
+@contextlib.contextmanager
+def _switching_threads_often():
+    """Switch threads mid-kernel, often, for the body's duration."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _run_all(threads) -> None:
+    threads = list(threads)
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +113,13 @@ class TestThreadSafety:
 
     def test_eight_threads_on_one_fused_plan(self):
         """One compiled plan of fused blocks, eight threads, no engine in
-        between: each thread binds the kernels to its own arena on its
-        first call and every reply equals the oracle."""
+        between: they take turns in the plan's one arena — bound once,
+        never grown — and every reply equals the oracle."""
         model = convert(build_model("quicknet_small", input_size=32), in_place=True)
         plan = compile_plan(model.graph)
         assert plan.fused_blocks == 16
+        arena = plan.workspace
+        grows, nbytes = arena.grows, arena.nbytes
         rng = np.random.default_rng(11)
         xs = [_batched_input(model.graph, 1, rng) for _ in range(4)]
         refs = [reference_outputs(model.graph, (x,), 1) for x in xs]
@@ -112,23 +136,86 @@ class TestThreadSafety:
             except BaseException as exc:  # surface in the main thread
                 errors.append(exc)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads mid-kernel, often
-        try:
-            threads = [
+        with _switching_threads_often():
+            _run_all(
                 threading.Thread(target=client, args=(tid,))
                 for tid in range(num_threads)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+            )
         if errors:
             raise errors[0]
-        assert plan.workspace.num_workspaces == num_threads
+        assert plan.workspace is arena  # one arena, not one per thread
+        assert (arena.grows, arena.nbytes) == (grows, nbytes)
+
+    def test_compiling_larger_plans_under_a_running_one(self):
+        """One thread loops ``run`` at factor 1 while another compiles and
+        runs factors 2 … 8 in the same engine: every compile replaces
+        buffers the running plan is bound to, never under a call."""
+        model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+        rng = np.random.default_rng(13)
+        inputs = {k: _batched_input(model.graph, k, rng) for k in range(1, 9)}
+        refs = {k: reference_outputs(model.graph, (x,), k) for k, x in inputs.items()}
+        errors: list[BaseException] = []
+        compiled_all = threading.Event()
+
+        def runner() -> None:
+            try:
+                while not compiled_all.is_set():
+                    assert_bit_identical(engine.run(inputs[1]), refs[1])
+                assert_bit_identical(engine.run(inputs[1]), refs[1])
+            except BaseException as exc:  # surface in the main thread
+                errors.append(exc)
+
+        def compiler() -> None:
+            try:
+                for k in range(2, 9):
+                    assert_bit_identical(engine.run(inputs[k]), refs[k])
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                compiled_all.set()
+
+        with _switching_threads_often(), Engine(model) as engine:
+            engine.run(inputs[1])  # bound before the first growth
+            _run_all([threading.Thread(target=runner), threading.Thread(target=compiler)])
+            stats = engine.stats()
+        if errors:
+            raise errors[0]
+        assert stats.plan_cache_misses == 8
+        alone = [compile_plan(model.graph, k).workspace.nbytes for k in range(1, 9)]
+        assert max(alone) <= stats.workspace_bytes < sum(alone) / 4
+
+    def test_stats_do_not_wait_for_a_running_plan(self, shared_case):
+        """``stats()`` reads the arena's size without its lock: it returns
+        while another thread is parked inside ``plan.execute``."""
+        graph, cases = shared_case
+        x, expected = cases[1]
+        inside, release = threading.Event(), threading.Event()
+        results: list = []
+        with Engine(graph) as engine:
+            plan = engine.plan(1)
+            first = plan.nodes[0]
+
+            def parked(*args):  # (ins) or, for a fused block, (ins, marks)
+                inside.set()
+                assert release.wait(timeout=30)
+                return first.fn(*args)
+
+            nodes = (dataclasses.replace(first, fn=parked), *plan.nodes[1:])
+            slow_plan = dataclasses.replace(plan, nodes=nodes)
+            thread = threading.Thread(
+                target=lambda: results.append(slow_plan.execute((x,)))
+            )
+            thread.start()
+            try:
+                assert inside.wait(timeout=30)
+                assert not plan.workspace.lock.acquire(blocking=False)  # held
+                stats = engine.stats()
+                assert stats.workspace_bytes == plan.workspace.nbytes > 0
+            finally:
+                release.set()
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert_bit_identical(results[0][0], expected)
 
 
 class TestCoalescingFuzz:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core.workspace import Workspace, WorkspacePool
+from repro.core.workspace import Workspace
 
 
 class TestWorkspace:
@@ -91,50 +93,36 @@ class TestBound:
         small, big = ws.bound("k", build)
         assert small.base is ws.buffer("buf") and big.base is ws.buffer("buf")
 
+    def test_growth_lets_go_of_the_replaced_buffer(self):
+        # One arena serves every plan of an engine: a kernel bound while
+        # "buf" was small may never run again, and its memoized views must
+        # not pin the old storage once a larger plan replaced it.
+        ws = Workspace()
+        ws.bound("small plan", lambda w: w.take("buf", (8,), np.uint64))
+        old = weakref.ref(ws.buffer("buf"))
+        ws.reserve("buf", 64, np.uint64)
+        gc.collect()
+        assert old() is None
 
-class TestWorkspacePool:
-    def test_reservations_keep_max(self):
-        pool = WorkspacePool()
-        pool.reserve("a", 10, np.uint64)
-        pool.reserve("a", 100, np.uint64)
-        pool.reserve("a", 50, np.uint64)
-        assert pool.reservations() == (("a", 100, np.dtype(np.uint64)),)
-        assert pool.reserved_bytes == 800
 
-    def test_reserve_rejects_a_second_dtype(self):
-        # Sizes are element counts: 50 uint64 (400 B) after 100 uint8
-        # (100 B) used to be discarded as "smaller", under-reserving.
-        pool = WorkspacePool()
-        pool.reserve("a", 100, np.uint8)
-        with pytest.raises(ValueError, match="'a' holds uint8"):
-            pool.reserve("a", 50, np.uint64)
-        assert pool.reservations() == (("a", 100, np.dtype(np.uint8)),)
+class TestLock:
+    def test_reserve_waits_for_the_holder(self):
+        # Compile-while-running: a reservation may replace a buffer, so it
+        # must not happen under a call that holds the arena.
+        ws = Workspace()
+        ws.reserve("buf", 8, np.uint64)
+        before = ws.buffer("buf")
+        done = threading.Event()
 
-    def test_current_is_preallocated(self):
-        pool = WorkspacePool()
-        pool.reserve("a", 100, np.uint64)
-        pool.reserve("b", 10, np.int32)
-        ws = pool.current()
-        grows = ws.grows
-        ws.take("a", (100,), np.uint64)
-        ws.take("b", (10,), np.int32)
-        assert ws.grows == grows, "reserved takes must not allocate"
+        def grow():
+            ws.reserve("buf", 64, np.uint64)
+            done.set()
 
-    def test_current_is_thread_local(self):
-        pool = WorkspacePool()
-        pool.reserve("a", 8, np.uint64)
-        main_ws = pool.current()
-        assert pool.current() is main_ws
-        seen: list[Workspace] = []
-        threads = [
-            threading.Thread(target=lambda: seen.append(pool.current()))
-            for _ in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        workspaces = {id(ws) for ws in seen} | {id(main_ws)}
-        assert len(workspaces) == 4, "each thread must own a private workspace"
-        assert pool.num_workspaces == 4
-        assert pool.nbytes == 4 * main_ws.nbytes
+        with ws.lock:
+            thread = threading.Thread(target=grow)
+            thread.start()
+            assert not done.wait(0.05)
+            assert ws.buffer("buf") is before
+            assert ws.nbytes == 64  # readable without the lock
+        thread.join()
+        assert done.is_set() and ws.buffer("buf").size == 64
