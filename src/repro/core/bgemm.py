@@ -25,13 +25,29 @@ where ``K`` is the true depth (number of +/-1 operands per dot product) and
 **K-major layout.**  Like Ruy (and daBNN's weight re-layout), the plan
 path packs operands into the layout its inner loop wants before the
 multiply: ``(words, M)`` / ``(words, N)``, one packed word *plane* per
-leading index.  One step XORs ``k_block`` planes into a ``(k_block, mt,
-nt)`` block — the filter plane is read contiguously, the patch word is a
-broadcast scalar — popcounts it into ``uint8`` and reduces over the
-**leading** axis, which NumPy executes as vectorised adds of contiguous
-``(mt, nt)`` planes.  (Reducing a short *trailing* K axis instead makes
-NumPy iterate a tiny inner loop per output element; blocks of 2-4 words
-measured 3-6x slower than word-at-a-time that way.)
+leading index.  One step XORs ``k_block`` planes into a 3-D block whose
+inner axis is the panel's **longer** side — ``(k_block, mt, nt)`` with
+the filter plane contiguous and the patch word broadcast, or ``(k_block,
+nt, mt)`` with the patch plane contiguous when ``mt > nt``, the panel
+then written transposed — popcounts it into ``uint8``
+and reduces over the **leading** axis, which NumPy executes as vectorised
+adds of contiguous planes.  (Reducing a short *trailing* K axis instead
+makes NumPy iterate a tiny inner loop per output element; blocks of 2-4
+words measured 3-6x slower than word-at-a-time that way.)
+
+**Passes, not instructions.**  LCE's kernel is ``eor`` → ``cnt`` →
+``addp`` → ``uadalp`` into 16-bit lanes, widened once per tile.  Here K
+sums into ``uint16`` whenever ``words * 64 <= 65535`` (else ``int32``)
+and ``depth - 2 * pops`` widens once per tile.  And every call runs its
+panels under a 256-element ufunc buffer (:data:`_UFUNC_BUFSIZE`, scoped
+by ``np.errstate``, so per thread and restored on exit, an exception
+included): NumPy 2.x's iterator copies the operands of a broadcast call
+through its buffer (8192 elements by default) whenever the contiguous
+inner extent is below about a third of it, and these blocks are 32-128
+words wide.  A uint64 ``(R, 1) ^ (1, C)`` with ``out=`` measured (NumPy
+2.4) 0.9-1.2 ns/word for C <= 2048 and 0.28-0.36 from C = 2731 up, where
+a flat XOR is 0.37; 4.2 / 5.2 at C = 128 under a 64 K / 1 M buffer, 0.42
+under a 16-element one.
 """
 
 from __future__ import annotations
@@ -63,6 +79,10 @@ _WIDE_PANEL_ROWS = 8
 #: from 64 K up, so this is the low end of that range (smallest scratch)
 #: and a constant rather than a knob.
 _XOR_BLOCK_WORDS = 1 << 16
+
+#: NumPy ufunc buffer size (elements) every K-major GEMM call runs under
+#: (module docstring, "Passes, not instructions").
+_UFUNC_BUFSIZE = 256
 
 
 def derive_k_block(mt: int, nt: int, words: int) -> int:
@@ -144,33 +164,26 @@ def bgemm(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _tile_into(
-    a_panel: np.ndarray,
-    b_panel: np.ndarray,
-    depth: int,
-    out_view: np.ndarray,
-    workspace: Workspace | None,
-    prefix: str,
-    k_block: int,
+    a_panel: np.ndarray, b_panel: np.ndarray, depth: int, out_view: np.ndarray
 ) -> None:
-    """One ``tile_m x tile_n`` output panel: XOR -> popcount -> transform.
+    """One ``tile_m x tile_n`` output panel of the allocating reference:
+    one full ``(mt, nt, words)`` XOR broadcast of the ``(mt, words)`` /
+    ``(nt, words)`` panels, popcounts summed in int32."""
+    x = np.bitwise_xor(a_panel[:, None, :], b_panel[None, :, :])
+    pops = popcount(x).sum(axis=-1, dtype=np.int32)
+    out_view[...] = np.int32(depth) - np.int32(2) * pops
 
-    Panels are ``(mt, words)`` / ``(nt, words)``.  Without a workspace
-    this is the allocating reference: one full ``(mt, nt, words)`` XOR
-    broadcast (``k_block`` unused).  With one it is the K-major kernel
-    (module docstring), bound and run once: :func:`_bind_tile` on the
-    panels' ``(words, mt)`` / ``(words, nt)`` transposes, so callers pass
-    transposed views of K-major storage; any other strides are correct,
-    only slower.  Per-word popcounts are exact uint8 values (<= 64)
-    summed in int32, so both branches and every ``k_block`` perform
-    identical integer arithmetic and results are bit-equal.
-    """
-    if workspace is None:
-        x = np.bitwise_xor(a_panel[:, None, :], b_panel[None, :, :])
-        pops = popcount(x).sum(axis=-1, dtype=np.int32)
-        out_view[...] = np.int32(depth) - np.int32(2) * pops
-        return
-    tile = _bind_tile(a_panel.T, b_panel.T, out_view, workspace, prefix, k_block)
-    _run_tile(tile, np.int32(depth))
+
+def _acc_dtype(words: int) -> np.dtype:
+    """The K-sum dtype of a ``words``-deep GEMM: ``uint16`` while the
+    largest sum, ``words * 64``, fits it, else ``int32``."""
+    return np.dtype(np.uint16 if words * 64 <= 0xFFFF else np.int32)
+
+
+def _acc_names(prefix: str, acc: np.dtype) -> tuple[str, str]:
+    """Arena names of the ``pops`` / ``ksum`` accumulators: one dtype per
+    name, as :meth:`repro.core.workspace.Workspace.take` requires."""
+    return f"{prefix}/pops_{acc.name}", f"{prefix}/ksum_{acc.name}"
 
 
 def _bind_tile(
@@ -184,13 +197,19 @@ def _bind_tile(
     """Pre-slice what one output panel's K loop touches (``at`` is
     ``(words, mt)``, ``bt`` ``(words, nt)``): per ``k_block`` word planes
     the two operand views and the ``{prefix}/xk|ck`` blocks they XOR and
-    popcount into, plus the ``{prefix}/out|ksum`` accumulators —
-    :func:`_run_tile` then only moves data."""
+    popcount into, plus the ``pops`` / ``ksum`` accumulators —
+    :func:`_run_tile` then only moves data.  The block's inner axis is the
+    panel's longer side: when ``mt > nt`` the operands swap and the panel
+    is written transposed."""
     words, mt = at.shape
     nt = bt.shape[1]
+    if mt > nt:
+        at, bt, out_view, mt, nt = bt, at, out_view.T, nt, mt
     a3, b3 = at[:, :, None], bt[:, None, :]
-    pops = workspace.take(f"{prefix}/out", (mt, nt), np.int32)
-    ksum = workspace.take(f"{prefix}/ksum", (mt, nt), np.int32)
+    acc = _acc_dtype(words)
+    pops_name, ksum_name = _acc_names(prefix, acc)
+    pops = workspace.take(pops_name, (mt, nt), acc)
+    ksum = workspace.take(ksum_name, (mt, nt), acc)
     xk = workspace.take(f"{prefix}/xk", (k_block, mt, nt), np.uint64)
     ck = workspace.take(f"{prefix}/ck", (k_block, mt, nt), np.uint8)
     steps = []
@@ -210,13 +229,13 @@ def _run_tile(tile: tuple, depth: np.int32) -> None:
     for a, b, xv, cv in steps:
         np.bitwise_xor(a, b, out=xv)
         np.bitwise_count(xv, out=cv)
-        np.add.reduce(cv, axis=0, dtype=np.int32, out=into)
+        np.add.reduce(cv, axis=0, dtype=pops.dtype, out=into)
         if into is ksum:
             np.add(pops, ksum, out=pops)
         into = ksum
-    # depth - 2*pop, computed in place: pops * -2 + depth (exact int32).
-    np.multiply(pops, _MINUS_TWO, out=pops)
-    np.add(pops, depth, out=out_view)
+    # depth - 2*pop, widened to int32 once: pops * -2 + depth (exact).
+    np.multiply(pops, _MINUS_TWO, out=out_view)
+    np.add(out_view, depth, out=out_view)
 
 
 def _check_out(out: np.ndarray | None, m: int, n: int) -> np.ndarray:
@@ -316,8 +335,11 @@ def bind_kmajor(
         # thread-local read and two branches.
         tracer = active_tracer()
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        for tile in tiles:
-            _run_tile(tile, depth32)
+        # errstate restores the caller's (per-thread) buffer size on exit.
+        with np.errstate():
+            np.setbufsize(_UFUNC_BUFSIZE)
+            for tile in tiles:
+                _run_tile(tile, depth32)
         if tracer.enabled:
             tracer.record(
                 "kernel.bgemm", t0, time.perf_counter() - t0, **span_args
@@ -343,7 +365,7 @@ def bgemm_blocked(
     small regardless of problem size.  Bit-identical to :func:`bgemm` for
     any legal tiling — tiles larger than the matrix clamp to the edge and
     non-divisor tiles leave ragged edge panels; the per-tile arithmetic is
-    exact int32 either way.  Tiles are used as given (:func:`derive_panel`
+    exact integer arithmetic either way.  Tiles are used as given (:func:`derive_panel`
     is the binarized convolution's rule, not this function's).
 
     ``out`` (int32, ``(M, N)``) and ``workspace`` make the call
@@ -375,9 +397,6 @@ def bgemm_blocked(
                 b[j0 : j0 + tile_n],
                 depth,
                 out[i0 : i0 + tile_m, j0 : j0 + tile_n],
-                None,
-                prefix,
-                words,
             )
     if tracer.enabled:
         tracer.record(
@@ -399,19 +418,20 @@ def bgemm_scratch_spec(
     """The ``(name, size, dtype)`` scratch reservations a BGEMM needs.
 
     The K-major patch buffer ``{prefix}/at`` plus the tile kernel's
-    ``{prefix}/xk|ck|ksum|out`` at the panel :func:`derive_panel` picks
-    (what the binarized convolution runs).  Kernel factories feed this into
+    ``{prefix}/xk|ck`` and its ``pops`` / ``ksum`` accumulators (named by
+    their dtype) at the panel :func:`derive_panel` picks (what the
+    binarized convolution runs).  Kernel factories feed this into
     :meth:`repro.core.workspace.Workspace.reserve` at plan-compile time
     so the arena is fully sized before the first inference.
     """
     _check_tiles(tile_m, tile_n, tile_k_words)
     mt, nt, kb = derive_panel(m, n, words, tile_m, tile_n, tile_k_words)
+    acc = _acc_dtype(words)
     return [
         (f"{prefix}/at", words * m, np.dtype(np.uint64)),
         (f"{prefix}/xk", kb * mt * nt, np.dtype(np.uint64)),
         (f"{prefix}/ck", kb * mt * nt, np.dtype(np.uint8)),
-        (f"{prefix}/ksum", mt * nt, np.dtype(np.int32)),
-        (f"{prefix}/out", mt * nt, np.dtype(np.int32)),
+        *((name, mt * nt, acc) for name in _acc_names(prefix, acc)),
     ]
 
 

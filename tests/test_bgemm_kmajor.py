@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from repro.converter import convert
 from repro.core.bgemm import (
-    _tile_into,
+    _acc_dtype,
+    _acc_names,
     bgemm_blocked,
     bgemm_kmajor,
     bgemm_reference,
     bgemm_scratch_spec,
+    bind_kmajor,
     derive_k_block,
     derive_panel,
 )
@@ -87,14 +89,14 @@ class TestKMajorAgainstReference:
         a, b = _operands(rng, m, n)
         at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
         out = np.empty((m, n), np.int32)
-        _tile_into(at.T, bt.T, DEPTH, out, Workspace(), "t", k_block)
+        bind_kmajor(at, bt, DEPTH, out, Workspace(), m, n, k_block, "t")()
         assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
 
     def test_tile_kernel_is_layout_agnostic(self, rng):
         # K-major storage is the fast layout, not a correctness condition.
         a, b = _operands(rng, 6, 4)
         out = np.empty((6, 4), np.int32)
-        _tile_into(a, b, DEPTH, out, Workspace(), "t", 2)
+        bind_kmajor(a.T, b.T, DEPTH, out, Workspace(), 6, 4, 2, "t")()
         assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
 
     def test_grouped_conv_call_shape(self, rng):
@@ -201,38 +203,111 @@ class TestDerivePanel:
         ws = Workspace()
         out = bgemm_blocked(a, b, DEPTH, tile_m=256, tile_n=128, workspace=ws)
         assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
-        assert ws.buffer("bgemm/out").size == 4 * 128
+        pops, _ = _acc_names("bgemm", _acc_dtype(WORDS))
+        assert ws.buffer(pops).size == 4 * 128
         # ... while the reservation follows the derived (wider) panel
         sizes = {name: size for name, size, _ in bgemm_scratch_spec(4, 300, WORDS)}
-        assert sizes["bgemm/out"] == 4 * 300
+        assert sizes[pops] == 4 * 300
 
 
 class TestScratchReservationIsExact:
+    # 3 words sum K in uint16, 1024 words (65536 > 65535) in int32
+    @pytest.mark.parametrize("depth,acc", [
+        (DEPTH, np.uint16), (1024 * 64 - 5, np.int32),
+    ])
     @pytest.mark.parametrize("tile_k_words", [1, 2])
     @pytest.mark.parametrize("m,n,tile_m,tile_n", [
         (1, 17, 256, 128), (33, 17, 8, 5), (300, 40, 64, 16),
     ])
     def test_reserved_arena_never_grows_and_is_all_used(
-        self, rng, m, n, tile_m, tile_n, tile_k_words
+        self, rng, m, n, tile_m, tile_n, tile_k_words, depth, acc
     ):
-        a, b = _operands(rng, m, n)
+        words = -(-depth // 64)
+        a, b = _operands(rng, m, n, depth)
         ws = Workspace()
         spec = bgemm_scratch_spec(
-            m, n, WORDS, tile_m, tile_n, tile_k_words=tile_k_words
+            m, n, words, tile_m, tile_n, tile_k_words=tile_k_words
         )
+        assert {dtype for name, _, dtype in spec if "/pops_" in name
+                or "/ksum_" in name} == {np.dtype(acc)}
         for name, size, dtype in spec:
             ws.reserve(name, size, dtype)
         grows = ws.grows
-        at = ws.take("bgemm/at", (WORDS, m), np.uint64)
+        at = ws.take("bgemm/at", (words, m), np.uint64)
         np.copyto(at, a.T)
         out = np.empty((m, n), np.int32)
         bgemm_kmajor(
-            at, np.ascontiguousarray(b.T), DEPTH, out, ws,
+            at, np.ascontiguousarray(b.T), depth, out, ws,
             tile_m=tile_m, tile_n=tile_n, tile_k_words=tile_k_words,
         )
         assert ws.grows == grows
         assert set(ws.names()) == {name for name, _, _ in spec}
-        assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
+        assert np.array_equal(out, bgemm_reference(a, b, depth))
+
+
+class TestNarrowAccumulators:
+    """K sums in uint16 up to 1023 words (65472 <= 65535), int32 beyond."""
+
+    @pytest.mark.parametrize("words,acc", [(1023, np.uint16), (1024, np.int32)])
+    @pytest.mark.parametrize("tile_k_words", [1, 300])
+    def test_every_bit_differs_at_the_boundary(self, words, acc, tile_k_words):
+        # every popcount is 64: the K sum is words * 64, the largest there is
+        a = np.zeros((5, words), np.uint64)
+        b = np.full((3, words), np.iinfo(np.uint64).max, np.uint64)
+        depth = words * 64
+        ws = Workspace()
+        got = np.empty((5, 3), np.int32)
+        bgemm_kmajor(
+            np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), depth, got,
+            ws, tile_k_words=tile_k_words,
+        )
+        assert np.array_equal(got, bgemm_reference(a, b, depth))
+        assert (got == -depth).all()
+        accumulators = {n for n in ws.names() if "/pops_" in n or "/ksum_" in n}
+        assert accumulators == set(_acc_names("bgemm", np.dtype(acc)))
+
+
+class TestUfuncBufferScope:
+    """The kernel runs under a 256-element ufunc buffer that never leaks
+    to its caller."""
+
+    @staticmethod
+    def _record_run_tile(monkeypatch, raises=False):
+        seen = []
+        run_tile = bgemm_mod._run_tile
+
+        def recording(tile, depth):
+            seen.append(np.getbufsize())
+            if raises:
+                raise RuntimeError("tile step failed")
+            run_tile(tile, depth)
+
+        monkeypatch.setattr(bgemm_mod, "_run_tile", recording)
+        return seen
+
+    @pytest.mark.parametrize("caller_bufsize", [None, 4096])
+    def test_engine_run_restores_the_callers_buffer(
+        self, quicknet_small, rng, monkeypatch, caller_bufsize
+    ):
+        size, model = quicknet_small
+        seen = self._record_run_tile(monkeypatch)
+        x = rng.standard_normal((1, size, size, 3)).astype(np.float32)
+        with Engine(model) as engine, np.errstate():
+            if caller_bufsize is not None:
+                np.setbufsize(caller_bufsize)
+            before = np.getbufsize()
+            engine.run(x)
+            assert np.getbufsize() == before
+        assert seen and set(seen) == {bgemm_mod._UFUNC_BUFSIZE}
+
+    def test_a_gemm_that_raises_restores_the_buffer(self, rng, monkeypatch):
+        seen = self._record_run_tile(monkeypatch, raises=True)
+        a, b = _operands(rng, 7, 5)
+        before = np.getbufsize()
+        with pytest.raises(RuntimeError, match="tile step failed"):
+            _kmajor(a, b, DEPTH)
+        assert np.getbufsize() == before
+        assert seen == [bgemm_mod._UFUNC_BUFSIZE]
 
 
 @pytest.fixture(scope="module", params=[32, 64])

@@ -8,6 +8,7 @@ bit-identity oracle is the same one the runtime parity suite uses:
 
 from __future__ import annotations
 
+import importlib
 import threading
 from collections import deque
 
@@ -642,6 +643,51 @@ def test_gateway_spans_nest_engine_spans(graph, rng):
     flush_children = [s for s in spans if "gateway.flush" in s.path]
     assert any(s.name == "engine.run_many" for s in flush_children)
     assert validate_chrome_trace(chrome_trace(tracer)) == []
+
+
+class BufsizeProbeEngine:
+    """Engine wrapper recording the replica thread's ufunc buffer size
+    after each run_many."""
+
+    def __init__(self, engine: Engine, seen: list) -> None:
+        self._engine = engine
+        self._seen = seen
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def run_many(self, requests):
+        results = self._engine.run_many(requests)
+        self._seen.append(np.getbufsize())
+        return results
+
+
+def test_replica_thread_keeps_its_ufunc_buffer_size(graph, rng, monkeypatch):
+    # The BGEMM narrows the buffer for its own call only (it is per
+    # thread): a replica thread is left at NumPy's default afterwards.
+    bgemm_mod = importlib.import_module("repro.core.bgemm")
+    in_gemm = []
+    run_tile = bgemm_mod._run_tile
+
+    def recording(tile, depth):
+        in_gemm.append(np.getbufsize())
+        run_tile(tile, depth)
+
+    monkeypatch.setattr(bgemm_mod, "_run_tile", recording)
+    after = []
+    gw = Gateway(
+        {"m": graph},
+        GatewayConfig(max_batch=1, deadline_ms=100.0),
+        clock=FakeClock(),
+        engine_factory=lambda *a, **k: BufsizeProbeEngine(Engine(*a, **k), after),
+    )
+    try:
+        reply = gw.submit("m", _batched_input(graph, 1, rng)).result(RESULT_TIMEOUT_S)
+    finally:
+        gw.close()
+    assert not isinstance(reply, Rejected)
+    assert in_gemm and set(in_gemm) == {bgemm_mod._UFUNC_BUFSIZE}
+    assert after == [np.getbufsize()]
 
 
 def test_stats_snapshot_is_consistent(graph, rng):
