@@ -97,7 +97,8 @@ SPEEDUP_FLOOR = 1.60
 #: ufunc buffer (``bgemm._UFUNC_BUFSIZE``) over the same kernel under
 #: NumPy's default one, timed interleaved so the host's slow spells reach
 #: both sides.  Six runs read 1.28-1.30 (same host) and a kernel that
-#: drops the scope 1.00; floor = lowest - 10 %
+#: drops the scope 1.00; floor = lowest - 10 %.  With K packed densely
+#: six runs read 1.17-1.37 and the scope-less kernel still 1.00.
 BUFFER_SPEEDUP_FLOOR = 1.15
 
 

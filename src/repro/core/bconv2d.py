@@ -77,10 +77,25 @@ class PackedFilters:
 
     @cached_property
     def kmajor(self) -> np.ndarray:
-        """``bits`` transposed to the ``(words, out_channels)`` layout of
-        :func:`repro.core.bgemm.bgemm_kmajor`, computed on first use —
-        plan compilation touches it so the copy is made once per model."""
-        return np.ascontiguousarray(self.bits.T)
+        """The ``(kmajor_words, out_channels)`` operand the bound kernel
+        multiplies: per filter, each tap's 32-bit halves back to back (a
+        zero tail half when their count is odd), transposed.  Computed on
+        first use — plan compilation touches it so the copy is made once
+        per model."""
+        cout, taps = self.out_channels, self.kernel_h * self.kernel_w
+        halves = -(-self.in_channels // 32)
+        dense = np.zeros((cout, 2 * kmajor_words(taps, self.in_channels)), np.uint32)
+        per_tap = self.bits.view(np.uint32).reshape(cout, taps, -1)
+        dense[:, : taps * halves] = per_tap[..., :halves].reshape(cout, -1)
+        return np.ascontiguousarray(dense.view(np.uint64).T)
+
+
+def kmajor_words(taps: int, in_channels: int) -> int:
+    """K of the bound kernel's K-major operands: every tap's
+    ``ceil(in_channels / 32)`` 32-bit halves back to back, paired into
+    uint64 words.  When that half count is even (``in_channels % 64`` is 0
+    or above 32) the layout is byte-identical to whole words per tap."""
+    return -(-taps * -(-in_channels // 32) // 2)
 
 
 @dataclass(frozen=True)
@@ -409,20 +424,42 @@ class BoundBConv2D:
         interior = padded[:, top : top + in_h, left : left + in_w]
         has_border = interior.shape != padded.shape
 
-        # im2col as one copy: K-major, the patch matrix is a strided view of
-        # the padded input — tap (ky, kx), word k, image i, pixel (y, x)
-        # reads padded[i, ky*d + y*s, kx*d + x*s, k] — and row
-        # (ky*kw + kx)*words + k of the slab the BGEMM reads is that plane.
-        at = workspace.take("bgemm/at", (taps * words, m), np.uint64)
-        patches = windows(
-            padded, p.kernel_h, p.kernel_w, p.stride, p.dilation, out_h, out_w
-        ).transpose(3, 4, 5, 0, 1, 2)  # (kh, kw, words, n, out_h, out_w)
-        slab = at.reshape(patches.shape)
+        # im2col as strided copies of a view — tap (ky, kx), item k, image
+        # i, pixel (y, x) reads padded[i, ky*d + y*s, kx*d + x*s, k] — into
+        # the dense K-major slab: half q of a patch row (tap q // halves) is
+        # half q % 2 of slab row q // 2.
+        k_words, halves = kmajor_words(taps, cin), -(-cin // 32)
+        at = workspace.take("bgemm/at", (k_words, m), np.uint64)
+
+        def taps_of(plane):  # (kh, kw, items, n, out_h, out_w)
+            return windows(
+                plane, p.kernel_h, p.kernel_w, p.stride, p.dilation, out_h, out_w
+            ).transpose(3, 4, 5, 0, 1, 2)
+
+        if halves % 2 == 0:  # whole words per tap: one copy, word for word
+            patches = taps_of(padded)
+            copies = [(at.reshape(patches.shape), patches)]
+        else:
+            # One copy per (ky, kx parity, half): every other tap of a
+            # kernel row lands `halves` slab rows further on.
+            tap_halves = taps_of(padded.view(np.uint32))
+            slab = at.view(np.uint32).reshape(k_words, n, out_h, out_w, 2)
+            copies = []
+            for ky in range(p.kernel_h):
+                for kx in range(min(2, p.kernel_w)):
+                    every_other = len(range(kx, p.kernel_w, 2))
+                    for c in range(halves):
+                        q = (ky * p.kernel_w + kx) * halves + c
+                        rows = slab[q // 2 :: halves, ..., q % 2][:every_other]
+                        copies.append((rows, tap_halves[ky, kx::2, c]))
+            if taps * halves % 2:
+                # Every node shares bgemm/at: zero its tail half each call.
+                copies.append((slab[-1, ..., 1], np.uint32(0)))
 
         acc = workspace.take("bconv/acc", (m, cout), np.int32)
         gemm = bind_kmajor(
             at, self._bt, p.depth, acc, workspace,
-            *derive_panel(m, cout, taps * words, cfg.tile_m, cfg.tile_n,
+            *derive_panel(m, cout, k_words, cfg.tile_m, cfg.tile_n,
                           cfg.tile_k_words),
         )
         acc3 = acc.reshape(n, out_h * out_w, cout)
@@ -448,7 +485,8 @@ class BoundBConv2D:
             if has_border:
                 padded.fill(0)  # zero bits are +1.0: one-padding
             np.copyto(interior, bits)
-            np.copyto(slab, patches)
+            for dst, src in copies:
+                np.copyto(dst, src)
             gemm()
             if correction is not None:
                 np.subtract(acc3, correction, out=acc3)
@@ -512,7 +550,8 @@ def reserve_bconv2d_workspace(
     if quantize:
         workspace.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
     for name, size, dtype in bgemm_scratch_spec(
-        m, params.out_channels, params.kernel_h * params.kernel_w * words,
+        m, params.out_channels,
+        kmajor_words(params.kernel_h * params.kernel_w, params.in_channels),
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
     ):

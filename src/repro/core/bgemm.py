@@ -25,7 +25,9 @@ where ``K`` is the true depth (number of +/-1 operands per dot product) and
 **K-major layout.**  Like Ruy (and daBNN's weight re-layout), the plan
 path packs operands into the layout its inner loop wants before the
 multiply: ``(words, M)`` / ``(words, N)``, one packed word *plane* per
-leading index.  One step XORs ``k_block`` planes into a 3-D block whose
+leading index, K dense (:func:`repro.core.bconv2d.kmajor_words`: each
+tap's 32-bit halves back to back, so a 3x3x32 patch row is 5 words, not
+9 half-padding ones).  One step XORs ``k_block`` planes into a block whose
 inner axis is the panel's **longer** side — ``(k_block, mt, nt)`` with
 the filter plane contiguous and the patch word broadcast, or ``(k_block,
 nt, mt)`` with the patch plane contiguous when ``mt > nt``, the panel
@@ -58,18 +60,23 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.core.bitpack import popcount
+from repro.core.kernel_config import DEFAULT_CONFIG
 from repro.obs.trace import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.workspace import Workspace
 
-#: Tile sizes for the blocked kernel.  Chosen so the XOR temporary stays
-#: around (256 * 128 * words) u64 elements — a few MiB at most.
+#: Tile sizes of the allocating reference, not the bound kernel's caps.
+#: Chosen so its XOR temporary stays around (256 * 128 * words) u64
+#: elements — a few MiB at most.
 _TILE_M = 256
 _TILE_N = 128
 
 #: at most this many GEMM rows: one full-width panel (:func:`derive_panel`)
 _WIDE_PANEL_ROWS = 8
+
+#: the panel side that does not lead the XOR block (:func:`derive_panel`)
+_SHORT_SIDE = 64
 
 #: XOR-block budget of the K-major kernel, in uint64 words (512 KiB): one
 #: step XORs as many word planes as fit (:func:`derive_k_block`).  Set by a
@@ -268,26 +275,32 @@ def derive_panel(
     m: int,
     n: int,
     words: int,
-    tile_m: int = _TILE_M,
-    tile_n: int = _TILE_N,
+    tile_m: int = DEFAULT_CONFIG.tile_m,
+    tile_n: int = DEFAULT_CONFIG.tile_n,
     tile_k_words: int = 1,
 ) -> tuple[int, int, int]:
     """Panel shape ``(tile_m, tile_n, k_block)`` for an ``(M, N, words)`` GEMM.
 
     The one place a binarized convolution's panel is decided: the bound
     kernel slices by it, :func:`bgemm_scratch_spec` sizes the arena by it.
-    ``tile_m`` / ``tile_n`` are caps clamped to the matrix, except that a
-    GEMM of at most :data:`_WIDE_PANEL_ROWS` rows takes all ``N`` columns
-    in one panel — with so few rows the NumPy call, not the work, is the
-    cost (4 x 256 x 36 words 62 -> 53 us, 1 x 512 x 72 words 66 -> 40 us;
-    from M = 16 up the wide panel runs 3-6 % slower, so the rule is that
-    narrow).  The K depth follows the panel unless ``tile_k_words`` names
-    one; edge panels are smaller and fit the same scratch.
+    A GEMM of at most :data:`_WIDE_PANEL_ROWS` rows takes all ``N``
+    columns in one panel: with so few rows the NumPy call, not the work,
+    is the cost (4 x 256 x 36 words 62 -> 53 us, 1 x 512 x 72 words
+    66 -> 40 us).  Otherwise the problem's longer side leads — it is the
+    XOR block's contiguous axis, up to ``tile_m`` (256) patch rows or
+    ``tile_n`` (512) filter columns — and the other side is at most
+    :data:`_SHORT_SIDE`: 14^2 x 256 runs as (64, 256, 4), 7^2 x 512 as
+    (49, 512, 2), 1.11-1.17x faster than 256 x 128 caps (interleaved;
+    docs/architecture.md §6).  The K depth follows the panel unless
+    ``tile_k_words`` names one; edge panels fit the same scratch.
     """
     if m <= _WIDE_PANEL_ROWS:
-        tile_n = n
-    tile_m, tile_n = min(tile_m, m), min(tile_n, n)
-    return tile_m, tile_n, _k_depth(tile_k_words, tile_m, tile_n, words)
+        mt, nt = min(tile_m, m), n
+    elif m > n:
+        mt, nt = min(tile_m, m), min(tile_n, n, _SHORT_SIDE)
+    else:
+        mt, nt = min(tile_m, m, _SHORT_SIDE), min(tile_n, n)
+    return mt, nt, _k_depth(tile_k_words, mt, nt, words)
 
 
 def _span_args(m: int, n: int, words: int, depth: int, k_block: int) -> dict:
@@ -410,8 +423,8 @@ def bgemm_scratch_spec(
     m: int,
     n: int,
     words: int,
-    tile_m: int = _TILE_M,
-    tile_n: int = _TILE_N,
+    tile_m: int = DEFAULT_CONFIG.tile_m,
+    tile_n: int = DEFAULT_CONFIG.tile_n,
     prefix: str = "bgemm",
     tile_k_words: int = 1,
 ) -> list[tuple[str, int, np.dtype]]:

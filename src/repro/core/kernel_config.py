@@ -2,10 +2,12 @@
 
 A :class:`KernelConfig` names one point in the hot path's schedule space:
 
-- ``tile_m`` / ``tile_n`` — caps on the BGEMM output panel; the panel a
-  convolution runs is derived from them and the problem by
-  :func:`repro.core.bgemm.derive_panel` (clamped to the matrix, and all
-  ``N`` columns at once when ``M <= 8``);
+- ``tile_m`` / ``tile_n`` — caps (256 patch rows x 512 filter columns)
+  on the BGEMM output panel; the panel a convolution runs is derived from
+  them and the problem by :func:`repro.core.bgemm.derive_panel` (all
+  ``N`` columns at once when ``M <= 8``, else the longer side up to its
+  cap and the other side at most 64).  The allocating reference
+  ``bgemm_blocked`` keeps its own 256 x 128 tiles;
 - ``tile_k_words`` — the K depth of the K-major tile kernel, in packed
   words per XOR step: ``1`` (the default) derives it from the panel shape
   (:func:`repro.core.bgemm.derive_k_block`); a larger value is used as
@@ -38,7 +40,7 @@ class KernelConfig:
     """One schedule point for the binarized conv hot path."""
 
     tile_m: int = 256
-    tile_n: int = 128
+    tile_n: int = 512
     tile_k_words: int = 1
     im2col: str = "indirect"
 
@@ -58,5 +60,5 @@ class KernelConfig:
             raise ValueError("invalid KernelConfig: " + "; ".join(problems))
 
 
-#: the schedule every plan runs — exactly the historical fixed constants
+#: the schedule every plan runs
 DEFAULT_CONFIG = KernelConfig()

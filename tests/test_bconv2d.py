@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -250,6 +254,29 @@ class TestGroups:
             assert np.array_equal(got[..., g * cout_g : (g + 1) * cout_g], ref)
 
 
+class TestReferencePeakMemory:
+    """The allocating reference (what the ``Executor`` runs) keeps its own
+    256 x 128 tiles, whatever panel the bound kernel's schedule picks: its
+    XOR temporary is a whole ``(rows, columns, words)`` block."""
+
+    #: tracemalloc peak of one 7^2 x 512 call: 4.06 MiB with 256 x 128
+    #: tiles, 15.8 MiB with the bound kernel's 256 x 512 caps
+    BUDGET_MIB = 6.0
+
+    def test_seven_squared_by_512_stays_under_budget(self, rng):
+        x = lce_quantize(rng.standard_normal((1, 7, 7, 512)).astype(np.float32))
+        w = rng.choice([-1.0, 1.0], (3, 3, 512, 512)).astype(np.float32)
+        filters, p = pack_filters(w), BConv2DParams(3, 3, 512, 512)
+        bconv2d(x, filters, p)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            bconv2d(x, filters, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < self.BUDGET_MIB
+
+
 class TestInt8Output:
     def test_matches_quantized_float_path(self, rng):
         from repro.kernels.quantization import QuantParams, dequantize
@@ -393,6 +420,63 @@ class TestBoundKernel:
             )
         with pytest.raises(ValueError, match="output channels"):
             BoundBConv2D(filters, BConv2DParams(3, 3, 64, 5), 7, 7, 2)
+
+    # 1, 16, 31, 32: one 32-bit half per tap (odd); 33, 63, 100: whole
+    # words; 64: one word; 96, 160: three and five halves (odd).
+    @pytest.mark.parametrize("cin", [1, 16, 31, 32, 33, 63, 64, 96, 100, 160])
+    @pytest.mark.parametrize("padding", list(Padding))
+    def test_dense_k_layout_against_the_reference(self, rng, cin, padding):
+        """The slab packs each tap's ceil(cin / 32) halves back to back:
+        every stride, dilation and batch, fused quantize and shortcut, float
+        and bitpacked output, bit for bit."""
+        cout = 6
+        w = rng.choice([-1.0, 1.0], (3, 3, cin, cout)).astype(np.float32)
+        filters = pack_filters(w)
+        assert filters.kmajor.shape == (math.ceil(9 * math.ceil(cin / 32) / 2), cout)
+        mult = rng.standard_normal(cout).astype(np.float32)
+        bias = rng.standard_normal(cout).astype(np.float32)
+        ws = Workspace()  # one arena for the whole grid, as in an engine
+        for stride, dilation, batch in itertools.product((1, 2), (1, 2), (1, 3)):
+            x = rng.standard_normal((batch, 7, 6, cin)).astype(np.float32)
+            p = BConv2DParams(
+                3, 3, cin, cout, stride=stride, dilation=dilation, padding=padding
+            )
+            kw = dict(multiplier=mult, bias=bias)
+            if padding is Padding.SAME_ZERO:
+                kw["padding_correction"] = zero_padding_correction(w, p, 7, 6)
+            expected = bconv2d(lce_quantize(x), filters, p, **kw)
+            packed_in = BoundBConv2D(filters, p, 7, 6, batch, **kw).bind(ws)
+            assert np.array_equal(packed_in(lce_quantize(x)), expected)
+            fused = BoundBConv2D(
+                filters, p, 7, 6, batch, quantize=True, shortcut=1, **kw
+            ).bind(ws)
+            assert np.array_equal(fused(x, expected), expected + expected)
+            kw.update(
+                output_type=OutputType.BITPACKED,
+                thresholds=compute_output_thresholds(p.depth, cout, mult, bias),
+            )
+            expected_bits = bconv2d(lce_quantize(x), filters, p, **kw)
+            bits = BoundBConv2D(filters, p, 7, 6, batch, quantize=True, **kw)
+            assert bits.bind(ws)(x) == expected_bits
+
+    def test_a_stale_slab_never_leaks_into_the_tail_half(self, rng):
+        """Every node shares ``bgemm/at``: a whole-word conv leaves ones
+        where a dense conv with an odd half count keeps its zero tail half,
+        which that conv must rewrite on every call."""
+        ws = Workspace()
+        full = BConv2DParams(3, 3, 64, 4, padding=Padding.VALID)
+        ones = -np.ones((1, 9, 9, 64), np.float32)  # every bit set
+        w64 = rng.choice([-1.0, 1.0], (3, 3, 64, 4)).astype(np.float32)
+        BoundBConv2D(pack_filters(w64), full, 9, 9, 1, quantize=True).bind(ws)(ones)
+        dense = BConv2DParams(3, 3, 32, 4)  # 9 halves: 5 words, tail half
+        slab = ws.buffer("bgemm/at")
+        assert (slab[: 5 * 49] == np.iinfo(np.uint64).max).all()
+        x, w = _case(rng, cin=32, cout=4, batch=1)
+        filters = pack_filters(w)
+        run = BoundBConv2D(filters, dense, 7, 7, 1).bind(ws)
+        for _ in range(2):
+            got = run(lce_quantize(x))
+            assert np.array_equal(got, bconv2d(lce_quantize(x), filters, dense))
 
     def test_run_rejects_what_it_would_silently_broadcast(self, rng):
         x, w = _case(rng, cin=64, cout=4)

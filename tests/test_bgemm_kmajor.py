@@ -12,6 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.converter import convert
+from repro.core.bconv2d import (
+    BConv2DParams,
+    BoundBConv2D,
+    kmajor_words,
+    pack_filters,
+    reserve_bconv2d_workspace,
+    unpack_filters,
+)
 from repro.core.bgemm import (
     _acc_dtype,
     _acc_names,
@@ -24,8 +32,11 @@ from repro.core.bgemm import (
     derive_panel,
 )
 from repro.core.bitpack import pack_bits
+from repro.core.kernel_config import DEFAULT_CONFIG
+from repro.core.types import Padding
 from repro.core.workspace import Workspace
 from repro.runtime import Engine
+from repro.runtime.rebatch import rebatched_specs
 from repro.zoo import build_model
 
 #: the module (``repro.core.bgemm`` the attribute is the function it exports)
@@ -174,23 +185,47 @@ class TestDerivePanel:
         assert derive_panel(1, 512, 72) == (1, 512, 72)
         assert derive_panel(8, 1000, 9)[:2] == (8, 1000)
 
-    def test_more_rows_keep_the_capped_panel(self):
-        for m in (9, 32, 128, 3136):
-            mt, nt, kb = derive_panel(m, 512, 72)
-            assert (mt, nt) == (min(m, 256), 128)
-            assert kb == derive_k_block(mt, nt, 72)
+    #: (batch, spatial side, channels) of every QuickNet-small 3x3 binarized
+    #: conv at 224 px, at 64 px batch 8 and at 32 px -> its panel
+    QUICKNET_SMALL_PANELS = [
+        ((1, 56, 32), (256, 32, 5)),
+        ((1, 28, 64), (256, 64, 3)),
+        ((1, 14, 256), (64, 256, 4)),
+        ((1, 7, 512), (49, 512, 2)),
+        ((8, 16, 32), (256, 32, 5)),
+        ((8, 8, 64), (256, 64, 3)),
+        ((8, 4, 256), (64, 256, 4)),
+        ((8, 2, 512), (32, 512, 4)),
+        ((1, 8, 32), (64, 32, 5)),
+        ((1, 4, 64), (16, 64, 9)),
+        ((1, 2, 256), (4, 256, 36)),
+        ((1, 1, 512), (1, 512, 72)),
+    ]
+
+    def test_the_longer_side_leads_the_quicknet_small_panels(self):
+        for (batch, side, channels), panel in self.QUICKNET_SMALL_PANELS:
+            m, k_words = batch * side * side, kmajor_words(9, channels)
+            assert derive_panel(m, channels, k_words) == panel, (batch, side)
+            # the schedule every plan runs names the same caps
+            assert derive_panel(
+                m, channels, k_words, DEFAULT_CONFIG.tile_m, DEFAULT_CONFIG.tile_n
+            ) == panel
 
     @given(
         m=st.integers(1, 600), n=st.integers(1, 600), words=st.integers(1, 100),
-        tile_m=st.integers(1, 300), tile_n=st.integers(1, 300),
+        tile_m=st.integers(1, 600), tile_n=st.integers(1, 600),
         tile_k_words=st.integers(1, 5),
     )
-    def test_shape_is_clamped_and_depth_follows_it(
+    def test_the_longer_side_leads_within_the_caps(
         self, m, n, words, tile_m, tile_n, tile_k_words
     ):
         mt, nt, kb = derive_panel(m, n, words, tile_m, tile_n, tile_k_words)
-        assert mt == min(tile_m, m)
-        assert nt == (n if m <= 8 else min(tile_n, n))
+        if m <= 8:
+            assert (mt, nt) == (min(tile_m, m), n)
+        elif m > n:  # patch rows lead
+            assert (mt, nt) == (min(tile_m, m), min(tile_n, n, 64))
+        else:  # filter columns lead
+            assert (mt, nt) == (min(tile_m, m, 64), min(tile_n, n))
         if tile_k_words == 1:
             assert kb == derive_k_block(mt, nt, words)
         else:
@@ -243,6 +278,24 @@ class TestScratchReservationIsExact:
         assert ws.grows == grows
         assert set(ws.names()) == {name for name, _, _ in spec}
         assert np.array_equal(out, bgemm_reference(a, b, depth))
+
+    # odd half counts (1, 32, 96, 160: a zero tail half at 9 taps) and even
+    # ones (33, 100: whole words per tap)
+    @pytest.mark.parametrize("cin", [1, 32, 33, 96, 100, 160])
+    def test_dense_slab_never_grows_after_the_first_execute(self, rng, cin):
+        p = BConv2DParams(3, 3, cin, 70, stride=2, padding=Padding.SAME_ONE)
+        filters = pack_filters(rng.choice([-1.0, 1.0], (3, 3, cin, 70)))
+        for batch in (1, 3):
+            x = rng.standard_normal((batch, 9, 9, cin)).astype(np.float32)
+            ws = Workspace()
+            reserve_bconv2d_workspace(ws, p, 9, 9, batch, quantize=True)
+            grows = ws.grows
+            run = BoundBConv2D(filters, p, 9, 9, batch, quantize=True).bind(ws)
+            for _ in range(2):
+                run(x)
+            assert ws.grows == grows
+            # exactly the dense slab: batch x 5 x 5 patch rows of K words
+            assert ws.buffer("bgemm/at").size == batch * 25 * kmajor_words(9, cin)
 
 
 class TestNarrowAccumulators:
@@ -316,10 +369,27 @@ def quicknet_small(request):
     return size, convert(build_model("quicknet_small", input_size=size))
 
 
+def _dense_slab_words(graph, factor: int) -> int:
+    """The largest K-major slab, in uint64 words, a batch factor's
+    binarized convolutions take: patch rows x dense K."""
+    specs = rebatched_specs(graph, factor)
+    return max(
+        int(np.prod(specs[node.outputs[0]].shape[:3]))
+        * kmajor_words(
+            node.attrs["kernel_h"] * node.attrs["kernel_w"],
+            node.attrs["in_channels"],
+        )
+        for node in graph.nodes
+        if node.op == "lce_bconv2d"
+    )
+
+
 def test_plan_arena_constant_from_first_execute(quicknet_small, rng):
     """Reservation == use: compiling a batch factor's plan preallocates the
-    engine's arena for it and no execution — the first included — grows it."""
+    engine's arena for it — the dense K-major slab included — and no
+    execution, the first included, grows it."""
     size, model = quicknet_small
+    slab = 0
     with Engine(model, max_batch_size=8) as engine:
         for factor in range(1, 9):
             x = rng.standard_normal((factor, size, size, 3)).astype(np.float32)
@@ -329,6 +399,20 @@ def test_plan_arena_constant_from_first_execute(quicknet_small, rng):
                 engine.run(x)
             assert engine.plan(1).workspace is ws
             assert ws.grows == grows, f"batch factor {factor} grew its arena"
+            slab = max(slab, _dense_slab_words(model.graph, factor))
+            assert ws.buffer("bgemm/at").size == slab
+
+
+def _dense_filter_rows(filters) -> np.ndarray:
+    """The dense K layout built independently of ``PackedFilters.kmajor``:
+    every tap's channels padded with +1 to a multiple of 32, the taps
+    concatenated, and the row packed whole (``pack_bits`` zero-pads the
+    tail)."""
+    w = unpack_filters(filters)
+    kh, kw, cin, cout = w.shape
+    per_tap = np.ones((cout, kh * kw, -(-cin // 32) * 32), np.float32)
+    per_tap[:, :, :cin] = w.reshape(kh * kw, cin, cout).transpose(2, 0, 1)
+    return pack_bits(per_tap.reshape(cout, -1)).bits
 
 
 def test_kmajor_filters_packed_once_per_model(quicknet_small):
@@ -349,4 +433,5 @@ def test_kmajor_filters_packed_once_per_model(quicknet_small):
     for filters in packed:
         kmajor = filters.__dict__["kmajor"]  # already computed, not lazily now
         assert kmajor.flags.c_contiguous
-        assert np.array_equal(kmajor, filters.bits.T)
+        assert np.array_equal(kmajor, _dense_filter_rows(filters).T)
+
