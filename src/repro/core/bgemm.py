@@ -31,25 +31,35 @@ tap's 32-bit halves back to back, so a 3x3x32 patch row is 5 words, not
 inner axis is the panel's **longer** side — ``(k_block, mt, nt)`` with
 the filter plane contiguous and the patch word broadcast, or ``(k_block,
 nt, mt)`` with the patch plane contiguous when ``mt > nt``, the panel
-then written transposed — popcounts it into ``uint8``
-and reduces over the **leading** axis, which NumPy executes as vectorised
-adds of contiguous planes.  (Reducing a short *trailing* K axis instead
-makes NumPy iterate a tiny inner loop per output element; blocks of 2-4
-words measured 3-6x slower than word-at-a-time that way.)
+then written transposed — and popcounts it into the step's rows of the
+tile's ``uint8`` count slab ``(words, mt, nt)``.  After the last step
+one reduce sums the slab over its **leading** axis, which NumPy executes
+as vectorised adds of contiguous planes.  (Reducing a short *trailing* K
+axis instead makes NumPy iterate a tiny inner loop per output element;
+blocks of 2-4 words measured 3-6x slower than word-at-a-time that way.)
 
 **Passes, not instructions.**  LCE's kernel is ``eor`` → ``cnt`` →
-``addp`` → ``uadalp`` into 16-bit lanes, widened once per tile.  Here K
-sums into ``uint16`` whenever ``words * 64 <= 65535`` (else ``int32``)
-and ``depth - 2 * pops`` widens once per tile.  And every call runs its
-panels under a 256-element ufunc buffer (:data:`_UFUNC_BUFSIZE`, scoped
-by ``np.errstate``, so per thread and restored on exit, an exception
-included): NumPy 2.x's iterator copies the operands of a broadcast call
-through its buffer (8192 elements by default) whenever the contiguous
-inner extent is below about a third of it, and these blocks are 32-128
-words wide.  A uint64 ``(R, 1) ^ (1, C)`` with ``out=`` measured (NumPy
-2.4) 0.9-1.2 ns/word for C <= 2048 and 0.28-0.36 from C = 2731 up, where
-a flat XOR is 0.37; 4.2 / 5.2 at C = 128 under a 64 K / 1 M buffer, 0.42
-under a 16-element one.
+``addp`` → ``uadalp`` into 16-bit lanes, widened once per tile.  Here
+each K step is two calls, XOR and popcount, and K is summed once per
+tile, into ``uint16`` whenever ``words * 64 <= 65535`` (else
+``int32``); ``depth - 2 * pops`` widens once per tile.  The two phases
+run under two ufunc buffer sizes, both scoped by ``np.errstate`` (per
+thread, the caller's restored on exit, an exception included):
+
+- XOR and popcount under 256 elements (:data:`_UFUNC_BUFSIZE`).  NumPy
+  2.x's iterator copies the operands of a broadcast call through its
+  buffer (8192 elements by default) whenever the contiguous inner extent
+  is below about a third of it, and these blocks are 32-128 words wide.
+  A uint64 ``(R, 1) ^ (1, C)`` with ``out=`` measured (NumPy 2.4)
+  0.9-1.2 ns/word for C <= 2048 and 0.28-0.36 from C = 2731 up, where a
+  flat XOR is 0.37; 4.2 / 5.2 at C = 128 under a 64 K / 1 M buffer, 0.42
+  under a 16-element one.
+- The reduce and epilogue under NumPy's default 8192
+  (:data:`_REDUCE_BUFSIZE`).  On a 64 x 256 x 36-word tile (NumPy 2.4,
+  2-core x86) the casting ``uint8`` → ``uint16`` reduce cost 0.21-0.24
+  ns/word run per step under the 256-element buffer and 0.06-0.07 over
+  the whole count slab under 8192, next to XOR 0.26-0.27 and popcount
+  0.30-0.31.  Each switch costs ~1 us.
 """
 
 from __future__ import annotations
@@ -87,9 +97,14 @@ _SHORT_SIDE = 64
 #: and a constant rather than a knob.
 _XOR_BLOCK_WORDS = 1 << 16
 
-#: NumPy ufunc buffer size (elements) every K-major GEMM call runs under
-#: (module docstring, "Passes, not instructions").
+#: NumPy ufunc buffer size (elements) every K-major GEMM call runs its XOR
+#: and popcount steps under (module docstring, "Passes, not instructions").
 _UFUNC_BUFSIZE = 256
+
+#: ... and each tile's one K-sum reduce and epilogue: NumPy's default.  A
+#: sweep of the bound conv at the four QuickNet-small 224 px shapes read
+#: 2048 and 8192 level, 32768 up to 1.2x slower.
+_REDUCE_BUFSIZE = 8192
 
 
 def derive_k_block(mt: int, nt: int, words: int) -> int:
@@ -187,12 +202,6 @@ def _acc_dtype(words: int) -> np.dtype:
     return np.dtype(np.uint16 if words * 64 <= 0xFFFF else np.int32)
 
 
-def _acc_names(prefix: str, acc: np.dtype) -> tuple[str, str]:
-    """Arena names of the ``pops`` / ``ksum`` accumulators: one dtype per
-    name, as :meth:`repro.core.workspace.Workspace.take` requires."""
-    return f"{prefix}/pops_{acc.name}", f"{prefix}/ksum_{acc.name}"
-
-
 def _bind_tile(
     at: np.ndarray,
     bt: np.ndarray,
@@ -203,46 +212,47 @@ def _bind_tile(
 ) -> tuple:
     """Pre-slice what one output panel's K loop touches (``at`` is
     ``(words, mt)``, ``bt`` ``(words, nt)``): per ``k_block`` word planes
-    the two operand views and the ``{prefix}/xk|ck`` blocks they XOR and
-    popcount into, plus the ``pops`` / ``ksum`` accumulators —
-    :func:`_run_tile` then only moves data.  The block's inner axis is the
-    panel's longer side: when ``mt > nt`` the operands swap and the panel
-    is written transposed."""
+    the two operand views, the ``{prefix}/xk`` block they XOR into and
+    the rows of the count slab ``{prefix}/ck`` (``(words, mt, nt)``
+    ``uint8``, one row per word) that block popcounts into, plus the
+    ``{prefix}/pops_{dtype}`` accumulator — :func:`_run_tile` then only
+    moves data.  The block's inner axis is the panel's longer side: when
+    ``mt > nt`` the operands swap and the panel is written transposed."""
     words, mt = at.shape
     nt = bt.shape[1]
     if mt > nt:
         at, bt, out_view, mt, nt = bt, at, out_view.T, nt, mt
     a3, b3 = at[:, :, None], bt[:, None, :]
     acc = _acc_dtype(words)
-    pops_name, ksum_name = _acc_names(prefix, acc)
-    pops = workspace.take(pops_name, (mt, nt), acc)
-    ksum = workspace.take(ksum_name, (mt, nt), acc)
+    pops = workspace.take(f"{prefix}/pops_{acc.name}", (mt, nt), acc)
     xk = workspace.take(f"{prefix}/xk", (k_block, mt, nt), np.uint64)
-    ck = workspace.take(f"{prefix}/ck", (k_block, mt, nt), np.uint8)
+    ck = workspace.take(f"{prefix}/ck", (words, mt, nt), np.uint8)
     steps = []
     for w0 in range(0, words, k_block):
         wb = min(k_block, words - w0)
-        steps.append((a3[w0 : w0 + wb], b3[w0 : w0 + wb], xk[:wb], ck[:wb]))
-    return steps, pops, ksum, out_view
+        steps.append(
+            (a3[w0 : w0 + wb], b3[w0 : w0 + wb], xk[:wb], ck[w0 : w0 + wb])
+        )
+    return steps, ck, pops, out_view
 
 
 _MINUS_TWO = np.int32(-2)
 
 
 def _run_tile(tile: tuple, depth: np.int32) -> None:
-    """The K loop of one bound panel (see :func:`_bind_tile`)."""
-    steps, pops, ksum, out_view = tile
-    into = pops
+    """One bound panel (see :func:`_bind_tile`), entered and left under
+    :data:`_UFUNC_BUFSIZE`: XOR and popcount every K step into the count
+    slab, then sum K once under :data:`_REDUCE_BUFSIZE`."""
+    steps, ck, pops, out_view = tile
     for a, b, xv, cv in steps:
         np.bitwise_xor(a, b, out=xv)
         np.bitwise_count(xv, out=cv)
-        np.add.reduce(cv, axis=0, dtype=pops.dtype, out=into)
-        if into is ksum:
-            np.add(pops, ksum, out=pops)
-        into = ksum
+    np.setbufsize(_REDUCE_BUFSIZE)
+    np.add.reduce(ck, axis=0, dtype=pops.dtype, out=pops)
     # depth - 2*pop, widened to int32 once: pops * -2 + depth (exact).
     np.multiply(pops, _MINUS_TWO, out=out_view)
     np.add(out_view, depth, out=out_view)
+    np.setbufsize(_UFUNC_BUFSIZE)
 
 
 def _check_out(out: np.ndarray | None, m: int, n: int) -> np.ndarray:
@@ -348,7 +358,8 @@ def bind_kmajor(
         # thread-local read and two branches.
         tracer = active_tracer()
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        # errstate restores the caller's (per-thread) buffer size on exit.
+        # errstate restores the caller's (per-thread) buffer size on exit,
+        # an exception in either of a tile's two buffer phases included.
         with np.errstate():
             np.setbufsize(_UFUNC_BUFSIZE)
             for tile in tiles:
@@ -431,9 +442,10 @@ def bgemm_scratch_spec(
     """The ``(name, size, dtype)`` scratch reservations a BGEMM needs.
 
     The K-major patch buffer ``{prefix}/at`` plus the tile kernel's
-    ``{prefix}/xk|ck`` and its ``pops`` / ``ksum`` accumulators (named by
-    their dtype) at the panel :func:`derive_panel` picks (what the
-    binarized convolution runs).  Kernel factories feed this into
+    ``k_block``-deep XOR block ``{prefix}/xk``, its ``words``-deep count
+    slab ``{prefix}/ck`` and its ``{prefix}/pops_{dtype}`` accumulator at
+    the panel :func:`derive_panel` picks (what the binarized convolution
+    runs).  Kernel factories feed this into
     :meth:`repro.core.workspace.Workspace.reserve` at plan-compile time
     so the arena is fully sized before the first inference.
     """
@@ -443,8 +455,8 @@ def bgemm_scratch_spec(
     return [
         (f"{prefix}/at", words * m, np.dtype(np.uint64)),
         (f"{prefix}/xk", kb * mt * nt, np.dtype(np.uint64)),
-        (f"{prefix}/ck", kb * mt * nt, np.dtype(np.uint8)),
-        *((name, mt * nt, acc) for name in _acc_names(prefix, acc)),
+        (f"{prefix}/ck", words * mt * nt, np.dtype(np.uint8)),
+        (f"{prefix}/pops_{acc.name}", mt * nt, acc),
     ]
 
 

@@ -22,7 +22,6 @@ from repro.core.bconv2d import (
 )
 from repro.core.bgemm import (
     _acc_dtype,
-    _acc_names,
     bgemm_blocked,
     bgemm_kmajor,
     bgemm_reference,
@@ -52,12 +51,13 @@ def _operands(rng, m, n, depth=DEPTH):
     return a, b
 
 
-def _kmajor(a, b, depth, **kw):
-    """``bgemm_kmajor`` on freshly packed operands and a fresh arena."""
+def _kmajor(a, b, depth, workspace=None, **kw):
+    """``bgemm_kmajor`` on freshly packed operands, in a fresh arena unless
+    one is given."""
     out = np.full((a.shape[0], b.shape[0]), -7, np.int32)
     got = bgemm_kmajor(
         np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), depth,
-        out, Workspace(), **kw,
+        out, Workspace() if workspace is None else workspace, **kw,
     )
     assert got is out
     return out
@@ -238,11 +238,13 @@ class TestDerivePanel:
         ws = Workspace()
         out = bgemm_blocked(a, b, DEPTH, tile_m=256, tile_n=128, workspace=ws)
         assert np.array_equal(out, bgemm_reference(a, b, DEPTH))
-        pops, _ = _acc_names("bgemm", _acc_dtype(WORDS))
+        pops = f"bgemm/pops_{_acc_dtype(WORDS).name}"
         assert ws.buffer(pops).size == 4 * 128
+        assert ws.buffer("bgemm/ck").size == WORDS * 4 * 128
         # ... while the reservation follows the derived (wider) panel
         sizes = {name: size for name, size, _ in bgemm_scratch_spec(4, 300, WORDS)}
         assert sizes[pops] == 4 * 300
+        assert sizes["bgemm/ck"] == WORDS * 4 * 300
 
 
 class TestScratchReservationIsExact:
@@ -263,8 +265,14 @@ class TestScratchReservationIsExact:
         spec = bgemm_scratch_spec(
             m, n, words, tile_m, tile_n, tile_k_words=tile_k_words
         )
-        assert {dtype for name, _, dtype in spec if "/pops_" in name
-                or "/ksum_" in name} == {np.dtype(acc)}
+        mt, nt, kb = derive_panel(m, n, words, tile_m, tile_n, tile_k_words)
+        # one accumulator, and a count slab one word row per K word
+        assert spec == [
+            ("bgemm/at", words * m, np.dtype(np.uint64)),
+            ("bgemm/xk", kb * mt * nt, np.dtype(np.uint64)),
+            ("bgemm/ck", words * mt * nt, np.dtype(np.uint8)),
+            (f"bgemm/pops_{np.dtype(acc).name}", mt * nt, np.dtype(acc)),
+        ]
         for name, size, dtype in spec:
             ws.reserve(name, size, dtype)
         grows = ws.grows
@@ -276,7 +284,9 @@ class TestScratchReservationIsExact:
             tile_m=tile_m, tile_n=tile_n, tile_k_words=tile_k_words,
         )
         assert ws.grows == grows
-        assert set(ws.names()) == {name for name, _, _ in spec}
+        assert {name: ws.buffer(name).size for name in ws.names()} == {
+            name: size for name, size, _ in spec
+        }
         assert np.array_equal(out, bgemm_reference(a, b, depth))
 
     # odd half counts (1, 32, 96, 160: a zero tail half at 9 taps) and even
@@ -316,34 +326,48 @@ class TestNarrowAccumulators:
         )
         assert np.array_equal(got, bgemm_reference(a, b, depth))
         assert (got == -depth).all()
-        accumulators = {n for n in ws.names() if "/pops_" in n or "/ksum_" in n}
-        assert accumulators == set(_acc_names("bgemm", np.dtype(acc)))
+        assert [n for n in ws.names() if n != "bgemm/xk"] == [
+            "bgemm/ck", f"bgemm/pops_{np.dtype(acc).name}"
+        ]
+        assert ws.buffer("bgemm/ck").size == words * 5 * 3
+
+
+class TestSharedCountSlab:
+    """Every GEMM of an arena popcounts into the one ``bgemm/ck``; a tile
+    reduces only its own ``words`` rows of it, each step writes its own."""
+
+    def test_back_to_back_gemms_read_only_their_own_rows(self, rng):
+        ws = Workspace()
+        # 72 words, one step: fills the slab with live counts
+        a, b = _operands(rng, 20, 24, 72 * 64 - 9)
+        assert np.array_equal(
+            _kmajor(a, b, 72 * 64 - 9, ws), bgemm_reference(a, b, 72 * 64 - 9)
+        )
+        assert ws.buffer("bgemm/ck").size == 72 * 20 * 24
+        # 5 words: a shallower, differently shaped view of the same slab
+        a, b = _operands(rng, 9, 7, 5 * 64 - 3)
+        assert np.array_equal(
+            _kmajor(a, b, 5 * 64 - 3, ws), bgemm_reference(a, b, 5 * 64 - 3)
+        )
+        # 37 words at k_block 4: nine full steps and a one-word last one,
+        # over three panels (the last an edge) that reuse the slab in turn
+        a, b = _operands(rng, 40, 24, 37 * 64 - 1)
+        got = _kmajor(
+            a, b, 37 * 64 - 1, ws, tile_m=16, tile_n=24, tile_k_words=4
+        )
+        assert np.array_equal(got, bgemm_reference(a, b, 37 * 64 - 1))
+        assert ws.buffer("bgemm/ck").size == 72 * 20 * 24
 
 
 class TestUfuncBufferScope:
-    """The kernel runs under a 256-element ufunc buffer that never leaks
-    to its caller."""
-
-    @staticmethod
-    def _record_run_tile(monkeypatch, raises=False):
-        seen = []
-        run_tile = bgemm_mod._run_tile
-
-        def recording(tile, depth):
-            seen.append(np.getbufsize())
-            if raises:
-                raise RuntimeError("tile step failed")
-            run_tile(tile, depth)
-
-        monkeypatch.setattr(bgemm_mod, "_run_tile", recording)
-        return seen
+    """Every XOR step runs under the 256-element ufunc buffer, every K-sum
+    reduce under NumPy's default one, and neither leaks to the caller."""
 
     @pytest.mark.parametrize("caller_bufsize", [None, 4096])
     def test_engine_run_restores_the_callers_buffer(
-        self, quicknet_small, rng, monkeypatch, caller_bufsize
+        self, quicknet_small, rng, bgemm_bufsizes, caller_bufsize
     ):
         size, model = quicknet_small
-        seen = self._record_run_tile(monkeypatch)
         x = rng.standard_normal((1, size, size, 3)).astype(np.float32)
         with Engine(model) as engine, np.errstate():
             if caller_bufsize is not None:
@@ -351,16 +375,48 @@ class TestUfuncBufferScope:
             before = np.getbufsize()
             engine.run(x)
             assert np.getbufsize() == before
-        assert seen and set(seen) == {bgemm_mod._UFUNC_BUFSIZE}
+        assert set(bgemm_bufsizes.at_xor) == {bgemm_mod._UFUNC_BUFSIZE}
+        assert set(bgemm_bufsizes.at_reduce) == {bgemm_mod._REDUCE_BUFSIZE}
+
+    def test_every_tile_switches_phase_and_back(self, rng, bgemm_bufsizes):
+        # 3 x 3 panels of two K steps each: the XORs after a tile's reduce
+        # are back under the narrow buffer
+        a, b = _operands(rng, 7, 5)
+        got = _kmajor(a, b, DEPTH, tile_m=3, tile_n=2, tile_k_words=2)
+        assert bgemm_bufsizes.at_xor == [bgemm_mod._UFUNC_BUFSIZE] * 18
+        assert bgemm_bufsizes.at_reduce == [bgemm_mod._REDUCE_BUFSIZE] * 9
+        assert np.array_equal(got, bgemm_reference(a, b, DEPTH))
 
     def test_a_gemm_that_raises_restores_the_buffer(self, rng, monkeypatch):
-        seen = self._record_run_tile(monkeypatch, raises=True)
+        seen = []
+
+        def failing(tile, depth):
+            seen.append(np.getbufsize())
+            raise RuntimeError("tile step failed")
+
+        monkeypatch.setattr(bgemm_mod, "_run_tile", failing)
         a, b = _operands(rng, 7, 5)
         before = np.getbufsize()
         with pytest.raises(RuntimeError, match="tile step failed"):
             _kmajor(a, b, DEPTH)
         assert np.getbufsize() == before
         assert seen == [bgemm_mod._UFUNC_BUFSIZE]
+
+    @pytest.mark.parametrize("caller_bufsize", [None, 4096])
+    def test_a_reduce_that_raises_restores_the_callers_buffer(
+        self, rng, bgemm_bufsizes, caller_bufsize
+    ):
+        bgemm_bufsizes.reduce_raises = True
+        a, b = _operands(rng, 7, 5)
+        with np.errstate():
+            if caller_bufsize is not None:
+                np.setbufsize(caller_bufsize)
+            before = np.getbufsize()
+            with pytest.raises(RuntimeError, match="K-sum reduce failed"):
+                _kmajor(a, b, DEPTH, tile_k_words=2)
+            assert np.getbufsize() == before
+        assert bgemm_bufsizes.at_xor == [bgemm_mod._UFUNC_BUFSIZE] * 2
+        assert bgemm_bufsizes.at_reduce == [bgemm_mod._REDUCE_BUFSIZE]
 
 
 @pytest.fixture(scope="module", params=[32, 64])
@@ -369,27 +425,32 @@ def quicknet_small(request):
     return size, convert(build_model("quicknet_small", input_size=size))
 
 
-def _dense_slab_words(graph, factor: int) -> int:
-    """The largest K-major slab, in uint64 words, a batch factor's
-    binarized convolutions take: patch rows x dense K."""
+def _largest_slabs(graph, factor: int) -> tuple[int, int]:
+    """The largest K-major slab (patch rows x dense K, uint64 words) and
+    the largest tile count slab (K words x panel, bytes) a batch factor's
+    binarized convolutions take."""
     specs = rebatched_specs(graph, factor)
-    return max(
-        int(np.prod(specs[node.outputs[0]].shape[:3]))
-        * kmajor_words(
+    slab = counts = 0
+    for node in graph.nodes:
+        if node.op != "lce_bconv2d":
+            continue
+        n, h, w, cout = specs[node.outputs[0]].shape
+        m = n * h * w
+        words = kmajor_words(
             node.attrs["kernel_h"] * node.attrs["kernel_w"],
             node.attrs["in_channels"],
         )
-        for node in graph.nodes
-        if node.op == "lce_bconv2d"
-    )
+        mt, nt, _ = derive_panel(m, cout, words)
+        slab, counts = max(slab, m * words), max(counts, words * mt * nt)
+    return slab, counts
 
 
 def test_plan_arena_constant_from_first_execute(quicknet_small, rng):
     """Reservation == use: compiling a batch factor's plan preallocates the
-    engine's arena for it — the dense K-major slab included — and no
-    execution, the first included, grows it."""
+    engine's arena for it — the dense K-major slab and the count slab
+    included — and no execution, the first included, grows it."""
     size, model = quicknet_small
-    slab = 0
+    slab = counts = 0
     with Engine(model, max_batch_size=8) as engine:
         for factor in range(1, 9):
             x = rng.standard_normal((factor, size, size, 3)).astype(np.float32)
@@ -399,8 +460,10 @@ def test_plan_arena_constant_from_first_execute(quicknet_small, rng):
                 engine.run(x)
             assert engine.plan(1).workspace is ws
             assert ws.grows == grows, f"batch factor {factor} grew its arena"
-            slab = max(slab, _dense_slab_words(model.graph, factor))
+            slabs = _largest_slabs(model.graph, factor)
+            slab, counts = max(slab, slabs[0]), max(counts, slabs[1])
             assert ws.buffer("bgemm/at").size == slab
+            assert ws.buffer("bgemm/ck").size == counts
 
 
 def _dense_filter_rows(filters) -> np.ndarray:

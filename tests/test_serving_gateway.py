@@ -662,18 +662,11 @@ class BufsizeProbeEngine:
         return results
 
 
-def test_replica_thread_keeps_its_ufunc_buffer_size(graph, rng, monkeypatch):
-    # The BGEMM narrows the buffer for its own call only (it is per
-    # thread): a replica thread is left at NumPy's default afterwards.
+def test_replica_thread_keeps_its_ufunc_buffer_size(graph, rng, bgemm_bufsizes):
+    # The BGEMM sets the buffer for its own call only (it is per thread):
+    # the replica thread XORs under the narrow one, reduces under the
+    # default one, and is left at NumPy's default afterwards.
     bgemm_mod = importlib.import_module("repro.core.bgemm")
-    in_gemm = []
-    run_tile = bgemm_mod._run_tile
-
-    def recording(tile, depth):
-        in_gemm.append(np.getbufsize())
-        run_tile(tile, depth)
-
-    monkeypatch.setattr(bgemm_mod, "_run_tile", recording)
     after = []
     gw = Gateway(
         {"m": graph},
@@ -686,7 +679,8 @@ def test_replica_thread_keeps_its_ufunc_buffer_size(graph, rng, monkeypatch):
     finally:
         gw.close()
     assert not isinstance(reply, Rejected)
-    assert in_gemm and set(in_gemm) == {bgemm_mod._UFUNC_BUFSIZE}
+    assert set(bgemm_bufsizes.at_xor) == {bgemm_mod._UFUNC_BUFSIZE}
+    assert set(bgemm_bufsizes.at_reduce) == {bgemm_mod._REDUCE_BUFSIZE}
     assert after == [np.getbufsize()]
 
 
