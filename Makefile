@@ -81,17 +81,15 @@ calibrate-smoke:
 	PYTHONPATH=src python -m repro.cli benchmark --model quicknet_small \
 		--profile $${TMPDIR:-/tmp}/repro-profile-smoke.json
 
-# Telemetry smoke: one served burst with the event log on (export +
-# schema-validate the JSONL, force one flight-recorder dump, round-trip
-# the Prometheus exposition through the parser) and an SLO health check
-# with a generous p95 target.  Exits non-zero on any validation problem
-# or breach.
+# Telemetry smoke: one served burst on the real clock that answers the
+# serving questions of docs/architecture.md section 9 — the metrics
+# snapshot, the SLO verdict (a generous p95 target) and the event log,
+# exported and schema-validated with exactly one terminal event per
+# request.  Exits non-zero on a validation problem or a breach.
 telemetry-smoke:
 	PYTHONPATH=src python -m repro.cli serve --models quicknet_small \
-		--input-size 32 --requests 48 --tail 5 --slo-p95-ms 10000 \
-		--events-out $${TMPDIR:-/tmp}/repro-events-smoke.jsonl \
-		--flight-dump $${TMPDIR:-/tmp}/repro-flight-smoke \
-		--prom-out $${TMPDIR:-/tmp}/repro-prom-smoke.txt
+		--input-size 32 --requests 48 --slo-p95-ms 10000 \
+		--events-out $${TMPDIR:-/tmp}/repro-events-smoke.jsonl
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -7,8 +7,8 @@ and the *static-analysis subsystem* — a graph dataflow verifier
 (:mod:`repro.analysis.lint`) and a concurrency engine
 (:mod:`repro.analysis.concurrency`, lock-discipline rules C001-C005)
 sharing one diagnostic core (:mod:`repro.analysis.diagnostics`).
-Telemetry artifacts (events JSONL, flight dumps) have their schema
-oracles in :mod:`repro.analysis.telemetry`.
+The events JSONL telemetry artifact has its schema oracle in
+:mod:`repro.analysis.telemetry`.
 See docs/architecture.md §8, §13 and §14.
 """
 
@@ -29,11 +29,7 @@ from repro.analysis.regression import loglog_fit
 from repro.analysis.search import CandidateResult, evaluate_candidate, search
 from repro.analysis.speedup import SpeedupStats, speedup_stats
 from repro.analysis.summary import LayerSummary, format_summary, model_summary
-from repro.analysis.telemetry import (
-    load_events_jsonl,
-    validate_events,
-    validate_flight,
-)
+from repro.analysis.telemetry import load_events_jsonl, validate_events
 
 __all__ = [
     "CandidateResult",
@@ -66,5 +62,4 @@ __all__ = [
     "validate_bench_engine",
     "validate_bench_kernels",
     "validate_events",
-    "validate_flight",
 ]

@@ -1,6 +1,6 @@
-"""Schema oracles for the telemetry artifacts (events JSONL, flight dumps).
+"""The schema oracle for the events JSONL telemetry artifact.
 
-Same contract as :func:`repro.obs.export.validate_chrome_trace`: each
+Same contract as :func:`repro.obs.export.validate_chrome_trace`: the
 validator returns a list of human-readable problem strings — empty means
 valid — so tests assert ``== []`` and the CLI can print every problem at
 once.
@@ -17,11 +17,6 @@ once.
   exactly one terminal (``complete`` | ``shed`` | ``failed``);
   ``complete``/``failed`` imply a prior ``accept``; ``shed`` excludes
   one (a shed request was never admitted).
-
-:func:`validate_flight` checks a flight-recorder dump: schema/version,
-a non-empty reason, embedded event records (shape only — a dump keeps
-the *last N* events, so lifecycle pairing does not apply), a metrics
-snapshot, and the active/recent span sections.
 """
 
 from __future__ import annotations
@@ -34,8 +29,6 @@ from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMA,
     EVENT_SCHEMA_VERSION,
-    FLIGHT_SCHEMA,
-    FLIGHT_SCHEMA_VERSION,
     TERMINAL_KINDS,
     request_kinds,
 )
@@ -163,54 +156,3 @@ def validate_events(records: list[dict[str, Any]]) -> list[str]:
             )
     return problems
 
-
-def validate_flight(obj: Any) -> list[str]:
-    """Every problem in a flight-recorder dump object."""
-    if not isinstance(obj, dict):
-        return ["flight dump is not an object"]
-    problems: list[str] = []
-    if obj.get("schema") != FLIGHT_SCHEMA:
-        return [f"schema is not {FLIGHT_SCHEMA!r}: {obj.get('schema')!r}"]
-    if obj.get("version") != FLIGHT_SCHEMA_VERSION:
-        problems.append(
-            f"version {obj.get('version')!r} != {FLIGHT_SCHEMA_VERSION}"
-        )
-    reason = obj.get("reason")
-    if not isinstance(reason, str) or not reason:
-        problems.append("reason is not a non-empty string")
-    ts = obj.get("ts")
-    if not isinstance(ts, (int, float)) or isinstance(ts, bool):
-        problems.append("ts is not a number")
-    events = obj.get("events")
-    if not isinstance(events, list):
-        problems.append("events is not a list")
-    else:
-        for i, record in enumerate(events):
-            _check_event_record(record, f"events[{i}]", problems)
-    dropped = obj.get("dropped_events")
-    if not isinstance(dropped, int) or dropped < 0:
-        problems.append("dropped_events is not a non-negative int")
-    metrics = obj.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        problems.append("metrics is not a non-empty snapshot")
-    active = obj.get("active_spans")
-    if not isinstance(active, dict):
-        problems.append("active_spans is not an object")
-    else:
-        for tid, stack in active.items():
-            if not isinstance(stack, list) or not all(
-                isinstance(name, str) for name in stack
-            ):
-                problems.append(
-                    f"active_spans[{tid!r}]: not a list of span names"
-                )
-    recent = obj.get("recent_spans")
-    if not isinstance(recent, list):
-        problems.append("recent_spans is not a list")
-    else:
-        for i, span in enumerate(recent):
-            if not isinstance(span, dict) or not isinstance(
-                span.get("name"), str
-            ):
-                problems.append(f"recent_spans[{i}]: not a span record")
-    return problems

@@ -382,11 +382,11 @@ def _slo_from_args(args):
     )
 
 
-def _telemetry_burst(args, *, events, slo, flight):
+def _telemetry_burst(args, *, events, slo):
     """Build the models, serve a request burst, return (gateway, replies).
 
     The caller owns the gateway and must close it (keeping it open lets
-    health/dump/export run against live telemetry sources).
+    health and the events export run against live telemetry sources).
     """
     from repro.serving import Gateway, GatewayConfig
 
@@ -406,7 +406,7 @@ def _telemetry_burst(args, *, events, slo, flight):
         max_queue=args.max_queue,
         replicas=args.replicas,
     )
-    gateway = Gateway(models, config, events=events, slo=slo, flight=flight)
+    gateway = Gateway(models, config, events=events, slo=slo)
     try:
         gateway.warmup(factors=(1, args.max_batch))
         names = sorted(models)
@@ -436,85 +436,32 @@ def _print_health(health) -> bool:
     return breached
 
 
-def _export_telemetry(args, gateway, events, flight) -> list[str]:
-    """Write, validate and report the artifacts ``serve`` was asked for
-    from the still-open gateway; returns every validation problem."""
-    import json
-    from pathlib import Path
+def _export_telemetry(args, events) -> list[str]:
+    """Write the ``--events-out`` JSONL and return its validation problems."""
+    from repro.analysis import validate_events
+    from repro.obs import write_events_jsonl
 
-    from repro.analysis import validate_events, validate_flight
-    from repro.obs import (
-        events_to_records,
-        parse_prometheus_text,
-        prom_name,
-        prometheus_text,
-        write_events_jsonl,
+    records = write_events_jsonl(events, args.events_out)
+    print(
+        f"wrote {args.events_out}: {records[0]['count']} events, "
+        f"{records[0]['dropped']} dropped"
     )
-
-    problems: list[str] = []
-    if events is not None:
-        if args.events_out:
-            records = write_events_jsonl(events, args.events_out)
-            print(
-                f"wrote {args.events_out}: {records[0]['count']} events, "
-                f"{records[0]['dropped']} dropped"
-            )
-        else:
-            records = events_to_records(events)
-        problems.extend(validate_events(records))
-        if args.tail:
-            for record in records[1:][-args.tail :]:
-                rid = record["request_id"] or "-"
-                print(
-                    f"  {record['ts']:>12.6f}  {record['kind']:<18} "
-                    f"{rid:<24} {record['attrs']}"
-                )
-    if flight is not None:
-        path = gateway.dump("forced")
-        obj = json.loads(Path(path).read_text())
-        problems.extend(f"flight: {p}" for p in validate_flight(obj))
-        print(
-            f"wrote {path}: reason={obj['reason']!r}, "
-            f"{len(obj['events'])} events, {len(obj['metrics'])} metrics"
-        )
-    if args.prom_out:
-        text = prometheus_text(gateway.metrics)
-        Path(args.prom_out).write_text(text)
-        parsed = parse_prometheus_text(text)
-        submitted = gateway.metrics_snapshot()["gateway.submitted"]
-        series = ["gateway.shed_unknown_model"] + [
-            f"gateway.{name}.{key}"
-            for name in gateway.models
-            for key in ("accepted", "shed")
-        ]
-        exposed = sum(parsed.get(f"{prom_name(s)}_total", 0.0) for s in series)
-        if exposed != float(submitted):
-            problems.append(
-                f"prometheus: round-trip mismatch — per-model "
-                f"accepted+shed series sum to {exposed!r} != "
-                f"snapshot {submitted}"
-            )
-        print(f"wrote {args.prom_out}: {len(parsed)} series")
-    return problems
+    return validate_events(records)
 
 
 def cmd_serve(args) -> int:
     """Serve a demo burst through the gateway and print its stats.
 
     With any ``--slo-*`` objective the per-model verdicts follow and a
-    breach exits 1; ``--events-out`` / ``--tail`` / ``--flight-dump``
-    attach the event log, and every artifact written is validated (exit 1
-    on a problem).
+    breach exits 1; ``--events-out`` attaches the event log, and the
+    JSONL it writes is validated (exit 1 on a problem).
     """
-    from repro.obs import EventLog, FlightRecorder
+    from repro.obs import EventLog
     from repro.serving import Rejected
 
     slo = _slo_from_args(args)
-    flight = FlightRecorder(args.flight_dump) if args.flight_dump else None
-    events = EventLog() if args.events_out or args.tail or flight else None
-    gateway, replies = _telemetry_burst(
-        args, events=events, slo=slo, flight=flight
-    )
+    events = EventLog() if args.events_out else None
+    gateway, replies = _telemetry_burst(args, events=events, slo=slo)
     try:
         # evaluated first, so the snapshot's slo.* gauges carry the verdict
         health = gateway.health() if slo is not None else {}
@@ -533,7 +480,7 @@ def cmd_serve(args) -> int:
         print("  metrics snapshot:")
         print(format_snapshot(gateway.metrics_snapshot(), indent="    "))
         breached = _print_health(health)
-        problems = _export_telemetry(args, gateway, events, flight)
+        problems = _export_telemetry(args, events) if events is not None else []
     finally:
         gateway.close()
     for p in problems:
@@ -690,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="serve a demo request burst through the async gateway: stats, "
-        "SLO verdicts (exit 1 on a breach), telemetry artifacts",
+        "SLO verdicts (exit 1 on a breach), the request event log",
     )
     p.add_argument(
         "--models", nargs="+", default=["quicknet_small"],
@@ -737,17 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--events-out", default=None, metavar="PATH",
         help="attach the event log; export the JSONL here and validate it",
-    )
-    p.add_argument(
-        "--tail", type=int, default=0, help="print the last N events"
-    )
-    p.add_argument(
-        "--flight-dump", default=None, metavar="DIR",
-        help="force a flight-recorder dump into DIR and validate it",
-    )
-    p.add_argument(
-        "--prom-out", default=None, metavar="PATH",
-        help="write the Prometheus exposition and round-trip parse it",
     )
     p.set_defaults(fn=cmd_serve)
 

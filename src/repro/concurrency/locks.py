@@ -62,42 +62,6 @@ class LockOrderError(RuntimeError):
         self.held = held
 
 
-#: callbacks invoked (with the error) just before a LockOrderError raises;
-#: the flight recorder registers here so an inversion leaves a postmortem
-#: artifact.  Hooks run on the erring thread with its locks still held,
-#: so they must not acquire ordered locks themselves — defer real work.
-_ORDER_ERROR_HOOKS: list[Any] = []
-
-
-def on_lock_order_error(callback: Any) -> None:
-    """Register ``callback(error)`` to fire before a LockOrderError raises.
-
-    The callback runs on the offending thread *while it still holds the
-    inverted lockset* — it must only record the fact (set a flag, stash
-    the error) and return; acquiring any ordered lock from inside it
-    would re-enter the sanitizer mid-violation.  Exceptions from hooks
-    are swallowed so they can never mask the original error.
-    """
-    if callback not in _ORDER_ERROR_HOOKS:
-        _ORDER_ERROR_HOOKS.append(callback)
-
-
-def remove_lock_order_error_hook(callback: Any) -> None:
-    """Unregister a callback previously passed to :func:`on_lock_order_error`."""
-    try:
-        _ORDER_ERROR_HOOKS.remove(callback)
-    except ValueError:
-        pass
-
-
-def _notify_order_error(error: "LockOrderError") -> None:
-    for callback in list(_ORDER_ERROR_HOOKS):
-        try:
-            callback(error)
-        except Exception:
-            pass
-
-
 class LockCycleError(RuntimeError):
     """The recorded acquisition graph contains a cycle (deadlock potential)."""
 
@@ -158,26 +122,22 @@ class LockGraph:
                     continue
                 if not blocking:
                     continue  # Condition._is_owned-style probe
-                error = LockOrderError(
+                raise LockOrderError(
                     f"thread re-acquiring non-reentrant lock {lock.name!r} "
                     "it already holds (self-deadlock)",
                     acquiring=lock.name,
                     held=self.lockset(),
                 )
-                _notify_order_error(error)
-                raise error
             if entry.name == lock.name:
                 continue  # a peer instance at the same rank; no self-edge
             if entry.rank > lock.rank:
-                error = LockOrderError(
+                raise LockOrderError(
                     f"rank inversion: acquiring {lock.name!r} (rank "
                     f"{lock.rank}) while holding {entry.name!r} (rank "
                     f"{entry.rank}); see repro.concurrency.order",
                     acquiring=lock.name,
                     held=self.lockset(),
                 )
-                _notify_order_error(error)
-                raise error
             edges.append((entry.name, lock.name))
         if edges:
             with self._mu:

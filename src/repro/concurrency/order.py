@@ -75,13 +75,6 @@ LOCK_ORDER: tuple[LockRank, ...] = (
         "span recording can happen under the plan lock",
     ),
     LockRank(
-        "obs.flight", 82, False,
-        "FlightRecorder._lock — rate-limit state and the shed-storm "
-        "window; released before a dump collects events and snapshots "
-        "metrics, so it only precedes obs.events/obs.metrics and never "
-        "holds across callback gauges (which re-enter serving.server)",
-    ),
-    LockRank(
         "obs.slo", 84, False,
         "SLOMonitor._lock — the rolling window-sample deque; metrics "
         "snapshots are taken *before* acquiring it (callback gauges take "
@@ -91,8 +84,7 @@ LOCK_ORDER: tuple[LockRank, ...] = (
     LockRank(
         "obs.events", 86, False,
         "EventLog._lock — per-thread event-ring registration/collection; "
-        "event emission can happen under the server or plan locks, and "
-        "collection (export, flight dumps) precedes metrics snapshots",
+        "event emission can happen under the server or plan locks",
     ),
     LockRank(
         "obs.metrics", 90, True,

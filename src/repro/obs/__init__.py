@@ -1,6 +1,6 @@
 """`repro.obs`: zero-dependency tracing + metrics for the runtime.
 
-Three pieces, one clock discipline:
+Six modules, one clock discipline:
 
 - :mod:`repro.obs.ring` — the per-thread, drop-counting ring store the
   tracer and the event log both record into;
@@ -12,26 +12,19 @@ Three pieces, one clock discipline:
 - :mod:`repro.obs.metrics` — the typed counter/gauge/histogram registry
   that `EngineStats` and the cache stats are views of;
 - :mod:`repro.obs.events` — the request-scoped structured event log
-  (the tracer's ring store, joined to spans on ``request_id``)
-  plus the flight recorder that snapshots events+metrics+spans into a
-  postmortem ``flight_<reason>.json``;
+  (the tracer's ring store, joined to spans on ``request_id``);
 - :mod:`repro.obs.slo` — per-model SLO evaluation (p95 / error budget /
-  deadline hit rate) over rolling windows of the live metrics;
-- :mod:`repro.obs.prometheus` — deterministic Prometheus text
-  exposition of a whole registry.
+  deadline hit rate) over rolling windows of the live metrics.
 """
 
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMA,
     EVENT_SCHEMA_VERSION,
-    FLIGHT_SCHEMA,
-    FLIGHT_SCHEMA_VERSION,
     NULL_EVENTS,
     TERMINAL_KINDS,
     Event,
     EventLog,
-    FlightRecorder,
     events_to_records,
     write_events_jsonl,
 )
@@ -51,7 +44,6 @@ from repro.obs.metrics import (
     global_registry,
     quantile_from_counts,
 )
-from repro.obs.prometheus import parse_prometheus_text, prom_name, prometheus_text
 from repro.obs.slo import (
     BREACHED,
     DEGRADED,
@@ -78,8 +70,6 @@ __all__ = [
     "EVENT_KINDS",
     "EVENT_SCHEMA",
     "EVENT_SCHEMA_VERSION",
-    "FLIGHT_SCHEMA",
-    "FLIGHT_SCHEMA_VERSION",
     "HEALTHY",
     "NULL_EVENTS",
     "NULL_TRACER",
@@ -88,7 +78,6 @@ __all__ = [
     "Counter",
     "Event",
     "EventLog",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -106,9 +95,6 @@ __all__ = [
     "global_registry",
     "iter_children",
     "node_seconds",
-    "parse_prometheus_text",
-    "prom_name",
-    "prometheus_text",
     "quantile_from_counts",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -1,4 +1,4 @@
-"""Structured, request-scoped events: the serving stack's black box.
+"""Structured, request-scoped events: what happened to each request.
 
 Where spans (:mod:`repro.obs.trace`) answer *how long* something took,
 events answer *what happened to one request*: the gateway mints a
@@ -27,21 +27,12 @@ Design points:
   nothing; hot paths branch on it the same way they branch on
   :data:`~repro.obs.trace.NULL_TRACER`, keeping the disabled-telemetry
   overhead inside the measured 1.03x budget.
-
-The module also houses the **flight recorder**: a bounded postmortem
-dumper that, on trigger (shed storm, replica quarantine, a sanitizer
-``LockOrderError``, or an explicit ``Gateway.dump()``), snapshots the
-last N events + a metrics snapshot + active span stacks into one
-versioned ``flight_<reason>.json`` artifact — rate-limited, and never
-from under a lock that could invert the rank table.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import time
-from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -55,12 +46,6 @@ EVENT_SCHEMA_VERSION = 1
 #: :func:`repro.analysis.telemetry.validate_events`
 EVENT_SCHEMA = "repro.events"
 
-#: schema tag stamped on flight-recorder dumps
-FLIGHT_SCHEMA = "repro.flight"
-
-#: bump when the flight-dump shape changes
-FLIGHT_SCHEMA_VERSION = 1
-
 #: the registered event vocabulary; the validator flags anything else
 EVENT_KINDS = frozenset(
     {
@@ -73,7 +58,6 @@ EVENT_KINDS = frozenset(
         "replica.quarantine",  # a replica crossed its failure budget
         "plan.compile",        # engine compiled a plan for a batch factor
         "engine.batch",        # engine executed one coalesced batch
-        "gateway.dump",        # the flight recorder fired
     }
 )
 
@@ -217,202 +201,6 @@ def write_events_jsonl(
             fh.write(json.dumps(record, sort_keys=True, default=str))
             fh.write("\n")
     return records
-
-
-# ---------------------------------------------------------- flight recorder
-def _safe_reason(reason: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", reason) or "unknown"
-
-
-class FlightRecorder:
-    """The black box: snapshot telemetry into ``flight_<reason>.json``.
-
-    Triggers:
-
-    - :meth:`note_shed` — every typed ``Rejected`` lands here; a storm
-      (``shed_storm_threshold`` sheds inside ``shed_storm_window_s``)
-      fires a ``shed_storm`` dump.
-    - :meth:`trigger` — direct triggers (``replica_quarantine``,
-      ``Gateway.dump()``'s ``manual``); pass ``defer=True`` from
-      contexts that hold locks (the ``LockOrderError`` hook) — the
-      reason is parked and written by the next :meth:`flush_pending`
-      at a safe, lock-free point.
-    - rate limiting: at most one dump per ``min_interval_s`` (measured
-      on the recorder's own clock); ``force=True`` bypasses it for
-      explicit operator dumps.
-
-    The recorder's sources (event log, metrics snapshot fn, tracer,
-    clock) are bound by the gateway via :meth:`bind`, so tests can
-    construct one with custom thresholds and hand it over.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        last_n: int = 512,
-        min_interval_s: float = 1.0,
-        shed_storm_threshold: int = 32,
-        shed_storm_window_s: float = 1.0,
-    ) -> None:
-        if last_n < 1:
-            raise ValueError(f"last_n must be positive, got {last_n}")
-        if shed_storm_threshold < 1:
-            raise ValueError(
-                f"shed_storm_threshold must be positive, got "
-                f"{shed_storm_threshold}"
-            )
-        self.directory = Path(directory)
-        self._last_n = last_n
-        self._min_interval_s = float(min_interval_s)
-        self._threshold = shed_storm_threshold
-        self._window_s = float(shed_storm_window_s)
-        self._lock = ordered_lock("obs.flight")
-        self._sheds: deque[float] = deque()
-        self._last_dump_ts: float | None = None
-        self._dumps = 0
-        self._suppressed = 0
-        # written lock-free from the LockOrderError hook (the erring
-        # thread still holds its inverted lockset there); a benign
-        # last-writer-wins race on a single attribute
-        self._pending: str | None = None
-        # bound by the gateway
-        self._events: EventLog = NULL_EVENTS
-        self._metrics_fn: Callable[[], dict[str, Any]] | None = None
-        self._tracer: Any = None
-        self._now: Callable[[], float] = time.perf_counter
-
-    def bind(
-        self,
-        *,
-        events: EventLog,
-        metrics_fn: Callable[[], dict[str, Any]],
-        tracer: Any = None,
-        now: Callable[[], float] | None = None,
-    ) -> None:
-        """Attach the telemetry sources a dump snapshots (gateway calls this)."""
-        self._events = events
-        self._metrics_fn = metrics_fn
-        self._tracer = tracer
-        if now is not None:
-            self._now = now
-
-    # ------------------------------------------------------------- triggers
-    def note_shed(self) -> Path | None:
-        """Record one shed; fire a ``shed_storm`` dump when they cluster.
-
-        Must be called with no ordered locks held (the gateway calls it
-        from its lock-free shed paths): a firing dump walks the event
-        log and the metrics snapshot.
-        """
-        now = self._now()
-        fire = False
-        with self._lock:
-            self._sheds.append(now)
-            cutoff = now - self._window_s
-            while self._sheds and self._sheds[0] < cutoff:
-                self._sheds.popleft()
-            if len(self._sheds) >= self._threshold:
-                fire = True
-                self._sheds.clear()
-        if fire:
-            return self.trigger("shed_storm")
-        return None
-
-    def defer(self, reason: str) -> None:
-        """Park a trigger without taking any lock (hook-safe).
-
-        Used by the ``LockOrderError`` hook: the erring thread still
-        holds its inverted lockset, so even the recorder's own lock is
-        off-limits.  A plain attribute write is enough — worst case two
-        racing errors collapse into one dump, which is the rate
-        limiter's behavior anyway.
-        """
-        if self._pending is None:
-            self._pending = reason
-
-    def flush_pending(self) -> Path | None:
-        """Write any parked (deferred) dump; called at safe points."""
-        reason, self._pending = self._pending, None
-        if reason is None:
-            return None
-        return self.trigger(reason)
-
-    def trigger(self, reason: str, *, force: bool = False) -> Path | None:
-        """Dump now (subject to the rate limit unless ``force``).
-
-        Returns the artifact path, or ``None`` when rate-limited.  Must
-        be called with no ordered locks held.
-        """
-        now = self._now()
-        with self._lock:
-            recent = (
-                self._last_dump_ts is not None
-                and now - self._last_dump_ts < self._min_interval_s
-            )
-            if recent and not force:
-                self._suppressed += 1
-                return None
-            self._last_dump_ts = now
-        return self._write(reason, now)
-
-    # ------------------------------------------------------------ the dump
-    @property
-    def dumps(self) -> int:
-        """Dumps written so far (the ``obs.flight.dumps`` gauge)."""
-        with self._lock:
-            return self._dumps
-
-    @property
-    def suppressed(self) -> int:
-        """Triggers swallowed by the rate limiter."""
-        with self._lock:
-            return self._suppressed
-
-    def _write(self, reason: str, now: float) -> Path:
-        log = self._events
-        if log.enabled:
-            log.emit("gateway.dump", reason=reason)
-        events = log.events()[-self._last_n :]
-        metrics = self._metrics_fn() if self._metrics_fn is not None else {}
-        tracer = self._tracer
-        active: dict[str, list[str]] = {}
-        recent_spans: list[dict[str, Any]] = []
-        if tracer is not None:
-            active = {
-                str(tid): list(stack)
-                for tid, stack in tracer.active_stacks().items()
-            }
-            recent_spans = [
-                {
-                    "name": s.name,
-                    "start_s": s.start_s,
-                    "dur_s": s.dur_s,
-                    "tid": s.tid,
-                    "path": list(s.path),
-                    "args": s.args,
-                }
-                for s in tracer.spans()[-self._last_n :]
-            ]
-        obj = {
-            "schema": FLIGHT_SCHEMA,
-            "version": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
-            "ts": now,
-            "events": [e.to_dict() for e in events],
-            "dropped_events": log.dropped,
-            "metrics": metrics,
-            "active_spans": active,
-            "recent_spans": recent_spans,
-        }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / f"flight_{_safe_reason(reason)}.json"
-        path.write_text(
-            json.dumps(obj, indent=1, sort_keys=True, default=str) + "\n"
-        )
-        with self._lock:
-            self._dumps += 1
-        return path
 
 
 def request_kinds(records: Iterable[dict[str, Any]]) -> dict[str, list[str]]:

@@ -16,12 +16,11 @@ instruments into that answer:
 - each model's result is a :class:`ModelHealth` with a status in
   {``healthy``, ``degraded``, ``breached``} plus human-readable
   reasons, and is mirrored into ``slo.<model>.*`` gauges (status is
-  encoded 0/1/2) for exposition.
+  encoded 0/1/2) in the metrics snapshot.
 
-``degraded`` is the early-warning band: within
-``SLOConfig.degraded_fraction`` (default 0.8) of a breach threshold
-without crossing it.  Models with no configured SLO always evaluate
-healthy with the reason ``no slo configured``.
+``degraded`` is the early-warning band: within :data:`DEGRADED_FRACTION`
+of a breach threshold without crossing it.  Models with no configured
+SLO always evaluate healthy with the reason ``no slo configured``.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ STATUS_CODES: dict[str, int] = {HEALTHY: 0, DEGRADED: 1, BREACHED: 2}
 #: keeps the deque at the handful of samples one window spans)
 MAX_SAMPLES = 4096
 
+#: fraction of a threshold at which status turns ``degraded``
+DEGRADED_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class SLOConfig:
@@ -62,8 +64,6 @@ class SLOConfig:
     error_budget_pct: float | None = None
     #: rolling evaluation window (seconds, on the gateway clock)
     window_s: float = 60.0
-    #: fraction of a threshold at which status turns ``degraded``
-    degraded_fraction: float = 0.8
 
     def validate(self) -> None:
         # nan and inf pass every sign test below (they compare false).
@@ -73,11 +73,6 @@ class SLOConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.window_s <= 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if not 0.0 < self.degraded_fraction <= 1.0:
-            raise ValueError(
-                f"degraded_fraction must be in (0, 1], "
-                f"got {self.degraded_fraction}"
-            )
         if self.target_p95_ms is not None and self.target_p95_ms <= 0:
             raise ValueError(
                 f"target_p95_ms must be positive, got {self.target_p95_ms}"
@@ -124,18 +119,6 @@ class ModelHealth:
             p95_ms=0.0, error_rate=0.0, deadline_hit_rate=1.0,
             window_completed=0, window_s=0.0,
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "status": self.status,
-            "reasons": list(self.reasons),
-            "p95_ms": self.p95_ms,
-            "error_rate": self.error_rate,
-            "deadline_hit_rate": self.deadline_hit_rate,
-            "window_completed": self.window_completed,
-            "window_s": self.window_s,
-        }
 
 
 def _counts_delta(
@@ -199,10 +182,6 @@ class SLOMonitor:
                     ),
                     "status": registry.gauge(f"slo.{name}.status"),
                 }
-
-    @property
-    def configs(self) -> dict[str, SLOConfig | None]:
-        return dict(self._configs)
 
     # ------------------------------------------------------------- sampling
     def _extract(self, snap: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
@@ -287,10 +266,10 @@ class SLOMonitor:
                 breaches.append(
                     f"p95 {p95:.3f}ms > target {cfg.target_p95_ms:.3f}ms"
                 )
-            elif p95 > cfg.degraded_fraction * cfg.target_p95_ms:
+            elif p95 > DEGRADED_FRACTION * cfg.target_p95_ms:
                 degrades.append(
                     f"p95 {p95:.3f}ms within "
-                    f"{cfg.degraded_fraction:.0%} of target "
+                    f"{DEGRADED_FRACTION:.0%} of target "
                     f"{cfg.target_p95_ms:.3f}ms"
                 )
         if cfg.error_budget_pct is not None and submitted:
@@ -300,16 +279,16 @@ class SLOMonitor:
                     f"error rate {pct:.2f}% > budget "
                     f"{cfg.error_budget_pct:.2f}%"
                 )
-            elif pct > cfg.degraded_fraction * cfg.error_budget_pct:
+            elif pct > DEGRADED_FRACTION * cfg.error_budget_pct:
                 degrades.append(
                     f"error rate {pct:.2f}% within "
-                    f"{cfg.degraded_fraction:.0%} of budget "
+                    f"{DEGRADED_FRACTION:.0%} of budget "
                     f"{cfg.error_budget_pct:.2f}%"
                 )
         if cfg.deadline_hit_rate is not None and lat_total:
             # the degraded band sits between the target and the target
-            # plus degraded_fraction of the remaining headroom to 1.0
-            soft = cfg.deadline_hit_rate + (1.0 - cfg.degraded_fraction) * (
+            # plus DEGRADED_FRACTION of the remaining headroom to 1.0
+            soft = cfg.deadline_hit_rate + (1.0 - DEGRADED_FRACTION) * (
                 1.0 - cfg.deadline_hit_rate
             )
             if hit_rate < cfg.deadline_hit_rate:

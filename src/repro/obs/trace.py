@@ -218,16 +218,6 @@ class Tracer(ThreadRings):
         """Every recorded span across all threads, ordered by start time."""
         return self.collect(lambda r: r.start_s)
 
-    def active_stacks(self) -> dict[int, tuple[str, ...]]:
-        """Per-thread live span-name stacks (threads inside a span now).
-
-        The flight recorder snapshots this at dump time: it answers
-        "what was every thread doing" without waiting for spans to close.
-        """
-        return {
-            buf.tid: tuple(buf.stack) for buf in self.rings() if buf.stack
-        }
-
     def wall_us(self, start_s: float) -> float:
         """Map a monotonic span start onto the wall-clock anchor, in µs."""
         return (self._anchor_wall + (start_s - self._anchor_perf)) * 1e6

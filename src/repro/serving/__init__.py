@@ -1,6 +1,6 @@
 """`repro.serving`: the async request gateway in front of the Engine.
 
-The deployment front door (ROADMAP item 1): per-model bounded queues
+The deployment front door: per-model bounded queues
 with admission control and typed load-shedding, deadline-driven
 continuous batching, warm Engine replica pools sharing prepacked
 weights (one worker thread per replica, pulling its own batches).
@@ -14,13 +14,12 @@ The serving benchmark lives outside the package: ``python3 -m bench.run
 --workload serve_steady_32|serve_saturate_32``.
 
 Production telemetry rides on :mod:`repro.obs`: attach an
-:class:`~repro.obs.events.EventLog` for request-scoped events, a
-per-model :class:`~repro.obs.slo.SLOConfig` for ``Gateway.health()``,
-and a :class:`~repro.obs.events.FlightRecorder` for postmortem dumps
-(re-exported here for convenience).
+:class:`~repro.obs.events.EventLog` for request-scoped events and a
+per-model :class:`~repro.obs.slo.SLOConfig` for ``Gateway.health()``
+(both re-exported here for convenience).
 """
 
-from repro.obs.events import EventLog, FlightRecorder
+from repro.obs.events import EventLog
 from repro.obs.slo import ModelHealth, SLOConfig, SLOMonitor
 
 from repro.serving.clock import MONOTONIC_CLOCK, Clock, MonotonicClock
@@ -47,7 +46,6 @@ __all__ = [
     "SHED_UNKNOWN_MODEL",
     "Clock",
     "EventLog",
-    "FlightRecorder",
     "Gateway",
     "GatewayConfig",
     "GatewayStats",

@@ -37,9 +37,7 @@ whole lifecycle — ``request.accept`` / ``request.coalesce`` /
 ``request.shed`` | ``request.failed`` — and into the span args, so
 traces and events join on one id.  A per-model
 :class:`~repro.obs.slo.SLOConfig` turns the live histograms into
-:meth:`Gateway.health`, and a :class:`~repro.obs.events.FlightRecorder`
-snapshots a postmortem dump on shed storms, replica quarantine,
-sanitizer ``LockOrderError`` or an explicit :meth:`Gateway.dump`.
+:meth:`Gateway.health`.
 
 Determinism contract: an accepted request's reply is bit-identical to
 running that request alone through ``Engine.run`` — the gateway only
@@ -58,13 +56,9 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.concurrency.locks import (
-    on_lock_order_error,
-    ordered_lock,
-    remove_lock_order_error_hook,
-)
+from repro.concurrency.locks import ordered_lock
 from repro.graph.ir import Graph
-from repro.obs.events import NULL_EVENTS, EventLog, FlightRecorder
+from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import MetricsRegistry, global_registry, quantile_from_counts
 from repro.obs.slo import ModelHealth, SLOConfig, SLOMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -285,7 +279,6 @@ class _ModelServer:
         tracer: Tracer,
         engine_factory: Callable[..., Engine] | None = None,
         events: EventLog = NULL_EVENTS,
-        flight: FlightRecorder | None = None,
     ) -> None:
         self.name = name
         self._config = config
@@ -293,7 +286,6 @@ class _ModelServer:
         self._metrics = metrics
         self._tracer = tracer
         self._events = events
-        self._flight = flight
 
         self._lock = ordered_lock("serving.server")
         self._cond = threading.Condition(self._lock)
@@ -424,10 +416,6 @@ class _ModelServer:
             "request.shed", request_id=request_id, model=self.name, reason=reason
         )
         _resolve(future, Rejected(self.name, reason, detail))
-        # Storm detection runs last and lock-free: a firing dump walks
-        # the event log and the metrics snapshot.
-        if self._flight is not None:
-            self._flight.note_shed()
 
     # ------------------------------------------------------------- workers
     def _worker_loop(self, replica: _Replica) -> None:
@@ -599,10 +587,6 @@ class _ModelServer:
                 p.future,
                 Rejected(self.name, SHED_NO_HEALTHY_REPLICA, "replica pool dead"),
             )
-        # The postmortem trigger runs last, lock-free, after every future
-        # is answered; the dump itself is rate-limited.
-        if quarantined and self._flight is not None:
-            self._flight.trigger("replica_quarantine")
 
     # --------------------------------------------------------------- close
     def close(self) -> None:
@@ -641,10 +625,6 @@ class Gateway:
             applied to every model, or a ``model -> SLOConfig`` mapping
             (unlisted models evaluate healthy).  Enables
             :meth:`health` with real verdicts and ``slo.*`` gauges.
-        flight: optional :class:`~repro.obs.events.FlightRecorder`;
-            the gateway binds it to its event log / metrics / tracer /
-            clock and trips it on shed storms, replica quarantine,
-            sanitizer ``LockOrderError`` and :meth:`dump`.
     """
 
     def __init__(
@@ -657,7 +637,6 @@ class Gateway:
         engine_factory: Callable[..., Engine] | None = None,
         events: EventLog | None = None,
         slo: SLOConfig | Mapping[str, SLOConfig] | None = None,
-        flight: FlightRecorder | None = None,
     ) -> None:
         if not models:
             raise ValueError("gateway requires at least one model")
@@ -688,32 +667,13 @@ class Gateway:
         self._req_seq = itertools.count(1)
         self.metrics = MetricsRegistry()
 
-        self._flight = flight
-        if flight is not None:
-            flight.bind(
-                events=self.events,
-                metrics_fn=self.metrics_snapshot,
-                tracer=self.tracer,
-                now=self.clock.now,
-            )
-            # The hook must not acquire locks (it fires mid-violation on
-            # the erring thread); defer() is a plain attribute write and
-            # flush_pending() dumps at the next safe point.
-            self._flight_hook = lambda err: flight.defer("lock_order")
-            on_lock_order_error(self._flight_hook)
-        else:
-            self._flight_hook = None
-
         m = self.metrics
         # The only request outcome no model server can count; every other
         # total is summed from the per-model instruments at snapshot time.
         self._m_shed_unknown = m.counter("gateway.shed_unknown_model")
-        # Ring truncation is never silent: drop counts ride every
-        # snapshot (and the Prometheus exposition).
+        # Ring truncation is never silent: drop counts ride every snapshot.
         m.gauge("obs.trace.dropped", lambda: self.tracer.dropped)
         m.gauge("obs.events.dropped", lambda: self.events.dropped)
-        if flight is not None:
-            m.gauge("obs.flight.dumps", lambda: flight.dumps)
         self._servers: dict[str, _ModelServer] = {}
         self._slo: SLOMonitor | None = None
         try:
@@ -727,7 +687,6 @@ class Gateway:
                     self.tracer,
                     engine_factory,
                     self.events,
-                    flight,
                 )
             if slo_by_model is not None:
                 self._slo = SLOMonitor(
@@ -738,7 +697,7 @@ class Gateway:
                 )
         except BaseException:
             # The caller gets no handle: stop the workers already started
-            # and detach the flight hook before the error leaves.
+            # before the error leaves.
             self.close()
             raise
 
@@ -798,12 +757,6 @@ class Gateway:
         Safe to call concurrently (with itself and with ``submit``):
         every caller returns only after each server's workers have exited.
         """
-        if self._flight is not None:
-            # Last chance for a deferred (lock-order) dump while the
-            # telemetry sources are still live; then detach the hook.
-            self._flight.flush_pending()
-            if self._flight_hook is not None:
-                remove_lock_order_error_hook(self._flight_hook)
         for server in self._servers.values():
             server.close()
 
@@ -812,26 +765,11 @@ class Gateway:
         """Per-model SLO verdicts for the current rolling window.
 
         Without configured SLOs every model reports ``healthy`` with the
-        reason ``no slo configured``.  Evaluating also flushes any
-        deferred flight dump — health checks are the gateway's periodic
-        safe point.
+        reason ``no slo configured``.
         """
-        if self._flight is not None:
-            self._flight.flush_pending()
         if self._slo is not None:
             return self._slo.evaluate()
         return {name: ModelHealth.unconfigured(name) for name in self._servers}
-
-    def dump(self, reason: str = "manual") -> Any:
-        """Force a flight-recorder dump; returns the path or ``None``.
-
-        Explicit operator dumps bypass the rate limit.  ``None`` means
-        no :class:`FlightRecorder` is attached.
-        """
-        if self._flight is None:
-            return None
-        self._flight.flush_pending()
-        return self._flight.trigger(reason, force=True)
 
     def __enter__(self) -> "Gateway":
         return self

@@ -12,7 +12,9 @@ the graph's cycle detector, which is exactly the signal
 
 from __future__ import annotations
 
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.concurrency import (
     rank_of,
     sanitizer_enabled,
 )
+from repro.concurrency.order import LOCK_ORDER
 
 
 # ----------------------------------------------------------- the rank table
@@ -42,6 +45,17 @@ def test_rank_table_is_a_strict_hierarchy_per_name():
     # from under every other lock, including from metrics callbacks).
     reentrant = [n for n, e in LOCK_RANKS.items() if e.reentrant]
     assert reentrant == ["obs.metrics"]
+
+
+def test_architecture_doc_lists_every_registered_lock():
+    """docs/architecture.md §13's rank table is the table, row for row."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "architecture.md"
+    section = doc.read_text().split("### The rank table", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \| (yes|no) \|", section, re.M)
+    assert [(name, int(rank), flag == "yes") for name, rank, flag in rows] == [
+        (entry.name, entry.rank, entry.reentrant) for entry in LOCK_ORDER
+    ]
 
 
 def test_rank_of_unknown_name_raises():

@@ -1,11 +1,10 @@
-"""The structured event log and the flight recorder.
+"""The structured event log and its JSONL export.
 
 The EventLog records into the Tracer's per-thread ring store (its
 overwrite/drop semantics are pinned once for both in
 ``tests/test_obs_ring.py``); here: stable timestamp ordering across
-threads and a shared no-op instance for the disabled path.  The FlightRecorder tests drive every trigger —
-explicit, shed storm, deferred (the LockOrderError hook path) — on a
-virtual clock and schema-validate the dump artifact.
+threads, a shared no-op instance for the disabled path, and the
+schema oracle over the exported stream.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.analysis import validate_events, validate_flight
+from repro.analysis import validate_events
 from repro.obs import (
     EVENT_KINDS,
     EVENT_SCHEMA,
@@ -23,9 +22,6 @@ from repro.obs import (
     NULL_EVENTS,
     TERMINAL_KINDS,
     EventLog,
-    FlightRecorder,
-    MetricsRegistry,
-    Tracer,
     events_to_records,
     write_events_jsonl,
 )
@@ -100,7 +96,7 @@ def test_use_clock_rebinds_timebase():
     log = EventLog()
     clock = _Clock(start=42.0)
     log.use_clock(clock)
-    log.emit("gateway.dump")
+    log.emit("engine.batch")
     assert log.events()[0].ts == 42.0
 
 
@@ -219,109 +215,3 @@ def test_request_kinds_indexes_lifecycle_only():
         "a": ["request.accept", "request.complete"],
         "b": ["request.shed"],
     }
-
-
-# ----------------------------------------------------------- FlightRecorder
-def _recorder(tmp_path, clock, **kwargs):
-    recorder = FlightRecorder(tmp_path, **kwargs)
-    log = EventLog(now=lambda: clock.t)
-    registry = MetricsRegistry()
-    registry.counter("gateway.submitted").add(7)
-    recorder.bind(
-        events=log,
-        metrics_fn=registry.snapshot,
-        tracer=Tracer(),
-        now=lambda: clock.t,
-    )
-    return recorder, log
-
-
-def test_trigger_writes_schema_valid_dump(tmp_path):
-    clock = _Clock(start=10.0)
-    recorder, log = _recorder(tmp_path, clock)
-    log.emit("request.accept", request_id="m-1", model="m")
-    path = recorder.trigger("manual")
-    assert path is not None and path.name == "flight_manual.json"
-    obj = json.loads(path.read_text())
-    assert validate_flight(obj) == []
-    assert obj["reason"] == "manual"
-    assert obj["ts"] == 10.0
-    assert obj["metrics"]["gateway.submitted"] == 7
-    # the dump itself lands in the event stream (the black box records
-    # its own activation)
-    kinds = [e["kind"] for e in obj["events"]]
-    assert kinds == ["request.accept", "gateway.dump"]
-    assert recorder.dumps == 1
-
-
-def test_rate_limit_suppresses_then_recovers(tmp_path):
-    clock = _Clock()
-    recorder, _log = _recorder(tmp_path, clock, min_interval_s=5.0)
-    assert recorder.trigger("first") is not None
-    clock.t = 1.0
-    assert recorder.trigger("second") is None  # inside the interval
-    assert recorder.suppressed == 1
-    clock.t = 1.5
-    assert recorder.trigger("forced", force=True) is not None  # bypass
-    clock.t = 10.0
-    assert recorder.trigger("third") is not None
-    assert recorder.dumps == 3
-
-
-def test_shed_storm_fires_at_threshold_within_window(tmp_path):
-    clock = _Clock()
-    recorder, _log = _recorder(
-        tmp_path, clock,
-        shed_storm_threshold=3, shed_storm_window_s=1.0, min_interval_s=0.0,
-    )
-    assert recorder.note_shed() is None
-    assert recorder.note_shed() is None
-    path = recorder.note_shed()  # third shed inside the window: storm
-    assert path is not None and path.name == "flight_shed_storm.json"
-    assert validate_flight(json.loads(path.read_text())) == []
-    # the window was cleared: the count restarts
-    assert recorder.note_shed() is None
-
-
-def test_slow_sheds_never_cluster_into_a_storm(tmp_path):
-    clock = _Clock()
-    recorder, _log = _recorder(
-        tmp_path, clock, shed_storm_threshold=3, shed_storm_window_s=1.0,
-    )
-    for _ in range(10):
-        assert recorder.note_shed() is None
-        clock.t += 2.0  # each shed falls out of the window before the next
-    assert recorder.dumps == 0
-
-
-def test_defer_parks_until_flush_pending(tmp_path):
-    clock = _Clock()
-    recorder, _log = _recorder(tmp_path, clock)
-    recorder.defer("lock_order")
-    recorder.defer("second")  # first reason wins; racing errors collapse
-    assert recorder.dumps == 0  # nothing written yet
-    path = recorder.flush_pending()
-    assert path is not None and path.name == "flight_lock_order.json"
-    assert recorder.flush_pending() is None  # drained
-
-
-def test_reason_is_sanitized_for_the_filename(tmp_path):
-    clock = _Clock()
-    recorder, _log = _recorder(tmp_path, clock)
-    path = recorder.trigger("weird reason/../x")
-    assert path is not None
-    assert path.name == "flight_weird_reason_.._x.json"
-    assert path.parent == tmp_path
-
-
-def test_dump_keeps_only_last_n_events(tmp_path):
-    clock = _Clock()
-    recorder, log = _recorder(tmp_path, clock, last_n=4)
-    for i in range(10):
-        log.emit("engine.batch", i=i)
-    obj = json.loads(recorder.trigger("manual").read_text())
-    assert validate_flight(obj) == []
-    assert len(obj["events"]) == 4
-    # the newest events survive, including the dump's own event
-    assert obj["events"][-1]["kind"] == "gateway.dump"
-    assert [e["attrs"].get("i") for e in obj["events"][:-1]] == [7, 8, 9]

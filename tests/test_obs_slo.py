@@ -18,6 +18,7 @@ from repro.obs import (
     SLOConfig,
     SLOMonitor,
 )
+from repro.obs.slo import DEGRADED_FRACTION
 
 
 class _Feed:
@@ -71,8 +72,7 @@ def test_config_validation():
         SLOConfig(target_p95_ms=-1.0).validate()
     with pytest.raises(ValueError):
         SLOConfig(error_budget_pct=101.0).validate()
-    with pytest.raises(ValueError):
-        SLOConfig(degraded_fraction=0.0).validate()
+    assert 0.0 < DEGRADED_FRACTION <= 1.0  # the degraded band is inside
     with pytest.raises(ValueError):
         # a hit-rate objective is meaningless without a deadline
         SLOConfig(deadline_hit_rate=0.99).validate()
@@ -119,11 +119,10 @@ def test_p95_breach_and_recovery():
 
 
 def test_degraded_band_before_breach():
-    monitor, feed = _monitor(
-        SLOConfig(target_p95_ms=10.0, degraded_fraction=0.8)
-    )
+    monitor, feed = _monitor(SLOConfig(target_p95_ms=10.0))
     feed.t = 1.0
-    feed.set("m", accepted=1, completed=1, latency=[9.0])  # 80% < 9 <= 10
+    latency = (DEGRADED_FRACTION * 10.0 + 10.0) / 2  # inside the band
+    feed.set("m", accepted=1, completed=1, latency=[latency])
     health = monitor.evaluate()["m"]
     assert health.status == DEGRADED
     assert any("within" in r for r in health.reasons)
@@ -204,12 +203,3 @@ def test_slo_gauges_mirror_the_verdict():
     assert snap["slo.m.error_rate"] == 0.0
     assert snap["slo.m.deadline_hit_rate"] == 1.0
 
-
-def test_health_to_dict_round_trips():
-    monitor, feed = _monitor(SLOConfig(target_p95_ms=10.0))
-    feed.t = 1.0
-    health = monitor.evaluate()["m"]
-    d = health.to_dict()
-    assert d["model"] == "m"
-    assert d["status"] == HEALTHY
-    assert isinstance(d["reasons"], list)

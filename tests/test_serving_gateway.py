@@ -487,24 +487,20 @@ def test_close_leaves_no_gateway_thread(graph, rng):
     assert _started_since(before) == []
 
 
-def test_failed_construction_leaves_no_gateway_thread(graph, tmp_path):
+def test_failed_construction_leaves_no_gateway_thread(graph):
     """A ``Gateway(...)`` that raises hands the caller nothing to close,
     so it stops what it started: neither a bad ``slo`` mapping nor an
     engine factory failing on a later model leaves a ``repro-gw-`` worker
-    or a lock-order hook behind."""
-    from repro.concurrency import locks
-    from repro.obs import FlightRecorder, SLOConfig
+    behind."""
+    from repro.obs import SLOConfig
 
     before = set(threading.enumerate())
-    hooks = list(locks._ORDER_ERROR_HOOKS)
     config = GatewayConfig(replicas=2)
     with pytest.raises(ValueError, match="unknown model"):
         Gateway(
-            {"m": graph}, config, clock=FakeClock(),
-            slo={"nope": SLOConfig()}, flight=FlightRecorder(tmp_path),
+            {"m": graph}, config, clock=FakeClock(), slo={"nope": SLOConfig()}
         )
     assert _started_since(before) == []
-    assert locks._ORDER_ERROR_HOOKS == hooks
 
     built = []
 
@@ -517,11 +513,10 @@ def test_failed_construction_leaves_no_gateway_thread(graph, tmp_path):
     with pytest.raises(RuntimeError, match="engine build failed"):
         Gateway(
             {"a": graph, "b": graph}, config, clock=FakeClock(),
-            engine_factory=factory, flight=FlightRecorder(tmp_path),
+            engine_factory=factory,
         )
     assert len(built) == config.replicas
     assert _started_since(before) == []
-    assert locks._ORDER_ERROR_HOOKS == hooks
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

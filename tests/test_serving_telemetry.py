@@ -1,4 +1,4 @@
-"""End-to-end telemetry acceptance: events, SLO health, flight recorder.
+"""End-to-end telemetry acceptance: events, SLO health, `cli serve`.
 
 Everything runs on a FakeClock, so the latency the SLO monitor sees is
 *injected* — the batching deadline is the only thing that moves virtual
@@ -8,8 +8,8 @@ deterministic:
 - a 50 ms deadline against a 10 ms p95 target must judge ``breached``;
 - an immediate flush (deadline 0) against the same target must judge
   ``healthy``;
-- a forced overload (tiny queue, parked worker) must shed in a storm
-  and trip the flight recorder into a schema-valid dump;
+- a forced overload (tiny queue, parked worker) must shed, each shed
+  request with exactly one terminal event;
 - the exported event stream must validate with exactly one terminal
   event per request id.
 """
@@ -23,18 +23,9 @@ from fake_clock import FakeClock
 from test_runtime_parity import _batched_input, _binary_net
 
 from repro import cli
-from repro.analysis import validate_events, validate_flight
-from repro.concurrency.locks import LockOrderError, _notify_order_error
+from repro.analysis import validate_events
 from repro.core.types import Padding
-from repro.obs import (
-    EventLog,
-    FlightRecorder,
-    SLOConfig,
-    Tracer,
-    events_to_records,
-    parse_prometheus_text,
-    prom_name,
-)
+from repro.obs import EventLog, SLOConfig, Tracer, events_to_records
 from repro.obs.events import request_kinds
 from repro.serving import (
     SHED_QUEUE_FULL,
@@ -180,99 +171,31 @@ def test_slo_for_unknown_model_is_rejected(rng):
         )
 
 
-# --------------------------------------------------------- flight recorder
-def test_overload_storm_trips_the_flight_recorder(rng, tmp_path):
+# ----------------------------------------------------------------- overload
+def test_overload_sheds_with_exactly_one_terminal_event_each(rng):
     log = EventLog()
-    flight = FlightRecorder(
-        tmp_path,
-        shed_storm_threshold=3,
-        shed_storm_window_s=10.0,
-        min_interval_s=0.0,
-    )
     # A long deadline parks the worker, so the tiny queue fills and the
     # remaining submits shed deterministically.
-    gateway, clock, x = _gateway(
-        rng, deadline_ms=1000.0, max_queue=2, events=log, flight=flight
-    )
+    gateway, clock, x = _gateway(rng, deadline_ms=1000.0, max_queue=2, events=log)
     try:
         gateway.warmup(factors=(1,))
         first = gateway.submit("bin", x)
         clock.wait_for_timed_waiters(1, TIMEOUT_S)  # worker is parked
         futures = [first] + [gateway.submit("bin", x) for _ in range(9)]
-        replies = []
         clock.advance(1.0)  # deadline: flush the two accepted requests
-        for f in futures:
-            replies.append(f.result(TIMEOUT_S))
+        replies = [f.result(TIMEOUT_S) for f in futures]
         records = events_to_records(log)
-        snapshot = gateway.metrics_snapshot()
     finally:
         gateway.close()
 
     shed = [r for r in replies if isinstance(r, Rejected)]
     assert len(shed) == 8
     assert all(r.reason == SHED_QUEUE_FULL for r in shed)
-
-    # the storm fired and wrote a schema-valid dump
-    assert flight.dumps >= 1
-    assert snapshot["obs.flight.dumps"] == flight.dumps
-    dump_path = tmp_path / "flight_shed_storm.json"
-    assert dump_path.exists()
-    obj = json.loads(dump_path.read_text())
-    assert validate_flight(obj) == []
-    assert obj["reason"] == "shed_storm"
-    assert obj["metrics"]["gateway.shed"] >= 3
-    assert any(e["kind"] == "gateway.dump" for e in obj["events"])
-
     # the stream stays valid through the overload: every shed request
     # has exactly its one terminal event
     assert validate_events(records) == []
     per_request = request_kinds(records[1:])
     assert sum(k == ["request.shed"] for k in per_request.values()) == 8
-
-
-def test_manual_dump_bypasses_the_rate_limit(rng, tmp_path):
-    flight = FlightRecorder(tmp_path, min_interval_s=3600.0)
-    gateway, clock, x = _gateway(
-        rng, deadline_ms=0.0, events=EventLog(), flight=flight
-    )
-    try:
-        assert not isinstance(
-            gateway.submit("bin", x).result(TIMEOUT_S), Rejected
-        )
-        first = gateway.dump("manual")
-        second = gateway.dump("manual")  # forced: the limiter never wins
-    finally:
-        gateway.close()
-    assert first is not None and second is not None
-    obj = json.loads(second.read_text())
-    assert validate_flight(obj) == []
-    assert obj["reason"] == "manual"
-
-
-def test_lock_order_error_hook_defers_then_dumps(rng, tmp_path):
-    flight = FlightRecorder(tmp_path, min_interval_s=0.0)
-    gateway, clock, x = _gateway(
-        rng, deadline_ms=0.0, events=EventLog(), flight=flight
-    )
-    try:
-        # Simulate the sanitizer detecting an inversion on some thread:
-        # the hook must only park the reason (no locks, no I/O)...
-        _notify_order_error(
-            LockOrderError(
-                "synthetic inversion",
-                acquiring="serving.server",
-                held=("obs.metrics",),
-            )
-        )
-        assert flight.dumps == 0
-        # ...and the next safe point (health()) writes the dump.
-        gateway.health()
-        assert flight.dumps == 1
-    finally:
-        gateway.close()
-    obj = json.loads((tmp_path / "flight_lock_order.json").read_text())
-    assert validate_flight(obj) == []
-    assert obj["reason"] == "lock_order"
 
 
 def test_disabled_telemetry_emits_nothing(rng):
@@ -299,28 +222,17 @@ _SERVE = ["serve", "--requests", "16", "--replicas", "1", "--input-size", "32"]
 
 def test_serve_command_writes_valid_artifacts(tmp_path, capsys):
     events_out = tmp_path / "events.jsonl"
-    prom_out = tmp_path / "metrics.prom"
-    rc = cli.main(
-        _SERVE
-        + ["--events-out", str(events_out), "--flight-dump", str(tmp_path)]
-        + ["--prom-out", str(prom_out), "--tail", "3"]
-    )
+    rc = cli.main(_SERVE + ["--events-out", str(events_out)])
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert "served 16/16 requests" in captured.out
-    assert "request.complete" in captured.out  # the --tail lines
+    assert f"wrote {events_out}" in captured.out
 
     records = [json.loads(line) for line in events_out.read_text().splitlines()]
     assert validate_events(records) == []
     kinds = request_kinds(records)
     assert len(kinds) == 16
     assert all(k[-1] == "request.complete" for k in kinds.values())
-    dump = json.loads((tmp_path / "flight_forced.json").read_text())
-    assert validate_flight(dump) == [] and dump["reason"] == "forced"
-    series = parse_prometheus_text(prom_out.read_text())
-    model = prom_name("gateway.quicknet_small")
-    # rc 0 also says the command found them equal to gateway.submitted
-    assert series[f"{model}_accepted_total"] + series[f"{model}_shed_total"] == 16
 
 
 @pytest.mark.parametrize(
