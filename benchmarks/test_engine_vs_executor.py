@@ -47,7 +47,7 @@ def _measure(fn, repeats: int = REPEATS) -> float:
 def _serving_comparison():
     """ms/sample for per-call Executor vs Engine.run_many at each batch."""
     rng = np.random.default_rng(99)
-    model = convert(quicknet("small", input_size=64), in_place=True)
+    model = convert(quicknet("small", input_size=64))
     spec = model.graph.tensors[model.graph.inputs[0]]
     rows = []
     for batch in BATCH_SIZES:

@@ -34,7 +34,7 @@ class Candidate:
 
 
 def evaluate(name: str, graph, device) -> Candidate:
-    model = convert(graph, in_place=True)
+    model = convert(graph)
     macs = count_macs(model.graph)
     return Candidate(
         name=name,

@@ -28,7 +28,7 @@ def main(model_name: str = "quicknet", device_name: str = "rpi4b") -> None:
     device = DeviceModel.by_name(device_name)
 
     print(f"building and converting {model_name}...")
-    model = convert(build_model(model_name), in_place=True)
+    model = convert(build_model(model_name))
     profiles = profile_graph(device, model.graph)
     total_ms = sum(p.simulated_s for p in profiles) * 1e3
     print(f"{model_name} on {device_name}: {total_ms:.1f} ms end to end\n")

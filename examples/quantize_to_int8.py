@@ -50,7 +50,7 @@ def main() -> None:
     print(f"  max relative error {rel_err:.3f}; top-1 prediction match: {bool(top1_match)}")
 
     print("\nbinarizing the same architecture for comparison...")
-    binary = convert(binary_resnet18("A", input_size=INPUT_SIZE), in_place=True)
+    binary = convert(binary_resnet18("A", input_size=INPUT_SIZE))
 
     print(f"\n{'model':<22} {'latency (pixel1)':>17} {'params':>10}")
     for name, graph in (

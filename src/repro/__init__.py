@@ -32,8 +32,10 @@ Quickstart::
     from repro.graph import Executor
     from repro.hw import DeviceModel
 
-    training_graph = zoo.quicknet("small")
-    model = convert(training_graph)            # training graph -> LCE model
+    # training graph -> LCE model.  convert() never mutates its input and
+    # shares its arrays read-only; keeping no name for the training graph
+    # lets its float weights go.
+    model = convert(zoo.quicknet("small"))
     out = Executor(model.graph).run(np.random.randn(1, 224, 224, 3))
     latency_ms = DeviceModel.pixel1().graph_latency_ms(model.graph)
 

@@ -95,8 +95,7 @@ def evaluate_candidate(
     input_size: int = 224,
 ) -> CandidateResult:
     """Hardware-in-the-loop evaluation: build, convert, estimate latency."""
-    graph = build_quicknet_config(layers, filters, input_size=input_size)
-    model = convert(graph, in_place=True)
+    model = convert(build_quicknet_config(layers, filters, input_size=input_size))
     macs = count_macs(model.graph)
     return CandidateResult(
         layers=tuple(layers),

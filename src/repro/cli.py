@@ -82,8 +82,7 @@ def _resolve_profile(args, command: str):
 
 
 def _build_converted(args):
-    graph = build_model(args.model, input_size=args.input_size)
-    return convert(graph, in_place=True)
+    return convert(build_model(args.model, input_size=args.input_size))
 
 
 def _engine_input(graph, batch: int) -> np.ndarray:
@@ -130,7 +129,7 @@ def cmd_profile(args) -> int:
 def cmd_summarize(args) -> int:
     graph = build_model(args.model, input_size=args.input_size)
     if args.converted:
-        graph = convert(graph, in_place=True).graph
+        graph = convert(graph).graph
     print(format_summary(graph))
     return 0
 
@@ -238,7 +237,7 @@ def cmd_analyze(args) -> int:
             pre = analyze_graph(graph)
             diags.extend(_located(pre, f"{name} (training)"))
             try:
-                graph = convert(graph, in_place=True).graph
+                graph = convert(graph).graph
             except GraphError as exc:
                 # convert() enforces per-pass; report instead of crashing
                 # only if the pre-pass analysis didn't already explain it.
@@ -392,8 +391,9 @@ def _telemetry_burst(args, *, events, slo):
 
     models = {}
     for name in args.models:
-        graph = build_model(name, input_size=args.input_size)
-        models[name] = convert(graph, in_place=True)
+        # No name for the training graph: it would keep the last model's
+        # float weights resident for the whole serve.
+        models[name] = convert(build_model(name, input_size=args.input_size))
     rng = np.random.default_rng(args.seed)
     inputs = {}
     for name, model in models.items():

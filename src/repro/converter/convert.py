@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.graph.ir import Graph
@@ -39,7 +38,7 @@ class ConvertedModel:
     report: ConversionReport
 
 
-def convert(training_graph: Graph, in_place: bool = False) -> ConvertedModel:
+def convert(training_graph: Graph) -> ConvertedModel:
     """Convert a training graph into an optimized LCE inference model.
 
     Runs the default pass pipeline: emulated binarized convolutions become
@@ -48,11 +47,16 @@ def convert(training_graph: Graph, in_place: bool = False) -> ConvertedModel:
     binarized convolutions exchange bitpacked data via precomputed
     thresholds; dead emulation ops are removed.
 
+    The passes run on ``training_graph.copy()``, so the input is never
+    mutated: its structure is copied and its parameter arrays are shared
+    read-only with the converted graph wherever a pass keeps them.  Pass
+    ``build_model(...)`` straight in when the training graph is not needed
+    afterwards, so its float weights can be freed.
+
     Args:
         training_graph: graph built by the zoo / training layers.
-        in_place: mutate the given graph instead of deep-copying it first.
     """
-    graph = training_graph if in_place else copy.deepcopy(training_graph)
+    graph = training_graph.copy()
     graph.validate()
     nodes_before = len(graph)
     bytes_before = graph.param_nbytes()

@@ -49,7 +49,7 @@ def run_birealnet(device: str = "rpi4b") -> dict[str, float]:
     fallback; ``tvm (kernels only)`` is the model without that anomaly.
     """
     dev = DeviceModel.by_name(device)
-    model = convert(birealnet18(), in_place=True)
+    model = convert(birealnet18())
     results: dict[str, float] = {}
     for fw_name in COMPARED_FRAMEWORKS:
         fw = FRAMEWORKS[fw_name]

@@ -41,7 +41,7 @@ def run(device: str = "pixel1") -> list[ModelProfile]:
     dev = DeviceModel.by_name(device)
     out = []
     for name in MODELS:
-        model = convert(build_model(name), in_place=True)
+        model = convert(build_model(name))
         profiles = profile_graph(dev, model.graph)
         stacks = layer_stacks(profiles)
         binary_s = sum(s["binary_s"] for s in stacks)

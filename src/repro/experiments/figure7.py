@@ -36,7 +36,7 @@ def run(device: str = "pixel1", models: tuple[str, ...] | None = None) -> list[M
     for name, info in MODEL_REGISTRY.items():
         if models is not None and name not in models:
             continue
-        converted = convert(info.build(), in_place=True)
+        converted = convert(info.build())
         macs = count_macs(converted.graph)
         points.append(
             ModelPoint(

@@ -45,7 +45,7 @@ def run(device: str = "pixel1") -> list[VariantResult]:
     dev = DeviceModel.by_name(device)
     results = []
     for variant in VARIANTS:
-        model = convert(binary_resnet18(variant), in_place=True)
+        model = convert(binary_resnet18(variant))
         g = model.graph
         bitpacked = sum(
             1

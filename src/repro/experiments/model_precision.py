@@ -61,7 +61,7 @@ def run(device: str = "pixel1", input_size: int = 224) -> list[PrecisionResult]:
         )
     )
 
-    binary = convert(binary_resnet18("A", input_size=input_size), in_place=True)
+    binary = convert(binary_resnet18("A", input_size=input_size))
     results.append(
         PrecisionResult(
             "binary (LCE)",

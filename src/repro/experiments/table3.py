@@ -46,7 +46,7 @@ def run(device: str = "pixel1") -> list[QuickNetRow]:
     dev = DeviceModel.by_name(device)
     rows = []
     for variant, (layers, filters) in QUICKNET_VARIANTS.items():
-        converted = convert(quicknet(variant), in_place=True)
+        converted = convert(quicknet(variant))
         macs = count_macs(converted.graph)
         rows.append(
             QuickNetRow(

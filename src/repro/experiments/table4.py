@@ -34,7 +34,7 @@ PAPER_SHARES = {
 
 def run(device: str = "rpi4b") -> list[OpClassShare]:
     dev = DeviceModel.by_name(device)
-    model = convert(quicknet("medium"), in_place=True)
+    model = convert(quicknet("medium"))
     profiles = profile_graph(dev, model.graph)
     return quicknet_table4_rows(profiles)
 

@@ -33,7 +33,7 @@ class ThreadingResult:
 
 def run(device: str = "rpi4b", model_variant: str = "medium") -> list[ThreadingResult]:
     dev = DeviceModel.by_name(device)
-    model = convert(quicknet(model_variant), in_place=True)
+    model = convert(quicknet(model_variant))
     results = []
     for fw_name in ("lce", "dabnn"):
         fw = FRAMEWORKS[fw_name]

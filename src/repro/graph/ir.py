@@ -17,7 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -86,6 +86,15 @@ class GraphError(ValueError):
     """Raised when a graph violates its structural invariants."""
 
 
+def _read_only(value: Any) -> Any:
+    """A non-writeable view of an ndarray; any other value unchanged."""
+    if not isinstance(value, np.ndarray):
+        return value
+    view = value.view()
+    view.flags.writeable = False
+    return view
+
+
 class Graph:
     """A DAG of nodes over named tensors, in topological order."""
 
@@ -96,6 +105,35 @@ class Graph:
         self.inputs: list[str] = []
         self.outputs: list[str] = []
         self._counter = 0
+
+    def copy(self) -> Graph:
+        """A structural copy that shares this graph's parameter arrays.
+
+        Nodes, their ``inputs`` / ``outputs`` lists and ``attrs`` /
+        ``params`` dicts are new, as are the graph's ``tensors``,
+        ``inputs`` and ``outputs``, so rewriting the copy never changes
+        this graph.  Every ndarray param is shared as a read-only view: a
+        pass that writes into one raises ``ValueError`` instead of
+        corrupting this graph's model, and the copy costs no second set
+        of weights.  Other params (frozen records such as
+        ``BatchNormParams``) are shared as they are.
+        """
+        g = Graph(self.name)
+        g.nodes = [
+            replace(
+                n,
+                inputs=list(n.inputs),
+                outputs=list(n.outputs),
+                attrs=dict(n.attrs),
+                params={k: _read_only(v) for k, v in n.params.items()},
+            )
+            for n in self.nodes
+        ]
+        g.tensors = dict(self.tensors)
+        g.inputs = list(self.inputs)
+        g.outputs = list(self.outputs)
+        g._counter = self._counter
+        return g
 
     # ---------------------------------------------------------------- build
     def fresh_name(self, hint: str) -> str:

@@ -91,9 +91,7 @@ def collect_samples(
 
     samples: list[CalibrationSample] = []
     for model_name in models:
-        graph = convert(
-            build_model(model_name, input_size=input_size), in_place=True
-        ).graph
+        graph = convert(build_model(model_name, input_size=input_size)).graph
         in_spec = graph.tensors[graph.inputs[0]]
         x = rng.standard_normal(in_spec.shape).astype(np.float32)
 

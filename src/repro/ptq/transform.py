@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.core.types import Activation
@@ -299,15 +297,17 @@ def quantize_residual_adds(graph: Graph, ranges: TensorRanges, alias: dict[str, 
 def quantize_model(
     graph: Graph,
     calibration_batches: list[np.ndarray],
-    in_place: bool = False,
 ) -> Graph:
     """Post-training-quantize a float graph's conv/dense layers to int8.
 
     Binarized convolutions are left alone (they are already 1-bit); every
     other convolution and dense layer gets int8 weights (symmetric,
     per-output-channel) and int8 activations at calibrated ranges.
+
+    The rewrite runs on ``graph.copy()``: the input is never mutated, and
+    parameter arrays the rewrite keeps are shared with it read-only.
     """
-    g = graph if in_place else copy.deepcopy(graph)
+    g = graph.copy()
     # Standalone batch norms would sit as float islands between int8 ops;
     # fold them into their convolutions first (the fusion the converter
     # also performs, cf. paper Section 3.1).

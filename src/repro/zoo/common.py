@@ -10,12 +10,40 @@ from repro.kernels.batchnorm import BatchNormParams
 from repro.kernels.depthwise import blur_kernel
 
 
+# Elements per float64 draw in :func:`normal_float32`: 512 KB of scratch.
+_NORMAL_CHUNK = 1 << 16
+
+
+def normal_float32(
+    rng: np.random.Generator, shape: int | tuple[int, ...], scale: float
+) -> np.ndarray:
+    """``(rng.standard_normal(shape) * scale).astype(np.float32)``, chunked.
+
+    Fills the float32 result from float64 draws of ``_NORMAL_CHUNK``
+    elements.  The generator yields the same stream in chunks as in one
+    call and each element is scaled and rounded the same way, so the
+    values and the generator's state afterwards are bit-identical to the
+    one-shot formula; only its two result-sized float64 temporaries
+    (19 MB for a 3x3x512x512 conv) are gone.
+    """
+    out = np.empty(shape, np.float32)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _NORMAL_CHUNK))
+    for start in range(0, flat.size, _NORMAL_CHUNK):
+        chunk = buf[: min(_NORMAL_CHUNK, flat.size - start)]
+        rng.standard_normal(out=chunk)
+        chunk *= scale
+        flat[start : start + chunk.size] = chunk
+    return out
+
+
 class WeightFactory:
     """Deterministic weight initialization for zoo models.
 
     Real pretrained weights are irrelevant to latency (the experiments this
     zoo feeds measure geometry, not accuracy), but tests want determinism,
-    so every model seeds its own generator.
+    so every model seeds its own generator.  Every normal is drawn through
+    :func:`normal_float32`.
     """
 
     def __init__(self, seed: int) -> None:
@@ -24,17 +52,15 @@ class WeightFactory:
     def conv(self, kh: int, kw: int, cin: int, cout: int) -> np.ndarray:
         fan_in = kh * kw * cin
         scale = np.sqrt(2.0 / fan_in)
-        return (self.rng.standard_normal((kh, kw, cin, cout)) * scale).astype(
-            np.float32
-        )
+        return normal_float32(self.rng, (kh, kw, cin, cout), scale)
 
     def depthwise(self, kh: int, kw: int, c: int) -> np.ndarray:
         scale = np.sqrt(2.0 / (kh * kw))
-        return (self.rng.standard_normal((kh, kw, c)) * scale).astype(np.float32)
+        return normal_float32(self.rng, (kh, kw, c), scale)
 
     def dense(self, cin: int, cout: int) -> np.ndarray:
         scale = np.sqrt(2.0 / cin)
-        return (self.rng.standard_normal((cin, cout)) * scale).astype(np.float32)
+        return normal_float32(self.rng, (cin, cout), scale)
 
     def bias(self, c: int) -> np.ndarray:
         return np.zeros(c, np.float32)
@@ -42,8 +68,8 @@ class WeightFactory:
     def bn(self, c: int) -> BatchNormParams:
         return BatchNormParams(
             gamma=self.rng.uniform(0.6, 1.4, c).astype(np.float32),
-            beta=(self.rng.standard_normal(c) * 0.1).astype(np.float32),
-            mean=(self.rng.standard_normal(c) * 0.1).astype(np.float32),
+            beta=normal_float32(self.rng, c, 0.1),
+            mean=normal_float32(self.rng, c, 0.1),
             variance=self.rng.uniform(0.5, 1.5, c).astype(np.float32),
         )
 

@@ -69,7 +69,7 @@ class TestMacCount:
 
         g = quicknet("small", input_size=64)
         before = count_macs(g)
-        after = count_macs(convert(g, in_place=True).graph)
+        after = count_macs(convert(g).graph)
         assert before.binary == after.binary
         assert before.full_precision == after.full_precision
 

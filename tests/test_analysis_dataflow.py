@@ -58,7 +58,7 @@ def _binary_net(padding):
     x = b.conv2d(x, w2, binary_weights=True, padding=padding)
     x = b.global_avgpool(x)
     x = b.dense(x, rng.standard_normal((16, 4)).astype(np.float32))
-    return convert(b.finish(x), in_place=True)
+    return convert(b.finish(x))
 
 
 def _bconvs(graph):
@@ -83,7 +83,7 @@ def _float_bconv(graph):
 def test_zoo_model_analyzes_clean_before_and_after_convert(name):
     graph = build_model(name, input_size=64)
     assert not errors_of(analyze_graph(graph)), name
-    converted = convert(graph, in_place=True).graph
+    converted = convert(graph).graph
     diags = analyze_graph(converted)
     assert not errors_of(diags), [d.format() for d in diags]
     # The zoo is word-aligned throughout: no grouped-repack warnings either.

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
+from copy_contract import assert_copy_contract, snapshot
+from hypothesis import given, settings
+from test_fuzz_converter import random_network
 
 from repro.converter import convert
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
+from repro.graph.ir import Graph, TensorSpec
 from repro.kernels.batchnorm import BatchNormParams
+from repro.zoo import build_model
 
 
 def _bn(rng, c):
@@ -98,17 +106,6 @@ class TestOptimizationsApplied:
         assert model.report.nodes_after < model.report.nodes_before
         assert model.report.weight_compression > 1.0
 
-    def test_in_place_false_preserves_input(self, rng):
-        g = _residual_net(rng)
-        n_before = len(g)
-        convert(g, in_place=False)
-        assert len(g) == n_before
-
-    def test_in_place_true_mutates(self, rng):
-        g = _residual_net(rng)
-        model = convert(g, in_place=True)
-        assert model.graph is g
-
     def test_pass_changes_recorded(self, rng):
         model = convert(_residual_net(rng))
         assert model.report.pass_changes["binarize_convs"] >= 1
@@ -119,6 +116,98 @@ class TestOptimizationsApplied:
         model = convert(_residual_net(rng))
         again = convert(model.graph)
         assert len(again.graph) == len(model.graph)
+
+
+class TestCopyContract:
+    """``convert`` runs on ``Graph.copy()``: it never mutates its input, and
+    the arrays it keeps are shared with the input read-only."""
+
+    def test_quicknet_small(self):
+        g = build_model("quicknet_small", input_size=32)
+        before = snapshot(g)
+        nodes_before = [(n.name, n.op, list(n.inputs)) for n in g.nodes]
+        model = convert(g)
+        assert [(n.name, n.op, list(n.inputs)) for n in g.nodes] == nodes_before
+        # The classifier's dense weights and bias pass through unchanged.
+        assert assert_copy_contract(before, g, model.graph) >= 2
+
+    def test_residual_net(self, rng):
+        g = _residual_net(rng)
+        before = snapshot(g)
+        model = convert(g)
+        assert len(g) == model.report.nodes_before
+        assert assert_copy_contract(before, g, model.graph) >= 1
+
+    @settings(max_examples=5, deadline=None)
+    @given(case=random_network())
+    def test_fuzzed(self, case):
+        graph, _ = case
+        before = snapshot(graph)
+        assert_copy_contract(before, graph, convert(graph).graph)
+
+    def test_convert_traces_far_less_than_the_weights(self):
+        # The 48 MB of float weights do not depend on the input size; a
+        # deep copy of them peaks ~54 MB above the baseline.
+        tracemalloc.start()
+        try:
+            g = build_model("quicknet_small", input_size=32)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            model = convert(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.param_nbytes() > 40e6
+        assert model.graph.param_nbytes() < 10e6
+        assert peak - base <= 12e6, f"convert peaked {(peak - base) / 1e6:.1f} MB"
+
+
+class TestGraphCopy:
+    def test_carries_every_field(self, rng):
+        g = _residual_net(rng)
+        c = g.copy()
+        assert set(vars(c)) == set(vars(Graph()))
+        assert (c.name, c.inputs, c.outputs, c.tensors, c._counter) == (
+            g.name, g.inputs, g.outputs, g.tensors, g._counter
+        )
+        assert [n.name for n in c.nodes] == [n.name for n in g.nodes]
+
+    def test_fresh_names_do_not_collide(self, rng):
+        g = _residual_net(rng)
+        c = g.copy()
+        out = c.outputs[0]
+        for n in g.nodes:  # a reused name would raise GraphError
+            c.add_node(n.op, [out], [c.tensors[out]])
+        c.verify()
+        assert len(g) < len(c)
+
+    def test_structure_is_private(self, rng):
+        g = _residual_net(rng)
+        c = g.copy()
+        node = c.nodes[0]
+        node.inputs.append("x")
+        node.attrs["fused"] = True
+        node.params["extra"] = np.zeros(1, np.float32)
+        c.tensors["t"] = TensorSpec((1,))
+        c.outputs.append("t")
+        orig = g.nodes[0]
+        assert "x" not in orig.inputs
+        assert "fused" not in orig.attrs and "extra" not in orig.params
+        assert "t" not in g.tensors and "t" not in g.outputs
+
+    def test_arrays_are_shared_read_only(self, rng):
+        g = _residual_net(rng)
+        c = g.copy()
+        for n, m in zip(g.nodes, c.nodes):
+            for key, value in n.params.items():
+                if isinstance(value, np.ndarray):
+                    view = m.params[key]
+                    assert np.shares_memory(view, value)
+                    assert not view.flags.writeable and value.flags.writeable
+                    with pytest.raises(ValueError):
+                        view[...] = 0
+                else:
+                    assert m.params[key] is value
 
 
 class TestPureFloatGraphUntouched:

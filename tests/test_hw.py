@@ -137,7 +137,7 @@ class TestNodeLatency:
         from repro.converter import convert
         from repro.zoo import build_model
 
-        model = convert(build_model("quicknet_small", input_size=64), in_place=True)
+        model = convert(build_model("quicknet_small", input_size=64))
         lat = graph_latency(DeviceModel.pixel1(), model.graph)
         assert set(lat.per_node) == {n.name for n in model.graph.nodes}
         assert lat.total_s > 0

@@ -51,7 +51,7 @@ def _pre_removal_artifact(calibrated) -> dict:
 
 @pytest.fixture(scope="module")
 def small_model():
-    return convert(quicknet("small", input_size=32), in_place=True)
+    return convert(quicknet("small", input_size=32))
 
 
 @pytest.fixture(scope="module")

@@ -104,8 +104,7 @@ class TestShortcutAblationPipeline:
         because of the shortcuts, but both run through the full pipeline."""
         out = {}
         for variant in ("A", "C"):
-            g = binary_resnet18(variant, input_size=32)
-            model = convert(g, in_place=True)
+            model = convert(binary_resnet18(variant, input_size=32))
             x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
             out[variant] = Executor(model.graph).run(x)
         assert out["A"].shape == out["C"].shape == (1, 1000)

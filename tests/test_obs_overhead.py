@@ -53,7 +53,7 @@ def _baseline_execute(plan, inputs):
 
 @pytest.fixture(scope="module")
 def traced_setup():
-    model = convert(quicknet("small", input_size=32), in_place=True)
+    model = convert(quicknet("small", input_size=32))
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
     return model, x

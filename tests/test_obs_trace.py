@@ -217,7 +217,7 @@ class TestEngineTrace:
     def test_quicknet_trace_nested_and_complete(self):
         """ISSUE acceptance: one QuickNet-small run exports a valid trace
         with nested spans and one ``plan.node`` span per graph node."""
-        model = convert(quicknet("small", input_size=32), in_place=True)
+        model = convert(quicknet("small", input_size=32))
         tracer = Tracer()
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
@@ -258,7 +258,7 @@ class TestEngineTrace:
         assert set(measured) == {n.name for n in model.graph.nodes}
 
     def test_run_many_span_shapes(self, rng):
-        model = convert(quicknet("small", input_size=32), in_place=True)
+        model = convert(quicknet("small", input_size=32))
         tracer = Tracer()
         x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
         with Engine(model, trace=tracer, max_batch_size=2) as engine:

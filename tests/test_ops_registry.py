@@ -168,7 +168,7 @@ class TestGraphValidate:
         from repro.converter import convert
         from repro.zoo import build_model
 
-        model = convert(build_model("quicknet_small", input_size=64), in_place=True)
+        model = convert(build_model("quicknet_small", input_size=64))
         model.graph.validate()
 
 

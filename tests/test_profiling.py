@@ -17,7 +17,7 @@ from repro.zoo import quicknet
 
 @pytest.fixture(scope="module")
 def quicknet_profiles():
-    model = convert(quicknet("small", input_size=64), in_place=True)
+    model = convert(quicknet("small", input_size=64))
     return profile_graph(DeviceModel.rpi4b(), model.graph), model.graph
 
 
@@ -35,7 +35,7 @@ class TestProfileGraph:
             assert p.is_binary == p.op.startswith("lce_")
 
     def test_measure_records_wall_clock(self):
-        model = convert(quicknet("small", input_size=32), in_place=True)
+        model = convert(quicknet("small", input_size=32))
         profiles = profile_graph(
             DeviceModel.pixel1(), model.graph, measure=True
         )
@@ -51,7 +51,7 @@ class TestProfileGraph:
         from repro.obs.export import node_seconds
         from repro.obs.trace import Tracer
 
-        model = convert(quicknet("small", input_size=32), in_place=True)
+        model = convert(quicknet("small", input_size=32))
         tracer = Tracer()
         profiles = profile_graph(
             DeviceModel.pixel1(), model.graph, tracer=tracer
@@ -68,7 +68,7 @@ class TestProfileGraph:
 
         import numpy as np
 
-        model = convert(quicknet("small", input_size=32), in_place=True)
+        model = convert(quicknet("small", input_size=32))
         tracer = Tracer()
         x = np.random.default_rng(0).standard_normal(
             (1, 32, 32, 3)
@@ -101,7 +101,7 @@ class TestAlignSpansEdgeCases:
 
     @pytest.fixture(scope="class")
     def small_graph(self):
-        return convert(quicknet("small", input_size=32), in_place=True).graph
+        return convert(quicknet("small", input_size=32)).graph
 
     def test_nodes_without_spans_are_omitted(self, small_graph):
         from repro.hw.latency import align_spans

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from copy_contract import assert_copy_contract, snapshot
 
 from repro.core.types import Activation, Padding
 from repro.graph.builder import GraphBuilder
@@ -110,11 +111,24 @@ class TestQuantizeModel:
         assert len(qg.ops_by_type("conv2d")) == 1
         assert not qg.ops_by_type("conv2d_int8")
 
-    def test_in_place_flag(self, float_net_and_data):
-        g, calib = float_net_and_data
+    def test_copy_contract(self, rng):
+        """The rewrite runs on ``graph.copy()``: the input's params stay
+        bit-identical, and the binary conv's weights, kept as they are,
+        are shared read-only instead of copied."""
+        b = GraphBuilder((1, 8, 8, 8))
+        x = b.conv2d(b.input, rng.standard_normal((3, 3, 8, 8)).astype(np.float32))
+        h = b.binarize(x)
+        h = b.conv2d(
+            h, rng.choice([-1.0, 1.0], (3, 3, 8, 8)).astype(np.float32),
+            padding=Padding.SAME_ONE, binary_weights=True,
+        )
+        g = b.finish(b.global_avgpool(h))
         n_before = len(g)
-        quantize_model(g, calib, in_place=False)
-        assert len(g) == n_before
+        before = snapshot(g)
+        calib = [rng.standard_normal((1, 8, 8, 8)).astype(np.float32)]
+        qg = quantize_model(g, calib)
+        assert len(g) == n_before and qg.ops_by_type("conv2d_int8")
+        assert assert_copy_contract(before, g, qg) >= 1
 
     def test_int8_model_faster_on_device(self, rng):
         # Needs real work per layer: at tiny sizes the extra quantize ops
@@ -235,7 +249,7 @@ class TestBatchNormPrefusion:
         x = b.batch_norm(x, BatchNormParams.identity(4))
         g = b.finish(b.global_avgpool(x))
         calib = [rng.standard_normal((1, 8, 8, 3)).astype(np.float32)]
-        quantize_model(g, calib, in_place=False)
+        quantize_model(g, calib)
         assert g.ops_by_type("batch_norm")
 
 
@@ -299,7 +313,7 @@ class TestHybridDeployment:
         from repro.converter import convert
         from repro.zoo import quicknet
 
-        model = convert(quicknet("small", input_size=64), in_place=True)
+        model = convert(quicknet("small", input_size=64))
         calib = [rng.standard_normal((1, 64, 64, 3)).astype(np.float32)]
         hybrid = quantize_model(model.graph, calib)
         n_bconv_before = len(model.graph.ops_by_type("lce_bconv2d"))
@@ -314,7 +328,7 @@ class TestHybridDeployment:
         from repro.converter import convert
         from repro.zoo import quicknet
 
-        model = convert(quicknet("small", input_size=224), in_place=True)
+        model = convert(quicknet("small", input_size=224))
         calib = [rng.standard_normal((1, 224, 224, 3)).astype(np.float32)]
         hybrid = quantize_model(model.graph, calib)
         dev = DeviceModel.pixel1()

@@ -47,7 +47,7 @@ class TestEngineConstruction:
     def test_accepts_graph_and_converted_model(self, rng):
         g = _small_net(rng)
         assert Engine(g).graph is g
-        model = convert(_small_net(rng), in_place=True)
+        model = convert(_small_net(rng))
         assert Engine(model).graph is model.graph
 
     def test_rejects_non_graph(self):
@@ -131,7 +131,7 @@ class TestCaching:
         assert (stats.plan_cache_misses, stats.plan_cache_hits) == (0, 0)
 
     def test_param_cache_shared_across_plans(self, rng):
-        model = convert(_binarized_net(rng), in_place=True)
+        model = convert(_binarized_net(rng))
         x = rng.standard_normal((1, 6, 6, 8)).astype(np.float32)
         with Engine(model) as engine:
             engine.run(x)

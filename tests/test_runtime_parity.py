@@ -169,7 +169,7 @@ def _binary_net(rng, padding):
     x = b.conv2d(x, w2, binary_weights=True, padding=padding)
     x = b.global_avgpool(x)
     x = b.dense(x, rng.standard_normal((16, 4)).astype(np.float32))
-    return convert(b.finish(x), in_place=True).graph
+    return convert(b.finish(x)).graph
 
 
 def _bmaxpool_net(rng):
@@ -183,7 +183,7 @@ def _bmaxpool_net(rng):
         binary_weights=True, padding=Padding.SAME_ONE,
     )
     x = b.global_avgpool(x)
-    g = convert(b.finish(x), in_place=True).graph
+    g = convert(b.finish(x)).graph
     assert any(n.op == "lce_bmaxpool2d" for n in g.nodes)
     return g
 
@@ -437,7 +437,7 @@ FAST_ZOO = ("quicknet_small", "birealnet18", "binarydensenet28")
 
 def _zoo_engine_case(model_name, factor, rng):
     size = ZOO_INPUT_SIZE.get(model_name, 32)
-    model = convert(build_model(model_name, input_size=size), in_place=True)
+    model = convert(build_model(model_name, input_size=size))
     x = _batched_input(model.graph, factor, rng)
     expected = reference_outputs(model.graph, (x,), factor)
     with Engine(model, max_batch_size=8) as engine:
@@ -640,7 +640,7 @@ def test_grouped_bconv_keeps_the_plain_call(rng):
 @pytest.fixture(scope="module", params=sorted(MODEL_REGISTRY))
 def zoo_model(request):
     size = ZOO_INPUT_SIZE.get(request.param, 32)
-    return convert(build_model(request.param, input_size=size), in_place=True)
+    return convert(build_model(request.param, input_size=size))
 
 
 def test_fused_plans_report_per_graph_node(zoo_model, rng):
@@ -682,7 +682,7 @@ def test_fused_plans_report_per_graph_node(zoo_model, rng):
 
 def test_quicknet_and_birealnet_fuse_every_block():
     for name in ("quicknet_small", "birealnet18"):
-        model = convert(build_model(name, input_size=32), in_place=True)
+        model = convert(build_model(name, input_size=32))
         plan = compile_plan(model.graph)
         triples = [cn for cn in plan.nodes if len(cn.parts) == 3]
         assert len(triples) == 16 == sum(
@@ -728,7 +728,7 @@ def _held_values_stay_untouched(plan, x):
 def test_outputs_never_alias_the_arena(rng):
     """A value held across the next execute is unchanged: what a bound
     kernel returns is a fresh array, never a view of its scratch."""
-    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    model = convert(build_model("quicknet_small", input_size=32))
     plan = compile_plan(model.graph)
     x1, x2 = (_batched_input(model.graph, 1, rng) for _ in range(2))
     with _held_values_stay_untouched(plan, x1):
@@ -737,7 +737,7 @@ def test_outputs_never_alias_the_arena(rng):
 
 @pytest.mark.parametrize("factor", range(1, 9))
 def test_arena_constant_from_the_second_call(factor, rng):
-    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    model = convert(build_model("quicknet_small", input_size=32))
     plan = compile_plan(model.graph, batch_factor=factor)
     x = _batched_input(model.graph, factor, rng)
     plan.execute((x,))
@@ -752,7 +752,7 @@ def test_plan_rebinds_when_its_arena_grows_behind_it(rng):
     """Growing a buffer behind the bound kernels (here: by hand) replaces
     storage their views point into; the next call must rebind, not write
     through the stale views, and still match the oracle."""
-    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    model = convert(build_model("quicknet_small", input_size=32))
     plan = compile_plan(model.graph)
     x = _batched_input(model.graph, 1, rng)
     expected = reference_outputs(model.graph, (x,), 1)
@@ -777,7 +777,7 @@ def test_every_batch_factor_of_an_engine_shares_one_arena(rng):
     """Factors 1, 8, 1, 3, 8 through one engine: every reply equals the
     Executor, the arena is as large as the largest plan alone would make it
     (not the sum over plans) and stops growing once every plan exists."""
-    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    model = convert(build_model("quicknet_small", input_size=32))
     order = (1, 8, 1, 3, 8)
     inputs = {k: _batched_input(model.graph, k, rng) for k in set(order)}
     refs = {k: reference_outputs(model.graph, (x,), k) for k, x in inputs.items()}
@@ -798,7 +798,7 @@ def test_outputs_survive_another_plan_running_over_the_same_buffers(rng):
     """Cross-plan form of ``test_outputs_never_alias_the_arena``: what the
     factor-1 plan returned is untouched after the factor-8 plan (compiled
     later, so it replaced and then overwrote the shared buffers) has run."""
-    model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+    model = convert(build_model("quicknet_small", input_size=32))
     with Engine(model) as engine:
         x1, x8 = (_batched_input(model.graph, k, rng) for k in (1, 8))
         with _held_values_stay_untouched(engine.plan(1), x1):

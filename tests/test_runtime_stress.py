@@ -115,7 +115,7 @@ class TestThreadSafety:
         """One compiled plan of fused blocks, eight threads, no engine in
         between: they take turns in the plan's one arena — bound once,
         never grown — and every reply equals the oracle."""
-        model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+        model = convert(build_model("quicknet_small", input_size=32))
         plan = compile_plan(model.graph)
         assert plan.fused_blocks == 16
         arena = plan.workspace
@@ -150,7 +150,7 @@ class TestThreadSafety:
         """One thread loops ``run`` at factor 1 while another compiles and
         runs factors 2 … 8 in the same engine: every compile replaces
         buffers the running plan is bound to, never under a call."""
-        model = convert(build_model("quicknet_small", input_size=32), in_place=True)
+        model = convert(build_model("quicknet_small", input_size=32))
         rng = np.random.default_rng(13)
         inputs = {k: _batched_input(model.graph, k, rng) for k in range(1, 9)}
         refs = {k: reference_outputs(model.graph, (x,), k) for k, x in inputs.items()}

@@ -36,7 +36,7 @@ class TestSummary:
         assert sum(r.param_bytes for r in model_summary(g)) == g.param_nbytes()
 
     def test_format_contains_binary_share(self):
-        g = convert(quicknet("small", input_size=64), in_place=True).graph
+        g = convert(quicknet("small", input_size=64)).graph
         text = format_summary(g)
         assert "% binary" in text
         assert "lce_bconv2d" in text

@@ -33,7 +33,7 @@ class TestThreadedLatencyModel:
         from repro.hw.latency import graph_latency
         from repro.zoo import quicknet
 
-        model = convert(quicknet("small", input_size=64), in_place=True)
+        model = convert(quicknet("small", input_size=64))
         dev = DeviceModel.rpi4b()
         t1 = graph_latency(dev, model.graph, threads=1).total_ms
         t2 = graph_latency(dev, model.graph, threads=2).total_ms

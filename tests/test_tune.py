@@ -37,7 +37,7 @@ def _tiny_geometry(**overrides):
 
 
 def _quicknet_model():
-    return convert(build_model("quicknet_small", input_size=32), in_place=True)
+    return convert(build_model("quicknet_small", input_size=32))
 
 
 # --------------------------------------------------------------- geometry

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.zoo import (
     build_model,
     quicknet,
 )
+from repro.zoo.common import WeightFactory, normal_float32
 from repro.zoo.quicknet import QUICKNET_VARIANTS
 
 #: models light enough to build at reduced input size in every test run
@@ -104,8 +107,7 @@ class TestQuickNet:
         assert len(g.ops_by_type("add")) == n_binary
 
     def test_executes(self, rng):
-        g = quicknet("small", input_size=SMALL_INPUT)
-        model = convert(g, in_place=True)
+        model = convert(quicknet("small", input_size=SMALL_INPUT))
         x = rng.standard_normal((1, SMALL_INPUT, SMALL_INPUT, 3)).astype(np.float32)
         out = Executor(model.graph).run(x)
         assert out.shape == (1, 1000)
@@ -143,7 +145,7 @@ class TestResNetVariants:
         assert len(pointwise(c)) == 0
 
     def test_variant_c_converts_to_bitpacked_chain(self):
-        model = convert(binary_resnet18("C", input_size=SMALL_INPUT), in_place=True)
+        model = convert(binary_resnet18("C", input_size=SMALL_INPUT))
         bitpacked = [
             n for n in model.graph.ops_by_type("lce_bconv2d")
             if n.attr("output_type") == "bitpacked"
@@ -225,6 +227,38 @@ class TestDeterminism:
         assert not np.array_equal(w1, w2)
 
 
+class TestWeightDraws:
+    """Every normal is drawn through ``normal_float32``: float32 results
+    filled from bounded float64 chunks, bit-identical to the one-shot
+    formula."""
+
+    @pytest.mark.parametrize(
+        "shape, scale",
+        [((3, 3, 512, 512), np.sqrt(2.0 / 4608)), ((7, 11, 1013), 0.1),
+         ((65536,), 1.0), (17, 0.1), ((0, 4), 1.0)],
+    )
+    def test_matches_one_shot_formula(self, shape, scale):
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = normal_float32(ours, shape, scale)
+        want = (ref.standard_normal(shape) * scale).astype(np.float32)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        # The generator is left in the same state: the next draw matches.
+        assert ours.standard_normal() == ref.standard_normal()
+
+    def test_conv_draw_has_no_float64_temporaries(self):
+        wf = WeightFactory(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w = wf.conv(3, 3, 512, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.dtype == np.float32 and w.nbytes == 9_437_184
+        assert peak - base <= w.nbytes + 2e6, f"peak {(peak - base) / 1e6:.1f} MB"
+
+
 class TestModelSizeFidelity:
     """Converted model sizes track Larq Zoo's published sizes.
 
@@ -237,7 +271,7 @@ class TestModelSizeFidelity:
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_within_tolerance(self, name):
         info = MODEL_REGISTRY[name]
-        model = convert(info.build(), in_place=True)
+        model = convert(info.build())
         ours_mb = model.graph.param_nbytes() / 1e6
         ratio = ours_mb / info.reported_size_mb
         assert 0.8 <= ratio <= 1.25, (
