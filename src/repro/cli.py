@@ -199,15 +199,10 @@ def cmd_analyze(args) -> int:
     import dataclasses
     import pathlib
 
-    from repro.analysis import (
-        analyze_graph,
-        check_repo,
-        errors_of,
-        format_json,
-        format_text,
-        lint_paths,
-        lint_repo,
-    )
+    from repro.analysis.concurrency import check_repo
+    from repro.analysis.dataflow import analyze_graph
+    from repro.analysis.diagnostics import errors_of, format_json, format_text
+    from repro.analysis.lint import lint_paths, lint_repo
     from repro.graph.ir import GraphError
 
     def _located(diags, prefix):
@@ -438,7 +433,7 @@ def _print_health(health) -> bool:
 
 def _export_telemetry(args, events) -> list[str]:
     """Write the ``--events-out`` JSONL and return its validation problems."""
-    from repro.analysis import validate_events
+    from repro.analysis.telemetry import validate_events
     from repro.obs import write_events_jsonl
 
     records = write_events_jsonl(events, args.events_out)

@@ -31,7 +31,13 @@ from repro.core.bgemm import (
     bind_kmajor,
     derive_panel,
 )
-from repro.core.bitpack import PackedTensor, pack_bits, packed_words, unpack_bits
+from repro.core.bitpack import (
+    WORD_BITS,
+    PackedTensor,
+    pack_bits,
+    packed_words,
+    unpack_bits,
+)
 from repro.core.kernel_config import DEFAULT_CONFIG, KernelConfig
 from repro.core.im2col import (
     ConvGeometry,
@@ -141,6 +147,12 @@ class BConv2DParams:
 def pack_filters(weights: np.ndarray) -> PackedFilters:
     """Bitpack HWIO convolution filters into BGEMM row layout.
 
+    The bits equal ``pack_bits(np.transpose(weights, (3, 0, 1, 2)))`` with
+    its taps flattened, but are packed in the weights' own HWIO order:
+    ``w < 0`` goes into a zero-padded ``(kh, kw, words * 64, cout)`` bool
+    array, ``np.packbits`` runs down the channel axis, and only the 8x
+    smaller bytes are transposed to ``(cout, taps * words)``.
+
     Args:
         weights: ``(kernel_h, kernel_w, in_channels, out_channels)`` array of
             +/-1 values (any float/int dtype; only signs are read).
@@ -148,11 +160,14 @@ def pack_filters(weights: np.ndarray) -> PackedFilters:
     if weights.ndim != 4:
         raise ValueError(f"expected HWIO filters, got {weights.ndim}-D")
     kh, kw, cin, cout = weights.shape
-    # (cout, kh, kw, cin): pack the channel axis per tap, then flatten taps.
-    per_tap = pack_bits(np.transpose(weights, (3, 0, 1, 2)))
-    bits = per_tap.bits.reshape(cout, kh * kw * per_tap.bits.shape[-1])
+    words = packed_words(cin)
+    signs = np.zeros((kh, kw, words * WORD_BITS, cout), bool)
+    np.less(weights, 0, out=signs[:, :, :cin])
+    packed = np.packbits(signs, axis=2)  # (kh, kw, words * 8, cout) bytes
+    bits = np.ascontiguousarray(np.moveaxis(packed, 3, 0)).view(np.uint64)
     return PackedFilters(
-        bits=np.ascontiguousarray(bits), kernel_h=kh, kernel_w=kw, in_channels=cin
+        bits=bits.reshape(cout, kh * kw * words), kernel_h=kh, kernel_w=kw,
+        in_channels=cin,
     )
 
 

@@ -98,7 +98,9 @@ register(
 def _sigmoid_kernel(node, p, ctx):
     def fn(ins):
         x = np.asarray(ins[0], dtype=np.float32)
-        return (1.0 / (1.0 + np.exp(-x))).astype(np.float32)
+        # exp(-x) overflows to inf for x << 0; 1 / (1 + inf) = 0 is the limit.
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-x))
 
     return fn
 

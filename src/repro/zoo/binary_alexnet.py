@@ -35,7 +35,7 @@ def _binary_conv_block(
     """binarize -> bconv -> (maxpool) -> BN, XNOR-style scaling optional."""
     h = b.binarize(x)
     h = b.conv2d(
-        h, wf.conv(kernel, kernel, cin, cout),
+        h, wf.binary(kernel, kernel, cin, cout),
         padding=Padding.SAME_ONE, binary_weights=True,
     )
     if scaled:
@@ -91,7 +91,7 @@ def _alexnet(
         # is why the published model is only ~7.5 MB.
         h = b.binarize(x)
         h = b.conv2d(
-            h, wf.conv(1, 1, 4096, classes),
+            h, wf.binary(1, 1, 4096, classes),
             padding=Padding.SAME_ONE, binary_weights=True,
         )
         h = b.batch_norm(h, wf.bn(classes))

@@ -37,6 +37,10 @@ def normal_float32(
     return out
 
 
+# Signs per random draw in :meth:`WeightFactory.binary`: 8 KB of bytes.
+_SIGN_CHUNK = 1 << 16
+
+
 class WeightFactory:
     """Deterministic weight initialization for zoo models.
 
@@ -44,15 +48,41 @@ class WeightFactory:
     zoo feeds measure geometry, not accuracy), but tests want determinism,
     so every model seeds its own generator.  Every normal is drawn through
     :func:`normal_float32`.
+
+    The latent weights of binarized convolutions (:meth:`binary`) come from
+    a second generator, ``default_rng([seed, 1])``, as ``+/-scale`` with
+    fair random signs: only their sign is ever read (the converter packs
+    ``w < 0``, the training-graph ``conv2d`` takes ``np.where(w < 0, -1,
+    1)``), and Gaussians for them would be most of a model's build time.
+    Every other draw is on :attr:`rng`.
     """
 
     def __init__(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
+        self.sign_rng = np.random.default_rng([seed, 1])
 
     def conv(self, kh: int, kw: int, cin: int, cout: int) -> np.ndarray:
         fan_in = kh * kw * cin
         scale = np.sqrt(2.0 / fan_in)
         return normal_float32(self.rng, (kh, kw, cin, cout), scale)
+
+    def binary(self, kh: int, kw: int, cin: int, cout: int) -> np.ndarray:
+        """Latent weights of a binarized conv: float32 ``+/-sqrt(2 / fan_in)``.
+
+        Each sign is one random bit from :attr:`sign_rng`, unpacked from
+        ``_SIGN_CHUNK / 8`` random bytes at a time, so the only scratch is
+        the chunk's bytes and bits.
+        """
+        scale = np.float32(np.sqrt(2.0 / (kh * kw * cin)))
+        out = np.empty((kh, kw, cin, cout), np.float32)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _SIGN_CHUNK):
+            chunk = flat[start : start + _SIGN_CHUNK]
+            raw = np.frombuffer(self.sign_rng.bytes(-(-chunk.size // 8)), np.uint8)
+            # bit * -2s + s is exactly -s or s; a masked ufunc is 30x slower.
+            np.multiply(np.unpackbits(raw, count=chunk.size), -2 * scale, out=chunk)
+            chunk += scale
+        return out
 
     def depthwise(self, kh: int, kw: int, c: int) -> np.ndarray:
         scale = np.sqrt(2.0 / (kh * kw))
@@ -87,7 +117,7 @@ def binary_conv(
     """A binarized convolution in training form: sign(x) * sign(W)."""
     h = b.binarize(x)
     return b.conv2d(
-        h, wf.conv(kernel, kernel, cin, cout),
+        h, wf.binary(kernel, kernel, cin, cout),
         stride=stride, padding=padding, binary_weights=True,
     )
 

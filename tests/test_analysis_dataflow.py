@@ -20,10 +20,15 @@ reports no change* — naming the pass and the rule; ``Executor``,
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_graph, check_graph
+from repro.analysis.dataflow import analyze_graph, check_graph
 from repro.analysis.diagnostics import Severity, errors_of
 from repro.converter import convert
 from repro.core.bconv2d import pack_filters
@@ -394,3 +399,35 @@ def test_engine_stats_report_verified():
         engine.run(x)
         stats = engine.stats()
     assert stats.verified is True
+
+
+# ------------------------------------------------- the import boundary
+
+
+def test_deploy_path_loads_only_the_dataflow_verifier():
+    """Build, convert and one ``Engine.run`` validate graphs through
+    ``repro.analysis.dataflow`` alone: the lint and concurrency engines,
+    the design search and the device model stay unloaded."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from repro import Engine, convert
+        from repro.zoo import build_model
+        model = convert(build_model("quicknet_small", input_size=32))
+        with Engine(model) as engine:
+            engine.run(np.zeros((1, 32, 32, 3), np.float32))
+        print(*sys.modules)
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "repro.analysis.dataflow" in loaded
+    unwanted = {
+        f"repro.analysis.{name}"
+        for name in ("lint", "concurrency", "search", "bench", "telemetry", "summary")
+    } | {"repro.hw"}
+    assert not unwanted & loaded, sorted(unwanted & loaded)

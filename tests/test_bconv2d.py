@@ -18,6 +18,7 @@ from repro.core.bconv2d import (
     bconv2d_reference,
     pack_filters,
     reserve_bconv2d_workspace,
+    unpack_filters,
     zero_padding_correction,
 )
 from repro.core.bitpack import pack_bits
@@ -146,6 +147,35 @@ class TestBitpackedOutput:
                 lce_quantize(x), pack_filters(w), p,
                 output_type=OutputType.BITPACKED,
             )
+
+
+class TestPackFilters:
+    """``pack_filters`` packs HWIO signs in place of the transpose-then-pack
+    formula it replaced; that formula stays the oracle."""
+
+    @staticmethod
+    def _oracle(w):
+        kh, kw, _, cout = w.shape
+        per_tap = pack_bits(np.transpose(w, (3, 0, 1, 2))).bits
+        return per_tap.reshape(cout, kh * kw * per_tap.shape[-1])
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 11])
+    @pytest.mark.parametrize("cin", [3, 32, 33, 64, 65, 100, 512])
+    def test_equals_transposed_pack_bits(self, rng, cin, k):
+        w = rng.standard_normal((k, k, cin, 6)).astype(np.float32)
+        w[0, 0, 0, 0] = 0.0  # zero packs as +1, like every other sign
+        got = pack_filters(w)
+        want = self._oracle(w)
+        assert got.bits.dtype == want.dtype == np.uint64
+        assert got.bits.flags.c_contiguous
+        assert np.array_equal(got.bits, want)
+        assert (got.kernel_h, got.kernel_w, got.in_channels) == (k, k, cin)
+
+    @pytest.mark.parametrize("cin", [3, 65, 512])
+    def test_unpack_round_trips_to_signs(self, rng, cin):
+        w = rng.standard_normal((3, 3, cin, 5)).astype(np.float32)
+        back = unpack_filters(pack_filters(w))
+        assert np.array_equal(back, np.where(w < 0, -1.0, 1.0))
 
 
 class TestZeroPaddingCorrection:

@@ -133,6 +133,19 @@ class TestExecutor:
         assert np.array_equal(from_list, from_array)
         assert from_list.dtype == from_array.dtype
 
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        """exp(-x) overflows for x << 0; the kernel returns the limit 0
+        quietly and keeps float32."""
+        import warnings
+
+        b = GraphBuilder((3,))
+        g = b.finish(b.sigmoid(b.input))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Executor(g).run(np.array([-1000.0, 0.0, 1000.0], np.float32))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.array([0.0, 0.5, 1.0], np.float32))
+
     def test_binarized_conv_training_emulation(self, rng):
         """conv2d(binary_weights=True) binarizes its latent weights."""
         b = GraphBuilder((1, 4, 4, 8))

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.analysis import validate_events
+from repro.analysis.telemetry import validate_events
 from repro.obs import (
     EVENT_KINDS,
     EVENT_SCHEMA,

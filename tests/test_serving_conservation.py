@@ -40,7 +40,7 @@ from test_runtime_parity import (
     reference_outputs,
 )
 
-from repro.analysis import validate_events
+from repro.analysis.telemetry import validate_events
 from repro.core.types import Padding
 from repro.obs import EventLog, events_to_records
 from repro.serving import SHED_QUEUE_FULL, Gateway, GatewayConfig, Rejected

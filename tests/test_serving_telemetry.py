@@ -23,7 +23,7 @@ from fake_clock import FakeClock
 from test_runtime_parity import _batched_input, _binary_net
 
 from repro import cli
-from repro.analysis import validate_events
+from repro.analysis.telemetry import validate_events
 from repro.core.types import Padding
 from repro.obs import EventLog, SLOConfig, Tracer, events_to_records
 from repro.obs.events import request_kinds

@@ -230,7 +230,7 @@ class TestDeterminism:
 class TestWeightDraws:
     """Every normal is drawn through ``normal_float32``: float32 results
     filled from bounded float64 chunks, bit-identical to the one-shot
-    formula."""
+    formula.  Binarized latent weights are drawn as signs instead."""
 
     @pytest.mark.parametrize(
         "shape, scale",
@@ -257,6 +257,52 @@ class TestWeightDraws:
             tracemalloc.stop()
         assert w.dtype == np.float32 and w.nbytes == 9_437_184
         assert peak - base <= w.nbytes + 2e6, f"peak {(peak - base) / 1e6:.1f} MB"
+
+    # Latent binarized weights: ``+/-sqrt(2 / fan_in)`` with random signs
+    # from the factory's second generator (``WeightFactory.binary``).
+
+    def test_sign_draw_same_seed_same_array(self):
+        a = WeightFactory(5).binary(3, 3, 37, 11)
+        b = WeightFactory(5).binary(3, 3, 37, 11)
+        assert a.dtype == np.float32 and a.shape == (3, 3, 37, 11)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, WeightFactory(6).binary(3, 3, 37, 11))
+
+    def test_sign_draw_is_signed_scale_with_fair_signs(self):
+        w = WeightFactory(0).binary(3, 3, 512, 512)
+        scale = np.float32(np.sqrt(2.0 / 4608))
+        assert np.array_equal(np.abs(w), np.full_like(w, scale))
+        assert 0.49 <= np.mean(w < 0) <= 0.51
+
+    def test_sign_draw_leaves_the_main_generator_untouched(self):
+        wf = WeightFactory(9)
+        wf.binary(3, 3, 64, 64)
+        assert np.array_equal(wf.conv(3, 3, 8, 8), WeightFactory(9).conv(3, 3, 8, 8))
+
+    def test_sign_draw_peaks_at_its_result(self):
+        wf = WeightFactory(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w = wf.binary(3, 3, 512, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= w.nbytes + 1e6, f"peak {(peak - base) / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_every_binary_conv_holds_signed_scale(self, name):
+        """Catches a ``binary_weights=True`` site still drawing Gaussians."""
+        g = build_model(name, input_size=SMALL_INPUT)
+        convs = [
+            n for n in g.ops_by_type("conv2d") if n.attr("binary_weights")
+        ]
+        assert convs
+        for node in convs:
+            w = node.params["weights"]
+            kh, kw, cin, _ = w.shape
+            scale = np.float32(np.sqrt(2.0 / (kh * kw * cin)))
+            assert np.all(np.abs(w) == scale), node.name
 
 
 class TestModelSizeFidelity:
