@@ -17,8 +17,9 @@ from __future__ import annotations
 import sys
 
 from repro.converter import convert
-from repro.hw import DeviceModel
-from repro.profiling import layer_stacks, profile_graph, quicknet_table4_rows
+from repro.experiments.figure5 import layer_stacks
+from repro.experiments.table4 import quicknet_table4_rows
+from repro.hw import DeviceModel, graph_latency
 from repro.zoo import MODEL_REGISTRY, build_model
 
 
@@ -28,18 +29,18 @@ def main(model_name: str = "quicknet", device_name: str = "rpi4b") -> None:
     device = DeviceModel.by_name(device_name)
 
     print(f"building and converting {model_name}...")
-    model = convert(build_model(model_name))
-    profiles = profile_graph(device, model.graph)
-    total_ms = sum(p.simulated_s for p in profiles) * 1e3
+    graph = convert(build_model(model_name)).graph
+    latency = graph_latency(device, graph)
+    total_ms = latency.total_ms
     print(f"{model_name} on {device_name}: {total_ms:.1f} ms end to end\n")
 
     print("Operator-class breakdown (Table 4 style):")
-    for row in quicknet_table4_rows(profiles):
+    for row in quicknet_table4_rows(graph, latency):
         bar = "#" * int(row.share_percent / 2)
         print(f"  {row.op_class:38s} {row.share_percent:6.2f}%  {bar}")
 
     print("\nPer-layer stack (Figure 5 style; binary '=' vs full precision '#'):")
-    stacks = layer_stacks(profiles)
+    stacks = layer_stacks(graph, latency)
     scale = 60 / max(s["binary_s"] + s["full_precision_s"] for s in stacks)
     for s in stacks:
         binary = "=" * int(s["binary_s"] * scale)

@@ -102,9 +102,9 @@ def main() -> None:
     deployed = convert(graph)
     eager = model.forward(x_test[:8], training=False).argmax(axis=1)
     batch_preds = []
-    executor = Executor(deployed.graph)
+    reference = Executor(deployed.graph)
     for i in range(8):
-        batch_preds.append(int(executor.run(x_test[i : i + 1]).argmax()))
+        batch_preds.append(int(reference.run(x_test[i : i + 1]).argmax()))
     agreement = float(np.mean(eager == np.array(batch_preds)))
     print(f"eager vs deployed prediction agreement: {agreement:.2f}")
     assert agreement == 1.0

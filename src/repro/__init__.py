@@ -21,8 +21,8 @@ on NumPy only, every system the paper describes:
   evaluation (the Larq Zoo analog).
 - :mod:`repro.hw` — an analytical latency model of ARMv8-A devices
   (Pixel 1, Raspberry Pi 4B) and of competing inference frameworks.
-- :mod:`repro.profiling`, :mod:`repro.analysis` — op-level profiling, MAC
-  counting, speedup statistics.
+- :mod:`repro.analysis` — MAC counting, speedup statistics, static
+  analysis.
 - :mod:`repro.experiments` — one module per table/figure of the paper.
 
 Quickstart::
@@ -30,14 +30,14 @@ Quickstart::
     import numpy as np
     from repro import convert, zoo
     from repro.graph import Executor
-    from repro.hw import DeviceModel
+    from repro.hw import DeviceModel, graph_latency
 
     # training graph -> LCE model.  convert() never mutates its input and
     # shares its arrays read-only; keeping no name for the training graph
     # lets its float weights go.
     model = convert(zoo.quicknet("small"))
     out = Executor(model.graph).run(np.random.randn(1, 224, 224, 3))
-    latency_ms = DeviceModel.pixel1().graph_latency_ms(model.graph)
+    latency_ms = graph_latency(DeviceModel.pixel1(), model.graph).total_ms
 
 Serving (batched, bit-identical to the executor)::
 

@@ -35,7 +35,6 @@ from repro.graph.serialization import save_model
 from repro.hw.device import DeviceModel, ProfileError, load_profile, save_profile
 from repro.hw.latency import graph_latency
 from repro.obs import format_snapshot
-from repro.profiling import profile_graph, quicknet_table4_rows
 from repro.zoo import MODEL_REGISTRY, build_model
 
 
@@ -113,15 +112,16 @@ def cmd_profile(args) -> int:
     profile, rc = _resolve_profile(args, "profile")
     if rc:
         return rc
-    model = _build_converted(args)
+    from repro.experiments.table4 import quicknet_table4_rows
+
+    graph = _build_converted(args).graph
     device = profile if profile is not None else DeviceModel.by_name(args.device)
-    profiles = profile_graph(device, model.graph)
-    total = sum(p.simulated_s for p in profiles)
+    latency = graph_latency(device, graph)
     pricing = (
         f"profile {profile.name!r}" if profile is not None else args.device
     )
-    print(f"{args.model} on {pricing}: {total * 1e3:.1f} ms\n")
-    for row in quicknet_table4_rows(profiles):
+    print(f"{args.model} on {pricing}: {latency.total_ms:.1f} ms\n")
+    for row in quicknet_table4_rows(graph, latency):
         print(f"  {row.op_class:<38} {row.share_percent:6.2f}%")
     return 0
 
@@ -432,16 +432,20 @@ def _print_health(health) -> bool:
 
 
 def _export_telemetry(args, events) -> list[str]:
-    """Write the ``--events-out`` JSONL and return its validation problems."""
-    from repro.analysis.telemetry import validate_events
+    """Write the ``--events-out`` JSONL, read it back and return the
+    file's validation problems."""
+    from repro.analysis.telemetry import load_events_jsonl, validate_events
     from repro.obs import write_events_jsonl
 
-    records = write_events_jsonl(events, args.events_out)
+    written = write_events_jsonl(events, args.events_out)
     print(
-        f"wrote {args.events_out}: {records[0]['count']} events, "
-        f"{records[0]['dropped']} dropped"
+        f"wrote {args.events_out}: {written[0]['count']} events, "
+        f"{written[0]['dropped']} dropped"
     )
-    return validate_events(records)
+    try:
+        return validate_events(load_events_jsonl(args.events_out))
+    except ValueError as exc:
+        return [str(exc)]
 
 
 def cmd_serve(args) -> int:

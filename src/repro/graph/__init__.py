@@ -9,8 +9,8 @@ This subpackage provides our equivalents:
   per-op hooks registered in :mod:`repro.ops`).
 - :mod:`repro.graph.builder` — a functional builder API used by the model
   zoo and the training layers.
-- :mod:`repro.graph.executor` — an interpreter running graphs on the NumPy
-  kernels, with per-node value recording for the profiler.
+- :mod:`repro.graph.executor` — the reference interpreter running graphs
+  on the NumPy kernels, with per-node value recording for PTQ calibration.
 - :mod:`repro.graph.serialization` — the "LCE model file": a compact
   binary format with 1-bit packed binary weights.
 - :mod:`repro.graph.passes` — the converter's graph-transformation passes.

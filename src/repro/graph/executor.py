@@ -4,7 +4,7 @@ This is the runtime-analog of the extended TensorFlow Lite interpreter.
 Bitpacked tensors flow as :class:`~repro.core.bitpack.PackedTensor` values;
 everything else as ``np.ndarray``.  The executor validates produced values
 against the graph's inferred specs, frees dead intermediates (unless asked
-to record them for the profiler), and resolves each node to a kernel
+to record them, as PTQ calibration does), and resolves each node to a kernel
 through the :mod:`repro.ops` registry — the same kernel closures a
 :class:`~repro.runtime.plan.CompiledPlan` executes, compiled per node at
 construction time with a private :class:`~repro.ops.OpContext`.
@@ -12,20 +12,15 @@ construction time with a private :class:`~repro.ops.OpContext`.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 import numpy as np
 
 from repro.core.bitpack import PackedTensor
 from repro.graph.ir import Graph
-from repro.obs.trace import NULL_TRACER, Tracer
 from repro.ops import KernelFn, OpContext, check_value, compile_node
 
 Value = Any  # np.ndarray | PackedTensor
-
-# Historical alias; plan execution and tests import the same check.
-_check_value = check_value
 
 
 class Executor:
@@ -34,27 +29,18 @@ class Executor:
     Args:
         graph: a validated graph.
         record_values: keep every intermediate tensor in :attr:`values`
-            (for debugging / the profiler); otherwise dead values are freed
-            as execution proceeds.
-        tracer: a :class:`~repro.obs.trace.Tracer`; when enabled, each run
-            records an ``executor.run`` span with one nested
-            ``executor.node`` span per node (kernels attach their own
-            sub-spans through the ambient tracer).
+            (for debugging / PTQ calibration); otherwise dead values are
+            freed as execution proceeds.
+
+    The reference path is not timed: per-node measurements come from the
+    ``plan.node`` spans of a traced :class:`~repro.runtime.Engine` run.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        record_values: bool = False,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
+    def __init__(self, graph: Graph, record_values: bool = False) -> None:
         graph.validate()
         self.graph = graph
         self.record_values = record_values
-        self.tracer = tracer
         self.values: dict[str, Value] = {}
-        #: wall-clock seconds spent per node in the last run.
-        self.node_times: dict[str, float] = {}
         # Specs let factories resolve static geometry (indirections) at
         # construction; no workspace — the reference path keeps allocating.
         ctx = OpContext(specs=graph.tensors)
@@ -85,31 +71,8 @@ class Executor:
             check_value(value, self.graph.tensors[name], name)
             values[name] = value
 
-        self.node_times.clear()
-        with self.tracer.span("executor.run", nodes=len(self.graph.nodes)):
-            self._run_nodes(values, last_use)
-        if self.record_values:
-            self.values = values
-        result = tuple(values[t] for t in self.graph.outputs)
-        return result[0] if len(result) == 1 else result
-
-    def _run_nodes(
-        self,
-        values: dict[str, Value],
-        last_use: dict[str, int],
-    ) -> None:
-        tracer = self.tracer
         for idx, node in enumerate(self.graph.nodes):
-            fn = self._kernels[idx]
-            ins = [values[t] for t in node.inputs]
-            if tracer.enabled:
-                with tracer.span("executor.node", node=node.name, op=node.op) as sp:
-                    out = fn(ins)
-                self.node_times[node.name] = sp.dur_s
-            else:
-                start = time.perf_counter()
-                out = fn(ins)
-                self.node_times[node.name] = time.perf_counter() - start
+            out = self._kernels[idx]([values[t] for t in node.inputs])
             outs = out if isinstance(out, tuple) else (out,)
             for t, v in zip(node.outputs, outs):
                 check_value(v, self.graph.tensors[t], t)
@@ -122,3 +85,7 @@ class Executor:
                         and t in values
                     ):
                         del values[t]
+        if self.record_values:
+            self.values = values
+        result = tuple(values[t] for t in self.graph.outputs)
+        return result[0] if len(result) == 1 else result

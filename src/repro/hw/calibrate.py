@@ -16,8 +16,8 @@ per *op* (the precise model; meets the error budget) and per *op class*
 (the Table-4 buckets; fallback for ops the workload never exercised) —
 and both land in the :class:`~repro.hw.device.DeviceProfile` artifact,
 which :func:`repro.ops.registry.node_cost` applies to every estimate, so
-the profiler, ``graph_latency`` and the experiments tables all price
-against the fitted constants.
+``graph_latency`` and every table priced through it (``cli profile``,
+the experiments) use the fitted constants.
 
 Determinism contract: this module draws no entropy and reads no clocks
 itself — the single seeded RNG below generates input data, and all timing
@@ -173,7 +173,7 @@ def fit_profile(
     """Fit per-op and per-op-class coefficients, build the artifact.
 
     Two granularities go into the profile: per-op coefficients for every
-    op observed during collection (the precise fit — profiling classes
+    op observed during collection (the precise fit — op classes
     lump heterogeneous ops), and per-op-class coefficients as the
     fallback for ops the calibration workload never exercised.  The
     returned profile also carries a :class:`~repro.hw.device.FitReport`

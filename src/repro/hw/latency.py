@@ -285,9 +285,9 @@ def graph_latency(
 
     ``threads > 1`` models LCE's Ruy-inherited multi-threaded inference;
     see :meth:`LatencyBreakdown.with_threads`.  ``device`` may be a
-    calibrated :class:`DeviceProfile` — every consumer (profiler
-    breakdowns, experiments tables, speedup analysis) then prices against
-    the same fitted constants.
+    calibrated :class:`DeviceProfile` — every consumer (``cli profile``,
+    experiments tables, speedup analysis) then prices against the same
+    fitted constants.
     """
     profile = as_profile(device)
     per_node: dict[str, LatencyBreakdown] = {}
@@ -304,8 +304,8 @@ def align_spans(
 ) -> dict[str, tuple[float, float]]:
     """Per-node (measured_s, simulated_s) pairs from recorded trace spans.
 
-    The measured side sums the tracer's per-node spans
-    (``plan.node``/``executor.node``, see
+    The measured side sums the ``plan.node`` spans of a traced
+    :class:`~repro.runtime.Engine` run (see
     :func:`repro.obs.export.node_seconds`), so simulated-vs-measured
     comparisons share the trace's clock discipline; the simulated side is
     :func:`graph_latency`.  Nodes without a recorded span are omitted.

@@ -155,13 +155,14 @@ def validate_chrome_trace(obj: Any) -> list[str]:
 # --------------------------------------------------------------- summaries
 def node_seconds(
     spans: list[SpanRecord],
-    names: tuple[str, ...] = ("plan.node", "executor.node"),
+    names: tuple[str, ...] = ("plan.node",),
 ) -> dict[str, float]:
     """Cumulative seconds per graph node from its per-node spans.
 
-    The span-backed analog of ``Executor.node_times`` — profiler measured
-    mode reads this so simulated-vs-measured comparisons share one clock
-    discipline with the trace.
+    The span-backed analog of ``CompiledPlan.execute(node_times=)``;
+    :func:`repro.hw.latency.align_spans` and trace calibration read it, so
+    simulated-vs-measured comparisons share one clock discipline with the
+    trace.
     """
     out: dict[str, float] = {}
     for s in spans:

@@ -1,16 +1,9 @@
 """Structured spans: a thread-safe tracer for the runtime hot path.
 
-The span taxonomy mirrors the layers a request passes through::
-
-    engine.run / engine.run_many
-      batch.coalesce
-      plan.execute
-        plan.node                  (one per compiled graph node)
-          kernel.bgemm             (XOR-popcount GEMM, per call; args m, n,
-                                    words, depth, and the K schedule:
-                                    k_block words per step, steps per
-                                    panel)
-          indirection.lookup       (eager-path geometry cache)
+The span taxonomy mirrors the layers a request passes through
+(``gateway.flush`` → ``engine.run_many`` → ``plan.execute`` →
+``plan.node`` → ``kernel.bgemm``); docs/architecture.md §9 lists every
+span, and a test pins that list to the spans actually emitted.
 
 Design points:
 
@@ -19,8 +12,8 @@ Design points:
   overwrite-oldest drops), so tracing a long-running engine is
   bounded-memory; the tracer adds each thread's live span stack on top.
 - **Two clocks, one discipline.**  Span intervals are measured with the
-  monotonic ``time.perf_counter`` — the same clock the profiler and the
-  engine's ``busy_s`` use.  A single wall-clock anchor is captured once,
+  monotonic ``time.perf_counter`` — the same clock ``node_times`` and
+  the engine's ``busy_s`` use.  A single wall-clock anchor is captured once,
   at the *recording boundary* (tracer construction), and only the
   Chrome-trace exporter maps monotonic offsets onto it; nothing on a
   compiled-plan path ever reads wall-clock time (lint rule L104).

@@ -3,8 +3,8 @@
 Importing this package registers every built-in operator (the module
 imports below run the :func:`repro.ops.registry.register` calls) and
 re-exports the registry API.  The reference executor, the plan compiler,
-shape inference, the latency model, the profiler and the CLI op table all
-resolve per-op knowledge through here.
+shape inference, the latency model and the CLI op table all resolve
+per-op knowledge through here.
 """
 
 from repro.ops.registry import (

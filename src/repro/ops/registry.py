@@ -13,12 +13,13 @@ bundling
   (:func:`compile_node`);
 - an optional **cost hook** consumed by :func:`repro.hw.latency.node_latency`
   (:func:`node_cost`);
-- an **op-class label** consumed by :mod:`repro.profiling.breakdown`.
+- an **op-class label** consumed by the Table-4 breakdown
+  (:func:`repro.experiments.table4.quicknet_table4_rows`) and trace
+  calibration.
 
 Adding an op is one :func:`register` call — the executor, the plan
-compiler, shape inference, the latency model, the profiler, ``Graph
-.validate()`` and the ``python -m repro.cli ops`` table all pick it up
-from here.
+compiler, shape inference, the latency model, ``Graph.validate()`` and
+the ``python -m repro.cli ops`` table all pick it up from here.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class OpSpec:
     #: latency hook for :func:`repro.hw.latency.node_latency`; ops without
     #: one must be listed in :data:`COST_EXEMPT_OPS`
     cost: CostFn | None = None
-    #: profiler op-class label (Table-4 bucket)
+    #: op-class label (Table-4 bucket)
     op_class: str = CLASS_FP_OTHER
     #: True for binarized-domain ops (``lce_*``)
     binary: bool = False
@@ -321,8 +322,8 @@ def node_cost(
     The single calibration point of the cost stack: the hook prices the
     node against the profile's analytic constants, then the profile's
     per-op-class work factor and overhead replacement are applied here —
-    so the profiler, ``graph_latency``, experiments tables and plan
-    scheduling all see the same calibrated estimate.  A raw
+    so ``graph_latency``, experiments tables and plan scheduling all
+    see the same calibrated estimate.  A raw
     :class:`DeviceModel` (or the ``default`` profile) applies no
     calibration and reproduces the historical estimates bit-for-bit.
     """

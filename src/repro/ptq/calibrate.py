@@ -41,9 +41,9 @@ def calibrate(graph: Graph, batches: list[np.ndarray]) -> TensorRanges:
         raise ValueError("need at least one calibration batch")
     ranges = TensorRanges()
     for batch in batches:
-        executor = Executor(graph, record_values=True)
-        executor.run(batch)
-        for tensor, value in executor.values.items():
+        reference = Executor(graph, record_values=True)
+        reference.run(batch)
+        for tensor, value in reference.values.items():
             if isinstance(value, PackedTensor):
                 continue
             ranges.update(tensor, np.asarray(value))

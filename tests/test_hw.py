@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.converter import convert
 from repro.core.types import Padding
 from repro.hw import isa
 from repro.hw.device import DeviceModel
 from repro.hw.frameworks import FRAMEWORKS
-from repro.hw.latency import LatencyBreakdown, conv_cost, graph_latency, node_latency
+from repro.hw.latency import (
+    LatencyBreakdown,
+    align_spans,
+    conv_cost,
+    graph_latency,
+    node_latency,
+)
+from repro.obs.trace import SpanRecord, Tracer
+from repro.runtime import Engine
+from repro.zoo import quicknet
 
 
 class TestISA:
@@ -195,3 +206,79 @@ class TestFrameworks:
     def test_dabnn_not_multithreaded(self):
         assert not FRAMEWORKS["dabnn"].multithreaded
         assert FRAMEWORKS["lce"].multithreaded
+
+
+def _node_span(node_name: str, dur_s: float, start_s: float = 0.0) -> SpanRecord:
+    return SpanRecord(
+        name="plan.node",
+        start_s=start_s,
+        dur_s=dur_s,
+        tid=0,
+        path=("plan.execute",),
+        args={"node": node_name},
+    )
+
+
+class TestAlignSpans:
+    """Measured ``plan.node`` spans joined to the simulated per-node side:
+    a real traced run, then synthetic-span contracts (omission,
+    aggregation, thread scaling)."""
+
+    @pytest.fixture(scope="class")
+    def small_graph(self):
+        return convert(quicknet("small", input_size=32)).graph
+
+    def test_align_spans_joins_measured_and_simulated(self, small_graph):
+        tracer = Tracer()
+        x = np.random.default_rng(0).standard_normal((1, 32, 32, 3))
+        with Engine(small_graph, trace=tracer) as engine:
+            engine.run(x.astype(np.float32))
+        pairs = align_spans(DeviceModel.pixel1(), small_graph, tracer.spans())
+        assert set(pairs) == {n.name for n in small_graph.nodes}
+        for measured_s, simulated_s in pairs.values():
+            assert measured_s >= 0 and simulated_s > 0
+
+    def test_nodes_without_spans_are_omitted(self, small_graph):
+        names = [n.name for n in small_graph.nodes]
+        recorded, skipped = names[:-1], names[-1]
+        spans = [_node_span(name, 1e-4) for name in recorded]
+        pairs = align_spans(DeviceModel.pixel1(), small_graph, spans)
+        assert set(pairs) == set(recorded)
+        assert skipped not in pairs
+
+    def test_repeated_node_executions_aggregate_not_last_wins(
+        self, small_graph
+    ):
+        # A rebatch-split plan executes the same node once per sub-batch;
+        # the measured side must be the SUM of its spans, not whichever
+        # span the tracer recorded last.
+        target = small_graph.nodes[0].name
+        durations = (5e-4, 3e-4, 2e-4)
+        spans = [
+            _node_span(target, dur, start_s=i * 1e-3)
+            for i, dur in enumerate(durations)
+        ]
+        pairs = align_spans(DeviceModel.pixel1(), small_graph, spans)
+        measured_s, _ = pairs[target]
+        assert measured_s == pytest.approx(sum(durations))
+        assert measured_s != durations[-1]
+
+    def test_threads_scale_simulated_side_only(self, small_graph):
+        spans = [_node_span(n.name, 1e-4) for n in small_graph.nodes]
+        device = DeviceModel.pixel1()
+        single = align_spans(device, small_graph, spans, threads=1)
+        quad = align_spans(device, small_graph, spans, threads=4)
+        assert set(single) == set(quad)
+        # Measured values come from the spans and must not change.
+        for name in single:
+            assert quad[name][0] == single[name][0]
+        # The binary convolutions parallelize: simulated time drops.
+        bconv = [
+            n.name for n in small_graph.nodes if n.op == "lce_bconv2d"
+        ]
+        assert bconv
+        for name in bconv:
+            assert quad[name][1] < single[name][1]
+        # No node may get slower with more threads.
+        for name in single:
+            assert quad[name][1] <= single[name][1]

@@ -1,7 +1,7 @@
 """Integration tests: the full Figure-1 pipeline, end to end.
 
 Train-graph construction -> conversion -> execution -> serialization ->
-deployment-side execution -> profiling, on real zoo models.
+deployment-side execution -> per-node profiling, on real zoo models.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from repro.converter import convert
 from repro.graph.executor import Executor
 from repro.graph.serialization import load_model, save_model
 from repro.hw.device import DeviceModel
-from repro.hw.latency import graph_latency
-from repro.profiling import profile_graph
+from repro.hw.latency import align_spans, graph_latency
+from repro.obs.trace import Tracer
+from repro.ops import is_binary_op
+from repro.runtime import Engine
 from repro.zoo import binary_resnet18, quicknet
 
 
@@ -72,27 +74,40 @@ class TestTrainToDeploy:
 
 
 class TestSimulatedDeployment:
+    @pytest.fixture(scope="class")
+    def aligned(self, quicknet_pipeline):
+        """(measured_s, simulated_s) per node of one traced Engine.run,
+        after an untraced warm-up run (a first run's one-time costs would
+        otherwise swamp the small nodes)."""
+        p = quicknet_pipeline
+        tracer = Tracer()
+        with Engine(p["model"]) as engine:
+            engine.run(p["x"])
+            engine.tracer = tracer
+            engine.run(p["x"])
+        return align_spans(DeviceModel.pixel1(), p["model"].graph, tracer.spans())
+
     def test_latency_estimates_for_both_devices(self, quicknet_pipeline):
         g = quicknet_pipeline["model"].graph
         pixel = graph_latency(DeviceModel.pixel1(), g).total_ms
         rpi = graph_latency(DeviceModel.rpi4b(), g).total_ms
         assert 0 < pixel < rpi  # the RPi core is slower across the board
 
-    def test_profiler_covers_model(self, quicknet_pipeline):
+    def test_profiler_covers_model(self, quicknet_pipeline, aligned):
         g = quicknet_pipeline["model"].graph
-        profiles = profile_graph(DeviceModel.pixel1(), g, measure=True)
-        assert len(profiles) == len(g)
-        binary_time = sum(p.simulated_s for p in profiles if p.is_binary)
-        total = sum(p.simulated_s for p in profiles)
+        assert list(aligned) == [n.name for n in g.nodes]
+        ops = {n.name: n.op for n in g.nodes}
+        binary_time = sum(
+            sim for name, (_, sim) in aligned.items() if is_binary_op(ops[name])
+        )
+        total = sum(sim for _, sim in aligned.values())
         assert binary_time / total > 0.3  # QuickNet is mostly binary
 
-    def test_measured_and_simulated_correlate(self, quicknet_pipeline):
-        """NumPy wall-clock is not ARM latency, but across ops spanning
-        orders of magnitude the two should correlate positively."""
-        g = quicknet_pipeline["model"].graph
-        profiles = profile_graph(DeviceModel.pixel1(), g, measure=True)
-        sim = np.array([p.simulated_s for p in profiles])
-        meas = np.array([p.measured_s for p in profiles])
+    def test_measured_and_simulated_correlate(self, aligned):
+        """NumPy wall-clock of the compiled plan is not ARM latency, but
+        across ops spanning orders of magnitude the two should correlate
+        positively."""
+        meas, sim = np.array(list(aligned.values())).T
         keep = meas > 1e-6  # ignore timer-noise ops
         corr = np.corrcoef(np.log(sim[keep]), np.log(meas[keep]))[0, 1]
         assert corr > 0.3

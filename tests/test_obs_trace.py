@@ -10,10 +10,13 @@ node.
 from __future__ import annotations
 
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from fake_clock import FakeClock
 
 from repro import cli
 from repro.converter import convert
@@ -32,6 +35,7 @@ from repro.obs.trace import (
     iter_children,
 )
 from repro.runtime import Engine
+from repro.serving import Gateway, GatewayConfig
 from repro.zoo import quicknet
 
 
@@ -271,6 +275,60 @@ class TestEngineTrace:
         )
         assert coalesce.args["requests"] == 3 and coalesce.args["chunks"] == 2
         assert validate_chrome_trace(chrome_trace(tracer)) == []
+
+
+def _documented_span_tree() -> tuple[set[str], set[tuple[str | None, str]]]:
+    """Span names and (parent, child) edges of architecture.md §9's block.
+
+    A line ``<indent><name>[ / <name>...]  <prose>`` documents each name at
+    depth ``indent // 2`` under every name of the nearest shallower line.
+    """
+    doc = Path(__file__).resolve().parents[1] / "docs" / "architecture.md"
+    section = doc.read_text().split("### Span taxonomy", 1)[1]
+    block = section.split("```\n", 2)[1]
+    names: set[str] = set()
+    edges: set[tuple[str | None, str]] = set()
+    parents: list[list[str | None]] = [[None]]
+    span = r"[a-z_]+\.[a-z_]+"
+    for line in block.splitlines():
+        m = re.match(rf"( *)({span}(?: / {span})*)(?:  |$)", line)
+        if m is None:
+            continue
+        depth = len(m[1]) // 2
+        line_names = m[2].split(" / ")
+        del parents[depth + 1 :]
+        names.update(line_names)
+        edges.update((p, n) for p in parents[depth] for n in line_names)
+        parents.append(line_names)
+    return names, edges
+
+
+def test_architecture_doc_span_taxonomy(rng):
+    """§9's span block is the set of spans a traced ``Engine.run``,
+    ``Engine.run_many`` and one ``Gateway`` flush emit, name for name, and
+    every emitted nesting is one the block draws."""
+    model = convert(quicknet("small", input_size=32))
+    x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
+    tracer = Tracer()
+    with Engine(model, trace=tracer) as engine:
+        engine.run(x)
+        engine.run_many([x, x])
+    gateway = Gateway(
+        {"m": model},
+        GatewayConfig(max_batch=1, deadline_ms=100.0),
+        clock=FakeClock(),
+        trace=tracer,
+    )
+    try:
+        gateway.submit("m", x).result(30.0)
+    finally:
+        gateway.close()
+    spans = tracer.spans()
+    emitted = {(s.path[-1] if s.path else None, s.name) for s in spans}
+
+    names, edges = _documented_span_tree()
+    assert names == {s.name for s in spans}
+    assert emitted <= edges
 
 
 class TestCli:

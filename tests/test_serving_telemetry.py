@@ -17,6 +17,7 @@ deterministic:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from fake_clock import FakeClock
@@ -233,6 +234,35 @@ def test_serve_command_writes_valid_artifacts(tmp_path, capsys):
     kinds = request_kinds(records)
     assert len(kinds) == 16
     assert all(k[-1] == "request.complete" for k in kinds.values())
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (lambda text: text.split("\n", 1)[1], "header: schema is not"),
+        (lambda text: text[:-3], "events.jsonl: line "),
+    ],
+    ids=["header-dropped", "last-line-cut"],
+)
+def test_serve_command_validates_the_file_it_wrote(
+    tmp_path, monkeypatch, capsys, damage, problem
+):
+    """``--events-out`` judges the bytes on disk, not the records it meant
+    to write: a file damaged between write and read-back exits 1."""
+    import repro.obs
+
+    write = repro.obs.write_events_jsonl
+
+    def write_then_damage(log, path):
+        records = write(log, path)
+        Path(path).write_text(damage(Path(path).read_text()))
+        return records
+
+    monkeypatch.setattr(repro.obs, "write_events_jsonl", write_then_damage)
+    rc = cli.main(_SERVE + ["--events-out", str(tmp_path / "events.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("serve: ") and problem in err
 
 
 @pytest.mark.parametrize(
