@@ -83,7 +83,7 @@ calibrate-smoke:
 
 # Telemetry smoke: one served burst on the real clock that answers the
 # serving questions of docs/architecture.md section 9 — the metrics
-# snapshot, the SLO verdict (a generous p95 target) and the event log,
+# snapshot, the p95 verdict (against a generous target) and the event log,
 # exported and schema-validated with exactly one terminal event per
 # request.  Exits non-zero on a validation problem or a breach.
 telemetry-smoke:

@@ -82,10 +82,10 @@ def _hw_contract_file(path: pathlib.Path) -> bool:
     return "hw" in _segments(path) and path.name in _HW_CONTRACT_FILES
 
 
-#: obs/ is mostly cold-path bookkeeping, but the event log, the ring store
-#: under it and the SLO monitor sit on (or are driven from) the serving hot
-#: path and are held to the same allocation contract as core/serving
-_OBS_CONTRACT_FILES = frozenset({"events.py", "ring.py", "slo.py"})
+#: obs/ is mostly cold-path bookkeeping, but the event log and the ring
+#: store under it sit on the serving hot path and are held to the same
+#: allocation contract as core/serving
+_OBS_CONTRACT_FILES = frozenset({"events.py", "ring.py"})
 
 
 def _obs_contract_file(path: pathlib.Path) -> bool:

@@ -25,6 +25,7 @@ from ``python3 -m bench.run`` and, per span, from ``repro trace``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -34,8 +35,34 @@ from repro.converter import convert
 from repro.graph.serialization import save_model
 from repro.hw.device import DeviceModel, ProfileError, load_profile, save_profile
 from repro.hw.latency import graph_latency
-from repro.obs import format_snapshot
+from repro.obs import format_snapshot, quantile_from_counts
 from repro.zoo import MODEL_REGISTRY, build_model
+
+
+def _bounded(kind, *, zero_ok: bool = False):
+    """An argparse type: a finite ``kind`` that is > 0 (>= 0 with
+    ``zero_ok``), so a bad count or deadline is a usage error (exit 2)
+    before any model is built."""
+    bound = ">= 0" if zero_ok else "> 0"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        in_range = value >= 0 if zero_ok else value > 0
+        if not (in_range and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {bound}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _bounded(int)
 
 
 def _add_model_arg(parser: argparse.ArgumentParser) -> None:
@@ -44,7 +71,8 @@ def _add_model_arg(parser: argparse.ArgumentParser) -> None:
         help="zoo model to operate on",
     )
     parser.add_argument(
-        "--input-size", type=int, default=224, help="spatial input resolution"
+        "--input-size", type=_POSITIVE_INT, default=224,
+        help="spatial input resolution",
     )
 
 
@@ -353,34 +381,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _slo_from_args(args):
-    """The SLOConfig the --slo-* flags describe, or None when unset."""
-    from repro.obs import SLOConfig
-
-    objectives = (
-        args.slo_p95_ms,
-        args.slo_error_budget_pct,
-        args.slo_hit_rate,
-    )
-    if all(v is None for v in objectives):
-        return None
-    deadline = args.slo_deadline_ms
-    if args.slo_hit_rate is not None and deadline is None:
-        deadline = args.deadline_ms  # fall back to the batching deadline
-    return SLOConfig(
-        target_p95_ms=args.slo_p95_ms,
-        deadline_ms=deadline,
-        deadline_hit_rate=args.slo_hit_rate,
-        error_budget_pct=args.slo_error_budget_pct,
-        window_s=args.slo_window_s,
-    )
-
-
-def _telemetry_burst(args, *, events, slo):
+def _telemetry_burst(args, *, events):
     """Build the models, serve a request burst, return (gateway, replies).
 
     The caller owns the gateway and must close it (keeping it open lets
-    health and the events export run against live telemetry sources).
+    the events export run against live telemetry sources).
     """
     from repro.serving import Gateway, GatewayConfig
 
@@ -401,7 +406,7 @@ def _telemetry_burst(args, *, events, slo):
         max_queue=args.max_queue,
         replicas=args.replicas,
     )
-    gateway = Gateway(models, config, events=events, slo=slo)
+    gateway = Gateway(models, config, events=events)
     try:
         gateway.warmup(factors=(1, args.max_batch))
         names = sorted(models)
@@ -416,17 +421,19 @@ def _telemetry_burst(args, *, events, slo):
     return gateway, replies
 
 
-def _print_health(health) -> bool:
-    """Render per-model verdicts; True when any model is breached."""
+def _print_p95_verdicts(target_ms: float, models, snapshot) -> bool:
+    """One line per model comparing its p95 latency over the burst to
+    ``target_ms``; True when any model exceeds it."""
     breached = False
-    for name in sorted(health):
-        h = health[name]
-        breached = breached or h.status == "breached"
+    for name in models:
+        latency = snapshot[f"gateway.{name}.latency_ms"]
+        p95 = quantile_from_counts(latency["counts"], 0.95)
+        over = p95 > target_ms
+        breached = breached or over
         print(
-            f"{name}: {h.status} — {'; '.join(h.reasons)} "
-            f"(p95 {h.p95_ms:.2f} ms, errors {h.error_rate:.2%}, "
-            f"deadline hits {h.deadline_hit_rate:.2%}, "
-            f"completed {h.window_completed} in {h.window_s:.1f}s window)"
+            f"{name}: {'breached' if over else 'healthy'} — p95 "
+            f"{p95:.2f} ms {'>' if over else '<='} target {target_ms:g} ms "
+            f"({latency['count']} completed)"
         )
     return breached
 
@@ -451,19 +458,16 @@ def _export_telemetry(args, events) -> list[str]:
 def cmd_serve(args) -> int:
     """Serve a demo burst through the gateway and print its stats.
 
-    With any ``--slo-*`` objective the per-model verdicts follow and a
-    breach exits 1; ``--events-out`` attaches the event log, and the
-    JSONL it writes is validated (exit 1 on a problem).
+    ``--slo-p95-ms T`` adds one line per model comparing its p95 to ``T``
+    (exit 1 when any model exceeds it); ``--events-out`` attaches the
+    event log, and the JSONL it writes is validated (exit 1 on a problem).
     """
     from repro.obs import EventLog
     from repro.serving import Rejected
 
-    slo = _slo_from_args(args)
     events = EventLog() if args.events_out else None
-    gateway, replies = _telemetry_burst(args, events=events, slo=slo)
+    gateway, replies = _telemetry_burst(args, events=events)
     try:
-        # evaluated first, so the snapshot's slo.* gauges carry the verdict
-        health = gateway.health() if slo is not None else {}
         stats = gateway.stats()
         shed = sum(1 for r in replies if isinstance(r, Rejected))
         print(
@@ -476,9 +480,12 @@ def cmd_serve(args) -> int:
             f"  latency p50/p95/p99: {stats.p50_ms:.2f}/{stats.p95_ms:.2f}/"
             f"{stats.p99_ms:.2f} ms; verified: {str(stats.verified).lower()}"
         )
+        snapshot = gateway.metrics_snapshot()
         print("  metrics snapshot:")
-        print(format_snapshot(gateway.metrics_snapshot(), indent="    "))
-        breached = _print_health(health)
+        print(format_snapshot(snapshot, indent="    "))
+        breached = args.slo_p95_ms is not None and _print_p95_verdicts(
+            args.slo_p95_ms, gateway.models, snapshot
+        )
         problems = _export_telemetry(args, events) if events is not None else []
     finally:
         gateway.close()
@@ -502,9 +509,6 @@ def cmd_experiments(args) -> int:
 def cmd_calibrate(args) -> int:
     from repro.hw.calibrate import calibrate
 
-    if args.repeats < 1:
-        print("calibrate: --repeats must be >= 1", file=sys.stderr)
-        return 2
     profile = calibrate(
         models=tuple(args.models),
         input_size=args.input_size,
@@ -590,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze every zoo model",
     )
     p.add_argument(
-        "--input-size", type=int, default=64,
+        "--input-size", type=_POSITIVE_INT, default=64,
         help="spatial input resolution for graph analysis (the rules are "
         "geometry-checked at any size; 64 keeps the gate fast)",
     )
@@ -614,9 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a traced engine run and export Chrome trace_event JSON",
     )
     _add_model_arg(p)
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--batch", type=_POSITIVE_INT, default=1)
     p.add_argument(
-        "--repeats", type=int, default=1, help="traced engine runs to record"
+        "--repeats", type=_POSITIVE_INT, default=1,
+        help="traced engine runs to record",
     )
     p.add_argument(
         "--out", default="trace.json", help="Chrome trace_event output path"
@@ -627,58 +632,44 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="print the unified runtime metrics registry for a model"
     )
     _add_model_arg(p)
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--batch", type=_POSITIVE_INT, default=4)
     p.add_argument(
-        "--repeats", type=int, default=2, help="engine runs before the snapshot"
+        "--repeats", type=_POSITIVE_INT, default=2,
+        help="engine runs before the snapshot",
     )
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(
         "serve",
         help="serve a demo request burst through the async gateway: stats, "
-        "SLO verdicts (exit 1 on a breach), the request event log",
+        "a p95 verdict per model (exit 1 on a breach), the request event log",
     )
     p.add_argument(
         "--models", nargs="+", default=["quicknet_small"],
         choices=sorted(MODEL_REGISTRY), help="zoo models to serve",
     )
-    p.add_argument("--input-size", type=int, default=32)
-    p.add_argument("--max-batch", type=int, default=8)
+    p.add_argument("--input-size", type=_POSITIVE_INT, default=32)
+    p.add_argument("--max-batch", type=_POSITIVE_INT, default=8)
     p.add_argument(
-        "--deadline-ms", type=float, default=5.0,
+        "--deadline-ms", type=_bounded(float, zero_ok=True), default=5.0,
         help="longest a request is held for company: flush a forming "
         "batch this long after its oldest request (at once when recent "
         "arrivals come slower than one per deadline)",
     )
     p.add_argument(
-        "--max-queue", type=int, default=64,
+        "--max-queue", type=_POSITIVE_INT, default=64,
         help="bounded per-model queue; admission sheds beyond it",
     )
-    p.add_argument("--replicas", type=int, default=2)
+    p.add_argument("--replicas", type=_POSITIVE_INT, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--requests", type=int, default=32, help="demo requests to submit"
+        "--requests", type=_POSITIVE_INT, default=32,
+        help="demo requests to submit",
     )
     p.add_argument(
-        "--slo-p95-ms", type=float, default=None,
-        help="SLO objective: target p95 end-to-end latency",
-    )
-    p.add_argument(
-        "--slo-error-budget-pct", type=float, default=None,
-        help="SLO objective: max %% of requests shed or failed",
-    )
-    p.add_argument(
-        "--slo-hit-rate", type=float, default=None,
-        help="SLO objective: min fraction of requests under the deadline",
-    )
-    p.add_argument(
-        "--slo-deadline-ms", type=float, default=None,
-        help="deadline the hit rate is measured against "
-        "(defaults to --deadline-ms)",
-    )
-    p.add_argument(
-        "--slo-window-s", type=float, default=60.0,
-        help="rolling evaluation window",
+        "--slo-p95-ms", type=_bounded(float), default=None,
+        help="target p95 end-to-end latency: print each model's p95 "
+        "against it and exit 1 when one exceeds it",
     )
     p.add_argument(
         "--events-out", default=None, metavar="PATH",
@@ -700,9 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(MODEL_REGISTRY),
         help="calibration workload (traced engine runs)",
     )
-    p.add_argument("--input-size", type=int, default=32)
+    p.add_argument("--input-size", type=_POSITIVE_INT, default=32)
     p.add_argument(
-        "--repeats", type=int, default=15,
+        "--repeats", type=_POSITIVE_INT, default=15,
         help="recorded runs per model (first warm-up run is discarded)",
     )
     _add_device_arg(p)

@@ -75,13 +75,6 @@ LOCK_ORDER: tuple[LockRank, ...] = (
         "span recording can happen under the plan lock",
     ),
     LockRank(
-        "obs.slo", 84, False,
-        "SLOMonitor._lock — the rolling window-sample deque; metrics "
-        "snapshots are taken *before* acquiring it (callback gauges take "
-        "serving.server), and slo.* gauge updates under it only touch "
-        "obs.metrics",
-    ),
-    LockRank(
         "obs.events", 86, False,
         "EventLog._lock — per-thread event-ring registration/collection; "
         "event emission can happen under the server or plan locks",

@@ -1,6 +1,6 @@
 """`repro.obs`: zero-dependency tracing + metrics for the runtime.
 
-Six modules, one clock discipline:
+Five modules, one clock discipline:
 
 - :mod:`repro.obs.ring` — the per-thread, drop-counting ring store the
   tracer and the event log both record into;
@@ -12,9 +12,7 @@ Six modules, one clock discipline:
 - :mod:`repro.obs.metrics` — the typed counter/gauge/histogram registry
   that `EngineStats` and the cache stats are views of;
 - :mod:`repro.obs.events` — the request-scoped structured event log
-  (the tracer's ring store, joined to spans on ``request_id``);
-- :mod:`repro.obs.slo` — per-model SLO evaluation (p95 / error budget /
-  deadline hit rate) over rolling windows of the live metrics.
+  (the tracer's ring store, joined to spans on ``request_id``).
 """
 
 from repro.obs.events import (
@@ -44,15 +42,6 @@ from repro.obs.metrics import (
     global_registry,
     quantile_from_counts,
 )
-from repro.obs.slo import (
-    BREACHED,
-    DEGRADED,
-    HEALTHY,
-    STATUS_CODES,
-    ModelHealth,
-    SLOConfig,
-    SLOMonitor,
-)
 from repro.obs.trace import (
     DEFAULT_CAPACITY,
     NULL_TRACER,
@@ -64,16 +53,12 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "BREACHED",
     "DEFAULT_CAPACITY",
-    "DEGRADED",
     "EVENT_KINDS",
     "EVENT_SCHEMA",
     "EVENT_SCHEMA_VERSION",
-    "HEALTHY",
     "NULL_EVENTS",
     "NULL_TRACER",
-    "STATUS_CODES",
     "TERMINAL_KINDS",
     "Counter",
     "Event",
@@ -81,9 +66,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ModelHealth",
-    "SLOConfig",
-    "SLOMonitor",
     "Span",
     "SpanRecord",
     "Tracer",

@@ -7,10 +7,10 @@ This module replaces that scatter with one typed registry:
 
 - :class:`Counter` — monotonically increasing int/float totals
   (``engine.requests``, ``engine.busy_s``);
-- :class:`Gauge` — a settable point-in-time value, or a *callback* gauge
-  whose value is read from a function at snapshot time (the view
-  mechanism: ``indirection.entries`` reads the live module cache,
-  ``workspace.bytes_reserved`` reads an engine's scratch arena);
+- :class:`Gauge` — a point-in-time value read from a callback at
+  snapshot time (the view mechanism: ``indirection.entries`` reads the
+  live module cache, ``workspace.bytes_reserved`` reads an engine's
+  scratch arena);
 - :class:`Histogram` — discrete value -> count distributions with
   count/total/min/max (``engine.batch_size``).
 
@@ -18,7 +18,7 @@ Consistency contract: every native instrument of a registry shares the
 registry's single re-entrant lock, and :meth:`MetricsRegistry.snapshot`
 reads all of them under **one** acquisition — a snapshot can never
 observe a batch counted in ``engine.batches`` but missing from the
-batch-size histogram.  Callback gauges are evaluated *outside* the lock
+batch-size histogram.  Gauges are evaluated *outside* the lock
 (they may take other subsystem locks, e.g. an engine's plan lock, and
 holding the registry lock across them would invert lock order), so they
 are point-in-time reads layered over the consistent native core.
@@ -55,57 +55,22 @@ class Counter:
     def inc(self) -> None:
         self.add(1)
 
-    @property
-    def value(self) -> int | float:
-        with self._lock:
-            return self._value
-
     def _read_locked(self) -> int | float:
         return self._value
-
-    def _reset_locked(self) -> None:
-        self._value = 0
 
 
 class Gauge:
-    """A point-in-time value: settable, or backed by a callback."""
+    """A point-in-time value read from a callback at snapshot time."""
 
-    __slots__ = ("name", "_lock", "_value", "_fn")
+    __slots__ = ("name", "_fn")
 
-    def __init__(
-        self,
-        name: str,
-        lock: threading.RLock,
-        fn: Callable[[], int | float] | None = None,
-    ) -> None:
+    def __init__(self, name: str, fn: Callable[[], int | float]) -> None:
         self.name = name
-        self._lock = lock
-        self._value: int | float = 0
         self._fn = fn
 
     @property
-    def is_callback(self) -> bool:
-        return self._fn is not None
-
-    def set(self, value: int | float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"gauge {self.name!r} is callback-backed")
-        with self._lock:
-            self._value = value
-
-    @property
     def value(self) -> int | float:
-        if self._fn is not None:
-            return self._fn()
-        with self._lock:
-            return self._value
-
-    def _read_locked(self) -> int | float:
-        assert self._fn is None
-        return self._value
-
-    def _reset_locked(self) -> None:
-        self._value = 0
+        return self._fn()
 
 
 class Histogram:
@@ -137,30 +102,6 @@ class Histogram:
             if self._max is None or value > self._max:
                 self._max = value
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._total / self._count if self._count else 0.0
-
-    def counts(self) -> dict[int | float, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile (0..1) of the observed distribution.
-
-        Nearest-rank over the exact bucket counts — what the serving
-        gateway's p50/p95/p99 latency figures are computed from.
-        Returns 0.0 when nothing has been observed.
-        """
-        with self._lock:
-            return quantile_from_counts(self._counts, q)
-
     def _read_locked(self) -> dict[str, Any]:
         return {
             "count": self._count,
@@ -170,19 +111,14 @@ class Histogram:
             "counts": dict(self._counts),
         }
 
-    def _reset_locked(self) -> None:
-        self._counts.clear()
-        self._count = 0
-        self._total = 0
-        self._min = None
-        self._max = None
-
 
 def quantile_from_counts(counts: dict[int | float, int], q: float) -> float:
     """Nearest-rank quantile over a ``value -> count`` distribution.
 
-    Works on a live histogram's buckets or on the ``counts`` sub-dict of
-    a snapshot (where JSON round-trips may have stringified keys).
+    Reads the ``counts`` sub-dict of a histogram's snapshot (where JSON
+    round-trips may have stringified keys) — what the serving gateway's
+    p50/p95/p99 latency figures are computed from.  Returns 0.0 for an
+    empty distribution.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -239,13 +175,9 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter, lambda: Counter(name, self._lock))
 
-    def gauge(
-        self, name: str, fn: Callable[[], int | float] | None = None
-    ) -> Gauge:
-        gauge = self._get_or_create(
-            name, Gauge, lambda: Gauge(name, self._lock, fn)
-        )
-        if fn is not None and gauge._fn is not fn:
+    def gauge(self, name: str, fn: Callable[[], int | float]) -> Gauge:
+        gauge = self._get_or_create(name, Gauge, lambda: Gauge(name, fn))
+        if gauge._fn is not fn:
             raise ValueError(f"gauge {name!r} already registered")
         return gauge
 
@@ -253,14 +185,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, Histogram, lambda: Histogram(name, self._lock)
         )
-
-    def get(self, name: str) -> Instrument | None:
-        with self._lock:
-            return self._instruments.get(name)
-
-    def names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._instruments))
 
     def snapshot(self) -> dict[str, Any]:
         """All instrument values, the native ones under one lock hold.
@@ -270,27 +194,18 @@ class MetricsRegistry:
         """
         with self._lock:
             instruments = dict(self._instruments)
-        # Callback gauges first, outside the lock: their functions may
-        # take subsystem locks (engine plan lock, module cache locks).
+        # Gauges first, outside the lock: their callbacks may take
+        # subsystem locks (engine plan lock, module cache locks).
         snap: dict[str, Any] = {
             name: inst.value
             for name, inst in instruments.items()
-            if isinstance(inst, Gauge) and inst.is_callback
+            if isinstance(inst, Gauge)
         }
         with self._lock:
             for name, inst in instruments.items():
                 if name not in snap:
                     snap[name] = inst._read_locked()
         return snap
-
-    def reset(self) -> None:
-        """Zero every native instrument; callback gauges are untouched
-        (reset their backing subsystem instead)."""
-        with self._lock:
-            for inst in self._instruments.values():
-                if isinstance(inst, Gauge) and inst.is_callback:
-                    continue
-                inst._reset_locked()
 
 
 _GLOBAL = MetricsRegistry()

@@ -14,13 +14,12 @@ The serving benchmark lives outside the package: ``python3 -m bench.run
 --workload serve_steady_32|serve_saturate_32``.
 
 Production telemetry rides on :mod:`repro.obs`: attach an
-:class:`~repro.obs.events.EventLog` for request-scoped events and a
-per-model :class:`~repro.obs.slo.SLOConfig` for ``Gateway.health()``
-(both re-exported here for convenience).
+:class:`~repro.obs.events.EventLog` (re-exported here for convenience)
+for request-scoped events; ``Gateway.stats()`` reads the latency tails
+off the histograms the gateway keeps anyway.
 """
 
 from repro.obs.events import EventLog
-from repro.obs.slo import ModelHealth, SLOConfig, SLOMonitor
 
 from repro.serving.clock import MONOTONIC_CLOCK, Clock, MonotonicClock
 from repro.serving.gateway import (
@@ -49,9 +48,6 @@ __all__ = [
     "Gateway",
     "GatewayConfig",
     "GatewayStats",
-    "ModelHealth",
     "MonotonicClock",
     "Rejected",
-    "SLOConfig",
-    "SLOMonitor",
 ]

@@ -35,9 +35,9 @@ mints a ``request_id`` per submit and threads it through the request's
 whole lifecycle — ``request.accept`` / ``request.coalesce`` /
 ``batch.flush`` / exactly one terminal ``request.complete`` |
 ``request.shed`` | ``request.failed`` — and into the span args, so
-traces and events join on one id.  A per-model
-:class:`~repro.obs.slo.SLOConfig` turns the live histograms into
-:meth:`Gateway.health`.
+traces and events join on one id.  :meth:`Gateway.stats` reads the
+p50/p95/p99 latency tails off the ``gateway.<model>.latency_ms``
+histograms.
 
 Determinism contract: an accepted request's reply is bit-identical to
 running that request alone through ``Engine.run`` — the gateway only
@@ -60,7 +60,6 @@ from repro.concurrency.locks import ordered_lock
 from repro.graph.ir import Graph
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import MetricsRegistry, global_registry, quantile_from_counts
-from repro.obs.slo import ModelHealth, SLOConfig, SLOMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import ParamCache
@@ -621,10 +620,6 @@ class Gateway:
             attached, the gateway mints request ids and emits the full
             request lifecycle (plus engine plan events) into it, on the
             gateway's clock.
-        slo: per-model SLOs — one :class:`~repro.obs.slo.SLOConfig`
-            applied to every model, or a ``model -> SLOConfig`` mapping
-            (unlisted models evaluate healthy).  Enables
-            :meth:`health` with real verdicts and ``slo.*`` gauges.
     """
 
     def __init__(
@@ -636,24 +631,10 @@ class Gateway:
         trace: Tracer | None = None,
         engine_factory: Callable[..., Engine] | None = None,
         events: EventLog | None = None,
-        slo: SLOConfig | Mapping[str, SLOConfig] | None = None,
     ) -> None:
         if not models:
             raise ValueError("gateway requires at least one model")
-        if slo is not None and not isinstance(slo, SLOConfig):
-            unknown = sorted(set(slo) - set(models))
-            if unknown:
-                raise ValueError(
-                    f"SLO configured for unknown model(s): {unknown}"
-                )
         # Every configuration problem surfaces here, before a worker starts.
-        slo_by_model = None if slo is None else {
-            name: slo if isinstance(slo, SLOConfig) else slo.get(name)
-            for name in models
-        }
-        for cfg in (slo_by_model or {}).values():
-            if cfg is not None:
-                cfg.validate()
         self.config = config if config is not None else GatewayConfig()
         self.config.validate()
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
@@ -675,7 +656,6 @@ class Gateway:
         m.gauge("obs.trace.dropped", lambda: self.tracer.dropped)
         m.gauge("obs.events.dropped", lambda: self.events.dropped)
         self._servers: dict[str, _ModelServer] = {}
-        self._slo: SLOMonitor | None = None
         try:
             for name, model in models.items():
                 self._servers[name] = _ModelServer(
@@ -687,13 +667,6 @@ class Gateway:
                     self.tracer,
                     engine_factory,
                     self.events,
-                )
-            if slo_by_model is not None:
-                self._slo = SLOMonitor(
-                    slo_by_model,
-                    metrics_fn=self.metrics_snapshot,
-                    registry=self.metrics,
-                    now=self.clock.now,
                 )
         except BaseException:
             # The caller gets no handle: stop the workers already started
@@ -759,17 +732,6 @@ class Gateway:
         """
         for server in self._servers.values():
             server.close()
-
-    # -------------------------------------------------------------- health
-    def health(self) -> dict[str, ModelHealth]:
-        """Per-model SLO verdicts for the current rolling window.
-
-        Without configured SLOs every model reports ``healthy`` with the
-        reason ``no slo configured``.
-        """
-        if self._slo is not None:
-            return self._slo.evaluate()
-        return {name: ModelHealth.unconfigured(name) for name in self._servers}
 
     def __enter__(self) -> "Gateway":
         return self

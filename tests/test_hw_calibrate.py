@@ -322,9 +322,11 @@ class TestCalibrateCLI:
         assert "exceeds budget" in capsys.readouterr().err
 
     def test_calibrate_rejects_bad_repeats(self, tmp_path):
-        assert cli_main([
-            "calibrate", "--repeats", "0", "--out", str(tmp_path / "p.json"),
-        ]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "calibrate", "--repeats", "0", "--out", str(tmp_path / "p.json"),
+            ])
+        assert exc.value.code == 2
 
     def test_benchmark_pre_removal_artifact_exits_2(
         self, calibrated, tmp_path, capsys

@@ -215,13 +215,13 @@ def test_l101_covers_tune_paths(tmp_path):
 
 
 def test_l101_covers_obs_contract_files(tmp_path):
-    # The event log and SLO monitor sit on (or are driven from) the
-    # serving hot path; they inherit the allocation discipline.
+    # The event log and the ring store under it sit on the serving hot
+    # path; they inherit the allocation discipline.
     diags = _lint(
         tmp_path, "src/repro/obs/events.py", _KERNEL_BAD, style=False
     )
     assert _rules(diags) == {"L101"}
-    diags = _lint(tmp_path, "src/repro/obs/slo.py", _KERNEL_BAD, style=False)
+    diags = _lint(tmp_path, "src/repro/obs/ring.py", _KERNEL_BAD, style=False)
     assert _rules(diags) == {"L101"}
 
 
@@ -417,10 +417,10 @@ def test_l104_covers_serving_paths(tmp_path):
 
 
 def test_l104_covers_obs_paths(tmp_path):
-    # Wall-clock reads in the SLO monitor would make window edges
+    # Wall-clock reads in the event log would make event timestamps
     # non-reproducible under a FakeClock; only monotonic timers (or the
     # injected `now` callable) are legal.
-    diags = _lint(tmp_path, "src/repro/obs/slo.py", """\
+    diags = _lint(tmp_path, "src/repro/obs/events.py", """\
         import time
 
         def sample_ts():

@@ -1,7 +1,7 @@
 """Unit tests for the unified metrics registry (`repro.obs.metrics`).
 
 Covers the instrument types, registry semantics (get-or-create, type
-clashes, snapshot/reset), the module-cache views on the global registry,
+clashes, snapshot), the module-cache views on the global registry,
 and — the regression this layer exists for — EngineStats snapshot
 consistency under concurrent submission.
 """
@@ -21,7 +21,6 @@ from repro.core.indirection import (
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.obs.metrics import (
-    Counter,
     MetricsRegistry,
     format_snapshot,
     global_registry,
@@ -36,24 +35,16 @@ class TestInstruments:
         c = reg.counter("c")
         c.inc()
         c.add(2.5)
-        assert c.value == 3.5
+        assert reg.snapshot()["c"] == 3.5
         with pytest.raises(ValueError, match="negative"):
             c.add(-1)
 
-    def test_settable_gauge(self):
-        g = MetricsRegistry().gauge("g")
-        assert g.value == 0 and not g.is_callback
-        g.set(7)
-        assert g.value == 7
-
     def test_callback_gauge(self):
         state = {"v": 41}
-        g = MetricsRegistry().gauge("g", lambda: state["v"])
-        assert g.is_callback
+        reg = MetricsRegistry()
+        g = reg.gauge("g", lambda: state["v"])
         state["v"] = 42
-        assert g.value == 42
-        with pytest.raises(ValueError, match="callback"):
-            g.set(0)
+        assert g.value == 42 and reg.snapshot()["g"] == 42
 
     def test_callback_gauge_reregistration(self):
         reg = MetricsRegistry()
@@ -63,58 +54,41 @@ class TestInstruments:
             reg.gauge("g", lambda: 2)
 
     def test_histogram(self):
-        h = MetricsRegistry().histogram("h")
+        reg = MetricsRegistry()
+        h = reg.histogram("h")
         for v in (1, 4, 4, 8):
             h.observe(v)
-        assert h.count == 4
-        assert h.mean == pytest.approx(17 / 4)
-        assert h.counts() == {1: 1, 4: 2, 8: 1}
+        assert reg.snapshot()["h"] == {
+            "count": 4, "total": 17, "min": 1, "max": 8,
+            "counts": {1: 1, 4: 2, 8: 1},
+        }
 
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
-        assert isinstance(reg.get("x"), Counter)
-        assert reg.get("missing") is None
+        assert reg.histogram("h") is reg.histogram("h")
 
     def test_type_clash_rejected(self):
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(ValueError, match="Counter"):
-            reg.gauge("x")
+            reg.gauge("x", lambda: 0)
         with pytest.raises(ValueError, match="Counter"):
             reg.histogram("x")
-
-    def test_names_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("b")
-        reg.gauge("a")
-        assert reg.names() == ("a", "b")
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("c").add(3)
-        reg.gauge("g").set(1.5)
         reg.gauge("cb", lambda: 9)
         reg.histogram("h").observe(2)
         snap = reg.snapshot()
-        assert snap["c"] == 3 and snap["g"] == 1.5 and snap["cb"] == 9
-        assert snap["h"] == {
-            "count": 1, "total": 2, "min": 2, "max": 2, "counts": {2: 1},
+        assert snap == {
+            "c": 3,
+            "cb": 9,
+            "h": {"count": 1, "total": 2, "min": 2, "max": 2, "counts": {2: 1}},
         }
-
-    def test_reset_zeroes_natives_keeps_callbacks(self):
-        reg = MetricsRegistry()
-        reg.counter("c").add(3)
-        reg.gauge("g").set(4)
-        reg.histogram("h").observe(5)
-        reg.gauge("cb", lambda: 6)
-        reg.reset()
-        snap = reg.snapshot()
-        assert snap["c"] == 0 and snap["g"] == 0
-        assert snap["h"]["count"] == 0 and snap["h"]["counts"] == {}
-        assert snap["cb"] == 6  # callback view: reset the subsystem instead
 
     def test_grouped_updates_are_atomic(self):
         """Updates under ``with registry.lock():`` land in one snapshot."""
@@ -144,42 +118,42 @@ class TestRegistry:
         assert not bad, f"snapshot observed a half-counted batch: {bad[0]}"
 
 
+def _quantile(observations, q):
+    """``quantile_from_counts`` over a histogram's snapshot, the way
+    ``Gateway.stats`` and ``cli serve --slo-p95-ms`` read their p95."""
+    reg = MetricsRegistry()
+    h = reg.histogram("h")
+    for v in observations:
+        h.observe(v)
+    return quantile_from_counts(reg.snapshot()["h"]["counts"], q)
+
+
 class TestHistogramQuantile:
-    """Edge cases of the nearest-rank quantile the SLO monitor leans on."""
+    """Edge cases of the nearest-rank quantile the gateway's p95 leans on."""
 
     def test_empty_histogram_is_zero(self):
-        h = MetricsRegistry().histogram("h")
-        assert h.quantile(0.0) == 0.0
-        assert h.quantile(0.95) == 0.0
-        assert h.quantile(1.0) == 0.0
+        for q in (0.0, 0.95, 1.0):
+            assert _quantile((), q) == 0.0
 
     def test_single_bucket_mass_always_answers_that_bucket(self):
-        h = MetricsRegistry().histogram("h")
-        for _ in range(100):
-            h.observe(7.5)
         for q in (0.0, 0.01, 0.5, 0.95, 1.0):
-            assert h.quantile(q) == 7.5
+            assert _quantile([7.5] * 100, q) == 7.5
 
     def test_all_mass_in_the_top_bucket(self):
         """One light low bucket, everything else in the highest bucket:
         every interesting quantile lands on the top value (the fallback
         return path when the rank walks past the last bucket)."""
-        h = MetricsRegistry().histogram("h")
-        h.observe(1.0)
-        for _ in range(99):
-            h.observe(1000.0)
-        assert h.quantile(0.01) == 1.0
-        assert h.quantile(0.02) == 1000.0
-        assert h.quantile(0.95) == 1000.0
-        assert h.quantile(1.0) == 1000.0
+        observations = [1.0] + [1000.0] * 99
+        assert _quantile(observations, 0.01) == 1.0
+        assert _quantile(observations, 0.02) == 1000.0
+        assert _quantile(observations, 0.95) == 1000.0
+        assert _quantile(observations, 1.0) == 1000.0
 
     def test_quantile_bounds_are_enforced(self):
-        h = MetricsRegistry().histogram("h")
-        h.observe(1)
         with pytest.raises(ValueError):
-            h.quantile(-0.1)
+            _quantile([1], -0.1)
         with pytest.raises(ValueError):
-            h.quantile(1.1)
+            _quantile([1], 1.1)
 
     def test_quantile_from_counts_accepts_stringified_keys(self):
         # JSON round-trips stringify bucket keys; the shared helper must

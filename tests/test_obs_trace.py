@@ -9,6 +9,7 @@ node.
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import time
@@ -329,6 +330,39 @@ def test_architecture_doc_span_taxonomy(rng):
     names, edges = _documented_span_tree()
     assert names == {s.name for s in spans}
     assert emitted <= edges
+
+
+def _documented_cli_commands() -> list[list[str]]:
+    """The ``cli ...`` code spans in the command column of §9's
+    question → command table, split into tokens without the ``cli``."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "architecture.md"
+    section = doc.read_text().split("## 9. Observability", 1)[1]
+    table = section.split("| artifact |", 1)[1].split("\n\n", 1)[0]
+    commands = []
+    for row in table.splitlines()[2:]:  # skip the header tail and rule
+        command_cell = row.strip().strip("|").split("|")[-1]
+        for code in re.findall(r"`([^`]+)`", command_cell):
+            if code.startswith("cli "):
+                commands.append(code.split()[1:])
+    return commands
+
+
+def test_architecture_doc_question_table_matches_the_cli_parser():
+    """Every ``cli <subcommand>`` and ``--flag`` §9's question → command
+    table names exists in ``build_parser()``."""
+    parser = cli.build_parser()
+    (subcommands,) = [
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    commands = _documented_cli_commands()
+    assert len(commands) >= 4  # one per artifact row, at least
+    for subcommand, *rest in commands:
+        assert subcommand in subcommands, subcommand
+        options = subcommands[subcommand]._option_string_actions
+        for flag in (t for t in rest if t.startswith("-")):
+            assert flag in options, f"cli {subcommand} has no {flag}"
 
 
 class TestCli:

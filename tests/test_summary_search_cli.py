@@ -128,3 +128,48 @@ class TestCLI:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["benchmark", "--model", "resnet9000"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--slo-p95-ms", "-1"],
+            ["serve", "--slo-p95-ms", "inf"],
+            ["serve", "--max-batch", "0"],
+            ["serve", "--max-queue", "0"],
+            ["serve", "--replicas", "0"],
+            ["serve", "--requests", "0"],
+            ["serve", "--input-size", "0"],
+            ["serve", "--deadline-ms", "nan"],
+            ["serve", "--deadline-ms", "-1"],
+            ["stats", "--batch", "0"],
+            ["stats", "--repeats", "0"],
+            ["trace", "--batch", "0"],
+            ["benchmark", "--input-size", "0"],
+            ["analyze", "--input-size", "0"],
+            ["calibrate", "--repeats", "0"],
+            ["calibrate", "--input-size", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}",
+    )
+    def test_bad_numeric_flag_is_a_usage_error(self, argv, monkeypatch, capsys):
+        """A bad count or deadline exits 2 with a usage message before any
+        model is built; exit 1 stays the status of a real SLO breach."""
+        import repro.zoo
+        from repro import cli
+
+        def build_model(*args, **kwargs):
+            raise AssertionError(f"{argv}: a model was built")
+
+        monkeypatch.setattr(cli, "build_model", build_model)
+        monkeypatch.setattr(repro.zoo, "build_model", build_model)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {argv[1]}: " in capsys.readouterr().err
+
+    def test_zero_deadline_is_a_valid_flag(self):
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(
+            ["serve", "--deadline-ms", "0"]
+        ).deadline_ms == 0.0
