@@ -11,8 +11,9 @@ and L004 trailing whitespace.
 
 **Contract rules** (repo-specific; nothing else enforces them):
 
-- L101: functions in ``core/``, ``serving/`` or ``tune/`` that take a
-  ``workspace`` parameter are steady-state kernels and must not call
+- L101: functions in ``core/``, ``kernels/``, ``serving/`` or ``tune/``
+  that take a ``workspace`` parameter (a bound form's ``bind`` and the
+  ``run`` inside it) are steady-state kernels and must not call
   ``np.zeros``/``np.empty``/``np.concatenate``-style allocators, except
   lexically inside the documented allocating fallback (the body of
   ``if <param> is None:`` or the else of ``if <param> is not None:``).
@@ -94,7 +95,7 @@ def _obs_contract_file(path: pathlib.Path) -> bool:
 
 def _in_core(path: pathlib.Path) -> bool:
     return bool(
-        _segments(path) & {"core", "serving", "tune"}
+        _segments(path) & {"core", "kernels", "serving", "tune"}
     ) or _obs_contract_file(path)
 
 

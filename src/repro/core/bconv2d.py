@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.core.bitpack import (
     PackedTensor,
     pack_bits,
     packed_words,
+    popcount,
     unpack_bits,
 )
 from repro.core.kernel_config import DEFAULT_CONFIG, KernelConfig
@@ -83,16 +84,20 @@ class PackedFilters:
 
     @cached_property
     def kmajor(self) -> np.ndarray:
+        """:meth:`kmajor_of` every tap, once per model (plan compilation
+        touches it)."""
+        return self.kmajor_of(range(self.kernel_h * self.kernel_w))
+
+    def kmajor_of(self, taps) -> np.ndarray:
         """The ``(kmajor_words, out_channels)`` operand the bound kernel
-        multiplies: per filter, each tap's 32-bit halves back to back (a
-        zero tail half when their count is odd), transposed.  Computed on
-        first use — plan compilation touches it so the copy is made once
-        per model."""
-        cout, taps = self.out_channels, self.kernel_h * self.kernel_w
-        halves = -(-self.in_channels // 32)
-        dense = np.zeros((cout, 2 * kmajor_words(taps, self.in_channels)), np.uint32)
-        per_tap = self.bits.view(np.uint32).reshape(cout, taps, -1)
-        dense[:, : taps * halves] = per_tap[..., :halves].reshape(cout, -1)
+        multiplies over ``taps``: per filter, each tap's 32-bit halves back
+        to back (a zero tail half when their count is odd), transposed."""
+        cout, cin, taps = self.out_channels, self.in_channels, list(taps)
+        halves = -(-cin // 32)
+        dense = np.zeros((cout, 2 * kmajor_words(len(taps), cin)), np.uint32)
+        all_taps = self.kernel_h * self.kernel_w
+        per_tap = self.bits.view(np.uint32).reshape(cout, all_taps, -1)
+        dense[:, : len(taps) * halves] = per_tap[:, taps, :halves].reshape(cout, -1)
         return np.ascontiguousarray(dense.view(np.uint64).T)
 
 
@@ -169,6 +174,27 @@ def pack_filters(weights: np.ndarray) -> PackedFilters:
         bits=bits.reshape(cout, kh * kw * words), kernel_h=kh, kernel_w=kw,
         in_channels=cin,
     )
+
+
+@lru_cache(maxsize=1024)  # a model has a few dozen geometries
+def live_taps(
+    params: BConv2DParams, in_h: int, in_w: int
+) -> tuple[tuple[int, ...], bool]:
+    """The taps that read the input at some output pixel, and whether one
+    of them reads padding at another.  The rest are *dead*: they read
+    padding at every pixel (8 of the 9 taps of a 3x3 SAME convolution on a
+    1x1 map), a per-channel constant the bound kernel adds instead of
+    multiplying."""
+    geom = conv_geometry(
+        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
+        params.dilation, params.padding,
+    )
+    reads = padded_tap_mask(
+        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
+        params.dilation, geom,
+    )
+    live = tuple(np.flatnonzero(~reads.all(0)).tolist())
+    return live, bool(reads[:, live].any())
 
 
 def zero_padding_correction(
@@ -393,12 +419,22 @@ class BoundBConv2D:
         self.in_shape = (batch, in_h, in_w, params.in_channels)
         self.quantize = quantize
         self.shortcut = shortcut
-        self._bt = filters.kmajor
-        self._correction = (
-            padding_correction[None, :, :]
-            if params.padding is Padding.SAME_ZERO
-            else None
-        )
+        # Dead taps leave K: only the live ones are multiplied, and the
+        # dead ones' constant one-padded contribution joins the SAME_ZERO
+        # correction in one int32 offset added to the accumulators.
+        live, self._border = live_taps(params, in_h, in_w)
+        self.live = live
+        cin, offset = params.in_channels, None
+        dead = [t for t in range(params.kernel_h * params.kernel_w) if t not in live]
+        self._bt = filters.kmajor_of(live) if dead else filters.kmajor
+        if dead:  # each reads +1 everywhere: cin - 2 * popcount of its words
+            words = filters.bits.reshape(params.out_channels, -1, packed_words(cin))
+            ones = popcount(words[:, dead]).sum((1, 2), dtype=np.int32)
+            offset = np.int32(len(dead) * cin) - 2 * ones
+        if params.padding is Padding.SAME_ZERO:
+            correction = np.asarray(padding_correction, np.int32)
+            offset = (-correction if offset is None else offset - correction)[None]
+        self._offset = offset
         # Float output: apply_transform, one in-place NumPy call per step.
         self._steps = None
         if output_type is OutputType.FLOAT:
@@ -423,9 +459,10 @@ class BoundBConv2D:
         )
         words = packed_words(cin)
         out_h, out_w, cout = geom.out_h, geom.out_w, p.out_channels
-        m, taps = n * out_h * out_w, p.kernel_h * p.kernel_w
+        m, live = n * out_h * out_w, self.live
+        taps = len(live)
         quantize, add_at = self.quantize, self.shortcut
-        steps, finish, correction = self._steps, self._finish, self._correction
+        steps, finish, offset = self._steps, self._finish, self._offset
         add = self._add
 
         if quantize:
@@ -437,7 +474,7 @@ class BoundBConv2D:
         )
         top, left = geom.pad_top, geom.pad_left
         interior = padded[:, top : top + in_h, left : left + in_w]
-        has_border = interior.shape != padded.shape
+        has_border = self._border  # a live tap reads it
 
         # im2col as strided copies of a view — tap (ky, kx), item k, image
         # i, pixel (y, x) reads padded[i, ky*d + y*s, kx*d + x*s, k] — into
@@ -451,29 +488,44 @@ class BoundBConv2D:
                 plane, p.kernel_h, p.kernel_w, p.stride, p.dilation, out_h, out_w
             ).transpose(3, 4, 5, 0, 1, 2)
 
-        if halves % 2 == 0:  # whole words per tap: one copy, word for word
+        all_taps = taps == p.kernel_h * p.kernel_w
+        if halves % 2 == 0:  # whole words per tap: copied word for word
             patches = taps_of(padded)
-            copies = [(at.reshape(patches.shape), patches)]
+            if all_taps:
+                copies = [(at.reshape(patches.shape), patches)]
+            else:  # one copy per live tap
+                rows = at.reshape(taps, -1, n, out_h, out_w)
+                copies = [
+                    (rows[i], patches[divmod(t, p.kernel_w)])
+                    for i, t in enumerate(live)
+                ]
         else:
-            # One copy per (ky, kx parity, half): every other tap of a
-            # kernel row lands `halves` slab rows further on.
             tap_halves = taps_of(padded.view(np.uint32))
             slab = at.view(np.uint32).reshape(k_words, n, out_h, out_w, 2)
-            copies = []
-            for ky in range(p.kernel_h):
-                for kx in range(min(2, p.kernel_w)):
-                    every_other = len(range(kx, p.kernel_w, 2))
-                    for c in range(halves):
-                        q = (ky * p.kernel_w + kx) * halves + c
-                        rows = slab[q // 2 :: halves, ..., q % 2][:every_other]
-                        copies.append((rows, tap_halves[ky, kx::2, c]))
+            if all_taps:
+                # One copy per (ky, kx parity, half): every other tap of a
+                # kernel row lands `halves` slab rows further on.
+                copies = []
+                for ky in range(p.kernel_h):
+                    for kx in range(min(2, p.kernel_w)):
+                        every_other = len(range(kx, p.kernel_w, 2))
+                        for c in range(halves):
+                            q = (ky * p.kernel_w + kx) * halves + c
+                            rows = slab[q // 2 :: halves, ..., q % 2][:every_other]
+                            copies.append((rows, tap_halves[ky, kx::2, c]))
+            else:  # one copy per (live tap, half): half q is slab row q // 2's
+                copies = [
+                    (slab[q // 2, ..., q % 2], tap_halves[(*divmod(t, p.kernel_w), c)])
+                    for i, t in enumerate(live)
+                    for c, q in enumerate(range(i * halves, (i + 1) * halves))
+                ]
             if taps * halves % 2:
                 # Every node shares bgemm/at: zero its tail half each call.
                 copies.append((slab[-1, ..., 1], np.uint32(0)))
 
         acc = workspace.take("bconv/acc", (m, cout), np.int32)
         gemm = bind_kmajor(
-            at, self._bt, p.depth, acc, workspace,
+            at, self._bt, taps * cin, acc, workspace,
             *derive_panel(m, cout, k_words, cfg.tile_m, cfg.tile_n,
                           cfg.tile_k_words),
         )
@@ -503,8 +555,8 @@ class BoundBConv2D:
             for dst, src in copies:
                 np.copyto(dst, src)
             gemm()
-            if correction is not None:
-                np.subtract(acc3, correction, out=acc3)
+            if offset is not None:
+                np.add(acc3, offset, out=acc3)
             if steps is None:
                 return finish(acc4)  # reads the arena, returns fresh storage
             np.copyto(fbuf, acc4)  # int32 -> float32, what astype does
@@ -558,6 +610,7 @@ def reserve_bconv2d_workspace(
     )
     words = packed_words(params.in_channels)
     m = batch * geom.out_h * geom.out_w
+    taps = len(live_taps(params, in_h, in_w)[0])
     padded_h, padded_w = _padded_hw(geom, in_h, in_w)
     workspace.reserve("bconv/padded", batch * padded_h * padded_w * words, np.uint64)
     workspace.reserve("bconv/acc", m * params.out_channels, np.int32)
@@ -566,7 +619,7 @@ def reserve_bconv2d_workspace(
         workspace.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
     for name, size, dtype in bgemm_scratch_spec(
         m, params.out_channels,
-        kmajor_words(params.kernel_h * params.kernel_w, params.in_channels),
+        kmajor_words(taps, params.in_channels),
         tile_m=config.tile_m, tile_n=config.tile_n,
         tile_k_words=config.tile_k_words,
     ):

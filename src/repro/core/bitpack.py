@@ -87,19 +87,23 @@ def pack_bits(x: np.ndarray, word_bits: int = WORD_BITS) -> PackedTensor:
     if x.ndim == 0:
         raise ValueError("cannot pack a scalar")
     channels = x.shape[-1]
-    words = packed_words(channels)
-    signs = (x < 0).astype(np.uint8)
-    pad = words * WORD_BITS - channels
-    if pad:
-        signs = np.concatenate(
-            [signs, np.zeros(x.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-        )
+    return PackedTensor(pack_signs(x < 0, packed_words(channels)), channels)
+
+
+def pack_signs(signs: np.ndarray, words: int) -> np.ndarray:
+    """Pack a bool ``(..., channels)`` array into ``(..., words)`` uint64
+    words: ``np.packbits`` zero-fills the last byte, and whole zero bytes
+    pad the channel count up to ``words * 64`` bits."""
     # np.packbits is big-endian within bytes; view 8 bytes as one uint64.
     # The exact bit order inside a word is an internal detail: pack and
     # unpack agree, and XOR/popcount are order-invariant.
-    packed_bytes = np.ascontiguousarray(np.packbits(signs, axis=-1))
-    bits = packed_bytes.view(_WORD_DTYPE)
-    return PackedTensor(bits=np.ascontiguousarray(bits), channels=channels)
+    packed = np.ascontiguousarray(np.packbits(signs, axis=-1))
+    tail = words * 8 - packed.shape[-1]
+    if tail:
+        packed = np.concatenate(
+            [packed, np.zeros(packed.shape[:-1] + (tail,), np.uint8)], axis=-1
+        )
+    return packed.view(_WORD_DTYPE)
 
 
 def unpack_bits(packed: PackedTensor) -> np.ndarray:

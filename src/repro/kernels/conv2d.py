@@ -42,15 +42,27 @@ def conv2d_float(
         x.astype(np.float32, copy=False), kh, kw, stride, dilation, padding,
         pad_value,
     )
-    # One GEMM per image, the same (pixels, K) @ (K, C_out) whatever the
-    # batch: float BLAS results depend on the row count, so this is what
-    # makes a batched call equal the concatenation of per-image calls.
     n, k = x.shape[0], patches.shape[1]
     kernel = weights.reshape(k, cout).astype(np.float32, copy=False)
-    out = patches.reshape(n, geom.out_h * geom.out_w, k) @ kernel
+    bias = None if bias is None else np.asarray(bias, dtype=np.float32)
+    out = conv_gemm(patches.reshape(n, -1, k), kernel, bias, activation)
+    return out.reshape(n, geom.out_h, geom.out_w, cout)
+
+
+def conv_gemm(
+    patches: np.ndarray,
+    kernel: np.ndarray,
+    bias: np.ndarray | None,
+    activation: Activation,
+) -> np.ndarray:
+    """``act(patches @ kernel + bias)``, float32 ``(N, pixels, K)`` by
+    ``(K, C_out)``: one GEMM per image, the same shape whatever the batch
+    (float BLAS results depend on the row count), then bias and activation
+    in place on the fresh product."""
+    out = patches @ kernel
     if bias is not None:
-        out += np.asarray(bias, dtype=np.float32)
-    return activation.apply(out.reshape(n, geom.out_h, geom.out_w, cout))
+        out += bias
+    return activation.apply(out, out=out)
 
 
 def conv2d_int8(

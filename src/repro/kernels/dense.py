@@ -27,14 +27,28 @@ def dense_float(
         )
     # copy=False: float32 operands (the usual case) are multiplied in place —
     # a per-call copy of a 512 x 1000 weight matrix cost 10x the product.
-    # One (1, in) @ (in, out) product per row: a GEMM over all rows at once
-    # rounds differently per row count, and a row's result must not depend
-    # on what it was batched with.
-    rows = x.astype(np.float32, copy=False)[..., None, :]
-    out = (rows @ weights.astype(np.float32, copy=False))[..., 0, :]
+    bias = None if bias is None else np.asarray(bias, dtype=np.float32)
+    return dense_rows(
+        x.astype(np.float32, copy=False),
+        weights.astype(np.float32, copy=False),
+        bias,
+        activation,
+    )
+
+
+def dense_rows(
+    x: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray | None,
+    activation: Activation,
+) -> np.ndarray:
+    """``act(x @ weights + bias)``, float32, one ``(1, in) @ (in, out)``
+    product per row (a GEMM over all rows rounds differently per row
+    count), then bias and activation in place on the fresh product."""
+    out = (x[..., None, :] @ weights)[..., 0, :]
     if bias is not None:
-        out += np.asarray(bias, dtype=np.float32)
-    return activation.apply(out)
+        out += bias
+    return activation.apply(out, out=out)
 
 
 def dense_int8(

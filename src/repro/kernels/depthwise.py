@@ -43,11 +43,24 @@ def depthwise_conv2d_float(
     taps = windows(padded, kh, kw, stride, dilation, geom.out_h, geom.out_w).reshape(
         n, geom.out_h * geom.out_w, kh * kw, c
     )
-    out = np.einsum("nptc,tc->npc", taps, weights.reshape(kh * kw, c))
+    bias = None if bias is None else np.asarray(bias, dtype=np.float32)
+    out = depthwise_taps(taps, weights.reshape(kh * kw, c), bias, activation)
+    return out.reshape(n, geom.out_h, geom.out_w, c)
+
+
+def depthwise_taps(
+    taps: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray | None,
+    activation: Activation,
+) -> np.ndarray:
+    """``act(sum_t taps[:, :, t] * weights[t] + bias)`` over contiguous
+    ``(N, pixels, taps, C)`` windows, as a fresh ``(N, pixels, C)`` array."""
+    out = np.einsum("nptc,tc->npc", taps, weights)
     if bias is not None:
-        out += np.asarray(bias, dtype=np.float32)
-    out = out.reshape(n, geom.out_h, geom.out_w, c).astype(np.float32, copy=False)
-    return activation.apply(out)
+        out += bias
+    out = out.astype(np.float32, copy=False)
+    return activation.apply(out, out=out)
 
 
 def blur_kernel(size: int = 3) -> np.ndarray:

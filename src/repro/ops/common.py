@@ -3,12 +3,14 @@ pooling infer/compile bodies, and bandwidth-style cost helpers."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.im2col import conv_geometry
 from repro.core.types import Activation, Padding
 from repro.graph.ir import GraphError, TensorSpec
-from repro.ops.registry import AttrField, Attrs, KernelFn
+from repro.ops.registry import AttrField, Attrs, KernelFn, OpContext
 
 
 # ------------------------------------------------------- schema shortcuts
@@ -89,10 +91,23 @@ def infer_pool(specs, p, params, op: str):
 
 
 # ------------------------------------------------------------ compilation
-def pool_kernel(p: Attrs, kernel) -> KernelFn:
-    """Compile a 2-D pooling call with hoisted window attributes."""
-    pool_h, pool_w, stride, padding = p.pool_h, p.pool_w, p.stride, p.padding
-    return lambda ins: kernel(ins[0], pool_h, pool_w, stride=stride, padding=padding)
+def plan_kernel(node, ctx: OpContext, form, eager, *args, **kwargs) -> KernelFn:
+    """``eager(x, *args, **kwargs)`` as a kernel — or, compiling into a
+    plan's arena, its bound form ``form(input_shape, *args, **kwargs)``
+    (:mod:`repro.kernels.bound`): scratch reserved now, views bound on the
+    first call and again after the arena grew."""
+    if ctx.workspace is None or ctx.specs is None:  # the reference executor
+        return lambda ins: eager(ins[0], *args, **kwargs)
+    bound = form(ctx.specs[node.inputs[0]].shape, *args, **kwargs)
+    arena, bind = ctx.workspace, bound.bind
+    for name, shape, dtype in bound.scratch:
+        arena.reserve(name, math.prod(shape), dtype)
+    return lambda ins: arena.bound(bound, bind)(ins[0])
+
+
+def pool_args(p: Attrs) -> tuple:
+    """A 2-D pooling call's window arguments after ``x``."""
+    return (p.pool_h, p.pool_w, p.stride, p.padding)
 
 
 # ------------------------------------------------------------------ costs
@@ -141,7 +156,8 @@ __all__ = [
     "nhwc",
     "optional_float_attr",
     "optional_int_attr",
-    "pool_kernel",
+    "plan_kernel",
+    "pool_args",
     "pool_window_elems",
     "shape_attr",
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.graph.ir import GraphError, TensorSpec
@@ -13,6 +15,14 @@ from repro.kernels import (
     global_avgpool,
     maxpool2d,
 )
+from repro.kernels.bound import (
+    BoundAvgPool2D,
+    BoundConv2D,
+    BoundDense,
+    BoundDepthwiseConv2D,
+    BoundGlobalAvgPool,
+    BoundMaxPool2D,
+)
 from repro.ops.common import (
     POOL_ATTRS,
     conv_attrs,
@@ -20,7 +30,8 @@ from repro.ops.common import (
     enum_attr,
     bool_attr,
     infer_pool,
-    pool_kernel,
+    plan_kernel,
+    pool_args,
     pool_window_elems,
 )
 from repro.ops.registry import CLASS_FP_CONV, OpSpec, register
@@ -46,11 +57,14 @@ def _conv2d_kernel(node, p, ctx):
         return weights
 
     weights = ctx.cache.get(node, "conv_weights", derive_weights)
-    bias = node.params.get("bias")
-    return lambda ins: conv2d_float(
-        ins[0],
-        weights,
-        bias=bias,
+    return plan_kernel(
+        node, ctx, BoundConv2D, conv2d_float, weights, **_conv_args(node, p)
+    )
+
+
+def _conv_args(node, p) -> dict:
+    return dict(
+        bias=node.params.get("bias"),
         stride=p.stride,
         dilation=p.dilation,
         padding=p.padding,
@@ -96,16 +110,9 @@ def _infer_depthwise(specs, p, params):
 
 
 def _depthwise_kernel(node, p, ctx):
-    weights = node.params["weights"]
-    bias = node.params.get("bias")
-    return lambda ins: depthwise_conv2d_float(
-        ins[0],
-        weights,
-        bias=bias,
-        stride=p.stride,
-        dilation=p.dilation,
-        padding=p.padding,
-        activation=p.activation,
+    return plan_kernel(
+        node, ctx, BoundDepthwiseConv2D, depthwise_conv2d_float,
+        node.params["weights"], **_conv_args(node, p),
     )
 
 
@@ -148,10 +155,10 @@ def _infer_dense(specs, p, params):
 
 
 def _dense_kernel(node, p, ctx):
-    weights = node.params["weights"]
-    bias = node.params.get("bias")
-    activation = p.activation
-    return lambda ins: dense_float(ins[0], weights, bias=bias, activation=activation)
+    return plan_kernel(
+        node, ctx, BoundDense, dense_float, node.params["weights"],
+        bias=node.params.get("bias"), activation=p.activation,
+    )
 
 
 def _dense_cost(profile, node, p, input_specs, output_specs):
@@ -198,16 +205,10 @@ def _pool_cost(profile, node, p, input_specs, output_specs):
 
 
 def _maxpool_kernel(node, p, ctx):
-    pooled = pool_kernel(p, maxpool2d)
-
-    def fn(ins):
-        out = pooled(ins)
-        # Max pooling commutes with quantization: int8 in, int8 out.
-        if isinstance(ins[0], np.ndarray) and ins[0].dtype == np.int8:
-            return out.astype(np.int8)
-        return out
-
-    return fn
+    # the bound form runs in the input's dtype: int8 in, int8 out
+    dtype = ctx.specs[node.inputs[0]].dtype if ctx.specs else None
+    form = functools.partial(BoundMaxPool2D, dtype=dtype)
+    return plan_kernel(node, ctx, form, maxpool2d, *pool_args(p))
 
 
 register(
@@ -227,7 +228,9 @@ register(
         doc="2-D average pooling",
         attrs=POOL_ATTRS,
         infer=lambda specs, p, params: infer_pool(specs, p, params, "avgpool2d"),
-        kernel=lambda node, p, ctx: pool_kernel(p, avgpool2d),
+        kernel=lambda node, p, ctx: plan_kernel(
+            node, ctx, BoundAvgPool2D, avgpool2d, *pool_args(p)
+        ),
         cost=_pool_cost,
     )
 )
@@ -254,7 +257,9 @@ register(
         doc="global spatial average pooling",
         attrs=(),
         infer=_infer_gap,
-        kernel=lambda node, p, ctx: lambda ins: global_avgpool(ins[0]),
+        kernel=lambda node, p, ctx: plan_kernel(
+            node, ctx, BoundGlobalAvgPool, global_avgpool
+        ),
         cost=_gap_cost,
     )
 )

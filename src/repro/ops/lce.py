@@ -14,6 +14,7 @@ from repro.core.output_transform import OutputThresholds
 from repro.core.quantize_ops import lce_dequantize, lce_quantize
 from repro.core.types import Activation, OutputType, Padding
 from repro.graph.ir import GraphError, TensorSpec
+from repro.kernels.bound import BoundLceQuantize
 from repro.ops.common import (
     POOL_ATTRS,
     bool_attr,
@@ -22,7 +23,8 @@ from repro.ops.common import (
     infer_pool,
     int_attr,
     optional_float_attr,
-    pool_kernel,
+    plan_kernel,
+    pool_args,
 )
 from repro.ops.registry import (
     CLASS_LCE_BCONV,
@@ -59,7 +61,9 @@ register(
         doc="binarize and bitpack activations (sign bits, 64/word)",
         attrs=(),
         infer=_infer_lce_quantize,
-        kernel=lambda node, p, ctx: lambda ins: lce_quantize(ins[0]),
+        kernel=lambda node, p, ctx: plan_kernel(
+            node, ctx, BoundLceQuantize, lce_quantize
+        ),
         cost=_lce_quantize_cost,
         op_class=CLASS_LCE_QUANTIZE,
         binary=True,
@@ -254,6 +258,11 @@ def _infer_lce_bmaxpool(specs, p, params):
     return infer_pool(specs, p, params, "lce_bmaxpool2d")
 
 
+def _bmaxpool_kernel(node, p, ctx):
+    args = pool_args(p)
+    return lambda ins: bmaxpool2d(ins[0], *args)
+
+
 def _lce_bmaxpool_cost(profile, node, p, input_specs, output_specs):
     """word-granular bitwise pooling"""
     from repro.hw.latency import BPOOL_WORD_SPEEDUP, LatencyBreakdown, words_per_pixel
@@ -274,7 +283,7 @@ register(
         doc="max pooling directly on bitpacked activations",
         attrs=POOL_ATTRS,
         infer=_infer_lce_bmaxpool,
-        kernel=lambda node, p, ctx: pool_kernel(p, bmaxpool2d),
+        kernel=_bmaxpool_kernel,
         cost=_lce_bmaxpool_cost,
         binary=True,
         accepts_bitpacked=True,

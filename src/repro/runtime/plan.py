@@ -7,6 +7,9 @@ batching decisions for a whole serving configuration:
 - **dispatch resolution** — each node compiles to a closure through the
   :mod:`repro.ops` registry (:func:`repro.ops.compile_node`), with its
   attributes already parsed and its parameter structs already built;
+- **bound kernels** — convolutions, pooling, ``dense`` and stand-alone
+  ``lce_quantize`` compile to forms bound for their static input shapes
+  (:mod:`repro.kernels.bound`, :class:`~repro.core.bconv2d.BoundBConv2D`);
 - **block fusion** — two peepholes (:func:`_blocks`) let a ``lce_bconv2d``
   absorb the ``lce_quantize`` feeding it and the residual ``add`` consuming
   it, so a binarized block runs as one bound kernel; the graph (and the
@@ -28,11 +31,11 @@ executor's output for the graph's own batch size, and bit-identical to the
 compiler does nothing to earn the latter; every kernel computes a sample's
 result independently of what it is batched with.  ``conv2d`` and ``dense``
 — the only kernels backed by a float BLAS GEMM, whose results depend on the
-row count — issue one GEMM per image / row themselves
-(:mod:`repro.kernels.conv2d`, :mod:`repro.kernels.dense`).  All binarized
-and int8 kernels are exact integer arithmetic; the remaining float kernels
-are elementwise or reduce along non-batch axes only, which NumPy evaluates
-identically for any leading extent.
+row count — issue one GEMM per image / row, eager and bound forms alike
+(:func:`repro.kernels.conv2d.conv_gemm`, :mod:`repro.kernels.dense`).  All
+binarized and int8 kernels are exact integer arithmetic; the remaining
+float kernels are elementwise or reduce along non-batch axes only, which
+NumPy evaluates identically for any leading extent.
 """
 
 from __future__ import annotations

@@ -100,6 +100,62 @@ class TestPooling:
         expected = x.reshape(1, 2, 2, 2, 2, 3).mean(axis=(2, 4))
         np.testing.assert_allclose(out, expected.astype(np.float32), rtol=1e-5)
 
+    @given(
+        n=st.integers(1, 2),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        c=st.sampled_from([1, 3, 16]),
+        pool_h=st.integers(1, 3),
+        pool_w=st.integers(1, 3),
+        stride=st.sampled_from([None, 1, 2, 3]),
+        padding=st.sampled_from([Padding.VALID, Padding.SAME_ZERO]),
+        specials=st.sampled_from(
+            [(), (np.nan,), (np.inf,), (-np.inf,), (np.nan, -np.inf, np.inf)]
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_avgpool_equals_the_window_gather(
+        self, n, h, w, c, pool_h, pool_w, stride, padding, specials, dtype, seed
+    ):
+        """The mean over each window's input elements, gathered through the
+        window view with a validity mask: a NaN or an infinity in a window
+        reaches its mean (inf + -inf is NaN), padding never does.  Finite
+        inputs keep the bits of the NaN-marker formula this replaced."""
+        assume(padding is not Padding.VALID or (h >= pool_h and w >= pool_w))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, h, w, c)).astype(dtype)
+        for value in specials:
+            x[rng.random(x.shape) < 0.2] = value
+        step = stride or max(pool_h, pool_w)
+        geom = conv_geometry(h, w, pool_h, pool_w, step, 1, padding)
+
+        def gather(plane):
+            return windows(plane, pool_h, pool_w, step, 1, geom.out_h, geom.out_w)
+
+        taps = gather(pad_spatial(x.astype(np.float32), geom.pads, 0.0))
+        valid = gather(pad_spatial(np.ones((1, h, w, 1), bool), geom.pads, False))
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN, as it should be
+            got = avgpool2d(x, pool_h, pool_w, stride=stride, padding=padding)
+            total = np.where(valid, taps, 0).sum(axis=(3, 4), dtype=np.float64)
+        expected = (total / valid.sum(axis=(3, 4))).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-6)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        if not specials:
+            marked = pad_spatial(x.astype(np.float32), geom.pads, np.nan)
+            old = np.nanmean(
+                gather(marked).reshape(n, geom.out_h * geom.out_w, -1, c), axis=2
+            ).reshape(got.shape)
+            assert np.array_equal(got.view(np.uint32), old.view(np.uint32))
+
+    def test_avgpool_keeps_a_nan(self):
+        # The NaN padding marker made np.nanmean drop real NaNs: this was 1.0.
+        x = np.array([1.0, np.nan, 1.0, 1.0], np.float32).reshape(1, 2, 2, 1)
+        assert np.isnan(avgpool2d(x, 2, 2)).all()
+        x[0, 0, 1, 0] = np.inf
+        assert avgpool2d(x, 2, 2).ravel().tolist() == [np.inf]
+
     def test_avgpool_same_counts_valid_only(self):
         # TF semantics: the average at the border divides by the number of
         # valid elements, not the window size.

@@ -214,6 +214,35 @@ def test_l101_covers_tune_paths(tmp_path):
     assert _rules(diags) == {"L101"}
 
 
+_BOUND_RUN_BAD = """\
+    import numpy as np
+
+    class BoundPool:
+        def bind(self, workspace):
+            rows = workspace.take("pool/rows", (4, 4), np.float32)
+
+            def run(x):
+                out = np.empty((4, 4), np.float32)
+                np.maximum(x, rows, out=out)
+                return out
+
+            return run
+"""
+
+
+def test_l101_covers_the_bound_float_kernels(tmp_path):
+    # A bound form's run is the steady state of a plan: an allocation
+    # inside it would be paid on every call.
+    diags = _lint(
+        tmp_path, "src/repro/kernels/bound.py", _BOUND_RUN_BAD, style=False
+    )
+    assert _rules(diags) == {"L101"}
+    assert "np.empty" in diags[0].message
+    # ... and the real module is clean under it.
+    real = lint_file(REPO / "src/repro/kernels/bound.py", root=REPO)
+    assert not [d for d in real if d.rule == "L101"]
+
+
 def test_l101_covers_obs_contract_files(tmp_path):
     # The event log and the ring store under it sit on the serving hot
     # path; they inherit the allocation discipline.

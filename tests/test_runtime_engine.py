@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.ir import Graph, GraphError, TensorSpec
 from repro.runtime import Engine, ParamCache, compile_plan, rebatched_specs
+from repro.zoo import build_model
 
 
 def _small_net(rng):
@@ -291,3 +293,32 @@ class TestBlasThreads:
     def test_an_exported_value_wins(self):
         got = self._environ_after_import(OPENBLAS_NUM_THREADS="2")
         assert got == ["2", "2", "1", "1"]
+
+
+#: bytes a warm ``Engine.run`` of QuickNet-small may hold above its start at
+#: its peak, per input size: the request's own tensors (each node's fresh
+#: output while its input is alive), nothing per call in the kernels.
+#: Measured 34.9 KB / 1006 KB with every float op bound (0.079 / 3.63 MB
+#: when conv2d, depthwise and pooling still padded and gathered into fresh
+#: arrays on every call); the bounds leave ~20 % for NumPy versions.
+STEADY_STATE_PEAK_BYTES = {32: 42_000, 224: 1_200_000}
+
+
+@pytest.mark.parametrize("size", sorted(STEADY_STATE_PEAK_BYTES))
+def test_warm_run_peak_allocation_is_pinned(size):
+    """``tracemalloc`` peak above the start of a warm ``Engine.run``:
+    counted in bytes, so it cannot flake on a slow host."""
+    model = convert(build_model("quicknet_small", input_size=size))
+    x = np.random.default_rng(3).standard_normal((1, size, size, 3)).astype(np.float32)
+    with Engine(model) as engine:
+        engine.run(x)
+        engine.run(x)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            engine.run(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - start <= STEADY_STATE_PEAK_BYTES[size], peak - start

@@ -711,8 +711,8 @@ def _held_values_stay_untouched(plan, x):
     """Run ``plan`` on ``x`` keeping every array it produced; after the
     body, none of them has changed or shares memory with the arena."""
     held = {
-        slot: v for slot, v in _run_holding_every_value(plan, x).items()
-        if isinstance(v, np.ndarray)
+        slot: v.bits if isinstance(v, PackedTensor) else v
+        for slot, v in _run_holding_every_value(plan, x).items()
     }
     copies = {slot: v.copy() for slot, v in held.items()}
     yield
@@ -730,7 +730,30 @@ def test_outputs_never_alias_the_arena(rng):
     kernel returns is a fresh array, never a view of its scratch."""
     model = convert(build_model("quicknet_small", input_size=32))
     plan = compile_plan(model.graph)
+    _assert_float_nodes_bound(plan)
     x1, x2 = (_batched_input(model.graph, 1, rng) for _ in range(2))
+    with _held_values_stay_untouched(plan, x1):
+        plan.execute((x2,))
+
+
+def _assert_float_nodes_bound(plan):
+    """The plan's conv2d / depthwise / maxpool nodes run bound forms: their
+    padded inputs and patch / tap matrices are in the arena."""
+    names = plan.workspace.names()
+    for role in ("pad/", "conv2d/patches", "depthwise/taps", "maxpool/rows"):
+        assert any(name.startswith(role) for name in names), role
+
+
+#: synthetic graphs whose plans bind every other float family: avgpool,
+#: global pool, dense, int8 maxpool, stand-alone lce_quantize
+BOUND_FLOAT_GRAPHS = ("float", "int8", "grouped_bconv", "se_block")
+
+
+@pytest.mark.parametrize("graph_name", BOUND_FLOAT_GRAPHS)
+def test_bound_float_outputs_never_alias_the_arena(graph_name, rng):
+    graph = SYNTHETIC_GRAPHS[graph_name](rng)
+    plan = compile_plan(graph)
+    x1, x2 = (_batched_input(graph, 1, rng) for _ in range(2))
     with _held_values_stay_untouched(plan, x1):
         plan.execute((x2,))
 
@@ -739,12 +762,27 @@ def test_outputs_never_alias_the_arena(rng):
 def test_arena_constant_from_the_second_call(factor, rng):
     model = convert(build_model("quicknet_small", input_size=32))
     plan = compile_plan(model.graph, batch_factor=factor)
+    _assert_float_nodes_bound(plan)
     x = _batched_input(model.graph, factor, rng)
     plan.execute((x,))
     ws = plan.workspace
     grows, nbytes = ws.grows, ws.nbytes
     for _ in range(3):
         plan.execute((x,))
+    assert (ws.grows, ws.nbytes) == (grows, nbytes)
+
+
+@pytest.mark.parametrize("graph_name", BOUND_FLOAT_GRAPHS)
+@pytest.mark.parametrize("factor", (1, 3))
+def test_bound_float_arena_constant_from_the_second_call(graph_name, factor, rng):
+    graph = SYNTHETIC_GRAPHS[graph_name](rng)
+    plan = compile_plan(graph, batch_factor=factor)
+    x = _batched_input(graph, factor, rng)
+    expected = reference_outputs(graph, (x,), factor)
+    ws = plan.workspace
+    grows, nbytes = ws.grows, ws.nbytes  # reserved at compile time
+    for _ in range(3):
+        assert_bit_identical(plan.execute((x,))[0], expected)
     assert (ws.grows, ws.nbytes) == (grows, nbytes)
 
 
