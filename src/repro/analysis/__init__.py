@@ -5,7 +5,7 @@ regressions — the paper's Section 5.3 question and Table 2/5 summaries)
 and the *static-analysis subsystem* — a graph dataflow verifier
 (:mod:`repro.analysis.dataflow`), a repo lint engine
 (:mod:`repro.analysis.lint`) and a concurrency engine
-(:mod:`repro.analysis.concurrency`, lock-discipline rules C001-C005)
+(:mod:`repro.analysis.concurrency`, lock-discipline rules C001, C003-C005)
 sharing one diagnostic core (:mod:`repro.analysis.diagnostics`).
 The events JSONL telemetry artifact has its schema oracle in
 :mod:`repro.analysis.telemetry`.

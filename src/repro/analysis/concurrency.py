@@ -1,45 +1,26 @@
-"""The concurrency analysis engine: static lock-discipline rules C001-C005.
+"""The concurrency analysis engine: static lock-discipline rules.
 
 Third engine beside :mod:`repro.analysis.dataflow` and
 :mod:`repro.analysis.lint`, sharing the :mod:`repro.analysis.diagnostics`
 core and the ``# repro: allow[RULE] why`` suppression syntax.  The rank
-table in :mod:`repro.concurrency.order` is the single source of truth;
-these rules check it without running anything, and the runtime shim
-(:mod:`repro.concurrency.locks`) enforces the same order on live
-acquisitions under ``REPRO_SANITIZE=1``.
-
-The rules (all errors; all scoped to ``src/`` by the repo driver):
-
-- **C001 lock inventory** — no raw ``threading.Lock``/``RLock``/bare
-  ``Condition()`` construction; every lock routes through
-  ``ordered_lock``/``ordered_rlock`` with a string-literal name that is
-  registered in the rank table (and matches the entry's reentrancy).
-  ``OrderedLock(..., rank=...)``/``graph=...`` overrides are test-only.
-  Repo-wide the inventory is two-sided: a rank registered in the table
-  that no construction site under ``src/`` uses is an error too.
-- **C002 lock order** — nested ``with``-acquisitions must be
-  rank-monotonic (ascending) per the table; re-entering a
-  non-reentrant lock in the same lexical chain is a self-deadlock.
-- **C003 blocking under lock** — no ``Future.result()``/``exception()``
-  without timeout, no ``Queue.get``/``put``/``join`` without timeout,
-  no ``Engine.run*`` and no ``*.sleep(...)`` lexically inside a lock's
-  ``with`` body.  ``Condition.wait`` is exempt (it releases the lock).
-- **C004 future resolution** (``serving/`` only) — between creating a
-  ``Future`` and handing it off, no statement may raise (explicitly or
-  via a call) without a surrounding ``try`` whose handler resolves the
-  future; an escaping exception would leak it forever-pending.  Create
-  futures *after* validation, or wrap the gap in a resolving ``try``.
-- **C005 unlocked publish** — in classes that declare a ``*_lock``
-  attribute, instance attributes initialized in ``__init__`` must only
-  be reassigned inside a ``with`` on one of the class's locks (or a
-  condition wrapping one).  Methods whose caller holds the lock carry a
-  justified ``allow[C005]``.
+table in :mod:`repro.concurrency.order` is the single source of truth.
+Lock *order* is checked once, at runtime: the shim
+(:mod:`repro.concurrency.locks`) raises on every rank inversion under
+``REPRO_SANITIZE=1`` (``make sanitize``).  These rules check what no run
+can show, all errors over ``src/`` (catalogue: ``RULES``,
+docs/architecture.md §8): C001 every lock is built by the registered
+factories under a registered name, and every registered name is built;
+C003 no blocking call inside a lock's ``with`` body; C004 a created
+``Future`` is resolved or handed off before anything can raise; C005
+shared ``__init__`` state of a lock-declaring class is reassigned only
+under its lock (methods whose caller holds it carry a justified
+``allow[C005]``).
 
 All checks are lexical approximations: they see ``with`` nesting inside
 one function, not call chains.  That is the point — the discipline they
-enforce (acquire in rank order, publish under the lock, keep blocking
-calls outside critical sections) is exactly the discipline that makes
-lexical reasoning sufficient.
+enforce (publish under the lock, keep blocking calls outside critical
+sections) is exactly the discipline that makes lexical reasoning
+sufficient.
 """
 
 from __future__ import annotations
@@ -48,7 +29,7 @@ import ast
 import pathlib
 from typing import Iterable
 
-from repro.analysis.diagnostics import Diagnostic, error
+from repro.analysis.diagnostics import RULES, Diagnostic, error
 from repro.analysis.lint import (
     _apply_suppressions,
     _suppressions,
@@ -204,7 +185,7 @@ def _inventory(tree: ast.Module, loc: str) -> tuple[_FileLocks, list[Diagnostic]
     return locks, diags
 
 
-# ------------------------------------------------------------- C002 + C003
+# -------------------------------------------------------------------- C003
 def _with_item_lock(item: ast.withitem, locks: _FileLocks,
                     cls: str | None) -> str | None:
     """Resolve one ``with`` item to a registered lock name, if it is one."""
@@ -254,9 +235,9 @@ def _blocking_call(call: ast.Call) -> str | None:
     return None
 
 
-def _order_rules(tree: ast.Module, loc: str, locks: _FileLocks
-                 ) -> list[Diagnostic]:
-    """C002 (rank monotonicity) and C003 (blocking under a held lock)."""
+def _blocking_rule(tree: ast.Module, loc: str, locks: _FileLocks
+                   ) -> list[Diagnostic]:
+    """C003: no blocking call while a registered lock is held."""
     diags: list[Diagnostic] = []
 
     def scan(node: ast.AST, held: list[str], cls: str | None) -> None:
@@ -270,34 +251,12 @@ def _order_rules(tree: ast.Module, loc: str, locks: _FileLocks
                 scan(child, [], cls)
             return
         if isinstance(node, (ast.With, ast.AsyncWith)):
-            acquired: list[str] = []
-            for item in node.items:
-                lock_name = _with_item_lock(item, locks, cls)
-                if lock_name is None:
-                    continue
-                entry = LOCK_RANKS[lock_name]
-                for held_name in held + acquired:
-                    held_entry = LOCK_RANKS[held_name]
-                    if held_name == lock_name:
-                        if not entry.reentrant:
-                            diags.append(error(
-                                "C002", f"{loc}:{node.lineno}",
-                                f"re-acquisition of non-reentrant lock "
-                                f"{lock_name!r} (self-deadlock)",
-                            ))
-                    elif held_entry.rank > entry.rank:
-                        diags.append(error(
-                            "C002", f"{loc}:{node.lineno}",
-                            f"rank inversion: acquiring {lock_name!r} "
-                            f"(rank {entry.rank}) under {held_name!r} "
-                            f"(rank {held_entry.rank})",
-                            hint="nested acquisition must ascend "
-                            "repro.concurrency.order ranks",
-                        ))
-                acquired.append(lock_name)
-            inner = held + acquired
+            acquired = [
+                name for item in node.items
+                if (name := _with_item_lock(item, locks, cls)) is not None
+            ]
             for child in node.body:
-                scan(child, inner, cls)
+                scan(child, held + acquired, cls)
             return
         if isinstance(node, ast.Call) and held:
             why = _blocking_call(node)
@@ -456,7 +415,7 @@ def _publish_rule(tree: ast.Module, loc: str, locks: _FileLocks
 # -------------------------------------------------------------- file driver
 def check_file(path: pathlib.Path, *, root: pathlib.Path | None = None,
                constructed: set[str] | None = None) -> list[Diagnostic]:
-    """Run the C-rules over one file (C004 only under a ``serving`` dir);
+    """Run the C-rules over one file (C004 only in its scope);
     ``constructed`` collects the registered lock names the file builds."""
     path = pathlib.Path(path)
     loc = str(path.relative_to(root)) if root is not None else str(path)
@@ -468,14 +427,13 @@ def check_file(path: pathlib.Path, *, root: pathlib.Path | None = None,
         tree = ast.parse(text, filename=str(path))
     except SyntaxError:
         return []  # the lint engine owns the L001 report
-    allowed, diags = _suppressions(text, loc)
-    locks, inventory = _inventory(tree, loc)
+    allowed, _ = _suppressions(text, loc)  # the lint engine owns L005
+    locks, diags = _inventory(tree, loc)
     if constructed is not None:
         constructed.update(locks.constructed)
-    diags.extend(inventory)
-    diags.extend(_order_rules(tree, loc, locks))
+    diags.extend(_blocking_rule(tree, loc, locks))
     diags.extend(_publish_rule(tree, loc, locks))
-    if "serving" in path.parts:
+    if RULES["C004"].covers(path):
         diags.extend(_future_rule(tree, loc))
     return _apply_suppressions(diags, allowed)
 

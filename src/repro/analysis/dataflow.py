@@ -1,28 +1,18 @@
 """Graph dataflow analyses: the converter's MLIR-style verification layer.
 
-Four rule families run over a :class:`repro.graph.ir.Graph`:
-
-- **G001 def-before-use** — SSA dataflow: every tensor has exactly one
-  producer, is produced before any use, and carries a spec.
-- **G002 dtype-layout** — re-runs the :mod:`repro.ops` registry's shape/
-  dtype inference for every node and rejects any divergence from the
-  recorded specs, plus any bitpacked tensor consumed by an op outside the
-  binarized domain (``OpSpec.accepts_bitpacked``).
-- **G003 bitpack-words** — the uint64 word layout: ``filter_bits`` must be
-  ``(cout, kh*kw*ceil(cin_g/64))`` uint64; grouped convolutions whose
-  per-group channels straddle a word boundary get a *warning* (the repack
-  fallback is legal, just slower).
-- **G004 padding-semantics / G005 fusion-legality** — the paper's Section
-  3.2 correctness story: zero-padded accumulators require the precomputed
-  correction (and one-padded ones must not carry it), and the fused output
-  transform stays exact (bitpacked output ⇒ thresholds, no leftover
-  multiplier/bias; int8 output ⇒ a scale).
+The G-rules (``RULES``, docs/architecture.md §8) over a
+:class:`repro.graph.ir.Graph`, each invariant in one place: G001 is
+:meth:`Graph.verify`, G002 is :func:`repro.ops.validate_graph` plus the
+registry's shape/dtype re-inference, and G003–G005 check the bitpacked
+word layout, padding semantics and fusion legality of every
+``lce_bconv2d`` — the paper's Section 3.2 correctness story, which
+nothing else checks on a loaded ``.lce`` file.
 
 :func:`analyze_graph` returns diagnostics; :func:`check_graph` raises a
-:class:`~repro.graph.ir.GraphError` on any ERROR finding and is the hook
-``Graph.validate`` and ``PassManager.run`` call, so illegal graphs are
-rejected at every pass, plan compilation, executor construction and
-save/load — before they can reach a kernel.
+:class:`~repro.graph.ir.GraphError` on any ERROR finding and is what
+``Graph.validate`` runs, so illegal graphs are rejected at every pass,
+plan compilation, executor construction and save/load — before they can
+reach a kernel.
 """
 
 from __future__ import annotations
@@ -32,55 +22,7 @@ from repro.core.bitpack import WORD_BITS, packed_words
 from repro.core.im2col import conv_geometry
 from repro.core.types import OutputType, Padding
 from repro.graph.ir import Graph, GraphError, Node, TensorSpec
-from repro.ops.registry import find_spec
-
-
-def _structural(graph: Graph) -> list[Diagnostic]:
-    """G001: SSA def-before-use over the node list."""
-    diags: list[Diagnostic] = []
-    produced: set[str] = set()
-    seen_nodes: set[str] = set()
-    for t in graph.inputs:
-        if t not in graph.tensors:
-            diags.append(error("G001", f"input {t!r}", "graph input has no spec"))
-        produced.add(t)
-    for n in graph.nodes:
-        where = f"node {n.name!r}"
-        if n.name in seen_nodes:
-            diags.append(error("G001", where, "duplicate node name"))
-        seen_nodes.add(n.name)
-        for t in n.inputs:
-            if t not in graph.tensors:
-                diags.append(
-                    error("G001", where, f"consumes unknown tensor {t!r}")
-                )
-            elif t not in produced:
-                diags.append(
-                    error(
-                        "G001", where,
-                        f"consumes {t!r} before it is produced",
-                        hint="node order must stay topological",
-                    )
-                )
-        for t in n.outputs:
-            if t in produced:
-                diags.append(
-                    error("G001", where, f"tensor {t!r} produced more than once")
-                )
-            if t not in graph.tensors:
-                diags.append(error("G001", where, f"output {t!r} has no spec"))
-            produced.add(t)
-    for t in graph.outputs:
-        if t not in produced:
-            diags.append(
-                error("G001", f"output {t!r}", "graph output is never produced")
-            )
-    for t in graph.tensors:
-        if t not in produced:
-            diags.append(
-                error("G001", f"tensor {t!r}", "tensor spec has no producer")
-            )
-    return diags
+from repro.ops.registry import get_spec, validate_graph
 
 
 def _specs_equal(a: TensorSpec, b: TensorSpec) -> bool:
@@ -88,20 +30,14 @@ def _specs_equal(a: TensorSpec, b: TensorSpec) -> bool:
 
 
 def _check_inference(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
-    """G002: registry re-inference must reproduce the recorded specs."""
+    """G002: registry re-inference must reproduce the recorded specs.
+
+    Runs after ``validate_graph``, so the op is registered and its
+    attributes parse.
+    """
     where = f"node {node.name!r} ({node.op})"
-    spec = find_spec(node.op)
-    if spec is None:
-        diags.append(
-            error("G002", where, f"op {node.op!r} is not registered",
-                  hint="register an OpSpec in repro.ops")
-        )
-        return
-    try:
-        p = spec.parse_attrs(node.attrs)
-    except GraphError as exc:
-        diags.append(error("G002", where, str(exc)))
-        return
+    spec = get_spec(node.op)
+    p = spec.parse_attrs(node.attrs)
     in_specs = [graph.tensors[t] for t in node.inputs]
     for t, in_spec in zip(node.inputs, in_specs):
         if in_spec.dtype == "bitpacked" and not spec.accepts_bitpacked:
@@ -141,11 +77,7 @@ def _check_inference(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
 def _check_bconv(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
     """G003/G004/G005 over one ``lce_bconv2d`` node."""
     where = f"node {node.name!r} (lce_bconv2d)"
-    spec = find_spec("lce_bconv2d")
-    try:
-        p = spec.parse_attrs(node.attrs)
-    except GraphError:
-        return  # G002 already reported the malformed attrs
+    p = get_spec("lce_bconv2d").parse_attrs(node.attrs)
 
     # ---- G003: bitpacked word layout -------------------------------------
     if p.in_channels % p.groups or p.out_channels % p.groups:
@@ -277,14 +209,20 @@ def _check_bconv(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
 
 
 def analyze_graph(graph: Graph) -> list[Diagnostic]:
-    """Run every dataflow rule; returns the findings (possibly empty).
+    """Run every graph rule; returns the findings (possibly empty).
 
-    Structural (G001) errors short-circuit the later rules — spec lookups
-    are not meaningful on a non-SSA graph.
+    G001 is :meth:`Graph.verify` and G002 starts with
+    :func:`~repro.ops.registry.validate_graph`: the first
+    :class:`GraphError` either raises is reported under that id and stops
+    the node rules, which need an SSA graph of registered, well-formed
+    nodes.
     """
-    diags = _structural(graph)
-    if errors_of(diags):
-        return diags
+    for rule, check in (("G001", Graph.verify), ("G002", validate_graph)):
+        try:
+            check(graph)
+        except GraphError as exc:
+            return [error(rule, f"graph {graph.name!r}", str(exc))]
+    diags: list[Diagnostic] = []
     for node in graph.nodes:
         _check_inference(graph, node, diags)
         if node.op == "lce_bconv2d":

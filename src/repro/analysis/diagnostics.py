@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from pathlib import PurePath
 
 
 class Severity(enum.Enum):
@@ -29,12 +30,26 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True)
 class Rule:
-    """One catalogued analysis rule."""
+    """One catalogued analysis rule.
+
+    ``scope`` is where a path-scoped source rule applies, and what the
+    engine tests: ``dir/`` matches that directory at any depth,
+    ``dir/name.py`` one file.  Empty means every file the engine walks.
+    """
 
     id: str
     name: str
     engine: str  # "graph" | "lint" | "concurrency"
     summary: str
+    scope: tuple[str, ...] = ()
+
+    def covers(self, path) -> bool:
+        """Whether the source file at ``path`` is in this rule's scope."""
+        parts = PurePath(path).parts
+        return not self.scope or any(
+            s[:-1] in parts if s.endswith("/") else tuple(s.split("/")) == parts[-2:]
+            for s in self.scope
+        )
 
 
 #: the rule catalogue — every diagnostic's ``rule`` must be a key here
@@ -43,11 +58,12 @@ RULES: dict[str, Rule] = {
     for r in (
         # ------------------------------------------ graph dataflow engine
         Rule("G001", "def-before-use", "graph",
-             "every tensor is produced exactly once, before any use, and "
-             "carries a spec (SSA dataflow)"),
+             "Graph.verify: every tensor is produced exactly once, before "
+             "any use, and carries a spec (SSA dataflow)"),
         Rule("G002", "dtype-layout", "graph",
-             "recorded tensor specs match registry re-inference; bitpacked "
-             "tensors only feed binarized-domain ops"),
+             "ops.validate_graph (registered op, well-formed attributes), "
+             "then recorded tensor specs match registry re-inference; "
+             "bitpacked tensors only feed binarized-domain ops"),
         Rule("G003", "bitpack-words", "graph",
              "bitpacked filter word counts match ceil(cin_g/64) layout; "
              "grouped convs warn when groups straddle word boundaries"),
@@ -65,32 +81,32 @@ RULES: dict[str, Rule] = {
              "imports (including aliases and submodule imports) must be used"),
         Rule("L004", "trailing-whitespace", "lint", "no trailing whitespace"),
         Rule("L005", "bad-suppression", "lint",
-             "suppression comments must name a rule and a justification"),
+             "suppression comments must name rule ids in this catalogue "
+             "and a justification"),
         Rule("L101", "kernel-alloc", "lint",
-             "core/ kernels taking a workspace must not allocate in steady "
-             "state outside the Workspace API or a `is None` fallback branch"),
-        Rule("L102", "registry-complete", "lint",
-             "every registered op ships schema, shape inference, kernel and "
-             "a cost hook (or an explicit exemption)"),
+             "functions taking a workspace must not allocate outside the "
+             "Workspace API or a `is None` fallback branch",
+             ("core/", "kernels/", "serving/", "tune/", "obs/events.py",
+              "obs/ring.py")),
         Rule("L103", "unguarded-cache", "lint",
-             "module-level mutable caches in core/runtime must be guarded "
-             "by a module-level lock (the memoization idiom)"),
+             "module-level mutable caches mutated from functions need a "
+             "module-level lock (the memoization idiom)",
+             ("core/", "runtime/", "obs/", "serving/", "tune/",
+              "hw/calibrate.py")),
         Rule("L104", "nondeterminism", "lint",
-             "no wall-clock, random or entropy sources in compiled-plan "
-             "paths (core/, runtime/, ops/)"),
+             "no wall-clock, random or entropy sources",
+             ("core/", "runtime/", "ops/", "obs/", "serving/", "tune/",
+              "hw/calibrate.py")),
         # ---------------------------------------- concurrency engine
         Rule("C001", "lock-inventory", "concurrency",
              "every lock in src/ routes through ordered_lock/ordered_rlock "
              "with a name registered in repro.concurrency.order"),
-        Rule("C002", "lock-order", "concurrency",
-             "nested with-acquisitions ascend the declared lock ranks; "
-             "no re-entry of non-reentrant locks"),
         Rule("C003", "blocking-under-lock", "concurrency",
              "no Future.result/Queue.get/put/join without timeout, "
              "Engine.run* or sleep inside a lock's critical section"),
         Rule("C004", "future-resolution", "concurrency",
-             "futures created in serving/ are resolved (or handed off) on "
-             "every exception path"),
+             "futures are resolved (or handed off) on every exception path",
+             ("serving/",)),
         Rule("C005", "unlocked-publish", "concurrency",
              "classes declaring a *_lock only reassign shared instance "
              "attributes under one of their locks"),

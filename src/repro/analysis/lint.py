@@ -9,45 +9,37 @@ L003 unused imports — including ``from x import y as z`` aliases and
 ``import a.b.c`` submodule forms, each import alias tracked separately —
 and L004 trailing whitespace.
 
-**Contract rules** (repo-specific; nothing else enforces them):
+**Contract rules** (repo-specific; nothing else enforces them), each
+applied where ``RULES[id].scope`` says (docs/architecture.md §8):
 
-- L101: functions in ``core/``, ``kernels/``, ``serving/`` or ``tune/``
-  that take a ``workspace`` parameter (a bound form's ``bind`` and the
-  ``run`` inside it) are steady-state kernels and must not call
-  ``np.zeros``/``np.empty``/``np.concatenate``-style allocators, except
-  lexically inside the documented allocating fallback (the body of
+- L101: functions that take a ``workspace`` parameter (a bound form's
+  ``bind`` and the ``run`` inside it) are steady-state kernels and must
+  not call ``np.zeros``/``np.empty``/``np.concatenate``-style allocators,
+  except lexically inside the documented allocating fallback (the body of
   ``if <param> is None:`` or the else of ``if <param> is not None:``).
-- L102: every op registered in :mod:`repro.ops` ships an attribute
-  schema, shape inference, a kernel factory and a cost hook (or an entry
-  in ``COST_EXEMPT_OPS``) — checked at lint time, not first use.
-- L103: module-level mutable caches in ``core/``/``runtime/``/``obs/``/
-  ``serving/``/``tune/`` (plus ``hw/calibrate.py``) mutated from
-  functions require a module-level ``threading.Lock``/``RLock`` (the
-  ``core.indirection`` memoization idiom).
-- L104: compiled-plan and serving paths (``core/``, ``runtime/``,
-  ``ops/``, ``obs/``, ``serving/``, ``tune/``, plus ``hw/calibrate.py``
-  — the calibration recorder and the kernel measurement harness drive
-  the engine kernels and must be as deterministic as the runtime they
-  measure) must not use ``np.random``/``random``/``secrets``/
-  ``os.urandom`` or wall-clock ``time.time`` (monotonic timers are
-  fine).  The tracer's single recording-boundary wall-clock anchor in
-  ``obs/trace.py`` and the seeded input-data generators in
-  ``hw/calibrate.py`` and ``tune/search.py`` carry justified
+- L103: module-level mutable caches mutated from functions require a
+  module-level lock (the ``core.indirection`` memoization idiom).
+- L104: no ``np.random``/``random``/``secrets``/``os.urandom`` or
+  wall-clock ``time.time`` (monotonic timers are fine).  The tracer's
+  wall-clock anchor and the seeded input-data generators carry justified
   ``allow[L104]`` suppressions.
 
 Suppression: append ``# repro: allow[L101] <justification>`` to the
-offending line.  A suppression without a justification is itself an error
-(L005).
+offending line.  A suppression without a justification, or naming an id
+that is not in :data:`~repro.analysis.diagnostics.RULES`, is itself an
+error (L005).
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import pathlib
 import re
-from typing import Iterable, Sequence
+import tokenize
+from typing import Iterable
 
-from repro.analysis.diagnostics import Diagnostic, error, warning
+from repro.analysis.diagnostics import RULES, Diagnostic, error
 
 #: repo directories the lint engine walks by default
 ROOTS = ("src", "tests", "benchmarks", "tools")
@@ -69,65 +61,33 @@ _MONOTONIC_OK = frozenset({"perf_counter", "perf_counter_ns", "monotonic",
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9, ]*)\]\s*(.*)")
 
 
-def _segments(path: pathlib.Path) -> frozenset[str]:
-    return frozenset(path.parts)
-
-
-#: hw/ is analytic (pure math on specs) except the calibration recorder,
-#: which drives the engine and is held to the runtime's cache/determinism
-#: contracts
-_HW_CONTRACT_FILES = frozenset({"calibrate.py"})
-
-
-def _hw_contract_file(path: pathlib.Path) -> bool:
-    return "hw" in _segments(path) and path.name in _HW_CONTRACT_FILES
-
-
-#: obs/ is mostly cold-path bookkeeping, but the event log and the ring
-#: store under it sit on the serving hot path and are held to the same
-#: allocation contract as core/serving
-_OBS_CONTRACT_FILES = frozenset({"events.py", "ring.py"})
-
-
-def _obs_contract_file(path: pathlib.Path) -> bool:
-    return "obs" in _segments(path) and path.name in _OBS_CONTRACT_FILES
-
-
-def _in_core(path: pathlib.Path) -> bool:
-    return bool(
-        _segments(path) & {"core", "kernels", "serving", "tune"}
-    ) or _obs_contract_file(path)
-
-
-def _needs_cache_guard(path: pathlib.Path) -> bool:
-    return bool(
-        _segments(path) & {"core", "runtime", "obs", "serving", "tune"}
-    ) or _hw_contract_file(path)
-
-
-def _in_plan_path(path: pathlib.Path) -> bool:
-    return bool(
-        _segments(path) & {"core", "runtime", "ops", "obs", "serving", "tune"}
-    ) or _hw_contract_file(path)
-
-
 # ------------------------------------------------------------- suppression
 def _suppressions(text: str, location_prefix: str) -> tuple[dict[int, set[str]],
                                                             list[Diagnostic]]:
     """Parse ``# repro: allow[RULE] reason`` comments.
 
-    Returns a ``lineno -> {rule ids}`` map plus L005 diagnostics for
-    malformed suppressions (no rule, or no justification).
+    Only real comments count, not docstrings or strings that quote the
+    syntax.  Returns a ``lineno -> {rule ids}`` map plus L005 diagnostics
+    for malformed suppressions (no rule, an id not in :data:`RULES`, or
+    no justification).
     """
     allowed: dict[int, set[str]] = {}
     diags: list[Diagnostic] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        m = _ALLOW_RE.search(line)
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        m = _ALLOW_RE.search(tok.string) if tok.type == tokenize.COMMENT else None
         if m is None:
             continue
+        lineno = tok.start[0]
         rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
         reason = m.group(2).strip()
-        if not rules or not reason:
+        unknown = sorted(rules - RULES.keys())
+        if unknown:
+            diags.append(
+                error("L005", f"{location_prefix}:{lineno}",
+                      f"suppression names unknown rule ids {unknown}",
+                      hint="drop the suppression of a deleted rule")
+            )
+        elif not rules or not reason:
             diags.append(
                 error(
                     "L005", f"{location_prefix}:{lineno}",
@@ -135,8 +95,8 @@ def _suppressions(text: str, location_prefix: str) -> tuple[dict[int, set[str]],
                     hint="write `# repro: allow[L101] <why this is safe>`",
                 )
             )
-            continue
-        allowed.setdefault(lineno, set()).update(rules)
+        else:
+            allowed.setdefault(lineno, set()).update(rules)
     return allowed, diags
 
 
@@ -444,47 +404,6 @@ def _nondeterminism_rule(tree: ast.AST, loc: str) -> list[Diagnostic]:
     return diags
 
 
-# ------------------------------------------------------------ registry rule
-def check_specs(specs: Sequence = None, exempt: frozenset[str] | None = None
-                ) -> list[Diagnostic]:
-    """L102 over a spec list (defaults to the live :mod:`repro.ops` registry)."""
-    from repro.ops.registry import (
-        COST_EXEMPT_OPS,
-        AttrField,
-        OP_CLASSES,
-        all_specs,
-    )
-
-    specs = all_specs() if specs is None else specs
-    exempt = COST_EXEMPT_OPS if exempt is None else exempt
-    diags: list[Diagnostic] = []
-
-    def bad(name: str, message: str, hint: str = "") -> None:
-        diags.append(error("L102", f"repro.ops registry: {name}", message, hint))
-
-    for spec in specs:
-        if not isinstance(spec.attrs, tuple) or not all(
-            isinstance(f, AttrField) for f in spec.attrs
-        ):
-            bad(spec.name, "attrs must be a tuple of AttrField schema entries")
-        if spec.infer is None:
-            bad(spec.name, "missing shape-inference hook")
-        if spec.kernel is None:
-            bad(spec.name, "missing kernel factory")
-        if spec.cost is None and spec.name not in exempt:
-            bad(spec.name, "missing cost hook and not in COST_EXEMPT_OPS",
-                hint="add a cost hook or an explicit exemption")
-        if spec.op_class not in OP_CLASSES:
-            bad(spec.name, f"unknown op_class {spec.op_class!r}")
-    registered = {spec.name for spec in specs}
-    for name in sorted(exempt - registered):
-        diags.append(
-            warning("L102", f"repro.ops registry: {name}",
-                    "stale COST_EXEMPT_OPS entry for an unregistered op")
-        )
-    return diags
-
-
 # -------------------------------------------------------------- file driver
 def lint_file(
     path: pathlib.Path,
@@ -514,11 +433,11 @@ def lint_file(
     allowed, diags = _suppressions(text, loc)
     if style:
         diags.extend(_style_rules(tree, text, loc))
-    if _in_core(path):
+    if RULES["L101"].covers(path):
         diags.extend(_kernel_alloc_rule(tree, loc))
-    if _needs_cache_guard(path):
+    if RULES["L103"].covers(path):
         diags.extend(_cache_guard_rule(tree, loc))
-    if _in_plan_path(path):
+    if RULES["L104"].covers(path):
         diags.extend(_nondeterminism_rule(tree, loc))
     return _apply_suppressions(diags, allowed)
 
@@ -548,10 +467,8 @@ def lint_paths(
 
 
 def lint_repo(repo: pathlib.Path, *, style: bool = True) -> list[Diagnostic]:
-    """Lint the whole repo tree (:data:`ROOTS`) plus the op registry."""
+    """Lint the whole repo tree (:data:`ROOTS`)."""
     repo = pathlib.Path(repo)
-    diags = lint_paths(
+    return lint_paths(
         [repo / r for r in ROOTS if (repo / r).exists()], root=repo, style=style
     )
-    diags.extend(check_specs())
-    return diags

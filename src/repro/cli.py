@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--concurrency", action="store_true",
-        help="run the lock-discipline rules (C001-C005) over src/",
+        help="run the lock-discipline rules (C001, C003-C005) over src/",
     )
     p.add_argument(
         "--format", choices=("text", "json"), default="text",

@@ -18,7 +18,8 @@ gateway).  This package makes them machine-checked:
   pays nothing.
 
 The static half lives in :mod:`repro.analysis.concurrency` (rules
-C001-C005), which checks the same table without running anything.
+C001, C003-C005): every lock is in the table and no critical section
+blocks.  The order itself is checked here, at runtime only.
 """
 
 from repro.concurrency.locks import (

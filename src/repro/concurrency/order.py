@@ -10,10 +10,11 @@ The table is the single source of truth shared by both halves of the
 concurrency sanitizer:
 
 - the **static** rules (:mod:`repro.analysis.concurrency`) reject raw
-  ``threading.Lock()`` construction in ``src/`` (C001) and rank
-  inversions visible in nested ``with`` statements (C002);
+  ``threading.Lock()`` construction in ``src/`` and names missing from
+  this table (C001), and resolve ``with`` statements to locks (C003);
 - the **runtime** shim (:mod:`repro.concurrency.locks`) enforces the
-  same order on real acquisitions when ``REPRO_SANITIZE=1``.
+  order on real acquisitions when ``REPRO_SANITIZE=1`` — the one check
+  of it.
 
 Rank gaps of 10 leave room to slot new locks between existing layers.
 The recorded orderings (the edges each rank pair legalizes) are facts of
@@ -91,7 +92,7 @@ LOCK_ORDER: tuple[LockRank, ...] = (
 #: name -> :class:`LockRank` lookup over :data:`LOCK_ORDER`
 LOCK_RANKS: dict[str, LockRank] = {entry.name: entry for entry in LOCK_ORDER}
 
-#: ``with``-item *method* patterns the static rules resolve to a lock:
+#: ``with``-item *method* patterns the static rules resolve to a lock
 #: calling a method with one of these names inside a ``with`` statement
 #: acquires the mapped lock (the repo's single accessor idiom is
 #: ``MetricsRegistry.lock()``)

@@ -287,25 +287,19 @@ class Graph:
                 raise GraphError(f"tensor spec {t!r} has no producer")
 
     def validate(self) -> None:
-        """Structural invariants, registry validation, dataflow analyses.
+        """Every graph rule; raise :class:`GraphError` naming the first.
 
-        On top of :meth:`verify`, checks that each node's operator is
-        registered in :mod:`repro.ops`, its attributes satisfy the op's
-        declared schema, and a latency model exists (or the op is
-        explicitly cost-exempt) — then runs the graph dataflow analyses
-        (:mod:`repro.analysis.dataflow`: SSA, dtype/layout re-inference,
-        bitpack word layout, padding semantics, fusion legality) and
-        raises on any ERROR finding.  Raises :class:`GraphError` naming
-        the offending node and rule.  Runs at every executor/plan
+        :func:`repro.analysis.dataflow.check_graph`: :meth:`verify` (G001),
+        :func:`repro.ops.validate_graph` — each op registered, its
+        attributes well-formed, a latency model or an exemption — then
+        spec re-inference, bitpack word layout, padding semantics and
+        fusion legality, each checked once.  Runs at every executor/plan
         construction and at convert/save/load time, so illegal graphs
         fail before execution.
         """
-        self.verify()
-        # Local imports: both modules import this one.
+        # Local import: the analysis imports this module.
         from repro.analysis.dataflow import check_graph
-        from repro.ops import validate_graph
 
-        validate_graph(self)
         check_graph(self)
 
     # ----------------------------------------------------------------- misc

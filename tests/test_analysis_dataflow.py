@@ -187,8 +187,85 @@ def test_g002_unregistered_op():
     graph = _binary_net(Padding.SAME_ONE).graph
     graph.add_node("totally_bogus_op", [graph.outputs[0]], [TensorSpec((1, 4))])
     diags = errors_of(analyze_graph(graph))
-    assert "G002" in _rules(diags)
-    assert any("not registered" in d.message for d in diags)
+    assert _rules(diags) == {"G002"}
+    assert any("no kernel for op 'totally_bogus_op'" in d.message for d in diags)
+
+
+# ------------------------------------------- one check per invariant
+
+
+def _duplicate_node_name():
+    g = Graph("dup")
+    x = g.add_input("x", TensorSpec((1, 4)))
+    a = g.add_node("relu", [x], [TensorSpec((1, 4))], name="a")
+    b = g.add_node("relu", [a.outputs[0]], [TensorSpec((1, 4))], name="b")
+    b.name = "a"
+    g.outputs = [b.outputs[0]]
+    return g
+
+
+def _unregistered_op():
+    g = Graph("unknown")
+    x = g.add_input("x", TensorSpec((1, 4)))
+    n = g.add_node("warp_drive", [x], [TensorSpec((1, 4))], name="engine_room")
+    g.outputs = [n.outputs[0]]
+    return g
+
+
+def _malformed_attribute():
+    g = Graph("badattrs")
+    x = g.add_input("x", TensorSpec((1, 6, 6, 3)))
+    n = g.add_node(
+        "maxpool2d", [x], [TensorSpec((1, 3, 3, 3))],
+        attrs={"pool_h": 2, "pool_w": "wide"}, name="pool",
+    )
+    g.outputs = [n.outputs[0]]
+    return g
+
+
+@pytest.mark.parametrize(
+    "build, rule, owner, message",
+    [
+        (_duplicate_node_name, "G001", "verify", "duplicate node name 'a'"),
+        (_unregistered_op, "G002", "validate_graph", "no kernel for op 'warp_drive'"),
+        (_malformed_attribute, "G002", "validate_graph",
+         "malformed attribute 'pool_w'"),
+    ],
+    ids=["duplicate-node", "unregistered-op", "malformed-attr"],
+)
+def test_graph_validate_checks_each_invariant_once(
+    build, rule, owner, message, monkeypatch
+):
+    """One implementation per invariant: ``Graph.validate`` raises once,
+    from the owning check, and ``analyze_graph`` reports that one error
+    under its rule id."""
+    import repro.analysis.dataflow as dataflow
+
+    raised = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except GraphError:
+                raised.append(name)
+                raise
+        return wrapped
+
+    monkeypatch.setattr(Graph, "verify", spy("verify", Graph.verify))
+    monkeypatch.setattr(
+        dataflow, "validate_graph", spy("validate_graph", dataflow.validate_graph)
+    )
+    graph = build()
+    with pytest.raises(GraphError, match=rf"\[{rule}\] .*{message}") as exc:
+        graph.validate()
+    assert raised == [owner]
+    assert str(exc.value).count(message) == 1
+    raised.clear()
+    diags = analyze_graph(graph)
+    assert [(d.rule, d.severity) for d in diags] == [(rule, Severity.ERROR)]
+    assert message in diags[0].message
+    assert raised == [owner]
 
 
 # ------------------------------------------------------ G003: bitpack words
@@ -406,8 +483,8 @@ def test_engine_stats_report_verified():
 
 def test_deploy_path_loads_only_the_dataflow_verifier():
     """Build, convert and one ``Engine.run`` validate graphs through
-    ``repro.analysis.dataflow`` alone: the lint and concurrency engines,
-    the design search and the device model stay unloaded."""
+    ``repro.analysis.dataflow`` alone: the lint and concurrency engines
+    and the device model stay unloaded."""
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -428,6 +505,6 @@ def test_deploy_path_loads_only_the_dataflow_verifier():
     assert "repro.analysis.dataflow" in loaded
     unwanted = {
         f"repro.analysis.{name}"
-        for name in ("lint", "concurrency", "search", "bench", "telemetry", "summary")
+        for name in ("lint", "concurrency", "bench", "telemetry", "summary")
     } | {"repro.hw"}
     assert not unwanted & loaded, sorted(unwanted & loaded)

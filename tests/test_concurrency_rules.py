@@ -156,105 +156,6 @@ def test_c001_a_rank_left_behind_fails_the_repo_gate(monkeypatch):
     assert "'runtime.engine.worker'" in diags[0].message
 
 
-# ---------------------------------------------------------- C002: lock order
-
-
-def test_c002_rank_inversion_in_nested_with(tmp_path):
-    diags = _check(tmp_path, "src/repro/runtime/m.py", """\
-        from repro.concurrency.locks import ordered_lock, ordered_rlock
-
-        METRICS = ordered_rlock("obs.metrics")
-        PLAN = ordered_lock("runtime.engine.plan")
-
-        def wrong():
-            with METRICS:
-                with PLAN:
-                    pass
-        """)
-    assert _rules(diags) == {"C002"}
-    assert "rank inversion" in diags[0].message
-
-
-def test_c002_ascending_ranks_are_clean(tmp_path):
-    assert not _check(tmp_path, "src/repro/runtime/m.py", """\
-        from repro.concurrency.locks import ordered_lock, ordered_rlock
-
-        METRICS = ordered_rlock("obs.metrics")
-        PLAN = ordered_lock("runtime.engine.plan")
-
-        def right():
-            with PLAN:
-                with METRICS:
-                    pass
-        """)
-
-
-def test_c002_self_reacquire_of_non_reentrant_lock(tmp_path):
-    diags = _check(tmp_path, "src/repro/runtime/m.py", """\
-        from repro.concurrency.locks import ordered_lock
-
-        PLAN = ordered_lock("runtime.engine.plan")
-
-        def deadlock():
-            with PLAN:
-                with PLAN:
-                    pass
-        """)
-    assert _rules(diags) == {"C002"}
-    assert "self-deadlock" in diags[0].message
-
-
-def test_c002_reentrant_reentry_is_clean(tmp_path):
-    assert not _check(tmp_path, "src/repro/obs/m.py", """\
-        from repro.concurrency.locks import ordered_rlock
-
-        METRICS = ordered_rlock("obs.metrics")
-
-        def grouped():
-            with METRICS:
-                with METRICS:
-                    pass
-        """)
-
-
-def test_c002_resolves_instance_attr_locks(tmp_path):
-    diags = _check(tmp_path, "src/repro/serving/m.py", """\
-        from repro.concurrency.locks import ordered_lock, ordered_rlock
-
-        class S:
-            def __init__(self):
-                self._lock = ordered_lock("serving.server")
-                self._metrics_lock = ordered_rlock("obs.metrics")
-
-            def wrong(self):
-                with self._metrics_lock:
-                    with self._lock:
-                        pass
-        """)
-    assert "C002" in _rules(diags)
-
-
-def test_c002_resolves_the_metrics_lock_accessor(tmp_path):
-    # `with registry.lock():` is the repo's accessor idiom for the
-    # obs.metrics leaf lock (repro.concurrency.order.ACQUIRE_METHODS).
-    diags = _check(tmp_path, "src/repro/runtime/m.py", """\
-        from repro.concurrency.locks import ordered_lock
-
-        PLAN = ordered_lock("runtime.engine.plan")
-
-        def wrong(registry):
-            with registry.lock():
-                with PLAN:
-                    pass
-
-        def right(registry):
-            with PLAN:
-                with registry.lock():
-                    pass
-        """)
-    assert [d.rule for d in diags] == ["C002"]
-
-
 # ------------------------------------------------- C003: blocking under lock
 
 
@@ -324,6 +225,42 @@ def test_c003_condition_wait_is_exempt(tmp_path):
                 with self._cond:
                     self._cond.wait()
         """)
+
+
+def test_c003_resolves_instance_attr_locks(tmp_path):
+    diags = _check(tmp_path, "src/repro/serving/m.py", """\
+        import time
+
+        from repro.concurrency.locks import ordered_rlock
+
+        class S:
+            def __init__(self):
+                self._metrics_lock = ordered_rlock("obs.metrics")
+
+            def wrong(self):
+                with self._metrics_lock:
+                    time.sleep(1)
+        """)
+    assert _rules(diags) == {"C003"}
+    assert "'obs.metrics'" in diags[0].message
+
+
+def test_c003_resolves_the_metrics_lock_accessor(tmp_path):
+    # `with registry.lock():` is the repo's accessor idiom for the
+    # obs.metrics leaf lock (repro.concurrency.order.ACQUIRE_METHODS).
+    diags = _check(tmp_path, "src/repro/runtime/m.py", """\
+        import time
+
+        def wrong(registry):
+            with registry.lock():
+                time.sleep(1)
+
+        def right(registry):
+            with registry.lock():
+                pass
+            time.sleep(1)
+        """)
+    assert [d.rule for d in diags] == ["C003"]
 
 
 def test_c003_nested_defs_do_not_inherit_the_lock(tmp_path):

@@ -16,12 +16,9 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 from repro.analysis.diagnostics import Severity, errors_of
 from repro.analysis.lint import (
     ROOTS,
-    check_specs,
     iter_python_files,
     lint_file,
     lint_paths,
@@ -129,6 +126,26 @@ def test_l005_suppression_without_justification(tmp_path):
 def test_l005_suppression_without_rule_ids(tmp_path):
     diags = _lint(tmp_path, "m.py", f"import json  {_allow('[] why not')}\n")
     assert "L005" in _rules(diags)
+
+
+def test_l005_suppression_naming_an_unknown_rule(tmp_path):
+    # An allow[...] left behind by a deleted rule must not linger silently.
+    diags = _lint(
+        tmp_path, "m.py", "import json  # repro: allow[L003,L999] stale id\n"
+    )
+    assert _rules(diags) == {"L005", "L003"}
+    (l005,) = [d for d in diags if d.rule == "L005"]
+    assert "L999" in l005.message and "L003" not in l005.message
+
+
+def test_suppression_syntax_quoted_in_strings_is_not_a_suppression(tmp_path):
+    # Docstrings and hint strings quote the syntax; only comments count.
+    diags = _lint(tmp_path, "m.py", """\
+        \"\"\"Write ``# repro: allow[RULE] why`` or ``# repro: allow[]``.\"\"\"
+        HINT = "write `# repro: allow[L999] <why>`"
+        import json  # repro: allow[L003] re-exported for plugins
+        """)
+    assert not diags
 
 
 def test_justified_suppression_hides_the_finding(tmp_path):
@@ -268,56 +285,6 @@ def test_l101_suppression_with_reason(tmp_path):
         "np.empty((4, 4), np.float32)  # repro: allow[L101] warmup only",
     )
     assert not _lint(tmp_path, "src/repro/core/k.py", src, style=False)
-
-
-# ---------------------------------------------- L102: registry completeness
-
-
-class _FakeSpec:
-    def __init__(self, **kw):
-        from repro.ops.registry import find_spec
-
-        real = find_spec("relu")
-        self.name = "fake_op"
-        self.attrs = real.attrs
-        self.infer = real.infer
-        self.kernel = real.kernel
-        self.cost = real.cost
-        self.op_class = real.op_class
-        for k, v in kw.items():
-            setattr(self, k, v)
-
-
-@pytest.mark.parametrize(
-    "defect",
-    [
-        {"attrs": ["not-a-schema"]},
-        {"infer": None},
-        {"kernel": None},
-        {"cost": None},
-        {"op_class": "No Such Class"},
-    ],
-    ids=["attrs", "infer", "kernel", "cost", "op_class"],
-)
-def test_l102_incomplete_spec_is_an_error(defect):
-    diags = check_specs([_FakeSpec(**defect)], exempt=frozenset())
-    assert _rules(errors_of(diags)) == {"L102"}
-
-
-def test_l102_cost_exemption_is_honored():
-    diags = check_specs([_FakeSpec(cost=None)], exempt=frozenset({"fake_op"}))
-    assert not errors_of(diags)
-
-
-def test_l102_stale_exemption_warns():
-    diags = check_specs([_FakeSpec()], exempt=frozenset({"ghost_op"}))
-    assert not errors_of(diags)
-    assert [d.rule for d in diags] == ["L102"]
-    assert "stale" in diags[0].message
-
-
-def test_l102_live_registry_is_complete():
-    assert not errors_of(check_specs())
 
 
 # ------------------------------------------------ L103: unguarded caches

@@ -1,19 +1,13 @@
-"""Tests for the model summary, architecture search, and CLI tooling."""
+"""Tests for the model summary and CLI tooling."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.macs import count_macs
-from repro.analysis.search import (
-    build_quicknet_config,
-    evaluate_candidate,
-    search,
-)
 from repro.analysis.summary import format_summary, model_summary
 from repro.cli import main as cli_main
 from repro.converter import convert
-from repro.hw.device import DeviceModel
 from repro.zoo import quicknet
 
 
@@ -40,54 +34,6 @@ class TestSummary:
         text = format_summary(g)
         assert "% binary" in text
         assert "lce_bconv2d" in text
-
-
-class TestSearch:
-    SMALL = 32  # keep candidate builds fast
-
-    def test_candidate_builder_matches_table3_config(self):
-        g = build_quicknet_config((4, 4, 4, 4), (32, 64, 256, 512), input_size=224)
-        reference = quicknet("small", input_size=224)
-        assert count_macs(g).binary == count_macs(reference).binary
-
-    def test_candidate_validation(self):
-        with pytest.raises(ValueError):
-            build_quicknet_config((4, 4), (32, 64, 128))
-
-    def test_evaluate_candidate(self):
-        r = evaluate_candidate(
-            (2, 2, 2, 2), (32, 64, 128, 256), DeviceModel.pixel1(),
-            input_size=self.SMALL,
-        )
-        assert r.latency_ms > 0
-        assert r.binary_macs > 0
-        assert "N=(2, 2, 2, 2)" in r.name
-
-    def test_search_respects_budget_and_ranks_by_capacity(self):
-        results = search(
-            budget_ms=50.0,
-            device=DeviceModel.pixel1(),
-            layer_choices=((2, 2, 2, 2), (4, 4, 4, 4)),
-            filter_choices=((32, 64, 128, 256),),
-            input_size=self.SMALL,
-        )
-        assert results, "both candidates fit a generous budget"
-        assert all(r.latency_ms <= 50.0 for r in results)
-        assert results[0].binary_macs == max(r.binary_macs for r in results)
-
-    def test_tight_budget_filters(self):
-        results = search(
-            budget_ms=1e-6,
-            device=DeviceModel.pixel1(),
-            layer_choices=((2, 2, 2, 2),),
-            filter_choices=((32, 64, 128, 256),),
-            input_size=self.SMALL,
-        )
-        assert results == []
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            search(budget_ms=0)
 
 
 class TestCLI:

@@ -6,8 +6,8 @@
 fallback in :mod:`repro.analysis.lint` covers syntax errors, unused
 imports (including ``as`` aliases and ``import a.b.c`` submodule forms),
 trailing whitespace and non-UTF-8 files.  The repo-specific contract
-rules (L101 kernel allocations, L102 registry completeness, L103 cache
-guarding, L104 nondeterminism) always run — ruff cannot express them.
+rules (L005 suppressions, L101 kernel allocations, L103 cache guarding,
+L104 nondeterminism) always run — ruff cannot express them.
 """
 
 from __future__ import annotations
