@@ -83,13 +83,13 @@ calibrate-smoke:
 
 # Telemetry smoke: one served burst on the real clock that answers the
 # serving questions of docs/architecture.md section 9 — the metrics
-# snapshot, the p95 verdict (against a generous target) and the event log,
-# exported and schema-validated with exactly one terminal event per
-# request.  Exits non-zero on a validation problem or a breach.
+# snapshot, the p95 verdict (against a generous target) and the Chrome
+# trace, exported and validated with exactly one terminal lifecycle mark
+# per request.  Exits non-zero on a validation problem or a breach.
 telemetry-smoke:
 	PYTHONPATH=src python -m repro.cli serve --models quicknet_small \
 		--input-size 32 --requests 48 --slo-p95-ms 10000 \
-		--events-out $${TMPDIR:-/tmp}/repro-events-smoke.jsonl
+		--trace-out $${TMPDIR:-/tmp}/repro-serve-trace-smoke.json
 
 bench:
 	pytest benchmarks/ --benchmark-only

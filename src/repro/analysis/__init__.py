@@ -7,10 +7,8 @@ and the *static-analysis subsystem* — a graph dataflow verifier
 (:mod:`repro.analysis.lint`) and a concurrency engine
 (:mod:`repro.analysis.concurrency`, lock-discipline rules C001, C003-C005)
 sharing one diagnostic core (:mod:`repro.analysis.diagnostics`).
-The events JSONL telemetry artifact has its schema oracle in
-:mod:`repro.analysis.telemetry`.
 The package re-exports nothing: import from the submodule, so that
 ``Graph.validate`` loading :mod:`~repro.analysis.dataflow` does not drag
 in the lint and concurrency engines.
-See docs/architecture.md §8, §13 and §14.
+See docs/architecture.md §8 and §13.
 """

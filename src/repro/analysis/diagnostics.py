@@ -86,8 +86,7 @@ RULES: dict[str, Rule] = {
         Rule("L101", "kernel-alloc", "lint",
              "functions taking a workspace must not allocate outside the "
              "Workspace API or a `is None` fallback branch",
-             ("core/", "kernels/", "serving/", "tune/", "obs/events.py",
-              "obs/ring.py")),
+             ("core/", "kernels/", "serving/", "tune/", "obs/trace.py")),
         Rule("L103", "unguarded-cache", "lint",
              "module-level mutable caches mutated from functions need a "
              "module-level lock (the memoization idiom)",

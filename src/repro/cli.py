@@ -12,7 +12,7 @@ The deployment-side tooling a released inference engine ships with::
     python -m repro trace     --model quicknet_small --out trace.json
     python -m repro stats     --model quicknet_small
     python -m repro serve     --models quicknet_small --requests 32 \
-                              [--slo-p95-ms 50] [--events-out events.jsonl]
+                              [--slo-p95-ms 50] [--trace-out trace.json]
     python -m repro calibrate --out profile.json --budget 15
 
 ``benchmark`` / ``profile`` are the analytical device model's *estimate*
@@ -381,11 +381,10 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _telemetry_burst(args, *, events):
+def _telemetry_burst(args, *, tracer):
     """Build the models, serve a request burst, return (gateway, replies).
 
-    The caller owns the gateway and must close it (keeping it open lets
-    the events export run against live telemetry sources).
+    The caller owns the gateway and must close it.
     """
     from repro.serving import Gateway, GatewayConfig
 
@@ -406,7 +405,7 @@ def _telemetry_burst(args, *, events):
         max_queue=args.max_queue,
         replicas=args.replicas,
     )
-    gateway = Gateway(models, config, events=events)
+    gateway = Gateway(models, config, trace=tracer)
     try:
         gateway.warmup(factors=(1, args.max_batch))
         names = sorted(models)
@@ -438,35 +437,41 @@ def _print_p95_verdicts(target_ms: float, models, snapshot) -> bool:
     return breached
 
 
-def _export_telemetry(args, events) -> list[str]:
-    """Write the ``--events-out`` JSONL, read it back and return the
-    file's validation problems."""
-    from repro.analysis.telemetry import load_events_jsonl, validate_events
-    from repro.obs import write_events_jsonl
+def _export_trace(path: str, tracer) -> list[str]:
+    """Write the ``--trace-out`` Chrome trace, read it back and return the
+    file's validation problems (request lifecycle included)."""
+    import json
+    import pathlib
 
-    written = write_events_jsonl(events, args.events_out)
-    print(
-        f"wrote {args.events_out}: {written[0]['count']} events, "
-        f"{written[0]['dropped']} dropped"
-    )
+    from repro.obs import validate_chrome_trace, write_chrome_trace
+
+    written = write_chrome_trace(tracer, path)
+    dropped = written["otherData"]["dropped"]
+    print(f"wrote {path}: {len(written['traceEvents'])} events, {dropped} dropped")
+    if dropped:
+        print(
+            "  request lifecycle check skipped: the trace dropped records, "
+            "so terminal marks cannot be paired"
+        )
     try:
-        return validate_events(load_events_jsonl(args.events_out))
+        return validate_chrome_trace(json.loads(pathlib.Path(path).read_text()))
     except ValueError as exc:
-        return [str(exc)]
+        return [f"{path}: not valid JSON: {exc}"]
 
 
 def cmd_serve(args) -> int:
     """Serve a demo burst through the gateway and print its stats.
 
     ``--slo-p95-ms T`` adds one line per model comparing its p95 to ``T``
-    (exit 1 when any model exceeds it); ``--events-out`` attaches the
-    event log, and the JSONL it writes is validated (exit 1 on a problem).
+    (exit 1 when any model exceeds it); ``--trace-out`` attaches a tracer,
+    and the Chrome trace it writes — spans plus each request's lifecycle
+    marks — is validated (exit 1 on a problem).
     """
-    from repro.obs import EventLog
+    from repro.obs import Tracer
     from repro.serving import Rejected
 
-    events = EventLog() if args.events_out else None
-    gateway, replies = _telemetry_burst(args, events=events)
+    tracer = Tracer() if args.trace_out else None
+    gateway, replies = _telemetry_burst(args, tracer=tracer)
     try:
         stats = gateway.stats()
         shed = sum(1 for r in replies if isinstance(r, Rejected))
@@ -486,9 +491,10 @@ def cmd_serve(args) -> int:
         breached = args.slo_p95_ms is not None and _print_p95_verdicts(
             args.slo_p95_ms, gateway.models, snapshot
         )
-        problems = _export_telemetry(args, events) if events is not None else []
     finally:
         gateway.close()
+    # Exported after close: every worker has exited, so the trace is whole.
+    problems = _export_trace(args.trace_out, tracer) if tracer is not None else []
     for p in problems:
         print(f"serve: {p}", file=sys.stderr)
     return 1 if breached or problems else 0
@@ -642,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="serve a demo request burst through the async gateway: stats, "
-        "a p95 verdict per model (exit 1 on a breach), the request event log",
+        "a p95 verdict per model (exit 1 on a breach), a validated trace",
     )
     p.add_argument(
         "--models", nargs="+", default=["quicknet_small"],
@@ -672,8 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
         "against it and exit 1 when one exceeds it",
     )
     p.add_argument(
-        "--events-out", default=None, metavar="PATH",
-        help="attach the event log; export the JSONL here and validate it",
+        "--trace-out", default=None, metavar="PATH",
+        help="attach a tracer; write the Chrome trace (spans and request "
+        "lifecycle marks) here and validate it",
     )
     p.set_defaults(fn=cmd_serve)
 

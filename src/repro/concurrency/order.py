@@ -72,13 +72,9 @@ LOCK_ORDER: tuple[LockRank, ...] = (
     ),
     LockRank(
         "obs.trace", 80, False,
-        "Tracer._lock — per-thread buffer registration/collection; "
-        "span recording can happen under the plan lock",
-    ),
-    LockRank(
-        "obs.events", 86, False,
-        "EventLog._lock — per-thread event-ring registration/collection; "
-        "event emission can happen under the server or plan locks",
+        "Tracer._lock — per-thread ring registration/collection; "
+        "span and mark recording can happen under the server and plan "
+        "locks",
     ),
     LockRank(
         "obs.metrics", 90, True,

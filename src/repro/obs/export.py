@@ -11,9 +11,13 @@ exporter maps them onto the tracer's wall-clock anchor — captured once
 at the recording boundary — so events carry real wall-clock microseconds
 without any plan path ever reading the wall clock.
 
-:func:`validate_chrome_trace` is the schema oracle the tests, the CLI
-and ``make trace-smoke`` share: field presence and types, plus interval
-nesting per thread (children lie within their parents).
+:func:`validate_chrome_trace` is the oracle the tests, the CLI,
+``make trace-smoke`` and ``make telemetry-smoke`` share: field presence
+and types, interval nesting per thread (children lie within their
+parents), and the serving gateway's request lifecycle — its marks are
+zero-duration complete events.  ``otherData.dropped`` carries the
+tracer's drop count, so a consumer can tell a complete trace from a
+truncated one.
 """
 
 from __future__ import annotations
@@ -22,19 +26,35 @@ import json
 import math
 import os
 import pathlib
-from typing import Any
+from typing import Any, Iterable
 
 from repro.obs.trace import SpanRecord, Tracer
 
 #: fields every complete event must carry (the trace_event contract)
 EVENT_FIELDS = ("name", "ph", "ts", "dur", "pid", "tid", "args")
 
+#: the request-lifecycle marks the serving gateway records; any other
+#: ``request.*`` name fails validation
+REQUEST_MARKS = frozenset(
+    {
+        "request.accept",    # admitted to a model queue
+        "request.coalesce",  # taken into a batch by a replica worker
+        "request.shed",      # rejected before admission (terminal)
+        "request.complete",  # answered with a result (terminal)
+        "request.failed",    # answered with an error (terminal)
+    }
+)
 
-def chrome_trace(
-    tracer: Tracer, spans: list[SpanRecord] | None = None
-) -> dict[str, Any]:
-    """Serialize spans to a Chrome ``trace_event`` JSON object."""
-    spans = tracer.spans() if spans is None else spans
+#: exactly one of these per request id
+TERMINAL_MARKS = frozenset(
+    {"request.shed", "request.complete", "request.failed"}
+)
+
+
+def chrome_trace(tracer: Tracer) -> dict[str, Any]:
+    """Serialize every record the tracer retains to a Chrome
+    ``trace_event`` JSON object."""
+    spans = tracer.spans()
     pid = os.getpid()
     events: list[dict[str, Any]] = [
         {
@@ -68,16 +88,16 @@ def chrome_trace(
                 "args": dict(s.args),
             }
         )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"dropped": tracer.dropped},
+    }
 
 
-def write_chrome_trace(
-    tracer: Tracer,
-    path: str | pathlib.Path,
-    spans: list[SpanRecord] | None = None,
-) -> dict[str, Any]:
+def write_chrome_trace(tracer: Tracer, path: str | pathlib.Path) -> dict[str, Any]:
     """Write the Chrome trace JSON to ``path``; returns the object."""
-    obj = chrome_trace(tracer, spans)
+    obj = chrome_trace(tracer)
     pathlib.Path(path).write_text(json.dumps(obj, indent=1) + "\n")
     return obj
 
@@ -86,9 +106,10 @@ def validate_chrome_trace(obj: Any) -> list[str]:
     """Schema-check a trace object; returns problems (empty = valid).
 
     Checks the ``trace_event`` contract — top-level shape, per-event
-    field presence and types, non-negative intervals — and that complete
-    events nest properly per thread: sorted by ``ts``, every event either
-    follows or lies entirely within the enclosing one.
+    field presence and types, non-negative intervals — that complete
+    events nest properly per thread (sorted by ``ts``, every event either
+    follows or lies entirely within the enclosing one) and the request
+    lifecycle (:func:`_lifecycle_problems`).
     """
     problems: list[str] = []
     if not isinstance(obj, dict) or "traceEvents" not in obj:
@@ -149,6 +170,81 @@ def validate_chrome_trace(obj: Any) -> list[str]:
                 )
                 continue
             stack.append(ev)
+    other = obj.get("otherData", {})
+    dropped = other.get("dropped", 0) if isinstance(other, dict) else None
+    if not isinstance(dropped, int) or isinstance(dropped, bool) or dropped < 0:
+        problems.append(f"otherData.dropped {dropped!r} is not a count")
+    problems.extend(_lifecycle_problems(complete, paired=dropped == 0))
+    return problems
+
+
+def request_kinds(events: Iterable[dict[str, Any]]) -> dict[str, list[str]]:
+    """Per-``request_id`` lifecycle mark names, in the given order, from
+    trace events (only ``request.*`` names are indexed)."""
+    out: dict[str, list[str]] = {}
+    for ev in events:
+        name, args = ev.get("name"), ev.get("args")
+        rid = args.get("request_id") if isinstance(args, dict) else None
+        if isinstance(name, str) and name.startswith("request.") and isinstance(
+            rid, str
+        ):
+            out.setdefault(rid, []).append(name)
+    return out
+
+
+def _lifecycle_problems(
+    events: list[dict[str, Any]], paired: bool
+) -> list[str]:
+    """The request-lifecycle invariant over a trace's complete events.
+
+    Every ``request.*`` mark is a registered one carrying a ``request_id``,
+    and a ``queue_wait_ms`` argument lies in ``[0, latency_ms]`` (a stage
+    cannot exceed the whole).  When ``paired`` — the trace dropped
+    nothing — every request id has exactly one terminal mark;
+    ``complete`` / ``failed`` need an ``accept`` and ``shed`` excludes one
+    (a shed request was never admitted).
+    """
+    problems: list[str] = []
+    for ev in events:
+        name, args = ev.get("name"), ev.get("args")
+        if not isinstance(args, dict):
+            continue
+        if isinstance(name, str) and name.startswith("request."):
+            if name not in REQUEST_MARKS:
+                problems.append(f"unknown request mark {name!r}")
+            elif not isinstance(args.get("request_id"), str):
+                problems.append(f"{name} mark without a request_id")
+        if "queue_wait_ms" in args:
+            wait, total = args["queue_wait_ms"], args.get("latency_ms")
+            try:
+                bounded = 0 <= wait <= total
+            except TypeError:  # latency_ms missing, or a non-number
+                bounded = False
+            if not bounded:
+                problems.append(
+                    f"{name} {args.get('request_id')!r}: queue_wait_ms "
+                    f"{wait!r} outside [0, latency_ms {total!r}]"
+                )
+    if not paired:
+        return problems
+    for rid, kinds in sorted(request_kinds(events).items()):
+        terminals = [k for k in kinds if k in TERMINAL_MARKS]
+        if len(terminals) != 1:
+            problems.append(
+                f"request {rid!r}: {len(terminals)} terminal marks "
+                f"(want exactly 1): {terminals}"
+            )
+            continue
+        accepted = "request.accept" in kinds
+        if terminals[0] == "request.shed" and accepted:
+            problems.append(
+                f"request {rid!r}: shed after accept (shed means never "
+                "admitted)"
+            )
+        elif terminals[0] != "request.shed" and not accepted:
+            problems.append(
+                f"request {rid!r}: {terminals[0]} without request.accept"
+            )
     return problems
 
 

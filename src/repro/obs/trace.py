@@ -1,16 +1,24 @@
 """Structured spans: a thread-safe tracer for the runtime hot path.
 
 The span taxonomy mirrors the layers a request passes through
-(``gateway.flush`` → ``engine.run_many`` → ``plan.execute`` →
-``plan.node`` → ``kernel.bgemm``); docs/architecture.md §9 lists every
-span, and a test pins that list to the spans actually emitted.
+(``gateway.submit`` → ``gateway.flush`` → ``engine.run_many`` →
+``plan.execute`` → ``plan.node`` → ``kernel.bgemm``); docs/architecture.md
+§9 lists every span and mark, and a test pins that list to the records
+actually emitted.
 
 Design points:
 
-- **Per-thread ring buffers.**  Spans land in the shared
-  :class:`~repro.obs.ring.ThreadRings` store (lock-free append, counted
-  overwrite-oldest drops), so tracing a long-running engine is
-  bounded-memory; the tracer adds each thread's live span stack on top.
+- **Per-thread ring buffers.**  Each recording thread appends to its own
+  fixed-capacity ring with no lock; a full ring overwrites its oldest
+  record and counts the drop, so tracing a long-running engine is
+  bounded-memory and truncation is never silent.  The tracer's lock
+  (``obs.trace``) is taken only when a thread's ring is first registered
+  and when rings are enumerated.
+- **Marks.**  A zero-duration record (:meth:`Tracer.mark`) is a point
+  event: the serving gateway records each request's lifecycle
+  (``request.accept`` ... one terminal ``request.complete`` |
+  ``request.shed`` | ``request.failed``) as marks in the same rings and
+  on the same clock as the spans around them.
 - **Two clocks, one discipline.**  Span intervals are measured with the
   monotonic ``time.perf_counter`` — the same clock ``node_times`` and
   the engine's ``busy_s`` use.  A single wall-clock anchor is captured once,
@@ -36,7 +44,9 @@ import time
 from typing import Any, Iterator
 
 from repro.concurrency.locks import ordered_lock
-from repro.obs.ring import DEFAULT_CAPACITY, Ring, ThreadRings
+
+#: default per-thread ring capacity (records); ~100 bytes/record
+DEFAULT_CAPACITY = 65536
 
 
 class SpanRecord:
@@ -77,14 +87,36 @@ class SpanRecord:
         )
 
 
-class _SpanRing(Ring):
-    """One thread's span ring plus its live span-name stack."""
+class _Ring:
+    """One thread's fixed-capacity, overwrite-oldest record ring plus its
+    live span-name stack (which survives a :meth:`Tracer.clear`)."""
 
-    __slots__ = ("stack",)
+    __slots__ = ("tid", "capacity", "records", "head", "dropped", "stack")
 
     def __init__(self, tid: int, capacity: int) -> None:
-        super().__init__(tid, capacity)
+        self.tid = tid
+        self.capacity = capacity
+        self.records: list[SpanRecord] = []
+        self.head = 0  # next overwrite position once the ring is full
+        self.dropped = 0
         self.stack: list[str] = []
+
+    def append(self, record: SpanRecord) -> None:
+        if len(self.records) < self.capacity:
+            self.records.append(record)
+        else:
+            self.records[self.head] = record
+            self.head = (self.head + 1) % self.capacity
+            self.dropped += 1
+
+    def ordered(self) -> list[SpanRecord]:
+        """Retained records, oldest first."""
+        return self.records[self.head :] + self.records[: self.head]
+
+    def clear(self) -> None:
+        self.records.clear()
+        self.head = 0
+        self.dropped = 0
 
 
 # Thread-local active tracer; spans install their tracer here on entry so
@@ -152,26 +184,45 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class Tracer(ThreadRings):
-    """Thread-safe span recorder over per-thread rings (``dropped`` and
-    ``clear`` are the ring store's; live span stacks survive a clear).
+class Tracer:
+    """Thread-safe span recorder over per-thread rings.
 
     With ``capacity=0`` it is the disabled tracer: ``span()`` / ``scope()``
     hand back one shared :class:`_NullSpan` — no span objects are ever
     allocated (asserted in tests) — and ``record()`` drops its argument,
     so code can use ``with tracer.span(...)`` unconditionally on warm
     paths while hot loops branch on :attr:`enabled` to skip attribute
-    building too.
+    building too.  No ring is ever registered on a disabled tracer.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        super().__init__(capacity, ordered_lock("obs.trace"), _SpanRing)
+        if capacity < 0:
+            raise ValueError(f"capacity must not be negative, got {capacity}")
+        self._capacity = capacity
+        self.enabled = capacity > 0
+        self._lock = ordered_lock("obs.trace")
+        self._rings: list[_Ring] = []
+        self._tls = threading.local()
         # The recording boundary: one wall-clock anchor, captured here and
         # never on a plan path.  The exporter maps every monotonic span
         # start onto it; see `wall_us`.
         self._anchor_perf = time.perf_counter()
         anchor = time.time()  # repro: allow[L104] recording-boundary anchor
         self._anchor_wall = anchor
+
+    def local(self) -> _Ring:
+        """The calling thread's ring, registered on first use."""
+        ring = getattr(self._tls, "ring", None)
+        if ring is None:
+            ring = _Ring(threading.get_ident(), self._capacity)
+            with self._lock:
+                self._rings.append(ring)
+            self._tls.ring = ring
+        return ring
+
+    def _snapshot(self) -> list[_Ring]:
+        with self._lock:
+            return list(self._rings)
 
     # ------------------------------------------------------------- recording
     def span(self, name: str, **args: Any) -> "Span | _NullSpan":
@@ -206,10 +257,33 @@ class Tracer(ThreadRings):
             SpanRecord(name, start_s, dur_s, buf.tid, tuple(buf.stack), args)
         )
 
+    def mark(self, name: str, **args: Any) -> None:
+        """Record a zero-duration span stamped now: a point event such as
+        a request's ``request.accept``, on the spans' clock."""
+        if not self.enabled:
+            return
+        self.record(name, time.perf_counter(), 0.0, **args)
+
     # ------------------------------------------------------------ collection
     def spans(self) -> list[SpanRecord]:
-        """Every recorded span across all threads, ordered by start time."""
-        return self.collect(lambda r: r.start_s)
+        """Every retained record across all threads, stably ordered by
+        start time (a thread's records with equal starts keep their
+        recording order)."""
+        records: list[SpanRecord] = []
+        for ring in self._snapshot():
+            records.extend(ring.ordered())
+        records.sort(key=lambda r: r.start_s)
+        return records
+
+    @property
+    def dropped(self) -> int:
+        """Records lost to overwrites, across all threads."""
+        return sum(ring.dropped for ring in self._snapshot())
+
+    def clear(self) -> None:
+        """Drop every retained record and reset the drop counts."""
+        for ring in self._snapshot():
+            ring.clear()
 
     def wall_us(self, start_s: float) -> float:
         """Map a monotonic span start onto the wall-clock anchor, in µs."""

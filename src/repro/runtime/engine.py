@@ -32,7 +32,6 @@ from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
 from repro.core.workspace import Workspace
 from repro.graph.ir import Graph
-from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
@@ -171,8 +170,9 @@ class Engine:
     :class:`~repro.obs.metrics.MetricsRegistry` (``engine.metrics``) —
     :meth:`stats` is a consistent view over it.  Pass ``trace=`` a
     :class:`~repro.obs.trace.Tracer` (or set ``engine.tracer``) to record
-    ``engine.run``/``engine.run_many`` → ``batch.coalesce`` →
-    ``plan.execute`` → ``plan.node`` → kernel spans; the default
+    ``engine.run``/``engine.run_many`` → ``batch.coalesce`` /
+    ``plan.compile`` (on a plan-cache miss) → ``plan.execute`` →
+    ``plan.node`` → kernel spans; the default
     :data:`~repro.obs.trace.NULL_TRACER` keeps the disabled path within
     the measured overhead budget.
     """
@@ -210,11 +210,6 @@ class Engine:
 
         #: tracer recording this engine's spans; NULL_TRACER when disabled
         self.tracer: Tracer = trace if trace is not None else NULL_TRACER
-        #: event log receiving plan-level events (``plan.compile``,
-        #: ``engine.batch``); NULL_EVENTS when telemetry is off.  The
-        #: serving gateway assigns its log here post-construction so
-        #: custom ``engine_factory`` signatures stay unchanged.
-        self.events: EventLog = NULL_EVENTS
 
         # Every counter is an instrument of the per-engine registry; grouped
         # updates and `stats()` snapshots share the registry's single lock,
@@ -255,31 +250,19 @@ class Engine:
     # ------------------------------------------------------------- plumbing
     def plan(self, batch_factor: int = 1) -> CompiledPlan:
         """The cached :class:`CompiledPlan` for ``batch_factor``."""
-        compiled = False
         with self._plan_lock:
             plan = self._plans.get(batch_factor)
             if plan is None:
-                plan = compile_plan(
-                    self.graph, batch_factor=batch_factor,
-                    cache=self._param_cache, workspace=self._workspace,
-                )
+                with self.tracer.span("plan.compile", batch_factor=batch_factor):
+                    plan = compile_plan(
+                        self.graph, batch_factor=batch_factor,
+                        cache=self._param_cache, workspace=self._workspace,
+                    )
                 self._plans[batch_factor] = plan
                 # counted once stored: a compile that raises cached nothing
                 self._m_plan_misses.inc()
-                compiled = True
             else:
                 self._m_plan_hits.inc()
-        # The compile event lands after the plan lock is released: the
-        # event log's own lock ranks above it, and cache hits (the hot
-        # path) emit nothing.
-        if compiled:
-            self.events.emit(
-                "plan.compile",
-                batch_factor=batch_factor,
-                graph_nodes=len(self.graph.nodes),
-                nodes=len(plan.nodes),
-                fused_blocks=plan.fused_blocks,
-            )
         return plan
 
     def _normalize_request(self, inputs: Sequence[Value]) -> Request:
@@ -334,9 +317,6 @@ class Engine:
             self._m_samples.add(plan.batch_factor)
             self._m_batch_size.observe(plan.batch_factor)
             self._m_busy_s.add(elapsed)
-        self.events.emit(
-            "engine.batch", batch_factor=plan.batch_factor, busy_s=elapsed
-        )
         return outputs
 
     @staticmethod
@@ -382,10 +362,11 @@ class Engine:
         with tracer.span("engine.run_many", requests=len(items)):
             start = time.perf_counter()
             chunks = greedy_chunks(items, self.max_batch_size)
-            tracer.record(
-                "batch.coalesce", start, time.perf_counter() - start,
-                requests=len(items), chunks=len(chunks),
-            )
+            if tracer.enabled:
+                tracer.record(
+                    "batch.coalesce", start, time.perf_counter() - start,
+                    requests=len(items), chunks=len(chunks),
+                )
             for chunk in chunks:
                 results.extend(self._run_chunk(chunk))
         return results

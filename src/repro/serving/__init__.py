@@ -13,13 +13,12 @@ weights (one worker thread per replica, pulling its own batches).
 The serving benchmark lives outside the package: ``python3 -m bench.run
 --workload serve_steady_32|serve_saturate_32``.
 
-Production telemetry rides on :mod:`repro.obs`: attach an
-:class:`~repro.obs.events.EventLog` (re-exported here for convenience)
-for request-scoped events; ``Gateway.stats()`` reads the latency tails
-off the histograms the gateway keeps anyway.
+Production telemetry rides on :mod:`repro.obs`: attach a
+:class:`~repro.obs.trace.Tracer` (``Gateway(trace=...)``) and one trace
+holds each request's lifecycle marks beside the spans of the work done
+for it; ``Gateway.stats()`` reads the latency tails off the histograms
+the gateway keeps anyway.
 """
-
-from repro.obs.events import EventLog
 
 from repro.serving.clock import MONOTONIC_CLOCK, Clock, MonotonicClock
 from repro.serving.gateway import (
@@ -44,7 +43,6 @@ __all__ = [
     "SHED_QUEUE_FULL",
     "SHED_UNKNOWN_MODEL",
     "Clock",
-    "EventLog",
     "Gateway",
     "GatewayConfig",
     "GatewayStats",

@@ -42,10 +42,14 @@ class Clock(Protocol):
 
 
 class MonotonicClock:
-    """The real clock: ``time.monotonic`` + real condition waits."""
+    """The real clock: ``time.perf_counter`` + real condition waits.
+
+    ``perf_counter`` is the clock every span and lifecycle mark is stamped
+    with, so a request's ``latency_ms`` and its marks share one timebase.
+    """
 
     def now(self) -> float:
-        return time.monotonic()
+        return time.perf_counter()
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> bool:
         return cond.wait(timeout)

@@ -27,17 +27,16 @@ Observability: every admission decision and batch lands in the gateway's
 :class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.<model>.*``
 names (the ``gateway.*`` totals are summed from one registry snapshot, so
 ``submitted == accepted + shed`` holds at *every*
-snapshot), and a :class:`~repro.obs.trace.Tracer` records
-``gateway.flush`` spans that nest the engine's existing
-``engine.run_many`` → ``plan.execute`` → kernel spans.  With an
-:class:`~repro.obs.events.EventLog` attached, the gateway additionally
-mints a ``request_id`` per submit and threads it through the request's
-whole lifecycle — ``request.accept`` / ``request.coalesce`` /
-``batch.flush`` / exactly one terminal ``request.complete`` |
-``request.shed`` | ``request.failed`` — and into the span args, so
-traces and events join on one id.  :meth:`Gateway.stats` reads the
-p50/p95/p99 latency tails off the ``gateway.<model>.latency_ms``
-histograms.
+snapshot).  With a :class:`~repro.obs.trace.Tracer` attached, the
+gateway records ``gateway.submit`` / ``gateway.flush`` spans that nest
+the engine's ``engine.run_many`` → ``plan.execute`` → kernel spans,
+mints a ``request_id`` per submit and records the request's lifecycle
+as zero-duration marks in the same tracer — ``request.accept`` /
+``request.coalesce`` / exactly one terminal ``request.complete`` |
+``request.shed`` | ``request.failed`` (plus ``replica.quarantine``) —
+so one trace tells what happened to each request and where its time
+went.  :meth:`Gateway.stats` reads the p50/p95/p99 latency tails off the
+``gateway.<model>.latency_ms`` histograms.
 
 Determinism contract: an accepted request's reply is bit-identical to
 running that request alone through ``Engine.run`` — the gateway only
@@ -50,7 +49,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -58,7 +56,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.concurrency.locks import ordered_lock
 from repro.graph.ir import Graph
-from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import MetricsRegistry, global_registry, quantile_from_counts
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
@@ -277,14 +274,12 @@ class _ModelServer:
         metrics: MetricsRegistry,
         tracer: Tracer,
         engine_factory: Callable[..., Engine] | None = None,
-        events: EventLog = NULL_EVENTS,
     ) -> None:
         self.name = name
         self._config = config
         self._clock = clock
         self._metrics = metrics
         self._tracer = tracer
-        self._events = events
 
         self._lock = ordered_lock("serving.server")
         self._cond = threading.Condition(self._lock)
@@ -312,12 +307,6 @@ class _ModelServer:
             )
             for idx in range(config.replicas)
         ]
-        # Plan-level engine events (plan.compile, engine.batch) land in
-        # the same log as the gateway's request lifecycle; assigning the
-        # attribute post-construction keeps custom engine_factory
-        # signatures working.
-        for replica in self._replicas:
-            replica.engine.events = events
         # Filled in index order before any worker starts, so the rotation
         # does not depend on which thread the OS happens to run first.
         self._idle: deque[_Replica] = deque(self._replicas)
@@ -383,9 +372,15 @@ class _ModelServer:
             elif len(self._queue) >= self._config.max_queue:
                 reason = SHED_QUEUE_FULL
             else:
-                # Count acceptance *before* a worker can see the item,
-                # so no snapshot ever observes completed > accepted.
+                # Count (and mark) acceptance *before* a worker can see
+                # the item, so no snapshot ever observes completed >
+                # accepted and the accept mark precedes the coalesce.
                 self._m_accepted.inc()
+                if self._tracer.enabled:
+                    self._tracer.mark(
+                        "request.accept",
+                        request_id=request_id, model=self.name, factor=factor,
+                    )
                 self._queue.append(
                     _Pending(request, factor, future, t_submit, request_id)
                 )
@@ -394,10 +389,6 @@ class _ModelServer:
                 self._cond.notify_all()
         if reason is not None:
             self._shed(future, reason, request_id=request_id)
-            return
-        self._events.emit(
-            "request.accept", request_id=request_id, model=self.name, factor=factor
-        )
 
     def _shed(
         self,
@@ -407,11 +398,7 @@ class _ModelServer:
         request_id: str | None = None,
     ) -> None:
         self._m_shed.inc()
-        self._tracer.record(
-            "gateway.shed", time.perf_counter(), 0.0,
-            model=self.name, reason=reason, request_id=request_id,
-        )
-        self._events.emit(
+        self._tracer.mark(
             "request.shed", request_id=request_id, model=self.name, reason=reason
         )
         _resolve(future, Rejected(self.name, reason, detail))
@@ -475,23 +462,14 @@ class _ModelServer:
         size = sum(p.factor for p in batch)
         requests = [p.request for p in batch]
         tracer = self._tracer
-        events = self._events
-        if events.enabled:
+        if tracer.enabled:
             for p in batch:
-                events.emit(
+                tracer.mark(
                     "request.coalesce",
                     request_id=p.request_id,
                     model=self.name,
                     batch_requests=len(batch),
                 )
-            events.emit(
-                "batch.flush",
-                model=self.name,
-                replica=replica.idx,
-                requests=len(batch),
-                size=size,
-                request_ids=[p.request_id for p in batch],
-            )
         try:
             with tracer.span(
                 "gateway.flush",
@@ -522,14 +500,15 @@ class _ModelServer:
         for p, result, latency_ms, queue_wait_ms in zip(
             batch, results, latencies_ms, queue_waits_ms
         ):
-            events.emit(
-                "request.complete",
-                request_id=p.request_id,
-                model=self.name,
-                replica=replica.idx,
-                latency_ms=latency_ms,
-                queue_wait_ms=queue_wait_ms,
-            )
+            if tracer.enabled:
+                tracer.mark(
+                    "request.complete",
+                    request_id=p.request_id,
+                    model=self.name,
+                    replica=replica.idx,
+                    latency_ms=latency_ms,
+                    queue_wait_ms=queue_wait_ms,
+                )
             _resolve(p.future, result)
 
     def _record_failure(
@@ -556,16 +535,16 @@ class _ModelServer:
             self._m_replica_failures.inc()
             self._m_failed.add(len(batch) + len(orphans))
         detail = f"{type(exc).__name__}: {exc}"
-        events = self._events
+        tracer = self._tracer
         if quarantined:
-            events.emit(
+            tracer.mark(
                 "replica.quarantine",
                 model=self.name,
                 replica=replica.idx,
                 failures=replica.consecutive_failures,
             )
         for p in batch:
-            events.emit(
+            tracer.mark(
                 "request.failed",
                 request_id=p.request_id,
                 model=self.name,
@@ -576,7 +555,7 @@ class _ModelServer:
             _resolve(p.future, Rejected(self.name, FAILED_REPLICA, detail))
         # Every replica is quarantined: typed reply, never a deadlock.
         for p in orphans:
-            events.emit(
+            tracer.mark(
                 "request.failed",
                 request_id=p.request_id,
                 model=self.name,
@@ -615,11 +594,8 @@ class Gateway:
         clock: the time source (tests inject a fake; defaults to the
             monotonic wall-free clock).
         trace: optional :class:`~repro.obs.trace.Tracer`; gateway spans
-            nest the replica engines' spans in the same timeline.
-        events: optional :class:`~repro.obs.events.EventLog`; when
-            attached, the gateway mints request ids and emits the full
-            request lifecycle (plus engine plan events) into it, on the
-            gateway's clock.
+            nest the replica engines' spans in the same timeline, and
+            each request's lifecycle marks join them on its request id.
     """
 
     def __init__(
@@ -630,7 +606,6 @@ class Gateway:
         clock: Clock | None = None,
         trace: Tracer | None = None,
         engine_factory: Callable[..., Engine] | None = None,
-        events: EventLog | None = None,
     ) -> None:
         if not models:
             raise ValueError("gateway requires at least one model")
@@ -639,12 +614,6 @@ class Gateway:
         self.config.validate()
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
         self.tracer: Tracer = trace if trace is not None else NULL_TRACER
-        self.events: EventLog = (
-            events if events is not None else NULL_EVENTS
-        )
-        # Gateway and engine events share the gateway's timebase; under
-        # a FakeClock the whole stream is deterministic.
-        self.events.use_clock(self.clock)
         self._req_seq = itertools.count(1)
         self.metrics = MetricsRegistry()
 
@@ -654,7 +623,6 @@ class Gateway:
         self._m_shed_unknown = m.counter("gateway.shed_unknown_model")
         # Ring truncation is never silent: drop counts ride every snapshot.
         m.gauge("obs.trace.dropped", lambda: self.tracer.dropped)
-        m.gauge("obs.events.dropped", lambda: self.events.dropped)
         self._servers: dict[str, _ModelServer] = {}
         try:
             for name, model in models.items():
@@ -666,7 +634,6 @@ class Gateway:
                     self.metrics,
                     self.tracer,
                     engine_factory,
-                    self.events,
                 )
         except BaseException:
             # The caller gets no handle: stop the workers already started
@@ -696,12 +663,12 @@ class Gateway:
         Malformed inputs (wrong arity/shape) raise ``ValueError``
         synchronously, exactly like ``Engine.run``.
         """
-        events = self.events
+        tracer = self.tracer
         server = self._servers.get(model)
         if server is None:
             self._m_shed_unknown.inc()
-            if events.enabled:  # skips minting a request id
-                events.emit(
+            if tracer.enabled:  # skips minting a request id
+                tracer.mark(
                     "request.shed",
                     request_id=f"{model}-{next(self._req_seq)}",
                     model=model,
@@ -715,10 +682,10 @@ class Gateway:
         # and its handoff would leak the future forever-pending (C004).
         request, factor = server.engines[0].normalize(inputs)
         request_id = (
-            f"{model}-{next(self._req_seq)}" if events.enabled else None
+            f"{model}-{next(self._req_seq)}" if tracer.enabled else None
         )
         future = Future()
-        with self.tracer.span(
+        with tracer.span(
             "gateway.submit", model=model, factor=factor, request_id=request_id
         ):
             server.submit(request, factor, future, request_id)

@@ -505,6 +505,6 @@ def test_deploy_path_loads_only_the_dataflow_verifier():
     assert "repro.analysis.dataflow" in loaded
     unwanted = {
         f"repro.analysis.{name}"
-        for name in ("lint", "concurrency", "bench", "telemetry", "summary")
+        for name in ("lint", "concurrency", "bench", "summary")
     } | {"repro.hw"}
     assert not unwanted & loaded, sorted(unwanted & loaded)

@@ -261,19 +261,15 @@ def test_l101_covers_the_bound_float_kernels(tmp_path):
 
 
 def test_l101_covers_obs_contract_files(tmp_path):
-    # The event log and the ring store under it sit on the serving hot
-    # path; they inherit the allocation discipline.
-    diags = _lint(
-        tmp_path, "src/repro/obs/events.py", _KERNEL_BAD, style=False
-    )
-    assert _rules(diags) == {"L101"}
-    diags = _lint(tmp_path, "src/repro/obs/ring.py", _KERNEL_BAD, style=False)
+    # The tracer and its per-thread rings sit on the serving hot path;
+    # they inherit the allocation discipline.
+    diags = _lint(tmp_path, "src/repro/obs/trace.py", _KERNEL_BAD, style=False)
     assert _rules(diags) == {"L101"}
 
 
 def test_l101_other_obs_files_stay_out_of_scope(tmp_path):
     # export.py etc. are cold-path formatting; the contract is scoped to
-    # the two hot-path obs modules only.
+    # the one hot-path obs module only.
     assert not _lint(
         tmp_path, "src/repro/obs/export.py", _KERNEL_BAD, style=False
     )
@@ -413,10 +409,10 @@ def test_l104_covers_serving_paths(tmp_path):
 
 
 def test_l104_covers_obs_paths(tmp_path):
-    # Wall-clock reads in the event log would make event timestamps
-    # non-reproducible under a FakeClock; only monotonic timers (or the
-    # injected `now` callable) are legal.
-    diags = _lint(tmp_path, "src/repro/obs/events.py", """\
+    # A wall-clock read in the tracer would put marks and spans on a clock
+    # that jumps; only monotonic timers are legal (the one anchor read at
+    # the recording boundary carries a justified suppression).
+    diags = _lint(tmp_path, "src/repro/obs/trace.py", """\
         import time
 
         def sample_ts():

@@ -1,26 +1,29 @@
-"""Ring semantics, once, for both stores built on :mod:`repro.obs.ring`.
+"""Ring semantics of the tracer's per-thread store, for spans and marks.
 
-The :class:`~repro.obs.trace.Tracer` and the
-:class:`~repro.obs.events.EventLog` record into the same per-thread ring
-store, so the bounded-memory contract is pinned once and run against
-both: a full ring overwrites oldest-first, every overwrite is counted,
-``clear`` resets records and counts, and collection merges every
-thread's ring into one key-ordered list.
+Every span (:meth:`~repro.obs.trace.Tracer.record`) and every point event
+(:meth:`~repro.obs.trace.Tracer.mark`, a request's lifecycle) lands in the
+recording thread's bounded ring, so the bounded-memory contract is pinned
+once and run against both: a full ring overwrites oldest-first, every
+overwrite is counted, ``clear`` resets records and counts, and collection
+merges every thread's ring into one start-ordered list.
 """
 
 from __future__ import annotations
 
 import threading
+import time
+import types
 
 import pytest
 
-from repro.obs import EventLog, Tracer
+from repro.obs import Tracer
+from repro.obs import trace as trace_mod
 
 
 class _Spans:
-    """Tracer adapter: item ``i`` is a span starting at ``t = i``."""
+    """Measured spans: item ``i`` is a span starting at ``t = i``."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, monkeypatch) -> None:
         self.store = Tracer(capacity=capacity)
 
     def put(self, i: int) -> None:
@@ -31,18 +34,27 @@ class _Spans:
 
 
 class _Events:
-    """EventLog adapter: item ``i`` is an event stamped ``ts = i``."""
+    """Point events: item ``i`` is a mark stamped ``t = i``.
 
-    def __init__(self, capacity: int) -> None:
+    ``Tracer.mark`` reads ``time.perf_counter``; the trace module's clock
+    is pinned so a mark's stamp is its key.
+    """
+
+    def __init__(self, capacity: int, monkeypatch) -> None:
         self._ts = 0.0
-        self.store = EventLog(capacity=capacity, now=lambda: self._ts)
+        monkeypatch.setattr(
+            trace_mod,
+            "time",
+            types.SimpleNamespace(perf_counter=lambda: self._ts, time=time.time),
+        )
+        self.store = Tracer(capacity=capacity)
 
     def put(self, i: int) -> None:
         self._ts = float(i)
-        self.store.emit("engine.batch", i=i)
+        self.store.mark("request.accept", i=i)
 
     def items(self) -> list[int]:
-        return [e.attrs["i"] for e in self.store.events()]
+        return [s.args["i"] for s in self.store.spans()]
 
 
 def _put_from_thread(ring, keys) -> None:
@@ -53,8 +65,8 @@ def _put_from_thread(ring, keys) -> None:
 
 
 @pytest.mark.parametrize("adapter", [_Spans, _Events])
-def test_ring_semantics(adapter):
-    ring = adapter(capacity=4)
+def test_ring_semantics(adapter, monkeypatch):
+    ring = adapter(4, monkeypatch)
     for i in range(10):
         ring.put(i)
     assert ring.items() == [6, 7, 8, 9]  # oldest overwritten first
@@ -66,8 +78,8 @@ def test_ring_semantics(adapter):
     assert ring.items() == [10] and ring.store.dropped == 0
 
     # Each thread owns a ring of the full capacity; collection merges
-    # them by key, not by thread, and drops add up across threads.
-    ring = adapter(capacity=4)
+    # them by start time, not by thread, and drops add up across threads.
+    ring = adapter(4, monkeypatch)
     _put_from_thread(ring, [0, 2, 4, 6, 8, 10])  # keeps 4, 6, 8, 10
     _put_from_thread(ring, [1, 3, 5])
     assert ring.items() == [1, 3, 4, 5, 6, 8, 10]

@@ -36,7 +36,7 @@ from repro.obs.trace import (
     iter_children,
 )
 from repro.runtime import Engine
-from repro.serving import Gateway, GatewayConfig
+from repro.serving import Gateway, GatewayConfig, Rejected
 from repro.zoo import quicknet
 
 
@@ -304,26 +304,43 @@ def _documented_span_tree() -> tuple[set[str], set[tuple[str | None, str]]]:
     return names, edges
 
 
+class _BrokenEngine(Engine):
+    """A replica whose every batch raises: its requests fail and, with a
+    failure budget of one, it is quarantined on the first."""
+
+    def run_many(self, requests):
+        raise RuntimeError("injected fault")
+
+
 def test_architecture_doc_span_taxonomy(rng):
-    """§9's span block is the set of spans a traced ``Engine.run``,
-    ``Engine.run_many`` and one ``Gateway`` flush emit, name for name, and
-    every emitted nesting is one the block draws."""
+    """§9's span block is the set of spans and marks a traced
+    ``Engine.run``, ``Engine.run_many`` and ``Gateway`` emit — serving,
+    warming up, shedding an unknown model's and a closed gateway's
+    requests, and failing a request on a quarantined replica — name for
+    name, and every emitted nesting is one the block draws."""
     model = convert(quicknet("small", input_size=32))
     x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
     tracer = Tracer()
     with Engine(model, trace=tracer) as engine:
         engine.run(x)
         engine.run_many([x, x])
-    gateway = Gateway(
-        {"m": model},
-        GatewayConfig(max_batch=1, deadline_ms=100.0),
-        clock=FakeClock(),
-        trace=tracer,
-    )
+    config = GatewayConfig(max_batch=1, deadline_ms=100.0, max_replica_failures=1)
+    gateway = Gateway({"m": model}, config, clock=FakeClock(), trace=tracer)
     try:
-        gateway.submit("m", x).result(30.0)
+        assert not isinstance(gateway.submit("m", x).result(30.0), Rejected)
+        gateway.warmup(factors=(2,))
+        assert gateway.submit("nope", x).result(30.0).reason == "unknown_model"
     finally:
         gateway.close()
+    assert gateway.submit("m", x).result(30.0).reason == "closed"
+    broken = Gateway(
+        {"m": model}, config, clock=FakeClock(), trace=tracer,
+        engine_factory=_BrokenEngine,
+    )
+    try:
+        assert broken.submit("m", x).result(30.0).reason == "replica_error"
+    finally:
+        broken.close()
     spans = tracer.spans()
     emitted = {(s.path[-1] if s.path else None, s.name) for s in spans}
 

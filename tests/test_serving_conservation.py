@@ -13,10 +13,9 @@ properties checked afterwards:
 - **metric consistency** — the stats snapshot agrees with the replies
   the clients actually saw, batch-size mass equals completed factors,
   and the latency percentiles are monotone;
-- **telemetry conservation** — the attached event log records the same
-  story: zero ring-buffer drops (``obs.events.dropped`` /
-  ``obs.trace.dropped`` gauges), a schema-valid stream, and exactly one
-  terminal event per request.
+- **telemetry conservation** — the attached tracer's lifecycle marks
+  tell the same story: zero ring-buffer drops (the ``obs.trace.dropped``
+  gauge), a valid trace, and exactly one terminal mark per request.
 
 The gateway runs on a FakeClock with ``deadline_ms=0`` (flush as soon as
 a worker sees work), so no timed wait is ever armed and the whole
@@ -40,9 +39,9 @@ from test_runtime_parity import (
     reference_outputs,
 )
 
-from repro.analysis.telemetry import validate_events
 from repro.core.types import Padding
-from repro.obs import EventLog, events_to_records
+from repro.obs import Tracer, chrome_trace, validate_chrome_trace
+from repro.obs.export import TERMINAL_MARKS, request_kinds
 from repro.serving import SHED_QUEUE_FULL, Gateway, GatewayConfig, Rejected
 
 pytestmark = pytest.mark.serving
@@ -72,7 +71,7 @@ def _gateway_under_stress(rng, seed, replicas=2):
         max_queue=5,  # tiny on purpose: overload must shed, not queue
         replicas=replicas,  # this many pullers race each model's one queue
     )
-    gateway = Gateway(graphs, config, clock=FakeClock(), events=EventLog())
+    gateway = Gateway(graphs, config, clock=FakeClock(), trace=Tracer())
     return gateway, inputs, references
 
 
@@ -135,7 +134,7 @@ def test_conservation_under_concurrent_load(rng, seed, replicas):
                 served += 1
         stats = gateway.stats()
         snapshot = gateway.metrics_snapshot()
-        records = events_to_records(gateway.events)
+        trace = chrome_trace(gateway.tracer)
     finally:
         sys.setswitchinterval(switch_interval)
         gateway.close()
@@ -167,15 +166,19 @@ def test_conservation_under_concurrent_load(rng, seed, replicas):
     assert stats.replicas_healthy == {"bin": replicas, "pool": replicas}
 
     # Telemetry conservation: nothing was dropped on the floor, the
-    # stream is schema-valid, and the event log tells the same story as
-    # the counters (one accept per served request, one terminal each).
-    assert snapshot["obs.events.dropped"] == 0
+    # trace is valid, and its lifecycle marks tell the same story as the
+    # counters (one accept per served request, one terminal each).
     assert snapshot["obs.trace.dropped"] == 0
-    assert validate_events(records) == []
-    kinds = [r["kind"] for r in records[1:]]
-    assert kinds.count("request.accept") == served
-    assert kinds.count("request.complete") == served
-    assert kinds.count("request.shed") == shed
+    assert trace["otherData"]["dropped"] == 0
+    assert validate_chrome_trace(trace) == []
+    per_request = request_kinds(trace["traceEvents"])
+    assert len(per_request) == total
+    for kinds in per_request.values():
+        assert sum(k in TERMINAL_MARKS for k in kinds) == 1
+    names = [e["name"] for e in trace["traceEvents"]]
+    assert names.count("request.accept") == served
+    assert names.count("request.complete") == served
+    assert names.count("request.shed") == shed
 
 
 def test_derived_totals_equal_their_parts_at_every_snapshot(rng):

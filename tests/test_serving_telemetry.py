@@ -1,4 +1,4 @@
-"""End-to-end telemetry acceptance: events, latency tails, `cli serve`.
+"""End-to-end telemetry acceptance: lifecycle marks, latency tails, `cli serve`.
 
 Everything runs on a FakeClock, so the latency the gateway records is
 *injected* — the batching deadline is the only thing that moves virtual
@@ -9,9 +9,9 @@ deterministic:
   target;
 - an immediate flush (deadline 0) must report a p95 of 0 ms;
 - a forced overload (tiny queue, parked worker) must shed, each shed
-  request with exactly one terminal event;
-- the exported event stream must validate with exactly one terminal
-  event per request id.
+  request with exactly one terminal mark;
+- the exported trace must validate with exactly one terminal lifecycle
+  mark per request id.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from fake_clock import FakeClock
 from test_runtime_parity import _batched_input, _binary_net
 
 from repro import cli
-from repro.analysis.telemetry import validate_events
 from repro.core.types import Padding
-from repro.obs import EventLog, Tracer, events_to_records
-from repro.obs.events import request_kinds
+from repro.obs import NULL_TRACER, Tracer, chrome_trace, validate_chrome_trace
+from repro.obs.export import request_kinds
 from repro.serving import (
     SHED_QUEUE_FULL,
     SHED_UNKNOWN_MODEL,
@@ -56,71 +55,79 @@ def _gateway(rng, *, deadline_ms, max_queue=64, max_batch=8, **kwargs):
 
 # ------------------------------------------------------- lifecycle + stream
 def test_event_stream_validates_with_one_terminal_per_request(rng):
-    log = EventLog()
-    gateway, clock, x = _gateway(rng, deadline_ms=0.0, events=log)
+    tracer = Tracer()
+    gateway, clock, x = _gateway(rng, deadline_ms=0.0, trace=tracer)
     try:
         gateway.warmup(factors=(1,))
         futures = [gateway.submit("bin", x) for _ in range(8)]
         for f in futures:
             assert not isinstance(f.result(TIMEOUT_S), Rejected)
-        records = events_to_records(log)
+        obj = chrome_trace(tracer)
     finally:
         gateway.close()
 
-    assert validate_events(records) == []
-    per_request = request_kinds(records[1:])
+    assert validate_chrome_trace(obj) == []
+    events = obj["traceEvents"]
+    per_request = request_kinds(events)
     assert len(per_request) == 8
     for rid, kinds in per_request.items():
         assert rid.startswith("bin-")
-        assert kinds[0] == "request.accept"
-        assert kinds[-1] == "request.complete"
-        assert sum(k == "request.complete" for k in kinds) == 1
-    completes = [r for r in records[1:] if r["kind"] == "request.complete"]
-    # every completion says how long it queued (validate_events bounds it)
-    assert all("queue_wait_ms" in r["attrs"] for r in completes)
-    kinds = {r["kind"] for r in records[1:]}
-    # the engine's plan/batch events land in the same stream
-    assert "plan.compile" in kinds
-    assert "engine.batch" in kinds
-    assert "batch.flush" in kinds
+        # one clock: the marks order as the lifecycle does
+        assert kinds == ["request.accept", "request.coalesce", "request.complete"]
+    completes = [e for e in events if e["name"] == "request.complete"]
+    # every completion says how long it queued (the validator bounds it)
+    assert all("queue_wait_ms" in e["args"] for e in completes)
+    names = {e["name"] for e in events}
+    # the engine's compile and batch spans land in the same trace
+    assert {"plan.compile", "gateway.flush", "plan.execute"} <= names
 
 
 def test_unknown_model_sheds_with_a_request_scoped_event(rng):
-    log = EventLog()
-    gateway, clock, x = _gateway(rng, deadline_ms=0.0, events=log)
+    tracer = Tracer()
+    gateway, clock, x = _gateway(rng, deadline_ms=0.0, trace=tracer)
     try:
         reply = gateway.submit("nope", x).result(TIMEOUT_S)
         assert isinstance(reply, Rejected)
         assert reply.reason == SHED_UNKNOWN_MODEL
-        records = events_to_records(log)
+        obj = chrome_trace(tracer)
     finally:
         gateway.close()
-    assert validate_events(records) == []
-    sheds = [r for r in records[1:] if r["kind"] == "request.shed"]
+    assert validate_chrome_trace(obj) == []
+    sheds = [e for e in obj["traceEvents"] if e["name"] == "request.shed"]
     assert len(sheds) == 1
-    assert sheds[0]["model"] == "nope"
-    assert sheds[0]["attrs"]["reason"] == SHED_UNKNOWN_MODEL
+    assert sheds[0]["args"]["model"] == "nope"
+    assert sheds[0]["args"]["reason"] == SHED_UNKNOWN_MODEL
 
 
 def test_spans_and_events_join_on_request_id(rng):
-    log = EventLog()
+    """A request's lifecycle marks sit inside the spans that carry its id:
+    the accept inside its ``gateway.submit``, the coalesce and complete
+    on the replica's thread around its ``gateway.flush``."""
     tracer = Tracer()
-    gateway, clock, x = _gateway(
-        rng, deadline_ms=0.0, events=log, trace=tracer
-    )
+    gateway, clock, x = _gateway(rng, deadline_ms=0.0, trace=tracer)
     try:
         assert not isinstance(
             gateway.submit("bin", x).result(TIMEOUT_S), Rejected
         )
-        records = events_to_records(log)
         spans = tracer.spans()
     finally:
         gateway.close()
-    accept = next(r for r in records[1:] if r["kind"] == "request.accept")
+    marks = {s.name: s for s in spans if s.name.startswith("request.")}
+    rid = marks["request.accept"].args["request_id"]
+    assert {s.args["request_id"] for s in marks.values()} == {rid}
     submit_span = next(s for s in spans if s.name == "gateway.submit")
-    assert submit_span.args["request_id"] == accept["request_id"]
+    assert submit_span.args["request_id"] == rid
+    assert marks["request.accept"].path == ("gateway.submit",)
+    assert submit_span.start_s <= marks["request.accept"].start_s <= submit_span.end_s
     flush_span = next(s for s in spans if s.name == "gateway.flush")
-    assert accept["request_id"] in flush_span.args["request_ids"]
+    assert rid in flush_span.args["request_ids"]
+    assert flush_span.tid == marks["request.complete"].tid
+    assert (
+        marks["request.coalesce"].start_s
+        <= flush_span.start_s
+        <= flush_span.end_s
+        <= marks["request.complete"].start_s
+    )
 
 
 # ------------------------------------------------------- injected latency
@@ -160,10 +167,12 @@ def test_fast_path_is_healthy_under_the_same_slo(rng):
 
 # ----------------------------------------------------------------- overload
 def test_overload_sheds_with_exactly_one_terminal_event_each(rng):
-    log = EventLog()
+    tracer = Tracer()
     # A long deadline parks the worker, so the tiny queue fills and the
     # remaining submits shed deterministically.
-    gateway, clock, x = _gateway(rng, deadline_ms=1000.0, max_queue=2, events=log)
+    gateway, clock, x = _gateway(
+        rng, deadline_ms=1000.0, max_queue=2, trace=tracer
+    )
     try:
         gateway.warmup(factors=(1,))
         first = gateway.submit("bin", x)
@@ -171,17 +180,17 @@ def test_overload_sheds_with_exactly_one_terminal_event_each(rng):
         futures = [first] + [gateway.submit("bin", x) for _ in range(9)]
         clock.advance(1.0)  # deadline: flush the two accepted requests
         replies = [f.result(TIMEOUT_S) for f in futures]
-        records = events_to_records(log)
+        obj = chrome_trace(tracer)
     finally:
         gateway.close()
 
     shed = [r for r in replies if isinstance(r, Rejected)]
     assert len(shed) == 8
     assert all(r.reason == SHED_QUEUE_FULL for r in shed)
-    # the stream stays valid through the overload: every shed request
-    # has exactly its one terminal event
-    assert validate_events(records) == []
-    per_request = request_kinds(records[1:])
+    # the trace stays valid through the overload: every shed request
+    # has exactly its one terminal mark
+    assert validate_chrome_trace(obj) == []
+    per_request = request_kinds(obj["traceEvents"])
     assert sum(k == ["request.shed"] for k in per_request.values()) == 8
 
 
@@ -191,11 +200,10 @@ def test_disabled_telemetry_emits_nothing(rng):
         assert not isinstance(
             gateway.submit("bin", x).result(TIMEOUT_S), Rejected
         )
-        assert gateway.events.events() == []
-        records = events_to_records(gateway.events)
+        assert gateway.tracer is NULL_TRACER
     finally:
         gateway.close()
-    assert records[0]["count"] == 0
+    assert NULL_TRACER.spans() == [] and NULL_TRACER.dropped == 0
 
 
 # ------------------------------------------------------------- cli serve
@@ -204,47 +212,72 @@ _SERVE = ["serve", "--requests", "16", "--replicas", "1", "--input-size", "32"]
 
 
 def test_serve_command_writes_valid_artifacts(tmp_path, capsys):
-    events_out = tmp_path / "events.jsonl"
-    rc = cli.main(_SERVE + ["--events-out", str(events_out)])
+    trace_out = tmp_path / "trace.json"
+    rc = cli.main(_SERVE + ["--trace-out", str(trace_out)])
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert "served 16/16 requests" in captured.out
-    assert f"wrote {events_out}" in captured.out
+    assert f"wrote {trace_out}" in captured.out
 
-    records = [json.loads(line) for line in events_out.read_text().splitlines()]
-    assert validate_events(records) == []
-    kinds = request_kinds(records)
+    obj = json.loads(trace_out.read_text())
+    assert validate_chrome_trace(obj) == []
+    kinds = request_kinds(obj["traceEvents"])
     assert len(kinds) == 16
     assert all(k[-1] == "request.complete" for k in kinds.values())
+
+
+def _drop_completes(text: str) -> str:
+    obj = json.loads(text)
+    obj["traceEvents"] = [
+        e for e in obj["traceEvents"] if e["name"] != "request.complete"
+    ]
+    return json.dumps(obj)
 
 
 @pytest.mark.parametrize(
     "damage, problem",
     [
-        (lambda text: text.split("\n", 1)[1], "header: schema is not"),
-        (lambda text: text[:-3], "events.jsonl: line "),
+        (lambda text: text.split("\n", 1)[1], "trace.json: not valid JSON"),
+        (lambda text: text[:-3], "trace.json: not valid JSON"),
+        (_drop_completes, "0 terminal marks"),
     ],
-    ids=["header-dropped", "last-line-cut"],
+    ids=["header-dropped", "last-line-cut", "terminals-dropped"],
 )
 def test_serve_command_validates_the_file_it_wrote(
     tmp_path, monkeypatch, capsys, damage, problem
 ):
-    """``--events-out`` judges the bytes on disk, not the records it meant
+    """``--trace-out`` judges the bytes on disk, not the trace it meant
     to write: a file damaged between write and read-back exits 1."""
     import repro.obs
 
-    write = repro.obs.write_events_jsonl
+    write = repro.obs.write_chrome_trace
 
-    def write_then_damage(log, path):
-        records = write(log, path)
+    def write_then_damage(tracer, path):
+        obj = write(tracer, path)
         Path(path).write_text(damage(Path(path).read_text()))
-        return records
+        return obj
 
-    monkeypatch.setattr(repro.obs, "write_events_jsonl", write_then_damage)
-    rc = cli.main(_SERVE + ["--events-out", str(tmp_path / "events.jsonl")])
+    monkeypatch.setattr(repro.obs, "write_chrome_trace", write_then_damage)
+    rc = cli.main(_SERVE + ["--trace-out", str(tmp_path / "trace.json")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("serve: ") and problem in err
+
+
+def test_serve_command_says_when_lifecycle_check_is_skipped(
+    tmp_path, monkeypatch, capsys
+):
+    """A trace that dropped records cannot pair terminal marks: the
+    command still validates the rest, exits 0 and says the lifecycle
+    check was skipped."""
+    import repro.obs
+
+    monkeypatch.setattr(repro.obs, "Tracer", lambda: Tracer(capacity=8))
+    rc = cli.main(_SERVE + ["--trace-out", str(tmp_path / "trace.json")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert " 0 dropped" not in out
+    assert "request lifecycle check skipped" in out
 
 
 @pytest.mark.parametrize(
