@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bconv2d import BConv2DParams, bconv2d, pack_filters
+from repro.core.bconv2d import BConv2DParams, BoundBConv2D, pack_filters
 from repro.core.quantize_ops import lce_quantize
 from repro.core.types import Padding
+from repro.core.workspace import Workspace
 from repro.experiments import figure2
 from repro.kernels.conv2d import conv2d_float
 
@@ -32,10 +33,13 @@ class TestRealKernels:
     """Wall-clock of the actual NumPy kernels for two Figure 2 convs."""
 
     def test_binary_conv_wallclock(self, benchmark, rng, label, hw, c):
+        """The bound kernel a plan runs (``bconv2d``, the reference, is a
+        float GEMM)."""
         x = lce_quantize(rng.standard_normal((1, hw, hw, c)).astype(np.float32))
         filters = pack_filters(rng.choice([-1.0, 1.0], (3, 3, c, c)).astype(np.float32))
         params = BConv2DParams(3, 3, c, c, padding=Padding.SAME_ONE)
-        out = benchmark(bconv2d, x, filters, params)
+        run = BoundBConv2D(filters, params, hw, hw, 1).bind(Workspace())
+        out = benchmark(run, x)
         assert out.shape == (1, hw, hw, c)
 
     def test_float_conv_wallclock(self, benchmark, rng, label, hw, c):

@@ -17,7 +17,7 @@ reach a kernel.
 
 from __future__ import annotations
 
-from repro.analysis.diagnostics import Diagnostic, error, errors_of, warning
+from repro.analysis.diagnostics import Diagnostic, error, errors_of
 from repro.core.bitpack import WORD_BITS, packed_words
 from repro.core.im2col import conv_geometry
 from repro.core.types import OutputType, Padding
@@ -110,15 +110,6 @@ def _check_bconv(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
                 error("G003", where,
                       f"filter_bits must be uint64 words, got {fb.dtype}")
             )
-    if p.groups > 1 and cin_g % WORD_BITS:
-        diags.append(
-            warning(
-                "G003", where,
-                f"groups straddle word boundaries (cin_g={cin_g} % "
-                f"{WORD_BITS} != 0): the word-slice fast path is unavailable",
-                hint="pad per-group channels to a multiple of 64 if possible",
-            )
-        )
 
     # ---- G004: padding semantics -----------------------------------------
     correction = node.params.get("padding_correction")

@@ -66,7 +66,7 @@ RULES: dict[str, Rule] = {
              "bitpacked tensors only feed binarized-domain ops"),
         Rule("G003", "bitpack-words", "graph",
              "bitpacked filter word counts match ceil(cin_g/64) layout; "
-             "grouped convs warn when groups straddle word boundaries"),
+             "groups divide channels"),
         Rule("G004", "padding-semantics", "graph",
              "SAME_ZERO binarized convs carry the accumulator correction; "
              "SAME_ONE/VALID must not (paper Section 3.2)"),

@@ -6,11 +6,12 @@ of the paper with bit-exact semantics:
 - :mod:`repro.core.bitpack` — channel-axis bitpacking (``LceQuantize``'s
   storage format): bit 0 encodes +1.0, bit 1 encodes -1.0.
 - :mod:`repro.core.bgemm` — binary GEMM via XOR + popcount.
-- :mod:`repro.core.im2col` — im2col for float and bitpacked tensors with
-  LCE's one-padding.
+- :mod:`repro.core.im2col` — im2col for dense tensors, window views and
+  the padded-tap mask of LCE's zero-padding correction.
 - :mod:`repro.core.bconv2d` — ``LceBConv2d`` with fused multiplier/bias/
   activation, float or bitpacked output, one- or zero-padding; compiled
-  plans run it as a ``BoundBConv2D`` (everything static resolved once).
+  plans run it as a ``BoundBConv2D`` (everything static resolved once),
+  and ``bconv2d``, the exact +/-1 float convolution, is its reference.
 - :mod:`repro.core.quantize_ops` — ``LceQuantize`` / ``LceDequantize``.
 - :mod:`repro.core.bmaxpool` — ``LceBMaxPool2d`` (bitwise-AND max pooling).
 - :mod:`repro.core.output_transform` — accumulator-to-output stage,
@@ -26,7 +27,6 @@ from repro.core.bconv2d import (
     BoundBConv2D,
     PackedFilters,
     bconv2d,
-    bconv2d_reference,
     pack_filters,
     reserve_bconv2d_workspace,
     unpack_filters,
@@ -54,7 +54,6 @@ from repro.core.im2col import (
     ConvGeometry,
     conv_geometry,
     im2col_float,
-    im2col_packed,
     padded_tap_mask,
     windows,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "accumulators_to_bitpacked",
     "accumulators_to_float",
     "bconv2d",
-    "bconv2d_reference",
     "bgemm",
     "bgemm_blocked",
     "bgemm_reference",
@@ -93,7 +91,6 @@ __all__ = [
     "get_indirection",
     "im2col_float",
     "im2col_indirect",
-    "im2col_packed",
     "indirection_cache_clear",
     "indirection_cache_stats",
     "lce_dequantize",

@@ -1,6 +1,7 @@
 """``LceBConv2d`` — the primary binarized operator.
 
-The optimized implementation has the paper's three stages (Section 3.2):
+The optimized implementation, :class:`BoundBConv2D`, has the paper's three
+stages (Section 3.2):
 
 1. **im2col** rearranges bitpacked input activations so the convolution
    becomes a binary matrix multiplication;
@@ -15,6 +16,10 @@ correction step — each padded tap contributed ``+1 * w`` to the
 accumulator where a zero input should have contributed nothing, so the
 per-tap weight sums at padded positions are subtracted.  This is exactly
 why the paper reports one-padding as the faster option.
+
+The reference, :func:`bconv2d`, is none of that: it is the exact +/-1
+float convolution, which shares neither the bit arithmetic nor the
+zero-padding correction it checks.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.core.bgemm import (
-    bgemm_blocked,
     bgemm_scratch_spec,
     bind_kmajor,
     derive_panel,
@@ -34,7 +38,6 @@ from repro.core.bgemm import (
 from repro.core.bitpack import (
     WORD_BITS,
     PackedTensor,
-    pack_bits,
     packed_words,
     popcount,
     unpack_bits,
@@ -44,7 +47,6 @@ from repro.core.im2col import (
     ConvGeometry,
     conv_geometry,
     im2col_float,
-    im2col_packed,
     padded_tap_mask,
     windows,
 )
@@ -64,9 +66,7 @@ class PackedFilters:
     """Bitpacked convolution filters in BGEMM row layout.
 
     ``bits`` has shape ``(out_channels, kernel_h * kernel_w * words_per_tap)``
-    — one row per filter, matching the patch rows produced by
-    :func:`repro.core.im2col.im2col_packed` (taps major, channel bits packed
-    within each tap).
+    — one row per filter, taps major, channel bits packed within each tap.
     """
 
     bits: np.ndarray
@@ -225,6 +225,11 @@ def zero_padding_correction(
     return (mask.astype(np.int32) @ tap_sums.astype(np.int32)).astype(np.int32)
 
 
+#: Output channels whose filter signs the reference decodes at a time
+#: (3x3x512 filters: 1.2 MB of float32 per panel, 9.4 MB in all).
+_PANEL = 64
+
+
 def bconv2d(
     x: PackedTensor,
     filters: PackedFilters,
@@ -235,15 +240,26 @@ def bconv2d(
     scale_before_activation: bool = True,
     output_type: OutputType = OutputType.FLOAT,
     thresholds: OutputThresholds | None = None,
-    padding_correction: np.ndarray | None = None,
     int8_output_scale: float | None = None,
     int8_output_zero_point: int = 0,
 ) -> np.ndarray | PackedTensor:
-    """Execute a binarized 2-D convolution: the allocating reference.
+    """Execute a binarized 2-D convolution as the exact +/-1 float
+    convolution: the reference.
 
-    im2col, BGEMM and output transform, one after the other, each into
-    fresh arrays.  This is what the ``Executor`` runs and what every
-    :class:`BoundBConv2D` must equal bit for bit.
+    The signs are decoded to +/-1 float32 and convolved the way the
+    training-time emulated graph does (paper Section 3.1): a float im2col
+    padded with 0.0 for ``SAME_ZERO`` and +1.0 otherwise, per group and per
+    panel of output channels one float32 matmul over the whole batch, then
+    the shared output transform.  This is what the ``Executor`` runs and
+    what every :class:`BoundBConv2D` must equal bit for bit; it shares no
+    bit arithmetic with them and reads no ``padding_correction``, so the
+    converter's correction and the kernel's packing are checked, not shared.
+
+    Exactness: every partial sum is an integer of magnitude at most
+    ``params.depth``, and float32 holds every integer up to 2**24, so any
+    BLAS summation order gives the exact accumulator while
+    ``params.depth < 2**24``.  A deeper convolution raises ``ValueError``
+    before anything is allocated.
 
     Args:
         x: bitpacked NHWC input (e.g. the output of ``LceQuantize``).
@@ -256,8 +272,6 @@ def bconv2d(
         thresholds: required when ``output_type`` is ``BITPACKED``; computed
             by the converter via
             :func:`repro.core.output_transform.compute_output_thresholds`.
-        padding_correction: required when ``params.padding`` is
-            ``SAME_ZERO``; from :func:`zero_padding_correction`.
 
     Returns:
         ``(N, out_h, out_w, out_channels)`` float32 array, or a
@@ -267,70 +281,47 @@ def bconv2d(
         raise ValueError(
             f"input has {x.channels} channels, params expect {params.in_channels}"
         )
+    if params.depth >= 2**24:
+        raise ValueError(
+            f"depth {params.depth} >= 2**24: float32 accumulators would not "
+            "be exact"
+        )
     finish = _output_transform(
-        filters, params, padding_correction, multiplier, bias, activation,
-        scale_before_activation, output_type, thresholds, int8_output_scale,
-        int8_output_zero_point,
+        filters, params, multiplier, bias, activation, scale_before_activation,
+        output_type, thresholds, int8_output_scale, int8_output_zero_point,
     )
-    n, in_h, in_w, _ = x.bits.shape
-    geom = conv_geometry(
-        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
-        params.dilation, params.padding,
-    )
-    acc = _accumulators(x, filters, params, n * geom.out_h * geom.out_w)
-    if params.padding is Padding.SAME_ZERO:
-        # In place: acc is freshly computed and the output transforms
-        # copy, so nothing aliases it.
-        acc = acc.reshape(n, geom.out_h * geom.out_w, params.out_channels)
-        np.subtract(acc, padding_correction[None, :, :], out=acc)
+    signs = unpack_bits(x)
+    pad_value = 0.0 if params.padding is Padding.SAME_ZERO else 1.0
+    cin_g = params.in_channels // params.groups
+    cout_g = params.out_channels // params.groups
+    acc = None
+    for g in range(params.groups):
+        patches, geom = im2col_float(
+            signs[..., g * cin_g : (g + 1) * cin_g], params.kernel_h,
+            params.kernel_w, params.stride, params.dilation, params.padding,
+            pad_value=pad_value,
+        )
+        if acc is None:
+            acc = np.empty((patches.shape[0], params.out_channels), np.int32)
+        for lo in range(g * cout_g, (g + 1) * cout_g, _PANEL):
+            columns = slice(lo, min(lo + _PANEL, (g + 1) * cout_g))
+            acc[:, columns] = patches @ _filter_signs(filters, columns)
+    n = x.bits.shape[0]
     return finish(acc.reshape(n, geom.out_h, geom.out_w, params.out_channels))
 
 
-def _accumulators(
-    x: PackedTensor, filters: PackedFilters, params: BConv2DParams, m: int
-) -> np.ndarray:
-    """``(m, out_channels)`` int32 accumulators: im2col + BGEMM per group.
-
-    A group whose channel count is word-aligned (``cin_g % 64 == 0``, and
-    always the single group of an ungrouped convolution) is a direct
-    word-slice of the packed input and a direct row-slice of the packed
-    filters — channel blocks pack independently into whole words, so the
-    slices equal what re-packing the dense slices would produce.
-    Otherwise groups straddle word boundaries and the input is unpacked and
-    re-packed per group (grouped binarized convolutions are rare enough —
-    none of the paper's models use them — that the repack is acceptable).
-    Both branches are bit-identical (covered by a dedicated test).
-    """
-    cin_g = params.in_channels // params.groups
-    cout_g = params.out_channels // params.groups
-    words_g = packed_words(cin_g)
-    sliceable = params.groups == 1 or cin_g % 64 == 0
-    if not sliceable:
-        dense_x = unpack_bits(x)
-        dense_w = unpack_filters(filters)
-    acc = np.empty((m, params.out_channels), np.int32)
-    for g in range(params.groups):
-        columns = slice(g * cout_g, (g + 1) * cout_g)
-        if sliceable:
-            xg = PackedTensor(
-                x.bits[..., g * words_g : (g + 1) * words_g], channels=cin_g
-            )
-            wg = filters.bits[columns]
-        else:
-            xg = pack_bits(dense_x[..., g * cin_g : (g + 1) * cin_g])
-            wg = pack_filters(dense_w[:, :, :, columns]).bits
-        patches, _ = im2col_packed(
-            xg, params.kernel_h, params.kernel_w, params.stride,
-            params.dilation, params.padding,
-        )
-        bgemm_blocked(patches, wg, params.depth, out=acc[:, columns])
-    return acc
+def _filter_signs(filters: PackedFilters, columns: slice) -> np.ndarray:
+    """``filters[columns]`` as the ``(kh * kw * cin, len)`` +/-1 float32
+    operand of a matmul, rows in im2col's (tap, channel) order."""
+    bits = filters.bits[columns]
+    per_tap = bits.reshape(bits.shape[0], -1, packed_words(filters.in_channels))
+    signs = unpack_bits(PackedTensor(per_tap, channels=filters.in_channels))
+    return signs.reshape(bits.shape[0], -1).T
 
 
 def _output_transform(
     filters: PackedFilters,
     params: BConv2DParams,
-    padding_correction: np.ndarray | None,
     multiplier,
     bias,
     activation: Activation,
@@ -348,8 +339,6 @@ def _output_transform(
             f"filters have {filters.out_channels} output channels, "
             f"params expect {cout}"
         )
-    if params.padding is Padding.SAME_ZERO and padding_correction is None:
-        raise ValueError("SAME_ZERO padding requires a padding_correction")
     if output_type is OutputType.BITPACKED:
         if thresholds is None:
             raise ValueError("BITPACKED output requires precomputed thresholds")
@@ -380,7 +369,8 @@ class BoundBConv2D:
     position (0 or 1) of the shortcut among the two inputs of the residual
     ``add`` the kernel absorbed; ``run`` then takes that tensor.  ``run``
     appends a ``time.perf_counter()`` reading to ``marks`` at each boundary
-    between absorbed graph nodes.  The other arguments are
+    between absorbed graph nodes.  ``padding_correction`` (SAME_ZERO only)
+    is :func:`zero_padding_correction`'s.  The other arguments are
     :func:`bconv2d`'s, and so — bit for bit — is the result.
     """
 
@@ -407,11 +397,13 @@ class BoundBConv2D:
             raise ValueError("BoundBConv2D handles groups == 1 only")
         if shortcut is not None and output_type is not OutputType.FLOAT:
             raise ValueError("only a float output can absorb a shortcut add")
+        if params.padding is Padding.SAME_ZERO and padding_correction is None:
+            raise ValueError("SAME_ZERO padding requires a padding_correction")
         from repro.kernels.arithmetic import add  # local: kernels imports core
 
         self._add = add  # the absorbed add node's own kernel
         self._finish = _output_transform(
-            filters, params, padding_correction, multiplier, bias, activation,
+            filters, params, multiplier, bias, activation,
             scale_before_activation, output_type, **output_args,
         )
         self.params = params
@@ -629,53 +621,5 @@ def reserve_bconv2d_workspace(
 def unpack_filters(filters: PackedFilters) -> np.ndarray:
     """Decode packed filters back to +/-1 HWIO floats (inverse of
     :func:`pack_filters`)."""
-    cout = filters.out_channels
-    kh, kw, cin = filters.kernel_h, filters.kernel_w, filters.in_channels
-    words = -(-cin // 64)
-    per_tap = filters.bits.reshape(cout, kh, kw, words)
-    dense = unpack_bits(PackedTensor(per_tap, channels=cin))
-    return np.transpose(dense, (1, 2, 3, 0))
-
-
-def bconv2d_reference(
-    x_float: np.ndarray,
-    weights: np.ndarray,
-    params: BConv2DParams,
-    multiplier: np.ndarray | float | None = None,
-    bias: np.ndarray | float | None = None,
-    activation: Activation = Activation.NONE,
-    scale_before_activation: bool = True,
-) -> np.ndarray:
-    """Float emulation of a binarized convolution — the gold standard.
-
-    Binarizes inputs and weights to +/-1 floats and runs a plain float
-    convolution with the requested padding semantics (one-padding pads with
-    +1.0; zero-padding with 0.0).  Used in tests to pin down the optimized
-    path bit-for-bit, mirroring the training-time emulated graph.
-    """
-    signs_x = np.where(np.asarray(x_float) < 0, -1.0, 1.0).astype(np.float32)
-    signs_w = np.where(np.asarray(weights) < 0, -1.0, 1.0).astype(np.float32)
-    pad_value = 1.0 if params.padding is Padding.SAME_ONE else 0.0
-    n = x_float.shape[0]
-    cin_g = params.in_channels // params.groups
-    cout_g = params.out_channels // params.groups
-    group_accs = []
-    geom = None
-    for g in range(params.groups):
-        xg = signs_x[..., g * cin_g : (g + 1) * cin_g]
-        wg = signs_w[:, :, :, g * cout_g : (g + 1) * cout_g]
-        patches, geom = im2col_float(
-            xg, params.kernel_h, params.kernel_w, params.stride,
-            params.dilation, params.padding, pad_value=pad_value,
-        )
-        group_accs.append(patches @ wg.reshape(-1, cout_g))
-    acc = np.concatenate(group_accs, axis=-1)
-    acc = acc.reshape(n, geom.out_h, geom.out_w, params.out_channels)
-    return accumulators_to_float(
-        acc.astype(np.int32),
-        params.out_channels,
-        multiplier=multiplier,
-        bias=bias,
-        activation=activation,
-        scale_before_activation=scale_before_activation,
-    )
+    signs = _filter_signs(filters, slice(None))
+    return signs.reshape(filters.kernel_h, filters.kernel_w, filters.in_channels, -1)

@@ -16,11 +16,12 @@ where ``K`` is the true depth (number of +/-1 operands per dot product) and
   (kept per the project's "reference implementation in tests" idiom).
 - :func:`bgemm` — fully vectorized broadcastized XOR-popcount.
 - :func:`bgemm_blocked` — Ruy-style cache tiling over M/N panels; identical
-  results, bounded temporary memory.  Without a workspace it is the
-  allocating reference the ``Executor`` runs; with one it packs both
-  operands K-major and runs the plan-path kernel, which ``LceBConv2d``
-  reaches through :func:`bgemm_kmajor` with filters packed once at
-  compile time.
+  results, bounded temporary memory.  Without a workspace it allocates
+  its own tiles; with one it packs both operands K-major and runs the
+  plan-path kernel, which ``LceBConv2d`` reaches through
+  :func:`bind_kmajor` with filters packed once at compile time.  No
+  convolution under ``src/`` calls it (the ``Executor``'s reference is a
+  +/-1 float convolution); ``bench/``'s probe still does.
 
 **K-major layout.**  Like Ruy (and daBNN's weight re-layout), the plan
 path packs operands into the layout its inner loop wants before the
@@ -76,7 +77,7 @@ from repro.obs.trace import active_tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.workspace import Workspace
 
-#: Tile sizes of the allocating reference, not the bound kernel's caps.
+#: Tile sizes of the allocating path, not the bound kernel's caps.
 #: Chosen so its XOR temporary stays around (256 * 128 * words) u64
 #: elements — a few MiB at most.
 _TILE_M = 256
@@ -188,7 +189,7 @@ def bgemm(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
 def _tile_into(
     a_panel: np.ndarray, b_panel: np.ndarray, depth: int, out_view: np.ndarray
 ) -> None:
-    """One ``tile_m x tile_n`` output panel of the allocating reference:
+    """One ``tile_m x tile_n`` output panel of the allocating path:
     one full ``(mt, nt, words)`` XOR broadcast of the ``(mt, words)`` /
     ``(nt, words)`` panels, popcounts summed in int32."""
     x = np.bitwise_xor(a_panel[:, None, :], b_panel[None, :, :])
@@ -399,7 +400,7 @@ def bgemm_blocked(
     :func:`_bind_tile`).  ``tile_k_words`` is the K depth of that path:
     ``1`` (what every caller passes) derives it from the panel shape via
     :func:`derive_k_block`, a larger value is used as given.  Without a
-    workspace the call is the allocating reference and ignores it.
+    workspace the call allocates its own tiles and ignores it.
     """
     _check_operands(a, b, depth)
     _check_tiles(tile_m, tile_n, tile_k_words)

@@ -107,10 +107,16 @@ def pack_signs(signs: np.ndarray, words: int) -> np.ndarray:
 
 
 def unpack_bits(packed: PackedTensor) -> np.ndarray:
-    """Decode a :class:`PackedTensor` back to +/-1.0 float32 values."""
+    """Decode a :class:`PackedTensor` back to +/-1.0 float32 values.
+
+    One float32 multiply-add per bit, ``1 - 2 * bit``: exact, and several
+    times cheaper than selecting between two constants.
+    """
     as_bytes = packed.bits.view(np.uint8)
     signs = np.unpackbits(as_bytes, axis=-1, count=packed.channels)
-    return np.where(signs == 1, np.float32(-1.0), np.float32(1.0))
+    values = np.multiply(signs, np.float32(-2.0), dtype=np.float32)
+    values += np.float32(1.0)
+    return values
 
 
 def popcount(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -123,14 +129,3 @@ def popcount(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         return np.bitwise_count(words)
     return np.bitwise_count(words, out=out)
-
-
-def xor_popcount_dot(a: np.ndarray, b: np.ndarray, channels: int) -> int:
-    """Binary dot product of two packed bit rows.
-
-    For +/-1 vectors packed per :func:`pack_bits`,
-    ``dot = channels - 2 * popcount(a XOR b)``.  Channel-padding bits are
-    zero in both operands, XOR to zero, and therefore never perturb the
-    popcount — the correction uses the *true* channel count only.
-    """
-    return int(channels) - 2 * int(popcount(np.bitwise_xor(a, b)).sum())

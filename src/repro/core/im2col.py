@@ -2,8 +2,10 @@
 
 ``LceBConv2d`` (and the float/int8 substrate convolutions) are implemented
 as im2col followed by a GEMM, the same structure as the paper's kernels.
-Tensors are NHWC.  The bitpacked variant pads spatial borders with
-zero *words*: zero bits decode to +1.0, so padding is one-padding for free —
+Tensors are NHWC.  :func:`im2col_float` serves the float convolutions and
+the +/-1 float reference of a binarized one; the bound binarized kernel
+gathers its bitpacked patches itself, padding spatial borders with zero
+*words*: zero bits decode to +1.0, so padding is one-padding for free —
 exactly the trick the paper's Section 3.2 describes.  Zero-padding for
 binarized convolutions instead requires the correction mask computed by
 :func:`padded_tap_mask`.
@@ -20,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.core.bitpack import PackedTensor
 from repro.core.types import Padding
 
 
@@ -174,38 +175,6 @@ def im2col_float(
     )
     # the reshape is the copy: (N, out_h, out_w, kh, kw, C) -> (N*pixels, taps*C)
     return view.reshape(n * geom.out_h * geom.out_w, kernel_h * kernel_w * c), geom
-
-
-def im2col_packed(
-    x: PackedTensor,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int = 1,
-    dilation: int = 1,
-    padding: Padding = Padding.SAME_ONE,
-) -> tuple[np.ndarray, ConvGeometry]:
-    """im2col for a bitpacked NHWC tensor.
-
-    Spatial padding inserts zero words, i.e. +1.0 values: one-padding comes
-    for free.  Zero-padding callers use the same patches and then apply the
-    correction from :func:`padded_tap_mask` (see ``bconv2d``).
-
-    Returns ``(patches, geometry)`` with ``patches`` of shape
-    ``(N * out_h * out_w, kernel_h * kernel_w * words)`` and dtype uint64.
-    """
-    bits = x.bits
-    if bits.ndim != 4:
-        raise ValueError(f"expected packed NHWC input, got {bits.ndim}-D")
-    n, in_h, in_w, words = bits.shape
-    geom = conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
-    padded = pad_spatial(bits, geom.pads, 0)
-    view = windows(
-        padded, kernel_h, kernel_w, stride, dilation, geom.out_h, geom.out_w
-    )
-    return (
-        view.reshape(n * geom.out_h * geom.out_w, kernel_h * kernel_w * words),
-        geom,
-    )
 
 
 def padded_tap_mask(

@@ -10,8 +10,8 @@ stage is then a single ``np.take`` into a reused patch buffer.
 
 The :class:`Indirection` for a key is memoized in a process-level cache.
 No kernel under ``src/`` gathers through it any more — the reference
-``bconv2d`` runs :func:`repro.core.im2col.im2col_packed` and plans run the
-bound kernel's one strided copy — so the cache is fed only by direct
+``bconv2d`` is a +/-1 float convolution and plans run the bound kernel's
+one strided copy — so the cache is fed only by direct
 :func:`get_indirection` callers (``bench/``'s probes, the tests).
 """
 
@@ -219,8 +219,8 @@ def im2col_indirect(
 ) -> np.ndarray:
     """im2col for a bitpacked NHWC tensor through an indirection buffer.
 
-    Bit-identical to :func:`repro.core.im2col.im2col_packed` for the same
-    geometry; the difference is where the work happens.  All index
+    Bit-identical to packing the one-padded float im2col of the same
+    geometry, tap by tap; the difference is where the work happens.  All index
     arithmetic lives in ``ind`` (compile time); the run-time path is one
     interior copy into the padded buffer plus one ``np.take``.  With a
     ``workspace`` both the padded buffer and the patch matrix are reused

@@ -6,8 +6,8 @@ A :class:`KernelConfig` names one point in the hot path's schedule space:
   on the BGEMM output panel; the panel a convolution runs is derived from
   them and the problem by :func:`repro.core.bgemm.derive_panel` (all
   ``N`` columns at once when ``M <= 8``, else the longer side up to its
-  cap and the other side at most 64).  The allocating reference
-  ``bgemm_blocked`` keeps its own 256 x 128 tiles;
+  cap and the other side at most 64).  ``bgemm_blocked`` keeps its own
+  256 x 128 tiles;
 - ``tile_k_words`` — the K depth of the K-major tile kernel, in packed
   words per XOR step: ``1`` (the default) derives it from the panel shape
   (:func:`repro.core.bgemm.derive_k_block`); a larger value is used as
@@ -15,8 +15,8 @@ A :class:`KernelConfig` names one point in the hot path's schedule space:
 - ``im2col`` — ``"indirect"`` or ``"direct"``: which of
   :mod:`repro.core.indirection`'s two gathers a measurement should time.
   No kernel reads it (the bound kernel's im2col is one strided copy, the
-  reference ``bconv2d`` runs ``im2col_packed``); only ``bench/``'s probe
-  does, and ROADMAP item 2 removes the field with it.
+  reference ``bconv2d`` is a +/-1 float convolution); only ``bench/``'s
+  probe does, and ROADMAP item 2 removes the field with it.
 
 The schedule is fixed: every plan runs :data:`DEFAULT_CONFIG`.  The
 ``config=`` argument of :class:`repro.core.bconv2d.BoundBConv2D` (and of

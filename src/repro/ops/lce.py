@@ -149,8 +149,9 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
     does the ``lce_quantize`` feeding it / the ``add`` consuming it): the
     kernel then takes ``[x, shortcut]`` and stamps the boundaries between
     the absorbed nodes into its optional second argument.  The reference
-    ``Executor`` (no workspace) and grouped convolutions get the allocating
-    :func:`~repro.core.bconv2d.bconv2d` and reserve nothing.
+    ``Executor`` (no workspace) and grouped convolutions get the exact
+    +/-1 float reference :func:`~repro.core.bconv2d.bconv2d`, which reads
+    no ``padding_correction``, and reserve nothing.
     """
 
     def build_params():
@@ -191,7 +192,6 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
         scale_before_activation=p.scale_before_activation,
         output_type=p.output_type,
         thresholds=ctx.cache.get(node, "thresholds", build_thresholds),
-        padding_correction=node.params.get("padding_correction"),
         int8_output_scale=p.int8_output_scale,
         int8_output_zero_point=p.int8_output_zero_point,
     )
@@ -206,6 +206,7 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
         filters.kmajor
         kernel = BoundBConv2D(
             filters, params, in_h, in_w, batch,
+            padding_correction=node.params.get("padding_correction"),
             quantize=quantize, shortcut=shortcut, **transform,
         )
         bind = kernel.bind

@@ -93,10 +93,8 @@ def measure_config(
             x,
         )
     else:
-        # Grouped: the allocating reference, as in a plan (no schedule).
-        call = functools.partial(
-            bconv2d, x, filters, params, padding_correction=correction
-        )
+        # Grouped: the float reference, as in a plan (no schedule).
+        call = functools.partial(bconv2d, x, filters, params)
     times_us: list[float] = []
     for rep in range(repeats + 1):
         t0 = timer()

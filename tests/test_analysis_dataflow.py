@@ -31,7 +31,6 @@ import pytest
 from repro.analysis.dataflow import analyze_graph, check_graph
 from repro.analysis.diagnostics import Severity, errors_of
 from repro.converter import convert
-from repro.core.bconv2d import pack_filters
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
@@ -91,34 +90,8 @@ def test_zoo_model_analyzes_clean_before_and_after_convert(name):
     converted = convert(graph).graph
     diags = analyze_graph(converted)
     assert not errors_of(diags), [d.format() for d in diags]
-    # The zoo is word-aligned throughout: no grouped-repack warnings either.
+    # No warnings either.
     assert not diags, [d.format() for d in diags]
-
-
-def test_grouped_unaligned_bconv_is_legal_but_warns():
-    """cin_g % 64 != 0 uses the repack fallback: a G003 WARNING, no error."""
-    rng = np.random.default_rng(1)
-    g = Graph("grouped")
-    x = g.add_input("x", TensorSpec((1, 6, 6, 20)))
-    q = g.add_node("lce_quantize", [x], [TensorSpec((1, 6, 6, 20), "bitpacked")])
-    w = rng.standard_normal((3, 3, 10, 6)).astype(np.float32)
-    c = g.add_node(
-        "lce_bconv2d",
-        [q.outputs[0]],
-        [TensorSpec((1, 6, 6, 6), "float32")],
-        attrs={
-            "kernel_h": 3, "kernel_w": 3, "in_channels": 20,
-            "out_channels": 6, "groups": 2,
-        },
-        params={"filter_bits": pack_filters(w).bits},
-    )
-    g.outputs = [c.outputs[0]]
-    diags = analyze_graph(g)
-    assert not errors_of(diags)
-    assert [d.rule for d in diags] == ["G003"]
-    assert diags[0].severity is Severity.WARNING
-    g.validate()  # warnings never block execution
-    Executor(g)
 
 
 # ------------------------------------------------- G001: def-before-use/SSA

@@ -1,4 +1,9 @@
-"""Tests for LceBConv2d: the optimized path against the float emulation."""
+"""Tests for LceBConv2d: the optimized path against the float emulation.
+
+``bconv2d`` is the reference: the exact +/-1 float convolution.  It is
+pinned here to a sign emulation written out tap by tap, and every
+:class:`BoundBConv2D` (what plans run) must equal it bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -14,15 +19,19 @@ from hypothesis import strategies as st
 from repro.core.bconv2d import (
     BConv2DParams,
     BoundBConv2D,
+    PackedFilters,
     bconv2d,
-    bconv2d_reference,
     pack_filters,
     reserve_bconv2d_workspace,
     unpack_filters,
     zero_padding_correction,
 )
-from repro.core.bitpack import pack_bits
-from repro.core.output_transform import compute_output_thresholds
+from repro.core.bitpack import PackedTensor, pack_bits
+from repro.core.im2col import conv_geometry
+from repro.core.output_transform import (
+    accumulators_to_float,
+    compute_output_thresholds,
+)
 from repro.core.quantize_ops import lce_quantize
 from repro.core.types import Activation, OutputType, Padding
 from repro.core.workspace import Workspace
@@ -34,6 +43,46 @@ def _case(rng, h=7, w=7, cin=37, cout=5, k=3, batch=2):
     return x, weights
 
 
+def _emulated(x, w, p):
+    """The training-time emulation written out: signs to +/-1, pad with
+    0.0 (SAME_ZERO) or +1.0, and sum every tap's float64 product."""
+    signs_x, signs_w = np.where(x < 0, -1.0, 1.0), np.where(w < 0, -1.0, 1.0)
+    n, h, ww, _ = x.shape
+    geom = conv_geometry(h, ww, p.kernel_h, p.kernel_w, p.stride, p.dilation, p.padding)
+    padded = np.pad(
+        signs_x,
+        ((0, 0), (geom.pad_top, geom.pad_bottom), (geom.pad_left, geom.pad_right), (0, 0)),
+        constant_values=0.0 if p.padding is Padding.SAME_ZERO else 1.0,
+    )
+    rows, cols = (geom.out_h - 1) * p.stride + 1, (geom.out_w - 1) * p.stride + 1
+    acc = np.zeros((n, geom.out_h, geom.out_w, p.out_channels))
+    for ky, kx in itertools.product(range(p.kernel_h), range(p.kernel_w)):
+        y, x0 = ky * p.dilation, kx * p.dilation
+        tap = padded[:, y : y + rows : p.stride, x0 : x0 + cols : p.stride]
+        acc += tap @ signs_w[ky, kx]
+    return accumulators_to_float(acc.astype(np.int32), p.out_channels)
+
+
+def _bound(x, w, p, **kw):
+    """What a plan runs: a :class:`BoundBConv2D` over float ``x`` (quantize
+    fused), with the converter's zero-padding correction when ``p`` needs
+    one."""
+    n, h, ww, _ = x.shape
+    if p.padding is Padding.SAME_ZERO:
+        kw["padding_correction"] = zero_padding_correction(w, p, h, ww)
+    kernel = BoundBConv2D(pack_filters(w), p, h, ww, n, quantize=True, **kw)
+    return kernel.bind(Workspace())(x)
+
+
+def _check(x, w, p):
+    """The reference equals the emulation, and the bound kernel equals the
+    reference."""
+    expected = bconv2d(lce_quantize(x), pack_filters(w), p)
+    assert expected.dtype == np.float32
+    assert np.array_equal(expected, _emulated(x, w, p))
+    assert np.array_equal(_bound(x, w, p), expected)
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize(
         "padding", [Padding.SAME_ONE, Padding.SAME_ZERO, Padding.VALID]
@@ -41,28 +90,16 @@ class TestAgainstReference:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_padding_and_stride(self, rng, padding, stride):
         x, w = _case(rng)
-        p = BConv2DParams(3, 3, 37, 5, stride=stride, padding=padding)
-        corr = (
-            zero_padding_correction(w, p, 7, 7)
-            if padding is Padding.SAME_ZERO
-            else None
-        )
-        got = bconv2d(lce_quantize(x), pack_filters(w), p, padding_correction=corr)
-        expected = bconv2d_reference(x, w, p)
-        assert np.array_equal(got, expected)
+        _check(x, w, BConv2DParams(3, 3, 37, 5, stride=stride, padding=padding))
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_kernel_sizes(self, rng, k):
         x, w = _case(rng, h=9, w=9, k=k)
-        p = BConv2DParams(k, k, 37, 5)
-        got = bconv2d(lce_quantize(x), pack_filters(w), p)
-        assert np.array_equal(got, bconv2d_reference(x, w, p))
+        _check(x, w, BConv2DParams(k, k, 37, 5))
 
     def test_dilation(self, rng):
         x, w = _case(rng, h=11, w=11)
-        p = BConv2DParams(3, 3, 37, 5, dilation=2)
-        got = bconv2d(lce_quantize(x), pack_filters(w), p)
-        assert np.array_equal(got, bconv2d_reference(x, w, p))
+        _check(x, w, BConv2DParams(3, 3, 37, 5, dilation=2))
 
     @given(
         cin=st.integers(1, 130),
@@ -73,23 +110,36 @@ class TestAgainstReference:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((1, 4, 4, cin)).astype(np.float32)
         w = rng.choice([-1.0, 1.0], (3, 3, cin, cout)).astype(np.float32)
-        p = BConv2DParams(3, 3, cin, cout)
-        got = bconv2d(lce_quantize(x), pack_filters(w), p)
-        assert np.array_equal(got, bconv2d_reference(x, w, p))
+        _check(x, w, BConv2DParams(3, 3, cin, cout))
 
     def test_non_square_kernel(self, rng):
         x = rng.standard_normal((1, 8, 8, 33)).astype(np.float32)
         w = rng.choice([-1.0, 1.0], (1, 3, 33, 4)).astype(np.float32)
-        p = BConv2DParams(1, 3, 33, 4)
-        got = bconv2d(lce_quantize(x), pack_filters(w), p)
-        assert np.array_equal(got, bconv2d_reference(x, w, p))
+        _check(x, w, BConv2DParams(1, 3, 33, 4))
 
     def test_non_binary_latent_weights_use_signs(self, rng):
         x = rng.standard_normal((1, 5, 5, 16)).astype(np.float32)
         w = rng.standard_normal((3, 3, 16, 3)).astype(np.float32)  # latent floats
-        p = BConv2DParams(3, 3, 16, 3)
-        got = bconv2d(lce_quantize(x), pack_filters(w), p)
-        assert np.array_equal(got, bconv2d_reference(x, w, p))
+        _check(x, w, BConv2DParams(3, 3, 16, 3))
+
+    def test_depth_of_2_to_the_24_is_refused_before_allocating(self):
+        """float32 holds every integer up to 2**24: at that depth an
+        accumulator need not be exact, so the reference refuses the call
+        before it decodes anything."""
+        cin = 2**20  # 4 x 4 taps: depth 2**24
+        p = BConv2DParams(4, 4, cin, 1, padding=Padding.VALID)
+        x = PackedTensor(np.zeros((1, 4, 4, cin // 64), np.uint64), channels=cin)
+        filters = PackedFilters(
+            np.zeros((1, 16 * cin // 64), np.uint64), 4, 4, in_channels=cin
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"2\*\*24"):
+                bconv2d(x, filters, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # the signs alone would be 1 MiB
 
 
 class TestFusedTransform:
@@ -100,16 +150,12 @@ class TestFusedTransform:
         p = BConv2DParams(3, 3, 37, 5)
         mult = rng.uniform(-1.5, 1.5, 5).astype(np.float32)
         bias = rng.standard_normal(5).astype(np.float32)
-        got = bconv2d(
-            lce_quantize(x), pack_filters(w), p,
+        fused = dict(
             multiplier=mult, bias=bias, activation=activation,
             scale_before_activation=order,
         )
-        expected = bconv2d_reference(
-            x, w, p, multiplier=mult, bias=bias, activation=activation,
-            scale_before_activation=order,
-        )
-        assert np.array_equal(got, expected)
+        expected = bconv2d(lce_quantize(x), pack_filters(w), p, **fused)
+        assert np.array_equal(_bound(x, w, p, **fused), expected)
 
 
 class TestBitpackedOutput:
@@ -119,15 +165,9 @@ class TestBitpackedOutput:
         p = BConv2DParams(3, 3, 37, 9, padding=padding)
         mult = rng.uniform(-2, 2, 9).astype(np.float32)
         bias = rng.standard_normal(9).astype(np.float32)
-        corr = (
-            zero_padding_correction(w, p, 7, 7)
-            if padding is Padding.SAME_ZERO
-            else None
-        )
         float_out = bconv2d(
             lce_quantize(x), pack_filters(w), p, multiplier=mult, bias=bias,
             activation=Activation.RELU, scale_before_activation=False,
-            padding_correction=corr,
         )
         thresholds = compute_output_thresholds(
             p.depth, 9, mult, bias, Activation.RELU, scale_before_activation=False
@@ -135,7 +175,6 @@ class TestBitpackedOutput:
         packed = bconv2d(
             lce_quantize(x), pack_filters(w), p,
             output_type=OutputType.BITPACKED, thresholds=thresholds,
-            padding_correction=corr,
         )
         assert np.array_equal(packed.bits, pack_bits(float_out).bits)
 
@@ -193,10 +232,24 @@ class TestZeroPaddingCorrection:
         assert np.all(corr[1:-1, 1:-1] == 0)
 
     def test_missing_correction_raises(self, rng):
-        x, w = _case(rng)
+        """The bound kernel needs the correction; the reference pads with
+        0.0 and takes none."""
+        _, w = _case(rng)
         p = BConv2DParams(3, 3, 37, 5, padding=Padding.SAME_ZERO)
         with pytest.raises(ValueError, match="padding_correction"):
-            bconv2d(lce_quantize(x), pack_filters(w), p)
+            BoundBConv2D(pack_filters(w), p, 7, 7, 2)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_correction_is_one_minus_zero_padding(self, rng, stride):
+        """Checked against the reference, not shared with it: one-padded
+        accumulators minus the correction are the zero-padded ones."""
+        x, w = _case(rng)
+        one = BConv2DParams(3, 3, 37, 5, stride=stride, padding=Padding.SAME_ONE)
+        zero = BConv2DParams(3, 3, 37, 5, stride=stride, padding=Padding.SAME_ZERO)
+        corr = zero_padding_correction(w, zero, 7, 7)
+        one_padded = bconv2d(lce_quantize(x), pack_filters(w), one)
+        zero_padded = bconv2d(lce_quantize(x), pack_filters(w), zero)
+        assert np.array_equal(one_padded - corr.reshape(zero_padded.shape[1:]), zero_padded)
 
 
 class TestValidation:
@@ -242,12 +295,21 @@ class TestBatching:
 class TestGroups:
     @pytest.mark.parametrize("groups", [2, 4])
     def test_grouped_matches_reference(self, rng, groups):
+        """Each group's output channels are the sign emulation of that
+        group's input channels and filters."""
         cin, cout = 16 * groups, 4 * groups
+        cin_g, cout_g = cin // groups, cout // groups
         x = rng.standard_normal((1, 6, 6, cin)).astype(np.float32)
-        w = rng.choice([-1.0, 1.0], (3, 3, cin // groups, cout)).astype(np.float32)
+        w = rng.choice([-1.0, 1.0], (3, 3, cin_g, cout)).astype(np.float32)
         p = BConv2DParams(3, 3, cin, cout, groups=groups)
         got = bconv2d(lce_quantize(x), pack_filters(w), p)
-        assert np.array_equal(got, bconv2d_reference(x, w, p))
+        pg = BConv2DParams(3, 3, cin_g, cout_g)
+        for g in range(groups):
+            want = _emulated(
+                x[..., g * cin_g : (g + 1) * cin_g],
+                w[..., g * cout_g : (g + 1) * cout_g], pg,
+            )
+            assert np.array_equal(got[..., g * cout_g : (g + 1) * cout_g], want)
 
     def test_groups_must_divide_channels(self):
         with pytest.raises(ValueError, match="groups"):
@@ -258,18 +320,14 @@ class TestGroups:
         assert p.depth == 9 * 16
 
     def test_unpack_filters_roundtrip(self, rng):
-        from repro.core.bconv2d import unpack_filters
-
         w = rng.choice([-1.0, 1.0], (3, 3, 40, 8)).astype(np.float32)
         assert np.array_equal(unpack_filters(pack_filters(w)), w)
 
-    @pytest.mark.parametrize(
-        "cin_g", [64, 20], ids=["word-aligned-slice", "repack-fallback"]
-    )
+    @pytest.mark.parametrize("cin_g", [64, 20], ids=["word-aligned", "unaligned"])
     def test_group_branches_match_independent_convs(self, rng, cin_g):
-        """Both grouped branches (word-slice fast path when ``cin_g % 64
-        == 0``, per-group repack otherwise) must be bit-identical to
-        running each group as an independent ungrouped conv."""
+        """A grouped call equals running each group as an independent
+        ungrouped conv, whether a group's channels fill whole words or
+        not."""
         groups, cout = 2, 10
         cin, cout_g = cin_g * groups, cout // groups
         x = rng.standard_normal((2, 5, 5, cin)).astype(np.float32)
@@ -285,12 +343,13 @@ class TestGroups:
 
 
 class TestReferencePeakMemory:
-    """The allocating reference (what the ``Executor`` runs) keeps its own
-    256 x 128 tiles, whatever panel the bound kernel's schedule picks: its
-    XOR temporary is a whole ``(rows, columns, words)`` block."""
+    """The reference (what the ``Executor`` runs) decodes the filter signs
+    one 64-channel panel at a time: the whole 3 x 3 x 512 x 512 filter as
+    float32 is 9.4 MiB on its own, one panel 1.2 MiB."""
 
-    #: tracemalloc peak of one 7^2 x 512 call: 4.06 MiB with 256 x 128
-    #: tiles, 15.8 MiB with the bound kernel's 256 x 512 caps
+    #: tracemalloc peak of one 7^2 x 512 call: 2.5 MiB in 64-channel
+    #: panels, 3.9 MiB in 128-channel ones, 12.3 MiB decoding the whole
+    #: filter at once
     BUDGET_MIB = 6.0
 
     def test_seven_squared_by_512_stays_under_budget(self, rng):
@@ -347,7 +406,7 @@ class TestInt8Output:
 
 class TestBoundKernel:
     """``BoundBConv2D`` — what compiled plans run — against ``bconv2d``,
-    the allocating reference (what the ``Executor`` runs)."""
+    the float reference (what the ``Executor`` runs)."""
 
     @pytest.mark.parametrize("output_type", list(OutputType))
     @pytest.mark.parametrize(
@@ -368,8 +427,9 @@ class TestBoundKernel:
             multiplier=mult, bias=bias, activation=Activation.RELU6,
             scale_before_activation=True, output_type=output_type,
         )
+        corr = {}
         if padding is Padding.SAME_ZERO:
-            kw["padding_correction"] = zero_padding_correction(w, p, 8, 6)
+            corr["padding_correction"] = zero_padding_correction(w, p, 8, 6)
         if output_type is OutputType.BITPACKED:
             kw["thresholds"] = compute_output_thresholds(
                 p.depth, 9, mult, bias, Activation.RELU6, True
@@ -380,8 +440,8 @@ class TestBoundKernel:
         expected = bconv2d(lce_quantize(x), filters, p, **kw)
 
         ws = Workspace()
-        packed = BoundBConv2D(filters, p, 8, 6, 2, **kw)
-        floats = BoundBConv2D(filters, p, 8, 6, 2, quantize=True, **kw)
+        packed = BoundBConv2D(filters, p, 8, 6, 2, **corr, **kw)
+        floats = BoundBConv2D(filters, p, 8, 6, 2, quantize=True, **corr, **kw)
         for kernel, arg in ((packed, lce_quantize(x)), (floats, x)):
             run = kernel.bind(ws)
             for _ in range(2):
@@ -471,14 +531,14 @@ class TestBoundKernel:
             p = BConv2DParams(
                 3, 3, cin, cout, stride=stride, dilation=dilation, padding=padding
             )
-            kw = dict(multiplier=mult, bias=bias)
+            kw, corr = dict(multiplier=mult, bias=bias), {}
             if padding is Padding.SAME_ZERO:
-                kw["padding_correction"] = zero_padding_correction(w, p, 7, 6)
+                corr["padding_correction"] = zero_padding_correction(w, p, 7, 6)
             expected = bconv2d(lce_quantize(x), filters, p, **kw)
-            packed_in = BoundBConv2D(filters, p, 7, 6, batch, **kw).bind(ws)
+            packed_in = BoundBConv2D(filters, p, 7, 6, batch, **corr, **kw).bind(ws)
             assert np.array_equal(packed_in(lce_quantize(x)), expected)
             fused = BoundBConv2D(
-                filters, p, 7, 6, batch, quantize=True, shortcut=1, **kw
+                filters, p, 7, 6, batch, quantize=True, shortcut=1, **corr, **kw
             ).bind(ws)
             assert np.array_equal(fused(x, expected), expected + expected)
             kw.update(
@@ -486,7 +546,7 @@ class TestBoundKernel:
                 thresholds=compute_output_thresholds(p.depth, cout, mult, bias),
             )
             expected_bits = bconv2d(lce_quantize(x), filters, p, **kw)
-            bits = BoundBConv2D(filters, p, 7, 6, batch, quantize=True, **kw)
+            bits = BoundBConv2D(filters, p, 7, 6, batch, quantize=True, **corr, **kw)
             assert bits.bind(ws)(x) == expected_bits
 
     def test_a_stale_slab_never_leaks_into_the_tail_half(self, rng):

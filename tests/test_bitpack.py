@@ -13,7 +13,6 @@ from repro.core.bitpack import (
     packed_words,
     popcount,
     unpack_bits,
-    xor_popcount_dot,
 )
 
 
@@ -37,7 +36,9 @@ class TestPackUnpack:
     def test_roundtrip_small(self, rng):
         x = rng.standard_normal((3, 5, 7)).astype(np.float32)
         unpacked = unpack_bits(pack_bits(x))
-        assert np.array_equal(unpacked, np.where(x < 0, -1.0, 1.0))
+        want = np.where(x < 0, np.float32(-1.0), np.float32(1.0))
+        assert unpacked.dtype == np.float32  # and every bit, -0.0 included
+        assert np.array_equal(unpacked.view(np.uint32), want.view(np.uint32))
 
     def test_zero_maps_to_plus_one(self):
         x = np.zeros((2, 8), np.float32)
@@ -126,7 +127,16 @@ class TestPopcount:
         assert np.array_equal(popcount(words), [0, 1, 2, 8])
 
 
+def _xor_popcount_dot(a: np.ndarray, b: np.ndarray, channels: int) -> int:
+    """``channels - 2 * popcount(a XOR b)``: the binary dot product that the
+    bound kernels compute from two packed rows."""
+    return int(channels) - 2 * int(popcount(np.bitwise_xor(a, b)).sum())
+
+
 class TestXorPopcountDot:
+    """The packed layout keeps the XOR-popcount identity exact: channel
+    padding bits are zero in both operands and never reach the popcount."""
+
     @given(channels=st.integers(1, 150), seed=st.integers(0, 2**32 - 1))
     def test_matches_float_dot(self, channels, seed):
         rng = np.random.default_rng(seed)
@@ -134,16 +144,16 @@ class TestXorPopcountDot:
         b = rng.choice([-1.0, 1.0], channels).astype(np.float32)
         pa = pack_bits(a[None])
         pb = pack_bits(b[None])
-        got = xor_popcount_dot(pa.bits[0], pb.bits[0], channels)
+        got = _xor_popcount_dot(pa.bits[0], pb.bits[0], channels)
         assert got == int(np.dot(a, b))
 
     def test_identical_vectors_give_channel_count(self, rng):
         a = rng.choice([-1.0, 1.0], 100).astype(np.float32)
         pa = pack_bits(a[None]).bits[0]
-        assert xor_popcount_dot(pa, pa, 100) == 100
+        assert _xor_popcount_dot(pa, pa, 100) == 100
 
     def test_opposite_vectors_give_negative_count(self, rng):
         a = rng.choice([-1.0, 1.0], 100).astype(np.float32)
         pa = pack_bits(a[None]).bits[0]
         pb = pack_bits(-a[None]).bits[0]
-        assert xor_popcount_dot(pa, pb, 100) == -100
+        assert _xor_popcount_dot(pa, pb, 100) == -100

@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 from repro.converter import convert
-from repro.core.bconv2d import BConv2DParams, kmajor_words, live_taps
+from repro.core.bconv2d import (
+    BConv2DParams,
+    PackedFilters,
+    kmajor_words,
+    live_taps,
+    unpack_filters,
+    zero_padding_correction,
+)
 from repro.core.bitpack import PackedTensor
 from repro.core.quantize_ops import lce_quantize
 from repro.core.types import Activation, Padding
@@ -252,8 +259,10 @@ def test_dead_taps_equal_the_executor(padding, output, shortcut, quantize, cin, 
 @pytest.mark.parametrize("padding", (Padding.SAME_ONE, Padding.SAME_ZERO))
 def test_flipping_a_dead_tap_bit_moves_the_output(padding, rng):
     """The dead taps' contribution is read from their filter words: flip
-    one bit of one and the plan's output changes — and still equals the
-    Executor's, which multiplies every tap."""
+    one bit of one.  One-padded, the plan's output changes — and still
+    equals the Executor's, which multiplies every tap.  Zero-padded, with
+    the correction recomputed from the flipped bits, it must not change:
+    the dead tap reads only zeros."""
     graph = _one_pixel_net(rng, padding, "float", True, False)
     x = rng.standard_normal((1, 1, 1, 8)).astype(np.float32)
     before = compile_plan(graph).execute((x,))[0]
@@ -262,10 +271,17 @@ def test_flipping_a_dead_tap_bit_moves_the_output(padding, rng):
     words = bits.shape[1] // 9
     bits[5, 0 * words] ^= np.uint64(1 << 7)  # tap (0, 0): dead on a 1x1 map
     conv.params["filter_bits"] = bits
+    if padding is Padding.SAME_ZERO:
+        cin = conv.attrs["in_channels"]
+        filters = PackedFilters(bits, 3, 3, in_channels=cin)
+        conv.params["padding_correction"] = zero_padding_correction(
+            unpack_filters(filters), BConv2DParams(3, 3, cin, cin, padding=padding),
+            1, 1,
+        )
     after = compile_plan(graph).execute((x,))[0]
-    assert not np.array_equal(before, after)
     assert np.array_equal(after, Executor(graph).run(x))
     assert np.array_equal(after[..., :5], before[..., :5])  # other filters
+    assert np.array_equal(after, before) == (padding is Padding.SAME_ZERO)
 
 
 def test_live_taps_of_a_two_pixel_map(rng):

@@ -148,9 +148,11 @@ class TestExecutor:
         g = b.finish(x)
         inp = rng.standard_normal((1, 4, 4, 8)).astype(np.float32)
         out = Executor(g).run(inp)
-        from repro.core.bconv2d import BConv2DParams, bconv2d_reference
+        from repro.core.bconv2d import BConv2DParams, bconv2d, pack_filters
+        from repro.core.bitpack import pack_bits
 
-        expected = bconv2d_reference(
-            inp, w, BConv2DParams(3, 3, 8, 4, padding=Padding.SAME_ONE)
+        expected = bconv2d(
+            pack_bits(inp), pack_filters(w),
+            BConv2DParams(3, 3, 8, 4, padding=Padding.SAME_ONE),
         )
         assert np.array_equal(out, expected)

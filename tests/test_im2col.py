@@ -10,7 +10,6 @@ from repro.core.im2col import (
     conv_geometry,
     effective_kernel,
     im2col_float,
-    im2col_packed,
     pad_spatial,
     padded_tap_mask,
     windows,
@@ -220,12 +219,19 @@ class TestIm2ColEqualsTheGather:
     @pytest.mark.parametrize("padding", PADDINGS)
     @pytest.mark.parametrize("shape,kh,kw,stride,dilation", GRID)
     def test_packed(self, rng, shape, kh, kw, stride, dilation, padding):
+        """Zero words pad packed signs as +1.0 pads float ones: gathering
+        the word-padded input equals packing the one-padded float im2col
+        tap by tap (the one-padding the bound binarized kernel gets for
+        free)."""
         x = pack_bits(rng.standard_normal(shape).astype(np.float32))
-        patches, geom = im2col_packed(x, kh, kw, stride, dilation, padding)
+        patches, geom = im2col_float(
+            unpack_bits(x), kh, kw, stride, dilation, padding, 1.0
+        )
+        expected = pack_bits(patches.reshape(len(patches), kh * kw, shape[-1])).bits
         padded = pad_spatial(x.bits, geom.pads, 0)
-        expected = _gathered(padded, kh, kw, stride, dilation, geom.out_h, geom.out_w)
-        assert patches.dtype == np.uint64 and patches.flags.c_contiguous
-        assert np.array_equal(patches, expected.reshape(patches.shape))
+        got = _gathered(padded, kh, kw, stride, dilation, geom.out_h, geom.out_w)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got.reshape(expected.shape), expected)
 
     def test_float_accepts_a_non_contiguous_input(self, rng):
         x = rng.standard_normal((2, 6, 6, 8)).astype(np.float32)[..., ::2]
@@ -288,35 +294,6 @@ class TestIm2ColFloat:
     def test_rejects_non_nhwc(self, rng):
         with pytest.raises(ValueError):
             im2col_float(rng.standard_normal((8, 8, 5)), 3, 3)
-
-
-class TestIm2ColPacked:
-    def test_matches_float_one_padding(self, rng):
-        x = rng.choice([-1.0, 1.0], (1, 5, 5, 70)).astype(np.float32)
-        packed = pack_bits(x)
-        patches, geom = im2col_packed(packed, 3, 3, 1, 1, Padding.SAME_ONE)
-        assert patches.shape == (25, 9 * 2)
-        # Decode each tap's words and compare with the float im2col.
-        fpatches, _ = im2col_float(x, 3, 3, 1, 1, Padding.SAME_ONE, 1.0)
-        from repro.core.bitpack import PackedTensor
-
-        decoded = unpack_bits(
-            PackedTensor(patches.reshape(25, 9, 2).copy(), channels=70)
-        )
-        assert np.array_equal(decoded.reshape(25, -1), fpatches)
-
-    def test_spatial_padding_is_plus_one(self):
-        x = -np.ones((1, 2, 2, 64), np.float32)  # all -1 content
-        patches, _ = im2col_packed(pack_bits(x), 3, 3, 1, 1, Padding.SAME_ONE)
-        # Corner output pixel reads 5 padded taps: those words must be 0.
-        corner = patches[0].reshape(9, 1)
-        n_zero_words = int((corner == 0).sum())
-        assert n_zero_words == 5
-
-    def test_rejects_non_4d(self, rng):
-        x = rng.standard_normal((5, 5, 64)).astype(np.float32)
-        with pytest.raises(ValueError):
-            im2col_packed(pack_bits(x), 3, 3)
 
 
 class TestPaddedTapMask:

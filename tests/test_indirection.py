@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bitpack import pack_bits
-from repro.core.im2col import im2col_packed
+from repro.core.bitpack import pack_bits, unpack_bits
+from repro.core.im2col import im2col_float
 from repro.core.indirection import (
     get_indirection,
     im2col_indirect,
@@ -30,11 +30,15 @@ GEOMETRIES = [
 class TestGetIndirection:
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_matches_dynamic_im2col(self, rng, geometry):
-        """The indirect gather is bit-identical to the original per-call
-        ``np.pad`` + fancy-indexing path — the tentpole's core contract."""
+        """The indirect gather is bit-identical to packing the one-padded
+        float im2col, tap by tap."""
         h, w, kh, kw, stride, dilation, padding = geometry
         x = pack_bits(rng.standard_normal((2, h, w, 70)).astype(np.float32))
-        expected, geom = im2col_packed(x, kh, kw, stride, dilation, padding)
+        patches, geom = im2col_float(
+            unpack_bits(x), kh, kw, stride, dilation, padding, pad_value=1.0
+        )
+        taps = pack_bits(patches.reshape(len(patches), kh * kw, 70)).bits
+        expected = taps.reshape(len(patches), -1)
         ind = get_indirection(h, w, kh, kw, stride, dilation, padding)
         assert ind.geom == geom
         got = im2col_indirect(x, ind)

@@ -22,6 +22,7 @@ is the determinism statement the Engine makes to its callers.
 from __future__ import annotations
 
 import contextlib
+import importlib
 
 import numpy as np
 import pytest
@@ -272,9 +273,8 @@ def _packed_input_net(rng):
 
 
 def _grouped_bconv_net(rng):
-    """Grouped binarized convolutions, both word-aligned (``cin_g % 64 == 0``,
-    the packed-slice fast path) and unaligned (the repack fallback), under
-    the full thread/batch grid."""
+    """Grouped binarized convolutions, one word-aligned (``cin_g % 64 ==
+    0``) and one not, under the full batch grid."""
     from repro.core.bconv2d import pack_filters
 
     g = Graph("grouped_bconv")
@@ -369,8 +369,8 @@ def test_same_zero_bitpacked_is_covered(rng):
 
 
 def test_grouped_net_covers_both_group_branches(rng):
-    """The grouped synthetic net must pin one word-aligned and one unaligned
-    grouped convolution (fast packed-slice path and repack fallback)."""
+    """The grouped synthetic net must pin one grouped convolution whose
+    groups fill whole packed words and one whose groups do not."""
     graph = SYNTHETIC_GRAPHS["grouped_bconv"](rng)
     cin_gs = [
         n.attrs["in_channels"] // n.attrs["groups"]
@@ -379,6 +379,52 @@ def test_grouped_net_covers_both_group_branches(rng):
     ]
     assert any(c % 64 == 0 for c in cin_gs)
     assert any(c % 64 != 0 for c in cin_gs)
+
+
+# ------------------------------------ the reference is independent
+
+def _mismatches_the_executor(graph, rng) -> bool:
+    x = _batched_input(graph, 1, rng)
+    with Engine(graph) as engine:
+        got = engine.run(x)
+    try:
+        assert_bit_identical(got, reference_outputs(graph, (x,), 1))
+    except AssertionError:
+        return True
+    return False
+
+
+def test_a_wrong_padding_correction_is_a_mismatch(rng, monkeypatch):
+    """The Executor's binarized conv pads with 0.0 and reads no
+    ``padding_correction``: a converter correction that is one off on one
+    padded tap reaches only the plan, and parity reports it."""
+    passes = importlib.import_module("repro.graph.passes.binarize_convs")
+
+    def off_by_one(weights, params, in_h, in_w):
+        correction = zero_padding_correction(weights, params, in_h, in_w)
+        correction[0, 0] += 1  # pixel (0, 0) reads padding through 5 taps
+        return correction
+
+    monkeypatch.setattr(passes, "zero_padding_correction", off_by_one)
+    graph = SYNTHETIC_GRAPHS["binary_same_zero"](rng)
+    assert _mismatches_the_executor(graph, rng)
+
+
+def test_a_stray_channel_padding_bit_is_a_mismatch(rng):
+    """The Executor decodes only a filter's ``in_channels`` signs: a bit set
+    in the channel padding of a ``cin = 40`` filter's tail word reaches
+    only the plan's XOR-popcount, and parity reports it."""
+    b = GraphBuilder((1, 6, 6, 40))
+    y = b.binarize(b.input)
+    y = b.conv2d(y, rng.standard_normal((3, 3, 40, 8)).astype(np.float32),
+                 binary_weights=True)
+    graph = convert(b.finish(y)).graph
+    assert not _mismatches_the_executor(graph, rng)
+    conv = next(n for n in graph.nodes if n.op == "lce_bconv2d")
+    bits = conv.params["filter_bits"].copy()
+    bits.view(np.uint8)[2, 6] |= 1  # filter 2, tap 0, channel 55 of 40
+    conv.params["filter_bits"] = bits
+    assert _mismatches_the_executor(graph, rng)
 
 
 @pytest.mark.parametrize("factor", [1, 3])

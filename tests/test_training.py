@@ -174,14 +174,16 @@ class TestGradients:
         np.testing.assert_allclose(dx.sum(axis=0), 0.0, atol=1e-3)
 
     def test_quant_conv_forward_matches_core_reference(self, rng):
-        from repro.core.bconv2d import BConv2DParams, bconv2d_reference
+        from repro.core.bconv2d import BConv2DParams, bconv2d, pack_filters
+        from repro.core.bitpack import pack_bits
         from repro.core.types import Padding
 
         layer = QuantConv2D(6, 4, kernel=3, rng=rng)
         x = rng.standard_normal((2, 5, 5, 6)).astype(np.float32)
         out = layer.forward(x)
-        expected = bconv2d_reference(
-            x, layer.w.value, BConv2DParams(3, 3, 6, 4, padding=Padding.SAME_ONE)
+        expected = bconv2d(
+            pack_bits(x), pack_filters(layer.w.value),
+            BConv2DParams(3, 3, 6, 4, padding=Padding.SAME_ONE),
         )
         assert np.array_equal(out, expected)
 

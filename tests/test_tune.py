@@ -167,7 +167,7 @@ class TestMeasureConfig:
         # config, then the kernel bound under it, against the reference.
         geom = _tiny_geometry(padding=padding)
         x, filters, params, correction = _workload(geom)
-        expected = bconv2d(x, filters, params, padding_correction=correction)
+        expected = bconv2d(x, filters, params)
         ws = Workspace()
         reserve_bconv2d_workspace(
             ws, params, geom.in_h, geom.in_w, geom.batch, config=config
