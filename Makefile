@@ -91,6 +91,10 @@ telemetry-smoke:
 		--input-size 32 --requests 48 --slo-p95-ms 10000 \
 		--trace-out $${TMPDIR:-/tmp}/repro-serve-trace-smoke.json
 
+# The wall-clock benchmarks: engine vs executor (writes BENCH_engine.json),
+# the kernel micro-benchmarks (BENCH_kernels.json), the real Figure 2
+# kernels and the tiled-BGEMM ablation.  The paper's simulated tables and
+# figures are ledger claims: `make experiments`, asserted in tier-1.
 bench:
 	pytest benchmarks/ --benchmark-only
 
@@ -100,8 +104,10 @@ bench:
 bench-fast:
 	pytest benchmarks/test_kernel_microbench.py --benchmark-only
 
+# Rewrite EXPERIMENTS.md's generated tables from every experiment's
+# claims; exits non-zero when a claim does not hold.
 experiments:
-	python -m repro.experiments.runner
+	python -m repro.experiments.ledger
 
 appendix:
 	python -m repro.experiments.runner --appendix

@@ -1,14 +1,15 @@
 """Shared benchmark helpers.
 
-Each benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index) and prints the same rows/series.  Run with::
+``benchmarks/`` holds the wall-clock benchmarks only: engine vs executor
+(writes ``BENCH_engine.json``), the kernel micro-benchmarks (writes
+``BENCH_kernels.json``), the real Figure 2 kernels and the tiled-BGEMM
+ablation.  Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Timing numbers reported by pytest-benchmark measure *this harness* (the
-simulator + NumPy kernels); the paper-comparable latency numbers are the
-simulated milliseconds inside each table, printed to stdout (visible with
-``-s`` or in the captured output).
+The paper's simulated tables and figures are ledger claims
+(``python -m repro.experiments.ledger``), asserted in tier-1 by
+``tests/test_experiments.py``.
 """
 
 from __future__ import annotations

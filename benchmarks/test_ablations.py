@@ -1,129 +1,13 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Wall-clock ablation: Ruy-style blocked BGEMM vs the all-at-once kernel.
 
-Each ablation turns one converter/operator optimization off and quantifies
-its contribution on the calibrated device model (and, for the BGEMM tiling,
-in real wall-clock).
+The simulated ablations (padding, chain fusion, BN fusion, bmaxpool swap)
+are ledger claims A1-A4 (``repro.experiments.ablations``).
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
-from conftest import run_once
-
-from repro.core.types import Padding
-from repro.graph.passes import (
-    binarize_convs,
-    bitpacked_chain,
-    bmaxpool_swap,
-    canonicalize,
-    dce,
-    dedupe_quantize,
-    fuse_activation,
-    fuse_batchnorm,
-)
-from repro.graph.passes.pass_manager import PassManager
-from repro.hw.device import DeviceModel
-from repro.hw.latency import conv_cost, graph_latency
-from repro.zoo import quicknet
-from repro.zoo.resnet_variants import binary_resnet18
-
-
-def _pipeline_without(*skip: str) -> PassManager:
-    passes = [
-        ("canonicalize", canonicalize),
-        ("binarize_convs", binarize_convs),
-        ("fuse_activation", fuse_activation),
-        ("fuse_batchnorm", fuse_batchnorm),
-        ("bmaxpool_swap", bmaxpool_swap),
-        ("dedupe_quantize", dedupe_quantize),
-        ("bitpacked_chain", bitpacked_chain),
-        ("dce", dce),
-    ]
-    pm = PassManager()
-    for name, fn in passes:
-        if name not in skip:
-            pm.add(name, fn)
-    return pm
-
-
-def _latency_with_pipeline(graph, pm) -> float:
-    g = copy.deepcopy(graph)
-    pm.run(g)
-    g.verify()
-    return graph_latency(DeviceModel.pixel1(), g).total_ms
-
-
-class TestPaddingAblation:
-    """One-padding vs zero-padding (paper Section 3.2)."""
-
-    def test_zero_padding_slower(self, benchmark):
-        dev = DeviceModel.pixel1()
-
-        def measure():
-            one = conv_cost(
-                dev, "binary", 1, 28, 28, 128, 128, 3, 3, padding=Padding.SAME_ONE
-            ).total_s
-            zero = conv_cost(
-                dev, "binary", 1, 28, 28, 128, 128, 3, 3,
-                padding=Padding.SAME_ZERO, zero_padding_correction=True,
-            ).total_s
-            return one, zero
-
-        one, zero = benchmark(measure)
-        assert zero > one
-        assert zero / one < 1.5  # a correction step, not a disaster
-
-
-class TestChainFusionAblation:
-    """Bitpacked conv-to-conv chains (paper Section 3.1)."""
-
-    def test_fusion_saves_latency_on_chain_heavy_model(self, benchmark):
-        graph = binary_resnet18("C", input_size=224)  # fully chainable
-
-        def measure():
-            with_fusion = _latency_with_pipeline(graph, _pipeline_without())
-            without = _latency_with_pipeline(graph, _pipeline_without("bitpacked_chain"))
-            return with_fusion, without
-
-        with_fusion, without = run_once(benchmark, measure)
-        assert with_fusion < without
-        # materializing float intermediates + requantizing costs ~1-2% end
-        # to end (the accumulation loop dominates, per Table 4)
-        assert (without - with_fusion) / with_fusion > 0.005
-
-
-class TestBatchNormFusionAblation:
-    def test_fusion_removes_standalone_bns(self, benchmark):
-        graph = quicknet("medium", input_size=224)
-
-        def measure():
-            fused = _latency_with_pipeline(graph, _pipeline_without())
-            unfused = _latency_with_pipeline(
-                graph, _pipeline_without("fuse_batchnorm", "fuse_activation",
-                                         "bitpacked_chain")
-            )
-            return fused, unfused
-
-        fused, unfused = run_once(benchmark, measure)
-        assert fused < unfused
-
-
-class TestBMaxPoolAblation:
-    def test_swap_helps_pool_heavy_model(self, benchmark):
-        from repro.zoo import binarydensenet
-
-        graph = binarydensenet(28, input_size=224)
-
-        def measure():
-            with_swap = _latency_with_pipeline(graph, _pipeline_without())
-            without = _latency_with_pipeline(graph, _pipeline_without("bmaxpool_swap"))
-            return with_swap, without
-
-        with_swap, without = run_once(benchmark, measure)
-        assert with_swap <= without
 
 
 class TestTilingAblation:

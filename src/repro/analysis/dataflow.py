@@ -17,6 +17,8 @@ reach a kernel.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.diagnostics import Diagnostic, error, errors_of
 from repro.core.bitpack import WORD_BITS, packed_words
 from repro.core.im2col import conv_geometry
@@ -74,6 +76,13 @@ def _check_inference(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
             )
 
 
+def _stray_padding_bits(filter_bits: np.ndarray, cout: int, cin_g: int) -> bool:
+    """Whether any filter sets a bit past ``cin_g`` in a tap's tail word."""
+    padding = np.packbits(np.arange(WORD_BITS) >= cin_g % WORD_BITS).view(np.uint64)
+    tails = filter_bits.reshape(cout, -1, packed_words(cin_g))[:, :, -1]
+    return bool(np.bitwise_and(tails, padding).any())
+
+
 def _check_bconv(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
     """G003/G004/G005 over one ``lce_bconv2d`` node."""
     where = f"node {node.name!r} (lce_bconv2d)"
@@ -109,6 +118,14 @@ def _check_bconv(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
             diags.append(
                 error("G003", where,
                       f"filter_bits must be uint64 words, got {fb.dtype}")
+            )
+        elif cin_g % WORD_BITS and _stray_padding_bits(fb, p.out_channels, cin_g):
+            diags.append(
+                error("G003", where,
+                      f"filter_bits set channel-padding bits past in_channels "
+                      f"{cin_g} of a filter's tail word: the XOR-popcount "
+                      "would count them",
+                      hint="pack the latent weights with core.bconv2d.pack_filters")
             )
 
     # ---- G004: padding semantics -----------------------------------------

@@ -65,8 +65,8 @@ RULES: dict[str, Rule] = {
              "then recorded tensor specs match registry re-inference; "
              "bitpacked tensors only feed binarized-domain ops"),
         Rule("G003", "bitpack-words", "graph",
-             "bitpacked filter word counts match ceil(cin_g/64) layout; "
-             "groups divide channels"),
+             "bitpacked filter word counts match ceil(cin_g/64) layout "
+             "with zero channel-padding bits; groups divide channels"),
         Rule("G004", "padding-semantics", "graph",
              "SAME_ZERO binarized convs carry the accumulator correction; "
              "SAME_ONE/VALID must not (paper Section 3.2)"),

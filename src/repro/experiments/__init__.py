@@ -1,14 +1,18 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Every module exposes a ``run(device="pixel1"|"rpi4b") -> data`` function
-returning plain data structures, and a ``main()`` that prints the same
-rows/series the paper reports.  The appendix artifacts (Figures 11-15,
-Table 5) are the same experiments run with ``device="rpi4b"``.
+returning plain data structures, and a ``claims(device, data=None)`` that
+states what that data reproduces as ledger rows (paper value, accepted
+band, simulated value, whether it holds).  :mod:`repro.experiments.ledger`
+renders them into EXPERIMENTS.md and :mod:`repro.experiments.runner`
+prints them.  The appendix artifacts (Figures 11-15, Table 5) are the same
+experiments run with ``device="rpi4b"``.
 
 See DESIGN.md section 3 for the experiment index.
 """
 
 from repro.experiments import (
+    ablations,
     figure2,
     figure3,
     figure4,
@@ -25,6 +29,7 @@ from repro.experiments import (
 )
 
 __all__ = [
+    "ablations",
     "figure2",
     "figure3",
     "figure4",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.analysis.macs import PIXEL1_BINARY_RATIO, RPI4B_BINARY_RATIO
 from repro.analysis.regression import loglog_fit
 from repro.experiments import figure7
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, above, below, equal, record
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,12 @@ def binary_ratio_for(device: str) -> float:
 
 
 def run(device: str = "pixel1") -> dict:
-    """eMAC/latency points, the global fit, and per-point deviations."""
+    return fit(figure7.run(device), device)
+
+
+def fit(points: list[figure7.ModelPoint], device: str = "pixel1") -> dict:
+    """eMAC/latency points of Figure 7's ``points``, the global fit, and
+    per-point deviations."""
     ratio = binary_ratio_for(device)
     points = [
         EmacPoint(
@@ -40,11 +45,11 @@ def run(device: str = "pixel1") -> dict:
             emacs=p.fp_macs + p.binary_macs / ratio,
             latency_ms=p.latency_ms,
         )
-        for p in figure7.run(device)
+        for p in points
     ]
-    fit = loglog_fit([p.emacs for p in points], [p.latency_ms for p in points])
+    global_fit = loglog_fit([p.emacs for p in points], [p.latency_ms for p in points])
     deviations = {
-        p.model: p.latency_ms / float(fit.predict(p.emacs)) for p in points
+        p.model: p.latency_ms / float(global_fit.predict(p.emacs)) for p in points
     }
     # Within-family correlation (families with >= 2 members).
     families: dict[str, list[EmacPoint]] = {}
@@ -59,36 +64,43 @@ def run(device: str = "pixel1") -> dict:
     }
     return {
         "points": points,
-        "fit": fit,
+        "fit": global_fit,
         "deviations": deviations,
         "family_fits": family_fits,
         "binary_ratio": ratio,
     }
 
 
-def main(device: str = "pixel1") -> None:
-    data = run(device)
-    figure = "Figure 10" if device == "pixel1" else "Figure 15 (appendix)"
-    rows = [
-        (p.model, p.family, f"{p.emacs / 1e6:.0f}M", f"{p.latency_ms:.1f}",
-         f"{data['deviations'][p.model]:.2f}x")
+#: per device: artifact id, paper's eMAC ratio, Binary AlexNet's bound
+_PAPER = {"pixel1": ("F10", 15, 1.05), "rpi4b": ("F15", 17, 1.0)}
+
+
+def claims(device: str = "pixel1", data: dict | None = None) -> list[Claim]:
+    fig, ratio, alexnet_bound = _PAPER[device]
+    data = data or run(device)
+    devs = data["deviations"]
+    out = [
+        record(f"{fig}.{p.model}", f"{p.model}: eMACs, latency, vs global fit", "",
+               f"{p.emacs / 1e6:.0f}M, {p.latency_ms:.1f} ms, {devs[p.model]:.2f}x")
         for p in sorted(data["points"], key=lambda p: p.emacs)
     ]
-    print(
-        format_table(
-            ["Model", "family", "eMACs", "latency ms", "vs global fit"],
-            rows,
-            title=(
-                f"{figure}: eMACs vs latency on {device} "
-                f"(1 fp MAC = {data['binary_ratio']:.0f} binary MACs); "
-                f"global fit R^2 = {data['fit'].r_squared:.3f}"
-            ),
-        )
-    )
-    print("\nWithin-family R^2 (MACs are a good proxy inside a family):")
-    for fam, fit in data["family_fits"].items():
-        print(f"  {fam:12s} R^2 = {fit.r_squared:.3f}")
-
-
-if __name__ == "__main__":
-    main()
+    out.append(equal(f"{fig}.ratio", "binary MACs per fp MAC", str(ratio),
+                     data["binary_ratio"], ratio, "{:.0f}"))
+    out += [
+        above(f"{fig}.{family}.r2", f"{family} within-family R²", "good proxy",
+              family_fit.r_squared, 0.9, "{:.3f}")
+        for family, family_fit in data["family_fits"].items()
+    ]
+    out += [
+        record(f"{fig}.global_r2", "global fit R²", "breaks down across families",
+               f"{data['fit'].r_squared:.3f}"),
+        above(f"{fig}.binary_alexnet.vs_fit", "Binary AlexNet vs global fit",
+              "~2x slower than same-eMAC models", devs["binary_alexnet"],
+              alexnet_bound, "{:.2f}x"),
+        below(f"{fig}.quicknet_large.vs_fit", "QuickNet Large vs global fit", "",
+              devs["quicknet_large"], 1.0, "{:.2f}x"),
+        above(f"{fig}.spread", "max / min deviation from the global fit",
+              "not a uniform proxy", max(devs.values()) / min(devs.values()), 1.3,
+              "{:.2f}x"),
+    ]
+    return out

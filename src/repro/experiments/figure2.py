@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.types import Padding
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, between, record
 from repro.hw.device import DeviceModel
 from repro.hw.latency import conv_cost
 
@@ -64,30 +64,32 @@ def run(device: str = "pixel1") -> list[ConvComparison]:
     return results
 
 
-def main(device: str = "pixel1") -> None:
-    results = run(device)
-    rows = [
-        (
-            r.label,
-            f"{r.spatial}x{r.spatial}x{r.channels}x{r.channels}",
-            f"{r.float_ms:.3f}",
-            f"{r.int8_ms:.3f}",
-            f"{r.binary_ms:.3f}",
-            f"{r.speedup_vs_float:.1f}x",
-            f"{r.speedup_vs_int8:.1f}x",
-        )
-        for r in results
-    ]
-    figure = "Figure 2" if device == "pixel1" else "Figure 11 (appendix)"
-    print(
-        format_table(
-            ["Conv", "Dimensions", "float ms", "int8 ms", "binary ms",
-             "vs float", "vs int8"],
-            rows,
-            title=f"{figure}: binarizing ResNet-18 convolutions on {device}",
-        )
-    )
+#: per device: artifact id, paper's vs-float reading per conv, paper's
+#: vs-int8 range, vs-float bands (A and D), vs-int8 band
+_PAPER = {
+    "pixel1": ("F2", {"A": "~12x", "B": "12-17x", "C": "12-17x", "D": ">17x"},
+               "9-12x", {"A": (11, 14), "D": (16, 19)}, (8, 13)),
+    "rpi4b": ("F11", {"A": "14x", "B": "14-20x", "C": "14-20x", "D": ">20x"},
+              "6-10x", {"A": (12.5, 16), "D": (18.5, 23)}, (5, 11)),
+}
 
 
-if __name__ == "__main__":
-    main()
+def claims(device: str = "pixel1", data: list[ConvComparison] | None = None) -> list[Claim]:
+    fig, paper_float, paper_int8, float_bands, int8_band = _PAPER[device]
+    by_label = {r.label: r for r in data or run(device)}
+    out = []
+    for label, r in by_label.items():
+        conv = f"{label} {r.spatial}x{r.spatial}x{r.channels}x{r.channels}"
+        vs_float = f"{conv} speedup vs float"
+        if label in float_bands:
+            out.append(between(f"{fig}.{label}.vs_float", vs_float, paper_float[label],
+                               r.speedup_vs_float, *float_bands[label], fmt="{:.1f}x"))
+        else:
+            out.append(record(f"{fig}.{label}.vs_float", vs_float, paper_float[label],
+                              f"{r.speedup_vs_float:.1f}x"))
+        out.append(between(f"{fig}.{label}.vs_int8", f"{conv} speedup vs int8",
+                           paper_int8, r.speedup_vs_int8, *int8_band, fmt="{:.1f}x"))
+    a, c = by_label["A"].speedup_vs_float, by_label["C"].speedup_vs_float
+    out.append(Claim(f"{fig}.grows", "vs-float speedup grows with channels",
+                     "grows", "A < C", f"{a:.1f}x vs {c:.1f}x", a < c))
+    return out

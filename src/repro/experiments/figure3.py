@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.analysis.regression import LogLogFit, loglog_fit
 from repro.core.types import Padding
-from repro.experiments.reporting import ascii_scatter, format_table
+from repro.experiments.reporting import Claim, above, ascii_scatter, below, between, equal
 from repro.hw.device import DeviceModel
 from repro.hw.latency import conv_cost
 
@@ -61,38 +61,30 @@ def run(device: str = "pixel1") -> dict:
     return {"points": points, "fits": fits}
 
 
-def main(device: str = "pixel1") -> None:
-    data = run(device)
-    figure = "Figure 3" if device == "pixel1" else "Figure 12 (appendix)"
-    rows = []
+def claims(device: str = "pixel1", data: dict | None = None) -> list[Claim]:
+    fig = "F3" if device == "pixel1" else "F12"
+    data = data or run(device)
+    out = [equal(f"{fig}.points", "sweep convolutions per precision",
+                 "6 x 4 x 2 = 48",
+                 "/".join(str(len(p)) for p in data["points"].values()),
+                 "/".join(["48"] * len(PRECISIONS)))]
     for precision, fit in data["fits"].items():
-        pts = data["points"][precision]
-        rows.append(
-            (
-                precision,
-                len(pts),
-                f"{min(p.latency_ms for p in pts):.4f}",
-                f"{max(p.latency_ms for p in pts):.1f}",
-                f"{fit.slope:.2f}",
-                f"{fit.r_squared:.3f}",
-            )
-        )
-    print(
-        format_table(
-            ["Precision", "points", "min ms", "max ms", "log-log slope", "R^2"],
-            rows,
-            title=f"{figure}: MACs vs latency sweep on {device} "
-            f"(MACs {min(c*s*s*k*k*c for c,s,k in sweep_configs()):.1e}"
-            f"-{max(c*s*s*k*k*c for c,s,k in sweep_configs()):.1e})",
-        )
-    )
-    print()
+        out.append(between(f"{fig}.{precision}.slope", f"{precision} log-log slope",
+                           "approx. linear", fit.slope, 0.9, 1.1, "{:.2f}"))
+        out.append(above(f"{fig}.{precision}.r2", f"{precision} log-log R²",
+                         "with deviations", fit.r_squared, 0.95, "{:.3f}"))
+    if device == "pixel1":
+        ms = [p.latency_ms for p in data["points"]["float32"]]
+        out.append(below(f"{fig}.float_min", "fastest float conv", "0.01 ms",
+                         min(ms), 0.2, "{:.2f} ms"))
+        out.append(above(f"{fig}.float_max", "slowest float conv", "over 850 ms",
+                         max(ms), 700, "{:.0f} ms"))
+    return out
+
+
+def sketch(data: dict) -> str:
     series = {
         precision: [(p.macs, p.latency_ms) for p in pts]
         for precision, pts in data["points"].items()
     }
-    print(ascii_scatter(series, x_label="MACs", y_label="latency ms"))
-
-
-if __name__ == "__main__":
-    main()
+    return ascii_scatter(series, x_label="MACs", y_label="latency ms")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.converter import convert
 from repro.experiments.figure2 import RESNET18_CONVS
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, above, near, record
 from repro.hw.device import DeviceModel
 from repro.hw.frameworks import FRAMEWORKS, TVM_BIREALNET_FIRST_CONV_FALLBACK_S
 from repro.hw.latency import graph_latency
@@ -78,26 +78,30 @@ def run(device: str = "rpi4b") -> dict:
     return {"convs": run_convs(device), "birealnet_ms": run_birealnet(device)}
 
 
-def main(device: str = "rpi4b") -> None:
-    data = run(device)
+def claims(device: str = "rpi4b", data: dict | None = None) -> list[Claim]:
+    data = data or run(device)
     by_label: dict[str, dict[str, float]] = {}
     for r in data["convs"]:
         by_label.setdefault(r.label, {})[r.framework] = r.latency_ms
-    rows = [
-        (label, *(f"{vals[fw]:.3f}" for fw in COMPARED_FRAMEWORKS))
+    out = [
+        Claim(f"F4.{label}.lce_fastest", f"conv {label} latency, " + " / ".join(COMPARED_FRAMEWORKS),
+              "LCE fastest", "lce < dabnn, tvm",
+              " / ".join(f"{vals[fw]:.3f}" for fw in COMPARED_FRAMEWORKS) + " ms",
+              vals["lce"] < vals["dabnn"] and vals["lce"] < vals["tvm"])
         for label, vals in by_label.items()
     ]
-    print(
-        format_table(
-            ["Conv", *(f"{fw} ms" for fw in COMPARED_FRAMEWORKS)],
-            rows,
-            title=f"Figure 4: framework comparison on binarized convolutions ({device})",
-        )
-    )
-    print("\nBiRealNet end-to-end (paper: LCE 86.8 ms, DaBNN 119.8 ms):")
-    for fw, ms in data["birealnet_ms"].items():
-        print(f"  {fw:32s} {ms:8.1f} ms")
-
-
-if __name__ == "__main__":
-    main()
+    e2e = data["birealnet_ms"]
+    out += [
+        near("F4.birealnet.lce", "BiRealNet end to end, LCE", 86.8, e2e["lce"],
+             0.1, "{:.1f} ms", relative=True),
+        near("F4.birealnet.dabnn", "BiRealNet end to end, DaBNN", 119.8, e2e["dabnn"],
+             0.15, "{:.1f} ms", relative=True),
+        near("F4.birealnet.ratio", "BiRealNet DaBNN / LCE", 1.38,
+             e2e["dabnn"] / e2e["lce"], 0.2, "{:.2f}x"),
+        above("F4.birealnet.tvm", "BiRealNet end to end, TVM with first-layer fallback",
+              "dominated by an 830 ms fallback", e2e["tvm (with first-layer fallback)"],
+              800, "{:.1f} ms"),
+        record("F4.birealnet.tvm_kernels", "BiRealNet end to end, TVM kernels only",
+               "", f"{e2e['tvm']:.1f} ms"),
+    ]
+    return out

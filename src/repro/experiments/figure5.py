@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.converter import convert
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, above, below, record
 from repro.graph.ir import Graph
 from repro.hw.device import DeviceModel
 from repro.hw.latency import GraphLatency, graph_latency
@@ -98,27 +98,32 @@ def run(device: str = "pixel1") -> list[ModelProfile]:
     return out
 
 
-def main(device: str = "pixel1") -> None:
-    results = run(device)
-    rows = [
-        (
-            r.model,
-            f"{r.total_ms:.1f}",
-            f"{r.first_layer_ms:.1f} ({100 * r.first_layer_fraction:.0f}%)",
-            f"{100 * r.binary_fraction:.0f}%",
-            f"{100 * (1 - r.binary_fraction):.0f}%",
-            len(r.stacks),
-        )
-        for r in results
-    ]
-    print(
-        format_table(
-            ["Model", "total ms", "first layer", "binary", "full precision", "layers"],
-            rows,
-            title=f"Figure 5: per-layer latency breakdown on {device}",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+def claims(device: str = "pixel1", data: list[ModelProfile] | None = None) -> list[Claim]:
+    p = {r.model: r for r in data or run(device)}
+    qnl, bdn, r2b = p["quicknet_large"], p["binarydensenet28"], p["realtobinarynet"]
+    out = []
+    for r in p.values():
+        out.append(record(f"F5.{r.model}.total", f"{r.model} total latency", "",
+                          f"{r.total_ms:.1f} ms"))
+        first = f"{r.model} first-layer share"
+        if r is qnl:
+            out.append(below(f"F5.{r.model}.first_layer", first, "greatly improved",
+                             r.first_layer_fraction, 0.10, "{:.0%}"))
+            out.append(above(f"F5.{r.model}.binary", f"{r.model} binary share",
+                             "mostly binary", r.binary_fraction, 0.5, "{:.0%}"))
+        else:
+            out.append(above(f"F5.{r.model}.first_layer", first, "significant",
+                             r.first_layer_fraction, 0.15, "{:.0%}"))
+            out.append(record(f"F5.{r.model}.binary", f"{r.model} binary share",
+                              "non-binary impact", f"{r.binary_fraction:.0%}"))
+    out.append(Claim(
+        "F5.most_binary", "binary share, QuickNet Large vs BDN28 and R2B",
+        "QuickNet improves it", "QNL above both",
+        f"{qnl.binary_fraction:.0%} vs {bdn.binary_fraction:.0%}, "
+        f"{r2b.binary_fraction:.0%}",
+        qnl.binary_fraction > max(bdn.binary_fraction, r2b.binary_fraction)))
+    out.append(Claim(
+        "F5.quicknet_faster", "total latency, QuickNet Large vs BDN28",
+        "", "QNL < BDN28", f"{qnl.total_ms:.1f} vs {bdn.total_ms:.1f} ms",
+        qnl.total_ms < bdn.total_ms))
+    return out

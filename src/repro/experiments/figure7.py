@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from repro.analysis.macs import count_macs
 from repro.converter import convert
-from repro.experiments.reporting import ascii_scatter, format_table
+from repro.experiments.reporting import Claim, ascii_scatter, below, record
+from repro.graph.ir import Graph
 from repro.hw.device import DeviceModel
 from repro.hw.latency import graph_latency
 from repro.zoo import MODEL_REGISTRY
@@ -30,26 +31,38 @@ class ModelPoint:
     model_size_bytes: int
 
 
-def run(device: str = "pixel1", models: tuple[str, ...] | None = None) -> list[ModelPoint]:
+def convert_zoo(models: tuple[str, ...] | None = None) -> dict[str, Graph]:
+    """Converted graphs of the zoo (or of ``models``), by registry name."""
+    return {
+        name: convert(info.build()).graph
+        for name, info in MODEL_REGISTRY.items()
+        if models is None or name in models
+    }
+
+
+def price(graphs: dict[str, Graph], device: str = "pixel1") -> list[ModelPoint]:
+    """One point per converted graph, sorted by latency on ``device``."""
     dev = DeviceModel.by_name(device)
     points = []
-    for name, info in MODEL_REGISTRY.items():
-        if models is not None and name not in models:
-            continue
-        converted = convert(info.build())
-        macs = count_macs(converted.graph)
+    for name, graph in graphs.items():
+        info = MODEL_REGISTRY[name]
+        macs = count_macs(graph)
         points.append(
             ModelPoint(
                 model=name,
                 family=info.family,
-                latency_ms=graph_latency(dev, converted.graph).total_ms,
+                latency_ms=graph_latency(dev, graph).total_ms,
                 top1_accuracy=info.top1_accuracy,
                 binary_macs=macs.binary,
                 fp_macs=macs.full_precision,
-                model_size_bytes=converted.graph.param_nbytes(),
+                model_size_bytes=graph.param_nbytes(),
             )
         )
     return sorted(points, key=lambda p: p.latency_ms)
+
+
+def run(device: str = "pixel1", models: tuple[str, ...] | None = None) -> list[ModelPoint]:
+    return price(convert_zoo(models), device)
 
 
 def pareto_front(points: list[ModelPoint]) -> list[str]:
@@ -63,37 +76,46 @@ def pareto_front(points: list[ModelPoint]) -> list[str]:
     return front
 
 
-def main(device: str = "pixel1") -> None:
-    points = run(device)
-    figure = "Figure 7" if device == "pixel1" else "Figure 13 (appendix)"
-    rows = [
-        (
-            p.model,
-            f"{p.latency_ms:.1f}",
-            f"{p.top1_accuracy:.1f}",
-            f"{p.binary_macs / 1e6:.0f}M",
-            f"{p.fp_macs / 1e6:.0f}M",
-            f"{p.model_size_bytes / 1e6:.2f}MB",
-        )
+QUICKNETS = ("quicknet_small", "quicknet", "quicknet_large")
+DOMINATED = ("binarydensenet28", "meliusnet22")
+
+
+def claims(device: str = "pixel1", data: list[ModelPoint] | None = None) -> list[Claim]:
+    fig = "F7" if device == "pixel1" else "F13"
+    points = data or run(device)
+    pts = {p.model: p for p in points}
+    front = pareto_front(points)
+    out = [
+        record(f"{fig}.{p.model}", f"{p.model}: latency @ top-1, size",
+               f"Larq Zoo {MODEL_REGISTRY[p.model].reported_size_mb} MB",
+               f"{p.latency_ms:.1f} ms @ {p.top1_accuracy:.1f} %, "
+               f"{p.model_size_bytes / 1e6:.2f} MB")
         for p in points
     ]
-    print(
-        format_table(
-            ["Model", "latency ms", "top-1 %", "binary MACs", "fp MACs", "size"],
-            rows,
-            title=f"{figure}: accuracy vs latency on {device}",
-        )
-    )
-    print()
-    series = {p.model: [(p.latency_ms, p.top1_accuracy)] for p in points}
-    print(
-        ascii_scatter(
-            series, log_x=True, log_y=False,
-            x_label="latency ms", y_label="top-1 %",
-        )
-    )
-    print("\nPareto front:", " -> ".join(pareto_front(points)))
+    qnl, bdn = pts["quicknet_large"], pts["binarydensenet45"]
+    out += [
+        Claim(f"{fig}.front", "latency/accuracy Pareto front",
+              "QuickNet advances it", "contains " + ", ".join(QUICKNETS),
+              " → ".join(front), set(QUICKNETS) <= set(front)),
+        Claim(f"{fig}.dominated", "BinaryDenseNet / MeliusNet on the front",
+              "trade accuracy for latency", "neither " + " nor ".join(DOMINATED),
+              ", ".join(m for m in DOMINATED if m in front) or "neither",
+              not set(DOMINATED) & set(front)),
+        Claim(f"{fig}.qnl_vs_bdn45", "QuickNet Large vs BinaryDenseNet45",
+              "", "faster and more accurate",
+              f"{qnl.latency_ms:.1f} vs {bdn.latency_ms:.1f} ms, "
+              f"{qnl.top1_accuracy:.1f} vs {bdn.top1_accuracy:.1f} %",
+              qnl.latency_ms < bdn.latency_ms and qnl.top1_accuracy > bdn.top1_accuracy),
+        below(f"{fig}.binary_alexnet.top1", "binary_alexnet top-1", "least accurate",
+              pts["binary_alexnet"].top1_accuracy, 40, "{:.1f} %"),
+        below(f"{fig}.xnornet.top1", "xnornet top-1", "least accurate",
+              pts["xnornet"].top1_accuracy, 50, "{:.1f} %"),
+    ]
+    return out
 
 
-if __name__ == "__main__":
-    main()
+def sketch(data: list[ModelPoint]) -> str:
+    series = {p.model: [(p.latency_ms, p.top1_accuracy)] for p in data}
+    return ascii_scatter(
+        series, log_x=True, log_y=False, x_label="latency ms", y_label="top-1 %"
+    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.converter import convert
 from repro.core.types import Padding
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, below, equal, record
 from repro.hw.device import DeviceModel
 from repro.hw.latency import conv_cost, graph_latency
 from repro.zoo import binary_resnet18
@@ -128,32 +128,43 @@ def run_block_types(
     return results
 
 
-def main(device: str = "pixel1") -> None:
-    figure = "Figure 8" if device == "pixel1" else "Figure 14 (appendix)"
-    results = run(device)
-    rows = [
-        (r.variant, r.description, f"{r.latency_ms:.1f}",
-         r.n_bconv_bitpacked_out, r.n_fp_pointwise, r.n_adds)
-        for r in results
+#: shortcut blocks per kind in the binarized ResNet-18
+REGULAR_BLOCKS, DOWNSAMPLING_BLOCKS = 13, 3
+
+
+def claims(device: str = "pixel1", data: list[VariantResult] | None = None) -> list[Claim]:
+    fig, blk = ("F8", "F9") if device == "pixel1" else ("F14", "F14.blocks")
+    v = {r.variant: r for r in data or run(device)}
+    a, b, c = (v[x].latency_ms for x in VARIANTS)
+    per_regular = (b - c) / REGULAR_BLOCKS
+    per_downsample = (a - b) / DOWNSAMPLING_BLOCKS
+    out = [
+        record(f"{fig}.{r.variant}", f"{r.variant}: {r.description}", "",
+               f"{r.latency_ms:.1f} ms")
+        for r in v.values()
     ]
-    print(
-        format_table(
-            ["Variant", "Description", "latency ms",
-             "bitpacked-out bconvs", "fp pointwise", "adds"],
-            rows,
-            title=f"{figure}: shortcut ablation of binarized ResNet-18 on {device}",
-        )
-    )
-    print()
-    block_rows = [(b.block, f"{b.latency_ms:.3f}") for b in run_block_types(device)]
-    print(
-        format_table(
-            ["Block type (Figure 9)", "latency ms"],
-            block_rows,
-            title="Figure 9 block-type micro-benchmarks (28x28x128)",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+    out += [
+        Claim(f"{fig}.order", "latency by variant", "A > B > C", "A > B > C",
+              f"{a:.1f} / {b:.1f} / {c:.1f} ms", a > b > c),
+        below(f"{fig}.regular_cost", "B over C (regular-block shortcuts)", "small",
+              (b - c) / c, 0.15, "{:.1%}"),
+        Claim(f"{fig}.downsampling_cost", "per-block cost, downsampling vs regular",
+              "downsampling costs more", "downsampling > regular",
+              f"{per_downsample:.2f} vs {per_regular:.2f} ms", per_downsample > per_regular),
+        equal(f"{fig}.C.bitpacked", "C: bconvs writing bitpacked output",
+              "fully binary chains", v["C"].n_bconv_bitpacked_out, 15),
+        equal(f"{fig}.A.bitpacked", "A: bconvs writing bitpacked output", "",
+              v["A"].n_bconv_bitpacked_out, 0),
+    ]
+    blocks = run_block_types(device)
+    out += [
+        record(f"{blk}.{b.block.replace(' ', '_')}", f"block type (28x28x128): {b.block}",
+               "", f"{b.latency_ms:.3f} ms")
+        for b in blocks
+    ]
+    out.append(Claim(f"{blk}.order", "block-type latency",
+                     "no shortcut < regular < downsampling",
+                     "no shortcut < regular < downsampling",
+                     " / ".join(f"{b.latency_ms:.3f}" for b in blocks) + " ms",
+                     blocks[0].latency_ms < blocks[1].latency_ms < blocks[2].latency_ms))
+    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.converter import convert
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, record
 from repro.hw.device import DeviceModel
 from repro.hw.latency import graph_latency
 from repro.ptq import quantize_model
@@ -84,22 +84,17 @@ def run(device: str = "pixel1", input_size: int = 224) -> list[PrecisionResult]:
     return results
 
 
-def main(device: str = "pixel1") -> None:
-    results = run(device)
+def claims(device: str = "pixel1", data: list[PrecisionResult] | None = None) -> list[Claim]:
+    results = data or run(device)
     base = results[0].latency_ms
-    rows = [
-        (r.precision, f"{r.latency_ms:.1f}", f"{base / r.latency_ms:.1f}x",
-         f"{r.param_bytes / 1e6:.1f}MB")
-        for r in results
+    out = [
+        record(f"E2.{key}", f"ResNet-18 {r.precision}: latency (speedup), params", "",
+               f"{r.latency_ms:.1f} ms ({base / r.latency_ms:.1f}x), "
+               f"{r.param_bytes / 1e6:.1f} MB")
+        for key, r in zip(("float32", "int8", "binary", "hybrid"), results)
     ]
-    print(
-        format_table(
-            ["ResNet-18 precision", "latency ms", "speedup", "params"],
-            rows,
-            title=f"Extension: whole-model precision comparison on {device}",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+    ms = {r.precision: r.latency_ms for r in results}
+    binary, int8, fp = ms["binary (LCE)"], ms["int8 (PTQ)"], ms["float32"]
+    out.append(Claim("E2.order", "latency by precision", "", "binary < int8 < float32",
+                     f"{binary:.1f} / {int8:.1f} / {fp:.1f} ms", binary < int8 < fp))
+    return out

@@ -1,36 +1,98 @@
-"""Plain-text table formatting for experiment output."""
+"""Claim records and their rendering for experiment output.
+
+Every experiment states what it reproduces as :class:`Claim` rows: the
+paper's value, the band the simulated value must fall in, the simulated
+value and whether it does.  :func:`claim_table` renders them as the
+markdown rows EXPERIMENTS.md carries and the runner prints.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str | None = None
-) -> str:
-    """Render an aligned ASCII table."""
-    cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells[1:]:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+@dataclass(frozen=True)
+class Claim:
+    """One ledger row.  ``holds`` is ``None`` for a value recorded without
+    a band (``band == ""``)."""
+
+    id: str
+    quantity: str
+    paper: str
+    band: str
+    simulated: str
+    holds: bool | None = None
+
+    @property
+    def artifact(self) -> str:
+        """The experiment index id (``T2``, ``F10``, ...) the claim belongs to."""
+        return self.id.split(".", 1)[0]
+
+
+def record(id: str, quantity: str, paper: str, simulated: str) -> Claim:
+    """A simulated value the ledger pins without a band."""
+    return Claim(id, quantity, paper, "", simulated)
+
+
+def between(
+    id: str, quantity: str, paper: str, value: float, lo: float, hi: float,
+    fmt: str = "{:.1f}",
+) -> Claim:
+    """``lo <= value <= hi``."""
+    band = f"{fmt.format(lo)} to {fmt.format(hi)}"
+    return Claim(id, quantity, paper, band, fmt.format(value), lo <= value <= hi)
+
+
+def above(
+    id: str, quantity: str, paper: str, value: float, bound: float,
+    fmt: str = "{:.1f}",
+) -> Claim:
+    """``value > bound``."""
+    return Claim(id, quantity, paper, f"> {fmt.format(bound)}", fmt.format(value),
+                 value > bound)
+
+
+def below(
+    id: str, quantity: str, paper: str, value: float, bound: float,
+    fmt: str = "{:.1f}",
+) -> Claim:
+    """``value < bound``."""
+    return Claim(id, quantity, paper, f"< {fmt.format(bound)}", fmt.format(value),
+                 value < bound)
+
+
+def near(
+    id: str, quantity: str, paper: float, value: float, tol: float,
+    fmt: str = "{:.1f}", relative: bool = False,
+) -> Claim:
+    """``|value - paper| <= tol`` (``tol * paper`` when ``relative``)."""
+    width = tol * abs(paper) if relative else tol
+    band = (f"{fmt.format(paper)} ± {tol:.0%}" if relative
+            else f"{fmt.format(paper)} ± {tol:g}")
+    return Claim(id, quantity, fmt.format(paper), band, fmt.format(value),
+                 abs(value - paper) <= width)
+
+
+def equal(
+    id: str, quantity: str, paper: str, value, expected, fmt: str = "{}",
+) -> Claim:
+    """``value == expected``."""
+    return Claim(id, quantity, paper, f"= {fmt.format(expected)}", fmt.format(value),
+                 value == expected)
+
+
+HEADERS = ("Claim", "Quantity", "Paper", "Accepted", "Simulated", "Holds")
+
+
+def claim_table(claims: Sequence[Claim]) -> str:
+    """Markdown table of ``claims``, one row each."""
+    lines = ["| " + " | ".join(HEADERS) + " |", "|" + "---|" * len(HEADERS)]
+    for c in claims:
+        holds = "—" if c.holds is None else ("yes" if c.holds else "**no**")
+        cells = (c.id, c.quantity, c.paper or "—", c.band or "—", c.simulated, holds)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 100:
-            return f"{value:.0f}"
-        if abs(value) >= 1:
-            return f"{value:.2f}"
-        return f"{value:.4f}"
-    return str(value)
 
 
 def ascii_scatter(

@@ -1,78 +1,48 @@
-"""Run every experiment and print the paper's tables and figures.
+"""Run every experiment and print its ledger rows (and the figures' sketches).
 
 Usage::
 
     python -m repro.experiments.runner               # main text (pixel1/rpi4b)
     python -m repro.experiments.runner --appendix    # RPi 4B appendix variants
     python -m repro.experiments.runner --extensions  # beyond-the-paper extras
+
+The rows are the ones ``python -m repro.experiments.ledger`` writes into
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.experiments import (
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure7,
-    figure8,
-    figure10,
-    model_precision,
-    table1,
-    table2,
-    table3,
-    table4,
-    threading,
-)
+from repro.experiments.ledger import SECTIONS, results
+from repro.experiments.reporting import claim_table
+
+
+def _print(section: str) -> None:
+    for module, device, data in results(SECTIONS[section]):
+        claims = module.claims(device, data)
+        artifacts = " / ".join(dict.fromkeys(c.artifact for c in claims))
+        print(f"{artifacts} ({device or 'Cortex-A76'})")
+        print(claim_table(claims))
+        if hasattr(module, "sketch"):
+            print()
+            print(module.sketch(data))
+        print()
 
 
 def run_main_text() -> None:
     """The main-text artifacts (Pixel 1 unless stated otherwise)."""
-    table1.main()
-    print()
-    figure2.main("pixel1")
-    print()
-    figure3.main("pixel1")
-    print()
-    table2.main("pixel1")
-    print()
-    figure4.main("rpi4b")  # the paper measured Figure 4 on the RPi 4B
-    print()
-    figure5.main("pixel1")
-    print()
-    table3.main("pixel1")
-    print()
-    figure7.main("pixel1")
-    print()
-    figure8.main("pixel1")
-    print()
-    table4.main("rpi4b")  # Table 4 is RPi 4B single-threaded
-    print()
-    figure10.main("pixel1")
-
-
-def run_extensions() -> None:
-    """Beyond the paper: multi-threading and whole-model precision."""
-    threading.main("rpi4b")
-    print()
-    model_precision.main("pixel1")
+    _print("main")
 
 
 def run_appendix() -> None:
     """Appendix: the same experiments on the Raspberry Pi 4B."""
-    figure2.main("rpi4b")  # Figure 11
-    print()
-    figure3.main("rpi4b")  # Figure 12
-    print()
-    table2.main("rpi4b")  # Table 5
-    print()
-    figure7.main("rpi4b")  # Figure 13
-    print()
-    figure8.main("rpi4b")  # Figure 14
-    print()
-    figure10.main("rpi4b")  # Figure 15
+    _print("appendix")
+
+
+def run_extensions() -> None:
+    """Beyond the paper: multi-threading, whole-model precision, ablations."""
+    _print("extensions")
 
 
 if __name__ == "__main__":

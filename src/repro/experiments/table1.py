@@ -8,7 +8,7 @@ just over 78 MACs per cycle".
 
 from __future__ import annotations
 
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, equal, near
 from repro.hw import isa
 
 
@@ -25,31 +25,27 @@ def run() -> dict:
     }
 
 
-def main() -> None:
-    data = run()
-    rows = [
-        (
-            r["precision"],
-            " + ".join(r["sequence"]),
-            ", ".join(str(t) for t in r["instr_throughput"]),
-            f"{r['macs_per_cycle']:.2f}",
-        )
-        for r in data["rows"]
-    ]
-    print(
-        format_table(
-            ["Precision", "MAC instruction sequence", "Instr/cycle", "MACs/cycle"],
-            rows,
-            title="Table 1: MAC throughput with Neon SIMD (Cortex-A76 model)",
-        )
-    )
+def claims(device: str | None = None, data: dict | None = None) -> list[Claim]:
+    """Table 1's rows; the analysis models one core, so ``device`` is unused."""
+    data = data or run()
+    rows = {r["precision"]: r for r in data["rows"]}
     blk = data["binary_block"]
-    print(
-        f"\nBinary reference block: {blk['macs']} MACs / {blk['instructions']} "
-        f"instructions / {blk['cycles']:.0f} cycles = {blk['macs_per_cycle']:.2f} MACs/cycle "
-        "(paper: 1024 / 24 / 13 = 78.8)"
-    )
 
+    def mac(precision: str, paper: int) -> Claim:
+        seq = " + ".join(f"`{s}`" for s in rows[precision]["sequence"])
+        return equal(f"T1.{precision}", f"{precision} MACs/cycle ({seq})",
+                     str(paper), rows[precision]["macs_per_cycle"], paper, "{:.2f}")
 
-if __name__ == "__main__":
-    main()
+    return [
+        mac("float", 8),
+        mac("8-bit", 32),
+        near("T1.binary", "binary MACs/cycle (" + " + ".join(
+            f"`{s}`" for s in rows["binary"]["sequence"]) + ")",
+             78.77, rows["binary"]["macs_per_cycle"], 0.01, "{:.2f}"),
+        equal("T1.block_macs", "binary reference block: MACs", "1024",
+              blk["macs"], 1024),
+        equal("T1.block_instructions", "binary reference block: instructions",
+              "24", blk["instructions"], 24),
+        equal("T1.block_cycles", "binary reference block: cycles", "13",
+              blk["cycles"], 13, "{:.0f}"),
+    ]

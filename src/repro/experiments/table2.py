@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from repro.analysis.speedup import SpeedupStats, speedup_stats
 from repro.experiments import figure3
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, between, near, record
 
-#: paper-reported values for EXPERIMENTS.md comparisons
+#: paper-reported values
 PAPER_VALUES = {
     ("pixel1", "float32"): {"mean": 15.0, "weighted_mean": 15.1, "range": (8.5, 18.5)},
     ("pixel1", "int8"): {"mean": 10.8, "weighted_mean": 11.6, "range": (6.1, 13.4)},
@@ -50,22 +50,46 @@ def run(device: str = "pixel1") -> dict[str, SpeedupStats]:
     return {"1 vs. 32": vs_float, "1 vs. 8": vs_int8}
 
 
-def main(device: str = "pixel1") -> None:
-    stats = run(device)
-    table = "Table 2" if device == "pixel1" else "Table 5 (appendix)"
-    rows = [
-        (name, f"{s.mean:.1f}x", f"{s.weighted_mean:.1f}x",
-         f"{s.minimum:.1f}-{s.maximum:.1f}x")
-        for name, s in stats.items()
-    ]
-    print(
-        format_table(
-            ["Precision", "Mean", "Weighted mean", "Range"],
-            rows,
-            title=f"{table}: binarized convolution speedups on {device}",
-        )
-    )
+#: accepted bands: mean within ``tol`` of the paper, extremes in ``(lo, hi)``
+_BANDS = {
+    ("pixel1", "float32"): {"mean": 1.0, "minimum": (7.0, 10.0), "maximum": (16.5, 20.0)},
+    ("pixel1", "int8"): {"mean": 1.0},
+    ("rpi4b", "float32"): {"mean": 1.5},
+    ("rpi4b", "int8"): {"mean": 1.0},
+}
+
+_ROWS = {"1 vs. 32": ("vs32", "float32"), "1 vs. 8": ("vs8", "int8")}
 
 
-if __name__ == "__main__":
-    main()
+def claims(device: str = "pixel1", data: dict[str, SpeedupStats] | None = None) -> list[Claim]:
+    table = "T2" if device == "pixel1" else "T5"
+    data = data or run(device)
+    out = []
+    for name, s in data.items():
+        key, baseline = _ROWS[name]
+        paper = PAPER_VALUES[(device, baseline)]
+        bands = _BANDS[(device, baseline)]
+        out.append(near(f"{table}.{key}.mean", f"{name} mean speedup",
+                        paper["mean"], s.mean, bands["mean"], "{:.1f}x"))
+        out.append(record(f"{table}.{key}.weighted", f"{name} weighted mean",
+                          f"{paper['weighted_mean']:.1f}x", f"{s.weighted_mean:.1f}x"))
+        for stat, paper_value in zip(("minimum", "maximum"), paper["range"]):
+            cid, quantity = f"{table}.{key}.{stat[:3]}", f"{name} {stat}"
+            value = getattr(s, stat)
+            if stat in bands:
+                out.append(between(cid, quantity, f"{paper_value:.1f}x", value,
+                                   *bands[stat], fmt="{:.1f}x"))
+            else:
+                out.append(record(cid, quantity, f"{paper_value:.1f}x", f"{value:.1f}x"))
+    if device == "rpi4b":
+        # Paper: vs-float speedups are higher on the RPi, vs-int8 lower.
+        pixel = run("pixel1")
+        for name, (key, _) in _ROWS.items():
+            rpi, p1 = data[name].mean, pixel[name].mean
+            higher = key == "vs32"
+            out.append(Claim(f"{table}.{key}.vs_pixel1", f"{name} mean, RPi 4B vs Pixel 1",
+                             "higher" if higher else "lower",
+                             "RPi > Pixel 1" if higher else "RPi < Pixel 1",
+                             f"{rpi:.1f}x vs {p1:.1f}x",
+                             rpi > p1 if higher else rpi < p1))
+    return out

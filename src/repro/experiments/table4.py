@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.converter import convert
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, near
 from repro.graph.ir import Graph
 from repro.hw.device import DeviceModel
 from repro.hw.latency import GraphLatency, graph_latency
@@ -94,20 +94,18 @@ def run(device: str = "rpi4b") -> list[OpClassShare]:
     return quicknet_table4_rows(graph, graph_latency(dev, graph))
 
 
-def main(device: str = "rpi4b") -> None:
-    shares = run(device)
-    rows = [
-        (s.op_class, f"{s.share_percent:.2f}", f"{PAPER_SHARES.get(s.op_class, float('nan')):.2f}")
-        for s in shares
+#: ledger ids of the Table 4 rows, in PAPER_SHARES order
+_IDS = ("quantize", "bconv_accumulation", "bconv_transform", "fp_conv", "fp_add", "fp_other")
+
+
+def claims(device: str = "rpi4b", data: list[OpClassShare] | None = None) -> list[Claim]:
+    shares = {s.op_class: s.share_percent for s in data or run(device)}
+    out = [
+        near(f"T4.{key}", f"{op_class} latency %", paper, shares[op_class], 3.0, "{:.2f}")
+        for key, (op_class, paper) in zip(_IDS, PAPER_SHARES.items())
     ]
-    print(
-        format_table(
-            ["Operator", "Latency (%)", "paper (%)"],
-            rows,
-            title=f"Table 4: QuickNet operator latency shares on {device}",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+    add, transform = shares["Full precision Add"], shares[_BCONV_TRANSFORM]
+    out.append(Claim("T4.add_vs_transform", "fp Add vs bconv output transformation",
+                     "residual blocks pay for the Add", "Add > transformation",
+                     f"{add:.2f} vs {transform:.2f} %", add > transform))
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.converter import convert
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import Claim, above, record
 from repro.hw.device import DeviceModel
 from repro.hw.frameworks import FRAMEWORKS
 from repro.hw.latency import graph_latency
@@ -45,26 +45,22 @@ def run(device: str = "rpi4b", model_variant: str = "medium") -> list[ThreadingR
     return results
 
 
-def main(device: str = "rpi4b") -> None:
-    results = run(device)
+def claims(device: str = "rpi4b", data: list[ThreadingResult] | None = None) -> list[Claim]:
     by_fw: dict[str, dict[int, float]] = {}
-    for r in results:
+    for r in data or run(device):
         by_fw.setdefault(r.framework, {})[r.threads] = r.latency_ms
-    rows = [
-        (fw, *(f"{by_fw[fw][t]:.1f}" for t in THREAD_COUNTS),
-         f"{by_fw[fw][1] / by_fw[fw][max(THREAD_COUNTS)]:.2f}x")
-        for fw in by_fw
+    threads = "/".join(str(t) for t in THREAD_COUNTS)
+    out = [
+        record(f"E1.{fw}", f"QuickNet on {fw}, {threads} threads", "",
+               " / ".join(f"{ms[t]:.1f}" for t in THREAD_COUNTS) + " ms")
+        for fw, ms in by_fw.items()
     ]
-    print(
-        format_table(
-            ["Engine", *(f"{t} thread{'s' if t > 1 else ''} (ms)" for t in THREAD_COUNTS),
-             "scaling"],
-            rows,
-            title=f"Extension: QuickNet multi-threaded inference on {device} "
-            "(DaBNN is single-threaded by design)",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+    lce, dabnn = by_fw["lce"], by_fw["dabnn"]
+    top = max(THREAD_COUNTS)
+    out += [
+        above("E1.lce_scaling", f"LCE 1 / {top} threads", "inherits Ruy threading",
+              lce[1] / lce[top], 2.0, "{:.2f}x"),
+        Claim("E1.dabnn_flat", f"DaBNN 1 vs {top} threads", "single-threaded",
+              "equal", f"{dabnn[1]:.1f} vs {dabnn[top]:.1f} ms", dabnn[top] == dabnn[1]),
+    ]
+    return out

@@ -1,251 +1,167 @@
-"""Experiment-level regression tests: the paper's shape must hold.
+"""The evaluation ledger: the paper's shape must hold, and EXPERIMENTS.md
+must say so.
 
-These tests pin down the qualitative claims of each table/figure — who
-wins, by roughly what factor, where crossovers fall — against the
-calibrated device model.  If a refactor of the latency model breaks one of
-these, the reproduction no longer tells the paper's story.
+Every experiment runs once per session (``repro.experiments.ledger``'s
+``collect``).  EXPERIMENTS.md's tables must equal a fresh render of the
+claims — which pins every simulated value the document prints — and every
+claim must hold.  The classes below name, per paper artifact, the claims
+each used to assert on its own; the bands live with the claims in the
+experiment modules.
 """
 
 from __future__ import annotations
 
+import difflib
+from fnmatch import fnmatch
+
 import pytest
 
-from repro.experiments import (
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure7,
-    figure8,
-    figure10,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from repro.experiments import ledger
 
 
 @pytest.fixture(scope="module")
-def fig7_pixel1():
-    return figure7.run("pixel1")
+def claims():
+    return ledger.collect()
+
+
+def test_experiments_md_is_a_fresh_render(claims):
+    committed = ledger.EXPERIMENTS_MD.read_text()
+    fresh = ledger.render(committed, claims)
+    diff = difflib.unified_diff(committed.splitlines(), fresh.splitlines(),
+                                "committed", "fresh", lineterm="")
+    assert fresh == committed, "run python -m repro.experiments.ledger:\n" + "\n".join(diff)
+
+
+def test_every_claim_holds(claims):
+    assert [c for c in claims if c.holds is False] == []
+
+
+def _holds(claims, *patterns):
+    """Every claim whose id matches one of ``patterns`` has a band and holds;
+    each pattern matches at least one claim."""
+    for pattern in patterns:
+        matched = [c for c in claims if fnmatch(c.id, pattern)]
+        assert matched, f"no claim matches {pattern!r}"
+        for c in matched:
+            assert c.holds is True, c
 
 
 class TestTable1:
-    def test_matches_paper(self):
-        data = table1.run()
-        by_precision = {r["precision"]: r["macs_per_cycle"] for r in data["rows"]}
-        assert by_precision["float"] == 8
-        assert by_precision["8-bit"] == 32
-        assert by_precision["binary"] == pytest.approx(78.77, abs=0.01)
-        assert data["binary_block"]["cycles"] == 13
-        assert data["binary_block"]["instructions"] == 24
+    def test_matches_paper(self, claims):
+        _holds(claims, "T1.*")
 
 
 class TestFigure2:
-    def test_pixel1_speedup_pattern(self):
-        results = {r.label: r for r in figure2.run("pixel1")}
-        # Paper: 12x for A up to over 17x for D; 9-12x vs int8.
-        assert 11 <= results["A"].speedup_vs_float <= 14
-        assert 16 <= results["D"].speedup_vs_float <= 19
-        for r in results.values():
-            assert 8 <= r.speedup_vs_int8 <= 13
+    def test_pixel1_speedup_pattern(self, claims):
+        _holds(claims, "F2.A.vs_float", "F2.D.vs_float", "F2.*.vs_int8")
 
-    def test_speedup_grows_with_channels(self):
-        r = {x.label: x for x in figure2.run("pixel1")}
-        assert r["A"].speedup_vs_float < r["C"].speedup_vs_float
+    def test_speedup_grows_with_channels(self, claims):
+        _holds(claims, "F2.grows")
 
-    def test_rpi4b_pattern(self):
-        results = {r.label: r for r in figure2.run("rpi4b")}
-        # Paper Figure 11: 14x (A) to over 20x (D) vs float; 6-10x vs int8.
-        assert 12.5 <= results["A"].speedup_vs_float <= 16
-        assert 18.5 <= results["D"].speedup_vs_float <= 23
-        for r in results.values():
-            assert 5 <= r.speedup_vs_int8 <= 11
+    def test_rpi4b_pattern(self, claims):
+        _holds(claims, "F11.A.vs_float", "F11.D.vs_float", "F11.*.vs_int8")
 
 
 class TestFigure3:
-    def test_loglog_slope_near_one(self):
-        fits = figure3.run("pixel1")["fits"]
-        for precision, fit in fits.items():
-            assert 0.9 <= fit.slope <= 1.1, precision
-            assert fit.r_squared > 0.95
+    def test_loglog_slope_near_one(self, claims):
+        _holds(claims, "F3.*.slope", "F3.*.r2")
 
-    def test_sweep_size(self):
-        points = figure3.run("pixel1")["points"]
-        assert all(len(p) == 6 * 4 * 2 for p in points.values())
+    def test_sweep_size(self, claims):
+        _holds(claims, "F3.points")
 
-    def test_float_latency_spans_paper_range(self):
-        pts = figure3.run("pixel1")["points"]["float32"]
-        ms = [p.latency_ms for p in pts]
-        # Paper: "floating point latency on a Pixel 1 ranges ... to over 850 ms".
-        assert min(ms) < 0.2
-        assert max(ms) > 700
+    def test_float_latency_spans_paper_range(self, claims):
+        _holds(claims, "F3.float_min", "F3.float_max")
 
 
 class TestTable2:
-    def test_pixel1_within_paper_band(self):
-        stats = table2.run("pixel1")
-        vs32 = stats["1 vs. 32"]
-        assert vs32.mean == pytest.approx(15.0, abs=1.0)
-        assert 7.0 <= vs32.minimum <= 10.0
-        assert 16.5 <= vs32.maximum <= 20.0
-        vs8 = stats["1 vs. 8"]
-        assert vs8.mean == pytest.approx(10.8, abs=1.0)
+    def test_pixel1_within_paper_band(self, claims):
+        _holds(claims, "T2.vs32.mean", "T2.vs32.min", "T2.vs32.max", "T2.vs8.mean")
 
-    def test_rpi4b_within_paper_band(self):
-        stats = table2.run("rpi4b")
-        vs32 = stats["1 vs. 32"]
-        assert vs32.mean == pytest.approx(17.5, abs=1.5)
-        vs8 = stats["1 vs. 8"]
-        assert vs8.mean == pytest.approx(8.3, abs=1.0)
+    def test_rpi4b_within_paper_band(self, claims):
+        _holds(claims, "T5.vs32.mean", "T5.vs8.mean")
 
-    def test_rpi_float_speedup_higher_int8_lower(self):
-        """Paper: vs-float speedups are higher on the RPi, vs-int8 lower."""
-        p1 = table2.run("pixel1")
-        rpi = table2.run("rpi4b")
-        assert rpi["1 vs. 32"].mean > p1["1 vs. 32"].mean
-        assert rpi["1 vs. 8"].mean < p1["1 vs. 8"].mean
+    def test_rpi_float_speedup_higher_int8_lower(self, claims):
+        _holds(claims, "T5.*.vs_pixel1")
 
 
 class TestFigure4:
-    def test_lce_fastest_per_conv(self):
-        by_label = {}
-        for r in figure4.run_convs("rpi4b"):
-            by_label.setdefault(r.label, {})[r.framework] = r.latency_ms
-        for label, vals in by_label.items():
-            assert vals["lce"] < vals["dabnn"], label
-            assert vals["lce"] < vals["tvm"], label
+    def test_lce_fastest_per_conv(self, claims):
+        _holds(claims, "F4.*.lce_fastest")
 
-    def test_birealnet_anchors(self):
-        e2e = figure4.run_birealnet("rpi4b")
-        # Paper: LCE 86.8 ms, DaBNN 119.8 ms.
-        assert e2e["lce"] == pytest.approx(86.8, rel=0.1)
-        assert e2e["dabnn"] == pytest.approx(119.8, rel=0.15)
-        assert e2e["dabnn"] / e2e["lce"] == pytest.approx(1.38, abs=0.2)
+    def test_birealnet_anchors(self, claims):
+        _holds(claims, "F4.birealnet.lce", "F4.birealnet.dabnn", "F4.birealnet.ratio")
 
-    def test_tvm_fallback_dominates(self):
-        e2e = figure4.run_birealnet("rpi4b")
-        assert e2e["tvm (with first-layer fallback)"] > 800
+    def test_tvm_fallback_dominates(self, claims):
+        _holds(claims, "F4.birealnet.tvm")
 
 
 class TestFigure5:
-    @pytest.fixture(scope="class")
-    def profiles(self):
-        return {p.model: p for p in figure5.run("pixel1")}
+    def test_quicknet_most_binary(self, claims):
+        _holds(claims, "F5.most_binary")
 
-    def test_quicknet_most_binary(self, profiles):
-        qnl = profiles["quicknet_large"]
-        assert qnl.binary_fraction > profiles["binarydensenet28"].binary_fraction
-        assert qnl.binary_fraction > profiles["realtobinarynet"].binary_fraction
+    def test_first_layer_impact(self, claims):
+        _holds(claims, "F5.*.first_layer")
 
-    def test_first_layer_impact(self, profiles):
-        """Paper: significant first-layer impact in BDN and R2B; QuickNet
-        greatly improves it."""
-        assert profiles["binarydensenet28"].first_layer_fraction > 0.15
-        assert profiles["realtobinarynet"].first_layer_fraction > 0.15
-        assert profiles["quicknet_large"].first_layer_fraction < 0.10
-
-    def test_quicknet_fastest(self, profiles):
-        assert profiles["quicknet_large"].total_ms < profiles["binarydensenet28"].total_ms
+    def test_quicknet_fastest(self, claims):
+        _holds(claims, "F5.quicknet_faster")
 
 
 class TestTable3:
-    def test_configs_and_ordering(self):
-        rows = {r.variant: r for r in table3.run("pixel1")}
-        assert rows["small"].layers == (4, 4, 4, 4)
-        assert rows["large"].layers == (6, 8, 12, 6)
-        assert rows["small"].latency_ms < rows["medium"].latency_ms < rows["large"].latency_ms
-        assert rows["small"].eval_accuracy < rows["medium"].eval_accuracy < rows["large"].eval_accuracy
+    def test_configs_and_ordering(self, claims):
+        _holds(claims, "T3.*.config", "T3.latency_order", "T3.accuracy_order")
 
-    def test_model_sizes_small(self):
-        # ~4-6 MB converted models: binarization keeps them tiny.
-        for r in table3.run("pixel1"):
-            assert r.model_size_bytes < 8e6
+    def test_model_sizes_small(self, claims):
+        _holds(claims, "T3.*.size")
 
 
 class TestFigure7:
-    def test_quicknets_on_pareto_front(self, fig7_pixel1):
-        front = figure7.pareto_front(fig7_pixel1)
-        assert "quicknet_small" in front
-        assert "quicknet" in front
-        assert "quicknet_large" in front
+    def test_quicknets_on_pareto_front(self, claims):
+        _holds(claims, "F7.front")
 
-    def test_densenets_dominated(self, fig7_pixel1):
-        """BinaryDenseNet/MeliusNet trade accuracy against worse latency and
-        do not advance the front."""
-        front = figure7.pareto_front(fig7_pixel1)
-        assert "binarydensenet28" not in front
-        assert "meliusnet22" not in front
+    def test_densenets_dominated(self, claims):
+        _holds(claims, "F7.dominated")
 
-    def test_quicknet_large_beats_densenet_both_axes(self, fig7_pixel1):
-        pts = {p.model: p for p in fig7_pixel1}
-        qnl, bdn = pts["quicknet_large"], pts["binarydensenet45"]
-        assert qnl.latency_ms < bdn.latency_ms
-        assert qnl.top1_accuracy > bdn.top1_accuracy
+    def test_quicknet_large_beats_densenet_both_axes(self, claims):
+        _holds(claims, "F7.qnl_vs_bdn45")
 
-    def test_alexnet_era_models_least_accurate(self, fig7_pixel1):
-        pts = {p.model: p for p in fig7_pixel1}
-        assert pts["binary_alexnet"].top1_accuracy < 40
-        assert pts["xnornet"].top1_accuracy < 50
+    def test_alexnet_era_models_least_accurate(self, claims):
+        _holds(claims, "F7.*.top1")
 
 
 class TestFigure8:
-    def test_shortcut_cost_ordering(self):
-        results = {r.variant: r for r in figure8.run("pixel1")}
-        assert results["A"].latency_ms > results["B"].latency_ms > results["C"].latency_ms
+    def test_shortcut_cost_ordering(self, claims):
+        _holds(claims, "F8.order")
 
-    def test_regular_shortcut_cost_small(self):
-        """Paper: the latency impact of regular-block shortcuts is small."""
-        results = {r.variant: r for r in figure8.run("pixel1")}
-        relative = (results["B"].latency_ms - results["C"].latency_ms) / results["C"].latency_ms
-        assert relative < 0.15
+    def test_regular_shortcut_cost_small(self, claims):
+        _holds(claims, "F8.regular_cost")
 
-    def test_downsample_shortcut_costs_more_per_block(self):
-        results = {r.variant: r for r in figure8.run("pixel1")}
-        per_regular = (results["B"].latency_ms - results["C"].latency_ms) / 13
-        per_downsample = (results["A"].latency_ms - results["B"].latency_ms) / 3
-        assert per_downsample > per_regular
+    def test_downsample_shortcut_costs_more_per_block(self, claims):
+        _holds(claims, "F8.downsampling_cost")
 
-    def test_variant_c_fully_chains(self):
-        results = {r.variant: r for r in figure8.run("pixel1")}
-        assert results["C"].n_bconv_bitpacked_out == 15
-        assert results["A"].n_bconv_bitpacked_out == 0
+    def test_variant_c_fully_chains(self, claims):
+        _holds(claims, "F8.*.bitpacked")
 
-    def test_block_type_microbench_ordering(self):
-        blocks = {b.block: b.latency_ms for b in figure8.run_block_types("pixel1")}
-        assert blocks["no shortcut"] < blocks["regular shortcut"] < blocks["downsampling shortcut"]
+    def test_block_type_microbench_ordering(self, claims):
+        _holds(claims, "F9.order")
 
 
 class TestTable4:
-    def test_shares_match_paper_within_tolerance(self):
-        shares = {s.op_class: s.share_percent for s in table4.run("rpi4b")}
-        for op_class, paper_value in table4.PAPER_SHARES.items():
-            assert shares[op_class] == pytest.approx(paper_value, abs=3.0), op_class
+    def test_shares_match_paper_within_tolerance(self, claims):
+        _holds(claims, "T4.quantize", "T4.bconv_*", "T4.fp_*")
 
-    def test_add_cost_exceeds_output_transform(self):
-        """The paper's Section 5.2 conclusion: the extra cost of residual
-        blocks comes from the full-precision Add, not the output transform."""
-        shares = {s.op_class: s.share_percent for s in table4.run("rpi4b")}
-        assert shares["Full precision Add"] > shares["LceBConv2d (output transformation)"]
+    def test_add_cost_exceeds_output_transform(self, claims):
+        _holds(claims, "T4.add_vs_transform")
 
 
 class TestFigure10:
-    @pytest.fixture(scope="class")
-    def data(self):
-        return figure10.run("pixel1")
+    def test_family_fits_tight(self, claims):
+        _holds(claims, "F10.*.r2")
 
-    def test_family_fits_tight(self, data):
-        for fam, fit in data["family_fits"].items():
-            assert fit.r_squared > 0.9, fam
+    def test_alexnet_above_global_fit(self, claims):
+        _holds(claims, "F10.binary_alexnet.vs_fit")
 
-    def test_alexnet_above_global_fit(self, data):
-        """The paper's outlier: AlexNet is slower than its eMACs suggest."""
-        assert data["deviations"]["binary_alexnet"] > 1.05
+    def test_quicknet_below_global_fit(self, claims):
+        _holds(claims, "F10.quicknet_large.vs_fit")
 
-    def test_quicknet_below_global_fit(self, data):
-        assert data["deviations"]["quicknet_large"] < 1.0
-
-    def test_cross_family_spread_exceeds_within_family(self, data):
-        devs = data["deviations"]
-        spread = max(devs.values()) / min(devs.values())
-        assert spread > 1.3  # MACs are not a uniform cross-architecture proxy
+    def test_cross_family_spread_exceeds_within_family(self, claims):
+        _holds(claims, "F10.spread")

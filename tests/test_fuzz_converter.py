@@ -1,9 +1,11 @@
 """Property-based fuzzing of the converter.
 
 Generates random mixed binary/full-precision networks — random layer
-kinds, paddings, layer orders, shortcut placements — and checks the
-converter's core contract on every one: the optimized inference graph
-computes the same function as the training graph.
+kinds, paddings, strides, layer orders, shortcut placements, channel
+counts with a partial tail word — and checks the converter's core
+contract on every one: the optimized inference graph computes the same
+function as the training graph, and a compiled plan computes it bit for
+bit like the reference ``Executor``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
 from repro.kernels.batchnorm import BatchNormParams
+from repro.runtime import Engine
 
 
 def _random_bn(rng, c):
@@ -33,7 +36,7 @@ def random_network(draw):
     """A random-but-valid training graph plus a matching input tensor."""
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
-    channels = draw(st.sampled_from([8, 16, 24]))
+    channels = draw(st.sampled_from([8, 16, 24, 40]))  # 40: a partial tail word
     size = draw(st.integers(6, 10))
     n_blocks = draw(st.integers(1, 4))
     block_specs = [
@@ -42,6 +45,7 @@ def random_network(draw):
             "padding": draw(
                 st.sampled_from([Padding.SAME_ONE, Padding.SAME_ZERO])
             ),
+            "stride": draw(st.sampled_from([1, 2])),
             "relu": draw(st.booleans()),
             "bn_first": draw(st.booleans()),
             "shortcut": draw(st.booleans()),
@@ -54,11 +58,13 @@ def random_network(draw):
     x = b.input
     cur_size = size
     for spec in block_specs:
+        stride = spec["stride"] if cur_size >= 4 else 1
         if spec["kind"] == "binary":
             h = b.binarize(x)
             h = b.conv2d(
                 h,
                 rng.choice([-1.0, 1.0], (3, 3, channels, channels)).astype(np.float32),
+                stride=stride,
                 padding=spec["padding"],
                 binary_weights=True,
             )
@@ -67,6 +73,7 @@ def random_network(draw):
                 x,
                 rng.standard_normal((3, 3, channels, channels)).astype(np.float32)
                 * 0.2,
+                stride=stride,
                 padding=Padding.SAME_ZERO,
             )
         if spec["bn_first"]:
@@ -77,9 +84,10 @@ def random_network(draw):
             if spec["relu"]:
                 h = b.relu(h)
             h = b.batch_norm(h, _random_bn(rng, channels))
-        if spec["shortcut"]:
+        if spec["shortcut"] and stride == 1:
             h = b.add(h, x)
         x = h
+        cur_size = -(-cur_size // stride)
         if spec["pool_after"] and cur_size >= 4:
             x = b.maxpool2d(x, 2, 2)
             cur_size //= 2
@@ -99,6 +107,21 @@ class TestConverterFuzz:
         model.graph.verify()
         after = Executor(model.graph).run(x)
         np.testing.assert_allclose(after, before, rtol=1e-3, atol=1e-3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=random_network())
+    def test_plan_matches_executor(self, case):
+        """Engine vs per-image Executor runs, bit for bit, at batch 1 and 3."""
+        graph, x = case
+        model = convert(graph)
+        executor = Executor(model.graph)
+        with Engine(model) as engine:
+            for factor in (1, 3):
+                batch = np.concatenate([x * s for s in (1.0, -0.5, 2.0)[:factor]])
+                expected = np.concatenate([executor.run(row[None]) for row in batch])
+                got = engine.run(batch)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
 
     @settings(max_examples=20, deadline=None)
     @given(case=random_network())

@@ -1,28 +1,20 @@
-"""Bench §3.1: binary weight compression in the serialized model file."""
+"""§3.1: binary weight compression in the serialized model file."""
 
 from __future__ import annotations
-
-from conftest import run_once
 
 from repro.converter import convert
 from repro.graph.serialization import save_model
 from repro.zoo import quicknet
 
 
-def _measure(tmp_path):
+def test_model_file_compression(tmp_path):
     training_graph = quicknet("small", input_size=64)
     training_size = save_model(training_graph, tmp_path / "training.lce")
     model = convert(training_graph)
     converted_size = save_model(model.graph, tmp_path / "converted.lce")
-    return training_size, converted_size, model
-
-
-def test_model_file_compression(benchmark, tmp_path, capsys):
-    training_size, converted_size, model = run_once(benchmark, _measure, tmp_path)
-    ratio = training_size / converted_size
     # The binary conv weights shrink exactly 32x; overall factor depends on
     # the fp fraction (stem, transitions, classifier head).
-    assert ratio > 10
+    assert training_size / converted_size > 10
     # Per-buffer exactness: every packed filter is 32x its latent weights.
     for node in model.graph.ops_by_type("lce_bconv2d"):
         kh = node.attrs["kernel_h"]
@@ -35,9 +27,3 @@ def test_model_file_compression(benchmark, tmp_path, capsys):
         assert node.params["filter_bits"].nbytes == packed_bytes
         if cin % 64 == 0:
             assert float_bytes == 32 * packed_bytes
-    with capsys.disabled():
-        print(
-            f"\nModel file: training graph {training_size / 1e6:.2f} MB -> "
-            f"converted {converted_size / 1e6:.2f} MB ({ratio:.1f}x smaller; "
-            "binary weight buffers exactly 32x)"
-        )

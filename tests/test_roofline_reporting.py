@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import ascii_scatter, format_table
+from repro.experiments.reporting import ascii_scatter
 from repro.hw.device import DeviceModel
 from repro.hw.roofline import conv_roofline, intensity_advantage
 
@@ -40,19 +40,6 @@ class TestRoofline:
         points = conv_roofline(dev, 28, 28, 128)
         # The faster the kernel, the more intensity it needs to stay fed.
         assert points["binary"].balance_point(dev) > points["float32"].balance_point(dev)
-
-
-class TestFormatTable:
-    def test_alignment(self):
-        text = format_table(["a", "bb"], [("x", 1.0), ("yy", 22.5)], title="t")
-        lines = text.split("\n")
-        assert lines[0] == "t"
-        assert len({len(l) for l in lines[1:]}) <= 2  # header/sep/rows align
-
-    def test_float_formatting(self):
-        text = format_table(["v"], [(0.12345,), (123.456,), (12.3,)])
-        assert "0.1234" in text or "0.1235" in text
-        assert "123" in text
 
 
 class TestAsciiScatter:

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import dataflow
 from repro.converter import convert
 from repro.core.bconv2d import BConv2DParams, pack_filters, zero_padding_correction
 from repro.core.bitpack import PackedTensor, pack_bits
@@ -37,8 +38,9 @@ from repro.core.output_transform import compute_output_thresholds
 from repro.core.types import Activation, Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
-from repro.graph.ir import Graph, TensorSpec
+from repro.graph.ir import Graph, GraphError, TensorSpec
 from repro.kernels.batchnorm import BatchNormParams
+from repro.kernels.bound import BoundDense
 from repro.ptq import quantize_model
 from repro.obs import Tracer
 from repro.runtime import Engine, compile_plan
@@ -410,21 +412,39 @@ def test_a_wrong_padding_correction_is_a_mismatch(rng, monkeypatch):
     assert _mismatches_the_executor(graph, rng)
 
 
-def test_a_stray_channel_padding_bit_is_a_mismatch(rng):
-    """The Executor decodes only a filter's ``in_channels`` signs: a bit set
-    in the channel padding of a ``cin = 40`` filter's tail word reaches
-    only the plan's XOR-popcount, and parity reports it."""
+def _cin40_bconv_net(rng):
     b = GraphBuilder((1, 6, 6, 40))
     y = b.binarize(b.input)
     y = b.conv2d(y, rng.standard_normal((3, 3, 40, 8)).astype(np.float32),
                  binary_weights=True)
-    graph = convert(b.finish(y)).graph
-    assert not _mismatches_the_executor(graph, rng)
+    return convert(b.finish(y)).graph
+
+
+def _set_stray_padding_bit(graph):
     conv = next(n for n in graph.nodes if n.op == "lce_bconv2d")
     bits = conv.params["filter_bits"].copy()
     bits.view(np.uint8)[2, 6] |= 1  # filter 2, tap 0, channel 55 of 40
     conv.params["filter_bits"] = bits
+
+
+def test_a_stray_channel_padding_bit_is_a_mismatch(rng, monkeypatch):
+    """The Executor decodes only a filter's ``in_channels`` signs: a bit set
+    in the channel padding of a ``cin = 40`` filter's tail word reaches
+    only the plan's XOR-popcount, and parity reports it (with G003's
+    padding-bit check, which rejects the graph first, switched off)."""
+    graph = _cin40_bconv_net(rng)
+    assert not _mismatches_the_executor(graph, rng)
+    _set_stray_padding_bit(graph)
+    monkeypatch.setattr(dataflow, "_stray_padding_bits", lambda *args: False)
     assert _mismatches_the_executor(graph, rng)
+
+
+def test_a_stray_channel_padding_bit_fails_validation(rng):
+    """G003 rejects the same graph before any kernel runs."""
+    graph = _cin40_bconv_net(rng)
+    _set_stray_padding_bit(graph)
+    with pytest.raises(GraphError, match=r"G003.*channel-padding bits"):
+        graph.validate()
 
 
 @pytest.mark.parametrize("factor", [1, 3])
@@ -484,6 +504,9 @@ FAST_ZOO = ("quicknet_small", "birealnet18", "binarydensenet28")
 def _zoo_engine_case(model_name, factor, rng):
     size = ZOO_INPUT_SIZE.get(model_name, 32)
     model = convert(build_model(model_name, input_size=size))
+    # The softmax saturates on random weights: compare its logits too.
+    softmax = next(n for n in reversed(model.graph.nodes) if n.op == "softmax")
+    model.graph.outputs.append(softmax.inputs[0])
     x = _batched_input(model.graph, factor, rng)
     expected = reference_outputs(model.graph, (x,), factor)
     with Engine(model, max_batch_size=8) as engine:
@@ -491,6 +514,26 @@ def _zoo_engine_case(model_name, factor, rng):
         # The second run hits the plan cache; parity must survive reuse.
         assert_bit_identical(engine.run(x), expected)
         assert engine.stats().plan_cache_hits >= 1
+
+
+def test_zoo_parity_sees_a_non_top_logit(rng, monkeypatch):
+    """A plan whose classifier moves each row's lowest logit leaves the
+    saturated softmax unchanged; the logits output reports it."""
+    bind = BoundDense.bind
+
+    def perturbed_bind(self, workspace):
+        run = bind(self, workspace)
+
+        def perturbed(x):
+            out = run(x)
+            out[np.arange(len(out)), out.argmin(axis=-1)] += 1.0
+            return out
+
+        return perturbed
+
+    monkeypatch.setattr(BoundDense, "bind", perturbed_bind)
+    with pytest.raises(AssertionError):
+        _zoo_engine_case("quicknet_small", factor=1, rng=rng)
 
 
 @pytest.mark.parametrize("model_name", FAST_ZOO)
