@@ -10,7 +10,7 @@ renders the same table for humans.
 
 Severity semantics: an ``ERROR`` means the graph/source violates a
 correctness contract and enforcement points (``Graph.validate``,
-``PassManager.run``, ``make check``) must reject it; a ``WARNING`` flags a
+``run_passes``, ``make check``) must reject it; a ``WARNING`` flags a
 legal-but-slow or suspicious construct (e.g. the grouped repack fallback)
 and never fails a gate.
 """

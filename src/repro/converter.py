@@ -1,16 +1,23 @@
-"""Training-graph to inference-model conversion."""
+"""The LCE converter: one API endpoint, like the PyPI package's converter.
+
+:func:`convert` maps a *training graph* (float-emulated binarized ops, as
+built by :mod:`repro.training.layers` or :mod:`repro.zoo`) to an optimized
+*inference graph* with true LCE operators, fused transforms and bitpacked
+weights — the role the paper's MLIR-based converter plays (Section 3.1).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro.graph.ir import Graph
-from repro.graph.passes import default_pipeline
+from repro.graph.passes import run_passes
 
 
 @dataclass(frozen=True)
 class ConversionReport:
-    """What the pass pipeline did to the graph."""
+    """What the pass pipeline did to the graph (``pass_changes``: 1 for each
+    pass that changed it, else 0)."""
 
     nodes_before: int
     nodes_after: int
@@ -41,11 +48,13 @@ class ConvertedModel:
 def convert(training_graph: Graph) -> ConvertedModel:
     """Convert a training graph into an optimized LCE inference model.
 
-    Runs the default pass pipeline: emulated binarized convolutions become
-    ``LceBConv2d`` with bitpacked weights; batch norms and activations fuse
-    into the preceding ops; MaxPools move behind binarization; back-to-back
-    binarized convolutions exchange bitpacked data via precomputed
-    thresholds; dead emulation ops are removed.
+    Runs :data:`repro.graph.passes.PASSES` once each, in dependency order:
+    emulated binarized convolutions become ``LceBConv2d`` with bitpacked
+    weights; dead emulation ops are removed; batch norms and activations
+    fuse into the preceding ops; MaxPools move behind binarization;
+    back-to-back binarized convolutions exchange bitpacked data via
+    precomputed thresholds.  The graph is validated on entry and after
+    every pass, so the last pass's check is the result's.
 
     The passes run on ``training_graph.copy()``, so the input is never
     mutated: its structure is copied and its parameter arrays are shared
@@ -60,8 +69,7 @@ def convert(training_graph: Graph) -> ConvertedModel:
     graph.validate()
     nodes_before = len(graph)
     bytes_before = graph.param_nbytes()
-    changes = default_pipeline().run(graph)
-    graph.validate()
+    changes = run_passes(graph)
     report = ConversionReport(
         nodes_before=nodes_before,
         nodes_after=len(graph),

@@ -26,7 +26,6 @@ from repro.core.bconv2d import (
     BConv2DParams,
     BoundBConv2D,
     PackedFilters,
-    bconv2d,
     pack_filters,
     reserve_bconv2d_workspace,
     unpack_filters,
@@ -40,7 +39,7 @@ from repro.core.indirection import (
     indirection_cache_stats,
 )
 from repro.core.workspace import Workspace
-from repro.core.bgemm import bgemm, bgemm_blocked, bgemm_reference
+from repro.core.bgemm import bgemm_blocked, bgemm_reference
 from repro.core.bitpack import (
     WORD_BITS,
     PackedTensor,
@@ -81,8 +80,6 @@ __all__ = [
     "Workspace",
     "accumulators_to_bitpacked",
     "accumulators_to_float",
-    "bconv2d",
-    "bgemm",
     "bgemm_blocked",
     "bgemm_reference",
     "bmaxpool2d",

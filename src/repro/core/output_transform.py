@@ -81,6 +81,10 @@ def accumulators_to_float(
     return apply_transform(acc, mult, b, activation, scale_before_activation)
 
 
+#: Transform values evaluated at once by :func:`compute_output_thresholds`.
+_BLOCK_ELEMENTS = 1 << 20
+
+
 @dataclass(frozen=True)
 class OutputThresholds:
     """Per-channel integer thresholds for the bitpacked output path.
@@ -114,46 +118,40 @@ def compute_output_thresholds(
     monotone in the accumulator for every supported activation (ReLU-family
     are non-decreasing; an affine with negative multiplier flips direction),
     so an exact per-channel threshold exists.  We find it by evaluating the
-    transform on the full accumulator range — exact by construction, no
-    closed-form case analysis to get wrong.
+    transform on the full accumulator range and counting the negative
+    outputs — exact by construction, no closed-form case analysis to get
+    wrong.
     """
     if depth <= 0:
         raise ValueError(f"depth must be positive, got {depth}")
     mult_v = broadcast_channel(multiplier, channels, 1.0)
     bias_v = broadcast_channel(bias, channels, 0.0)
-
-    # All integers in [-depth, depth], descending.  One-padded accumulators
-    # only take values of depth's parity, but the zero-padding correction
-    # shifts them off-parity, so the full integer grid is evaluated.
-    grid = (depth - np.arange(2 * depth + 1, dtype=np.int64)).astype(np.int32)
-    # (depth+1, channels) transformed values.
-    y = apply_transform(
-        grid[:, None], mult_v[None, :], bias_v[None, :], activation, scale_before_activation
-    )
-    negative = y < 0  # output bit would be 1
     flip = mult_v < 0
 
-    threshold = np.empty(channels, dtype=np.int32)
-    # grid is descending: grid[0]=depth ... grid[-1]=-depth.
-    for c in range(channels):
-        neg = negative[:, c]
-        if not flip[c]:
-            # Non-decreasing in acc => negatives occupy the low-acc suffix of
-            # the descending grid.  bit = acc < T with T = smallest acc whose
-            # transform is >= 0... i.e. one above the largest negative acc.
-            idx = np.nonzero(neg)[0]
-            if idx.size == 0:
-                threshold[c] = -depth - 1  # never below => all bits 0
-            else:
-                threshold[c] = grid[idx[0]] + 1
-        else:
-            # Decreasing => negatives occupy the high-acc prefix.
-            # bit = acc > T with T = largest acc whose transform is >= 0.
-            idx = np.nonzero(neg)[0]
-            if idx.size == 0:
-                threshold[c] = depth + 1  # never above => all bits 0
-            else:
-                threshold[c] = grid[idx[-1]] - 1
+    # Monotonicity puts the accumulators whose output is negative (bit 1)
+    # at one end of [-depth, depth]: the low end where the transform is
+    # non-decreasing, the high end where it is decreasing (flip).  Count
+    # them per channel over every integer — one-padded accumulators only
+    # take values of depth's parity, but the zero-padding correction
+    # shifts them off-parity — a block of rows at a time.
+    grid = np.arange(-depth, depth + 1, dtype=np.int32)
+    rows = max(1, _BLOCK_ELEMENTS // channels)
+    negatives = np.zeros(channels, dtype=np.int64)
+    for start in range(0, grid.size, rows):
+        y = apply_transform(
+            grid[start:start + rows, None], mult_v, bias_v, activation,
+            scale_before_activation,
+        )
+        negatives += np.count_nonzero(y < 0, axis=0)
+    # Non-decreasing: bit = acc < T, T one above the largest negative acc.
+    # Decreasing: bit = acc > T, T one below the smallest negative acc.
+    # With no negative acc, T lies beyond every accumulator (all bits 0).
+    none = negatives == 0
+    threshold = np.where(
+        flip,
+        np.where(none, depth + 1, depth - negatives),
+        np.where(none, -depth - 1, negatives - depth),
+    ).astype(np.int32)
     return OutputThresholds(threshold=threshold, flip=flip)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.core.types import Padding
 from repro.experiments.reporting import Claim, above, below
 from repro.graph.ir import Graph
-from repro.graph.passes.pass_manager import default_pipeline
+from repro.graph.passes import PASSES, run_passes
 from repro.hw.device import DeviceModel
 from repro.hw.latency import conv_cost, graph_latency
 from repro.zoo import binarydensenet, quicknet
@@ -19,11 +19,9 @@ from repro.zoo.resnet_variants import binary_resnet18
 
 
 def _latency_without(dev: DeviceModel, graph: Graph, *skip: str) -> float:
-    """Latency (ms) of ``graph`` converted by the default pipeline minus ``skip``."""
-    pm = default_pipeline()
-    pm.passes = [(name, fn) for name, fn in pm.passes if name not in skip]
+    """Latency (ms) of ``graph`` converted by :data:`PASSES` minus ``skip``."""
     g = graph.copy()
-    pm.run(g)
+    run_passes(g, tuple((name, fn) for name, fn in PASSES if name not in skip))
     return graph_latency(dev, g).total_ms
 
 
@@ -46,8 +44,7 @@ def run(device: str = "pixel1") -> dict[str, tuple[float, float]]:
         ),
         "bn_fusion": (
             _latency_without(dev, medium),
-            _latency_without(dev, medium, "fuse_batchnorm", "fuse_activation",
-                             "bitpacked_chain"),
+            _latency_without(dev, medium, "fuse_output_transform", "bitpacked_chain"),
         ),
         "bmaxpool_swap": (
             _latency_without(dev, densenet),

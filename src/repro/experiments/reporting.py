@@ -107,8 +107,10 @@ def ascii_scatter(
     """Render labelled (x, y) series as an ASCII scatter plot.
 
     Used by the figure experiments to sketch the paper's plots directly in
-    terminal output; each series gets the first letter of its name as the
-    marker.
+    terminal output.  Each series gets its own marker: the first letter or
+    digit of its name not taken by an earlier series (``quicknet`` after
+    ``quicknet_small`` is ``U``), else the first free symbol; the legend
+    maps each marker to its name.
     """
     import math
 
@@ -123,9 +125,16 @@ def ascii_scatter(
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
+    markers: dict[str, str] = {}
+    for name in series:
+        taken = set(markers.values())
+        markers[name] = next(
+            c for c in [*filter(str.isalnum, name.upper()), *"0123456789*#@%&+?$~"]
+            if c not in taken
+        )
     grid = [[" "] * width for _ in range(height)]
     for name, pts in series.items():
-        marker = name[0].upper()
+        marker = markers[name]
         for x, y in pts:
             col = int((fx(x) - x_lo) / x_span * (width - 1))
             row = height - 1 - int((fy(y) - y_lo) / y_span * (height - 1))
@@ -133,6 +142,6 @@ def ascii_scatter(
     lines = [f"{y_label} ({'log' if log_y else 'linear'} scale)"]
     lines += ["|" + "".join(row) for row in grid]
     lines.append("+" + "-" * width + f"> {x_label}{' (log)' if log_x else ''}")
-    legend = "   ".join(f"{name[0].upper()}={name}" for name in series)
+    legend = "   ".join(f"{marker}={name}" for name, marker in markers.items())
     lines.append(legend)
     return "\n".join(lines)

@@ -11,7 +11,7 @@ pairs so chains of int8 ops exchange int8 tensors directly.
     int8_graph = quantize_model(float_graph, calibration_batches)
 """
 
-from repro.ptq.calibrate import TensorRanges, calibrate
+from repro.ptq.calibrate import TensorRanges
 from repro.ptq.transform import quantize_model
 
-__all__ = ["TensorRanges", "calibrate", "quantize_model"]
+__all__ = ["TensorRanges", "quantize_model"]

@@ -311,10 +311,9 @@ def quantize_model(
     # Standalone batch norms would sit as float islands between int8 ops;
     # fold them into their convolutions first (the fusion the converter
     # also performs, cf. paper Section 3.1).
-    from repro.graph.passes import fuse_activation, fuse_batchnorm
+    from repro.graph.passes.fuse_output_transform import fuse_output_transform
 
-    while fuse_batchnorm(g) or fuse_activation(g):
-        pass
+    fuse_output_transform(g)
     ranges = calibrate(g, calibration_batches)
     alias: dict[str, str] = {}
     for node in list(g.nodes):

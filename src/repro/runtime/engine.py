@@ -152,7 +152,7 @@ class Engine:
     Args:
         model: a :class:`~repro.graph.ir.Graph` or anything exposing a
             ``.graph`` attribute (e.g. a converter
-            :class:`~repro.converter.convert.ConvertedModel`).
+            :class:`~repro.converter.ConvertedModel`).
         num_threads: vestigial, must be 1 (``bench/`` passes it by keyword).
         max_batch_size: largest micro-batch (in base-batch groups) that
             ``run_many`` will coalesce into one plan call.

@@ -10,7 +10,7 @@ Every rule in :mod:`repro.analysis.dataflow` gets two kinds of coverage:
   wrong word count, broken SSA, ...) and the analysis must report the
   documented rule id.
 
-The enforcement points are exercised too: ``PassManager.run`` must
+The enforcement points are exercised too: ``run_passes`` must
 reject a pass that leaves the graph illegal — *even when the pass
 reports no change* — naming the pass and the rule; ``Executor``,
 ``compile_plan`` and ``save_model`` must refuse illegal graphs; and the
@@ -35,7 +35,7 @@ from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
 from repro.graph.ir import Graph, GraphError, TensorSpec
-from repro.graph.passes.pass_manager import PassManager
+from repro.graph.passes import run_passes
 from repro.graph.serialization import load_model, save_model
 from repro.kernels.batchnorm import BatchNormParams
 from repro.runtime import Engine
@@ -348,11 +348,7 @@ def test_g005_int8_output_requires_scale():
     assert "G005" in rules  # (G002 fires too: the recorded dtype is stale)
 
 
-# ------------------------------------------- enforcement: pass manager
-
-
-def _single_pass_manager(name, fn):
-    return PassManager().add(name, fn)
+# ------------------------------------------- enforcement: pass runner
 
 
 def test_pass_manager_rejects_mutation_without_report():
@@ -365,9 +361,8 @@ def test_pass_manager_rejects_mutation_without_report():
         _float_bconv(graph).attrs["padding"] = Padding.SAME_ZERO
         return False
 
-    pm = _single_pass_manager("evil_padding_flip", evil_padding_flip)
     with pytest.raises(GraphError, match=r"pass 'evil_padding_flip'.*\[G004\]"):
-        pm.run(model.graph)
+        run_passes(model.graph, (("evil_padding_flip", evil_padding_flip),))
 
 
 def test_pass_manager_rejects_illegal_fusion():
@@ -378,9 +373,8 @@ def test_pass_manager_rejects_illegal_fusion():
         node.params["multiplier"] = np.ones(16, np.float32)
         return True
 
-    pm = _single_pass_manager("evil_fusion", evil_fusion)
     with pytest.raises(GraphError, match=r"pass 'evil_fusion'.*\[G005\]"):
-        pm.run(model.graph)
+        run_passes(model.graph, (("evil_fusion", evil_fusion),))
 
 
 def test_pass_manager_rejects_broken_bitpacked_chain():
@@ -391,17 +385,16 @@ def test_pass_manager_rejects_broken_bitpacked_chain():
         graph.tensors[out] = TensorSpec((1, 5), graph.tensors[out].dtype)
         return True
 
-    pm = _single_pass_manager("evil_chain", evil_chain)
     with pytest.raises(GraphError, match=r"pass 'evil_chain'.*\[G002\]"):
-        pm.run(model.graph)
+        run_passes(model.graph, (("evil_chain", evil_chain),))
 
 
 def test_pass_manager_accepts_a_well_behaved_pass():
     model = _binary_net(Padding.SAME_ONE)
     ran = []
-    pm = _single_pass_manager("noop", lambda g: ran.append(1) and False)
-    assert pm.run(model.graph) == {"noop": 0}
-    assert ran
+    noop = ("noop", lambda g: ran.append(1) and False)
+    assert run_passes(model.graph, (noop,)) == {"noop": 0}
+    assert ran == [1]  # once: no fixpoint re-run
 
 
 # ---------------------------- enforcement: executor / plan / serialization

@@ -18,6 +18,8 @@ from repro.converter import convert
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
+from repro.graph.passes import run_passes
+from repro.graph.serialization import save_model
 from repro.kernels.batchnorm import BatchNormParams
 from repro.runtime import Engine
 
@@ -122,6 +124,19 @@ class TestConverterFuzz:
                 got = engine.run(batch)
                 assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=random_network())
+    def test_second_sweep_changes_nothing(self, case, tmp_path_factory):
+        """Each pass runs once: re-running them finds nothing left to do."""
+        graph, _ = case
+        converted = convert(graph).graph
+        path = tmp_path_factory.mktemp("sweep") / "model.lce"
+        save_model(converted, path)
+        once = path.read_bytes()
+        assert set(run_passes(converted).values()) == {0}
+        save_model(converted, path)
+        assert path.read_bytes() == once
 
     @settings(max_examples=20, deadline=None)
     @given(case=random_network())

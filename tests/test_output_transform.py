@@ -140,3 +140,58 @@ class TestThresholds:
         t = compute_output_thresholds(4, 5)
         assert t.channels == 5
         assert isinstance(t, OutputThresholds)
+
+
+def _loop_thresholds(depth, channels, multiplier, bias, activation, order):
+    """The per-channel loop ``compute_output_thresholds`` replaced: the
+    oracle its vectorized form must match bit for bit."""
+    from repro.core.output_transform import apply_transform, broadcast_channel
+
+    mult_v = broadcast_channel(multiplier, channels, 1.0)
+    bias_v = broadcast_channel(bias, channels, 0.0)
+    grid = (depth - np.arange(2 * depth + 1, dtype=np.int64)).astype(np.int32)
+    y = apply_transform(grid[:, None], mult_v[None, :], bias_v[None, :], activation, order)
+    negative = y < 0
+    flip = mult_v < 0
+    threshold = np.empty(channels, dtype=np.int32)
+    for c in range(channels):
+        idx = np.nonzero(negative[:, c])[0]
+        if not flip[c]:
+            threshold[c] = -depth - 1 if idx.size == 0 else grid[idx[0]] + 1
+        else:
+            threshold[c] = depth + 1 if idx.size == 0 else grid[idx[-1]] - 1
+    return threshold, flip
+
+
+class TestThresholdsMatchLoopOracle:
+    @given(
+        depth=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        activation=st.sampled_from(list(Activation)),
+        order=st.booleans(),
+    )
+    def test_random_multipliers(self, depth, seed, activation, order):
+        rng = np.random.default_rng(seed)
+        channels = 12
+        mult = rng.uniform(-2, 2, channels).astype(np.float32)
+        mult[rng.random(channels) < 0.25] = 0.0  # zero multipliers too
+        bias = rng.uniform(-depth, depth, channels).astype(np.float32)
+        # One channel whose every accumulator maps negative, one with none.
+        mult[:2], bias[:2] = 0.0, (-1.0, 1.0)
+        t = compute_output_thresholds(depth, channels, mult, bias, activation, order)
+        threshold, flip = _loop_thresholds(depth, channels, mult, bias, activation, order)
+        assert t.threshold.dtype == np.int32 and t.flip.dtype == np.bool_
+        assert np.array_equal(t.threshold, threshold)
+        assert np.array_equal(t.flip, flip)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("order", [True, False])
+    def test_all_or_no_negative_channels(self, activation, order):
+        depth, channels = 9, 4
+        mult = np.array([1.0, -1.0, 0.0, 0.0], np.float32)
+        for bias in (np.full(channels, 2.0 * depth, np.float32),
+                     np.full(channels, -2.0 * depth, np.float32)):
+            t = compute_output_thresholds(depth, channels, mult, bias, activation, order)
+            threshold, flip = _loop_thresholds(depth, channels, mult, bias, activation, order)
+            assert np.array_equal(t.threshold, threshold)
+            assert np.array_equal(t.flip, flip)

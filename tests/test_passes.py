@@ -7,23 +7,20 @@ Each pass is tested structurally (the rewrite happened) and numerically
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.types import Activation, Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
 from repro.graph.ir import Graph, TensorSpec
-from repro.graph.passes import (
-    PassManager,
-    binarize_convs,
-    bitpacked_chain,
-    bmaxpool_swap,
-    canonicalize,
-    dce,
-    dedupe_quantize,
-    fuse_activation,
-    fuse_batchnorm,
-)
+from repro.graph.passes import PASSES, run_passes
+from repro.graph.passes.binarize_convs import binarize_convs
+from repro.graph.passes.bitpacked_chain import bitpacked_chain
+from repro.graph.passes.bmaxpool_swap import bmaxpool_swap
+from repro.graph.passes.canonicalize import canonicalize
+from repro.graph.passes.dce import dce
+from repro.graph.passes.dedupe_quantize import dedupe_quantize
+from repro.graph.passes.fuse_output_transform import fuse_output_transform
+from repro.graph.serialization import save_model
 from repro.kernels.batchnorm import BatchNormParams
 
 
@@ -131,7 +128,7 @@ class TestFuseActivation:
         h = b.relu(h)
         g = b.finish(h)
         before = _copy(g)
-        assert fuse_activation(g)
+        assert fuse_output_transform(g)
         assert not g.ops_by_type("relu")
         assert Activation(g.ops_by_type("conv2d")[0].attrs["activation"]) is Activation.RELU
         _assert_equivalent(before, g, rng)
@@ -142,7 +139,7 @@ class TestFuseActivation:
         r = b.relu(h)
         out = b.add(h, r)  # conv output used twice
         g = b.finish(out)
-        assert not fuse_activation(g)
+        assert not fuse_output_transform(g)
 
     def test_no_fuse_into_already_activated(self, rng):
         b = GraphBuilder((1, 6, 6, 3))
@@ -152,14 +149,14 @@ class TestFuseActivation:
         )
         h = b.relu(h)
         g = b.finish(h)
-        assert not fuse_activation(g)
+        assert not fuse_output_transform(g)
 
     def test_no_fuse_when_output_is_graph_output(self, rng):
         b = GraphBuilder((1, 6, 6, 3))
         h = b.conv2d(b.input, rng.standard_normal((3, 3, 3, 4)).astype(np.float32))
         r = b.relu(h)
         g = b.finish(h, r)  # conv output itself is a graph output
-        assert not fuse_activation(g)
+        assert not fuse_output_transform(g)
 
 
 class TestFuseBatchnorm:
@@ -169,7 +166,7 @@ class TestFuseBatchnorm:
         h = b.batch_norm(h, _rand_bn(rng, 4))
         g = b.finish(h)
         before = _copy(g)
-        assert fuse_batchnorm(g)
+        assert fuse_output_transform(g)
         assert not g.ops_by_type("batch_norm")
         _assert_equivalent(before, g, rng)
 
@@ -179,7 +176,7 @@ class TestFuseBatchnorm:
         h = b.batch_norm(h, _rand_bn(rng, 4))
         g = b.finish(h)
         before = _copy(g)
-        assert fuse_batchnorm(g)
+        assert fuse_output_transform(g)
         _assert_equivalent(before, g, rng)
 
     def test_folds_into_depthwise(self, rng):
@@ -188,7 +185,7 @@ class TestFuseBatchnorm:
         h = b.batch_norm(h, _rand_bn(rng, 4))
         g = b.finish(h)
         before = _copy(g)
-        assert fuse_batchnorm(g)
+        assert fuse_output_transform(g)
         _assert_equivalent(before, g, rng)
 
     def test_does_not_fold_through_activation(self, rng):
@@ -199,7 +196,7 @@ class TestFuseBatchnorm:
         )
         h = b.batch_norm(h, _rand_bn(rng, 4))
         g = b.finish(h)
-        assert not fuse_batchnorm(g)
+        assert not fuse_output_transform(g)
 
     def _bconv_graph(self, rng, with_relu_before_bn: bool):
         b = GraphBuilder((1, 6, 6, 8))
@@ -217,7 +214,7 @@ class TestFuseBatchnorm:
         g = self._bconv_graph(rng, with_relu_before_bn=False)
         before = _copy(g)
         binarize_convs(g)
-        assert fuse_batchnorm(g)
+        assert fuse_output_transform(g)
         dce(g)
         node = g.ops_by_type("lce_bconv2d")[0]
         assert "multiplier" in node.params and "bias" in node.params
@@ -228,10 +225,11 @@ class TestFuseBatchnorm:
         g = self._bconv_graph(rng, with_relu_before_bn=True)
         before = _copy(g)
         binarize_convs(g)
-        fuse_activation(g)
-        assert fuse_batchnorm(g)
+        assert fuse_output_transform(g)
         dce(g)
+        assert not g.ops_by_type("relu") and not g.ops_by_type("batch_norm")
         node = g.ops_by_type("lce_bconv2d")[0]
+        assert Activation(node.attrs["activation"]) is Activation.RELU
         assert node.attrs["scale_before_activation"] is False
         _assert_equivalent(before, g, rng)
 
@@ -246,8 +244,7 @@ class TestFuseBatchnorm:
         g.outputs = [n.outputs[0]]
         before = _copy(g)
         binarize_convs(g)
-        fuse_batchnorm(g)
-        fuse_batchnorm(g)
+        assert fuse_output_transform(g)
         dce(g)
         assert not g.ops_by_type("batch_norm")
         _assert_equivalent(before, g, rng, atol=1e-3)
@@ -323,7 +320,7 @@ class TestBitpackedChain:
         before = _copy(g)
         binarize_convs(g)
         dce(g)  # drop dead emulation binarize nodes
-        fuse_batchnorm(g)
+        fuse_output_transform(g)
         assert bitpacked_chain(g)
         dce(g)
         g.verify()
@@ -366,31 +363,77 @@ class TestDCE:
         assert not dce(g)
 
 
-class TestPassManager:
-    def test_runs_to_fixpoint(self, rng):
+class TestRunPasses:
+    def test_runs_each_pass_once(self, rng):
         b = GraphBuilder((1, 4, 4, 4))
         x = b.relu(b.input)
         g = b.finish(x)
-        pm = PassManager()
-        pm.add("dce", dce)
-        counts = pm.run(g)
-        assert counts == {"dce": 0}
+        calls = []
+
+        def counting(graph):
+            calls.append(1)
+            return False
+
+        assert run_passes(g, (("dce", dce), ("counting", counting))) == {
+            "dce": 0, "counting": 0,
+        }
+        assert calls == [1]
 
     def test_reports_changes(self, rng):
         b = GraphBuilder((1, 4, 4, 4))
         live = b.relu(b.input)
         b.relu(b.input)  # dead
         g = b.finish(live)
-        pm = PassManager().add("dce", dce)
-        assert pm.run(g)["dce"] == 1
+        assert run_passes(g, (("dce", dce),))["dce"] == 1
 
-    def test_non_convergent_pipeline_raises(self):
-        b = GraphBuilder((1, 4))
-        g = b.finish(b.relu(b.input))
+    def test_each_pass_listed_once(self):
+        names = [name for name, _ in PASSES]
+        assert len(set(names)) == len(names)
+        assert len({fn for _, fn in PASSES}) == len(PASSES)
 
-        def flip_flop(graph):
-            return True  # always claims to change something
+    def test_bn_act_orders_fuse_in_one_sweep(self, rng):
+        """conv -> BN -> act and conv -> act -> BN both fuse completely, and
+        a second sweep finds nothing left to do."""
+        b = GraphBuilder((1, 6, 6, 8))
+        h = b.binarize(b.input)
+        w = rng.choice([-1.0, 1.0], (3, 3, 8, 8)).astype(np.float32)
+        h = b.conv2d(h, w, padding=Padding.SAME_ONE, binary_weights=True)
+        h = b.batch_norm(h, _rand_bn(rng, 8))
+        h = b.relu(h)
+        h = b.binarize(h)
+        h = b.conv2d(h, w, padding=Padding.SAME_ONE, binary_weights=True)
+        h = b.relu(h)
+        h = b.batch_norm(h, _rand_bn(rng, 8))
+        g = b.finish(b.global_avgpool(h))
+        before = _copy(g)
+        run_passes(g)
+        assert not g.ops_by_type("batch_norm") and not g.ops_by_type("relu")
+        first, second = g.ops_by_type("lce_bconv2d")
+        assert first.attrs["output_type"] == "bitpacked"
+        assert second.attrs["scale_before_activation"] is False
+        _assert_equivalent(before, g, rng)
+        assert set(run_passes(g).values()) == {0}
 
-        pm = PassManager(max_iterations=3).add("bad", flip_flop)
-        with pytest.raises(RuntimeError, match="converge"):
-            pm.run(g)
+    def test_pool_feeding_two_bconvs_swaps_in_one_sweep(self, rng, tmp_path):
+        """A MaxPool read by two binarized convs moves behind binarization
+        in a single sweep, its new quantize merged with the one a third
+        conv already reads; a second sweep changes nothing."""
+        b = GraphBuilder((1, 8, 8, 8))
+        h = b.relu(b.input)
+        p = b.maxpool2d(h, 2, 2)
+        w = rng.choice([-1.0, 1.0], (3, 3, 8, 8)).astype(np.float32)
+        c1 = b.conv2d(b.binarize(p), w, padding=Padding.SAME_ONE, binary_weights=True)
+        c2 = b.conv2d(b.binarize(p), w, padding=Padding.SAME_ONE, binary_weights=True)
+        c3 = b.conv2d(b.binarize(h), w, padding=Padding.SAME_ONE, binary_weights=True)
+        g = b.finish(b.add(b.add(c1, c2), b.maxpool2d(c3, 2, 2)))
+        before = _copy(g)
+        changes = run_passes(g)
+        assert changes["bmaxpool_swap"] == changes["dedupe_quantize"] == 1
+        assert len(g.ops_by_type("maxpool2d")) == 1  # the float one after c3
+        assert len(g.ops_by_type("lce_bmaxpool2d")) == 1
+        assert len(g.ops_by_type("lce_quantize")) == 1
+        _assert_equivalent(before, g, rng)
+        save_model(g, tmp_path / "once.lce")
+        assert set(run_passes(g).values()) == {0}
+        save_model(g, tmp_path / "twice.lce")
+        assert (tmp_path / "once.lce").read_bytes() == (tmp_path / "twice.lce").read_bytes()

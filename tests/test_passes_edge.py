@@ -8,10 +8,7 @@ from repro.converter import convert
 from repro.core.types import Activation, Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
-from repro.graph.passes import (
-    fuse_activation,
-    fuse_batchnorm,
-)
+from repro.graph.passes.fuse_output_transform import fuse_output_transform
 from repro.kernels.batchnorm import BatchNormParams
 
 
@@ -105,7 +102,7 @@ class TestFuseBatchnormEdges:
         c = b.conv2d(b.input, rng.standard_normal((3, 3, 4, 4)).astype(np.float32))
         bn = b.batch_norm(c, _bn(rng, 4))
         g = b.finish(b.add(bn, c))  # conv output used twice
-        assert not fuse_batchnorm(g)
+        assert not fuse_output_transform(g)
 
 
 class TestFuseActivationEdges:
@@ -114,7 +111,7 @@ class TestFuseActivationEdges:
         h = b.conv2d(b.input, rng.standard_normal((3, 3, 2, 2)).astype(np.float32))
         h = b.relu6(h)
         g = b.finish(h)
-        assert fuse_activation(g)
+        assert fuse_output_transform(g)
         assert Activation(g.ops_by_type("conv2d")[0].attrs["activation"]) is Activation.RELU6
 
     def test_softmax_never_fuses(self, rng):
@@ -122,7 +119,7 @@ class TestFuseActivationEdges:
         h = b.dense(b.input, rng.standard_normal((4, 4)).astype(np.float32))
         h = b.softmax(h)
         g = b.finish(h)
-        assert not fuse_activation(g)
+        assert not fuse_output_transform(g)
 
 
 class TestStridedChain:

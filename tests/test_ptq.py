@@ -11,7 +11,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
 from repro.hw.device import DeviceModel
 from repro.hw.latency import graph_latency
-from repro.ptq import calibrate, quantize_model
+from repro.ptq import quantize_model
+from repro.ptq.calibrate import calibrate
 
 
 def _float_net(rng):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import figure7
 from repro.experiments.reporting import ascii_scatter
 from repro.hw.device import DeviceModel
 from repro.hw.roofline import conv_roofline, intensity_advantage
@@ -70,3 +71,20 @@ class TestAsciiScatter:
         # increasing x (columns) appears at decreasing rows (higher y)
         assert rows == sorted(rows)
         assert cols == sorted(cols, reverse=True)
+
+    def test_series_sharing_a_first_letter_get_distinct_markers(self):
+        plot = ascii_scatter({"binary": [(1.0, 1.0)], "bnn": [(10.0, 10.0)]})
+        assert plot.splitlines()[-1] == "B=binary   N=bnn"
+
+    def test_figure7_legend_has_one_distinct_marker_per_model(self):
+        models = list(figure7.MODEL_REGISTRY)
+        points = [
+            figure7.ModelPoint(name, "", 10.0 + 7 * i, 40.0 + 2 * i, 0, 0, 0)
+            for i, name in enumerate(models)
+        ]
+        lines = figure7.sketch(points).splitlines()
+        legend = dict(entry.split("=", 1) for entry in lines[-1].split())
+        assert sorted(legend.values()) == sorted(models)
+        assert len(legend) == len(models)  # one marker each, none shared
+        grid = "".join(lines[1:-2])
+        assert all(marker in grid for marker in legend)
