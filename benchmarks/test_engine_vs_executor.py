@@ -64,7 +64,7 @@ def _serving_comparison():
             executor_s = _measure(executor_serve)
             engine_s = _measure(lambda: engine.run_many(samples))
             verified = engine.stats().verified
-            metrics = engine.metrics_snapshot()
+            metrics = engine.metrics.snapshot()
         rows.append(
             {
                 "batch": batch,

@@ -33,7 +33,6 @@ from repro.core.quantize_ops import lce_quantize
 from repro.core.types import Padding
 from repro.analysis.bench import validate_bench_kernels
 from repro.core.workspace import Workspace
-from repro.obs.metrics import global_registry
 from repro.tune import ConvGeometryKey
 
 #: the module (``repro.core.bgemm`` the attribute is the function it exports)
@@ -173,12 +172,14 @@ def test_quicknet_plan_vs_dynamic(benchmark):
     rng = np.random.default_rng(7)
     records = []
     geo_records = []
+    metrics = {}
     dynamic_total = plan_total = scoped_total = default_total = 0.0
     for h, w, c in QUICKNET_SMALL_SHAPES:
         x = lce_quantize(rng.standard_normal((1, h, w, c)).astype(np.float32))
         wts = pack_filters(rng.choice([-1.0, 1.0], (3, 3, c, c)).astype(np.float32))
         params = BConv2DParams(3, 3, c, c, padding=Padding.SAME_ONE)
-        run = BoundBConv2D(wts, params, h, w, 1).bind(Workspace())
+        ws = Workspace()
+        run = BoundBConv2D(wts, params, h, w, 1).bind(ws)
 
         geometry = ConvGeometryKey(
             batch=1, in_h=h, in_w=w, in_channels=c, out_channels=c,
@@ -196,6 +197,8 @@ def test_quicknet_plan_vs_dynamic(benchmark):
         t_scoped, t_default = _best_of_scoped_and_default(
             lambda: _plan_bconv2d(run, x)
         )
+        # what the timed plan path reserved, read after its last call
+        metrics[f"workspace.bytes_reserved.{h}x{w}x{c}"] = ws.nbytes
         dynamic_total += t_dynamic
         plan_total += t_plan
         scoped_total += t_scoped
@@ -228,10 +231,9 @@ def test_quicknet_plan_vs_dynamic(benchmark):
         # Reached only after every per-shape bit-exactness assert above
         # passed: the timed plan path provably computes the same values.
         "verified": True,
-        # Process-wide cache state behind the numbers (indirection /
-        # geometry gauges from the unified metrics registry), so the perf
-        # history records what was amortized.
-        "metrics": global_registry().snapshot(),
+        # The scratch arena each timed plan path ran in, so the perf
+        # history records the memory behind the numbers.
+        "metrics": metrics,
         "kernels": records,
         "geometries": geo_records,
     }

@@ -18,7 +18,7 @@ applied where ``RULES[id].scope`` says (docs/architecture.md §8):
   except lexically inside the documented allocating fallback (the body of
   ``if <param> is None:`` or the else of ``if <param> is not None:``).
 - L103: module-level mutable caches mutated from functions require a
-  module-level lock (the ``core.indirection`` memoization idiom).
+  module-level lock (an ``ordered_lock`` beside the cache).
 - L104: no ``np.random``/``random``/``secrets``/``os.urandom`` or
   wall-clock ``time.time`` (monotonic timers are fine).  The tracer's
   wall-clock anchor and the seeded input-data generators carry justified
@@ -359,8 +359,8 @@ def _cache_guard_rule(tree: ast.Module, loc: str) -> list[Diagnostic]:
                         "L103", f"{loc}:{node.lineno}",
                         f"module-level cache {name!r} mutated without a "
                         "module lock",
-                        hint="pair the cache with a threading.Lock like "
-                        "core.indirection, or use functools.lru_cache",
+                        hint="pair the cache with a module-level "
+                        "ordered_lock, or use functools.lru_cache",
                     )
                 )
     return diags

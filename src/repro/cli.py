@@ -176,7 +176,7 @@ def cmd_convert(args) -> int:
 
 def cmd_ops(args) -> int:
     """The canonical operator table, straight from the registry."""
-    from repro.ops import COST_EXEMPT_OPS, all_specs
+    from repro.ops import all_specs
 
     specs = all_specs()
     if args.op is not None:
@@ -190,19 +190,13 @@ def cmd_ops(args) -> int:
             flags.append("binary")
         if spec.mac_layer:
             flags.append("mac-layer")
-        if spec.cost is not None:
-            latency = "modeled"
-        elif spec.name in COST_EXEMPT_OPS:
-            latency = "exempt"
-        else:
-            latency = "MISSING"
         print(spec.name + (f"  [{', '.join(flags)}]" if flags else ""))
         if spec.doc:
             print(f"  {spec.doc}")
         print(f"  class:   {spec.op_class}")
         print(f"  attrs:   {spec.schema()}")
         print(f"  shape:   {_hook_doc(spec.infer)}")
-        print(f"  latency: {latency}")
+        print("  latency: modeled")
         print()
     print(f"{len(specs)} ops registered")
     return 0
@@ -375,7 +369,7 @@ def cmd_stats(args) -> int:
             engine.run(x)
         # A coalesced run_many so the batch-size histogram has content.
         engine.run_many([x, x, x])
-        snapshot = engine.metrics_snapshot()
+        snapshot = engine.metrics.snapshot()
     print(f"{args.model}: unified metrics registry")
     print(format_snapshot(snapshot, indent="  "))
     return 0

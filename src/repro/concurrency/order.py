@@ -56,19 +56,14 @@ LOCK_ORDER: tuple[LockRank, ...] = (
     LockRank(
         "runtime.engine.plan", 50, False,
         "Engine._plan_lock — guards the plan cache and ParamCache; plan "
-        "compilation reserves arena buffers, builds indirections, records "
-        "tracer spans and counts metrics, so it precedes all of those",
+        "compilation reserves arena buffers, records tracer spans and "
+        "counts metrics, so it precedes all of those",
     ),
     LockRank(
         "core.workspace", 60, False,
         "Workspace.lock — exclusive use of an engine's scratch arena: held "
         "across CompiledPlan.execute (kernels record spans under it), "
         "taken by reserve() under the plan lock at compile time",
-    ),
-    LockRank(
-        "core.indirection", 70, False,
-        "the core.indirection module cache lock; taken under the plan "
-        "lock at compile time and bare on the eager path",
     ),
     LockRank(
         "obs.trace", 80, False,

@@ -16,8 +16,9 @@ of the paper with bit-exact semantics:
 - :mod:`repro.core.bmaxpool` — ``LceBMaxPool2d`` (bitwise-AND max pooling).
 - :mod:`repro.core.output_transform` — accumulator-to-output stage,
   including the precomputed-threshold path for bitpacked output.
-- :mod:`repro.core.indirection` — precomputed im2col gather indices; no
-  kernel under ``src/`` runs it any more, ``bench/``'s probes still do.
+- :mod:`repro.core.indirection` — precomputed im2col gather indices,
+  built per call and never cached; no kernel under ``src/`` runs them
+  any more, ``bench/``'s probes still do.
 - :mod:`repro.core.workspace` — the preallocated scratch arena making the
   steady-state plan path allocation-free.
 """
@@ -35,8 +36,6 @@ from repro.core.indirection import (
     Indirection,
     get_indirection,
     im2col_indirect,
-    indirection_cache_clear,
-    indirection_cache_stats,
 )
 from repro.core.workspace import Workspace
 from repro.core.bgemm import bgemm_blocked, bgemm_reference
@@ -88,8 +87,6 @@ __all__ = [
     "get_indirection",
     "im2col_float",
     "im2col_indirect",
-    "indirection_cache_clear",
-    "indirection_cache_stats",
     "lce_dequantize",
     "lce_quantize",
     "pack_bits",

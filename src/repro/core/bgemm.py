@@ -266,14 +266,6 @@ def _check_out(out: np.ndarray | None, m: int, n: int) -> np.ndarray:
     return out
 
 
-def pack_kmajor(src: np.ndarray, workspace: Workspace, name: str) -> np.ndarray:
-    """Pack a ``(rows, words)`` operand K-major: one transposed copy into
-    the arena buffer ``name``, returned as the ``(words, rows)`` array."""
-    dst = workspace.take(name, src.shape[::-1], np.uint64)
-    np.copyto(dst, src.T)
-    return dst
-
-
 def _k_depth(tile_k_words: int, mt: int, nt: int, words: int) -> int:
     """The K depth of an ``mt x nt`` panel: derived from its shape when
     ``tile_k_words == 1``, else the explicit value."""
@@ -395,9 +387,9 @@ def bgemm_blocked(
 
     ``out`` (int32, ``(M, N)``) and ``workspace`` make the call
     allocation-free: accumulators land in ``out``, both operands are
-    packed K-major into ``{prefix}/at|bt`` and the per-tile temporaries
-    live in reused arena buffers named ``{prefix}/*`` (see
-    :func:`_bind_tile`).  ``tile_k_words`` is the K depth of that path:
+    packed K-major into ``{prefix}/at|bt``, one :func:`bind_kmajor` runs
+    them once, and the per-tile temporaries live in reused arena buffers
+    named ``{prefix}/*`` (see :func:`_bind_tile`).  ``tile_k_words`` is the K depth of that path:
     ``1`` (what every caller passes) derives it from the panel shape via
     :func:`derive_k_block`, a larger value is used as given.  Without a
     workspace the call allocates its own tiles and ignores it.
@@ -408,11 +400,17 @@ def bgemm_blocked(
     n = b.shape[0]
     out = _check_out(out, m, n)
     if workspace is not None:
-        return bgemm_kmajor(
-            pack_kmajor(a, workspace, f"{prefix}/at"),
-            pack_kmajor(b, workspace, f"{prefix}/bt"),
-            depth, out, workspace, tile_m, tile_n, prefix, tile_k_words,
-        )
+        # Pack both operands K-major (one transposed copy each) and run
+        # the bound kernel once.
+        at = workspace.take(f"{prefix}/at", (words, m), np.uint64)
+        np.copyto(at, a.T)
+        bt = workspace.take(f"{prefix}/bt", (words, n), np.uint64)
+        np.copyto(bt, b.T)
+        k_block = _k_depth(tile_k_words, min(tile_m, m), min(tile_n, n), words)
+        bind_kmajor(
+            at, bt, depth, out, workspace, tile_m, tile_n, k_block, prefix
+        )()
+        return out
     tracer = active_tracer()
     t0 = time.perf_counter() if tracer.enabled else 0.0
     for i0 in range(0, m, tile_m):
@@ -459,31 +457,3 @@ def bgemm_scratch_spec(
         (f"{prefix}/ck", words * mt * nt, np.dtype(np.uint8)),
         (f"{prefix}/pops_{acc.name}", mt * nt, acc),
     ]
-
-
-def bgemm_kmajor(
-    at: np.ndarray,
-    bt: np.ndarray,
-    depth: int,
-    out: np.ndarray,
-    workspace: Workspace,
-    tile_m: int = _TILE_M,
-    tile_n: int = _TILE_N,
-    prefix: str = "bgemm",
-    tile_k_words: int = 1,
-) -> np.ndarray:
-    """The K-major BGEMM on operands already packed ``(W, M)`` / ``(W, N)``.
-
-    Column slices of a wider K-major matrix are fine (the grouped
-    convolution passes those); everything else is as in
-    :func:`bgemm_blocked`, which is this call after packing both
-    operands.  One :func:`bind_kmajor`, run once.
-    """
-    _check_operands(at.T, bt.T, depth)
-    _check_tiles(tile_m, tile_n, tile_k_words)
-    words, m = at.shape
-    n = bt.shape[1]
-    out = _check_out(out, m, n)
-    k_block = _k_depth(tile_k_words, min(tile_m, m), min(tile_n, n), words)
-    bind_kmajor(at, bt, depth, out, workspace, tile_m, tile_n, k_block, prefix)()
-    return out

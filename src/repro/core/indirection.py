@@ -8,21 +8,19 @@ flat int32 index array mapping every ``(output pixel, kernel tap)`` pair
 to a word row of the spatially padded input.  At run time the im2col
 stage is then a single ``np.take`` into a reused patch buffer.
 
-The :class:`Indirection` for a key is memoized in a process-level cache.
-No kernel under ``src/`` gathers through it any more — the reference
-``bconv2d`` is a +/-1 float convolution and plans run the bound kernel's
-one strided copy — so the cache is fed only by direct
-:func:`get_indirection` callers (``bench/``'s probes, the tests).
+No kernel under ``src/`` gathers through an :class:`Indirection` any
+more — the reference ``bconv2d`` is a +/-1 float convolution and plans
+run the bound kernel's one strided copy — so :func:`get_indirection`
+builds a fresh one per call and keeps no process-wide state; its callers
+are ``bench/``'s probes and the tests.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
 from repro.core.im2col import (
     ConvGeometry,
@@ -32,8 +30,6 @@ from repro.core.im2col import (
 )
 from repro.core.types import Padding
 from repro.core.workspace import Workspace
-from repro.obs.metrics import global_registry
-from repro.obs.trace import active_tracer
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ class Indirection:
     index ``row * padded_w + col`` into the padded input plane.  For
     SAME_ZERO geometries ``pad_mask`` marks the (pixel, tap) pairs that
     read padding (the converter's correction mask).  Both arrays are
-    read-only — they are shared across threads and plans.
+    read-only, so one indirection may be shared across threads.
     """
 
     in_h: int
@@ -73,29 +69,17 @@ class Indirection:
     def has_spatial_padding(self) -> bool:
         return self.padded_h != self.in_h or self.padded_w != self.in_w
 
-    @property
-    def nbytes(self) -> int:
-        total = self.flat_index.nbytes
-        if self.pad_mask is not None:
-            total += self.pad_mask.nbytes
-        return total
 
-
-_CACHE: dict[tuple, Indirection] = {}
-_LOCK = ordered_lock("core.indirection")
-_HITS = 0
-_MISSES = 0
-
-
-def _build(
+def get_indirection(
     in_h: int,
     in_w: int,
     kernel_h: int,
     kernel_w: int,
-    stride: int,
-    dilation: int,
-    padding: Padding,
+    stride: int = 1,
+    dilation: int = 1,
+    padding: Padding = Padding.SAME_ONE,
 ) -> Indirection:
+    """The read-only :class:`Indirection` for a static geometry."""
     geom = conv_geometry(in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
     padded_h = in_h + geom.pad_top + geom.pad_bottom
     padded_w = in_w + geom.pad_left + geom.pad_right
@@ -124,92 +108,6 @@ def _build(
         flat_index=flat,
         pad_mask=mask,
     )
-
-
-def get_indirection(
-    in_h: int,
-    in_w: int,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int = 1,
-    dilation: int = 1,
-    padding: Padding = Padding.SAME_ONE,
-) -> Indirection:
-    """The memoized :class:`Indirection` for a static geometry key."""
-    global _HITS, _MISSES
-    key = (in_h, in_w, kernel_h, kernel_w, stride, dilation, padding)
-    tracer = active_tracer()
-    t0 = time.perf_counter() if tracer.enabled else 0.0
-    with _LOCK:
-        ind = _CACHE.get(key)
-        if ind is not None:
-            _HITS += 1
-    if ind is not None:
-        if tracer.enabled:
-            tracer.record(
-                "indirection.lookup", t0, time.perf_counter() - t0, hit=True
-            )
-        return ind
-    built = _build(*key)
-    with _LOCK:
-        # Lost race: keep the first entry so every caller shares one array.
-        ind = _CACHE.get(key)
-        if ind is None:
-            _MISSES += 1
-            ind = _CACHE[key] = built
-        else:
-            _HITS += 1
-            built = ind
-    if tracer.enabled:
-        tracer.record(
-            "indirection.lookup", t0, time.perf_counter() - t0, hit=False
-        )
-    return built
-
-
-@dataclass(frozen=True)
-class IndirectionCacheStats:
-    entries: int
-    hits: int
-    misses: int
-    nbytes: int
-
-
-def indirection_cache_stats() -> IndirectionCacheStats:
-    """Entries / hit counters / bytes of the process-level cache."""
-    with _LOCK:
-        return IndirectionCacheStats(
-            entries=len(_CACHE),
-            hits=_HITS,
-            misses=_MISSES,
-            nbytes=sum(ind.nbytes for ind in _CACHE.values()),
-        )
-
-
-def indirection_cache_clear() -> None:
-    """Drop every cached indirection and reset its counters (tests)."""
-    global _HITS, _MISSES
-    with _LOCK:
-        _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
-
-
-def _register_metrics() -> None:
-    """Expose the module cache through the global metrics registry.
-
-    Callback gauges read :func:`indirection_cache_stats` (all fields
-    under the module lock), so ``repro.cli stats`` and snapshot blocks
-    see live values; :func:`indirection_cache_clear` is the reset.
-    """
-    reg = global_registry()
-    reg.gauge("indirection.entries", lambda: indirection_cache_stats().entries)
-    reg.gauge("indirection.hits", lambda: indirection_cache_stats().hits)
-    reg.gauge("indirection.misses", lambda: indirection_cache_stats().misses)
-    reg.gauge("indirection.bytes", lambda: indirection_cache_stats().nbytes)
-
-
-_register_metrics()
 
 
 def im2col_indirect(

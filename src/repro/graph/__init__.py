@@ -5,8 +5,6 @@ This subpackage provides our equivalents:
 
 - :mod:`repro.graph.ir` — a small dataflow graph IR (named tensors, nodes
   with attributes and parameter arrays, verification).
-- :mod:`repro.graph.shapes` — shape/dtype inference (a shim over the
-  per-op hooks registered in :mod:`repro.ops`).
 - :mod:`repro.graph.builder` — a functional builder API used by the model
   zoo and the training layers.
 - :mod:`repro.graph.executor` — the reference interpreter running graphs

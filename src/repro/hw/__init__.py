@@ -46,7 +46,7 @@ from repro.hw.isa import (
     INT8_MACS_PER_CYCLE,
     mac_instruction_table,
 )
-from repro.hw.latency import LatencyBreakdown, graph_latency, node_latency
+from repro.hw.latency import LatencyBreakdown, graph_latency
 from repro.hw.roofline import RooflinePoint, conv_roofline, intensity_advantage
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "intensity_advantage",
     "load_profile",
     "mac_instruction_table",
-    "node_latency",
     "save_profile",
     "validate_profile",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.im2col import conv_geometry
 from repro.core.types import Padding
-from repro.graph.ir import Graph, Node, TensorSpec
+from repro.graph.ir import Graph
 from repro.hw.device import DeviceModel, DeviceProfile, as_profile
 
 _BYTES = {"float32": 4.0, "int8": 1.0, "int32": 4.0}
@@ -246,23 +246,7 @@ def bandwidth_cost(
     )
 
 
-# ----------------------------------------------------------- per-node costs
-def node_latency(
-    device: DeviceModel | DeviceProfile,
-    node: Node,
-    input_specs: list[TensorSpec],
-    output_specs: list[TensorSpec],
-) -> LatencyBreakdown:
-    """Latency estimate for one graph node, via its registered cost hook.
-
-    With a :class:`DeviceProfile`, the estimate includes the profile's
-    trace-fitted per-op-class calibration (applied in ``node_cost``).
-    """
-    from repro.ops import node_cost  # local import: op cost hooks import us
-
-    return node_cost(as_profile(device), node, input_specs, output_specs)
-
-
+# -------------------------------------------------------------- graph costs
 @dataclass(frozen=True)
 class GraphLatency:
     """Latency of a whole graph, with the per-node detail."""
@@ -289,12 +273,14 @@ def graph_latency(
     experiments tables, speedup analysis) then prices against the same
     fitted constants.
     """
+    from repro.ops import node_cost  # local import: op cost hooks import us
+
     profile = as_profile(device)
     per_node: dict[str, LatencyBreakdown] = {}
     for node in graph.nodes:
         input_specs = [graph.tensors[t] for t in node.inputs]
         output_specs = [graph.tensors[t] for t in node.outputs]
-        cost = node_latency(profile, node, input_specs, output_specs)
+        cost = node_cost(profile, node, input_specs, output_specs)
         per_node[node.name] = cost.with_threads(threads)
     return GraphLatency(per_node=per_node)
 

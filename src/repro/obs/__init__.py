@@ -9,7 +9,8 @@ Three modules, one clock discipline:
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto),
   schema and request-lifecycle validation and a text flamegraph;
 - :mod:`repro.obs.metrics` — the typed counter/gauge/histogram registry
-  that `EngineStats` and the cache stats are views of.
+  each engine and gateway owns (no process-wide one); `EngineStats` and
+  `GatewayStats` are views of it.
 """
 
 from repro.obs.export import (
@@ -25,7 +26,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     format_snapshot,
-    global_registry,
     quantile_from_counts,
 )
 from repro.obs.trace import (
@@ -52,7 +52,6 @@ __all__ = [
     "chrome_trace",
     "flamegraph_lines",
     "format_snapshot",
-    "global_registry",
     "iter_children",
     "node_seconds",
     "quantile_from_counts",

@@ -2,15 +2,13 @@
 
 Every performance-bearing subsystem used to keep its own counters —
 ``Engine`` held raw ints behind a lock, ``ParamCache`` exposed bare
-attributes, :mod:`repro.core.indirection` hid module-private tallies.
-This module replaces that scatter with one typed registry:
+attributes.  This module replaces that scatter with one typed registry:
 
 - :class:`Counter` — monotonically increasing int/float totals
   (``engine.requests``, ``engine.busy_s``);
 - :class:`Gauge` — a point-in-time value read from a callback at
-  snapshot time (the view mechanism: ``indirection.entries`` reads the
-  live module cache, ``workspace.bytes_reserved`` reads an engine's
-  scratch arena);
+  snapshot time (the view mechanism: ``workspace.bytes_reserved`` reads
+  an engine's scratch arena);
 - :class:`Histogram` — discrete value -> count distributions with
   count/total/min/max (``engine.batch_size``).
 
@@ -23,9 +21,8 @@ batch-size histogram.  Gauges are evaluated *outside* the lock
 holding the registry lock across them would invert lock order), so they
 are point-in-time reads layered over the consistent native core.
 
-A process-wide registry (:func:`global_registry`) carries the
-module-level cache views; engines own a private registry each so two
-engines never collide on ``engine.*`` names.
+There is no process-wide registry: each engine and each gateway owns
+one, so two engines never collide on ``engine.*`` names.
 """
 
 from __future__ import annotations
@@ -195,7 +192,7 @@ class MetricsRegistry:
         with self._lock:
             instruments = dict(self._instruments)
         # Gauges first, outside the lock: their callbacks may take
-        # subsystem locks (engine plan lock, module cache locks).
+        # subsystem locks (the engine plan lock).
         snap: dict[str, Any] = {
             name: inst.value
             for name, inst in instruments.items()
@@ -206,15 +203,6 @@ class MetricsRegistry:
                 if name not in snap:
                     snap[name] = inst._read_locked()
         return snap
-
-
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide registry carrying module-level cache views
-    (``indirection.*``)."""
-    return _GLOBAL
 
 
 def format_snapshot(snap: dict[str, Any], indent: str = "") -> str:

@@ -13,7 +13,6 @@ from repro.ops.registry import (
     CLASS_FP_OTHER,
     CLASS_LCE_BCONV,
     CLASS_LCE_QUANTIZE,
-    COST_EXEMPT_OPS,
     OP_CLASSES,
     AttrField,
     Attrs,
@@ -49,7 +48,6 @@ __all__ = [
     "CLASS_FP_OTHER",
     "CLASS_LCE_BCONV",
     "CLASS_LCE_QUANTIZE",
-    "COST_EXEMPT_OPS",
     "OP_CLASSES",
     "AttrField",
     "Attrs",

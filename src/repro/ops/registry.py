@@ -11,8 +11,8 @@ bundling
   reference :class:`~repro.graph.executor.Executor` and the runtime's
   :class:`~repro.runtime.plan.CompiledPlan` compile through
   (:func:`compile_node`);
-- an optional **cost hook** consumed by :func:`repro.hw.latency.node_latency`
-  (:func:`node_cost`);
+- a required **cost hook** consumed by :func:`node_cost` (and through
+  it :func:`repro.hw.latency.graph_latency`);
 - an **op-class label** consumed by the Table-4 breakdown
   (:func:`repro.experiments.table4.quicknet_table4_rows`) and trace
   calibration.
@@ -56,12 +56,6 @@ OP_CLASSES = (
     CLASS_FP_ADD,
     CLASS_FP_OTHER,
 )
-
-#: ops allowed to ship without a latency cost hook.  Empty today: every
-#: registered op has a cost model, and the registry-completeness test
-#: fails if an op is added without either a hook or an entry here.
-COST_EXEMPT_OPS: frozenset[str] = frozenset()
-
 
 class ParamCache:
     """Memoized derived/prepacked weights, keyed by ``(node name, kind)``.
@@ -214,9 +208,8 @@ class OpSpec:
     infer: InferFn
     #: kernel factory shared by the interpreter and compiled plans
     kernel: CompileFn
-    #: latency hook for :func:`repro.hw.latency.node_latency`; ops without
-    #: one must be listed in :data:`COST_EXEMPT_OPS`
-    cost: CostFn | None = None
+    #: latency hook for :func:`node_cost`; every op has one
+    cost: CostFn
     #: op-class label (Table-4 bucket)
     op_class: str = CLASS_FP_OTHER
     #: True for binarized-domain ops (``lce_*``)
@@ -317,7 +310,7 @@ def node_cost(
     input_specs: list[TensorSpec],
     output_specs: list[TensorSpec],
 ) -> "LatencyBreakdown":
-    """Cost one node via its registered hook; ValueError when absent.
+    """Cost one node via its registered hook; ValueError for an unknown op.
 
     The single calibration point of the cost stack: the hook prices the
     node against the profile's analytic constants, then the profile's
@@ -330,7 +323,7 @@ def node_cost(
     from repro.hw.device import as_profile  # local import: hw imports us
 
     spec = _OPS.get(node.op)
-    if spec is None or spec.cost is None:
+    if spec is None:
         raise ValueError(f"no latency model for op {node.op!r}")
     profile = as_profile(device)
     breakdown = spec.cost(
@@ -360,8 +353,7 @@ def mac_layer_ops() -> tuple[str, ...]:
 
 
 def validate_graph(graph) -> None:
-    """Registry-validate every node: known op, well-formed attributes,
-    and a latency model (or an explicit exemption).
+    """Registry-validate every node: known op and well-formed attributes.
 
     Raises :class:`GraphError` naming the offending node.  Called by
     :meth:`repro.graph.ir.Graph.validate`.
@@ -373,11 +365,6 @@ def validate_graph(graph) -> None:
                 f"node {node.name!r}: no kernel for op {node.op!r}"
             )
         spec.validate_node(node)
-        if spec.cost is None and node.op not in COST_EXEMPT_OPS:
-            raise GraphError(
-                f"node {node.name!r}: op {node.op!r} has no latency model "
-                "and is not cost-exempt"
-            )
 
 
 # --------------------------------------------------------- value checking

@@ -32,7 +32,7 @@ from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
 from repro.core.workspace import Workspace
 from repro.graph.ir import Graph
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
 
@@ -437,14 +437,3 @@ class Engine:
             nodes=snap["plan.nodes"],
             fused_blocks=snap["plan.fused_blocks"],
         )
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Engine metrics plus the process-wide cache views, one dict.
-
-        The union of this engine's registry and the global registry
-        (the ``indirection.*`` module-cache gauges); this is
-        what ``repro.cli stats`` prints and what benchmark JSON embeds.
-        """
-        snap = global_registry().snapshot()
-        snap.update(self.metrics.snapshot())
-        return snap

@@ -56,7 +56,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.concurrency.locks import ordered_lock
 from repro.graph.ir import Graph
-from repro.obs.metrics import MetricsRegistry, global_registry, quantile_from_counts
+from repro.obs.metrics import MetricsRegistry, quantile_from_counts
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import ParamCache
@@ -742,7 +742,7 @@ class Gateway:
         )
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """Gateway registry plus ``gateway.*`` totals, over the cache gauges.
+        """Gateway registry plus the derived ``gateway.*`` totals.
 
         The registry books every outcome once, per model; the
         gateway-wide totals are summed here from *one* registry snapshot,
@@ -750,8 +750,7 @@ class Gateway:
         ``submitted == accepted + shed`` — at every snapshot.
         """
         own = self.metrics.snapshot()
-        snap = global_registry().snapshot()
-        snap.update(own)
+        snap = dict(own)
 
         def parts(key: str) -> list[Any]:
             return [own[f"gateway.{name}.{key}"] for name in self._servers]

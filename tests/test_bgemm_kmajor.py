@@ -23,7 +23,6 @@ from repro.core.bconv2d import (
 from repro.core.bgemm import (
     _acc_dtype,
     bgemm_blocked,
-    bgemm_kmajor,
     bgemm_reference,
     bgemm_scratch_spec,
     bind_kmajor,
@@ -52,12 +51,12 @@ def _operands(rng, m, n, depth=DEPTH):
 
 
 def _kmajor(a, b, depth, workspace=None, **kw):
-    """``bgemm_kmajor`` on freshly packed operands, in a fresh arena unless
-    one is given."""
+    """``bgemm_blocked``'s K-major path (it packs both operands), in a
+    fresh arena unless one is given."""
     out = np.full((a.shape[0], b.shape[0]), -7, np.int32)
-    got = bgemm_kmajor(
-        np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), depth,
-        out, Workspace() if workspace is None else workspace, **kw,
+    got = bgemm_blocked(
+        a, b, depth, out=out,
+        workspace=Workspace() if workspace is None else workspace, **kw,
     )
     assert got is out
     return out
@@ -117,11 +116,12 @@ class TestKMajorAgainstReference:
         at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
         acc = np.empty((40, 24), np.int32)
         ws = Workspace()
+        k_block = derive_k_block(16, 5, WORDS)
         for g in range(3):
             cols = slice(g * 8, (g + 1) * 8)
-            bgemm_kmajor(
-                at, bt[:, cols], DEPTH, acc[:, cols], ws, tile_m=16, tile_n=5
-            )
+            bind_kmajor(
+                at, bt[:, cols], DEPTH, acc[:, cols], ws, 16, 5, k_block, "t"
+            )()
         assert np.array_equal(acc, bgemm_reference(a, b, DEPTH))
 
     @pytest.mark.parametrize("tile_k_words", [1, 2, 100])
@@ -136,21 +136,20 @@ class TestKMajorAgainstReference:
 
     def test_operand_and_out_checks_kept(self, rng):
         a, b = _operands(rng, 4, 3)
-        at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
         out = np.empty((4, 3), np.int32)
-        ws = Workspace()
+        kw = dict(workspace=Workspace())
         with pytest.raises(TypeError):
-            bgemm_kmajor(at.astype(np.int64), bt, DEPTH, out, ws)
+            bgemm_blocked(a.astype(np.int64), b, DEPTH, out=out, **kw)
         with pytest.raises(ValueError, match="word-count"):
-            bgemm_kmajor(at[:2], bt, DEPTH, out, ws)
+            bgemm_blocked(a[:, :2], b, DEPTH, out=out, **kw)
         with pytest.raises(ValueError, match="depth"):
-            bgemm_kmajor(at, bt, WORDS * 64 + 1, out, ws)
+            bgemm_blocked(a, b, WORDS * 64 + 1, out=out, **kw)
         with pytest.raises(ValueError, match="out must be"):
-            bgemm_kmajor(at, bt, DEPTH, out.astype(np.int64), ws)
+            bgemm_blocked(a, b, DEPTH, out=out.astype(np.int64), **kw)
         with pytest.raises(ValueError, match="out must be"):
-            bgemm_kmajor(at, bt, DEPTH, out[:3], ws)
+            bgemm_blocked(a, b, DEPTH, out=out[:3], **kw)
         with pytest.raises(ValueError):
-            bgemm_kmajor(at, bt, DEPTH, out, ws, tile_k_words=0)
+            bgemm_blocked(a, b, DEPTH, out=out, tile_k_words=0, **kw)
 
 
 class TestDeriveKBlock:
@@ -279,10 +278,7 @@ class TestScratchReservationIsExact:
         at = ws.take("bgemm/at", (words, m), np.uint64)
         np.copyto(at, a.T)
         out = np.empty((m, n), np.int32)
-        bgemm_kmajor(
-            at, np.ascontiguousarray(b.T), depth, out, ws,
-            tile_m=tile_m, tile_n=tile_n, tile_k_words=tile_k_words,
-        )
+        bind_kmajor(at, np.ascontiguousarray(b.T), depth, out, ws, mt, nt, kb)()
         assert ws.grows == grows
         assert {name: ws.buffer(name).size for name in ws.names()} == {
             name: size for name, size, _ in spec
@@ -320,10 +316,11 @@ class TestNarrowAccumulators:
         depth = words * 64
         ws = Workspace()
         got = np.empty((5, 3), np.int32)
-        bgemm_kmajor(
+        mt, nt, kb = derive_panel(5, 3, words, tile_k_words=tile_k_words)
+        bind_kmajor(
             np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), depth, got,
-            ws, tile_k_words=tile_k_words,
-        )
+            ws, mt, nt, kb,
+        )()
         assert np.array_equal(got, bgemm_reference(a, b, depth))
         assert (got == -depth).all()
         assert [n for n in ws.names() if n != "bgemm/xk"] == [

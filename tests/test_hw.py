@@ -15,9 +15,9 @@ from repro.hw.latency import (
     align_spans,
     conv_cost,
     graph_latency,
-    node_latency,
 )
 from repro.obs.trace import SpanRecord, Tracer
+from repro.ops import node_cost
 from repro.runtime import Engine
 from repro.zoo import quicknet
 
@@ -157,7 +157,7 @@ class TestNodeLatency:
         from repro.graph.ir import Node
 
         with pytest.raises(ValueError, match="no latency model"):
-            node_latency(
+            node_cost(
                 DeviceModel.pixel1(),
                 Node("n", "warp_drive", [], []),
                 [], [],
@@ -168,9 +168,9 @@ class TestNodeLatency:
 
         dev = DeviceModel.pixel1()
         node = Node("q", "lce_quantize", ["x"], ["y"])
-        small = node_latency(dev, node, [self._spec((1, 8, 8, 64))],
+        small = node_cost(dev, node, [self._spec((1, 8, 8, 64))],
                              [self._spec((1, 8, 8, 64), "bitpacked")])
-        big = node_latency(dev, node, [self._spec((1, 32, 32, 64))],
+        big = node_cost(dev, node, [self._spec((1, 32, 32, 64))],
                            [self._spec((1, 32, 32, 64), "bitpacked")])
         assert big.total_s > small.total_s
 

@@ -7,12 +7,7 @@ import pytest
 
 from repro.core.bitpack import pack_bits, unpack_bits
 from repro.core.im2col import im2col_float
-from repro.core.indirection import (
-    get_indirection,
-    im2col_indirect,
-    indirection_cache_clear,
-    indirection_cache_stats,
-)
+from repro.core.indirection import get_indirection, im2col_indirect
 from repro.core.types import Padding
 from repro.core.workspace import Workspace
 
@@ -44,22 +39,6 @@ class TestGetIndirection:
         got = im2col_indirect(x, ind)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
-
-    def test_memoized_identity(self):
-        a = get_indirection(8, 8, 3, 3, 1, 1, Padding.SAME_ONE)
-        b = get_indirection(8, 8, 3, 3, 1, 1, Padding.SAME_ONE)
-        assert a is b
-
-    def test_cache_hits_counted(self):
-        indirection_cache_clear()
-        get_indirection(5, 5, 3, 3, 1, 1, Padding.SAME_ONE)
-        get_indirection(5, 5, 3, 3, 1, 1, Padding.SAME_ONE)
-        get_indirection(5, 5, 3, 3, 1, 1, Padding.VALID)
-        stats = indirection_cache_stats()
-        assert stats.entries == 2
-        assert stats.misses == 2
-        assert stats.hits == 1
-        assert stats.nbytes > 0
 
     def test_arrays_read_only(self):
         ind = get_indirection(6, 6, 3, 3, 1, 1, Padding.SAME_ZERO)

@@ -1,9 +1,8 @@
 """Unit tests for the unified metrics registry (`repro.obs.metrics`).
 
 Covers the instrument types, registry semantics (get-or-create, type
-clashes, snapshot), the module-cache views on the global registry,
-and — the regression this layer exists for — EngineStats snapshot
-consistency under concurrent submission.
+clashes, snapshot) and — the regression this layer exists for —
+EngineStats snapshot consistency under concurrent submission.
 """
 
 from __future__ import annotations
@@ -13,17 +12,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.indirection import (
-    get_indirection,
-    indirection_cache_clear,
-    indirection_cache_stats,
-)
-from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.obs.metrics import (
     MetricsRegistry,
     format_snapshot,
-    global_registry,
     quantile_from_counts,
 )
 from repro.runtime import Engine
@@ -216,29 +208,6 @@ class TestFormatSnapshot:
         assert format_snapshot({}) == ""
 
 
-class TestGlobalCacheViews:
-    """Satellite: module caches exposed through the global registry."""
-
-    def test_indirection_gauges_track_cache(self):
-        indirection_cache_clear()
-        snap = global_registry().snapshot()
-        assert snap["indirection.entries"] == 0
-        assert snap["indirection.hits"] == 0 and snap["indirection.misses"] == 0
-
-        get_indirection(6, 6, 3, 3, 1, 1, Padding.SAME_ONE)
-        get_indirection(6, 6, 3, 3, 1, 1, Padding.SAME_ONE)
-        snap = global_registry().snapshot()
-        stats = indirection_cache_stats()
-        assert snap["indirection.entries"] == stats.entries == 1
-        assert snap["indirection.misses"] == stats.misses == 1
-        assert snap["indirection.hits"] == stats.hits >= 1
-        assert snap["indirection.bytes"] == stats.nbytes > 0
-
-        indirection_cache_clear()
-        snap = global_registry().snapshot()
-        assert snap["indirection.entries"] == 0 and snap["indirection.hits"] == 0
-
-
 def _tiny_net(rng):
     b = GraphBuilder((1, 6, 6, 3))
     x = b.conv2d(b.input, rng.standard_normal((3, 3, 3, 4)).astype(np.float32))
@@ -257,14 +226,13 @@ class TestEngineStatsConsistency:
         x = rng.standard_normal((1, 6, 6, 3)).astype(np.float32)
         with Engine(_tiny_net(rng)) as engine:
             engine.run(x)
-            snap = engine.metrics_snapshot()
+            snap = engine.metrics.snapshot()
         for name in (
             "engine.requests", "engine.samples", "engine.batches",
             "engine.batch_size", "engine.busy_s", "engine.verified",
             "plancache.hits", "plancache.misses",
             "paramcache.hits", "paramcache.misses",
             "workspace.bytes_reserved",
-            "indirection.entries",
         ):
             assert name in snap, name
 

@@ -408,5 +408,4 @@ class TestCli:
         assert "unified metrics registry" in stdout
         assert "engine.requests" in stdout
         assert "engine.batch_size" in stdout
-        assert "indirection.entries" in stdout
         assert "paramcache.hits" in stdout

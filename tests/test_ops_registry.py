@@ -10,11 +10,9 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
 from repro.graph.ir import Graph, GraphError, TensorSpec
 from repro.ops import (
-    COST_EXEMPT_OPS,
     OpContext,
     all_specs,
     compile_node,
-    find_spec,
     get_spec,
     infer_output_specs,
     is_binary_op,
@@ -22,7 +20,7 @@ from repro.ops import (
     op_class_of,
     op_names,
 )
-from repro.ops.registry import OP_CLASSES
+from repro.ops.registry import OP_CLASSES, OpSpec
 from repro.runtime import compile_plan
 
 
@@ -49,17 +47,15 @@ class TestCompleteness:
             assert callable(spec.kernel), spec.name
             assert callable(spec.infer), spec.name
 
-    def test_every_op_has_cost_model_or_explicit_exemption(self):
-        missing = [
-            spec.name
-            for spec in all_specs()
-            if spec.cost is None and spec.name not in COST_EXEMPT_OPS
-        ]
-        assert not missing, f"ops without latency model or exemption: {missing}"
-
-    def test_exemption_list_has_no_stale_entries(self):
-        stale = [op for op in COST_EXEMPT_OPS if find_spec(op) is None]
-        assert not stale
+    def test_every_op_has_a_callable_cost_model(self):
+        for spec in all_specs():
+            assert callable(spec.cost), spec.name
+        # the dataclass itself refuses a spec without one
+        with pytest.raises(TypeError, match="cost"):
+            OpSpec(
+                name="warp_drive", attrs=(), infer=lambda *a: [],
+                kernel=lambda *a: None,
+            )
 
     def test_op_classes_are_the_known_buckets(self):
         for spec in all_specs():

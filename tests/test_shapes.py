@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.types import Padding
 from repro.graph.ir import GraphError, TensorSpec
-from repro.graph.shapes import infer_output_specs, supported_ops
 from repro.kernels.batchnorm import BatchNormParams
+from repro.ops import infer_output_specs, op_names
 
 
 def _infer(op, specs, attrs=None, params=None):
@@ -170,6 +170,6 @@ class TestRegistry:
             _infer("warp_drive", [TensorSpec((1,))])
 
     def test_supported_ops_nonempty_and_sorted(self):
-        ops = supported_ops()
+        ops = op_names()
         assert "lce_bconv2d" in ops
         assert list(ops) == sorted(ops)
