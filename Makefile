@@ -20,13 +20,13 @@ lint:
 
 # Static analyses: dataflow rules over every zoo model (training and
 # converted graphs), the repo lint engine and the concurrency C-rules
-# over src/.  Fails on any ERROR finding.
+# over src/.  Fails on any finding.
 analyze:
 	PYTHONPATH=src python -m repro.cli analyze
 
 # Runtime lock sanitizer over the whole suite: every lock acquisition is
-# checked against the rank table in repro/concurrency/order.py, and the
-# session fails if the recorded acquisition graph contains a cycle.
+# checked against the rank table in repro/concurrency/order.py, and a
+# nesting whose rank does not strictly increase raises LockOrderError.
 sanitize:
 	REPRO_SANITIZE=1 pytest tests/
 

@@ -21,7 +21,7 @@ from repro.analysis.macs import count_macs
 from repro.converter import convert
 from repro.hw import DeviceModel
 from repro.hw.latency import graph_latency
-from repro.zoo.quicknet import quicknet
+from repro.zoo.quicknet_variants import quicknet
 from repro.zoo.resnet_variants import binary_resnet18
 
 

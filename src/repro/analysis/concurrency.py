@@ -111,14 +111,6 @@ def _inventory(tree: ast.Module, loc: str) -> tuple[_FileLocks, list[Diagnostic]
                 hint="pass an ordered lock: Condition(self._lock)",
             ))
             return
-        if name == "OrderedLock" and _has_kwarg(call, "rank", "graph"):
-            diags.append(error(
-                "C001", f"{loc}:{call.lineno}",
-                "OrderedLock rank=/graph= overrides are test-only",
-                hint="register the lock in repro.concurrency.order and use "
-                "the ordered_lock factory",
-            ))
-            return
         if name in _FACTORIES or name == "OrderedLock":
             lock_name = _str_arg(call)
             if lock_name is None:

@@ -9,7 +9,7 @@ word layout, padding semantics and fusion legality of every
 nothing else checks on a loaded ``.lce`` file.
 
 :func:`analyze_graph` returns diagnostics; :func:`check_graph` raises a
-:class:`~repro.graph.ir.GraphError` on any ERROR finding and is what
+:class:`~repro.graph.ir.GraphError` on any finding and is what
 ``Graph.validate`` runs, so illegal graphs are rejected at every pass,
 plan compilation, executor construction and save/load — before they can
 reach a kernel.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.diagnostics import Diagnostic, error, errors_of
+from repro.analysis.diagnostics import Diagnostic, error
 from repro.core.bitpack import WORD_BITS, packed_words
 from repro.core.im2col import conv_geometry
 from repro.core.types import OutputType, Padding
@@ -239,13 +239,13 @@ def analyze_graph(graph: Graph) -> list[Diagnostic]:
 
 
 def check_graph(graph: Graph, where: str = "") -> None:
-    """Raise :class:`GraphError` if any dataflow rule reports an ERROR.
+    """Raise :class:`GraphError` if any dataflow rule reports a finding.
 
     The error names the first violation (rule id included) and the total
     count; ``where`` prefixes the message with the enforcement point (a
     pass name, "compile_plan", ...).
     """
-    errors = errors_of(analyze_graph(graph))
+    errors = analyze_graph(graph)
     if not errors:
         return
     first = errors[0]

@@ -1,31 +1,24 @@
 """The shared diagnostic core of the static-analysis subsystem.
 
-Both analysis engines — the graph dataflow verifier
-(:mod:`repro.analysis.dataflow`) and the repo lint engine
-(:mod:`repro.analysis.lint`) — report through the same vocabulary: a
-:class:`Diagnostic` carries a rule id, a severity, a location (a graph
+Every analysis engine — the graph dataflow verifier
+(:mod:`repro.analysis.dataflow`), the repo lint engine
+(:mod:`repro.analysis.lint`) and the concurrency rules
+(:mod:`repro.analysis.concurrency`) — reports through the same
+vocabulary: a :class:`Diagnostic` carries a rule id, a location (a graph
 node or a ``file:line``), a message and a fix hint.  The rule catalogue
 (:data:`RULES`) is the source of truth for rule ids; ``docs/architecture.md``
 renders the same table for humans.
 
-Severity semantics: an ``ERROR`` means the graph/source violates a
-correctness contract and enforcement points (``Graph.validate``,
-``run_passes``, ``make check``) must reject it; a ``WARNING`` flags a
-legal-but-slow or suspicious construct (e.g. the grouped repack fallback)
-and never fails a gate.
+Every diagnostic is an error: the graph/source violates a correctness
+contract and enforcement points (``Graph.validate``, ``run_passes``,
+``make check``) must reject it.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from pathlib import PurePath
-
-
-class Severity(enum.Enum):
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,9 @@ RULES: dict[str, Rule] = {
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One analysis finding: rule id, severity, location, message, hint."""
+    """One analysis finding (always an error): rule id, location, message, hint."""
 
     rule: str
-    severity: Severity
     location: str
     message: str
     hint: str = ""
@@ -128,14 +120,13 @@ class Diagnostic:
             raise ValueError(f"unknown rule id {self.rule!r}")
 
     def format(self) -> str:
-        head = f"{self.location}: {self.severity.value} [{self.rule}] {self.message}"
+        head = f"{self.location}: error [{self.rule}] {self.message}"
         return head + (f" (hint: {self.hint})" if self.hint else "")
 
     def to_dict(self) -> dict:
         return {
             "rule": self.rule,
             "name": RULES[self.rule].name,
-            "severity": self.severity.value,
             "location": self.location,
             "message": self.message,
             "hint": self.hint,
@@ -143,31 +134,19 @@ class Diagnostic:
 
 
 def error(rule: str, location: str, message: str, hint: str = "") -> Diagnostic:
-    return Diagnostic(rule, Severity.ERROR, location, message, hint)
-
-
-def warning(rule: str, location: str, message: str, hint: str = "") -> Diagnostic:
-    return Diagnostic(rule, Severity.WARNING, location, message, hint)
-
-
-def errors_of(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    return [d for d in diagnostics if d.severity is Severity.ERROR]
+    return Diagnostic(rule, location, message, hint)
 
 
 def format_text(diagnostics: list[Diagnostic]) -> str:
-    """Human-readable report, one finding per line, errors first."""
-    ordered = sorted(
-        diagnostics, key=lambda d: (d.severity is not Severity.ERROR, d.location)
-    )
-    return "\n".join(d.format() for d in ordered)
+    """Human-readable report, one finding per line, by location."""
+    return "\n".join(d.format() for d in sorted(diagnostics, key=lambda d: d.location))
 
 
 def format_json(diagnostics: list[Diagnostic], **summary) -> str:
     """Machine-readable report: findings plus a summary block."""
     payload = {
         "diagnostics": [d.to_dict() for d in diagnostics],
-        "errors": len(errors_of(diagnostics)),
-        "warnings": len(diagnostics) - len(errors_of(diagnostics)),
+        "errors": len(diagnostics),
     }
     payload.update(summary)
     return json.dumps(payload, indent=2, sort_keys=True)

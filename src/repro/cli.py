@@ -216,14 +216,14 @@ def cmd_analyze(args) -> int:
     With no target flags, analyzes every zoo model (training and converted
     graphs), lints the repo source tree *and* runs the concurrency
     C-rules over ``src/`` — the full ``make analyze`` gate.  Exit status
-    1 on any ERROR finding.
+    1 on any finding.
     """
     import dataclasses
     import pathlib
 
     from repro.analysis.concurrency import check_repo
     from repro.analysis.dataflow import analyze_graph
-    from repro.analysis.diagnostics import errors_of, format_json, format_text
+    from repro.analysis.diagnostics import format_json, format_text
     from repro.analysis.lint import lint_paths, lint_repo
     from repro.graph.ir import GraphError
 
@@ -258,7 +258,7 @@ def cmd_analyze(args) -> int:
             except GraphError as exc:
                 # convert() enforces per-pass; report instead of crashing
                 # only if the pre-pass analysis didn't already explain it.
-                if not errors_of(pre):
+                if not pre:
                     print(f"analyze: convert({name}) failed: {exc}",
                           file=sys.stderr)
                     return 1
@@ -294,13 +294,11 @@ def cmd_analyze(args) -> int:
         )
         diags.extend(check_repo(repo))
 
-    errors = errors_of(diags)
     if args.format == "json":
         print(format_json(diags, models=models_analyzed, files=files_linted))
     else:
         if diags:
             print(format_text(diags))
-        warnings = len(diags) - len(errors)
         scope = []
         if models_analyzed:
             scope.append(f"{len(models_analyzed)} model(s)")
@@ -311,10 +309,10 @@ def cmd_analyze(args) -> int:
                 f"{concurrency_checked} file(s) for lock discipline"
             )
         print(
-            f"analyze: {len(errors)} error(s), {warnings} warning(s) "
+            f"analyze: {len(diags)} error(s) "
             f"across {', '.join(scope) or 'nothing'}"
         )
-    return 1 if errors else 0
+    return 1 if diags else 0
 
 
 def cmd_trace(args) -> int:

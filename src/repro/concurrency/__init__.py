@@ -10,10 +10,9 @@ gateway).  This package makes them machine-checked:
   must follow ascending rank (outermost first).
 - :mod:`repro.concurrency.locks` — :class:`OrderedLock`, the shim every
   repo lock routes through (via :func:`ordered_lock` /
-  :func:`ordered_rlock`).  With ``REPRO_SANITIZE=1`` it records
-  per-thread locksets and a global acquisition graph, raises a typed
-  :class:`LockOrderError` on rank inversion and surfaces cross-thread
-  cycles (potential deadlocks) at teardown; disabled, the factories hand
+  :func:`ordered_rlock`).  With ``REPRO_SANITIZE=1`` it keeps per-thread
+  locksets and raises a typed :class:`LockOrderError` on any nesting
+  whose rank does not strictly increase; disabled, the factories hand
   back bare :mod:`threading` primitives, so the steady-state runtime
   pays nothing.
 
@@ -24,12 +23,9 @@ blocks.  The order itself is checked here, at runtime only.
 
 from repro.concurrency.locks import (
     SANITIZE_ENV,
-    LockCycleError,
-    LockGraph,
     LockOrderError,
     OrderedLock,
-    check_teardown,
-    global_graph,
+    lockset,
     ordered_lock,
     ordered_rlock,
     sanitizer_enabled,
@@ -39,14 +35,11 @@ from repro.concurrency.order import LOCK_RANKS, LockRank, UnknownLockError, rank
 __all__ = [
     "LOCK_RANKS",
     "SANITIZE_ENV",
-    "LockCycleError",
-    "LockGraph",
     "LockOrderError",
     "LockRank",
     "OrderedLock",
     "UnknownLockError",
-    "check_teardown",
-    "global_graph",
+    "lockset",
     "ordered_lock",
     "ordered_rlock",
     "rank_of",

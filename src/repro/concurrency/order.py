@@ -1,10 +1,11 @@
 """The lock-order table: every lock in ``src/``, with a declared rank.
 
-Nested lock acquisition must follow **ascending rank** — a thread that
-holds a lock of rank *r* may only acquire locks of rank > *r* (or
-re-enter the same reentrant lock).  Since every chain respects one total
-order, no cross-thread cycle — and therefore no deadlock — is possible
-among the registered locks.
+Nested lock acquisition must follow **strictly ascending rank** — a
+thread that holds a lock of rank *r* may only acquire locks of rank > *r*
+(or re-enter the same reentrant lock); a second instance of a held name
+is refused like any other equal rank.  Ranks are distinct per name, so
+every chain respects one total order and no cross-thread cycle — and
+therefore no deadlock — is possible among the registered locks.
 
 The table is the single source of truth shared by both halves of the
 concurrency sanitizer:
@@ -17,10 +18,10 @@ concurrency sanitizer:
   of it.
 
 Rank gaps of 10 leave room to slot new locks between existing layers.
-The recorded orderings (the edges each rank pair legalizes) are facts of
-the current code, called out per entry below; codifying them here is
-what turned the observability PR's "plan lock before registry lock"
-comment into an enforced invariant.
+The nestings each entry's rank allows are facts of the current code,
+called out per entry below; codifying them here is what turned the
+observability PR's "plan lock before registry lock" comment into an
+enforced invariant.
 """
 
 from __future__ import annotations

@@ -63,10 +63,6 @@ class PackedTensor:
     def nbytes(self) -> int:
         return self.bits.nbytes
 
-    def unpack(self) -> np.ndarray:
-        """Decode back to a +/-1.0 float32 tensor (``LceDequantize``)."""
-        return unpack_bits(self)
-
     def __eq__(self, other: object) -> bool:  # pragma: no cover - trivial
         if not isinstance(other, PackedTensor):
             return NotImplemented

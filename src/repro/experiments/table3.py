@@ -18,7 +18,7 @@ from repro.experiments.reporting import Claim, below, equal, record
 from repro.hw.device import DeviceModel
 from repro.hw.latency import graph_latency
 from repro.zoo import MODEL_REGISTRY
-from repro.zoo.quicknet import QUICKNET_VARIANTS, quicknet
+from repro.zoo.quicknet_variants import QUICKNET_VARIANTS, quicknet
 
 #: paper Table 3 accuracy rows (train %, eval %)
 PAPER_ACCURACY = {

@@ -24,7 +24,6 @@ from repro.ops.registry import (
     all_specs,
     check_value,
     compile_node,
-    find_spec,
     get_spec,
     infer_output_specs,
     is_binary_op,
@@ -59,7 +58,6 @@ __all__ = [
     "all_specs",
     "check_value",
     "compile_node",
-    "find_spec",
     "get_spec",
     "infer_output_specs",
     "is_binary_op",

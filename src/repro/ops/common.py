@@ -125,15 +125,6 @@ def eltwise_cost(profile, node, p, input_specs, output_specs):
     return bandwidth_cost(profile, io_bytes(input_specs, output_specs))
 
 
-def first_io_cost(profile, node, p, input_specs, output_specs):
-    """bandwidth on first input + first output (ignores weights)"""
-    from repro.hw.latency import bandwidth_cost
-
-    return bandwidth_cost(
-        profile, float(input_specs[0].nbytes + output_specs[0].nbytes)
-    )
-
-
 def pool_window_elems(p: Attrs, output_specs) -> float:
     """Window-sized element count of a pooling op's output."""
     window = p.pool_h * p.pool_w
@@ -147,7 +138,6 @@ __all__ = [
     "conv_out",
     "eltwise_cost",
     "enum_attr",
-    "first_io_cost",
     "float_attr",
     "infer_pool",
     "infer_same_shape",

@@ -263,11 +263,6 @@ def get_spec(op: str) -> OpSpec:
         raise GraphError(f"no kernel for op {op!r}") from None
 
 
-def find_spec(op: str) -> OpSpec | None:
-    """The :class:`OpSpec` for ``op``, or None when unregistered."""
-    return _OPS.get(op)
-
-
 def op_names() -> tuple[str, ...]:
     """All registered op names, sorted."""
     return tuple(sorted(_OPS))

@@ -23,7 +23,6 @@ the gateway keeps anyway.
 from repro.serving.clock import MONOTONIC_CLOCK, Clock, MonotonicClock
 from repro.serving.gateway import (
     FAILED_REPLICA,
-    REJECT_REASONS,
     SHED_CLOSED,
     SHED_NO_HEALTHY_REPLICA,
     SHED_QUEUE_FULL,
@@ -37,7 +36,6 @@ from repro.serving.gateway import (
 __all__ = [
     "FAILED_REPLICA",
     "MONOTONIC_CLOCK",
-    "REJECT_REASONS",
     "SHED_CLOSED",
     "SHED_NO_HEALTHY_REPLICA",
     "SHED_QUEUE_FULL",

@@ -72,17 +72,6 @@ SHED_UNKNOWN_MODEL = "unknown_model"
 SHED_NO_HEALTHY_REPLICA = "no_healthy_replica"
 FAILED_REPLICA = "replica_error"
 
-#: every reason `submit` can resolve a future with
-REJECT_REASONS = frozenset(
-    {
-        SHED_QUEUE_FULL,
-        SHED_CLOSED,
-        SHED_UNKNOWN_MODEL,
-        SHED_NO_HEALTHY_REPLICA,
-        FAILED_REPLICA,
-    }
-)
-
 
 @dataclass(frozen=True)
 class Rejected:

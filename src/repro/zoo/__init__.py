@@ -19,10 +19,10 @@ Builders:
   Figure 8 (A: shortcuts everywhere, B: regular blocks only, C: none).
 """
 
-from repro.zoo.binary_alexnet import binary_alexnet, xnornet
-from repro.zoo.binarydensenet import binarydensenet
+from repro.zoo.alexnet_variants import binary_alexnet, xnornet
+from repro.zoo.densenet_variants import binarydensenet
 from repro.zoo.meliusnet import meliusnet22
-from repro.zoo.quicknet import quicknet
+from repro.zoo.quicknet_variants import quicknet
 from repro.zoo.registry import MODEL_REGISTRY, ModelInfo, build_model
 from repro.zoo.resnet_variants import (
     binary_resnet18,

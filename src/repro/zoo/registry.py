@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.graph.ir import Graph
-from repro.zoo.binary_alexnet import binary_alexnet, xnornet
-from repro.zoo.binarydensenet import binarydensenet
+from repro.zoo.alexnet_variants import binary_alexnet, xnornet
+from repro.zoo.densenet_variants import binarydensenet
 from repro.zoo.meliusnet import meliusnet22
-from repro.zoo.quicknet import quicknet
+from repro.zoo.quicknet_variants import quicknet
 from repro.zoo.resnet_variants import birealnet18, realtobinarynet
 
 

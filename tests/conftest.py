@@ -66,18 +66,3 @@ def bgemm_bufsizes(monkeypatch) -> BgemmBufsizeProbe:
     monkeypatch.setattr(importlib.import_module("repro.core.bgemm"), "np", probe)
     return probe
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _lock_sanitizer_teardown():
-    """Under ``REPRO_SANITIZE=1``, fail the session on a lock-graph cycle.
-
-    Rank inversions raise :class:`LockOrderError` at the offending
-    acquisition inside individual tests; this end-of-session gate catches
-    the remaining deadlock-potential signal — a cycle among equal-rank
-    locks recorded across the whole suite's acquisition graph.
-    """
-    yield
-    from repro.concurrency.locks import check_teardown, sanitizer_enabled
-
-    if sanitizer_enabled():
-        check_teardown()

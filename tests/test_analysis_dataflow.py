@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.dataflow import analyze_graph, check_graph
-from repro.analysis.diagnostics import Severity, errors_of
 from repro.converter import convert
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
@@ -86,11 +85,9 @@ def _float_bconv(graph):
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
 def test_zoo_model_analyzes_clean_before_and_after_convert(name):
     graph = build_model(name, input_size=64)
-    assert not errors_of(analyze_graph(graph)), name
+    assert not analyze_graph(graph), name
     converted = convert(graph).graph
     diags = analyze_graph(converted)
-    assert not errors_of(diags), [d.format() for d in diags]
-    # No warnings either.
     assert not diags, [d.format() for d in diags]
 
 
@@ -100,7 +97,7 @@ def test_zoo_model_analyzes_clean_before_and_after_convert(name):
 def test_g001_dangling_tensor_spec():
     graph = _binary_net(Padding.SAME_ONE).graph
     graph.tensors["orphan"] = TensorSpec((1, 4))
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G001"}
     assert any("no producer" in d.message for d in diags)
 
@@ -108,20 +105,20 @@ def test_g001_dangling_tensor_spec():
 def test_g001_non_topological_order():
     graph = _binary_net(Padding.SAME_ONE).graph
     graph.nodes.reverse()
-    assert "G001" in _rules(errors_of(analyze_graph(graph)))
+    assert "G001" in _rules(analyze_graph(graph))
 
 
 def test_g001_unproduced_graph_output():
     graph = _binary_net(Padding.SAME_ONE).graph
     graph.outputs.append("never_made")
-    assert "G001" in _rules(errors_of(analyze_graph(graph)))
+    assert "G001" in _rules(analyze_graph(graph))
 
 
 def test_g001_structural_errors_short_circuit_later_rules():
     graph = _binary_net(Padding.SAME_ZERO).graph
     graph.nodes.reverse()
     del _float_bconv(graph).params["padding_correction"]  # would be G004
-    assert _rules(errors_of(analyze_graph(graph))) == {"G001"}
+    assert _rules(analyze_graph(graph)) == {"G001"}
 
 
 def test_check_graph_raises_with_rule_id_and_location():
@@ -142,7 +139,7 @@ def test_g002_bitpacked_tensor_feeding_float_domain_op():
     q = g.add_node("lce_quantize", [x], [TensorSpec((1, 8, 8, 64), "bitpacked")])
     r = g.add_node("relu", [q.outputs[0]], [TensorSpec((1, 8, 8, 64), "bitpacked")])
     g.outputs = [r.outputs[0]]
-    diags = errors_of(analyze_graph(g))
+    diags = analyze_graph(g)
     assert _rules(diags) == {"G002"}
     assert any("float-domain" in d.message for d in diags)
 
@@ -151,7 +148,7 @@ def test_g002_recorded_spec_diverges_from_reinference():
     graph = _binary_net(Padding.SAME_ONE).graph
     out = graph.outputs[0]
     graph.tensors[out] = TensorSpec((1, 5), graph.tensors[out].dtype)
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert "G002" in _rules(diags)
     assert any("re-inference" in d.message for d in diags)
 
@@ -159,7 +156,7 @@ def test_g002_recorded_spec_diverges_from_reinference():
 def test_g002_unregistered_op():
     graph = _binary_net(Padding.SAME_ONE).graph
     graph.add_node("totally_bogus_op", [graph.outputs[0]], [TensorSpec((1, 4))])
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G002"}
     assert any("no kernel for op 'totally_bogus_op'" in d.message for d in diags)
 
@@ -236,7 +233,7 @@ def test_graph_validate_checks_each_invariant_once(
     assert str(exc.value).count(message) == 1
     raised.clear()
     diags = analyze_graph(graph)
-    assert [(d.rule, d.severity) for d in diags] == [(rule, Severity.ERROR)]
+    assert [d.rule for d in diags] == [rule]
     assert message in diags[0].message
     assert raised == [owner]
 
@@ -248,7 +245,7 @@ def test_g003_wrong_filter_bits_word_count():
     graph = _binary_net(Padding.SAME_ONE).graph
     node = _float_bconv(graph)
     node.params["filter_bits"] = np.zeros((16, 5), np.uint64)
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G003"}
     assert any("ceil(cin_g/64)" in d.message for d in diags)
 
@@ -256,7 +253,7 @@ def test_g003_wrong_filter_bits_word_count():
 def test_g003_missing_filter_bits():
     graph = _binary_net(Padding.SAME_ONE).graph
     del _float_bconv(graph).params["filter_bits"]
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G003"}
 
 
@@ -264,7 +261,7 @@ def test_g003_filter_bits_wrong_dtype():
     graph = _binary_net(Padding.SAME_ONE).graph
     node = _float_bconv(graph)
     node.params["filter_bits"] = node.params["filter_bits"].astype(np.uint32)
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G003"}
     assert any("uint64" in d.message for d in diags)
 
@@ -272,7 +269,7 @@ def test_g003_filter_bits_wrong_dtype():
 def test_g003_groups_must_divide_channels():
     graph = _binary_net(Padding.SAME_ONE).graph
     _float_bconv(graph).attrs["groups"] = 3  # 16 % 3 != 0
-    assert "G003" in _rules(errors_of(analyze_graph(graph)))
+    assert "G003" in _rules(analyze_graph(graph))
 
 
 # -------------------------------------------------- G004: padding semantics
@@ -281,7 +278,7 @@ def test_g003_groups_must_divide_channels():
 def test_g004_same_zero_without_correction():
     graph = _binary_net(Padding.SAME_ZERO).graph
     del _float_bconv(graph).params["padding_correction"]
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G004"}
     assert any("SAME_ZERO" in d.message for d in diags)
 
@@ -291,7 +288,7 @@ def test_g004_correction_on_one_padded_conv():
     _float_bconv(graph).params["padding_correction"] = np.zeros(
         (64, 16), np.float32
     )
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert "G004" in _rules(diags)
     assert any("must not carry" in d.message for d in diags)
 
@@ -301,7 +298,7 @@ def test_g004_correction_shape_must_match_geometry():
     _float_bconv(graph).params["padding_correction"] = np.zeros(
         (3, 16), np.float32
     )
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G004"}
     assert any("(pixels, out_channels)" in d.message for d in diags)
 
@@ -312,14 +309,14 @@ def test_g004_correction_shape_must_match_geometry():
 def test_g005_bitpacked_output_requires_thresholds():
     graph = _binary_net(Padding.SAME_ONE).graph
     del _bitpacked_bconv(graph).params["threshold"]
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G005"}
 
 
 def test_g005_leftover_multiplier_after_threshold_fold():
     graph = _binary_net(Padding.SAME_ONE).graph
     _bitpacked_bconv(graph).params["multiplier"] = np.ones(16, np.float32)
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G005"}
     assert any("inexact" in d.message for d in diags)
 
@@ -327,7 +324,7 @@ def test_g005_leftover_multiplier_after_threshold_fold():
 def test_g005_threshold_shape_is_per_channel():
     graph = _binary_net(Padding.SAME_ONE).graph
     _bitpacked_bconv(graph).params["threshold"] = np.zeros(17, np.int32)
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G005"}
 
 
@@ -336,7 +333,7 @@ def test_g005_stale_thresholds_on_float_output():
     node = _float_bconv(graph)
     node.params["threshold"] = np.zeros(16, np.int32)
     node.params["threshold_flip"] = np.zeros(16, bool)
-    diags = errors_of(analyze_graph(graph))
+    diags = analyze_graph(graph)
     assert _rules(diags) == {"G005"}
     assert any("stale" in d.message for d in diags)
 
@@ -344,7 +341,7 @@ def test_g005_stale_thresholds_on_float_output():
 def test_g005_int8_output_requires_scale():
     graph = _binary_net(Padding.SAME_ONE).graph
     _float_bconv(graph).attrs["output_type"] = "int8"
-    rules = _rules(errors_of(analyze_graph(graph)))
+    rules = _rules(analyze_graph(graph))
     assert "G005" in rules  # (G002 fires too: the recorded dtype is stale)
 
 

@@ -1,13 +1,12 @@
-"""Runtime lock-sanitizer tests: OrderedLock, LockGraph, the factories.
+"""Runtime lock-sanitizer tests: OrderedLock, the rank check, the factories.
 
-Each sanitized-mode test builds :class:`OrderedLock` directly with an
-isolated :class:`LockGraph` — the class always checks, regardless of
-``REPRO_SANITIZE`` — so these tests are deterministic in both plain and
-``make sanitize`` runs.  Factory mode switching is pinned via
-``monkeypatch.setenv``; the deadlock fixture runs its two threads
-*sequentially* (each ordering completes, no timing races) and relies on
-the graph's cycle detector, which is exactly the signal
-:func:`check_teardown` gates the suite on.
+Each sanitized-mode test builds :class:`OrderedLock` directly — the class
+always checks, regardless of ``REPRO_SANITIZE`` — so these tests are
+deterministic in both plain and ``make sanitize`` runs.  Factory mode
+switching is pinned via ``monkeypatch.setenv``; the deadlock fixture runs
+its two threads *sequentially* (no timing races), and the crossed
+ordering raises at its first acquisition, which is the whole lock-order
+check: ranks are distinct and must strictly increase inward.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import pytest
 from repro.concurrency import (
     SANITIZE_ENV,
     LOCK_RANKS,
-    LockCycleError,
-    LockGraph,
     LockOrderError,
     OrderedLock,
     UnknownLockError,
+    lockset,
     ordered_lock,
     ordered_rlock,
     rank_of,
@@ -41,6 +39,9 @@ def test_rank_table_is_a_strict_hierarchy_per_name():
     ranks = [entry.rank for entry in LOCK_RANKS.values()]
     assert len(set(LOCK_RANKS)) == len(ranks)
     assert all(isinstance(r, int) for r in ranks)
+    # Distinct ranks make the order total over names: the strict check
+    # then refuses every equal-rank nesting, so no cycle can form.
+    assert len(set(ranks)) == len(ranks)
     # Exactly one reentrant entry: the metrics leaf (counters are bumped
     # from under every other lock, including from metrics callbacks).
     reentrant = [n for n, e in LOCK_RANKS.items() if e.reentrant]
@@ -109,171 +110,130 @@ def test_ordered_rlock_rejects_non_reentrant_names(monkeypatch):
 # ------------------------------------------------------ ordering enforcement
 
 
-def _pair(graph):
+def _pair():
     """An (outer, inner) pair from the real table, rank 50 < rank 90."""
-    return (
-        OrderedLock("runtime.engine.plan", graph=graph),
-        OrderedLock("obs.metrics", graph=graph),
-    )
+    return OrderedLock("runtime.engine.plan"), OrderedLock("obs.metrics")
 
 
-def test_correct_order_records_an_edge():
-    g = LockGraph()
-    plan, metrics = _pair(g)
+def test_correct_order_nests():
+    plan, metrics = _pair()
     with plan:
-        assert g.lockset() == ("runtime.engine.plan",)
+        assert lockset() == ("runtime.engine.plan",)
         with metrics:
-            assert g.lockset() == ("runtime.engine.plan", "obs.metrics")
-    assert g.lockset() == ()
-    assert g.edges() == {"runtime.engine.plan": ("obs.metrics",)}
-    g.check()  # two-node DAG: no cycle
+            assert lockset() == ("runtime.engine.plan", "obs.metrics")
+    assert lockset() == ()
 
 
 def test_rank_inversion_raises_before_blocking():
-    g = LockGraph()
-    plan, metrics = _pair(g)
+    plan, metrics = _pair()
     with metrics:
         with pytest.raises(LockOrderError) as exc_info:
-            plan.acquire()
+            with plan:
+                pass
     err = exc_info.value
     assert err.acquiring == "runtime.engine.plan"
     assert err.held == ("obs.metrics",)
-    assert "rank inversion" in str(err)
+    assert "ranks must strictly increase" in str(err)
     # The attempt never reached the inner lock: it is still free.
     assert not plan.locked()
-    assert g.lockset() == ()
+    assert lockset() == ()
+
+
+def test_two_instances_of_one_name_do_not_nest():
+    """Equal rank is refused like an inversion: two arenas, one name."""
+    first = OrderedLock("core.workspace")
+    second = OrderedLock("core.workspace")
+    with first:
+        with pytest.raises(LockOrderError) as exc_info:
+            with second:
+                pass
+        assert exc_info.value.held == ("core.workspace",)
+        # Refused before blocking: the second arena's lock is still free.
+        assert not second.locked()
+        assert lockset() == ("core.workspace",)
+    assert lockset() == ()
 
 
 def test_non_reentrant_self_reacquire_raises():
-    g = LockGraph()
-    lock = OrderedLock("obs.trace", graph=g)
+    lock = OrderedLock("obs.trace")
     with lock:
         with pytest.raises(LockOrderError, match="self-deadlock"):
             lock.acquire()
         # The non-blocking probe (Condition._is_owned style) is fine: no
         # raise, and the held inner lock just reports failure.
         assert lock.acquire(blocking=False) is False
-    assert g.lockset() == ()
+    assert lockset() == ()
 
 
 def test_reentrant_lock_reenters():
-    g = LockGraph()
-    metrics = OrderedLock("obs.metrics", graph=g)
+    metrics = OrderedLock("obs.metrics")
     with metrics:
         with metrics:
-            assert g.lockset() == ("obs.metrics", "obs.metrics")
-    assert g.lockset() == ()
+            assert lockset() == ("obs.metrics", "obs.metrics")
+    assert lockset() == ()
 
 
 def test_release_of_unheld_lock_raises():
-    g = LockGraph()
-    lock = OrderedLock("obs.trace", graph=g)
-    lock._inner.acquire()  # bypass the shim so only the graph is out of sync
+    lock = OrderedLock("obs.trace")
+    lock._inner.acquire()  # bypass the shim so only the lockset is out of sync
     with pytest.raises(RuntimeError, match="does not hold"):
         lock.release()
 
 
 def test_locksets_are_per_thread():
-    g = LockGraph()
-    plan, metrics = _pair(g)
+    plan, metrics = _pair()
     seen = {}
 
     def worker():
         with metrics:
-            seen["worker"] = g.lockset()
+            seen["worker"] = lockset()
 
     with plan:
         t = threading.Thread(target=worker)
         t.start()
         t.join()
         assert seen["worker"] == ("obs.metrics",)
-        assert g.lockset() == ("runtime.engine.plan",)
-    # Disjoint threads: no plan -> metrics edge was ever attempted.
-    assert g.edges() == {}
-
-
-# ------------------------------------------------------------ cycle detection
+        assert lockset() == ("runtime.engine.plan",)
 
 
 def test_two_thread_deadlock_fixture_is_caught():
     """The canonical AB/BA deadlock, made deterministic.
 
-    Two equal-rank locks (rank checking is silent for peers) acquired in
-    opposite orders by two threads.  Run sequentially so both orderings
-    complete — the *graph* still records a -> b and b -> a, and the
-    teardown check must flag the cycle.
+    Two threads take the plan and arena locks in opposite orders.  Run
+    sequentially so neither can hang: the first thread's ascending order
+    completes, and the second raises at its first crossed acquisition,
+    before blocking.
     """
-    g = LockGraph()
-    a = OrderedLock("t.a", rank=50, graph=g)
-    b = OrderedLock("t.b", rank=50, graph=g)
+    a = OrderedLock("runtime.engine.plan")
+    b = OrderedLock("core.workspace")
+    outcome = {}
 
-    def t1():
-        with a:
-            with b:
-                pass
+    def grab(first, second, key):
+        try:
+            with first:
+                with second:
+                    outcome[key] = "nested"
+        except LockOrderError as exc:
+            outcome[key] = exc
 
-    def t2():
-        with b:
-            with a:
-                pass
-
-    for target in (t1, t2):
-        thread = threading.Thread(target=target)
+    for args in ((a, b, "ab"), (b, a, "ba")):
+        thread = threading.Thread(target=grab, args=args)
         thread.start()
         thread.join()
 
-    assert g.edges() == {"t.a": ("t.b",), "t.b": ("t.a",)}
-    with pytest.raises(LockCycleError) as exc_info:
-        g.check()
-    assert [sorted(c) for c in exc_info.value.cycles] == [["t.a", "t.b"]]
-
-
-def test_consistent_order_fixture_is_clean():
-    g = LockGraph()
-    a = OrderedLock("t.a", rank=50, graph=g)
-    b = OrderedLock("t.b", rank=50, graph=g)
-
-    def worker():
-        with a:
-            with b:
-                pass
-
-    for _ in range(2):
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-
-    assert g.edges() == {"t.a": ("t.b",)}
-    g.check()
-
-
-def test_three_lock_cycle_through_distinct_pairs():
-    g = LockGraph()
-    locks = {n: OrderedLock(f"t.{n}", rank=50, graph=g) for n in "abc"}
-
-    def grab(first, second):
-        with locks[first]:
-            with locks[second]:
-                pass
-
-    for pair in (("a", "b"), ("b", "c"), ("c", "a")):
-        thread = threading.Thread(target=grab, args=pair)
-        thread.start()
-        thread.join()
-
-    with pytest.raises(LockCycleError):
-        g.check()
-    g.reset()
-    assert g.edges() == {}
-    g.check()
+    assert outcome["ab"] == "nested"
+    err = outcome["ba"]
+    assert isinstance(err, LockOrderError)
+    assert err.acquiring == "runtime.engine.plan"
+    assert err.held == ("core.workspace",)
+    assert not a.locked() and not b.locked()
 
 
 # --------------------------------------------------- Condition integration
 
 
 def test_condition_over_ordered_lock_waits_and_notifies():
-    g = LockGraph()
-    lock = OrderedLock("serving.server", graph=g)
+    lock = OrderedLock("serving.server")
     cond = threading.Condition(lock)
     state = {"ready": False, "observed": None}
 
@@ -282,7 +242,7 @@ def test_condition_over_ordered_lock_waits_and_notifies():
             while not state["ready"]:
                 cond.wait(timeout=5.0)
             # Reacquired after wait: the lockset must know.
-            state["observed"] = g.lockset()
+            state["observed"] = lockset()
 
     t = threading.Thread(target=waiter)
     t.start()
@@ -292,13 +252,11 @@ def test_condition_over_ordered_lock_waits_and_notifies():
     t.join(5.0)
     assert not t.is_alive()
     assert state["observed"] == ("serving.server",)
-    assert g.lockset() == ()
-    g.check()
+    assert lockset() == ()
 
 
 def test_condition_wait_releases_the_sanitized_lockset():
-    g = LockGraph()
-    lock = OrderedLock("serving.server", graph=g)
+    lock = OrderedLock("serving.server")
     cond = threading.Condition(lock)
     released = {}
 
@@ -327,8 +285,7 @@ def test_condition_wait_releases_the_sanitized_lockset():
 
 
 def test_condition_over_reentrant_ordered_lock_is_rejected():
-    g = LockGraph()
-    metrics = OrderedLock("obs.metrics", graph=g)
+    metrics = OrderedLock("obs.metrics")
     cond = threading.Condition(metrics)
     with cond:
         with pytest.raises(NotImplementedError, match="reentrant"):

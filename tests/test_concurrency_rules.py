@@ -16,7 +16,6 @@ import sys
 import textwrap
 
 from repro.analysis.concurrency import check_file, check_paths, check_repo
-from repro.analysis.diagnostics import errors_of
 from repro.concurrency.order import LOCK_RANKS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -81,16 +80,6 @@ def test_c001_non_literal_name(tmp_path):
     assert "string-literal" in diags[0].message
 
 
-def test_c001_rank_override_is_test_only(tmp_path):
-    diags = _check(tmp_path, "src/repro/core/m.py", """\
-        from repro.concurrency.locks import OrderedLock
-
-        L = OrderedLock("whatever", rank=5)
-        """)
-    assert _rules(diags) == {"C001"}
-    assert "test-only" in diags[0].message
-
-
 def test_c001_reentrancy_must_match_the_table(tmp_path):
     # obs.trace is registered non-reentrant; asking for an RLock there is
     # a registration bug, not a spelling choice.
@@ -135,7 +124,7 @@ def test_c001_unused_rank_is_an_error(tmp_path):
         PLAN = ordered_lock("runtime.engine.plan")
         """)
     diags = check_repo(tmp_path)
-    assert _rules(diags) == {"C001"} and len(errors_of(diags)) == len(diags)
+    assert _rules(diags) == {"C001"}
     assert all("unused rank" in d.message for d in diags)
     assert all(d.location == "src/repro/concurrency/order.py" for d in diags)
     named = {name for name in LOCK_RANKS if any(repr(name) in d.message for d in diags)}
@@ -150,7 +139,7 @@ def test_c001_a_rank_left_behind_fails_the_repo_gate(monkeypatch):
 
     stale = LockRank("runtime.engine.worker", 40, False, "no lock uses this")
     monkeypatch.setattr(concurrency, "LOCK_ORDER", LOCK_ORDER + (stale,))
-    diags = errors_of(check_repo(REPO))
+    diags = check_repo(REPO)
     assert [d.rule for d in diags] == ["C001"]
     assert "unused rank" in diags[0].message
     assert "'runtime.engine.worker'" in diags[0].message
@@ -447,7 +436,7 @@ def test_check_paths_aggregates(tmp_path):
 def test_repo_src_tree_checks_clean():
     """The gate `analyze --concurrency` enforces: src/ has zero errors."""
     diags = check_repo(REPO)
-    assert not errors_of(diags), "\n".join(d.format() for d in diags)
+    assert not diags, "\n".join(d.format() for d in diags)
 
 
 def test_check_repo_skips_tests_and_benchmarks():

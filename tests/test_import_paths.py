@@ -14,12 +14,8 @@ import pkgutil
 
 import repro
 
-#: The zoo builders still re-exported under their module names.
-KNOWN_SHADOWS = {
-    "repro.zoo.binary_alexnet",
-    "repro.zoo.binarydensenet",
-    "repro.zoo.quicknet",
-}
+#: Package attributes allowed to hide a submodule: none.
+KNOWN_SHADOWS: set[str] = set()
 
 
 def _packages():

@@ -17,7 +17,7 @@ from repro.zoo import (
     quicknet,
 )
 from repro.zoo.common import WeightFactory, normal_float32
-from repro.zoo.quicknet import QUICKNET_VARIANTS
+from repro.zoo.quicknet_variants import QUICKNET_VARIANTS
 
 #: models light enough to build at reduced input size in every test run
 SMALL_INPUT = 64

@@ -20,7 +20,7 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.analysis.diagnostics import errors_of, format_text  # noqa: E402
+from repro.analysis.diagnostics import format_text  # noqa: E402
 from repro.analysis.lint import ROOTS, lint_repo  # noqa: E402
 
 
@@ -40,10 +40,8 @@ def main() -> int:
         diags = lint_repo(REPO, style=True)
     if diags:
         print(format_text(diags))
-        errors = errors_of(diags)
-        print(f"{len(errors)} error(s), {len(diags) - len(errors)} warning(s)")
-        if errors:
-            status = status or 1
+        print(f"{len(diags)} error(s)")
+        status = status or 1
     return status
 
 
