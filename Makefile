@@ -24,11 +24,13 @@ lint:
 analyze:
 	PYTHONPATH=src python -m repro.cli analyze
 
-# Runtime lock sanitizer over the whole suite: every lock acquisition is
-# checked against the rank table in repro/concurrency/order.py, and a
-# nesting whose rank does not strictly increase raises LockOrderError.
+# Runtime lock sanitizer over the whole suite, the slow cells included
+# (pyproject's addopts deselect them; this -m selects every test): every
+# lock acquisition is checked against the rank table in
+# repro/concurrency/order.py, and a nesting whose rank does not strictly
+# increase raises LockOrderError.
 sanitize:
-	REPRO_SANITIZE=1 pytest tests/
+	REPRO_SANITIZE=1 pytest tests/ -m "slow or not slow"
 
 # The cheap sanitizer tier for `make check`: the threaded surfaces
 # (serving gateway + engine) under REPRO_SANITIZE=1, minus the slow cells.

@@ -154,9 +154,12 @@ def pack_filters(weights: np.ndarray) -> PackedFilters:
 
     The bits equal ``pack_bits(np.transpose(weights, (3, 0, 1, 2)))`` with
     its taps flattened, but are packed in the weights' own HWIO order:
-    ``w < 0`` goes into a zero-padded ``(kh, kw, words * 64, cout)`` bool
-    array, ``np.packbits`` runs down the channel axis, and only the 8x
-    smaller bytes are transposed to ``(cout, taps * words)``.
+    ``w < 0`` goes into a zero-padded ``(taps, words * 64, cout)`` uint8
+    array, each run of eight channels is shifted to its bit (first
+    channel in the top bit, as ``np.packbits``) and OR-reduced into one
+    byte, and only the 8x smaller bytes are transposed to
+    ``(cout, taps * words)``.  Every step runs along contiguous rows of
+    ``cout`` bytes; ``np.packbits`` down a middle axis does not.
 
     Args:
         weights: ``(kernel_h, kernel_w, in_channels, out_channels)`` array of
@@ -165,13 +168,15 @@ def pack_filters(weights: np.ndarray) -> PackedFilters:
     if weights.ndim != 4:
         raise ValueError(f"expected HWIO filters, got {weights.ndim}-D")
     kh, kw, cin, cout = weights.shape
-    words = packed_words(cin)
-    signs = np.zeros((kh, kw, words * WORD_BITS, cout), bool)
-    np.less(weights, 0, out=signs[:, :, :cin])
-    packed = np.packbits(signs, axis=2)  # (kh, kw, words * 8, cout) bytes
-    bits = np.ascontiguousarray(np.moveaxis(packed, 3, 0)).view(np.uint64)
+    taps, words = kh * kw, packed_words(cin)
+    signs = np.zeros((taps, words * WORD_BITS, cout), np.uint8)
+    np.less(weights.reshape(taps, cin, cout), 0, out=signs[:, :cin])
+    lanes = signs.reshape(taps, words * 8, 8, cout)  # (.., byte, bit, cout)
+    lanes <<= np.arange(7, -1, -1, dtype=np.uint8)[:, None]
+    packed = np.bitwise_or.reduce(lanes, axis=2)  # (taps, words * 8, cout)
+    bits = np.ascontiguousarray(np.moveaxis(packed, 2, 0)).view(np.uint64)
     return PackedFilters(
-        bits=bits.reshape(cout, kh * kw * words), kernel_h=kh, kernel_w=kw,
+        bits=bits.reshape(cout, taps * words), kernel_h=kh, kernel_w=kw,
         in_channels=cin,
     )
 

@@ -12,16 +12,18 @@ owns:
 - a **warm replica pool** — ``replicas`` engines sharing one prepacked
   :class:`~repro.runtime.plan.ParamCache`, each with one worker thread
   that *pulls* its own micro-batches: the longest-idle replica flushes
-  on ``max_batch``, or ``deadline_ms`` after the oldest queued
-  request's submit time, or as soon as the last ``max_batch`` arrivals
-  stop averaging one per ``deadline_ms`` (nobody is coming to share the
-  batch, so holding it would be pure wait) — whichever comes first —
-  and runs the batch itself.  All waiting goes through the injected
-  :class:`~repro.serving.clock.Clock`, so tests drive every deadline
-  with a fake clock and zero wall-clock sleeps.  A replica that keeps
-  failing is quarantined (its in-flight batch resolves to typed
-  ``Rejected`` replies, never an exception leak or a deadlock) and the
-  pool keeps serving on the survivors.
+  at once while another replica is idle too (a later arrival finds that
+  one free, so holding would be pure wait); otherwise it holds a
+  partial batch until it reaches ``max_batch``, another replica frees,
+  ``deadline_ms`` passes after the oldest queued request's submit time,
+  or the last ``max_batch`` arrivals stop averaging one per
+  ``deadline_ms`` (nobody is coming to share the batch) — whichever
+  comes first — and runs the batch itself.  All waiting goes through
+  the injected :class:`~repro.serving.clock.Clock`, so tests drive
+  every deadline with a fake clock and zero wall-clock sleeps.  A
+  replica that keeps failing is quarantined (its in-flight batch
+  resolves to typed ``Rejected`` replies, never an exception leak or a
+  deadlock) and the pool keeps serving on the survivors.
 
 Observability: every admission decision and batch lands in the gateway's
 :class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.<model>.*``
@@ -96,8 +98,9 @@ class GatewayConfig:
     max_batch: int = 8
     #: the longest a request may be held for company: a forming batch is
     #: flushed this long after its oldest request even if it is not full,
-    #: and sooner — at once, on a sparse stream — when the last
-    #: ``max_batch`` arrivals span more than ``max_batch * deadline_ms``
+    #: and sooner — at once — while another replica is idle or when the
+    #: last ``max_batch`` arrivals span more than ``max_batch * deadline_ms``;
+    #: a busy replica freeing up ends the hold too
     deadline_ms: float = 5.0
     #: bounded per-model queue, in queued requests; admission sheds beyond
     max_queue: int = 64
@@ -178,19 +181,28 @@ def _merge_histograms(parts: Sequence[dict[str, Any]]) -> dict[str, Any]:
 
 
 def _hold_until(
-    t_head: float, recent: Sequence[float], max_batch: int, deadline_s: float
+    t_head: float,
+    recent: Sequence[float],
+    max_batch: int,
+    deadline_s: float,
+    other_idle: bool,
 ) -> float:
     """Clock time up to which a partial batch may be held for company.
 
     ``t_head`` is the oldest queued request's submit time and ``recent``
     the last (at most ``max_batch``) accepted submit times, oldest first.
-    The request's own deadline always caps the hold; once a full window
-    of arrivals has been seen, so does the moment the window's mean gap
-    grows past the deadline: from then on the measured rate says no
-    companion arrives in time.  With a shorter window there is no
-    evidence and only the deadline applies, so for any arrival sequence
-    the result is never later than ``t_head + deadline_s``.
+    ``other_idle`` says another healthy replica is idle too: then there
+    is nothing to hold for — a companion arriving later finds that
+    replica free — and the batch flushes at once.  Otherwise the
+    request's own deadline caps the hold; once a full window of arrivals
+    has been seen, so does the moment the window's mean gap grows past
+    the deadline: from then on the measured rate says no companion
+    arrives in time.  With a shorter window there is no evidence and
+    only the deadline applies, so for any input the result is never
+    later than ``t_head + deadline_s``.
     """
+    if other_idle:
+        return t_head
     until = t_head + deadline_s
     if len(recent) >= max_batch:
         until = min(until, recent[0] + max_batch * deadline_s)
@@ -248,10 +260,10 @@ class _ModelServer:
     """Queue + replica pool for one model.
 
     One lock, one condition: ``_cond`` carries every edge (enqueue, a
-    batch taken, close) to the replica workers.  Idle replicas wait in
-    the ``_idle`` FIFO and only its head may form a batch, which makes
-    placement a deterministic rotation; no lock is held across engine
-    execution.
+    batch taken, a replica rejoining the idle FIFO, close) to the
+    replica workers.  Idle replicas wait in the ``_idle`` FIFO and only
+    its head may form a batch, which makes placement a deterministic
+    rotation; no lock is held across engine execution.
     """
 
     def __init__(
@@ -401,11 +413,13 @@ class _ModelServer:
         while True:
             with cond:
                 # Continuous batching with a latency deadline: the head
-                # of the idle FIFO holds a partial batch for company until
-                # it is full, the oldest request's deadline expires, or
-                # the recent arrivals stop averaging one per deadline
-                # (see _hold_until) — whichever comes first; close() cuts
-                # the wait short.
+                # of the idle FIFO flushes a partial batch at once while
+                # another replica is idle, and otherwise holds it for
+                # company until it is full, another replica frees, the
+                # oldest request's deadline expires, or the recent
+                # arrivals stop averaging one per deadline (see
+                # _hold_until) — whichever comes first; close() cuts the
+                # wait short.
                 while True:
                     if self._closed and not self._queue:
                         return  # closed and fully drained
@@ -415,7 +429,8 @@ class _ModelServer:
                         break
                     else:
                         hold_until = _hold_until(
-                            self._queue[0].t_submit, self._recent, max_batch, deadline_s
+                            self._queue[0].t_submit, self._recent, max_batch,
+                            deadline_s, len(self._idle) > 1,
                         )
                         remaining = hold_until - clock.now()
                         if remaining <= 0:
@@ -429,6 +444,8 @@ class _ModelServer:
                 if replica.quarantined:
                     return
                 self._idle.append(replica)
+                if self._queue:
+                    cond.notify_all()  # a holding head flushes: we are free
 
     def _take_batch(self) -> list[_Pending]:
         """Pop the first greedy micro-batch (called with the lock held).

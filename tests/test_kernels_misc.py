@@ -164,10 +164,12 @@ class TestPooling:
         np.testing.assert_allclose(out, 1.0)
 
     def test_global_avgpool(self, rng):
-        x = rng.standard_normal((2, 5, 5, 3)).astype(np.float32)
-        np.testing.assert_allclose(
-            global_avgpool(x), x.mean(axis=(1, 2)), rtol=1e-6
-        )
+        # The non-square map tells a divisor of H * W from W * W or H * H.
+        for shape in [(2, 5, 5, 3), (2, 5, 3, 3)]:
+            x = rng.standard_normal(shape).astype(np.float32)
+            np.testing.assert_allclose(
+                global_avgpool(x), x.mean(axis=(1, 2)), rtol=1e-6
+            )
 
     def test_pool_rejects_non_4d(self, rng):
         with pytest.raises(ValueError):

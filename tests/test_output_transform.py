@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.bitpack import pack_bits
 from repro.core.output_transform import (
+    _BLOCK_ELEMENTS,
     OutputThresholds,
     accumulators_to_bitpacked,
     accumulators_to_float,
@@ -140,6 +143,23 @@ class TestThresholds:
         t = compute_output_thresholds(4, 5)
         assert t.channels == 5
         assert isinstance(t, OutputThresholds)
+
+    def test_peak_memory_stays_within_one_block(self):
+        """A 3x3x512 -> 512 layer's whole ``(2 * depth + 1, channels)``
+        transform grid is ~36 MiB of float32 temporaries; evaluated
+        ``_BLOCK_ELEMENTS`` values at a time the peak stays near three
+        4 MiB blocks (12 MiB measured), whatever depth and width."""
+        depth, channels = 3 * 3 * 512, 512
+        rng = np.random.default_rng(0)
+        mult = rng.uniform(-2, 2, channels).astype(np.float32)
+        bias = rng.uniform(-3, 3, channels).astype(np.float32)
+        tracemalloc.start()
+        try:
+            compute_output_thresholds(depth, channels, mult, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _BLOCK_ELEMENTS * np.dtype(np.float32).itemsize
 
 
 def _loop_thresholds(depth, channels, multiplier, bias, activation, order):

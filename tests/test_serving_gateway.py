@@ -293,6 +293,96 @@ def test_cold_start_holds_until_a_full_window_is_seen(graph, rng):
     assert stats.p50_ms == stats.p99_ms == pytest.approx(100.0)
 
 
+# ------------------------------------- hold only while no other replica is free
+
+
+def stall_first_replica(started, release):
+    """An ``engine_factory`` whose first engine (replica 0) stalls in
+    ``run_many`` until ``release`` is set; the others run normally."""
+    built = []
+
+    def factory(*args, **kwargs):
+        engine = Engine(*args, **kwargs)
+        built.append(engine)
+        return StallEngine(engine, started, release) if len(built) == 1 else engine
+
+    return factory
+
+
+def make_pair(graph, clock, started, release):
+    return Gateway(
+        {"m": graph},
+        GatewayConfig(max_batch=4, deadline_ms=100.0, max_queue=16, replicas=2),
+        clock=clock,
+        engine_factory=stall_first_replica(started, release),
+    )
+
+
+def test_idle_pair_flushes_a_lone_request_at_once(graph, rng):
+    """Two idle replicas: the head has nothing to hold for — a companion
+    arriving later would find the other replica free — so a lone request
+    on a cold gateway is served with no ``advance()`` and no queue wait."""
+    clock = FakeClock()
+    x = _batched_input(graph, 1, rng)
+    expected = reference_outputs(graph, (x,), 1)
+    with make_gateway(graph, clock, replicas=2) as gw:
+        assert_bit_identical(gw.submit("m", x).result(RESULT_TIMEOUT_S), expected)
+        snap = gw.metrics_snapshot()
+    assert clock.now() == 0.0
+    assert snap["gateway.queue_wait_ms"]["counts"] == {0.0: 1}
+
+
+def test_hold_ends_the_moment_another_replica_frees(graph, rng):
+    """Replica 0 busy: replica 1 is the only idle one and holds a partial
+    batch as a single replica would.  Replica 0 rejoining the idle FIFO
+    wakes it, and it flushes at once — virtual time never moves."""
+    clock = FakeClock()
+    started, release = threading.Event(), threading.Event()
+    x = _batched_input(graph, 1, rng)
+    expected = reference_outputs(graph, (x,), 1)
+    gw = make_pair(graph, clock, started, release)
+    try:
+        f_a = gw.submit("m", x)  # both idle: replica 0 takes it at once
+        assert started.wait(RESULT_TIMEOUT_S)
+        f_b = gw.submit("m", x)
+        clock.wait_for_timed_waiters(1)  # replica 1 holds B for company
+        assert not f_b.done()
+        release.set()
+        for f in (f_a, f_b):
+            assert_bit_identical(f.result(RESULT_TIMEOUT_S), expected)
+        stats = gw.stats()
+        snap = gw.metrics_snapshot()
+    finally:
+        release.set()
+        gw.close()
+    assert clock.now() == 0.0
+    assert stats.batch_histogram == {1: 2}
+    assert snap["gateway.queue_wait_ms"]["counts"] == {0.0: 2}
+
+
+def test_hold_still_ends_at_the_deadline_if_no_replica_frees(graph, rng):
+    """Replica 0 never comes back: replica 1 flushes its partial batch at
+    ``deadline_ms``, exactly as a pool of one would."""
+    clock = FakeClock()
+    started, release = threading.Event(), threading.Event()
+    x = _batched_input(graph, 1, rng)
+    expected = reference_outputs(graph, (x,), 1)
+    gw = make_pair(graph, clock, started, release)
+    try:
+        f_a = gw.submit("m", x)
+        assert started.wait(RESULT_TIMEOUT_S)
+        f_b = gw.submit("m", x)
+        clock.wait_for_timed_waiters(1)
+        clock.advance(0.1)
+        assert_bit_identical(f_b.result(RESULT_TIMEOUT_S), expected)
+        assert not f_a.done()  # replica 0 is still stalled
+        waits = gw.metrics_snapshot()["gateway.queue_wait_ms"]
+    finally:
+        release.set()
+        gw.close()
+    assert waits["counts"] == {100.0: 1}  # A's is recorded when it completes
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_no_request_is_held_past_its_deadline(graph, seed):
     """Sparse stretches and bursts mixed: whatever the window says, no
@@ -363,12 +453,15 @@ def test_hold_rule_only_ever_shortens_the_deadline_hold(seed):
         window = np.sort(rng.uniform(0.0, span, int(rng.integers(0, max_batch + 1))))
         t_head = float(rng.choice(window)) if len(window) else float(rng.uniform(0, span))
         now = t_head + float(rng.uniform(0.0, 2.0 * deadline_s + 1e-3))
-        until = _hold_until(t_head, deque(window), max_batch, deadline_s)
+        other_idle = bool(rng.integers(2))
+        until = _hold_until(t_head, deque(window), max_batch, deadline_s, other_idle)
         parent_until = t_head + deadline_s
         if now < until:  # new rule holds ...
             assert now < parent_until  # ... so the parent rule held
         assert until <= parent_until
-        if len(window) < max_batch:  # cold start: exactly the parent rule
+        if other_idle:  # another replica is free: flush at once
+            assert until <= now
+        elif len(window) < max_batch:  # cold start: exactly the parent rule
             assert until == parent_until
         elif now - window[0] > max_batch * deadline_s:  # mean gap too wide
             assert until <= now  # flush at once
