@@ -41,7 +41,7 @@ sanitize-smoke:
 	REPRO_SANITIZE=1 pytest tests/test_runtime_engine.py tests/test_concurrency_locks.py
 	REPRO_SANITIZE=1 pytest tests/test_runtime_stress.py -m "not slow"
 
-check: lint analyze test-fast bench-tests test-serving sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke
+check: lint analyze test-fast bench-tests test-serving sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke examples
 
 # End-to-end observability smoke: trace a QuickNet-small engine run,
 # schema-validate the Chrome-trace export, and print the unified metrics
@@ -117,7 +117,9 @@ appendix:
 extensions:
 	python -m repro.experiments.runner --extensions
 
+# Every runnable example, failing on the first that exits non-zero: they are
+# the callers that keep names like Trainer public (tests/test_public_surface.py).
 examples:
-	for ex in examples/*.py; do echo "== $$ex"; python $$ex; done
+	for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src python $$ex || exit 1; done
 
 all: test bench experiments appendix extensions

@@ -22,24 +22,16 @@ blocks.  The order itself is checked here, at runtime only.
 """
 
 from repro.concurrency.locks import (
-    SANITIZE_ENV,
     LockOrderError,
-    OrderedLock,
-    lockset,
     ordered_lock,
     ordered_rlock,
     sanitizer_enabled,
 )
-from repro.concurrency.order import LOCK_RANKS, LockRank, UnknownLockError, rank_of
+from repro.concurrency.order import LOCK_RANKS, rank_of
 
 __all__ = [
     "LOCK_RANKS",
-    "SANITIZE_ENV",
     "LockOrderError",
-    "LockRank",
-    "OrderedLock",
-    "UnknownLockError",
-    "lockset",
     "ordered_lock",
     "ordered_rlock",
     "rank_of",

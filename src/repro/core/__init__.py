@@ -29,16 +29,14 @@ from repro.core.bconv2d import (
     PackedFilters,
     pack_filters,
     reserve_bconv2d_workspace,
-    unpack_filters,
     zero_padding_correction,
 )
 from repro.core.indirection import (
-    Indirection,
     get_indirection,
     im2col_indirect,
 )
 from repro.core.workspace import Workspace
-from repro.core.bgemm import bgemm_blocked, bgemm_reference
+from repro.core.bgemm import bgemm_blocked
 from repro.core.bitpack import (
     WORD_BITS,
     PackedTensor,
@@ -69,7 +67,6 @@ __all__ = [
     "BConv2DParams",
     "BoundBConv2D",
     "ConvGeometry",
-    "Indirection",
     "OutputThresholds",
     "OutputType",
     "PackedFilters",
@@ -80,7 +77,6 @@ __all__ = [
     "accumulators_to_bitpacked",
     "accumulators_to_float",
     "bgemm_blocked",
-    "bgemm_reference",
     "bmaxpool2d",
     "compute_output_thresholds",
     "conv_geometry",
@@ -96,7 +92,6 @@ __all__ = [
     "popcount",
     "reserve_bconv2d_workspace",
     "unpack_bits",
-    "unpack_filters",
     "windows",
     "zero_padding_correction",
 ]

@@ -37,37 +37,23 @@ from repro.hw.device import (
     as_profile,
     load_profile,
     save_profile,
-    validate_profile,
 )
-from repro.hw.frameworks import FRAMEWORKS, FrameworkModel
-from repro.hw.isa import (
-    BINARY_MACS_PER_CYCLE,
-    FLOAT_MACS_PER_CYCLE,
-    INT8_MACS_PER_CYCLE,
-    mac_instruction_table,
-)
+from repro.hw.frameworks import FRAMEWORKS
+from repro.hw.isa import BINARY_MACS_PER_CYCLE, mac_instruction_table
 from repro.hw.latency import LatencyBreakdown, graph_latency
-from repro.hw.roofline import RooflinePoint, conv_roofline, intensity_advantage
 
 __all__ = [
     "BINARY_MACS_PER_CYCLE",
     "DeviceModel",
     "DeviceProfile",
-    "FLOAT_MACS_PER_CYCLE",
     "FRAMEWORKS",
     "FitReport",
-    "FrameworkModel",
-    "INT8_MACS_PER_CYCLE",
     "LatencyBreakdown",
     "NodeResidual",
     "ProfileError",
-    "RooflinePoint",
     "as_profile",
-    "conv_roofline",
     "graph_latency",
-    "intensity_advantage",
     "load_profile",
     "mac_instruction_table",
     "save_profile",
-    "validate_profile",
 ]

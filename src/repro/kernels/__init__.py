@@ -8,7 +8,7 @@ from-scratch equivalent, written as vectorized NumPy reference kernels.
 Modules:
 
 - :mod:`repro.kernels.conv2d` — float32 and int8 2-D convolution.
-- :mod:`repro.kernels.depthwise` — depthwise convolution + blur pooling.
+- :mod:`repro.kernels.depthwise` — depthwise convolution.
 - :mod:`repro.kernels.dense` — fully connected layers.
 - :mod:`repro.kernels.pool` — max/average/global pooling.
 - :mod:`repro.kernels.arithmetic` — add/mul/relu/softmax/pad/concat.
@@ -20,7 +20,6 @@ from repro.kernels.arithmetic import (
     add,
     concat,
     mul,
-    pad2d,
     relu,
     relu6,
     reshape,
@@ -34,7 +33,7 @@ from repro.kernels.batchnorm import (
 )
 from repro.kernels.conv2d import conv2d_float, conv2d_int8
 from repro.kernels.dense import dense_float, dense_int8
-from repro.kernels.depthwise import blur_kernel, blur_pool, depthwise_conv2d_float
+from repro.kernels.depthwise import blur_kernel, depthwise_conv2d_float
 from repro.kernels.pool import avgpool2d, global_avgpool, maxpool2d
 from repro.kernels.quantization import (
     QuantParams,
@@ -51,7 +50,6 @@ __all__ = [
     "avgpool2d",
     "batch_norm",
     "blur_kernel",
-    "blur_pool",
     "concat",
     "conv2d_float",
     "conv2d_int8",
@@ -64,7 +62,6 @@ __all__ = [
     "global_avgpool",
     "maxpool2d",
     "mul",
-    "pad2d",
     "quantize",
     "quantize_weights_per_channel",
     "relu",

@@ -1,4 +1,4 @@
-"""Elementwise and shape ops: add, mul, relu, softmax, pad, concat, reshape.
+"""Elementwise and shape ops: add, mul, relu, softmax, concat, reshape.
 
 The full-precision ``Add`` is the operator residual shortcuts pay for
 (paper Section 5.2, Table 4), so it exists as a first-class op the latency
@@ -8,8 +8,6 @@ model can account for.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.core.im2col import pad_spatial
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,14 +33,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def pad2d(x: np.ndarray, pad_h: tuple[int, int], pad_w: tuple[int, int],
-          value: float = 0.0) -> np.ndarray:
-    """Explicit spatial padding of an NHWC tensor."""
-    if x.ndim != 4:
-        raise ValueError("expected NHWC input")
-    return pad_spatial(x, (*pad_h, *pad_w), value)
 
 
 def concat(tensors: list[np.ndarray], axis: int = -1) -> np.ndarray:

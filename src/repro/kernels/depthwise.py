@@ -1,9 +1,10 @@
-"""Depthwise convolution and blur pooling.
+"""Depthwise convolution and the blurring kernel of antialiased pooling.
 
 QuickNet's stem uses a depthwise separable convolution for cheap spatial
 downsampling, and its transition blocks use *antialiased max pooling*
 (Zhang, 2019): a max pool followed by a strided depthwise convolution with
-a fixed blurring kernel (paper Section 5.1, Figure 6).
+a fixed blurring kernel (paper Section 5.1, Figure 6), which
+``repro.zoo.common.antialiased_maxpool`` builds from :func:`blur_kernel`.
 """
 
 from __future__ import annotations
@@ -76,19 +77,3 @@ def blur_kernel(size: int = 3) -> np.ndarray:
     k = np.outer(row, row)
     return (k / k.sum()).astype(np.float32)
 
-
-def blur_pool(x: np.ndarray, pool: int = 3, stride: int = 2) -> np.ndarray:
-    """Antialiased max pooling: stride-1 max pool, then strided blur.
-
-    This is the efficient realization the paper describes — a max pooling
-    layer plus a strided depthwise convolution with a fixed blurring kernel.
-    """
-    from repro.kernels.pool import maxpool2d
-
-    pooled = maxpool2d(x, pool, pool, stride=1, padding=Padding.SAME_ZERO)
-    k = blur_kernel(pool)
-    c = x.shape[-1]
-    weights = np.repeat(k[:, :, None], c, axis=2)
-    return depthwise_conv2d_float(
-        pooled, weights, stride=stride, padding=Padding.SAME_ZERO
-    )

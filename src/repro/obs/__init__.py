@@ -14,45 +14,33 @@ Three modules, one clock discipline:
 """
 
 from repro.obs.export import (
-    chrome_trace,
     flamegraph_lines,
     node_seconds,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     format_snapshot,
     quantile_from_counts,
 )
 from repro.obs.trace import (
-    DEFAULT_CAPACITY,
     NULL_TRACER,
     Span,
     SpanRecord,
     Tracer,
     active_tracer,
-    iter_children,
 )
 
 __all__ = [
-    "DEFAULT_CAPACITY",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Span",
     "SpanRecord",
     "Tracer",
     "active_tracer",
-    "chrome_trace",
     "flamegraph_lines",
     "format_snapshot",
-    "iter_children",
     "node_seconds",
     "quantile_from_counts",
     "validate_chrome_trace",

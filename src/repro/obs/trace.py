@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any
 
 from repro.concurrency.locks import ordered_lock
 
@@ -293,12 +293,3 @@ class Tracer:
 #: the process-wide no-op tracer every un-traced code path shares
 NULL_TRACER = Tracer(capacity=0)
 
-
-def iter_children(
-    spans: list[SpanRecord], parent: SpanRecord
-) -> Iterator[SpanRecord]:
-    """Spans whose recorded path ends in ``parent``'s stack + name."""
-    want = parent.path + (parent.name,)
-    for s in spans:
-        if s.tid == parent.tid and s.path == want:
-            yield s

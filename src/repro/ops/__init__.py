@@ -13,7 +13,6 @@ from repro.ops.registry import (
     CLASS_FP_OTHER,
     CLASS_LCE_BCONV,
     CLASS_LCE_QUANTIZE,
-    OP_CLASSES,
     AttrField,
     Attrs,
     KernelFn,
@@ -30,7 +29,6 @@ from repro.ops.registry import (
     mac_layer_ops,
     node_cost,
     op_class_of,
-    op_names,
     register,
     validate_graph,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "CLASS_FP_OTHER",
     "CLASS_LCE_BCONV",
     "CLASS_LCE_QUANTIZE",
-    "OP_CLASSES",
     "AttrField",
     "Attrs",
     "KernelFn",
@@ -64,7 +61,6 @@ __all__ = [
     "mac_layer_ops",
     "node_cost",
     "op_class_of",
-    "op_names",
     "register",
     "validate_graph",
 ]

@@ -233,7 +233,17 @@ class OpSpec:
             raise GraphError(f"op {self.name!r}: {exc}") from None
 
     def validate_node(self, node: Node) -> None:
-        """Schema-check one node; raise :class:`GraphError` naming it."""
+        """Schema-check one node; raise :class:`GraphError` naming it.
+
+        A key the schema does not declare is an error, not ignored: a
+        misspelt key would otherwise load as the field's default.
+        """
+        undeclared = set(node.attrs).difference(f.name for f in self.attrs)
+        if undeclared:
+            raise GraphError(
+                f"node {node.name!r}: op {self.name!r}: undeclared "
+                f"attribute keys {sorted(undeclared)}"
+            )
         try:
             self.parse_attrs(node.attrs)
         except GraphError as exc:

@@ -13,22 +13,14 @@ section "The runtime"):
   executor.
 """
 
-from repro.runtime.engine import Engine, EngineStats, greedy_chunks
-from repro.runtime.plan import (
-    CompiledNode,
-    CompiledPlan,
-    ParamCache,
-    compile_plan,
-)
+from repro.runtime.engine import Engine
+from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
 from repro.runtime.rebatch import rebatched_specs
 
 __all__ = [
-    "CompiledNode",
     "CompiledPlan",
     "Engine",
-    "EngineStats",
     "ParamCache",
     "compile_plan",
-    "greedy_chunks",
     "rebatched_specs",
 ]

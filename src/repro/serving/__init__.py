@@ -20,30 +20,19 @@ for it; ``Gateway.stats()`` reads the latency tails off the histograms
 the gateway keeps anyway.
 """
 
-from repro.serving.clock import MONOTONIC_CLOCK, Clock, MonotonicClock
+from repro.serving.clock import MONOTONIC_CLOCK, Clock
 from repro.serving.gateway import (
     FAILED_REPLICA,
-    SHED_CLOSED,
-    SHED_NO_HEALTHY_REPLICA,
-    SHED_QUEUE_FULL,
-    SHED_UNKNOWN_MODEL,
     Gateway,
     GatewayConfig,
-    GatewayStats,
     Rejected,
 )
 
 __all__ = [
     "FAILED_REPLICA",
     "MONOTONIC_CLOCK",
-    "SHED_CLOSED",
-    "SHED_NO_HEALTHY_REPLICA",
-    "SHED_QUEUE_FULL",
-    "SHED_UNKNOWN_MODEL",
     "Clock",
     "Gateway",
     "GatewayConfig",
-    "GatewayStats",
-    "MonotonicClock",
     "Rejected",
 ]

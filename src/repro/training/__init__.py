@@ -12,45 +12,36 @@ synthetic classification tasks; the tests verify the machinery *learns*
 accuracy — see the substitution notes in DESIGN.md.
 """
 
-from repro.training.data import synthetic_classification, synthetic_images
-from repro.training.distillation import DistillationTrainer, distillation_loss
+from repro.training.data import synthetic_images
 from repro.training.layers import (
     BatchNormLayer,
     DenseLayer,
     GlobalAvgPoolLayer,
     QuantConv2D,
-    QuantDense,
     ReluLayer,
     Sequential,
     softmax_cross_entropy,
 )
 from repro.training.loop import TrainConfig, Trainer
-from repro.training.optimizers import Adam, Optimizer, SGDMomentum
-from repro.training.schedules import constant, cosine_decay, warmup_cosine
+from repro.training.optimizers import Adam, SGDMomentum
+from repro.training.schedules import warmup_cosine
 from repro.training.ste import clip_latent_weights, ste_sign, ste_sign_grad
 
 __all__ = [
     "Adam",
     "BatchNormLayer",
     "DenseLayer",
-    "DistillationTrainer",
     "GlobalAvgPoolLayer",
-    "Optimizer",
     "QuantConv2D",
-    "QuantDense",
     "ReluLayer",
     "SGDMomentum",
     "Sequential",
     "TrainConfig",
     "Trainer",
     "clip_latent_weights",
-    "constant",
-    "cosine_decay",
-    "distillation_loss",
     "softmax_cross_entropy",
     "ste_sign",
     "ste_sign_grad",
-    "synthetic_classification",
     "synthetic_images",
     "warmup_cosine",
 ]

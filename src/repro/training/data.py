@@ -1,33 +1,14 @@
-"""Synthetic classification datasets (the offline ImageNet stand-in).
+"""Synthetic image classification data (the offline ImageNet stand-in).
 
-Each class gets a random prototype; samples are noisy prototypes.  The
-image variant plants class-specific spatial patterns so convolutional
-models have structure to exploit.  See DESIGN.md: the point is verifying
-the training machinery learns, not benchmarking accuracy.
+Each class gets a random prototype image; samples are noisy prototypes, so
+convolutional models have class-specific spatial patterns to exploit.  See
+DESIGN.md: the point is verifying the training machinery learns, not
+benchmarking accuracy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def synthetic_classification(
-    n_samples: int,
-    n_features: int,
-    n_classes: int,
-    noise: float = 0.5,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-feature classification data: ``(x, labels)``."""
-    if min(n_samples, n_features, n_classes) <= 0:
-        raise ValueError("sizes must be positive")
-    rng = np.random.default_rng(seed)
-    prototypes = rng.standard_normal((n_classes, n_features)).astype(np.float32)
-    labels = rng.integers(0, n_classes, n_samples)
-    x = prototypes[labels] + noise * rng.standard_normal(
-        (n_samples, n_features)
-    ).astype(np.float32)
-    return x.astype(np.float32), labels
 
 
 def synthetic_images(
@@ -39,6 +20,8 @@ def synthetic_images(
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """NHWC image classification data with class-specific spatial patterns."""
+    if min(n_samples, size, channels, n_classes) <= 0:
+        raise ValueError("sizes must be positive")
     rng = np.random.default_rng(seed)
     prototypes = rng.standard_normal((n_classes, size, size, channels)).astype(
         np.float32

@@ -41,43 +41,6 @@ class Layer:
         raise NotImplementedError
 
 
-class QuantDense(Layer):
-    """Fully connected layer with binarized weights and activations."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        binarize_input: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        rng = rng or np.random.default_rng(0)
-        scale = 1.0 / np.sqrt(in_features)
-        self.w = Param(
-            (rng.uniform(-scale, scale, (in_features, out_features))).astype(np.float32),
-            group="binary",
-            name="quant_dense/w",
-        )
-        self.binarize_input = binarize_input
-        self._cache: tuple | None = None
-
-    def params(self) -> list[Param]:
-        return [self.w]
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        xb = ste_sign(x) if self.binarize_input else x
-        wb = ste_sign(self.w.value)
-        self._cache = (x, xb, wb)
-        return xb @ wb
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, xb, wb = self._cache
-        dw_binary = xb.T @ dout
-        self.w.grad = ste_sign_grad(self.w.value, dw_binary)
-        dx_binary = dout @ wb.T
-        return ste_sign_grad(x, dx_binary) if self.binarize_input else dx_binary
-
-
 class QuantConv2D(Layer):
     """Binarized 3x3-style convolution (stride 1) with one-padding."""
 

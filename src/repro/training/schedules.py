@@ -13,13 +13,6 @@ from typing import Callable
 Schedule = Callable[[int], float]
 
 
-def constant(lr: float) -> Schedule:
-    """A fixed learning rate."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    return lambda step: lr
-
-
 def cosine_decay(initial_lr: float, total_steps: int) -> Schedule:
     """Cosine decay from ``initial_lr`` to zero over ``total_steps``."""
     if total_steps <= 0:

@@ -23,7 +23,7 @@ from repro.zoo.alexnet_variants import binary_alexnet, xnornet
 from repro.zoo.densenet_variants import binarydensenet
 from repro.zoo.meliusnet import meliusnet22
 from repro.zoo.quicknet_variants import quicknet
-from repro.zoo.registry import MODEL_REGISTRY, ModelInfo, build_model
+from repro.zoo.registry import MODEL_REGISTRY, build_model
 from repro.zoo.resnet_variants import (
     binary_resnet18,
     birealnet18,
@@ -33,7 +33,6 @@ from repro.zoo.resnet_variants import (
 
 __all__ = [
     "MODEL_REGISTRY",
-    "ModelInfo",
     "binary_alexnet",
     "binary_resnet18",
     "binarydensenet",

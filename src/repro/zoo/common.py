@@ -141,7 +141,7 @@ def conv_bn(
     return x
 
 
-def antialiased_maxpool(b: GraphBuilder, wf: WeightFactory, x: str, channels: int) -> str:
+def antialiased_maxpool(b: GraphBuilder, x: str, channels: int) -> str:
     """Antialiased 3x3 max pooling (Zhang 2019; paper Figure 6b).
 
     Realized efficiently as a stride-1 max pool followed by a strided

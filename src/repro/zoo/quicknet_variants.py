@@ -82,7 +82,7 @@ def quicknet(
             x = _residual_binary_layer(b, wf, x, k)
         if section < len(filters) - 1:
             # Transition (Figure 6b): antialiased max pool + fp pointwise.
-            x = antialiased_maxpool(b, wf, x, k)
+            x = antialiased_maxpool(b, x, k)
             x = conv_bn(
                 b, wf, x, k, filters[section + 1], kernel=1, activation=False
             )

@@ -18,18 +18,15 @@ from pathlib import Path
 import pytest
 
 from repro.concurrency import (
-    SANITIZE_ENV,
     LOCK_RANKS,
     LockOrderError,
-    OrderedLock,
-    UnknownLockError,
-    lockset,
     ordered_lock,
     ordered_rlock,
     rank_of,
     sanitizer_enabled,
 )
-from repro.concurrency.order import LOCK_ORDER
+from repro.concurrency.locks import SANITIZE_ENV, OrderedLock, lockset
+from repro.concurrency.order import LOCK_ORDER, UnknownLockError
 
 
 # ----------------------------------------------------------- the rank table

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from repro.core.types import Activation, Padding
+from repro.graph.builder import GraphBuilder
+from repro.graph.executor import Executor
 from repro.kernels.conv2d import conv2d_float, conv2d_int8
-from repro.kernels.depthwise import blur_kernel, blur_pool, depthwise_conv2d_float
+from repro.kernels.depthwise import blur_kernel, depthwise_conv2d_float
 from repro.kernels.quantization import (
     QuantParams,
     dequantize,
     quantize,
     quantize_weights_per_channel,
 )
+from repro.zoo.common import antialiased_maxpool
 
 
 class TestConv2DFloat:
@@ -151,6 +154,13 @@ class TestDepthwise:
                 rng.standard_normal((1, 4, 4, 2)).astype(np.float32),
                 rng.standard_normal((3, 3, 3)).astype(np.float32),
             )
+
+
+def blur_pool(x: np.ndarray) -> np.ndarray:
+    """The zoo's antialiased 3x3 max pool, run on ``x`` by the Executor."""
+    b = GraphBuilder(x.shape)
+    out = antialiased_maxpool(b, b.input, x.shape[-1])
+    return Executor(b.finish(out)).run(x)
 
 
 class TestBlurPool:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.im2col import conv_geometry, pad_spatial, windows
 from repro.core.types import Activation, Padding
-from repro.kernels.arithmetic import add, concat, mul, pad2d, relu, relu6, softmax
+from repro.kernels.arithmetic import add, concat, mul, relu, relu6, softmax
 from repro.kernels.batchnorm import (
     BatchNormParams,
     batch_norm,
@@ -306,16 +306,6 @@ class TestArithmetic:
         x = np.array([[1000.0, 1000.0]], np.float32)
         p = softmax(x)
         np.testing.assert_allclose(p, [[0.5, 0.5]])
-
-    def test_pad2d(self, rng):
-        x = rng.standard_normal((1, 2, 2, 1)).astype(np.float32)
-        out = pad2d(x, (1, 1), (0, 2), value=9.0)
-        assert out.shape == (1, 4, 4, 1)
-        assert out[0, 0, 0, 0] == 9.0
-
-    def test_pad2d_rejects_non_4d(self, rng):
-        with pytest.raises(ValueError):
-            pad2d(rng.standard_normal((2, 2)), (1, 1), (1, 1))
 
     def test_concat(self, rng):
         a = rng.standard_normal((1, 2, 2, 3)).astype(np.float32)

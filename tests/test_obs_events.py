@@ -25,11 +25,10 @@ from repro.core.types import Padding
 from repro.obs import (
     NULL_TRACER,
     Tracer,
-    chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.export import REQUEST_MARKS, TERMINAL_MARKS, request_kinds
+from repro.obs.export import REQUEST_MARKS, TERMINAL_MARKS, chrome_trace, request_kinds
 from repro.serving import MONOTONIC_CLOCK, Gateway, GatewayConfig, Rejected
 
 

@@ -33,7 +33,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     active_tracer,
-    iter_children,
 )
 from repro.runtime import Engine
 from repro.serving import Gateway, GatewayConfig, Rejected
@@ -95,19 +94,6 @@ class TestSpans:
                 pass
         tracer.clear()
         assert tracer.spans() == [] and tracer.dropped == 0
-
-    def test_iter_children(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("child"):
-                with tracer.span("grandchild"):
-                    pass
-            with tracer.span("child"):
-                pass
-        spans = tracer.spans()
-        root = next(s for s in spans if s.name == "root")
-        kids = list(iter_children(spans, root))
-        assert [s.name for s in kids] == ["child", "child"]
 
 
 class TestAmbientActivation:

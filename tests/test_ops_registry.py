@@ -18,9 +18,8 @@ from repro.ops import (
     is_binary_op,
     mac_layer_ops,
     op_class_of,
-    op_names,
 )
-from repro.ops.registry import OP_CLASSES, OpSpec
+from repro.ops.registry import OP_CLASSES, OpSpec, op_names
 from repro.runtime import compile_plan
 
 
@@ -154,11 +153,16 @@ class TestGraphValidate:
         with pytest.raises(GraphError, match="pool.*malformed attribute 'pool_w'"):
             g.validate()
 
-    def test_unknown_extra_attributes_are_tolerated(self, rng):
-        """Passes attach auxiliary attrs (e.g. PTQ scales); schema ignores them."""
+    def test_misspelt_attribute_key_is_rejected(self, rng):
+        """An undeclared key must not load as the field's default."""
         g = _toy_graph(rng)
-        g.nodes[0].attrs["debug_tag"] = "stem"
-        g.validate()
+        node = g.nodes[0]
+        node.attrs["strides"] = 2
+        with pytest.raises(GraphError) as err:
+            g.validate()
+        msg = str(err.value)
+        assert repr(node.name) in msg and repr(node.op) in msg
+        assert "undeclared attribute keys ['strides']" in msg
 
     def test_validate_accepts_every_zoo_model_converted(self):
         from repro.converter import convert

@@ -1,4 +1,4 @@
-"""Tests for the roofline analysis and experiment reporting helpers."""
+"""Tests for the experiment reporting helpers."""
 
 from __future__ import annotations
 
@@ -6,41 +6,6 @@ import pytest
 
 from repro.experiments import figure7
 from repro.experiments.reporting import ascii_scatter
-from repro.hw.device import DeviceModel
-from repro.hw.roofline import conv_roofline, intensity_advantage
-
-
-class TestRoofline:
-    def test_binary_has_highest_intensity(self):
-        points = conv_roofline(DeviceModel.pixel1(), 14, 14, 256)
-        assert (
-            points["binary"].arithmetic_intensity
-            > points["int8"].arithmetic_intensity
-            > points["float32"].arithmetic_intensity
-        )
-
-    def test_intensity_advantage_grows_with_depth(self):
-        """As weights/patches dominate traffic over the float output, the
-        binary intensity advantage approaches the 32x storage ratio."""
-        dev = DeviceModel.pixel1()
-        shallow = intensity_advantage(dev, in_h=14, in_w=14, channels=32)
-        deep = intensity_advantage(dev, in_h=14, in_w=14, channels=256, kernel=5)
-        assert deep > shallow
-        assert deep < 32.0
-
-    def test_attainable_respects_roofline(self):
-        dev = DeviceModel.pixel1()
-        for p in conv_roofline(dev, 28, 28, 128).values():
-            attainable = p.attainable_macs_per_cycle(dev)
-            assert attainable <= p.sustained_macs_per_cycle
-            if p.is_compute_bound(dev):
-                assert attainable == p.sustained_macs_per_cycle
-
-    def test_balance_point_scales_with_peak(self):
-        dev = DeviceModel.pixel1()
-        points = conv_roofline(dev, 28, 28, 128)
-        # The faster the kernel, the more intensity it needs to stay fed.
-        assert points["binary"].balance_point(dev) > points["float32"].balance_point(dev)
 
 
 class TestAsciiScatter:

@@ -257,7 +257,7 @@ def _packed_output_net(rng):
         "lce_bmaxpool2d",
         [q.outputs[0]],
         [TensorSpec((1, 2, 2, 70), "bitpacked")],
-        attrs={"pool_h": 2, "pool_w": 2, "stride_h": 2, "stride_w": 2},
+        attrs={"pool_h": 2, "pool_w": 2, "stride": 2},
     )
     g.outputs = [p.outputs[0]]
     g.verify()

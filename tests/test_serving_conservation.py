@@ -40,9 +40,10 @@ from test_runtime_parity import (
 )
 
 from repro.core.types import Padding
-from repro.obs import Tracer, chrome_trace, validate_chrome_trace
-from repro.obs.export import TERMINAL_MARKS, request_kinds
-from repro.serving import SHED_QUEUE_FULL, Gateway, GatewayConfig, Rejected
+from repro.obs import Tracer, validate_chrome_trace
+from repro.obs.export import TERMINAL_MARKS, chrome_trace, request_kinds
+from repro.serving import Gateway, GatewayConfig, Rejected
+from repro.serving.gateway import SHED_QUEUE_FULL
 
 pytestmark = pytest.mark.serving
 

@@ -25,13 +25,8 @@ from test_runtime_parity import (
 
 from repro.core.types import Padding
 from repro.runtime.engine import Engine
-from repro.serving import (
-    FAILED_REPLICA,
-    SHED_NO_HEALTHY_REPLICA,
-    Gateway,
-    GatewayConfig,
-    Rejected,
-)
+from repro.serving import FAILED_REPLICA, Gateway, GatewayConfig, Rejected
+from repro.serving.gateway import SHED_NO_HEALTHY_REPLICA
 
 pytestmark = pytest.mark.serving
 

@@ -24,16 +24,9 @@ from test_runtime_parity import (
 
 from repro.core.types import Padding
 from repro.runtime.engine import Engine, greedy_chunks
-from repro.serving import (
-    SHED_CLOSED,
-    SHED_QUEUE_FULL,
-    SHED_UNKNOWN_MODEL,
-    Clock,
-    Gateway,
-    GatewayConfig,
-    MonotonicClock,
-    Rejected,
-)
+from repro.serving import Clock, Gateway, GatewayConfig, Rejected
+from repro.serving.clock import MonotonicClock
+from repro.serving.gateway import SHED_CLOSED, SHED_QUEUE_FULL, SHED_UNKNOWN_MODEL
 
 pytestmark = pytest.mark.serving
 
@@ -690,7 +683,8 @@ def test_close_concurrent_with_submit_resolves_every_future(graph, rng):
 
 
 def test_gateway_spans_nest_engine_spans(graph, rng):
-    from repro.obs import chrome_trace, validate_chrome_trace
+    from repro.obs import validate_chrome_trace
+    from repro.obs.export import chrome_trace
     from repro.obs.trace import Tracer
 
     tracer = Tracer()

@@ -25,15 +25,10 @@ from test_runtime_parity import _batched_input, _binary_net
 
 from repro import cli
 from repro.core.types import Padding
-from repro.obs import NULL_TRACER, Tracer, chrome_trace, validate_chrome_trace
-from repro.obs.export import request_kinds
-from repro.serving import (
-    SHED_QUEUE_FULL,
-    SHED_UNKNOWN_MODEL,
-    Gateway,
-    GatewayConfig,
-    Rejected,
-)
+from repro.obs import NULL_TRACER, Tracer, validate_chrome_trace
+from repro.obs.export import chrome_trace, request_kinds
+from repro.serving import Gateway, GatewayConfig, Rejected
+from repro.serving.gateway import SHED_QUEUE_FULL, SHED_UNKNOWN_MODEL
 
 pytestmark = pytest.mark.serving
 

@@ -8,7 +8,8 @@ import pytest
 from repro.core.types import Padding
 from repro.graph.ir import GraphError, TensorSpec
 from repro.kernels.batchnorm import BatchNormParams
-from repro.ops import infer_output_specs, op_names
+from repro.ops import infer_output_specs
+from repro.ops.registry import op_names
 
 
 def _infer(op, specs, attrs=None, params=None):

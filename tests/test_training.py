@@ -11,23 +11,20 @@ from repro.training import (
     DenseLayer,
     GlobalAvgPoolLayer,
     QuantConv2D,
-    QuantDense,
     ReluLayer,
     SGDMomentum,
     Sequential,
     TrainConfig,
     Trainer,
     clip_latent_weights,
-    constant,
-    cosine_decay,
     softmax_cross_entropy,
     ste_sign,
     ste_sign_grad,
-    synthetic_classification,
     synthetic_images,
     warmup_cosine,
 )
 from repro.training.layers import Param
+from repro.training.schedules import cosine_decay
 
 
 class TestSTE:
@@ -58,14 +55,6 @@ class TestSTE:
 
 
 class TestSchedules:
-    def test_constant(self):
-        s = constant(0.1)
-        assert s(0) == s(100) == 0.1
-
-    def test_constant_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            constant(0.0)
-
     def test_cosine_endpoints(self):
         s = cosine_decay(1.0, 100)
         assert s(0) == pytest.approx(1.0)
@@ -99,7 +88,7 @@ class TestOptimizers:
 
     def test_sgd_momentum_converges_on_quadratic(self):
         p = self._quadratic_param()
-        opt = SGDMomentum([p], constant(0.1), momentum=0.9)
+        opt = SGDMomentum([p], lambda step: 0.1, momentum=0.9)
         for _ in range(200):
             p.grad = p.value.copy()
             opt.step()
@@ -107,7 +96,7 @@ class TestOptimizers:
 
     def test_adam_converges_on_quadratic(self):
         p = self._quadratic_param()
-        opt = Adam([p], constant(0.1))
+        opt = Adam([p], lambda step: 0.1)
         for _ in range(500):
             p.grad = p.value.copy()
             opt.step()
@@ -115,21 +104,21 @@ class TestOptimizers:
 
     def test_adam_clips_binary_group(self):
         p = Param(np.array([0.99], np.float64), group="binary")
-        opt = Adam([p], constant(1.0))
+        opt = Adam([p], lambda step: 1.0)
         p.grad = np.array([-100.0])
         opt.step()
         assert p.value[0] <= 1.0
 
     def test_adam_leaves_fp_unclipped(self):
         p = Param(np.array([0.99], np.float64), group="full_precision")
-        opt = Adam([p], constant(1.0))
+        opt = Adam([p], lambda step: 1.0)
         p.grad = np.array([-100.0])
         opt.step()
         assert p.value[0] > 1.0
 
     def test_none_grad_skipped(self):
         p = Param(np.array([1.0]), group="full_precision")
-        opt = SGDMomentum([p], constant(0.1))
+        opt = SGDMomentum([p], lambda step: 0.1)
         opt.step()  # grad is None: no update, no crash
         assert p.value[0] == 1.0
 
@@ -190,8 +179,8 @@ class TestGradients:
 
 class TestData:
     def test_shapes(self):
-        x, y = synthetic_classification(100, 8, 5, seed=0)
-        assert x.shape == (100, 8) and y.shape == (100,)
+        x, y = synthetic_images(100, 4, 2, 5, seed=0)
+        assert x.shape == (100, 4, 4, 2) and y.shape == (100,)
         assert y.max() < 5
 
     def test_images(self):
@@ -199,32 +188,17 @@ class TestData:
         assert x.shape == (10, 6, 6, 3)
 
     def test_deterministic(self):
-        a = synthetic_classification(10, 4, 2, seed=7)
-        b = synthetic_classification(10, 4, 2, seed=7)
-        assert np.array_equal(a[0], b[0])
+        a = synthetic_images(10, 4, 2, 2, seed=7)
+        b = synthetic_images(10, 4, 2, 2, seed=7)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            synthetic_classification(0, 4, 2)
+        for sizes in ((0, 4, 2, 2), (10, 0, 2, 2), (10, 4, 0, 2), (10, 4, 2, 0)):
+            with pytest.raises(ValueError):
+                synthetic_images(*sizes)
 
 
 class TestEndToEndLearning:
-    def test_quant_dense_mlp_learns(self):
-        x, y = synthetic_classification(256, 16, 4, noise=0.4, seed=3)
-        rng = np.random.default_rng(0)
-        model = Sequential([
-            QuantDense(16, 32, binarize_input=False, rng=rng),
-            BatchNormLayer(32),
-            QuantDense(32, 32, rng=rng),
-            BatchNormLayer(32),
-            DenseLayer(32, 4, rng=rng),
-        ])
-        cfg = TrainConfig(epochs=10, batch_size=32)
-        steps = cfg.epochs * (len(x) // cfg.batch_size)
-        hist = Trainer(model, cfg, steps).fit(x, y)
-        assert hist.loss[-1] < hist.loss[0]
-        assert hist.accuracy[-1] > 0.6
-
     def test_quant_conv_net_learns_quicknet_order(self):
         """conv -> ReLU -> BN (the paper's QuickNet layer order) trains."""
         x, y = synthetic_images(192, 8, 4, 4, noise=0.6, seed=1)
