@@ -109,13 +109,13 @@ bench-fast:
 # Rewrite EXPERIMENTS.md's generated tables from every experiment's
 # claims; exits non-zero when a claim does not hold.
 experiments:
-	python -m repro.experiments.ledger
+	PYTHONPATH=src python -m repro.experiments.ledger
 
 appendix:
-	python -m repro.experiments.runner --appendix
+	PYTHONPATH=src python -m repro.experiments.runner --appendix
 
 extensions:
-	python -m repro.experiments.runner --extensions
+	PYTHONPATH=src python -m repro.experiments.runner --extensions
 
 # Every runnable example, failing on the first that exits non-zero: they are
 # the callers that keep names like Trainer public (tests/test_public_surface.py).

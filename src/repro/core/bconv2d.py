@@ -25,8 +25,8 @@ zero-padding correction it checks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.core.im2col import (
     ConvGeometry,
     conv_geometry,
     im2col_float,
+    pad_spatial,
     padded_tap_mask,
     windows,
 )
@@ -73,6 +74,8 @@ class PackedFilters:
     kernel_h: int
     kernel_w: int
     in_channels: int
+    #: :meth:`kmajor_of`'s operands, keyed by gather
+    operands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def out_channels(self) -> int:
@@ -82,23 +85,26 @@ class PackedFilters:
     def nbytes(self) -> int:
         return self.bits.nbytes
 
-    @cached_property
-    def kmajor(self) -> np.ndarray:
-        """:meth:`kmajor_of` every tap, once per model (plan compilation
-        touches it)."""
-        return self.kmajor_of(range(self.kernel_h * self.kernel_w))
-
-    def kmajor_of(self, taps) -> np.ndarray:
-        """The ``(kmajor_words, out_channels)`` operand the bound kernel
-        multiplies over ``taps``: per filter, each tap's 32-bit halves back
-        to back (a zero tail half when their count is odd), transposed."""
-        cout, cin, taps = self.out_channels, self.in_channels, list(taps)
-        halves = -(-cin // 32)
-        dense = np.zeros((cout, 2 * kmajor_words(len(taps), cin)), np.uint32)
-        all_taps = self.kernel_h * self.kernel_w
-        per_tap = self.bits.view(np.uint32).reshape(cout, all_taps, -1)
-        dense[:, : len(taps) * halves] = per_tap[:, taps, :halves].reshape(cout, -1)
-        return np.ascontiguousarray(dense.view(np.uint64).T)
+    def kmajor_of(self, *gather: tuple[int, ...]) -> np.ndarray:
+        """The ``(kmajor_words, len(gather) * out_channels)`` operand the
+        bound kernel multiplies: column block ``i`` holds, per filter, the
+        32-bit halves of taps ``gather[i]`` back to back (a zero tail half
+        when their count is odd).  Built once per gather: the filters live
+        in the ``ParamCache``, so every batch factor and replica shares it."""
+        operand = self.operands.get(gather)
+        if operand is None:
+            cout, cin, taps = self.out_channels, self.in_channels, len(gather[0])
+            halves = -(-cin // 32)
+            dense = np.zeros(
+                (len(gather), cout, 2 * kmajor_words(taps, cin)), np.uint32
+            )
+            all_taps = self.kernel_h * self.kernel_w
+            per_tap = self.bits.view(np.uint32).reshape(cout, all_taps, -1)
+            picked = per_tap[:, np.array(gather), :halves].swapaxes(0, 1)
+            dense[..., : taps * halves] = picked.reshape(len(gather), cout, -1)
+            operand = dense.view(np.uint64).reshape(len(gather) * cout, -1).T
+            operand = self.operands[gather] = np.ascontiguousarray(operand)
+        return operand
 
 
 def kmajor_words(taps: int, in_channels: int) -> int:
@@ -200,6 +206,30 @@ def live_taps(
     )
     live = tuple(np.flatnonzero(~reads.all(0)).tolist())
     return live, bool(reads[:, live].any())
+
+
+@lru_cache(maxsize=1024)
+def whole_map_taps(
+    params: BConv2DParams, in_h: int, in_w: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """Per output pixel, the tap that reads each input pixel (row-major)
+    when every window covers the whole map, else ``None`` (a 3x3 SAME
+    convolution on a 2x2, 1x2 or 1x1 map covers it; on 3x3 it does not).
+    Such a convolution is a dense layer over the flattened map: the bound
+    kernel runs it as one GEMM, and every other tap reads padding there."""
+    geom = conv_geometry(
+        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
+        params.dilation, params.padding,
+    )
+    pixels = in_h * in_w
+    plane = pad_spatial(np.arange(pixels).reshape(1, in_h, in_w, 1), geom.pads, -1)
+    read = windows(  # (output pixel, tap) -> the input pixel read, -1 padding
+        plane, params.kernel_h, params.kernel_w, params.stride, params.dilation,
+        geom.out_h, geom.out_w,
+    ).reshape(geom.out_h * geom.out_w, -1)
+    if ((read >= 0).sum(1) != pixels).any():
+        return None
+    return tuple(map(tuple, np.argsort(read, axis=1)[:, -pixels:].tolist()))
 
 
 def zero_padding_correction(
@@ -416,21 +446,27 @@ class BoundBConv2D:
         self.in_shape = (batch, in_h, in_w, params.in_channels)
         self.quantize = quantize
         self.shortcut = shortcut
-        # Dead taps leave K: only the live ones are multiplied, and the
-        # dead ones' constant one-padded contribution joins the SAME_ZERO
-        # correction in one int32 offset added to the accumulators.
-        live, self._border = live_taps(params, in_h, in_w)
-        self.live = live
-        cin, offset = params.in_channels, None
-        dead = [t for t in range(params.kernel_h * params.kernel_w) if t not in live]
-        self._bt = filters.kmajor_of(live) if dead else filters.kmajor
-        if dead:  # each reads +1 everywhere: cin - 2 * popcount of its words
-            words = filters.bits.reshape(params.out_channels, -1, packed_words(cin))
-            ones = popcount(words[:, dead]).sum((1, 2), dtype=np.int32)
-            offset = np.int32(len(dead) * cin) - 2 * ones
+        # Taps that read only padding at a pixel leave K there: dead taps
+        # (padding at every pixel) everywhere, and on a whole map every tap
+        # outside that pixel's gather.  Their constant one-padded
+        # contribution joins the SAME_ZERO correction in one int32 offset
+        # added to the accumulators.
+        self.live, border = live_taps(params, in_h, in_w)
+        self.whole_map = whole_map_taps(params, in_h, in_w)
+        gather = self.whole_map or (self.live,)
+        self._border = border and self.whole_map is None
+        self._bt = filters.kmajor_of(*gather)
+        cin, taps = params.in_channels, params.kernel_h * params.kernel_w
+        skipped = np.ones((len(gather), taps), np.int32)  # (pixel or 1, tap)
+        skipped[np.arange(len(gather))[:, None], gather] = 0
+        offset = None
+        if skipped.any():  # each reads +1: cin - 2 * popcount of its words
+            words = filters.bits.reshape(params.out_channels, taps, packed_words(cin))
+            per_tap = cin - 2 * popcount(words).sum(2, dtype=np.int32)
+            offset = skipped @ per_tap.T
         if params.padding is Padding.SAME_ZERO:
             correction = np.asarray(padding_correction, np.int32)
-            offset = (-correction if offset is None else offset - correction)[None]
+            offset = -correction if offset is None else offset - correction
         self._offset = offset
         # Float output: apply_transform, one in-place NumPy call per step.
         self._steps = None
@@ -454,10 +490,13 @@ class BoundBConv2D:
         geom = conv_geometry(
             in_h, in_w, p.kernel_h, p.kernel_w, p.stride, p.dilation, p.padding
         )
+        kh, kw, stride, dilation, win, live = _im2col_window(
+            p, in_h, in_w, self.whole_map is not None
+        )
         words = packed_words(cin)
         out_h, out_w, cout = geom.out_h, geom.out_w, p.out_channels
-        m, live = n * out_h * out_w, self.live
-        taps = len(live)
+        oh, ow, taps = win.out_h, win.out_w, len(live)
+        m, patch_rows = n * out_h * out_w, n * oh * ow
         quantize, add_at = self.quantize, self.shortcut
         steps, finish, offset = self._steps, self._finish, self._offset
         add = self._add
@@ -467,9 +506,9 @@ class BoundBConv2D:
             sign_x = sign[..., :cin]
             sign_pad = sign[..., cin:] if cin < words * 64 else None
         padded = workspace.take(
-            "bconv/padded", (n, *_padded_hw(geom, in_h, in_w), words), np.uint64
+            "bconv/padded", (n, *_padded_hw(win, in_h, in_w), words), np.uint64
         )
-        top, left = geom.pad_top, geom.pad_left
+        top, left = win.pad_top, win.pad_left
         interior = padded[:, top : top + in_h, left : left + in_w]
         has_border = self._border  # a live tap reads it
 
@@ -478,41 +517,40 @@ class BoundBConv2D:
         # the dense K-major slab: half q of a patch row (tap q // halves) is
         # half q % 2 of slab row q // 2.
         k_words, halves = kmajor_words(taps, cin), -(-cin // 32)
-        at = workspace.take("bgemm/at", (k_words, m), np.uint64)
+        at = workspace.take("bgemm/at", (k_words, patch_rows), np.uint64)
 
-        def taps_of(plane):  # (kh, kw, items, n, out_h, out_w)
-            return windows(
-                plane, p.kernel_h, p.kernel_w, p.stride, p.dilation, out_h, out_w
-            ).transpose(3, 4, 5, 0, 1, 2)
+        def taps_of(plane):  # (kh, kw, items, n, oh, ow)
+            return windows(plane, kh, kw, stride, dilation, oh, ow).transpose(
+                3, 4, 5, 0, 1, 2
+            )
 
-        all_taps = taps == p.kernel_h * p.kernel_w
+        all_taps = taps == kh * kw
         if halves % 2 == 0:  # whole words per tap: copied word for word
             patches = taps_of(padded)
             if all_taps:
                 copies = [(at.reshape(patches.shape), patches)]
             else:  # one copy per live tap
-                rows = at.reshape(taps, -1, n, out_h, out_w)
+                rows = at.reshape(taps, -1, n, oh, ow)
                 copies = [
-                    (rows[i], patches[divmod(t, p.kernel_w)])
-                    for i, t in enumerate(live)
+                    (rows[i], patches[divmod(t, kw)]) for i, t in enumerate(live)
                 ]
         else:
             tap_halves = taps_of(padded.view(np.uint32))
-            slab = at.view(np.uint32).reshape(k_words, n, out_h, out_w, 2)
+            slab = at.view(np.uint32).reshape(k_words, n, oh, ow, 2)
             if all_taps:
                 # One copy per (ky, kx parity, half): every other tap of a
                 # kernel row lands `halves` slab rows further on.
                 copies = []
-                for ky in range(p.kernel_h):
-                    for kx in range(min(2, p.kernel_w)):
-                        every_other = len(range(kx, p.kernel_w, 2))
+                for ky in range(kh):
+                    for kx in range(min(2, kw)):
+                        every_other = len(range(kx, kw, 2))
                         for c in range(halves):
-                            q = (ky * p.kernel_w + kx) * halves + c
+                            q = (ky * kw + kx) * halves + c
                             rows = slab[q // 2 :: halves, ..., q % 2][:every_other]
                             copies.append((rows, tap_halves[ky, kx::2, c]))
             else:  # one copy per (live tap, half): half q is slab row q // 2's
                 copies = [
-                    (slab[q // 2, ..., q % 2], tap_halves[(*divmod(t, p.kernel_w), c)])
+                    (slab[q // 2, ..., q % 2], tap_halves[(*divmod(t, kw), c)])
                     for i, t in enumerate(live)
                     for c, q in enumerate(range(i * halves, (i + 1) * halves))
                 ]
@@ -520,10 +558,13 @@ class BoundBConv2D:
                 # Every node shares bgemm/at: zero its tail half each call.
                 copies.append((slab[-1, ..., 1], np.uint32(0)))
 
+        # On a whole map one patch row per image meets every output pixel's
+        # filters: an (n, pixels * cout) GEMM into the same accumulators.
         acc = workspace.take("bconv/acc", (m, cout), np.int32)
+        cols = m * cout // patch_rows
         gemm = bind_kmajor(
-            at, self._bt, taps * cin, acc, workspace,
-            *derive_panel(m, cout, k_words, cfg.tile_m, cfg.tile_n,
+            at, self._bt, taps * cin, acc.reshape(patch_rows, cols), workspace,
+            *derive_panel(patch_rows, cols, k_words, cfg.tile_m, cfg.tile_n,
                           cfg.tile_k_words),
         )
         acc3 = acc.reshape(n, out_h * out_w, cout)
@@ -570,6 +611,24 @@ class BoundBConv2D:
         return run
 
 
+def _im2col_window(
+    params: BConv2DParams, in_h: int, in_w: int, whole_map: bool
+) -> tuple[int, int, int, int, ConvGeometry, tuple[int, ...]]:
+    """``(kernel_h, kernel_w, stride, dilation, geometry, taps)`` of what
+    the bound kernel's im2col copies: the convolution's windows and their
+    live taps, or on a whole map one VALID window as large as the map,
+    every pixel a tap (one patch row per image)."""
+    if whole_map:
+        valid = conv_geometry(in_h, in_w, in_h, in_w, 1, 1, Padding.VALID)
+        return in_h, in_w, 1, 1, valid, tuple(range(in_h * in_w))
+    geom = conv_geometry(
+        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
+        params.dilation, params.padding,
+    )
+    live = live_taps(params, in_h, in_w)[0]
+    return params.kernel_h, params.kernel_w, params.stride, params.dilation, geom, live
+
+
 def _padded_hw(geom: ConvGeometry, in_h: int, in_w: int) -> tuple[int, int]:
     return (
         in_h + geom.pad_top + geom.pad_bottom,
@@ -605,22 +664,31 @@ def reserve_bconv2d_workspace(
         in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
         params.dilation, params.padding,
     )
-    words = packed_words(params.in_channels)
+    words, cout = packed_words(params.in_channels), params.out_channels
     m = batch * geom.out_h * geom.out_w
-    taps = len(live_taps(params, in_h, in_w)[0])
-    padded_h, padded_w = _padded_hw(geom, in_h, in_w)
-    workspace.reserve("bconv/padded", batch * padded_h * padded_w * words, np.uint64)
-    workspace.reserve("bconv/acc", m * params.out_channels, np.int32)
-    workspace.reserve("bconv/float", m * params.out_channels, np.float32)
+    workspace.reserve("bconv/acc", m * cout, np.int32)
+    workspace.reserve("bconv/float", m * cout, np.float32)
     if quantize:
         workspace.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
-    for name, size, dtype in bgemm_scratch_spec(
-        m, params.out_channels,
-        kmajor_words(taps, params.in_channels),
-        tile_m=config.tile_m, tile_n=config.tile_n,
-        tile_k_words=config.tile_k_words,
-    ):
-        workspace.reserve(name, size, dtype)
+    # A whole-map node reserves its live-tap form's scratch too: the arena
+    # stays the size the live-tap forms give it, which
+    # test_plan_arena_constant_from_first_execute pins.  Nothing touches
+    # the extra pages.
+    whole_map = whole_map_taps(params, in_h, in_w) is not None
+    for form in {False, whole_map}:
+        _, _, _, _, win, taps = _im2col_window(params, in_h, in_w, form)
+        patch_rows = batch * win.out_h * win.out_w
+        padded_h, padded_w = _padded_hw(win, in_h, in_w)
+        workspace.reserve(
+            "bconv/padded", batch * padded_h * padded_w * words, np.uint64
+        )
+        for name, size, dtype in bgemm_scratch_spec(
+            patch_rows, m * cout // patch_rows,
+            kmajor_words(len(taps), params.in_channels),
+            tile_m=config.tile_m, tile_n=config.tile_n,
+            tile_k_words=config.tile_k_words,
+        ):
+            workspace.reserve(name, size, dtype)
 
 
 def unpack_filters(filters: PackedFilters) -> np.ndarray:

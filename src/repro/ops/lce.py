@@ -200,10 +200,8 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
         # Everything shape-dependent happens here, at compile time.
         batch, in_h, in_w = ctx.specs[node.inputs[0]].shape[:3]
         reserve_bconv2d_workspace(arena, params, in_h, in_w, batch, quantize=quantize)
-        # Pack the filters K-major now rather than on the first inference;
-        # ``filters`` lives in the ParamCache, so every batch factor and
-        # replica shares the one copy.
-        filters.kmajor
+        # Packs the filters' K-major operand now, once per model: ``filters``
+        # lives in the ParamCache, so every batch factor and replica shares it.
         kernel = BoundBConv2D(
             filters, params, in_h, in_w, batch,
             padding_correction=node.params.get("padding_correction"),

@@ -522,7 +522,8 @@ class TestBoundKernel:
         cout = 6
         w = rng.choice([-1.0, 1.0], (3, 3, cin, cout)).astype(np.float32)
         filters = pack_filters(w)
-        assert filters.kmajor.shape == (math.ceil(9 * math.ceil(cin / 32) / 2), cout)
+        operand = filters.kmajor_of(tuple(range(9)))
+        assert operand.shape == (math.ceil(9 * math.ceil(cin / 32) / 2), cout)
         mult = rng.standard_normal(cout).astype(np.float32)
         bias = rng.standard_normal(cout).astype(np.float32)
         ws = Workspace()  # one arena for the whole grid, as in an engine

@@ -5,6 +5,7 @@ what the kernel takes."""
 from __future__ import annotations
 
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from repro.converter import convert
 from repro.core.bconv2d import (
     BConv2DParams,
     BoundBConv2D,
+    PackedFilters,
     kmajor_words,
+    live_taps,
     pack_filters,
     reserve_bconv2d_workspace,
     unpack_filters,
+    whole_map_taps,
 )
 from repro.core.bgemm import (
     _acc_dtype,
@@ -33,6 +37,7 @@ from repro.core.bitpack import pack_bits
 from repro.core.kernel_config import DEFAULT_CONFIG
 from repro.core.types import Padding
 from repro.core.workspace import Workspace
+from repro.ops import ParamCache
 from repro.runtime import Engine
 from repro.runtime.rebatch import rebatched_specs
 from repro.zoo import build_model
@@ -463,35 +468,55 @@ def test_plan_arena_constant_from_first_execute(quicknet_small, rng):
             assert ws.buffer("bgemm/ck").size == counts
 
 
-def _dense_filter_rows(filters) -> np.ndarray:
-    """The dense K layout built independently of ``PackedFilters.kmajor``:
-    every tap's channels padded with +1 to a multiple of 32, the taps
-    concatenated, and the row packed whole (``pack_bits`` zero-pads the
-    tail)."""
+def _dense_filter_rows(filters, taps=None) -> np.ndarray:
+    """The dense K layout built independently of ``PackedFilters.kmajor_of``:
+    every tap's channels (of ``taps``, all by default) padded with +1 to a
+    multiple of 32, the taps concatenated, and the row packed whole
+    (``pack_bits`` zero-pads the tail)."""
     w = unpack_filters(filters)
     kh, kw, cin, cout = w.shape
-    per_tap = np.ones((cout, kh * kw, -(-cin // 32) * 32), np.float32)
-    per_tap[:, :, :cin] = w.reshape(kh * kw, cin, cout).transpose(2, 0, 1)
+    taps = list(range(kh * kw) if taps is None else taps)
+    per_tap = np.ones((cout, len(taps), -(-cin // 32) * 32), np.float32)
+    per_tap[:, :, :cin] = w.reshape(kh * kw, cin, cout)[taps].transpose(2, 0, 1)
     return pack_bits(per_tap.reshape(cout, -1)).bits
 
 
-def test_kmajor_filters_packed_once_per_model(quicknet_small):
-    """Every batch factor's plan multiplies against the same K-major
-    filter copy, made at plan-compile time."""
-    _, model = quicknet_small
-    from repro.ops import ParamCache
-    from repro.runtime import compile_plan
+def test_kmajor_filters_packed_once_per_model(quicknet_small, monkeypatch):
+    """Every batch factor's plan, in two engines sharing a ParamCache,
+    multiplies against one K-major operand per filter, built once at
+    plan-compile time: every tap's, or on a whole map the per-pixel
+    regather (and then not every tap's too)."""
+    size, model = quicknet_small
+    builds = Counter()
+    kmajor_of = PackedFilters.kmajor_of
 
+    def counted(filters, *gather):
+        builds[id(filters), gather] += gather not in filters.operands
+        return kmajor_of(filters, *gather)
+
+    monkeypatch.setattr(PackedFilters, "kmajor_of", counted)
     cache = ParamCache()
-    for factor in (1, 2):
-        compile_plan(model.graph, batch_factor=factor, cache=cache)
-    packed = [
-        value for (_, kind), value in cache._store.items()
-        if kind == "packed_filters"
-    ]
-    assert packed
-    for filters in packed:
-        kmajor = filters.__dict__["kmajor"]  # already computed, not lazily now
-        assert kmajor.flags.c_contiguous
-        assert np.array_equal(kmajor, _dense_filter_rows(filters).T)
-
+    with Engine(model, param_cache=cache) as a, Engine(model, param_cache=cache) as b:
+        for factor in range(1, 9):
+            a.plan(factor), b.plan(factor)
+    whole_maps = 0
+    for node in model.graph.nodes:
+        if node.op != "lce_bconv2d":
+            continue
+        filters = cache._store[node.name, "packed_filters"]
+        params = cache._store[node.name, "bconv_params"]
+        in_h, in_w = model.graph.tensors[node.inputs[0]].shape[1:3]
+        gather = whole_map_taps(params, in_h, in_w)
+        whole_maps += gather is not None
+        (key, operand), = filters.operands.items()
+        assert builds[id(filters), key] == 1
+        assert operand.flags.c_contiguous
+        if gather is None:
+            live = live_taps(params, in_h, in_w)[0]
+            assert key == (live,)
+            assert np.array_equal(operand, _dense_filter_rows(filters, live).T)
+        else:
+            assert key == gather
+            blocks = [_dense_filter_rows(filters, taps) for taps in gather]
+            assert np.array_equal(operand, np.concatenate(blocks).T)
+    assert whole_maps == {32: 8, 64: 4}[size]

@@ -1,5 +1,6 @@
 """Bound float kernels (:mod:`repro.kernels.bound`) against their eager
-kernels, bit for bit, and the dead-tap rule of the bound binarized conv.
+kernels, bit for bit, and the dead-tap and whole-map rules of the bound
+binarized conv.
 
 A bound form is compiled for one input shape, reserves its scratch in an
 arena, binds views into it and runs only the calls that move data.  Each
@@ -19,15 +20,21 @@ import pytest
 from repro.converter import convert
 from repro.core.bconv2d import (
     BConv2DParams,
+    BoundBConv2D,
     PackedFilters,
+    bconv2d,
     kmajor_words,
     live_taps,
+    pack_filters,
+    reserve_bconv2d_workspace,
     unpack_filters,
+    whole_map_taps,
     zero_padding_correction,
 )
 from repro.core.bitpack import PackedTensor
+from repro.core.output_transform import compute_output_thresholds
 from repro.core.quantize_ops import lce_quantize
-from repro.core.types import Activation, Padding
+from repro.core.types import Activation, OutputType, Padding
 from repro.core.workspace import Workspace
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
@@ -39,6 +46,7 @@ from repro.kernels import (
     global_avgpool,
     maxpool2d,
 )
+from repro.kernels.arithmetic import add
 from repro.kernels.batchnorm import BatchNormParams
 from repro.kernels.bound import (
     BoundAvgPool2D,
@@ -49,9 +57,12 @@ from repro.kernels.bound import (
     BoundLceQuantize,
     BoundMaxPool2D,
 )
+from repro.ops import get_spec
 from repro.runtime import compile_plan
+from repro.zoo import build_model
 
 PADDINGS = (Padding.VALID, Padding.SAME_ZERO, Padding.SAME_ONE)
+SAME = (Padding.SAME_ONE, Padding.SAME_ZERO)
 ACTIVATIONS = tuple(Activation)
 
 
@@ -194,11 +205,11 @@ def test_plan_binds_every_float_family(rng):
 # ----------------------------------------------------------- dead taps
 
 
-def _one_pixel_net(rng, padding, output, quantize, shortcut, cin=96):
-    """A converted 3x3 binarized conv on a 1x1 map (8 of 9 taps dead),
-    after a float conv; with ``quantize`` the conv absorbs its
+def _small_map_net(rng, padding, output, quantize, shortcut, cin=96, hw=(1, 1)):
+    """A converted 3x3 binarized conv on an ``hw`` map (on 1x1, 8 of 9 taps
+    dead), after a float conv; with ``quantize`` the conv absorbs its
     ``lce_quantize``, with ``shortcut`` the residual add."""
-    b = GraphBuilder((1, 1, 1, 8))
+    b = GraphBuilder((1, *hw, 8))
     x = b.conv2d(b.input, rng.standard_normal((1, 1, 8, cin)).astype(np.float32))
     y = b.binarize(x)
     y = b.conv2d(y, rng.standard_normal((3, 3, cin, cin)).astype(np.float32),
@@ -236,7 +247,7 @@ def _dead_tap_conv(graph):
 @pytest.mark.parametrize("quantize", (True, False))
 @pytest.mark.parametrize("cin", (96, 32))
 def test_dead_taps_equal_the_executor(padding, output, shortcut, quantize, cin, rng):
-    graph = _one_pixel_net(rng, padding, output, quantize, shortcut, cin)
+    graph = _small_map_net(rng, padding, output, quantize, shortcut, cin)
     conv = _dead_tap_conv(graph)
     assert conv.attrs["output_type"] == output
     plan = compile_plan(graph)
@@ -263,7 +274,7 @@ def test_flipping_a_dead_tap_bit_moves_the_output(padding, rng):
     equals the Executor's, which multiplies every tap.  Zero-padded, with
     the correction recomputed from the flipped bits, it must not change:
     the dead tap reads only zeros."""
-    graph = _one_pixel_net(rng, padding, "float", True, False)
+    graph = _small_map_net(rng, padding, "float", True, False)
     x = rng.standard_normal((1, 1, 1, 8)).astype(np.float32)
     before = compile_plan(graph).execute((x,))[0]
     conv = _dead_tap_conv(graph)
@@ -299,3 +310,186 @@ def test_live_taps_of_a_two_pixel_map(rng):
     graph = convert(b.finish(y)).graph
     x = rng.standard_normal((1, 1, 2, 8)).astype(np.float32)
     assert np.array_equal(compile_plan(graph).execute((x,))[0], Executor(graph).run(x))
+
+
+# ----------------------------------------------------------- whole maps
+
+#: (in_h, in_w, kernel, stride, paddings): every window covers the map
+WHOLE_MAPS = [
+    *[(h, w, 3, 1, SAME) for h, w in ((1, 1), (1, 2), (2, 1), (2, 2))],
+    (2, 2, 3, 2, SAME),  # 3x3 stride 2 on a 2x2 map: one output pixel
+    (2, 2, 2, 1, (Padding.VALID,)),  # the kernel is the map
+]
+
+
+@pytest.mark.parametrize("cin", (32, 96, 130, 512))  # odd halves, a tail word
+@pytest.mark.parametrize(
+    "h, w, k, stride, padding",
+    [(h, w, k, s, pad) for h, w, k, s, pads in WHOLE_MAPS for pad in pads],
+)
+def test_whole_map_equals_the_reference(h, w, k, stride, padding, cin, rng):
+    """On a whole map the bound kernel runs one (n, pixels * cout) GEMM
+    over one patch row per image, in the scratch its reservation made; it
+    equals :func:`bconv2d` (what the Executor runs) for float, bitpacked
+    and int8 output, with and without an absorbed quantize and shortcut,
+    at batch 1, 3 and 8."""
+    cout = 24
+    params = BConv2DParams(k, k, cin, cout, stride=stride, padding=padding)
+    assert whole_map_taps(params, h, w) is not None
+    weights = rng.choice([-1.0, 1.0], (k, k, cin, cout)).astype(np.float32)
+    filters = pack_filters(weights)
+    correction = {}
+    if padding is Padding.SAME_ZERO:
+        correction["padding_correction"] = zero_padding_correction(
+            weights, params, h, w
+        )
+    mult = rng.uniform(0.5, 1.5, cout).astype(np.float32)
+    bias = rng.standard_normal(cout).astype(np.float32)
+    outputs = {
+        "float": dict(multiplier=mult, bias=bias, activation=Activation.RELU),
+        "bitpacked": dict(
+            output_type=OutputType.BITPACKED,
+            thresholds=compute_output_thresholds(params.depth, cout, mult, bias),
+        ),
+        "int8": dict(
+            multiplier=mult, bias=bias, output_type=OutputType.INT8,
+            int8_output_scale=0.5, int8_output_zero_point=3,
+        ),
+    }
+    ws = Workspace()  # one arena for the grid, as in an engine
+    for batch in (1, 3, 8):
+        x = rng.standard_normal((batch, h, w, cin)).astype(np.float32)
+        for name, output in outputs.items():
+            want = bconv2d(lce_quantize(x), filters, params, **output)
+            shortcuts = (None, 1) if name == "float" else (None,)
+            for quantize, shortcut in itertools.product((False, True), shortcuts):
+                kernel = BoundBConv2D(
+                    filters, params, h, w, batch, quantize=quantize,
+                    shortcut=shortcut, **correction, **output,
+                )
+                assert kernel.whole_map == whole_map_taps(params, h, w)
+                reserve_bconv2d_workspace(ws, params, h, w, batch, quantize=quantize)
+                grows = ws.grows
+                run = kernel.bind(ws)
+                assert ws.grows == grows  # reservation covers the dense form
+                other = rng.standard_normal(want.shape).astype(np.float32)
+                got = run(x if quantize else lce_quantize(x), other)
+                expected = want if shortcut is None else add(want, other)
+                if isinstance(expected, PackedTensor):
+                    got, expected = got.bits, expected.bits
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (name, batch, quantize, shortcut)
+
+
+@pytest.mark.parametrize("hw", ((1, 2), (2, 2)))
+@pytest.mark.parametrize("padding", SAME)
+@pytest.mark.parametrize("output, shortcut", (("float", False), ("float", True),
+                                              ("bitpacked", False)))
+@pytest.mark.parametrize("quantize", (True, False))
+def test_whole_map_plan_equals_the_executor(hw, padding, output, shortcut, quantize, rng):
+    """A converted net's whole-map conv, fused as a plan fuses it, equals
+    the Executor image by image at batch 1, 3 and 8."""
+    graph = _small_map_net(rng, padding, output, quantize, shortcut, 130, hw)
+    params = BConv2DParams(3, 3, 130, 130, padding=padding)
+    assert whole_map_taps(params, *hw) is not None
+    executor = Executor(graph)
+    for factor in (1, 3, 8):
+        plan = compile_plan(graph, batch_factor=factor)
+        x = rng.standard_normal((factor, *hw, 8)).astype(np.float32)
+        got = plan.execute((x,))
+        per_image = [executor.run(row[None]) for row in x]
+        per_image = [w if isinstance(w, tuple) else (w,) for w in per_image]
+        for i, g in enumerate(got):
+            want = [image[i] for image in per_image]
+            if isinstance(g, PackedTensor):
+                g, want = g.bits, [w.bits for w in want]
+            assert g.dtype == want[0].dtype
+            assert np.array_equal(g, np.concatenate(want))
+
+
+def test_whole_map_predicate():
+    """True exactly where every window covers the map; each pixel's taps
+    name the input pixels in row-major order."""
+    for h, w, k, stride, paddings in WHOLE_MAPS:
+        for padding in paddings:
+            params = BConv2DParams(k, k, 8, 8, stride=stride, padding=padding)
+            gather = whole_map_taps(params, h, w)
+            assert gather is not None and {len(t) for t in gather} == {h * w}
+    same = BConv2DParams(3, 3, 8, 8, padding=Padding.SAME_ONE)
+    assert whole_map_taps(same, 2, 2) == ((4, 5, 7, 8), (3, 4, 6, 7),
+                                          (1, 2, 4, 5), (0, 1, 3, 4))
+    assert whole_map_taps(same, 1, 1) == ((4,),)
+    for h, w in ((3, 3), (1, 3), (4, 4)):
+        assert whole_map_taps(same, h, w) is None
+
+
+@pytest.mark.parametrize("padding", SAME)
+def test_flipping_a_tap_dead_at_one_pixel(padding, rng):
+    """On a 1x2 map tap (1, 0) reads padding at output pixel 0 only, so it
+    is left out of that pixel's gather and lands in the offset.  Flip one
+    of its filter bits: one-padded, pixel 0 moves — and the output still
+    equals the Executor's, which multiplies every tap.  Zero-padded, with
+    the correction recomputed from the flipped bits, pixel 0 must not
+    move: there the tap reads only zeros."""
+    graph = _small_map_net(rng, padding, "float", True, False, hw=(1, 2))
+    x = rng.standard_normal((1, 1, 2, 8)).astype(np.float32)
+    before = compile_plan(graph).execute((x,))[0]
+    conv = _dead_tap_conv(graph)
+    bits = conv.params["filter_bits"].copy()
+    words = bits.shape[1] // 9
+    bits[5, 3 * words] ^= np.uint64(1 << 7)  # tap (1, 0), filter 5
+    conv.params["filter_bits"] = bits
+    cin = conv.attrs["in_channels"]
+    params = BConv2DParams(3, 3, cin, cin, padding=padding)
+    assert [3 in taps for taps in whole_map_taps(params, 1, 2)] == [False, True]
+    if padding is Padding.SAME_ZERO:
+        filters = PackedFilters(bits, 3, 3, in_channels=cin)
+        conv.params["padding_correction"] = zero_padding_correction(
+            unpack_filters(filters), params, 1, 2
+        )
+    after = compile_plan(graph).execute((x,))[0]
+    assert np.array_equal(after, Executor(graph).run(x))
+    assert np.array_equal(after[..., :5], before[..., :5])  # other filters
+    moved = not np.array_equal(after[:, 0, 0], before[:, 0, 0])
+    assert moved == (padding is Padding.SAME_ONE)
+
+
+@pytest.mark.parametrize("padding", SAME)
+@pytest.mark.parametrize("width", (3, 4))
+def test_dead_taps_off_a_whole_map(width, padding, rng):
+    """On a 1x3 or 1x4 map no window covers the map: the kernel keeps the
+    live-tap form (the top and bottom kernel rows dead), one copy per live
+    tap and half at 130 channels, and equals the Executor."""
+    params = BConv2DParams(3, 3, 130, 130, padding=padding)
+    assert whole_map_taps(params, 1, width) is None
+    assert live_taps(params, 1, width) == ((3, 4, 5), True)
+    graph = _small_map_net(rng, padding, "float", True, True, 130, (1, width))
+    executor = Executor(graph)
+    for factor in (1, 3):
+        x = rng.standard_normal((factor, 1, width, 8)).astype(np.float32)
+        got = compile_plan(graph, batch_factor=factor).execute((x,))[0]
+        assert np.array_equal(got, np.concatenate([executor.run(r[None]) for r in x]))
+
+
+def _whole_map_convs(graph):
+    """``(in_h, in_w, in_channels)`` of each binarized conv on a whole map."""
+    spec = get_spec("lce_bconv2d")
+    found = []
+    for node in graph.nodes:
+        if node.op != "lce_bconv2d":
+            continue
+        a = spec.parse_attrs(node.attrs)
+        params = BConv2DParams(a.kernel_h, a.kernel_w, a.in_channels,
+                               a.out_channels, a.stride, a.dilation, a.padding)
+        _, h, w, cin = graph.tensors[node.inputs[0]].shape
+        if whole_map_taps(params, h, w) is not None:
+            found.append((h, w, cin))
+    return found
+
+
+def test_quicknet_small_whole_map_convs():
+    """At 224 px no QuickNet-small conv runs the whole-map form; at 64 px
+    exactly its four 2x2x512 convs do."""
+    assert _whole_map_convs(convert(build_model("quicknet_small")).graph) == []
+    at_64 = convert(build_model("quicknet_small", input_size=64)).graph
+    assert _whole_map_convs(at_64) == [(2, 2, 512)] * 4

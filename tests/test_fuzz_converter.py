@@ -38,8 +38,9 @@ def random_network(draw):
     """A random-but-valid training graph plus a matching input tensor."""
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
-    channels = draw(st.sampled_from([8, 16, 24, 40]))  # 40: a partial tail word
-    size = draw(st.integers(6, 10))
+    # 40, 130: a partial tail word; 72, 130: an odd number of 32-bit halves
+    channels = draw(st.sampled_from([8, 16, 24, 40, 64, 72, 130]))
+    size = draw(st.integers(1, 10))  # 1-2 px: every 3x3 window covers the map
     n_blocks = draw(st.integers(1, 4))
     block_specs = [
         {
