@@ -3,10 +3,10 @@
 The G-rules (``RULES``, docs/architecture.md §8) over a
 :class:`repro.graph.ir.Graph`, each invariant in one place: G001 is
 :meth:`Graph.verify`, G002 is :func:`repro.ops.validate_graph` plus the
-registry's shape/dtype re-inference, and G003–G005 check the bitpacked
-word layout, padding semantics and fusion legality of every
-``lce_bconv2d`` — the paper's Section 3.2 correctness story, which
-nothing else checks on a loaded ``.lce`` file.
+registry's shape/dtype re-inference, and G003 and G005 check the
+bitpacked word layout and fusion legality of every ``lce_bconv2d`` — the
+paper's Section 3.2 correctness story, which nothing else checks on a
+loaded ``.lce`` file.
 
 :func:`analyze_graph` returns diagnostics; :func:`check_graph` raises a
 :class:`~repro.graph.ir.GraphError` on any finding and is what
@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic, error
 from repro.core.bitpack import WORD_BITS, packed_words
-from repro.core.im2col import conv_geometry
-from repro.core.types import OutputType, Padding
+from repro.core.types import OutputType
 from repro.graph.ir import Graph, GraphError, Node, TensorSpec
 from repro.ops.registry import get_spec, validate_graph
 
@@ -84,7 +83,7 @@ def _stray_padding_bits(filter_bits: np.ndarray, cout: int, cin_g: int) -> bool:
 
 
 def _check_bconv(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
-    """G003/G004/G005 over one ``lce_bconv2d`` node."""
+    """G003/G005 over one ``lce_bconv2d`` node."""
     where = f"node {node.name!r} (lce_bconv2d)"
     p = get_spec("lce_bconv2d").parse_attrs(node.attrs)
 
@@ -127,45 +126,6 @@ def _check_bconv(graph: Graph, node: Node, diags: list[Diagnostic]) -> None:
                       "would count them",
                       hint="pack the latent weights with core.bconv2d.pack_filters")
             )
-
-    # ---- G004: padding semantics -----------------------------------------
-    correction = node.params.get("padding_correction")
-    if p.padding is Padding.SAME_ZERO and correction is None:
-        diags.append(
-            error(
-                "G004", where,
-                "SAME_ZERO padding without the accumulator correction: "
-                "one-padded BGEMM results would be silently wrong",
-                hint="attach core.bconv2d.zero_padding_correction at convert "
-                "time (binarize_convs does this)",
-            )
-        )
-    if p.padding is not Padding.SAME_ZERO and correction is not None:
-        diags.append(
-            error(
-                "G004", where,
-                f"{p.padding.value} padding must not carry a zero-padding "
-                "correction: it would corrupt exact accumulators",
-            )
-        )
-    if correction is not None and node.inputs:
-        in_spec = graph.tensors.get(node.inputs[0])
-        if in_spec is not None and len(in_spec.shape) == 4:
-            _, in_h, in_w, _ = in_spec.shape
-            geom = conv_geometry(
-                in_h, in_w, p.kernel_h, p.kernel_w, p.stride, p.dilation,
-                p.padding,
-            )
-            expected = (geom.out_h * geom.out_w, p.out_channels)
-            shape = tuple(getattr(correction, "shape", ()))
-            if shape != expected:
-                diags.append(
-                    error(
-                        "G004", where,
-                        f"padding_correction shape {shape} != {expected} "
-                        "(pixels, out_channels) for this geometry",
-                    )
-                )
 
     # ---- G005: fusion legality -------------------------------------------
     has_thr = "threshold" in node.params

@@ -60,9 +60,6 @@ RULES: dict[str, Rule] = {
         Rule("G003", "bitpack-words", "graph",
              "bitpacked filter word counts match ceil(cin_g/64) layout "
              "with zero channel-padding bits; groups divide channels"),
-        Rule("G004", "padding-semantics", "graph",
-             "SAME_ZERO binarized convs carry the accumulator correction; "
-             "SAME_ONE/VALID must not (paper Section 3.2)"),
         Rule("G005", "fusion-legality", "graph",
              "fused output transforms stay exact: bitpacked output needs "
              "thresholds and forbids leftover multiplier/bias; int8 needs "

@@ -29,7 +29,6 @@ from repro.core.bconv2d import (
     PackedFilters,
     pack_filters,
     reserve_bconv2d_workspace,
-    zero_padding_correction,
 )
 from repro.core.indirection import (
     get_indirection,
@@ -93,5 +92,4 @@ __all__ = [
     "reserve_bconv2d_workspace",
     "unpack_bits",
     "windows",
-    "zero_padding_correction",
 ]

@@ -11,15 +11,16 @@ stages (Section 3.2):
    the accumulators straight into bitpacked output.
 
 One-padding (padding with +1.0) is free because +1.0 packs to zero bits.
-Zero-padded binarized convolutions are supported through an extra
-correction step — each padded tap contributed ``+1 * w`` to the
-accumulator where a zero input should have contributed nothing, so the
-per-tap weight sums at padded positions are subtracted.  This is exactly
-why the paper reports one-padding as the faster option.
+Zero-padded binarized convolutions need an extra correction step — each
+padded tap contributed ``+1 * w`` to the accumulator where a zero input
+should have contributed nothing, so the per-tap weight sums at padded
+positions are subtracted.  This is exactly why the paper reports
+one-padding as the faster option.  :class:`BoundBConv2D` derives that
+correction from its own filters at construction; nothing else computes it.
 
 The reference, :func:`bconv2d`, is none of that: it is the exact +/-1
 float convolution, which shares neither the bit arithmetic nor the
-zero-padding correction it checks.
+padding offset it checks.
 """
 
 from __future__ import annotations
@@ -188,27 +189,6 @@ def pack_filters(weights: np.ndarray) -> PackedFilters:
 
 
 @lru_cache(maxsize=1024)  # a model has a few dozen geometries
-def live_taps(
-    params: BConv2DParams, in_h: int, in_w: int
-) -> tuple[tuple[int, ...], bool]:
-    """The taps that read the input at some output pixel, and whether one
-    of them reads padding at another.  The rest are *dead*: they read
-    padding at every pixel (8 of the 9 taps of a 3x3 SAME convolution on a
-    1x1 map), a per-channel constant the bound kernel adds instead of
-    multiplying."""
-    geom = conv_geometry(
-        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
-        params.dilation, params.padding,
-    )
-    reads = padded_tap_mask(
-        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
-        params.dilation, geom,
-    )
-    live = tuple(np.flatnonzero(~reads.all(0)).tolist())
-    return live, bool(reads[:, live].any())
-
-
-@lru_cache(maxsize=1024)
 def whole_map_taps(
     params: BConv2DParams, in_h: int, in_w: int
 ) -> tuple[tuple[int, ...], ...] | None:
@@ -230,34 +210,6 @@ def whole_map_taps(
     if ((read >= 0).sum(1) != pixels).any():
         return None
     return tuple(map(tuple, np.argsort(read, axis=1)[:, -pixels:].tolist()))
-
-
-def zero_padding_correction(
-    weights: np.ndarray,
-    params: BConv2DParams,
-    in_h: int,
-    in_w: int,
-) -> np.ndarray:
-    """Accumulator correction for zero-padded binarized convolutions.
-
-    Returns an int32 array of shape ``(out_h * out_w, out_channels)`` to be
-    subtracted from the one-padded accumulators.  Computed once per layer by
-    the converter (weights and geometry are static).
-    """
-    geom = conv_geometry(
-        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
-        params.dilation, Padding.SAME_ZERO,
-    )
-    mask = padded_tap_mask(
-        in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
-        params.dilation, geom,
-    )  # (pixels, taps)
-    # Per-tap weight sums over input channels: what a +1-valued padded tap
-    # contributes to each output channel.
-    tap_sums = weights.reshape(
-        params.kernel_h * params.kernel_w, params.in_channels, params.out_channels
-    ).sum(axis=1)
-    return (mask.astype(np.int32) @ tap_sums.astype(np.int32)).astype(np.int32)
 
 
 #: Output channels whose filter signs the reference decodes at a time
@@ -287,8 +239,8 @@ def bconv2d(
     panel of output channels one float32 matmul over the whole batch, then
     the shared output transform.  This is what the ``Executor`` runs and
     what every :class:`BoundBConv2D` must equal bit for bit; it shares no
-    bit arithmetic with them and reads no ``padding_correction``, so the
-    converter's correction and the kernel's packing are checked, not shared.
+    bit arithmetic or padding offset with them, so the kernel's offset and
+    packing are checked, not shared.
 
     Exactness: every partial sum is an integer of magnitude at most
     ``params.depth``, and float32 holds every integer up to 2**24, so any
@@ -404,9 +356,10 @@ class BoundBConv2D:
     position (0 or 1) of the shortcut among the two inputs of the residual
     ``add`` the kernel absorbed; ``run`` then takes that tensor.  ``run``
     appends a ``time.perf_counter()`` reading to ``marks`` at each boundary
-    between absorbed graph nodes.  ``padding_correction`` (SAME_ZERO only)
-    is :func:`zero_padding_correction`'s.  The other arguments are
-    :func:`bconv2d`'s, and so — bit for bit — is the result.
+    between absorbed graph nodes.  The other arguments are
+    :func:`bconv2d`'s, and so — bit for bit — is the result.  What a tap
+    that reads padding contributes is derived here, from the filter bits,
+    and nowhere else.
     """
 
     def __init__(
@@ -422,7 +375,6 @@ class BoundBConv2D:
         activation: Activation = Activation.NONE,
         scale_before_activation: bool = True,
         output_type: OutputType = OutputType.FLOAT,
-        padding_correction: np.ndarray | None = None,
         config: KernelConfig | None = None,
         quantize: bool = False,
         shortcut: int | None = None,
@@ -432,8 +384,6 @@ class BoundBConv2D:
             raise ValueError("BoundBConv2D handles groups == 1 only")
         if shortcut is not None and output_type is not OutputType.FLOAT:
             raise ValueError("only a float output can absorb a shortcut add")
-        if params.padding is Padding.SAME_ZERO and padding_correction is None:
-            raise ValueError("SAME_ZERO padding requires a padding_correction")
         from repro.kernels.arithmetic import add  # local: kernels imports core
 
         self._add = add  # the absorbed add node's own kernel
@@ -446,28 +396,25 @@ class BoundBConv2D:
         self.in_shape = (batch, in_h, in_w, params.in_channels)
         self.quantize = quantize
         self.shortcut = shortcut
-        # Taps that read only padding at a pixel leave K there: dead taps
-        # (padding at every pixel) everywhere, and on a whole map every tap
-        # outside that pixel's gather.  Their constant one-padded
-        # contribution joins the SAME_ZERO correction in one int32 offset
-        # added to the accumulators.
-        self.live, border = live_taps(params, in_h, in_w)
+        # On a whole map each pixel multiplies only its own gather; else
+        # every tap.
         self.whole_map = whole_map_taps(params, in_h, in_w)
-        gather = self.whole_map or (self.live,)
-        self._border = border and self.whole_map is None
-        self._bt = filters.kmajor_of(*gather)
         cin, taps = params.in_channels, params.kernel_h * params.kernel_w
-        skipped = np.ones((len(gather), taps), np.int32)  # (pixel or 1, tap)
-        skipped[np.arange(len(gather))[:, None], gather] = 0
-        offset = None
-        if skipped.any():  # each reads +1: cin - 2 * popcount of its words
+        self._bt = filters.kmajor_of(*(self.whole_map or (tuple(range(taps)),)))
+        # What the padded taps add, the one place it is known: ``(wants -
+        # gives) * reads @ w_tap.T`` (docs/architecture.md §6, step 4).  A
+        # tap reading +1 adds w_tap = cin - 2 * popcount of its words; the
+        # GEMM gives that for every padded tap unless a whole-map gather
+        # left it out, SAME_ONE wants it, and VALID reads no padding.
+        wants, gives = params.padding is Padding.SAME_ONE, self.whole_map is None
+        self._offset = None  # int32 (pixels, cout), added to the accumulators
+        if params.padding is not Padding.VALID and wants != gives:
+            window = (params.kernel_h, params.kernel_w, params.stride, params.dilation)
+            geom = conv_geometry(in_h, in_w, *window, params.padding)
+            reads = padded_tap_mask(in_h, in_w, *window, geom)
             words = filters.bits.reshape(params.out_channels, taps, packed_words(cin))
-            per_tap = cin - 2 * popcount(words).sum(2, dtype=np.int32)
-            offset = skipped @ per_tap.T
-        if params.padding is Padding.SAME_ZERO:
-            correction = np.asarray(padding_correction, np.int32)
-            offset = -correction if offset is None else offset - correction
-        self._offset = offset
+            w_tap = cin - 2 * popcount(words).sum(2, dtype=np.int32)
+            self._offset = (wants - gives) * (reads.astype(np.int32) @ w_tap.T)
         # Float output: apply_transform, one in-place NumPy call per step.
         self._steps = None
         if output_type is OutputType.FLOAT:
@@ -490,12 +437,12 @@ class BoundBConv2D:
         geom = conv_geometry(
             in_h, in_w, p.kernel_h, p.kernel_w, p.stride, p.dilation, p.padding
         )
-        kh, kw, stride, dilation, win, live = _im2col_window(
+        kh, kw, stride, dilation, win = _im2col_window(
             p, in_h, in_w, self.whole_map is not None
         )
         words = packed_words(cin)
         out_h, out_w, cout = geom.out_h, geom.out_w, p.out_channels
-        oh, ow, taps = win.out_h, win.out_w, len(live)
+        oh, ow, taps = win.out_h, win.out_w, kh * kw
         m, patch_rows = n * out_h * out_w, n * oh * ow
         quantize, add_at = self.quantize, self.shortcut
         steps, finish, offset = self._steps, self._finish, self._offset
@@ -510,7 +457,7 @@ class BoundBConv2D:
         )
         top, left = win.pad_top, win.pad_left
         interior = padded[:, top : top + in_h, left : left + in_w]
-        has_border = self._border  # a live tap reads it
+        has_border = any(win.pads)
 
         # im2col as strided copies of a view — tap (ky, kx), item k, image
         # i, pixel (y, x) reads padded[i, ky*d + y*s, kx*d + x*s, k] — into
@@ -524,36 +471,22 @@ class BoundBConv2D:
                 3, 4, 5, 0, 1, 2
             )
 
-        all_taps = taps == kh * kw
         if halves % 2 == 0:  # whole words per tap: copied word for word
             patches = taps_of(padded)
-            if all_taps:
-                copies = [(at.reshape(patches.shape), patches)]
-            else:  # one copy per live tap
-                rows = at.reshape(taps, -1, n, oh, ow)
-                copies = [
-                    (rows[i], patches[divmod(t, kw)]) for i, t in enumerate(live)
-                ]
+            copies = [(at.reshape(patches.shape), patches)]
         else:
             tap_halves = taps_of(padded.view(np.uint32))
             slab = at.view(np.uint32).reshape(k_words, n, oh, ow, 2)
-            if all_taps:
-                # One copy per (ky, kx parity, half): every other tap of a
-                # kernel row lands `halves` slab rows further on.
-                copies = []
-                for ky in range(kh):
-                    for kx in range(min(2, kw)):
-                        every_other = len(range(kx, kw, 2))
-                        for c in range(halves):
-                            q = (ky * kw + kx) * halves + c
-                            rows = slab[q // 2 :: halves, ..., q % 2][:every_other]
-                            copies.append((rows, tap_halves[ky, kx::2, c]))
-            else:  # one copy per (live tap, half): half q is slab row q // 2's
-                copies = [
-                    (slab[q // 2, ..., q % 2], tap_halves[(*divmod(t, kw), c)])
-                    for i, t in enumerate(live)
-                    for c, q in enumerate(range(i * halves, (i + 1) * halves))
-                ]
+            # One copy per (ky, kx parity, half): every other tap of a
+            # kernel row lands `halves` slab rows further on.
+            copies = []
+            for ky in range(kh):
+                for kx in range(min(2, kw)):
+                    every_other = len(range(kx, kw, 2))
+                    for c in range(halves):
+                        q = (ky * kw + kx) * halves + c
+                        rows = slab[q // 2 :: halves, ..., q % 2][:every_other]
+                        copies.append((rows, tap_halves[ky, kx::2, c]))
             if taps * halves % 2:
                 # Every node shares bgemm/at: zero its tail half each call.
                 copies.append((slab[-1, ..., 1], np.uint32(0)))
@@ -613,20 +546,19 @@ class BoundBConv2D:
 
 def _im2col_window(
     params: BConv2DParams, in_h: int, in_w: int, whole_map: bool
-) -> tuple[int, int, int, int, ConvGeometry, tuple[int, ...]]:
-    """``(kernel_h, kernel_w, stride, dilation, geometry, taps)`` of what
-    the bound kernel's im2col copies: the convolution's windows and their
-    live taps, or on a whole map one VALID window as large as the map,
-    every pixel a tap (one patch row per image)."""
+) -> tuple[int, int, int, int, ConvGeometry]:
+    """``(kernel_h, kernel_w, stride, dilation, geometry)`` of what the
+    bound kernel's im2col copies: the convolution's windows, every tap, or
+    on a whole map one VALID window as large as the map, every pixel a tap
+    (one patch row per image)."""
     if whole_map:
         valid = conv_geometry(in_h, in_w, in_h, in_w, 1, 1, Padding.VALID)
-        return in_h, in_w, 1, 1, valid, tuple(range(in_h * in_w))
+        return in_h, in_w, 1, 1, valid
     geom = conv_geometry(
         in_h, in_w, params.kernel_h, params.kernel_w, params.stride,
         params.dilation, params.padding,
     )
-    live = live_taps(params, in_h, in_w)[0]
-    return params.kernel_h, params.kernel_w, params.stride, params.dilation, geom, live
+    return params.kernel_h, params.kernel_w, params.stride, params.dilation, geom
 
 
 def _padded_hw(geom: ConvGeometry, in_h: int, in_w: int) -> tuple[int, int]:
@@ -670,25 +602,19 @@ def reserve_bconv2d_workspace(
     workspace.reserve("bconv/float", m * cout, np.float32)
     if quantize:
         workspace.reserve("bconv/sign", batch * in_h * in_w * words * 64, np.bool_)
-    # A whole-map node reserves its live-tap form's scratch too: the arena
-    # stays the size the live-tap forms give it, which
-    # test_plan_arena_constant_from_first_execute pins.  Nothing touches
-    # the extra pages.
-    whole_map = whole_map_taps(params, in_h, in_w) is not None
-    for form in {False, whole_map}:
-        _, _, _, _, win, taps = _im2col_window(params, in_h, in_w, form)
-        patch_rows = batch * win.out_h * win.out_w
-        padded_h, padded_w = _padded_hw(win, in_h, in_w)
-        workspace.reserve(
-            "bconv/padded", batch * padded_h * padded_w * words, np.uint64
-        )
-        for name, size, dtype in bgemm_scratch_spec(
-            patch_rows, m * cout // patch_rows,
-            kmajor_words(len(taps), params.in_channels),
-            tile_m=config.tile_m, tile_n=config.tile_n,
-            tile_k_words=config.tile_k_words,
-        ):
-            workspace.reserve(name, size, dtype)
+    kh, kw, _, _, win = _im2col_window(
+        params, in_h, in_w, whole_map_taps(params, in_h, in_w) is not None
+    )
+    patch_rows = batch * win.out_h * win.out_w
+    padded_h, padded_w = _padded_hw(win, in_h, in_w)
+    workspace.reserve("bconv/padded", batch * padded_h * padded_w * words, np.uint64)
+    for name, size, dtype in bgemm_scratch_spec(
+        patch_rows, m * cout // patch_rows,
+        kmajor_words(kh * kw, params.in_channels),
+        tile_m=config.tile_m, tile_n=config.tile_n,
+        tile_k_words=config.tile_k_words,
+    ):
+        workspace.reserve(name, size, dtype)
 
 
 def unpack_filters(filters: PackedFilters) -> np.ndarray:

@@ -7,8 +7,8 @@ the +/-1 float reference of a binarized one; the bound binarized kernel
 gathers its bitpacked patches itself, padding spatial borders with zero
 *words*: zero bits decode to +1.0, so padding is one-padding for free —
 exactly the trick the paper's Section 3.2 describes.  Zero-padding for
-binarized convolutions instead requires the correction mask computed by
-:func:`padded_tap_mask`.
+binarized convolutions instead requires a correction over the taps
+:func:`padded_tap_mask` marks.
 
 Every kernel that slides a window reads it through :func:`windows`; the
 module's only state is :func:`conv_geometry`'s bounded memo.
@@ -79,9 +79,9 @@ def conv_geometry(
 ) -> ConvGeometry:
     """Output size and pad amounts, following TensorFlow's SAME/VALID rules.
 
-    Memoized process-wide (LRU, 1024 keys): every consumer (the
-    converter's padding correction, shape inference, the latency model,
-    the runtime kernels) resolves identical geometry keys to the same
+    Memoized process-wide (LRU, 1024 keys): every consumer (shape
+    inference, the latency model, the runtime kernels and their padding
+    offsets) resolves identical geometry keys to the same
     frozen :class:`ConvGeometry`.
     """
     if min(in_h, in_w, kernel_h, kernel_w, stride, dilation) <= 0:
@@ -188,10 +188,10 @@ def padded_tap_mask(
 ) -> np.ndarray:
     """Which (output pixel, kernel tap) pairs read a padded location.
 
-    Used by the zero-padding correction of ``LceBConv2d``: one-padded taps
-    contributed ``+1 * w`` to the accumulator, whereas a zero-padded input
-    should have contributed ``0``; the correction subtracts the weight at
-    every padded tap.  Computed at conversion time, once per layer.
+    Used by the padding offset of ``LceBConv2d``: a one-padded tap
+    contributes ``+1 * w`` to the accumulator, whereas a zero-padded input
+    should contribute ``0``; the bound kernel adds or subtracts the weight
+    at every padded tap.  Computed at kernel construction, once per layer.
 
     Returns a bool array of shape ``(out_h * out_w, kernel_h * kernel_w)``.
     """

@@ -292,8 +292,8 @@ class Graph:
         :func:`repro.analysis.dataflow.check_graph`: :meth:`verify` (G001),
         :func:`repro.ops.validate_graph` — each op registered, its
         attributes well-formed, a latency model or an exemption — then
-        spec re-inference, bitpack word layout, padding semantics and
-        fusion legality, each checked once.  Runs at every executor/plan
+        spec re-inference, bitpack word layout and fusion legality, each
+        checked once.  Runs at every executor/plan
         construction and at convert/save/load time, so illegal graphs
         fail before execution.
         """

@@ -11,15 +11,15 @@ This pass rewrites the pattern to::
 
 performing binary weight compression on the way: the latent float weights
 are reduced to 1 bit per value (the paper's 32x weight-size reduction).
-Zero-padded convolutions additionally get their precomputed padding
-correction attached (Section 3.2).
+The padding is the ``padding`` attribute alone: the bound kernel derives
+a zero-padded conv's correction (Section 3.2) from its filter bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bconv2d import BConv2DParams, pack_filters, zero_padding_correction
+from repro.core.bconv2d import BConv2DParams, pack_filters
 from repro.core.types import Activation, Padding
 from repro.graph.ir import Graph, TensorSpec
 
@@ -57,12 +57,6 @@ def binarize_convs(graph: Graph) -> bool:
         if node.params.get("bias") is not None and np.any(node.params["bias"]):
             # A conv bias becomes part of the fused output transform.
             node_params["bias"] = np.asarray(node.params["bias"], np.float32)
-        if padding is Padding.SAME_ZERO:
-            _, in_h, in_w, _ = in_spec.shape
-            node_params["padding_correction"] = zero_padding_correction(
-                np.where(weights < 0, -1.0, 1.0).astype(np.float32),
-                params, in_h, in_w,
-            )
         out_spec = graph.tensors[node.outputs[0]]
         bconv = graph.insert_node(
             index + 1,

@@ -13,13 +13,16 @@ models shrink ~32x relative to the float training graph (Section 3.1,
 
 Parameter arrays (packed filter bits, multipliers, thresholds, float
 weights of non-binary layers, ...) live in the buffer section; the JSON
-header holds everything else.
+header holds everything else.  The loader checks the buffer table: each
+entry's ``nbytes`` matches its shape and dtype, lies inside the buffer
+section and overlaps no other entry.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -83,19 +86,37 @@ def _encode_param(value: Any, writer: _BufferWriter) -> dict[str, Any]:
     raise TypeError(f"cannot serialize parameter of type {type(value)}")
 
 
-def _decode_param(entry: dict[str, Any], buffers: bytes) -> Any:
+def _decode_param(entry: dict[str, Any], buffers: bytes, where: str, spans: list) -> Any:
+    """Decode one parameter, appending each buffer it reads to ``spans`` as
+    ``(start, stop, where)``; ``where`` names it in every error."""
     kind = entry["kind"]
     if kind == "ndarray":
-        raw = buffers[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        return np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(
-            entry["shape"]
-        ).copy()
+        dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+        start, nbytes = entry["offset"], entry["nbytes"]
+        if nbytes != math.prod(shape) * dtype.itemsize:
+            raise ValueError(f"{where}: nbytes {nbytes} is not {dtype}{list(shape)}'s")
+        if not 0 <= start <= len(buffers) - nbytes:
+            raise ValueError(f"{where}: bytes [{start}, {start + nbytes}) lie outside "
+                             f"the {len(buffers)}-byte buffer section")
+        spans.append((start, start + nbytes, where))
+        raw = buffers[start : start + nbytes]
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if kind == "batch_norm_params":
         fields = {
-            name: _decode_param(sub, buffers) for name, sub in entry["fields"].items()
+            name: _decode_param(sub, buffers, f"{where}.{name}", spans)
+            for name, sub in entry["fields"].items()
         }
         return BatchNormParams(epsilon=entry["epsilon"], **fields)
-    raise ValueError(f"unknown parameter kind {kind!r}")
+    raise ValueError(f"{where}: unknown parameter kind {kind!r}")
+
+
+def _check_disjoint(spans: list) -> None:
+    """No two non-empty buffers share a byte."""
+    end, owner = 0, None
+    for start, stop, where in sorted(s for s in spans if s[0] < s[1]):
+        if start < end:
+            raise ValueError(f"{where}: bytes [{start}, {stop}) overlap {owner}")
+        end, owner = stop, where
 
 
 # -------------------------------------------------------------------- model
@@ -165,6 +186,7 @@ def load_model(path: str | Path) -> Graph:
     graph.outputs = list(header["outputs"])
     from repro.graph.ir import Node
 
+    spans: list = []
     for spec in header["nodes"]:
         graph.nodes.append(
             Node(
@@ -174,9 +196,13 @@ def load_model(path: str | Path) -> Graph:
                 outputs=list(spec["outputs"]),
                 attrs=dict(spec["attrs"]),
                 params={
-                    k: _decode_param(v, buffers) for k, v in spec["params"].items()
+                    k: _decode_param(
+                        v, buffers, f"node {spec['name']!r} parameter {k!r}", spans
+                    )
+                    for k, v in spec["params"].items()
                 },
             )
         )
+    _check_disjoint(spans)
     graph.validate()
     return graph

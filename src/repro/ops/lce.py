@@ -150,8 +150,8 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
     kernel then takes ``[x, shortcut]`` and stamps the boundaries between
     the absorbed nodes into its optional second argument.  The reference
     ``Executor`` (no workspace) and grouped convolutions get the exact
-    +/-1 float reference :func:`~repro.core.bconv2d.bconv2d`, which reads
-    no ``padding_correction``, and reserve nothing.
+    +/-1 float reference :func:`~repro.core.bconv2d.bconv2d`, which pads
+    with 0.0 or +1.0 itself, and reserve nothing.
     """
 
     def build_params():
@@ -204,7 +204,6 @@ def bconv2d_kernel(node, p, ctx, quantize=False, shortcut=None):
         # lives in the ParamCache, so every batch factor and replica shares it.
         kernel = BoundBConv2D(
             filters, params, in_h, in_w, batch,
-            padding_correction=node.params.get("padding_correction"),
             quantize=quantize, shortcut=shortcut, **transform,
         )
         bind = kernel.bind
@@ -228,7 +227,7 @@ def _lce_bconv2d_cost(profile, node, p, input_specs, output_specs):
         padding=p.padding,
         bitpacked_output=p.output_type is OutputType.BITPACKED,
         fused_transform=node.params.get("multiplier") is not None,
-        zero_padding_correction=node.params.get("padding_correction") is not None,
+        zero_padding_correction=p.padding is Padding.SAME_ZERO,
         int8_output=p.output_type is OutputType.INT8,
     )
 

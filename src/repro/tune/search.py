@@ -23,7 +23,6 @@ from repro.core.bconv2d import (
     bconv2d,
     pack_filters,
     reserve_bconv2d_workspace,
-    zero_padding_correction,
 )
 from repro.core.bitpack import pack_bits
 from repro.core.kernel_config import KernelConfig
@@ -35,9 +34,8 @@ from repro.tune.geometry import ConvGeometryKey
 def _workload(geometry: ConvGeometryKey):
     """Build one geometry's seeded microbench workload.
 
-    Returns ``(x, filters, params, correction)`` — the packed input,
-    packed filters, static parameters and (for SAME_ZERO geometries) the
-    padding correction.
+    Returns ``(x, filters, params)`` — the packed input, packed filters and
+    static parameters.
     """
     g = geometry
     rng = np.random.default_rng(0)  # repro: allow[L104] seeded input-data entropy at the measurement boundary
@@ -56,10 +54,7 @@ def _workload(geometry: ConvGeometryKey):
         padding=Padding(g.padding),
         groups=g.groups,
     )
-    correction = None
-    if params.padding is Padding.SAME_ZERO:
-        correction = zero_padding_correction(weights, params, g.in_h, g.in_w)
-    return pack_bits(x_dense), pack_filters(weights), params, correction
+    return pack_bits(x_dense), pack_filters(weights), params
 
 
 def measure_config(
@@ -78,7 +73,7 @@ def measure_config(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
-    x, filters, params, correction = _workload(geometry)
+    x, filters, params = _workload(geometry)
     if params.groups == 1:
         # What a compiled plan runs: the kernel built and bound once, rerun.
         ws = Workspace()
@@ -88,7 +83,7 @@ def measure_config(
         call = functools.partial(
             BoundBConv2D(
                 filters, params, geometry.in_h, geometry.in_w, geometry.batch,
-                padding_correction=correction, config=config,
+                config=config,
             ).bind(ws),
             x,
         )

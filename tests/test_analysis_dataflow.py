@@ -6,7 +6,7 @@ Every rule in :mod:`repro.analysis.dataflow` gets two kinds of coverage:
   analyzes with zero ERROR findings, so the rules never reject the
   graphs the converter actually produces;
 - **seeded violations** — a legal converted graph is mutated the way a
-  buggy pass would mutate it (dropped correction, stale thresholds,
+  buggy pass would mutate it (dropped filter bits, stale thresholds,
   wrong word count, broken SSA, ...) and the analysis must report the
   documented rule id.
 
@@ -117,7 +117,8 @@ def test_g001_unproduced_graph_output():
 def test_g001_structural_errors_short_circuit_later_rules():
     graph = _binary_net(Padding.SAME_ZERO).graph
     graph.nodes.reverse()
-    del _float_bconv(graph).params["padding_correction"]  # would be G004
+    del _float_bconv(graph).params["filter_bits"]  # would be G003
+    del _bitpacked_bconv(graph).params["threshold"]  # would be G005
     assert _rules(analyze_graph(graph)) == {"G001"}
 
 
@@ -272,37 +273,6 @@ def test_g003_groups_must_divide_channels():
     assert "G003" in _rules(analyze_graph(graph))
 
 
-# -------------------------------------------------- G004: padding semantics
-
-
-def test_g004_same_zero_without_correction():
-    graph = _binary_net(Padding.SAME_ZERO).graph
-    del _float_bconv(graph).params["padding_correction"]
-    diags = analyze_graph(graph)
-    assert _rules(diags) == {"G004"}
-    assert any("SAME_ZERO" in d.message for d in diags)
-
-
-def test_g004_correction_on_one_padded_conv():
-    graph = _binary_net(Padding.SAME_ONE).graph
-    _float_bconv(graph).params["padding_correction"] = np.zeros(
-        (64, 16), np.float32
-    )
-    diags = analyze_graph(graph)
-    assert "G004" in _rules(diags)
-    assert any("must not carry" in d.message for d in diags)
-
-
-def test_g004_correction_shape_must_match_geometry():
-    graph = _binary_net(Padding.SAME_ZERO).graph
-    _float_bconv(graph).params["padding_correction"] = np.zeros(
-        (3, 16), np.float32
-    )
-    diags = analyze_graph(graph)
-    assert _rules(diags) == {"G004"}
-    assert any("(pixels, out_channels)" in d.message for d in diags)
-
-
 # --------------------------------------------------- G005: fusion legality
 
 
@@ -352,14 +322,14 @@ def test_pass_manager_rejects_mutation_without_report():
     """A pass that breaks the graph but returns False is still caught."""
     model = _binary_net(Padding.SAME_ONE)
 
-    def evil_padding_flip(graph):
-        # Flip to zero-padding without attaching the accumulator
-        # correction — and lie about having changed anything.
-        _float_bconv(graph).attrs["padding"] = Padding.SAME_ZERO
+    def evil_threshold_drop(graph):
+        # Drop the thresholds a bitpacked output needs — and lie about
+        # having changed anything.
+        del _bitpacked_bconv(graph).params["threshold"]
         return False
 
-    with pytest.raises(GraphError, match=r"pass 'evil_padding_flip'.*\[G004\]"):
-        run_passes(model.graph, (("evil_padding_flip", evil_padding_flip),))
+    with pytest.raises(GraphError, match=r"pass 'evil_threshold_drop'.*\[G005\]"):
+        run_passes(model.graph, (("evil_threshold_drop", evil_threshold_drop),))
 
 
 def test_pass_manager_rejects_illegal_fusion():
@@ -399,22 +369,22 @@ def test_pass_manager_accepts_a_well_behaved_pass():
 
 def _illegal_graph():
     graph = _binary_net(Padding.SAME_ZERO).graph
-    del _float_bconv(graph).params["padding_correction"]
+    del _float_bconv(graph).params["filter_bits"]
     return graph
 
 
 def test_executor_refuses_illegal_graph():
-    with pytest.raises(GraphError, match=r"\[G004\]"):
+    with pytest.raises(GraphError, match=r"\[G003\]"):
         Executor(_illegal_graph())
 
 
 def test_compile_plan_refuses_illegal_graph():
-    with pytest.raises(GraphError, match=r"\[G004\]"):
+    with pytest.raises(GraphError, match=r"\[G003\]"):
         compile_plan(_illegal_graph())
 
 
 def test_save_model_refuses_illegal_graph(tmp_path):
-    with pytest.raises(GraphError, match=r"\[G004\]"):
+    with pytest.raises(GraphError, match=r"\[G003\]"):
         save_model(_illegal_graph(), tmp_path / "bad.lce")
 
 

@@ -24,7 +24,6 @@ from repro.core.bconv2d import (
     pack_filters,
     reserve_bconv2d_workspace,
     unpack_filters,
-    zero_padding_correction,
 )
 from repro.core.bitpack import PackedTensor, pack_bits
 from repro.core.im2col import conv_geometry
@@ -65,11 +64,8 @@ def _emulated(x, w, p):
 
 def _bound(x, w, p, **kw):
     """What a plan runs: a :class:`BoundBConv2D` over float ``x`` (quantize
-    fused), with the converter's zero-padding correction when ``p`` needs
-    one."""
+    fused); it derives any padding offset itself."""
     n, h, ww, _ = x.shape
-    if p.padding is Padding.SAME_ZERO:
-        kw["padding_correction"] = zero_padding_correction(w, p, h, ww)
     kernel = BoundBConv2D(pack_filters(w), p, h, ww, n, quantize=True, **kw)
     return kernel.bind(Workspace())(x)
 
@@ -215,41 +211,6 @@ class TestPackFilters:
         w = rng.standard_normal((3, 3, cin, 5)).astype(np.float32)
         back = unpack_filters(pack_filters(w))
         assert np.array_equal(back, np.where(w < 0, -1.0, 1.0))
-
-
-class TestZeroPaddingCorrection:
-    def test_correction_shape(self, rng):
-        _, w = _case(rng)
-        p = BConv2DParams(3, 3, 37, 5, padding=Padding.SAME_ZERO)
-        corr = zero_padding_correction(w, p, 7, 7)
-        assert corr.shape == (49, 5)
-        assert corr.dtype == np.int32
-
-    def test_interior_correction_is_zero(self, rng):
-        _, w = _case(rng)
-        p = BConv2DParams(3, 3, 37, 5, padding=Padding.SAME_ZERO)
-        corr = zero_padding_correction(w, p, 7, 7).reshape(7, 7, 5)
-        assert np.all(corr[1:-1, 1:-1] == 0)
-
-    def test_missing_correction_raises(self, rng):
-        """The bound kernel needs the correction; the reference pads with
-        0.0 and takes none."""
-        _, w = _case(rng)
-        p = BConv2DParams(3, 3, 37, 5, padding=Padding.SAME_ZERO)
-        with pytest.raises(ValueError, match="padding_correction"):
-            BoundBConv2D(pack_filters(w), p, 7, 7, 2)
-
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_correction_is_one_minus_zero_padding(self, rng, stride):
-        """Checked against the reference, not shared with it: one-padded
-        accumulators minus the correction are the zero-padded ones."""
-        x, w = _case(rng)
-        one = BConv2DParams(3, 3, 37, 5, stride=stride, padding=Padding.SAME_ONE)
-        zero = BConv2DParams(3, 3, 37, 5, stride=stride, padding=Padding.SAME_ZERO)
-        corr = zero_padding_correction(w, zero, 7, 7)
-        one_padded = bconv2d(lce_quantize(x), pack_filters(w), one)
-        zero_padded = bconv2d(lce_quantize(x), pack_filters(w), zero)
-        assert np.array_equal(one_padded - corr.reshape(zero_padded.shape[1:]), zero_padded)
 
 
 class TestValidation:
@@ -427,9 +388,6 @@ class TestBoundKernel:
             multiplier=mult, bias=bias, activation=Activation.RELU6,
             scale_before_activation=True, output_type=output_type,
         )
-        corr = {}
-        if padding is Padding.SAME_ZERO:
-            corr["padding_correction"] = zero_padding_correction(w, p, 8, 6)
         if output_type is OutputType.BITPACKED:
             kw["thresholds"] = compute_output_thresholds(
                 p.depth, 9, mult, bias, Activation.RELU6, True
@@ -440,8 +398,8 @@ class TestBoundKernel:
         expected = bconv2d(lce_quantize(x), filters, p, **kw)
 
         ws = Workspace()
-        packed = BoundBConv2D(filters, p, 8, 6, 2, **corr, **kw)
-        floats = BoundBConv2D(filters, p, 8, 6, 2, quantize=True, **corr, **kw)
+        packed = BoundBConv2D(filters, p, 8, 6, 2, **kw)
+        floats = BoundBConv2D(filters, p, 8, 6, 2, quantize=True, **kw)
         for kernel, arg in ((packed, lce_quantize(x)), (floats, x)):
             run = kernel.bind(ws)
             for _ in range(2):
@@ -504,10 +462,6 @@ class TestBoundKernel:
                 output_type=OutputType.BITPACKED,
                 thresholds=compute_output_thresholds(576, 4),
             )
-        with pytest.raises(ValueError, match="padding_correction"):
-            BoundBConv2D(
-                filters, BConv2DParams(3, 3, 64, 4, padding=Padding.SAME_ZERO), 7, 7, 2
-            )
         with pytest.raises(ValueError, match="output channels"):
             BoundBConv2D(filters, BConv2DParams(3, 3, 64, 5), 7, 7, 2)
 
@@ -532,14 +486,12 @@ class TestBoundKernel:
             p = BConv2DParams(
                 3, 3, cin, cout, stride=stride, dilation=dilation, padding=padding
             )
-            kw, corr = dict(multiplier=mult, bias=bias), {}
-            if padding is Padding.SAME_ZERO:
-                corr["padding_correction"] = zero_padding_correction(w, p, 7, 6)
+            kw = dict(multiplier=mult, bias=bias)
             expected = bconv2d(lce_quantize(x), filters, p, **kw)
-            packed_in = BoundBConv2D(filters, p, 7, 6, batch, **corr, **kw).bind(ws)
+            packed_in = BoundBConv2D(filters, p, 7, 6, batch, **kw).bind(ws)
             assert np.array_equal(packed_in(lce_quantize(x)), expected)
             fused = BoundBConv2D(
-                filters, p, 7, 6, batch, quantize=True, shortcut=1, **corr, **kw
+                filters, p, 7, 6, batch, quantize=True, shortcut=1, **kw
             ).bind(ws)
             assert np.array_equal(fused(x, expected), expected + expected)
             kw.update(
@@ -547,7 +499,7 @@ class TestBoundKernel:
                 thresholds=compute_output_thresholds(p.depth, cout, mult, bias),
             )
             expected_bits = bconv2d(lce_quantize(x), filters, p, **kw)
-            bits = BoundBConv2D(filters, p, 7, 6, batch, quantize=True, **corr, **kw)
+            bits = BoundBConv2D(filters, p, 7, 6, batch, quantize=True, **kw)
             assert bits.bind(ws)(x) == expected_bits
 
     def test_a_stale_slab_never_leaks_into_the_tail_half(self, rng):

@@ -18,7 +18,6 @@ from repro.core.bconv2d import (
     BoundBConv2D,
     PackedFilters,
     kmajor_words,
-    live_taps,
     pack_filters,
     reserve_bconv2d_workspace,
     unpack_filters,
@@ -37,7 +36,7 @@ from repro.core.bitpack import pack_bits
 from repro.core.kernel_config import DEFAULT_CONFIG
 from repro.core.types import Padding
 from repro.core.workspace import Workspace
-from repro.ops import ParamCache
+from repro.ops import ParamCache, get_spec
 from repro.runtime import Engine
 from repro.runtime.rebatch import rebatched_specs
 from repro.zoo import build_model
@@ -430,20 +429,26 @@ def quicknet_small(request):
 def _largest_slabs(graph, factor: int) -> tuple[int, int]:
     """The largest K-major slab (patch rows x dense K, uint64 words) and
     the largest tile count slab (K words x panel, bytes) a batch factor's
-    binarized convolutions take."""
+    binarized convolutions take: ``(pixels, kh * kw)`` patches against
+    ``cout`` columns, or on a whole map ``(1, in_h * in_w)`` patches per
+    image against ``pixels * cout``."""
     specs = rebatched_specs(graph, factor)
+    spec = get_spec("lce_bconv2d")
     slab = counts = 0
     for node in graph.nodes:
         if node.op != "lce_bconv2d":
             continue
+        a = spec.parse_attrs(node.attrs)
+        n, in_h, in_w, cin = specs[node.inputs[0]].shape
         n, h, w, cout = specs[node.outputs[0]].shape
-        m = n * h * w
-        words = kmajor_words(
-            node.attrs["kernel_h"] * node.attrs["kernel_w"],
-            node.attrs["in_channels"],
-        )
-        mt, nt, _ = derive_panel(m, cout, words)
-        slab, counts = max(slab, m * words), max(counts, words * mt * nt)
+        params = BConv2DParams(a.kernel_h, a.kernel_w, cin, cout,
+                               a.stride, a.dilation, a.padding)
+        rows, cols, taps = n * h * w, cout, a.kernel_h * a.kernel_w
+        if whole_map_taps(params, in_h, in_w) is not None:
+            rows, cols, taps = n, h * w * cout, in_h * in_w
+        words = kmajor_words(taps, cin)
+        mt, nt, _ = derive_panel(rows, cols, words)
+        slab, counts = max(slab, rows * words), max(counts, words * mt * nt)
     return slab, counts
 
 
@@ -512,9 +517,8 @@ def test_kmajor_filters_packed_once_per_model(quicknet_small, monkeypatch):
         assert builds[id(filters), key] == 1
         assert operand.flags.c_contiguous
         if gather is None:
-            live = live_taps(params, in_h, in_w)[0]
-            assert key == (live,)
-            assert np.array_equal(operand, _dense_filter_rows(filters, live).T)
+            assert key == (tuple(range(filters.kernel_h * filters.kernel_w)),)
+            assert np.array_equal(operand, _dense_filter_rows(filters).T)
         else:
             assert key == gather
             blocks = [_dense_filter_rows(filters, taps) for taps in gather]

@@ -1,5 +1,5 @@
 """Bound float kernels (:mod:`repro.kernels.bound`) against their eager
-kernels, bit for bit, and the dead-tap and whole-map rules of the bound
+kernels, bit for bit, and the padded taps and whole-map form of the bound
 binarized conv.
 
 A bound form is compiled for one input shape, reserves its scratch in an
@@ -21,15 +21,11 @@ from repro.converter import convert
 from repro.core.bconv2d import (
     BConv2DParams,
     BoundBConv2D,
-    PackedFilters,
     bconv2d,
     kmajor_words,
-    live_taps,
     pack_filters,
     reserve_bconv2d_workspace,
-    unpack_filters,
     whole_map_taps,
-    zero_padding_correction,
 )
 from repro.core.bitpack import PackedTensor
 from repro.core.output_transform import compute_output_thresholds
@@ -207,7 +203,7 @@ def test_plan_binds_every_float_family(rng):
 
 def _small_map_net(rng, padding, output, quantize, shortcut, cin=96, hw=(1, 1)):
     """A converted 3x3 binarized conv on an ``hw`` map (on 1x1, 8 of 9 taps
-    dead), after a float conv; with ``quantize`` the conv absorbs its
+    read only padding), after a float conv; with ``quantize`` the conv absorbs its
     ``lce_quantize``, with ``shortcut`` the residual add."""
     b = GraphBuilder((1, *hw, 8))
     x = b.conv2d(b.input, rng.standard_normal((1, 1, 8, cin)).astype(np.float32))
@@ -271,9 +267,9 @@ def test_dead_taps_equal_the_executor(padding, output, shortcut, quantize, cin, 
 def test_flipping_a_dead_tap_bit_moves_the_output(padding, rng):
     """The dead taps' contribution is read from their filter words: flip
     one bit of one.  One-padded, the plan's output changes — and still
-    equals the Executor's, which multiplies every tap.  Zero-padded, with
-    the correction recomputed from the flipped bits, it must not change:
-    the dead tap reads only zeros."""
+    equals the Executor's, which multiplies every tap.  Zero-padded it must
+    not change: the dead tap reads only zeros, and the kernel derives its
+    offset from the flipped bits itself."""
     graph = _small_map_net(rng, padding, "float", True, False)
     x = rng.standard_normal((1, 1, 1, 8)).astype(np.float32)
     before = compile_plan(graph).execute((x,))[0]
@@ -282,13 +278,6 @@ def test_flipping_a_dead_tap_bit_moves_the_output(padding, rng):
     words = bits.shape[1] // 9
     bits[5, 0 * words] ^= np.uint64(1 << 7)  # tap (0, 0): dead on a 1x1 map
     conv.params["filter_bits"] = bits
-    if padding is Padding.SAME_ZERO:
-        cin = conv.attrs["in_channels"]
-        filters = PackedFilters(bits, 3, 3, in_channels=cin)
-        conv.params["padding_correction"] = zero_padding_correction(
-            unpack_filters(filters), BConv2DParams(3, 3, cin, cin, padding=padding),
-            1, 1,
-        )
     after = compile_plan(graph).execute((x,))[0]
     assert np.array_equal(after, Executor(graph).run(x))
     assert np.array_equal(after[..., :5], before[..., :5])  # other filters
@@ -296,13 +285,13 @@ def test_flipping_a_dead_tap_bit_moves_the_output(padding, rng):
 
 
 def test_live_taps_of_a_two_pixel_map(rng):
-    """On a 1x2 map a 3x3 SAME conv has six dead taps (the top and bottom
-    rows); the remaining three stay live, and the plan equals the
+    """On a 1x2 map a 3x3 SAME conv reads the input through the middle
+    kernel row only: each pixel's whole-map gather holds two of its taps,
+    the other seven read padding there, and the plan equals the
     Executor."""
     params = BConv2DParams(3, 3, 8, 8, padding=Padding.SAME_ONE)
-    assert live_taps(params, 1, 2) == ((3, 4, 5), True)  # kx 0 / 2 read the border
-    assert live_taps(params, 1, 1) == ((4,), False)
-    assert live_taps(params, 3, 3) == (tuple(range(9)), True)
+    assert whole_map_taps(params, 1, 2) == ((4, 5), (3, 4))
+    assert whole_map_taps(params, 1, 1) == ((4,),)
     b = GraphBuilder((1, 1, 2, 8))
     y = b.binarize(b.input)
     y = b.conv2d(y, rng.standard_normal((3, 3, 8, 8)).astype(np.float32),
@@ -310,6 +299,27 @@ def test_live_taps_of_a_two_pixel_map(rng):
     graph = convert(b.finish(y)).graph
     x = rng.standard_normal((1, 1, 2, 8)).astype(np.float32)
     assert np.array_equal(compile_plan(graph).execute((x,))[0], Executor(graph).run(x))
+
+
+@pytest.mark.parametrize("hw", ((1, 2), (1, 3), (5, 4)))
+@pytest.mark.parametrize("output, shortcut", (("float", True), ("bitpacked", False)))
+def test_same_zero_is_the_padding_attribute_alone(hw, output, shortcut, rng):
+    """Converted graphs carry no correction table: flipping only the
+    ``padding`` attribute of a converted SAME_ONE conv to SAME_ZERO gives
+    a legal graph, whose plan (on a whole map, off one, and on a map with
+    an interior) equals the Executor and differs from the one-padded
+    plan."""
+    graph = _small_map_net(rng, Padding.SAME_ONE, output, True, shortcut, 72, hw)
+    assert not any("padding_correction" in n.params for n in graph.nodes)
+    x = rng.standard_normal((1, *hw, 8)).astype(np.float32)
+    one_padded = compile_plan(graph).execute((x,))[0]
+    _dead_tap_conv(graph).attrs["padding"] = Padding.SAME_ZERO
+    graph.validate()
+    got, want = compile_plan(graph).execute((x,))[0], Executor(graph).run(x)
+    if isinstance(want, PackedTensor):
+        got, want, one_padded = got.bits, want.bits, one_padded.bits
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not np.array_equal(got, one_padded)
 
 
 # ----------------------------------------------------------- whole maps
@@ -338,11 +348,6 @@ def test_whole_map_equals_the_reference(h, w, k, stride, padding, cin, rng):
     assert whole_map_taps(params, h, w) is not None
     weights = rng.choice([-1.0, 1.0], (k, k, cin, cout)).astype(np.float32)
     filters = pack_filters(weights)
-    correction = {}
-    if padding is Padding.SAME_ZERO:
-        correction["padding_correction"] = zero_padding_correction(
-            weights, params, h, w
-        )
     mult = rng.uniform(0.5, 1.5, cout).astype(np.float32)
     bias = rng.standard_normal(cout).astype(np.float32)
     outputs = {
@@ -365,7 +370,7 @@ def test_whole_map_equals_the_reference(h, w, k, stride, padding, cin, rng):
             for quantize, shortcut in itertools.product((False, True), shortcuts):
                 kernel = BoundBConv2D(
                     filters, params, h, w, batch, quantize=quantize,
-                    shortcut=shortcut, **correction, **output,
+                    shortcut=shortcut, **output,
                 )
                 assert kernel.whole_map == whole_map_taps(params, h, w)
                 reserve_bconv2d_workspace(ws, params, h, w, batch, quantize=quantize)
@@ -428,9 +433,9 @@ def test_flipping_a_tap_dead_at_one_pixel(padding, rng):
     """On a 1x2 map tap (1, 0) reads padding at output pixel 0 only, so it
     is left out of that pixel's gather and lands in the offset.  Flip one
     of its filter bits: one-padded, pixel 0 moves — and the output still
-    equals the Executor's, which multiplies every tap.  Zero-padded, with
-    the correction recomputed from the flipped bits, pixel 0 must not
-    move: there the tap reads only zeros."""
+    equals the Executor's, which multiplies every tap.  Zero-padded, pixel
+    0 must not move: there the tap reads only zeros, and the kernel derives
+    its offset from the flipped bits itself."""
     graph = _small_map_net(rng, padding, "float", True, False, hw=(1, 2))
     x = rng.standard_normal((1, 1, 2, 8)).astype(np.float32)
     before = compile_plan(graph).execute((x,))[0]
@@ -442,11 +447,6 @@ def test_flipping_a_tap_dead_at_one_pixel(padding, rng):
     cin = conv.attrs["in_channels"]
     params = BConv2DParams(3, 3, cin, cin, padding=padding)
     assert [3 in taps for taps in whole_map_taps(params, 1, 2)] == [False, True]
-    if padding is Padding.SAME_ZERO:
-        filters = PackedFilters(bits, 3, 3, in_channels=cin)
-        conv.params["padding_correction"] = zero_padding_correction(
-            unpack_filters(filters), params, 1, 2
-        )
     after = compile_plan(graph).execute((x,))[0]
     assert np.array_equal(after, Executor(graph).run(x))
     assert np.array_equal(after[..., :5], before[..., :5])  # other filters
@@ -457,12 +457,14 @@ def test_flipping_a_tap_dead_at_one_pixel(padding, rng):
 @pytest.mark.parametrize("padding", SAME)
 @pytest.mark.parametrize("width", (3, 4))
 def test_dead_taps_off_a_whole_map(width, padding, rng):
-    """On a 1x3 or 1x4 map no window covers the map: the kernel keeps the
-    live-tap form (the top and bottom kernel rows dead), one copy per live
-    tap and half at 130 channels, and equals the Executor."""
+    """On a 1x3 or 1x4 map no window covers the map: the kernel multiplies
+    every tap, the top and bottom kernel rows too, which read only padding
+    (odd halves at 130 channels), and equals the Executor."""
     params = BConv2DParams(3, 3, 130, 130, padding=padding)
     assert whole_map_taps(params, 1, width) is None
-    assert live_taps(params, 1, width) == ((3, 4, 5), True)
+    filters = pack_filters(rng.choice([-1.0, 1.0], (3, 3, 130, 130)))
+    BoundBConv2D(filters, params, 1, width, 1)
+    assert list(filters.operands) == [(tuple(range(9)),)]
     graph = _small_map_net(rng, padding, "float", True, True, 130, (1, width))
     executor = Executor(graph)
     for factor in (1, 3):

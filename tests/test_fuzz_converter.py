@@ -2,7 +2,8 @@
 
 Generates random mixed binary/full-precision networks — random layer
 kinds, paddings, strides, layer orders, shortcut placements, channel
-counts with a partial tail word — and checks the converter's core
+counts with a partial tail word, binarized 1x1 and 3x3 kernels at
+dilation 1 and 2, square and non-square maps down to 1xW — and checks the converter's core
 contract on every one: the optimized inference graph computes the same
 function as the training graph, and a compiled plan computes it bit for
 bit like the reference ``Executor``.
@@ -40,7 +41,10 @@ def random_network(draw):
     rng = np.random.default_rng(seed)
     # 40, 130: a partial tail word; 72, 130: an odd number of 32-bit halves
     channels = draw(st.sampled_from([8, 16, 24, 40, 64, 72, 130]))
-    size = draw(st.integers(1, 10))  # 1-2 px: every 3x3 window covers the map
+    # 1-2 px: every 3x3 window covers the map; 1xW: the top and bottom
+    # kernel rows read only padding
+    width = draw(st.integers(1, 10))
+    height = draw(st.one_of(st.just(1), st.integers(1, 10)))
     n_blocks = draw(st.integers(1, 4))
     block_specs = [
         {
@@ -49,6 +53,8 @@ def random_network(draw):
                 st.sampled_from([Padding.SAME_ONE, Padding.SAME_ZERO])
             ),
             "stride": draw(st.sampled_from([1, 2])),
+            "kernel": draw(st.sampled_from([1, 3])),
+            "dilation": draw(st.sampled_from([1, 2])),
             "relu": draw(st.booleans()),
             "bn_first": draw(st.booleans()),
             "shortcut": draw(st.booleans()),
@@ -57,17 +63,19 @@ def random_network(draw):
         for _ in range(n_blocks)
     ]
 
-    b = GraphBuilder((1, size, size, channels))
+    b = GraphBuilder((1, height, width, channels))
     x = b.input
-    cur_size = size
+    cur_h, cur_w = height, width
     for spec in block_specs:
-        stride = spec["stride"] if cur_size >= 4 else 1
+        stride = spec["stride"] if max(cur_h, cur_w) >= 4 else 1
         if spec["kind"] == "binary":
+            k = spec["kernel"]
             h = b.binarize(x)
             h = b.conv2d(
                 h,
-                rng.choice([-1.0, 1.0], (3, 3, channels, channels)).astype(np.float32),
+                rng.choice([-1.0, 1.0], (k, k, channels, channels)).astype(np.float32),
                 stride=stride,
+                dilation=spec["dilation"],
                 padding=spec["padding"],
                 binary_weights=True,
             )
@@ -90,13 +98,13 @@ def random_network(draw):
         if spec["shortcut"] and stride == 1:
             h = b.add(h, x)
         x = h
-        cur_size = -(-cur_size // stride)
-        if spec["pool_after"] and cur_size >= 4:
+        cur_h, cur_w = -(-cur_h // stride), -(-cur_w // stride)
+        if spec["pool_after"] and min(cur_h, cur_w) >= 4:
             x = b.maxpool2d(x, 2, 2)
-            cur_size //= 2
+            cur_h, cur_w = cur_h // 2, cur_w // 2
     x = b.global_avgpool(x)
     graph = b.finish(x)
-    input_value = rng.standard_normal((1, size, size, channels)).astype(np.float32)
+    input_value = rng.standard_normal((1, height, width, channels)).astype(np.float32)
     return graph, input_value
 
 

@@ -96,12 +96,14 @@ class TestBinarizeConvs:
         assert packed_bytes < float_bytes
 
     def test_zero_padding_gets_correction(self, rng):
+        """The correction is the bound kernel's own: the converter attaches
+        no table, and the converted graph stays equivalent."""
         g = self._graph(rng, padding=Padding.SAME_ZERO)
         before = _copy(g)
         binarize_convs(g)
         dce(g)
         node = g.ops_by_type("lce_bconv2d")[0]
-        assert "padding_correction" in node.params
+        assert set(node.params) == {"filter_bits"}
         _assert_equivalent(before, g, rng)
 
     def test_leaves_float_convs_alone(self, rng):

@@ -166,7 +166,8 @@ class TestZeroPaddedChain:
         model = convert(g)
         first = model.graph.ops_by_type("lce_bconv2d")[0]
         assert first.attr("output_type") == "bitpacked"
-        assert "padding_correction" in first.params
+        assert first.attr("padding") is Padding.SAME_ZERO
+        assert "padding_correction" not in first.params
         after = Executor(model.graph).run(x)
         np.testing.assert_allclose(after, before, rtol=1e-4, atol=1e-4)
 

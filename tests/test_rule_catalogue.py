@@ -79,7 +79,6 @@ GRAPH_FIXTURES = {
     "G001": lambda g: g.tensors.__setitem__("orphan", TensorSpec((1, 4))),
     "G002": _respec_packed_output,
     "G003": lambda g: _bconv(g, False).params.pop("filter_bits"),
-    "G004": lambda g: _bconv(g, False).params.pop("padding_correction"),
     "G005": lambda g: _bconv(g, True).params.__setitem__(
         "multiplier", np.ones(16, np.float32)),
 }

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import dataflow
 from repro.converter import convert
-from repro.core.bconv2d import BConv2DParams, pack_filters, zero_padding_correction
+from repro.core.bconv2d import pack_filters
 from repro.core.bitpack import PackedTensor, pack_bits
 from repro.core.im2col import conv_geometry
 from repro.core.output_transform import compute_output_thresholds
@@ -358,14 +358,15 @@ def test_synthetic_parity_run_many(graph_name, rng):
 
 def test_same_zero_bitpacked_is_covered(rng):
     """The SAME_ZERO synthetic net must keep exercising the bitpacked-output
-    path (zero-padding correction + thresholding through the arena), so the
-    grid above covers that combination in both Executor and rebatched plans.
+    path (the kernel's zero-padding offset + thresholding through the
+    arena), so the grid above covers that combination in both Executor and
+    rebatched plans.
     """
     graph = SYNTHETIC_GRAPHS["binary_same_zero"](rng)
     assert any(
         n.op == "lce_bconv2d"
         and n.attrs.get("output_type") == "bitpacked"
-        and "padding_correction" in n.params
+        and n.attrs.get("padding") is Padding.SAME_ZERO
         for n in graph.nodes
     )
 
@@ -396,20 +397,32 @@ def _mismatches_the_executor(graph, rng) -> bool:
     return False
 
 
+def _whole_map_net(rng):
+    b = GraphBuilder((1, 2, 2, 40))
+    y = b.binarize(b.input)
+    y = b.conv2d(y, rng.standard_normal((3, 3, 40, 8)).astype(np.float32),
+                 binary_weights=True, padding=Padding.SAME_ONE)
+    return convert(b.finish(y)).graph
+
+
 def test_a_wrong_padding_correction_is_a_mismatch(rng, monkeypatch):
-    """The Executor's binarized conv pads with 0.0 and reads no
-    ``padding_correction``: a converter correction that is one off on one
-    padded tap reaches only the plan, and parity reports it."""
-    passes = importlib.import_module("repro.graph.passes.binarize_convs")
+    """The Executor's binarized conv pads with 0.0 or +1.0 itself and
+    shares no padding offset with the plan: a kernel offset that misses
+    one padded tap reaches only the plan, and parity reports it — zero-
+    padded, and one-padded on a whole map, where the GEMM leaves padded
+    taps out."""
+    bconv2d_module = importlib.import_module("repro.core.bconv2d")
+    padded_tap_mask = bconv2d_module.padded_tap_mask
 
-    def off_by_one(weights, params, in_h, in_w):
-        correction = zero_padding_correction(weights, params, in_h, in_w)
-        correction[0, 0] += 1  # pixel (0, 0) reads padding through 5 taps
-        return correction
+    def one_tap_missed(*args):
+        reads = padded_tap_mask(*args).copy()
+        assert reads[0, 0]  # pixel (0, 0) reads padding through its tap (0, 0)
+        reads[0, 0] = False
+        return reads
 
-    monkeypatch.setattr(passes, "zero_padding_correction", off_by_one)
-    graph = SYNTHETIC_GRAPHS["binary_same_zero"](rng)
-    assert _mismatches_the_executor(graph, rng)
+    monkeypatch.setattr(bconv2d_module, "padded_tap_mask", one_tap_missed)
+    for build in (SYNTHETIC_GRAPHS["binary_same_zero"], _whole_map_net):
+        assert _mismatches_the_executor(build(rng), rng), build
 
 
 def _cin40_bconv_net(rng):
@@ -592,11 +605,6 @@ def _block_graph(
         "filter_bits": pack_filters(weights).bits,
         "multiplier": multiplier, "bias": bias,
     }
-    if padding is Padding.SAME_ZERO:
-        params["padding_correction"] = zero_padding_correction(
-            weights, BConv2DParams(kernel, kernel, cin, cout, stride, 1, padding),
-            h, w,
-        )
     out_dtype = "float32"
     if variant == "bitpacked_out":
         th = compute_output_thresholds(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,72 @@ class TestFaultInjection:
         (tmp_path / "empty.lce").write_bytes(b"")
         with pytest.raises(ValueError):
             load_model(tmp_path / "empty.lce")
+
+
+def _edit_buffer_table(path, edit):
+    """Rewrite the header of the file at ``path`` through ``edit(entries)``
+    over its ndarray entries sorted by offset, keeping the buffers."""
+    raw = path.read_bytes()
+    length = int(np.frombuffer(raw, np.uint64, count=1, offset=len(MAGIC) + 4)[0])
+    start = len(MAGIC) + 12
+    header = json.loads(raw[start : start + length])
+    entries = []
+    for node in header["nodes"]:
+        for name, entry in node["params"].items():
+            for sub in entry.get("fields", {"": entry}).values():
+                entries.append((sub["offset"], node["name"], name, sub))
+    edit([e[1:] for e in sorted(entries, key=lambda e: e[0])])
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        raw[: len(MAGIC) + 4] + np.uint64(len(new)).tobytes() + new
+        + raw[start + length :]
+    )
+
+
+class TestBufferTable:
+    """A header whose buffer table disagrees with the bytes is refused,
+    naming the node and parameter, instead of loading other bytes."""
+
+    def _refused(self, rng, tmp_path, edit, message):
+        """Save a converted graph, break its table with ``edit(entries)``
+        (which returns the node and parameter it broke), and load it."""
+        path = tmp_path / "model.lce"
+        save_model(convert(_toy_binary_graph(rng)).graph, path)
+        broken = []
+        _edit_buffer_table(path, lambda entries: broken.append(edit(entries)))
+        with pytest.raises(ValueError, match=message) as exc:
+            load_model(path)
+        node, name = broken[0]
+        assert f"node {node!r} parameter {name!r}" in str(exc.value)
+
+    def test_a_shifted_offset(self, rng, tmp_path):
+        def shift(entries):
+            node, name, entry = entries[0]  # the next entry starts where it ends
+            entry["offset"] += np.dtype(entry["dtype"]).itemsize
+            return node, name
+
+        self._refused(rng, tmp_path, shift, "overlap")
+
+    def test_an_offset_past_the_section(self, rng, tmp_path):
+        def shift(entries):
+            node, name, entry = entries[-1]
+            entry["offset"] += 8
+            return node, name
+
+        self._refused(rng, tmp_path, shift, "outside")
+
+    def test_an_inflated_nbytes(self, rng, tmp_path):
+        def inflate(entries):
+            node, name, entry = entries[0]
+            entry["nbytes"] += 8
+            return node, name
+
+        self._refused(rng, tmp_path, inflate, "nbytes")
+
+    def test_an_overlap(self, rng, tmp_path):
+        def overlap(entries):
+            (_, _, first), (node, name, second) = entries[:2]
+            second["offset"] = first["offset"]
+            return node, name
+
+        self._refused(rng, tmp_path, overlap, "overlap")

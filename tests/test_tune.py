@@ -166,7 +166,7 @@ class TestMeasureConfig:
         # The way ``measure_config`` drives it: a workspace reserved for the
         # config, then the kernel bound under it, against the reference.
         geom = _tiny_geometry(padding=padding)
-        x, filters, params, correction = _workload(geom)
+        x, filters, params = _workload(geom)
         expected = bconv2d(x, filters, params)
         ws = Workspace()
         reserve_bconv2d_workspace(
@@ -174,8 +174,7 @@ class TestMeasureConfig:
         )
         reserved = ws.nbytes
         run = BoundBConv2D(
-            filters, params, geom.in_h, geom.in_w, geom.batch,
-            padding_correction=correction, config=config,
+            filters, params, geom.in_h, geom.in_w, geom.batch, config=config,
         ).bind(ws)
         for _ in range(2):
             got = run(x)
@@ -187,6 +186,6 @@ class TestMeasureConfig:
         # No bound kernel for groups > 1: nothing to reserve, still a number.
         geom = _tiny_geometry(in_channels=128, groups=2)
         assert measure_config(geom, DEFAULT_CONFIG, repeats=1) > 0
-        x, filters, params, _ = _workload(geom)
+        x, filters, params = _workload(geom)
         with pytest.raises(ValueError, match="groups == 1"):
             reserve_bconv2d_workspace(Workspace(), params, 4, 4, 1)
