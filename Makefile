@@ -44,8 +44,8 @@ sanitize-smoke:
 check: lint analyze test-fast bench-tests test-serving sanitize-smoke trace-smoke calibrate-smoke telemetry-smoke examples
 
 # End-to-end observability smoke: trace a QuickNet-small engine run,
-# schema-validate the Chrome-trace export, and print the unified metrics
-# registry.  ``cli trace`` exits non-zero on any validation problem.
+# schema-validate the Chrome-trace export, and print the engine's stats
+# fields.  ``cli trace`` exits non-zero on any validation problem.
 trace-smoke:
 	PYTHONPATH=src python -m repro.cli trace --model quicknet_small --input-size 32 \
 		--batch 2 --out $${TMPDIR:-/tmp}/repro-trace-smoke.json

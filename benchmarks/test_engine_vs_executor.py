@@ -14,6 +14,7 @@ Run with ``pytest benchmarks/test_engine_vs_executor.py --benchmark-only -s``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -64,7 +65,7 @@ def _serving_comparison():
             executor_s = _measure(executor_serve)
             engine_s = _measure(lambda: engine.run_many(samples))
             verified = engine.stats().verified
-            metrics = engine.metrics.snapshot()
+            metrics = dataclasses.asdict(engine.stats())
         rows.append(
             {
                 "batch": batch,
@@ -74,7 +75,7 @@ def _serving_comparison():
                 "verified": verified,
             }
         )
-    # metrics: unified-registry snapshot of the last (largest-batch) engine
+    # metrics: the last (largest-batch) engine's stats fields
     return rows, metrics
 
 
@@ -93,8 +94,7 @@ def test_engine_beats_executor_at_batch(benchmark):
         "suite": "engine_vs_executor",
         "model": "quicknet_small@64",
         "verified": all(row["verified"] for row in rows),
-        # Unified-registry snapshot (engine + process-wide cache gauges)
-        # from the largest-batch engine, so the numbers are attributable.
+        # The largest-batch engine's stats, so the numbers are attributable.
         "metrics": metrics,
         "rows": [
             {k: (round(v, 3) if isinstance(v, float) else v)

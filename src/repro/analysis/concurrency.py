@@ -35,11 +35,11 @@ from repro.analysis.lint import (
     _suppressions,
     iter_python_files,
 )
-from repro.concurrency.order import ACQUIRE_METHODS, LOCK_ORDER, LOCK_RANKS
+from repro.concurrency.order import LOCK_ORDER, LOCK_RANKS
 
-_FACTORIES = ("ordered_lock", "ordered_rlock")
+_FACTORIES = ("ordered_lock", "OrderedLock")
 _BLOCKING_ZERO_ARG = frozenset({"result", "exception", "get", "join"})
-_ENGINE_RUN = frozenset({"run", "run_batch"})
+_ENGINE_RUN = frozenset({"run", "run_many"})
 
 
 def _func_name(call: ast.Call) -> str | None:
@@ -83,8 +83,7 @@ class _FileLocks:
 
 def _lock_of_call(call: ast.Call) -> str | None:
     """The registered lock name a factory/shim call constructs, if any."""
-    name = _func_name(call)
-    if name in _FACTORIES or name == "OrderedLock":
+    if _func_name(call) in _FACTORIES:
         return _str_arg(call)
     return None
 
@@ -99,9 +98,8 @@ def _inventory(tree: ast.Module, loc: str) -> tuple[_FileLocks, list[Diagnostic]
             diags.append(error(
                 "C001", f"{loc}:{call.lineno}",
                 f"raw threading.{name}() construction",
-                hint="route through repro.concurrency.locks.ordered_lock"
-                "/ordered_rlock with a name registered in "
-                "repro.concurrency.order",
+                hint="route through repro.concurrency.locks.ordered_lock "
+                "with a name registered in repro.concurrency.order",
             ))
             return
         if name == "Condition" and not call.args:
@@ -111,7 +109,7 @@ def _inventory(tree: ast.Module, loc: str) -> tuple[_FileLocks, list[Diagnostic]
                 hint="pass an ordered lock: Condition(self._lock)",
             ))
             return
-        if name in _FACTORIES or name == "OrderedLock":
+        if name in _FACTORIES:
             lock_name = _str_arg(call)
             if lock_name is None:
                 diags.append(error(
@@ -126,13 +124,6 @@ def _inventory(tree: ast.Module, loc: str) -> tuple[_FileLocks, list[Diagnostic]
                     f"lock {lock_name!r} is not registered in "
                     "repro.concurrency.order",
                     hint="add a LockRank entry with a rank and a doc line",
-                ))
-            elif name == "ordered_rlock" and not LOCK_RANKS[lock_name].reentrant:
-                diags.append(error(
-                    "C001", f"{loc}:{call.lineno}",
-                    f"ordered_rlock({lock_name!r}) but the table registers "
-                    "it non-reentrant",
-                    hint="use ordered_lock() or flip the table entry",
                 ))
             else:
                 locks.constructed.add(lock_name)
@@ -187,10 +178,6 @@ def _with_item_lock(item: ast.withitem, locks: _FileLocks,
     if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) \
             and expr.value.id == "self" and cls is not None:
         return locks.classes.get(cls, {}).get(expr.attr)
-    if isinstance(expr, ast.Call):
-        name = _func_name(expr)
-        if name in ACQUIRE_METHODS and isinstance(expr.func, ast.Attribute):
-            return ACQUIRE_METHODS[name]
     return None
 
 
@@ -446,7 +433,7 @@ def unused_ranks(constructed: set[str]) -> list[Diagnostic]:
         error(
             "C001", "src/repro/concurrency/order.py",
             f"unused rank: lock {entry.name!r} (rank {entry.rank}) has no "
-            "ordered_lock/ordered_rlock construction site under src/",
+            "ordered_lock construction site under src/",
             hint="delete the LockRank entry along with the lock it ranked",
         )
         for entry in LOCK_ORDER

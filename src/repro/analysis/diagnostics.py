@@ -88,8 +88,8 @@ RULES: dict[str, Rule] = {
               "hw/calibrate.py")),
         # ---------------------------------------- concurrency engine
         Rule("C001", "lock-inventory", "concurrency",
-             "every lock in src/ routes through ordered_lock/ordered_rlock "
-             "with a name registered in repro.concurrency.order"),
+             "every lock in src/ routes through ordered_lock with a name "
+             "registered in repro.concurrency.order"),
         Rule("C003", "blocking-under-lock", "concurrency",
              "no Future.result/Queue.get/put/join without timeout, "
              "Engine.run* or sleep inside a lock's critical section"),

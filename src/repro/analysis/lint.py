@@ -280,11 +280,10 @@ def _module_lock_names(tree: ast.Module) -> set[str]:
         if not isinstance(value, ast.Call):
             continue
         fn = value.func
-        # OrderedLock and its factories are the sanitized spelling of the
+        # OrderedLock and its factory are the sanitized spelling of the
         # same idiom (repro.concurrency) and satisfy the guard just as a
         # bare threading lock does.
-        lock_ctors = ("Lock", "RLock", "OrderedLock",
-                      "ordered_lock", "ordered_rlock")
+        lock_ctors = ("Lock", "RLock", "OrderedLock", "ordered_lock")
         is_lock = (
             isinstance(fn, ast.Attribute) and fn.attr in lock_ctors
         ) or (isinstance(fn, ast.Name) and fn.id in lock_ctors)

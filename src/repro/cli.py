@@ -357,7 +357,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Exercise an engine and print the unified metrics registry."""
+    """Exercise an engine and print its stats fields."""
+    import dataclasses
+
+    from repro.obs.metrics import summarize
     from repro.runtime import Engine
 
     model = _build_converted(args)
@@ -367,9 +370,10 @@ def cmd_stats(args) -> int:
             engine.run(x)
         # A coalesced run_many so the batch-size histogram has content.
         engine.run_many([x, x, x])
-        snapshot = engine.metrics.snapshot()
-    print(f"{args.model}: unified metrics registry")
-    print(format_snapshot(snapshot, indent="  "))
+        stats = dataclasses.asdict(engine.stats())
+    stats["batch_histogram"] = summarize(stats["batch_histogram"])
+    print(f"{args.model}: engine stats")
+    print(format_snapshot(stats, indent="  "))
     return 0
 
 
@@ -627,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
-        "stats", help="print the unified runtime metrics registry for a model"
+        "stats", help="print an engine's stats fields for a model"
     )
     _add_model_arg(p)
     p.add_argument("--batch", type=_POSITIVE_INT, default=4)

@@ -1,15 +1,14 @@
 """OrderedLock: the ranked lock shim every repo lock routes through.
 
 Production code never constructs ``threading.Lock`` directly (static
-rule C001); it calls :func:`ordered_lock`/:func:`ordered_rlock` with a
-name registered in :mod:`repro.concurrency.order`.  The factories have
-two modes:
+rule C001); it calls :func:`ordered_lock` with a name registered in
+:mod:`repro.concurrency.order`.  The factory has two modes:
 
-- **Sanitizer off** (the default): they return a *bare*
-  ``threading.Lock``/``RLock`` — the steady-state runtime pays zero
+- **Sanitizer off** (the default): it returns a *bare*
+  ``threading.Lock`` — the steady-state runtime pays zero
   overhead for the discipline (the name is still validated against the
   rank table, so an unregistered lock fails fast either way).
-- **Sanitizer on** (``REPRO_SANITIZE=1``): they return an
+- **Sanitizer on** (``REPRO_SANITIZE=1``): it returns an
   :class:`OrderedLock` that, on every acquisition, checks the thread's
   current lockset against the rank table and raises a typed
   :class:`LockOrderError` unless the new lock's rank is strictly higher
@@ -48,7 +47,7 @@ def sanitizer_enabled() -> bool:
 
 class LockOrderError(RuntimeError):
     """A lock-order violation: acquiring a lock while holding one of
-    equal or higher rank (or re-acquiring a held non-reentrant lock).
+    equal or higher rank (or re-acquiring a held lock).
 
     Raised by the sanitizer *before* the offending acquisition blocks.
     Carries the acquiring lock's name and the thread's lockset at the
@@ -80,40 +79,35 @@ def lockset() -> tuple[str, ...]:
 class OrderedLock:
     """A named, ranked, sanitizing lock.
 
-    Constructing one always checks: use the :func:`ordered_lock` /
-    :func:`ordered_rlock` factories in production code so the disabled
-    path stays a bare ``threading`` primitive.
+    Constructing one always checks: use the :func:`ordered_lock`
+    factory in production code so the disabled path stays a bare
+    ``threading.Lock``.
     """
 
-    __slots__ = ("name", "rank", "reentrant", "_inner")
+    __slots__ = ("name", "rank", "_inner")
 
     def __init__(self, name: str) -> None:
-        entry = rank_of(name)
         self.name = name
-        self.rank = entry.rank
-        self.reentrant = entry.reentrant
-        self._inner: Any = (
-            threading.RLock() if self.reentrant else threading.Lock()  # repro: allow[C001] the checked primitive inside the shim itself
-        )
+        self.rank = rank_of(name).rank
+        self._inner = threading.Lock()  # repro: allow[C001] the checked primitive inside the shim itself
 
     def _check(self, blocking: bool) -> None:
         """Check one acquisition attempt against the lockset (before it can block).
 
-        Re-entering a held reentrant lock is allowed, and so is a
-        non-blocking probe of a held non-reentrant one (how
+        A non-blocking probe of a held lock is allowed (how
         ``Condition._is_owned`` works against a bare Lock; it can never
-        deadlock).  A blocking re-acquisition of a held non-reentrant
-        lock (guaranteed self-deadlock) raises, and so does nesting
-        under any held lock whose rank is not strictly lower — another
-        instance of the same name included.
+        deadlock).  A blocking re-acquisition of a held lock (guaranteed
+        self-deadlock) raises, and so does nesting under any held lock
+        whose rank is not strictly lower — another instance of the same
+        name included.
         """
         for entry in _held():
             if entry is self:
-                if self.reentrant or not blocking:
+                if not blocking:
                     continue
                 raise LockOrderError(
-                    f"thread re-acquiring non-reentrant lock {self.name!r} "
-                    "it already holds (self-deadlock)",
+                    f"thread re-acquiring lock {self.name!r} it already "
+                    "holds (self-deadlock)",
                     acquiring=self.name,
                     held=lockset(),
                 )
@@ -160,11 +154,6 @@ class OrderedLock:
     # release/reacquire, and makes _is_owned() a real answer instead of
     # the acquire(False) probe used against bare Locks.
     def _release_save(self) -> None:
-        if self.reentrant:
-            raise NotImplementedError(
-                "Condition over a reentrant OrderedLock is unsupported; "
-                "pair conditions with non-reentrant locks"
-            )
         self.release()
 
     def _acquire_restore(self, state: Any) -> None:
@@ -183,24 +172,7 @@ def ordered_lock(name: str) -> Any:
     The name is validated against the rank table in *both* modes, so an
     unregistered lock fails at construction even without the sanitizer.
     """
-    entry = rank_of(name)
+    rank_of(name)
     if not sanitizer_enabled():
-        if entry.reentrant:
-            return threading.RLock()  # repro: allow[C001] pass-through mode of the registered factory itself
         return threading.Lock()  # repro: allow[C001] pass-through mode of the registered factory itself
     return OrderedLock(name)  # repro: allow[C001] the factory forwards its (already validated) name argument
-
-
-def ordered_rlock(name: str) -> Any:
-    """A registered *reentrant* repo lock (see :func:`ordered_lock`).
-
-    The table entry must be declared ``reentrant=True`` — asking for a
-    reentrant lock at a non-reentrant rank is a registration bug.
-    """
-    entry = rank_of(name)
-    if not entry.reentrant:
-        raise ValueError(
-            f"lock {name!r} is registered non-reentrant in "
-            "repro.concurrency.order; use ordered_lock() or fix the table"
-        )
-    return ordered_lock(name)  # repro: allow[C001] the factory forwards its (already validated) name argument

@@ -8,9 +8,11 @@ Three modules, one clock discipline:
   (:data:`NULL_TRACER`) for the disabled fast path;
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto),
   schema and request-lifecycle validation and a text flamegraph;
-- :mod:`repro.obs.metrics` — the typed counter/gauge/histogram registry
-  each engine and gateway owns (no process-wide one); `EngineStats` and
-  `GatewayStats` are views of it.
+- :mod:`repro.obs.metrics` — reading counters: histogram summaries,
+  3-significant-digit latency buckets, quantiles and snapshot text.
+  There is no registry: an engine and a gateway keep their counters
+  under the locks that guard what they count, and `EngineStats` /
+  `GatewayStats` read those fields.
 """
 
 from repro.obs.export import (
@@ -19,11 +21,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import (
-    MetricsRegistry,
-    format_snapshot,
-    quantile_from_counts,
-)
+from repro.obs.metrics import format_snapshot, quantile_from_counts
 from repro.obs.trace import (
     NULL_TRACER,
     Span,
@@ -34,7 +32,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "NULL_TRACER",
-    "MetricsRegistry",
     "Span",
     "SpanRecord",
     "Tracer",

@@ -32,7 +32,6 @@ from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
 from repro.core.workspace import Workspace
 from repro.graph.ir import Graph
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
 
@@ -166,9 +165,9 @@ class Engine:
     lock of the engine's one scratch arena.  Results stay bit-exact;
     parallelism is more engines (the gateway's replicas), not more threads.
 
-    Observability: every counter lives in a per-engine
-    :class:`~repro.obs.metrics.MetricsRegistry` (``engine.metrics``) —
-    :meth:`stats` is a consistent view over it.  Pass ``trace=`` a
+    Observability: every counter lives under the plan lock, beside the
+    plan and weight caches whose counts :meth:`stats` reads with them, so
+    a snapshot is consistent however many threads submit.  Pass ``trace=`` a
     :class:`~repro.obs.trace.Tracer` (or set ``engine.tracer``) to record
     ``engine.run``/``engine.run_many`` → ``batch.coalesce`` /
     ``plan.compile`` (on a plan-cache miss) → ``plan.execute`` →
@@ -211,41 +210,15 @@ class Engine:
         #: tracer recording this engine's spans; NULL_TRACER when disabled
         self.tracer: Tracer = trace if trace is not None else NULL_TRACER
 
-        # Every counter is an instrument of the per-engine registry; grouped
-        # updates and `stats()` snapshots share the registry's single lock,
-        # so a snapshot can never observe a half-counted batch.
-        self.metrics = MetricsRegistry()
-        m = self.metrics
-        self._m_requests = m.counter("engine.requests")
-        self._m_samples = m.counter("engine.samples")
-        self._m_batches = m.counter("engine.batches")
-        self._m_batch_size = m.histogram("engine.batch_size")
-        self._m_busy_s = m.counter("engine.busy_s")
-        self._m_plan_hits = m.counter("plancache.hits")
-        self._m_plan_misses = m.counter("plancache.misses")
-        # Views over subsystems with their own locks: evaluated at snapshot
-        # time, outside the registry lock (see MetricsRegistry.snapshot).
-        m.gauge("paramcache.hits", lambda: self._param_cache_view("hits"))
-        m.gauge("paramcache.misses", lambda: self._param_cache_view("misses"))
-        # No lock: reading the footprint never waits for a running plan.
-        m.gauge("workspace.bytes_reserved", lambda: self._workspace.nbytes)
-        m.gauge("engine.verified", self._verified_view)
-        m.gauge("plan.graph_nodes", lambda: len(self.graph.nodes))
-        m.gauge("plan.nodes", lambda: self._plan_view(lambda p: len(p.nodes)))
-        m.gauge("plan.fused_blocks", lambda: self._plan_view(lambda p: p.fused_blocks))
-
-    def _param_cache_view(self, attr: str) -> int:
-        with self._plan_lock:
-            return getattr(self._param_cache, attr)
-
-    def _verified_view(self) -> int:
-        with self._plan_lock:
-            return int(all(p.verified for p in self._plans.values()))
-
-    def _plan_view(self, read) -> int:
-        """``read`` of any compiled plan (every batch factor fuses alike)."""
-        with self._plan_lock:
-            return next((read(p) for p in self._plans.values()), 0)
+        # Counters, guarded by the plan lock like the caches whose counts
+        # stats() reads beside them; one hold counts a whole batch.
+        self._requests = 0
+        self._samples = 0
+        self._batches = 0
+        self._batch_sizes: dict[int, int] = {}
+        self._busy_s = 0.0
+        self._plan_hits = 0
+        self._plan_misses = 0
 
     # ------------------------------------------------------------- plumbing
     def plan(self, batch_factor: int = 1) -> CompiledPlan:
@@ -260,9 +233,9 @@ class Engine:
                     )
                 self._plans[batch_factor] = plan
                 # counted once stored: a compile that raises cached nothing
-                self._m_plan_misses.inc()
+                self._plan_misses += 1
             else:
-                self._m_plan_hits.inc()
+                self._plan_hits += 1
         return plan
 
     def _normalize_request(self, inputs: Sequence[Value]) -> Request:
@@ -309,14 +282,15 @@ class Engine:
         start = time.perf_counter()
         outputs = plan.execute(inputs, tracer=self.tracer)
         elapsed = time.perf_counter() - start
-        # One lock hold per batch: the batch count, its samples, its
-        # histogram bucket and its busy time land atomically, so stats()
-        # snapshots always satisfy sum(histogram) == batches.
-        with self.metrics.lock():
-            self._m_batches.inc()
-            self._m_samples.add(plan.batch_factor)
-            self._m_batch_size.observe(plan.batch_factor)
-            self._m_busy_s.add(elapsed)
+        # One plan-lock hold per batch, taken after execute released the
+        # arena: the batch, its samples, its histogram bucket and its busy
+        # time land together, so stats() always sees sum(histogram) == batches.
+        factor = plan.batch_factor
+        with self._plan_lock:
+            self._batches += 1
+            self._samples += factor
+            self._batch_sizes[factor] = self._batch_sizes.get(factor, 0) + 1
+            self._busy_s += elapsed
         return outputs
 
     @staticmethod
@@ -333,7 +307,8 @@ class Engine:
         """
         request = self._normalize_request(inputs)
         factor = self._batch_factor(request)
-        self._m_requests.inc()
+        with self._plan_lock:
+            self._requests += 1
         with self.tracer.span("engine.run", batch_factor=factor):
             return self._unwrap(self._execute(self.plan(factor), request))
 
@@ -355,7 +330,8 @@ class Engine:
                 req = (req,)
             request = self._normalize_request(req)
             items.append((request, self._batch_factor(request)))
-        self._m_requests.add(len(items))
+        with self._plan_lock:
+            self._requests += len(items)
 
         tracer = self.tracer
         results: list[Result] = []
@@ -410,30 +386,26 @@ class Engine:
     def stats(self) -> EngineStats:
         """A consistent snapshot of the engine's counters.
 
-        A view over ``engine.metrics``: the native counters (requests,
-        samples, batches, histogram, busy time, plan-cache hits/misses)
-        are read under one registry-lock hold, so the returned fields are
-        mutually consistent however many threads are submitting.
+        Read under one plan-lock hold, the lock every counter and the
+        plan and weight caches live under, so the fields agree with each
+        other however many threads are submitting.
         """
-        # snapshot() reads the native instruments under one lock hold (the
-        # consistency guarantee); the registry lock must NOT be held around
-        # it, because callback gauges take the plan lock and plan() takes
-        # the locks in the opposite order.
-        snap = self.metrics.snapshot()
-        hist = snap["engine.batch_size"]
-        return EngineStats(
-            requests=snap["engine.requests"],
-            samples=snap["engine.samples"],
-            batches=snap["engine.batches"],
-            batch_histogram={int(k): v for k, v in hist["counts"].items()},
-            plan_cache_hits=snap["plancache.hits"],
-            plan_cache_misses=snap["plancache.misses"],
-            param_cache_hits=snap["paramcache.hits"],
-            param_cache_misses=snap["paramcache.misses"],
-            busy_s=snap["engine.busy_s"],
-            workspace_bytes=snap["workspace.bytes_reserved"],
-            verified=bool(snap["engine.verified"]),
-            graph_nodes=snap["plan.graph_nodes"],
-            nodes=snap["plan.nodes"],
-            fused_blocks=snap["plan.fused_blocks"],
-        )
+        with self._plan_lock:
+            plan = next(iter(self._plans.values()), None)  # all fuse alike
+            return EngineStats(
+                requests=self._requests,
+                samples=self._samples,
+                batches=self._batches,
+                batch_histogram=dict(self._batch_sizes),
+                plan_cache_hits=self._plan_hits,
+                plan_cache_misses=self._plan_misses,
+                param_cache_hits=self._param_cache.hits,
+                param_cache_misses=self._param_cache.misses,
+                busy_s=self._busy_s,
+                # not under the arena's lock: never waits for a running plan
+                workspace_bytes=self._workspace.nbytes,
+                verified=all(p.verified for p in self._plans.values()),
+                graph_nodes=len(self.graph.nodes),
+                nodes=len(plan.nodes) if plan else 0,
+                fused_blocks=plan.fused_blocks if plan else 0,
+            )

@@ -25,13 +25,14 @@ owns:
   resolves to typed ``Rejected`` replies, never an exception leak or a
   deadlock) and the pool keeps serving on the survivors.
 
-Observability: every admission decision and batch lands in the gateway's
-:class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.<model>.*``
-names (the ``gateway.*`` totals are summed from one registry snapshot, so
-``submitted == accepted + shed`` holds at *every*
-snapshot).  With a :class:`~repro.obs.trace.Tracer` attached, the
-gateway records ``gateway.submit`` / ``gateway.flush`` spans that nest
-the engine's ``engine.run_many`` → ``plan.execute`` → kernel spans,
+Observability: each model server counts its admission decisions and
+batches under the server lock they already take, and
+:meth:`Gateway.metrics_snapshot` reports them as ``gateway.<model>.*``
+(the ``gateway.*`` totals are summed from those per-model reads, so
+``submitted == accepted + shed`` holds at *every* snapshot).  With a
+:class:`~repro.obs.trace.Tracer` attached, the gateway records
+``gateway.submit`` / ``gateway.flush`` spans that nest the engine's
+``engine.run_many`` → ``plan.execute`` → kernel spans,
 mints a ``request_id`` per submit and records the request's lifecycle
 as zero-duration marks in the same tracer — ``request.accept`` /
 ``request.coalesce`` / exactly one terminal ``request.complete`` |
@@ -58,7 +59,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.concurrency.locks import ordered_lock
 from repro.graph.ir import Graph
-from repro.obs.metrics import MetricsRegistry, quantile_from_counts
+from repro.obs.metrics import quantile_from_counts, significant, summarize
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import ParamCache
@@ -165,19 +166,8 @@ class GatewayStats:
         return total / self.batches if self.batches else 0.0
 
 
-def _merge_histograms(parts: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Sum histogram snapshots (``MetricsRegistry.snapshot`` sub-dicts)."""
-    counts: dict[int | float, int] = {}
-    for part in parts:
-        for value, n in part["counts"].items():
-            counts[value] = counts.get(value, 0) + n
-    return {
-        "count": sum(part["count"] for part in parts),
-        "total": sum(part["total"] for part in parts),
-        "min": min((part["min"] for part in parts if part["count"]), default=None),
-        "max": max((part["max"] for part in parts if part["count"]), default=None),
-        "counts": counts,
-    }
+def _observe(counts: dict[Any, int], value: Any) -> None:
+    counts[value] = counts.get(value, 0) + 1
 
 
 def _hold_until(
@@ -272,14 +262,12 @@ class _ModelServer:
         model: Graph | Any,
         config: GatewayConfig,
         clock: Clock,
-        metrics: MetricsRegistry,
         tracer: Tracer,
         engine_factory: Callable[..., Engine] | None = None,
     ) -> None:
         self.name = name
         self._config = config
         self._clock = clock
-        self._metrics = metrics
         self._tracer = tracer
 
         self._lock = ordered_lock("serving.server")
@@ -313,18 +301,18 @@ class _ModelServer:
         self._idle: deque[_Replica] = deque(self._replicas)
         self._healthy = len(self._replicas)
 
-        m = metrics
-        self._m_accepted = m.counter(f"gateway.{name}.accepted")
-        self._m_shed = m.counter(f"gateway.{name}.shed")
-        self._m_completed = m.counter(f"gateway.{name}.completed")
-        self._m_failed = m.counter(f"gateway.{name}.failed")
-        self._m_batches = m.counter(f"gateway.{name}.batches")
-        self._m_batch_size = m.histogram(f"gateway.{name}.batch_size")
-        self._m_latency = m.histogram(f"gateway.{name}.latency_ms")
-        self._m_queue_wait = m.histogram(f"gateway.{name}.queue_wait_ms")
-        self._m_replica_failures = m.counter(f"gateway.{name}.replica_failures")
-        m.gauge(f"gateway.{name}.queue_depth", self.queue_depth)
-        m.gauge(f"gateway.{name}.replicas_healthy", self.healthy_replicas)
+        # Counters, guarded by the server lock that admission and every
+        # batch outcome already hold; the latency histograms key each
+        # observation at 3 significant digits (obs.metrics.significant).
+        self._accepted = 0
+        self._shed = 0
+        self._completed = 0
+        self._failed = 0
+        self._batches = 0
+        self._replica_failures = 0
+        self._batch_sizes: dict[int, int] = {}
+        self._latencies_ms: dict[float, int] = {}
+        self._queue_waits_ms: dict[float, int] = {}
 
         for replica in self._replicas:
             replica.thread = threading.Thread(
@@ -343,6 +331,25 @@ class _ModelServer:
     def healthy_replicas(self) -> int:
         with self._lock:
             return self._healthy
+
+    def snapshot(self) -> dict[str, Any]:
+        """Counters and raw ``value -> count`` histograms, keyed like
+        ``metrics_snapshot()`` without the ``gateway.<model>.`` prefix,
+        read under one lock hold."""
+        with self._lock:
+            return {
+                "accepted": self._accepted,
+                "shed": self._shed,
+                "completed": self._completed,
+                "failed": self._failed,
+                "batches": self._batches,
+                "replica_failures": self._replica_failures,
+                "queue_depth": len(self._queue),
+                "replicas_healthy": self._healthy,
+                "batch_size": dict(self._batch_sizes),
+                "latency_ms": dict(self._latencies_ms),
+                "queue_wait_ms": dict(self._queue_waits_ms),
+            }
 
     @property
     def engines(self) -> list[Engine]:
@@ -376,7 +383,7 @@ class _ModelServer:
                 # Count (and mark) acceptance *before* a worker can see
                 # the item, so no snapshot ever observes completed >
                 # accepted and the accept mark precedes the coalesce.
-                self._m_accepted.inc()
+                self._accepted += 1
                 if self._tracer.enabled:
                     self._tracer.mark(
                         "request.accept",
@@ -388,21 +395,13 @@ class _ModelServer:
                 self._queued_factor += factor
                 self._recent.append(t_submit)
                 self._cond.notify_all()
+            if reason is not None:
+                self._shed += 1
         if reason is not None:
-            self._shed(future, reason, request_id=request_id)
-
-    def _shed(
-        self,
-        future: Future,
-        reason: str,
-        detail: str = "",
-        request_id: str | None = None,
-    ) -> None:
-        self._m_shed.inc()
-        self._tracer.mark(
-            "request.shed", request_id=request_id, model=self.name, reason=reason
-        )
-        _resolve(future, Rejected(self.name, reason, detail))
+            self._tracer.mark(
+                "request.shed", request_id=request_id, model=self.name, reason=reason
+            )
+            _resolve(future, Rejected(self.name, reason))
 
     # ------------------------------------------------------------- workers
     def _worker_loop(self, replica: _Replica) -> None:
@@ -491,18 +490,21 @@ class _ModelServer:
         except BaseException as exc:
             self._record_failure(replica, batch, exc)
             return
-        with self._lock:
-            replica.consecutive_failures = 0
         end = self._clock.now()
         latencies_ms = [round((end - p.t_submit) * 1e3, 3) for p in batch]
         queue_waits_ms = [round((p.t_taken - p.t_submit) * 1e3, 3) for p in batch]
-        with self._metrics.lock():
-            self._m_batches.inc()
-            self._m_batch_size.observe(size)
-            self._m_completed.add(len(batch))
-            for latency_ms, queue_wait_ms in zip(latencies_ms, queue_waits_ms):
-                self._m_latency.observe(latency_ms)
-                self._m_queue_wait.observe(queue_wait_ms)
+        buckets = [
+            (significant(latency_ms), significant(queue_wait_ms))
+            for latency_ms, queue_wait_ms in zip(latencies_ms, queue_waits_ms)
+        ]
+        with self._lock:
+            replica.consecutive_failures = 0
+            self._batches += 1
+            _observe(self._batch_sizes, size)
+            self._completed += len(batch)
+            for latency_ms, queue_wait_ms in buckets:
+                _observe(self._latencies_ms, latency_ms)
+                _observe(self._queue_waits_ms, queue_wait_ms)
         for p, result, latency_ms, queue_wait_ms in zip(
             batch, results, latencies_ms, queue_waits_ms
         ):
@@ -537,9 +539,8 @@ class _ModelServer:
                     orphans = list(self._queue)
                     self._queue.clear()
                     self._queued_factor = 0
-        with self._metrics.lock():
-            self._m_replica_failures.inc()
-            self._m_failed.add(len(batch) + len(orphans))
+            self._replica_failures += 1
+            self._failed += len(batch) + len(orphans)
         detail = f"{type(exc).__name__}: {exc}"
         tracer = self._tracer
         if quarantined:
@@ -621,14 +622,10 @@ class Gateway:
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
         self.tracer: Tracer = trace if trace is not None else NULL_TRACER
         self._req_seq = itertools.count(1)
-        self.metrics = MetricsRegistry()
-
-        m = self.metrics
         # The only request outcome no model server can count; every other
-        # total is summed from the per-model instruments at snapshot time.
-        self._m_shed_unknown = m.counter("gateway.shed_unknown_model")
-        # Ring truncation is never silent: drop counts ride every snapshot.
-        m.gauge("obs.trace.dropped", lambda: self.tracer.dropped)
+        # total is summed from the per-model counters at snapshot time.
+        self._lock = ordered_lock("serving.gateway")
+        self._shed_unknown = 0
         self._servers: dict[str, _ModelServer] = {}
         try:
             for name, model in models.items():
@@ -637,7 +634,6 @@ class Gateway:
                     model,
                     self.config,
                     self.clock,
-                    self.metrics,
                     self.tracer,
                     engine_factory,
                 )
@@ -672,7 +668,8 @@ class Gateway:
         tracer = self.tracer
         server = self._servers.get(model)
         if server is None:
-            self._m_shed_unknown.inc()
+            with self._lock:
+                self._shed_unknown += 1
             if tracer.enabled:  # skips minting a request id
                 tracer.mark(
                     "request.shed",
@@ -748,23 +745,35 @@ class Gateway:
         )
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """Gateway registry plus the derived ``gateway.*`` totals.
+        """Every counter as ``gateway.<model>.*``, plus the ``gateway.*`` totals.
 
-        The registry books every outcome once, per model; the
-        gateway-wide totals are summed here from *one* registry snapshot,
-        so they equal the sum of their per-model parts — and
-        ``submitted == accepted + shed`` — at every snapshot.
+        Each model server books its outcomes once, read under one hold of
+        its lock; the gateway-wide totals are summed here from those
+        reads, so they equal the sum of their per-model parts — and
+        ``submitted == accepted + shed`` — at every snapshot.  Histograms
+        render as ``{count, total, min, max, counts}``.
         """
-        own = self.metrics.snapshot()
-        snap = dict(own)
-
-        def parts(key: str) -> list[Any]:
-            return [own[f"gateway.{name}.{key}"] for name in self._servers]
-
+        parts = [server.snapshot() for server in self._servers.values()]
+        with self._lock:
+            shed_unknown = self._shed_unknown
+        snap: dict[str, Any] = {
+            "gateway.shed_unknown_model": shed_unknown,
+            # Ring truncation is never silent: drop counts ride every snapshot.
+            "obs.trace.dropped": self.tracer.dropped,
+        }
+        for name, part in zip(self._servers, parts):
+            for key, value in part.items():
+                snap[f"gateway.{name}.{key}"] = (
+                    summarize(value) if isinstance(value, dict) else value
+                )
         for key in ("accepted", "shed", "completed", "failed", "batches"):
-            snap[f"gateway.{key}"] = sum(parts(key))
-        snap["gateway.shed"] += own["gateway.shed_unknown_model"]
+            snap[f"gateway.{key}"] = sum(part[key] for part in parts)
+        snap["gateway.shed"] += shed_unknown
         snap["gateway.submitted"] = snap["gateway.accepted"] + snap["gateway.shed"]
         for key in ("batch_size", "latency_ms", "queue_wait_ms"):
-            snap[f"gateway.{key}"] = _merge_histograms(parts(key))
+            merged: dict[Any, int] = {}
+            for part in parts:
+                for value, n in part[key].items():
+                    merged[value] = merged.get(value, 0) + n
+            snap[f"gateway.{key}"] = summarize(merged)
         return snap

@@ -21,7 +21,6 @@ from repro.concurrency import (
     LOCK_RANKS,
     LockOrderError,
     ordered_lock,
-    ordered_rlock,
     rank_of,
     sanitizer_enabled,
 )
@@ -39,10 +38,6 @@ def test_rank_table_is_a_strict_hierarchy_per_name():
     # Distinct ranks make the order total over names: the strict check
     # then refuses every equal-rank nesting, so no cycle can form.
     assert len(set(ranks)) == len(ranks)
-    # Exactly one reentrant entry: the metrics leaf (counters are bumped
-    # from under every other lock, including from metrics callbacks).
-    reentrant = [n for n, e in LOCK_RANKS.items() if e.reentrant]
-    assert reentrant == ["obs.metrics"]
 
 
 def test_architecture_doc_lists_every_registered_lock():
@@ -50,9 +45,9 @@ def test_architecture_doc_lists_every_registered_lock():
     doc = Path(__file__).resolve().parents[1] / "docs" / "architecture.md"
     section = doc.read_text().split("### The rank table", 1)[1]
     section = section.split("\n### ", 1)[0]
-    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \| (yes|no) \|", section, re.M)
-    assert [(name, int(rank), flag == "yes") for name, rank, flag in rows] == [
-        (entry.name, entry.rank, entry.reentrant) for entry in LOCK_ORDER
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \|", section, re.M)
+    assert [(name, int(rank)) for name, rank in rows] == [
+        (entry.name, entry.rank) for entry in LOCK_ORDER
     ]
 
 
@@ -68,9 +63,10 @@ def test_factories_are_bare_primitives_when_disabled(monkeypatch):
     monkeypatch.delenv(SANITIZE_ENV, raising=False)
     assert not sanitizer_enabled()
     # The ≤1.05x overhead contract: with the sanitizer off the factory
-    # returns the raw threading primitive itself, not a wrapper.
-    assert type(ordered_lock("obs.trace")) is type(threading.Lock())
-    assert type(ordered_rlock("obs.metrics")) is type(threading.RLock())
+    # returns the raw threading primitive itself, not a wrapper — and
+    # for every registered name a plain, non-reentrant Lock.
+    for name in LOCK_RANKS:
+        assert type(ordered_lock(name)) is type(threading.Lock())
 
     monkeypatch.setenv(SANITIZE_ENV, "0")
     assert not sanitizer_enabled()
@@ -83,9 +79,6 @@ def test_factories_return_ordered_locks_when_enabled(monkeypatch):
     lock = ordered_lock("runtime.engine.plan")
     assert isinstance(lock, OrderedLock)
     assert lock.rank == rank_of("runtime.engine.plan").rank
-    rlock = ordered_rlock("obs.metrics")
-    assert isinstance(rlock, OrderedLock)
-    assert rlock.reentrant
 
 
 def test_factories_validate_names_in_both_modes(monkeypatch):
@@ -95,41 +88,32 @@ def test_factories_validate_names_in_both_modes(monkeypatch):
             ordered_lock("not.registered")
 
 
-def test_ordered_rlock_rejects_non_reentrant_names(monkeypatch):
-    # Table says obs.trace is non-reentrant; asking for an RLock there is
-    # a registration bug in either mode.
-    for value in ("", "1"):
-        monkeypatch.setenv(SANITIZE_ENV, value)
-        with pytest.raises(ValueError, match="registered non-reentrant"):
-            ordered_rlock("obs.trace")
-
-
 # ------------------------------------------------------ ordering enforcement
 
 
 def _pair():
-    """An (outer, inner) pair from the real table, rank 50 < rank 90."""
-    return OrderedLock("runtime.engine.plan"), OrderedLock("obs.metrics")
+    """An (outer, inner) pair from the real table, rank 50 < rank 80."""
+    return OrderedLock("runtime.engine.plan"), OrderedLock("obs.trace")
 
 
 def test_correct_order_nests():
-    plan, metrics = _pair()
+    plan, trace = _pair()
     with plan:
         assert lockset() == ("runtime.engine.plan",)
-        with metrics:
-            assert lockset() == ("runtime.engine.plan", "obs.metrics")
+        with trace:
+            assert lockset() == ("runtime.engine.plan", "obs.trace")
     assert lockset() == ()
 
 
 def test_rank_inversion_raises_before_blocking():
-    plan, metrics = _pair()
-    with metrics:
+    plan, trace = _pair()
+    with trace:
         with pytest.raises(LockOrderError) as exc_info:
             with plan:
                 pass
     err = exc_info.value
     assert err.acquiring == "runtime.engine.plan"
-    assert err.held == ("obs.metrics",)
+    assert err.held == ("obs.trace",)
     assert "ranks must strictly increase" in str(err)
     # The attempt never reached the inner lock: it is still free.
     assert not plan.locked()
@@ -162,14 +146,6 @@ def test_non_reentrant_self_reacquire_raises():
     assert lockset() == ()
 
 
-def test_reentrant_lock_reenters():
-    metrics = OrderedLock("obs.metrics")
-    with metrics:
-        with metrics:
-            assert lockset() == ("obs.metrics", "obs.metrics")
-    assert lockset() == ()
-
-
 def test_release_of_unheld_lock_raises():
     lock = OrderedLock("obs.trace")
     lock._inner.acquire()  # bypass the shim so only the lockset is out of sync
@@ -178,18 +154,18 @@ def test_release_of_unheld_lock_raises():
 
 
 def test_locksets_are_per_thread():
-    plan, metrics = _pair()
+    plan, trace = _pair()
     seen = {}
 
     def worker():
-        with metrics:
+        with trace:
             seen["worker"] = lockset()
 
     with plan:
         t = threading.Thread(target=worker)
         t.start()
         t.join()
-        assert seen["worker"] == ("obs.metrics",)
+        assert seen["worker"] == ("obs.trace",)
         assert lockset() == ("runtime.engine.plan",)
 
 
@@ -280,10 +256,3 @@ def test_condition_wait_releases_the_sanitized_lockset():
     t.join(5.0)
     assert not t.is_alive()
 
-
-def test_condition_over_reentrant_ordered_lock_is_rejected():
-    metrics = OrderedLock("obs.metrics")
-    cond = threading.Condition(metrics)
-    with cond:
-        with pytest.raises(NotImplementedError, match="reentrant"):
-            cond.wait(timeout=0.01)

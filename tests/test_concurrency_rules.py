@@ -81,22 +81,26 @@ def test_c001_non_literal_name(tmp_path):
 
 
 def test_c001_reentrancy_must_match_the_table(tmp_path):
-    # obs.trace is registered non-reentrant; asking for an RLock there is
-    # a registration bug, not a spelling choice.
+    # The table registers no reentrant lock, so a reentrant one is refused
+    # wherever it is built: as an instance attribute or under a Condition.
     diags = _check(tmp_path, "src/repro/obs/m.py", """\
-        from repro.concurrency.locks import ordered_rlock
+        import threading
 
-        L = ordered_rlock("obs.trace")
+        class S:
+            def __init__(self):
+                self._lock = threading.RLock()
+                self._cond = threading.Condition(threading.RLock())
         """)
-    assert _rules(diags) == {"C001"}
+    assert [d.rule for d in diags] == ["C001", "C001"]
+    assert all("raw threading.RLock" in d.message for d in diags)
 
 
 def test_c001_registered_factory_call_is_clean(tmp_path):
     assert not _check(tmp_path, "src/repro/obs/m.py", """\
-        from repro.concurrency.locks import ordered_lock, ordered_rlock
+        from repro.concurrency.locks import ordered_lock
 
         A = ordered_lock("obs.trace")
-        B = ordered_rlock("obs.metrics")
+        B = ordered_lock("serving.gateway")
         """)
 
 
@@ -112,10 +116,10 @@ def test_c001_unused_rank_is_an_error(tmp_path):
     """The inventory is two-sided: a rank registered in the table with no
     construction site under ``src/`` fails the repo gate."""
     _write(tmp_path, "src/repro/obs/m.py", """\
-        from repro.concurrency.locks import ordered_lock, ordered_rlock
+        from repro.concurrency.locks import ordered_lock
 
         TRACE = ordered_lock("obs.trace")
-        METRICS = ordered_rlock("obs.metrics")
+        GATEWAY = ordered_lock("serving.gateway")
         """)
     # A construction site outside src/ does not count.
     _write(tmp_path, "tests/t.py", """\
@@ -128,7 +132,7 @@ def test_c001_unused_rank_is_an_error(tmp_path):
     assert all("unused rank" in d.message for d in diags)
     assert all(d.location == "src/repro/concurrency/order.py" for d in diags)
     named = {name for name in LOCK_RANKS if any(repr(name) in d.message for d in diags)}
-    assert named == set(LOCK_RANKS) - {"obs.trace", "obs.metrics"}
+    assert named == set(LOCK_RANKS) - {"obs.trace", "serving.gateway"}
 
 
 def test_c001_a_rank_left_behind_fails_the_repo_gate(monkeypatch):
@@ -137,7 +141,7 @@ def test_c001_a_rank_left_behind_fails_the_repo_gate(monkeypatch):
     from repro.analysis import concurrency
     from repro.concurrency.order import LOCK_ORDER, LockRank
 
-    stale = LockRank("runtime.engine.worker", 40, False, "no lock uses this")
+    stale = LockRank("runtime.engine.worker", 40, "no lock uses this")
     monkeypatch.setattr(concurrency, "LOCK_ORDER", LOCK_ORDER + (stale,))
     diags = check_repo(REPO)
     assert [d.rule for d in diags] == ["C001"]
@@ -175,9 +179,10 @@ def test_c003_engine_run_and_queue_put_under_a_lock(tmp_path):
         def bad(engine, work_queue, item):
             with L:
                 engine.run(item)
+                engine.run_many([item])
                 work_queue.put(item)
         """)
-    assert [d.rule for d in diags] == ["C003", "C003"]
+    assert [d.rule for d in diags] == ["C003", "C003", "C003"]
 
 
 def test_c003_timeouts_and_unlocked_calls_are_clean(tmp_path):
@@ -220,36 +225,18 @@ def test_c003_resolves_instance_attr_locks(tmp_path):
     diags = _check(tmp_path, "src/repro/serving/m.py", """\
         import time
 
-        from repro.concurrency.locks import ordered_rlock
+        from repro.concurrency.locks import ordered_lock
 
         class S:
             def __init__(self):
-                self._metrics_lock = ordered_rlock("obs.metrics")
+                self._trace_lock = ordered_lock("obs.trace")
 
             def wrong(self):
-                with self._metrics_lock:
+                with self._trace_lock:
                     time.sleep(1)
         """)
     assert _rules(diags) == {"C003"}
-    assert "'obs.metrics'" in diags[0].message
-
-
-def test_c003_resolves_the_metrics_lock_accessor(tmp_path):
-    # `with registry.lock():` is the repo's accessor idiom for the
-    # obs.metrics leaf lock (repro.concurrency.order.ACQUIRE_METHODS).
-    diags = _check(tmp_path, "src/repro/runtime/m.py", """\
-        import time
-
-        def wrong(registry):
-            with registry.lock():
-                time.sleep(1)
-
-        def right(registry):
-            with registry.lock():
-                pass
-            time.sleep(1)
-        """)
-    assert [d.rule for d in diags] == ["C003"]
+    assert "'obs.trace'" in diags[0].message
 
 
 def test_c003_nested_defs_do_not_inherit_the_lock(tmp_path):

@@ -391,7 +391,7 @@ class TestCli:
         )
         stdout = capsys.readouterr().out
         assert rc == 0
-        assert "unified metrics registry" in stdout
-        assert "engine.requests" in stdout
-        assert "engine.batch_size" in stdout
-        assert "paramcache.hits" in stdout
+        assert "quicknet_small: engine stats" in stdout
+        assert "requests" in stdout
+        assert "batch_histogram" in stdout
+        assert "param_cache_hits" in stdout
