@@ -15,7 +15,8 @@ Parameter arrays (packed filter bits, multipliers, thresholds, float
 weights of non-binary layers, ...) live in the buffer section; the JSON
 header holds everything else.  The loader checks the buffer table: each
 entry's ``nbytes`` matches its shape and dtype, lies inside the buffer
-section and overlaps no other entry.
+section and overlaps no other entry.  Every malformed file raises one
+type, :class:`ModelFormatError`, with the underlying error chained.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from repro.kernels.batchnorm import BatchNormParams
 
 MAGIC = b"LCEREPRO"
 VERSION = 1
+
+
+class ModelFormatError(ValueError):
+    """A file :func:`load_model` cannot read as a model (cause chained)."""
 
 
 # --------------------------------------------------------------- attributes
@@ -164,13 +169,21 @@ def save_model(graph: Graph, path: str | Path) -> int:
 
 
 def load_model(path: str | Path) -> Graph:
-    """Load a graph saved by :func:`save_model`."""
+    """Load a graph saved by :func:`save_model`; raises
+    :class:`ModelFormatError` for any malformed file."""
     raw = Path(path).read_bytes()
+    try:
+        return _load(raw)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ModelFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _load(raw: bytes) -> Graph:
     if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not an LCE model file")
+        raise ValueError("not an LCE model file")
     version = int(np.frombuffer(raw, np.uint32, count=1, offset=len(MAGIC))[0])
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
+        raise ValueError(f"unsupported model version {version}")
     header_len_offset = len(MAGIC) + 4
     header_len = int(np.frombuffer(raw, np.uint64, count=1, offset=header_len_offset)[0])
     header_start = header_len_offset + 8

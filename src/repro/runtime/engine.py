@@ -3,11 +3,12 @@
 Layers plan compilation, prepacked-weight caching and dynamic
 micro-batching over the graph IR:
 
-- :meth:`Engine.run` — one (possibly batched) synchronous inference through
-  a cached :class:`~repro.runtime.plan.CompiledPlan`;
-- :meth:`Engine.run_many` — coalesces a list of requests into micro-batches
-  of at most ``max_batch_size`` samples, runs each micro-batch through one
-  batched plan call, and splits the results back per request.
+- :meth:`Engine.run` (one request) and :meth:`Engine.run_many` (many)
+  share one path: it slices requests into pieces of at most
+  ``max_batch_size``, coalesces the pieces into micro-batches of at most
+  that size, runs each through one cached
+  :class:`~repro.runtime.plan.CompiledPlan` and joins the results per
+  request — so no request grows an engine past ``max_batch_size`` plans.
 
 The engine owns no threads: callers that want asynchronous, deadline-
 batched submission go through :class:`repro.serving.Gateway`, which
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Sequence
 
 import numpy as np
@@ -125,11 +127,9 @@ def greedy_chunks(
 ) -> list[list[tuple[Any, int]]]:
     """Greedy in-order packing of ``(request, factor)`` items into chunks.
 
-    Each chunk's total batch factor is at most ``max_batch`` where
-    possible: a single item larger than ``max_batch`` forms its own chunk
-    (it cannot be split here; rebatching is a plan-level concern) and the
-    ragged tail forms a final, smaller chunk.  The one batching rule,
-    shared by :meth:`Engine.run_many` and the serving gateway's workers.
+    Items keep their order; each chunk's total batch factor is at most
+    ``max_batch`` and the ragged tail forms a final, smaller chunk.  The
+    one batching rule, shared by the engine and the gateway's workers.
     """
     chunks: list[list[tuple[Any, int]]] = []
     current: list[tuple[Any, int]] = []
@@ -153,8 +153,9 @@ class Engine:
             ``.graph`` attribute (e.g. a converter
             :class:`~repro.converter.ConvertedModel`).
         num_threads: vestigial, must be 1 (``bench/`` passes it by keyword).
-        max_batch_size: largest micro-batch (in base-batch groups) that
-            ``run_many`` will coalesce into one plan call.
+        max_batch_size: largest plan (in base-batch groups) the engine
+            compiles: ``run`` and ``run_many`` slice a larger request into
+            pieces of at most this size and coalesce smaller ones up to it.
         param_cache: a :class:`~repro.runtime.plan.ParamCache` to share
             prepacked weights with other engines over the same graph (the
             serving gateway's warm replica pool); a private cache when
@@ -169,8 +170,8 @@ class Engine:
     plan and weight caches whose counts :meth:`stats` reads with them, so
     a snapshot is consistent however many threads submit.  Pass ``trace=`` a
     :class:`~repro.obs.trace.Tracer` (or set ``engine.tracer``) to record
-    ``engine.run``/``engine.run_many`` → ``batch.coalesce`` /
-    ``plan.compile`` (on a plan-cache miss) → ``plan.execute`` →
+    ``engine.run``/``engine.run_many`` → ``batch.coalesce`` (packing two
+    or more pieces) / ``plan.compile`` (on a plan-cache miss) → ``plan.execute`` →
     ``plan.node`` → kernel spans; the default
     :data:`~repro.obs.trace.NULL_TRACER` keeps the disabled path within
     the measured overhead budget.
@@ -222,7 +223,13 @@ class Engine:
 
     # ------------------------------------------------------------- plumbing
     def plan(self, batch_factor: int = 1) -> CompiledPlan:
-        """The cached :class:`CompiledPlan` for ``batch_factor``."""
+        """The cached :class:`CompiledPlan` for ``batch_factor``, which may
+        not exceed ``max_batch_size`` (:class:`ValueError`)."""
+        if batch_factor > self.max_batch_size:
+            raise ValueError(
+                f"batch factor {batch_factor} exceeds max_batch_size "
+                f"{self.max_batch_size}"
+            )
         with self._plan_lock:
             plan = self._plans.get(batch_factor)
             if plan is None:
@@ -237,15 +244,6 @@ class Engine:
             else:
                 self._plan_hits += 1
         return plan
-
-    def _normalize_request(self, inputs: Sequence[Value]) -> Request:
-        if len(inputs) != len(self.graph.inputs):
-            raise ValueError(
-                f"graph takes {len(self.graph.inputs)} inputs, got {len(inputs)}"
-            )
-        return tuple(
-            v if isinstance(v, PackedTensor) else np.asarray(v) for v in inputs
-        )
 
     def _batch_factor(self, request: Request) -> int:
         """How many base-batch groups a request carries; validates inputs."""
@@ -275,7 +273,13 @@ class Engine:
         requests raise in the submitting caller instead of inside a
         replica worker.  Raises :class:`ValueError` exactly like ``run``.
         """
-        request = self._normalize_request(inputs)
+        if len(inputs) != len(self.graph.inputs):
+            raise ValueError(
+                f"graph takes {len(self.graph.inputs)} inputs, got {len(inputs)}"
+            )
+        request = tuple(
+            v if isinstance(v, PackedTensor) else np.asarray(v) for v in inputs
+        )
         return request, self._batch_factor(request)
 
     def _execute(self, plan: CompiledPlan, inputs: Request) -> tuple[Value, ...]:
@@ -305,12 +309,10 @@ class Engine:
         graph's base batch; the result is bit-identical to concatenating
         ``k`` reference-executor runs.
         """
-        request = self._normalize_request(inputs)
-        factor = self._batch_factor(request)
-        with self._plan_lock:
-            self._requests += 1
-        with self.tracer.span("engine.run", batch_factor=factor):
-            return self._unwrap(self._execute(self.plan(factor), request))
+        [item] = self._admit([inputs])
+        with self.tracer.span("engine.run", batch_factor=item[1]):
+            [result] = self._serve([item])
+        return result
 
     def run_many(self, requests: Sequence[Value | Sequence[Value]]) -> list[Result]:
         """Run many requests, coalescing them into micro-batches.
@@ -324,50 +326,60 @@ class Engine:
             one result per request, in order, each bit-identical to
             ``run`` on that request alone.
         """
-        items: list[tuple[Request, int]] = []
-        for req in requests:
-            if not isinstance(req, (tuple, list)):
-                req = (req,)
-            request = self._normalize_request(req)
-            items.append((request, self._batch_factor(request)))
+        items = self._admit(
+            [r if isinstance(r, (tuple, list)) else (r,) for r in requests]
+        )
+        with self.tracer.span("engine.run_many", requests=len(items)):
+            return self._serve(items)
+
+    def _admit(self, requests: Sequence[Sequence[Value]]) -> list[tuple[Request, int]]:
+        items = [self.normalize(request) for request in requests]
         with self._plan_lock:
             self._requests += len(items)
+        return items
 
-        tracer = self.tracer
-        results: list[Result] = []
-        with tracer.span("engine.run_many", requests=len(items)):
-            start = time.perf_counter()
-            chunks = greedy_chunks(items, self.max_batch_size)
-            if tracer.enabled:
-                tracer.record(
-                    "batch.coalesce", start, time.perf_counter() - start,
-                    requests=len(items), chunks=len(chunks),
-                )
-            for chunk in chunks:
-                results.extend(self._run_chunk(chunk))
-        return results
-
-    def _run_chunk(self, chunk: list[tuple[Request, int]]) -> list[Result]:
-        """Execute one micro-batch and split its outputs per request."""
-        factors = [factor for _, factor in chunk]
-        total = sum(factors)
-        if len(chunk) == 1:
-            batched = chunk[0][0]
-        else:
-            batched = tuple(
-                _concat_values([request[i] for request, _ in chunk])
-                for i in range(len(self.graph.inputs))
+    def _serve(self, items: list[tuple[Request, int]]) -> list[Result]:
+        """The one request path behind ``run`` and ``run_many``: slice each
+        request into consecutive pieces of at most ``max_batch_size``
+        base-batch groups, pack the pieces with :func:`greedy_chunks`, run
+        each chunk as one plan call and join each request's pieces."""
+        cap = self.max_batch_size
+        pieces: list[tuple[Request, int]] = []
+        counts: list[int] = []
+        for request, factor in items:
+            if factor <= cap:  # the common case: nothing to slice
+                pieces.append((request, factor))
+                counts.append(1)
+                continue
+            sizes = [min(cap, factor - start) for start in range(0, factor, cap)]
+            sliced = [
+                _split_value(value, [size * base for size in sizes])
+                for value, base in zip(request, self._base_batches)
+            ]
+            pieces.extend(zip(zip(*sliced), sizes))
+            counts.append(len(sizes))
+        start = time.perf_counter()
+        chunks = greedy_chunks(pieces, cap)
+        if self.tracer.enabled and len(pieces) > 1:
+            self.tracer.record(
+                "batch.coalesce", start, time.perf_counter() - start,
+                requests=len(items), chunks=len(chunks),
             )
-        outputs = self._execute(self.plan(total), batched)
-        if len(chunk) == 1:
-            return [self._unwrap(outputs)]
-        per_request: list[list[Value]] = [[] for _ in chunk]
-        for out in outputs:
-            out_base = _lead_dim(out) // total
-            pieces = _split_value(out, [f * out_base for f in factors])
-            for i, piece in enumerate(pieces):
-                per_request[i].append(piece)
-        return [self._unwrap(tuple(vals)) for vals in per_request]
+        outputs: list[tuple[Value, ...]] = []  # one per piece
+        for chunk in chunks:
+            requests, factors = zip(*chunk)
+            total = sum(factors)
+            batched = tuple(map(_concat_values, zip(*requests)))
+            outs = self._execute(self.plan(total), batched)
+            outputs.extend([outs] if len(chunk) == 1 else zip(*(
+                _split_value(out, [f * (_lead_dim(out) // total) for f in factors])
+                for out in outs
+            )))
+        joined = iter(outputs)
+        return [
+            self._unwrap(tuple(map(_concat_values, zip(*islice(joined, count)))))
+            for count in counts
+        ]
 
     def close(self) -> None:
         """Lifecycle hook for ``with Engine(...)`` and the gateway; idempotent.

@@ -356,7 +356,8 @@ class _ModelServer:
         return [r.engine for r in self._replicas]
 
     def warmup(self, factors: Sequence[int]) -> None:
-        """Compile plans (and prepack weights) ahead of traffic."""
+        """Compile plans (and prepack weights) ahead of traffic; a factor
+        above ``max_batch`` raises :class:`ValueError` from ``Engine.plan``."""
         for replica in self._replicas:
             for factor in factors:
                 replica.engine.plan(factor)
@@ -450,7 +451,8 @@ class _ModelServer:
         """Pop the first greedy micro-batch (called with the lock held).
 
         The popped prefix is ``greedy_chunks(queue, max_batch)[0]``: take
-        while the next request fits; an oversize head runs alone.
+        while the next request fits; an oversize head runs alone (sliced
+        by the engine).
         """
         batch = [self._queue.popleft()]
         size = batch[0].factor
@@ -653,7 +655,8 @@ class Gateway:
         return self._servers[model]
 
     def warmup(self, factors: Sequence[int] = (1,)) -> None:
-        """Compile plans and prepack weights for every model/replica."""
+        """Compile plans and prepack weights for every model/replica (each
+        factor at most ``max_batch``, else :class:`ValueError`)."""
         for server in self._servers.values():
             server.warmup(factors)
 

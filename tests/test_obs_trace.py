@@ -313,8 +313,8 @@ def test_architecture_doc_span_taxonomy(rng):
     config = GatewayConfig(max_batch=1, deadline_ms=100.0, max_replica_failures=1)
     gateway = Gateway({"m": model}, config, clock=FakeClock(), trace=tracer)
     try:
+        gateway.warmup(factors=(1,))
         assert not isinstance(gateway.submit("m", x).result(30.0), Rejected)
-        gateway.warmup(factors=(2,))
         assert gateway.submit("nope", x).result(30.0).reason == "unknown_model"
     finally:
         gateway.close()

@@ -16,9 +16,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_runtime_parity import (
+    SYNTHETIC_GRAPHS,
+    _batched_input,
+    assert_bit_identical,
+    reference_outputs,
+)
 
 from repro import cli
 from repro.converter import convert
+from repro.core.bitpack import PackedTensor
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.ir import Graph, GraphError, TensorSpec
@@ -187,6 +194,131 @@ class TestStats:
         assert stats.mean_batch_size == 2.0
         assert stats.busy_s > 0
         assert stats.throughput_samples_per_s > 0
+
+
+def _rows(value, start, stop):
+    """Rows ``start:stop`` of an input or output (``PackedTensor`` too)."""
+    if isinstance(value, tuple):
+        return tuple(_rows(v, start, stop) for v in value)
+    if isinstance(value, PackedTensor):
+        return PackedTensor(bits=value.bits[start:stop], channels=value.channels)
+    return value[start:stop]
+
+
+class TestTheBound:
+    """``max_batch_size`` bounds an engine whatever its requests' sizes:
+    ``run`` and ``run_many`` slice a larger request into pieces of at most
+    that size, so no plan, and no arena, outgrows the bound."""
+
+    MAX = 8
+    POOL = 200
+
+    @pytest.mark.parametrize(
+        "graph_name", ["binary_same_one", "float_base2", "packed_input", "two_inputs"]
+    )
+    def test_no_request_grows_the_engine(self, graph_name, rng):
+        graph = (
+            _two_input_net(rng) if graph_name == "two_inputs"
+            else SYNTHETIC_GRAPHS[graph_name](rng)
+        )
+        bases = [graph.tensors[t].shape[0] for t in graph.inputs]
+        out_base = graph.tensors[graph.outputs[0]].shape[0]
+        pool = tuple(_batched_input(graph, self.POOL, rng, t) for t in graph.inputs)
+        expected = reference_outputs(graph, pool, self.POOL)  # per image
+
+        def request(start, factor):
+            """``factor`` groups from group ``start`` on, and what they give."""
+            inputs = tuple(
+                _rows(v, start * b, (start + factor) * b) for v, b in zip(pool, bases)
+            )
+            return inputs, _rows(expected, start * out_base, (start + factor) * out_base)
+
+        with Engine(graph, max_batch_size=self.MAX) as engine:
+            for factor in range(1, self.MAX + 1):
+                inputs, want = request(0, factor)
+                assert_bit_identical(engine.run(*inputs), want)
+            arena = engine.stats().workspace_bytes
+
+            factors = list(range(1, 3 * self.MAX + 1)) + [self.POOL]
+            for factor in factors:
+                inputs, want = request(self.POOL - factor, factor)
+                assert_bit_identical(engine.run(*inputs), want)
+            # small and oversized requests mixed, each from its own offset
+            mix = [3, 1, 2 * self.MAX + 5, 2, self.MAX, self.POOL, 1, 3 * self.MAX]
+            cases = [request((7 * i) % (self.POOL - f + 1), f) for i, f in enumerate(mix)]
+            results = engine.run_many([inputs for inputs, _ in cases])
+            for result, (_, want) in zip(results, cases):
+                assert_bit_identical(result, want)
+            stats = engine.stats()
+
+        assert stats.plan_cache_misses <= self.MAX
+        assert max(stats.batch_histogram) <= self.MAX
+        assert stats.workspace_bytes == arena
+        assert stats.requests == self.MAX + len(factors) + len(mix)
+        assert stats.samples == sum(range(1, self.MAX + 1)) + sum(factors) + sum(mix)
+
+    def test_a_plan_above_the_bound_is_refused(self, rng):
+        with Engine(_small_net(rng), max_batch_size=self.MAX) as engine:
+            with pytest.raises(ValueError, match="max_batch_size 8"):
+                engine.plan(self.MAX + 1)
+            engine.plan(self.MAX)
+            assert engine.stats().plan_cache_misses == 1
+
+
+class _CountedPlan:
+    """Delegates to a plan and notes each execution's batch factor."""
+
+    def __init__(self, plan, executes):
+        self._plan, self._executes = plan, executes
+
+    def __getattr__(self, name):
+        return getattr(self._plan, name)
+
+    def execute(self, *args, **kwargs):
+        self._executes.append(self._plan.batch_factor)
+        return self._plan.execute(*args, **kwargs)
+
+
+class _CallRecordingEngine(Engine):
+    """Overrides the public entry points the way a timing proxy does: one
+    record per public call, holding the plan executions made inside it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls: list[tuple[str, list[int]]] = []
+        self._executes: list[int] = []
+
+    def plan(self, batch_factor=1):
+        return _CountedPlan(super().plan(batch_factor), self._executes)
+
+    def _record(self, name, call, *args):
+        self._executes = []
+        out = call(*args)
+        self.calls.append((name, self._executes))
+        return out
+
+    def run(self, *inputs):
+        return self._record("run", super().run, *inputs)
+
+    def run_many(self, requests):
+        return self._record("run_many", super().run_many, requests)
+
+
+def test_each_public_call_is_recorded_once_with_its_executions(rng):
+    """Neither entry point calls the other, so a subclass that wraps both
+    records exactly one call per public call, oversized requests included."""
+    x = rng.standard_normal((1, 6, 6, 3)).astype(np.float32)
+    with _CallRecordingEngine(_small_net(rng), max_batch_size=4) as engine:
+        engine.run(x)
+        engine.run(np.concatenate([x] * 10))
+        engine.run_many([x, x])
+        engine.run_many([np.concatenate([x] * 9), x, x])
+    assert engine.calls == [
+        ("run", [1]),
+        ("run", [4, 4, 2]),
+        ("run_many", [2]),
+        ("run_many", [4, 4, 3]),
+    ]
 
 
 class TestThreadInventory:

@@ -232,20 +232,19 @@ class TestCoalescingFuzz:
             stats = engine.stats()
         for k, result in zip(sizes, results):
             assert_bit_identical(result, cases[k][1])
-        # Coalescing invariants: every request accounted for, no micro-batch
-        # exceeds the cap unless a single request was itself oversize.
+        # Coalescing invariants: every request accounted for, and no
+        # micro-batch exceeds the cap, an oversize request included.
         assert stats.requests == len(sizes)
         assert stats.samples == sum(sizes)
-        for size, count in stats.batch_histogram.items():
-            assert size <= max_batch_size or size in sizes
+        assert max(stats.batch_histogram) <= max_batch_size
 
-    def test_oversize_request_runs_alone(self, shared_case):
+    def test_oversize_request_is_split(self, shared_case):
         graph, cases = shared_case
         x, expected = cases[3]
         with Engine(graph, max_batch_size=2) as engine:
             [result] = engine.run_many([x])
             assert_bit_identical(result, expected)
-            assert engine.stats().batch_histogram == {3: 1}
+            assert engine.stats().batch_histogram == {2: 1, 1: 1}
 
     def test_ragged_tail_forms_final_microbatch(self, shared_case):
         graph, cases = shared_case

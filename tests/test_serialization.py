@@ -11,7 +11,7 @@ from repro.converter import convert
 from repro.core.types import Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
-from repro.graph.serialization import MAGIC, load_model, save_model
+from repro.graph.serialization import MAGIC, ModelFormatError, load_model, save_model
 from repro.kernels.batchnorm import BatchNormParams
 
 
@@ -125,7 +125,7 @@ class TestFaultInjection:
         save_model(g, path)
         raw = path.read_bytes()
         (tmp_path / "trunc.lce").write_bytes(raw[:40])
-        with pytest.raises(Exception):
+        with pytest.raises(ModelFormatError):
             load_model(tmp_path / "trunc.lce")
 
     def test_corrupted_json_header(self, rng, tmp_path):
@@ -135,8 +135,46 @@ class TestFaultInjection:
         raw = bytearray(path.read_bytes())
         raw[20] = ord("!")  # clobber the header's opening brace
         (tmp_path / "bad.lce").write_bytes(bytes(raw))
-        with pytest.raises(Exception):
+        with pytest.raises(ModelFormatError):
             load_model(tmp_path / "bad.lce")
+
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda header: header["nodes"][0].pop("op"), KeyError),
+            (lambda header: header.update(tensors=[]), AttributeError),
+        ],
+        ids=["node_without_op", "tensors_not_a_table"],
+    )
+    def test_a_malformed_header_is_a_format_error(self, rng, tmp_path, edit, cause):
+        """Header fields that are missing or of the wrong JSON type raise
+        the one load error, not a bare ``KeyError`` / ``AttributeError``."""
+        path = tmp_path / "model.lce"
+        save_model(_toy_binary_graph(rng), path)
+        _edit_header(path, edit)
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert isinstance(exc.value.__cause__, cause)
+
+    def test_header_bit_flips_load_or_raise_the_format_error(self, rng, tmp_path):
+        """Seeded sweep: each of 256 single-bit flips in the magic, version,
+        length or JSON header either loads or raises ``ModelFormatError``."""
+        path = tmp_path / "model.lce"
+        save_model(_toy_binary_graph(rng), path)
+        raw = path.read_bytes()
+        length = int(np.frombuffer(raw, np.uint64, count=1, offset=len(MAGIC) + 4)[0])
+        flips = np.random.default_rng(50).integers(0, (len(MAGIC) + 12 + length) * 8, 256)
+        flipped = tmp_path / "flipped.lce"
+        raised = 0
+        for bit in flips:
+            data = bytearray(raw)
+            data[bit // 8] ^= 1 << (bit % 8)
+            flipped.write_bytes(bytes(data))
+            try:
+                load_model(flipped)
+            except ModelFormatError:
+                raised += 1
+        assert raised > 200  # the sweep mostly lands on parsed fields
 
     def test_empty_file(self, tmp_path):
         (tmp_path / "empty.lce").write_bytes(b"")
@@ -144,24 +182,34 @@ class TestFaultInjection:
             load_model(tmp_path / "empty.lce")
 
 
-def _edit_buffer_table(path, edit):
-    """Rewrite the header of the file at ``path`` through ``edit(entries)``
-    over its ndarray entries sorted by offset, keeping the buffers."""
+def _edit_header(path, edit):
+    """Rewrite the JSON header of the file at ``path`` through
+    ``edit(header)``, keeping the buffers."""
     raw = path.read_bytes()
     length = int(np.frombuffer(raw, np.uint64, count=1, offset=len(MAGIC) + 4)[0])
     start = len(MAGIC) + 12
     header = json.loads(raw[start : start + length])
-    entries = []
-    for node in header["nodes"]:
-        for name, entry in node["params"].items():
-            for sub in entry.get("fields", {"": entry}).values():
-                entries.append((sub["offset"], node["name"], name, sub))
-    edit([e[1:] for e in sorted(entries, key=lambda e: e[0])])
+    edit(header)
     new = json.dumps(header).encode("utf-8")
     path.write_bytes(
         raw[: len(MAGIC) + 4] + np.uint64(len(new)).tobytes() + new
         + raw[start + length :]
     )
+
+
+def _edit_buffer_table(path, edit):
+    """Rewrite the header of the file at ``path`` through ``edit(entries)``
+    over its ndarray entries sorted by offset, keeping the buffers."""
+
+    def edit_entries(header):
+        entries = []
+        for node in header["nodes"]:
+            for name, entry in node["params"].items():
+                for sub in entry.get("fields", {"": entry}).values():
+                    entries.append((sub["offset"], node["name"], name, sub))
+        edit([e[1:] for e in sorted(entries, key=lambda e: e[0])])
+
+    _edit_header(path, edit_entries)
 
 
 class TestBufferTable:

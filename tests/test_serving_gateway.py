@@ -216,6 +216,26 @@ def test_oversize_request_runs_alone(graph, rng):
     assert stats.batch_histogram == {3: 1}
 
 
+def test_a_request_past_max_batch_resolves_one_future_within_the_bound(graph, rng):
+    """A request of three times ``max_batch`` is one future with the
+    per-image reference bits, and its replica's engine compiles no plan
+    above ``max_batch``; warming up such a factor is refused."""
+    clock = FakeClock()
+    x = _batched_input(graph, 24, rng)
+    with make_gateway(graph, clock, max_batch=8) as gw:
+        future = gw.submit("m", x)
+        assert_bit_identical(
+            future.result(RESULT_TIMEOUT_S), reference_outputs(graph, (x,), 24)
+        )
+        [engine] = gw.server("m").engines
+        assert engine.stats().batch_histogram == {8: 3}
+        with pytest.raises(ValueError, match="max_batch_size 8"):
+            engine.plan(9)
+        with pytest.raises(ValueError, match="max_batch_size 8"):
+            gw.warmup([9])
+        assert gw.stats().completed == 1
+
+
 # ------------------------------------------ hold only when company is coming
 
 
